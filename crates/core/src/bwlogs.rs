@@ -51,10 +51,15 @@ pub fn coarse_log_bytes(records: &[CoarseBwRecord]) -> usize {
 /// Encode a coarse log into its wire form (the format
 /// [`CoarseBwRecord::encoded_bytes`] accounts, plus a 2-byte value count
 /// per record so heterogeneous statistic sets decode unambiguously).
+/// Takes rows by reference, so incremental state encodes without cloning.
 #[must_use]
-pub fn encode_coarse_log(records: &[CoarseBwRecord]) -> bytes::Bytes {
+pub fn encode_coarse_log<'a>(
+    records: impl IntoIterator<Item = &'a CoarseBwRecord>,
+) -> bytes::Bytes {
     use bytes::BufMut;
-    let mut buf = bytes::BytesMut::with_capacity(coarse_log_bytes(records) + 2 * records.len());
+    let records = records.into_iter();
+    // A one-statistic row is 34 bytes; longer rows grow the buffer.
+    let mut buf = bytes::BytesMut::with_capacity(34 * records.size_hint().0);
     for r in records {
         buf.put_u64(r.window_start.0);
         buf.put_u64(r.window_secs);
@@ -126,9 +131,8 @@ impl TimeCoarsener {
     }
 
     /// Group records into (pair, window) buckets and summarize each.
-    /// Crate-visible so the incremental path (`crate::stream`) recomputes
-    /// dirty cells through the *same* code the batch oracle runs —
-    /// byte-identity under reconciliation depends on that.
+    /// Crate-visible so reconciliation (`crate::stream`) runs the batch
+    /// oracle over the lake's borrowed slice.
     pub(crate) fn coarsen_records(&self, records: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
         let mut buckets: HashMap<(u64, u32, u32), Vec<f64>> = HashMap::new();
         for r in records {
@@ -379,6 +383,20 @@ impl Coarsening for AdaptiveCoarsener {
         Some(smn_topology::LayerId::L3)
     }
     fn coarsen(&self, fine: &Self::Fine) -> Vec<CoarseBwRecord> {
+        self.coarsen_records(fine)
+    }
+    fn fine_size(&self, fine: &Self::Fine) -> usize {
+        fine.len() * BW_RECORD_BYTES
+    }
+    fn coarse_size(&self, coarse: &Vec<CoarseBwRecord>) -> usize {
+        coarse_log_bytes(coarse)
+    }
+}
+
+impl AdaptiveCoarsener {
+    /// [`Coarsening::coarsen`] over a borrowed slice, so reconciliation
+    /// coarsens the lake in place instead of cloning it.
+    pub(crate) fn coarsen_records(&self, fine: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
         let volatile: std::collections::HashSet<(u32, u32)> =
             self.volatile_pairs(fine).into_iter().collect();
         let (vol, stable): (Vec<BandwidthRecord>, Vec<BandwidthRecord>) =
@@ -390,12 +408,6 @@ impl Coarsening for AdaptiveCoarsener {
         );
         out.sort_by_key(|r| (r.window_start, r.src, r.dst));
         out
-    }
-    fn fine_size(&self, fine: &Self::Fine) -> usize {
-        fine.len() * BW_RECORD_BYTES
-    }
-    fn coarse_size(&self, coarse: &Vec<CoarseBwRecord>) -> usize {
-        coarse_log_bytes(coarse)
     }
 }
 

@@ -19,17 +19,21 @@
 //! log; silent drift is not an available failure mode.
 //!
 //! Byte-identity is not luck; it is engineered:
-//! * deltas are append-only and applied in tick order, so per-cell sample
-//!   order equals full-log order and floating-point summaries are
-//!   bit-identical;
-//! * dirty cells are recomputed through the *same* bucketing code the
-//!   batch oracle runs;
+//! * the batch oracle summarizes each cell's samples *sorted* under
+//!   `f64::total_cmp` (`SummaryStats::of` sorts, then calls
+//!   `SummaryStats::of_sorted`), and the incremental coarseners keep every
+//!   sample buffer in that same sorted order. The sorted sequence of a
+//!   multiset of `f64`s is unique bit for bit, so a dirty cell summarized
+//!   by `of_sorted` sums the same samples in the same order as the batch
+//!   pass — whatever order they arrived in;
+//! * there is one summariser: both paths end in `SummaryStats::of_sorted`;
 //! * cell maps are `BTreeMap`s keyed exactly like the batch sort key, so
 //!   materialized row order equals batch row order;
 //! * the fine graph and CDG are append-only, and contraction orders teams
 //!   and coarse edges by first appearance, so appended churn lands where
 //!   a rebuild would put it.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -44,7 +48,6 @@ use smn_telemetry::series::{Statistic, SummaryStats};
 use smn_telemetry::time::{Ts, DAY, HOUR};
 
 use crate::bwlogs::{encode_coarse_log, AdaptiveCoarsener, CoarseBwRecord, TimeCoarsener};
-use crate::coarsen::Coarsening;
 use crate::controller::SmnController;
 
 /// Artifact kind tag of a serialized [`DeltaJournal`].
@@ -155,10 +158,36 @@ pub struct DeltaApplyStats {
     pub total_rows: usize,
 }
 
+/// Overwrite `values` with the `stats` of `summary`, reusing its buffer.
+fn write_stats(values: &mut Vec<f64>, stats: &[Statistic], summary: &SummaryStats) {
+    values.clear();
+    values.extend(stats.iter().map(|&st| summary.get(st)));
+}
+
+/// The coarse row of `(src, dst)` for window index `w` of `window`-second
+/// windows.
+fn coarse_row(
+    (src, dst): (u32, u32),
+    w: u64,
+    window: u64,
+    stats: &[Statistic],
+    summary: &SummaryStats,
+) -> CoarseBwRecord {
+    CoarseBwRecord {
+        window_start: Ts(w * window),
+        window_secs: window,
+        src,
+        dst,
+        values: stats.iter().map(|&st| summary.get(st)).collect(),
+    }
+}
+
 /// Incremental state of a [`TimeCoarsener`]: per-cell sample buckets plus
 /// the materialized coarse rows, both keyed `(window index, src, dst)` —
 /// exactly the batch sort key, so iterating [`Self::coarse_log`] yields
-/// batch row order.
+/// batch row order. Each bucket is kept sorted under `f64::total_cmp`, so
+/// a dirty cell is summarized by [`SummaryStats::of_sorted`] without a
+/// re-sort.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalCoarseLog {
     window_secs: u64,
@@ -184,7 +213,7 @@ impl IncrementalCoarseLog {
     /// compares against the batch oracle's encoding.
     #[must_use]
     pub fn encode(&self) -> bytes::Bytes {
-        encode_coarse_log(&self.coarse_log())
+        encode_coarse_log(self.cells.values())
     }
 }
 
@@ -201,7 +230,7 @@ impl TimeCoarsener {
     }
 
     /// Apply one telemetry delta in place, recomputing only the dirty
-    /// (pair, window) cells. Appending each delta of a log in tick order
+    /// (pair, window) cells. Applying each delta of a log in tick order
     /// leaves `state` byte-identical (under
     /// [`IncrementalCoarseLog::encode`]) to a batch
     /// [`TimeCoarsener::coarsen`] over the concatenated log.
@@ -225,23 +254,25 @@ impl TimeCoarsener {
         let mut dirty: BTreeSet<(u64, u32, u32)> = BTreeSet::new();
         for r in &delta.records {
             let key = (r.ts.0 / self.window_secs, r.src, r.dst);
-            state.buckets.entry(key).or_default().push(r.gbps);
+            let bucket = state.buckets.entry(key).or_default();
+            let at = bucket.partition_point(|v| v.total_cmp(&r.gbps).is_le());
+            bucket.insert(at, r.gbps);
             dirty.insert(key);
         }
         let mut recomputed = 0usize;
         for key in &dirty {
-            let Some(vals) = state.buckets.get(key) else { continue };
-            let Some(s) = SummaryStats::of(vals) else { continue };
-            state.cells.insert(
-                *key,
-                CoarseBwRecord {
-                    window_start: Ts(key.0 * self.window_secs),
-                    window_secs: self.window_secs,
-                    src: key.1,
-                    dst: key.2,
-                    values: self.stats.iter().map(|&st| s.get(st)).collect(),
-                },
-            );
+            let Some(s) = state.buckets.get(key).and_then(|v| SummaryStats::of_sorted(v)) else {
+                continue;
+            };
+            match state.cells.entry(*key) {
+                Entry::Occupied(mut cell) => {
+                    write_stats(&mut cell.get_mut().values, &self.stats, &s);
+                }
+                Entry::Vacant(cell) => {
+                    let (w, src, dst) = *key;
+                    cell.insert(coarse_row((src, dst), w, self.window_secs, &self.stats, &s));
+                }
+            }
             recomputed += 1;
         }
         Ok(DeltaApplyStats {
@@ -254,21 +285,104 @@ impl TimeCoarsener {
 }
 
 /// Per-pair incremental state of an [`AdaptiveCoarsener`].
+///
+/// Volatility classification needs the pair's full history, so the state
+/// keeps every sample — as two parallel vectors sorted by value under
+/// `f64::total_cmp`. The whole run classifies the pair, and a window's
+/// sorted samples are the run filtered by timestamp, so neither needs a
+/// sort.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct PairState {
-    /// This pair's records in arrival order (volatility classification
-    /// needs the full history, so the state keeps it per pair).
-    samples: Vec<BandwidthRecord>,
+    /// Sample values, ascending under `f64::total_cmp`.
+    values: Vec<f64>,
+    /// Sample timestamps (seconds), parallel to `values`.
+    ts: Vec<u64>,
     /// Current classification.
     volatile: bool,
-    /// This pair's coarse rows under its current window.
+    /// This pair's coarse rows under its current window, ascending by
+    /// window.
     rows: Vec<CoarseBwRecord>,
+}
+
+impl PairState {
+    /// Merge `run` (sorted by value) into the sorted samples in one pass,
+    /// draining it: grow both vectors, then merge from the back so every
+    /// sample moves at most once. A one-sample run is a plain sorted
+    /// insert.
+    fn merge(&mut self, run: &mut Vec<(f64, u64)>) {
+        let mut old = self.values.len();
+        let mut at = old + run.len();
+        self.values.resize(at, 0.0);
+        self.ts.resize(at, 0);
+        while let Some(&(v, t)) = run.last() {
+            at -= 1;
+            let older =
+                old.checked_sub(1).and_then(|p| Some((p, *self.values.get(p)?, *self.ts.get(p)?)));
+            let (value, stamp) = match older {
+                Some((p, ov, ot)) if ov.total_cmp(&v).is_gt() => {
+                    old = p;
+                    (ov, ot)
+                }
+                _ => {
+                    run.pop();
+                    (v, t)
+                }
+            };
+            if let (Some(dv), Some(dt)) = (self.values.get_mut(at), self.ts.get_mut(at)) {
+                *dv = value;
+                *dt = stamp;
+            }
+        }
+    }
+
+    /// Rebuild every row under `window`; returns the row count.
+    fn rebuild_rows(&mut self, pair: (u32, u32), window: u64, stats: &[Statistic]) -> usize {
+        let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+        for (&v, &t) in self.values.iter().zip(&self.ts) {
+            buckets.entry(t / window).or_default().push(v);
+        }
+        self.rows.clear();
+        for (w, vals) in buckets {
+            if let Some(s) = SummaryStats::of_sorted(&vals) {
+                self.rows.push(coarse_row(pair, w, window, stats, &s));
+            }
+        }
+        self.rows.len()
+    }
+
+    /// Recompute the row of window index `w` from the samples it holds,
+    /// overwriting an existing row in place. `scratch` is reused across
+    /// calls. Returns the rows recomputed (0 or 1).
+    fn refresh_row(
+        &mut self,
+        pair: (u32, u32),
+        w: u64,
+        window: u64,
+        stats: &[Statistic],
+        scratch: &mut Vec<f64>,
+    ) -> usize {
+        scratch.clear();
+        scratch.extend(
+            self.values.iter().zip(&self.ts).filter(|&(_, &t)| t / window == w).map(|(&v, _)| v),
+        );
+        let Some(s) = SummaryStats::of_sorted(scratch) else { return 0 };
+        match self.rows.binary_search_by_key(&(w * window), |r| r.window_start.0) {
+            Ok(i) => {
+                if let Some(row) = self.rows.get_mut(i) {
+                    write_stats(&mut row.values, stats, &s);
+                }
+            }
+            Err(i) => self.rows.insert(i, coarse_row(pair, w, window, stats, &s)),
+        }
+        1
+    }
 }
 
 /// Incremental state of an [`AdaptiveCoarsener`]: per-pair histories,
 /// classifications, and rows. Only pairs a delta touches are
-/// re-classified and re-summarized — a pair's volatility is a function of
-/// its own history alone, so untouched pairs cannot flip class.
+/// re-classified, and only the windows it touches are re-summarized — a
+/// pair's volatility is a function of its own history alone, so untouched
+/// pairs cannot flip class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalAdaptiveLog {
     cv_threshold: f64,
@@ -292,21 +406,26 @@ impl IncrementalAdaptiveLog {
         self.pairs.iter().filter(|(_, p)| p.volatile).map(|(&k, _)| k).collect()
     }
 
-    /// The merged coarse log in batch order (`window_start`, `src`,
-    /// `dst`) — pairs are disjoint across rows, so the sort key is unique
-    /// and the order fully determined.
-    #[must_use]
-    pub fn coarse_log(&self) -> Vec<CoarseBwRecord> {
-        let mut out: Vec<CoarseBwRecord> =
-            self.pairs.values().flat_map(|p| p.rows.iter().cloned()).collect();
+    /// Every pair's rows in batch order (`window_start`, `src`, `dst`) —
+    /// pairs are disjoint across rows, so the sort key is unique and the
+    /// order fully determined.
+    fn sorted_rows(&self) -> Vec<&CoarseBwRecord> {
+        let mut out: Vec<&CoarseBwRecord> = self.pairs.values().flat_map(|p| &p.rows).collect();
         out.sort_by_key(|r| (r.window_start, r.src, r.dst));
         out
+    }
+
+    /// The merged coarse log in batch order (`window_start`, `src`,
+    /// `dst`).
+    #[must_use]
+    pub fn coarse_log(&self) -> Vec<CoarseBwRecord> {
+        self.sorted_rows().into_iter().cloned().collect()
     }
 
     /// Wire encoding of the merged coarse log.
     #[must_use]
     pub fn encode(&self) -> bytes::Bytes {
-        encode_coarse_log(&self.coarse_log())
+        encode_coarse_log(self.sorted_rows())
     }
 }
 
@@ -323,16 +442,16 @@ impl AdaptiveCoarsener {
         }
     }
 
-    /// Apply one telemetry delta in place: append each record to its
-    /// pair's history, then re-classify and re-summarize only the touched
-    /// pairs. Byte-identical (under [`IncrementalAdaptiveLog::encode`])
-    /// to a batch [`AdaptiveCoarsener::coarsen`] over the concatenated
-    /// log.
+    /// Apply one telemetry delta in place: merge each touched pair's new
+    /// samples into its sorted history, re-classify it, and re-summarize
+    /// only the windows the delta touched — or all of its rows when the
+    /// pair is new or flips class. Byte-identical (under
+    /// [`IncrementalAdaptiveLog::encode`]) to a batch
+    /// [`AdaptiveCoarsener::coarsen`] over the concatenated log.
     ///
     /// # Errors
     /// [`StreamError::StateMismatch`] when `state` was built by a
     /// different configuration.
-    // smn-lint: allow(deep/determinism-taint) -- coarsen_records sorts its hash-map buckets before returning
     pub fn apply_delta(
         &self,
         state: &mut IncrementalAdaptiveLog,
@@ -347,23 +466,43 @@ impl AdaptiveCoarsener {
                 detail: "state built for a different adaptive configuration".to_string(),
             });
         }
-        for r in &delta.records {
-            state.pairs.entry((r.src, r.dst)).or_default().samples.push(*r);
-        }
-        let dirty = delta.pairs();
-        let mut recomputed = 0usize;
-        for pair in &dirty {
-            let Some(ps) = state.pairs.get_mut(pair) else { continue };
-            let vals: Vec<f64> = ps.samples.iter().map(|r| r.gbps).collect();
-            ps.volatile = SummaryStats::of(&vals)
+        // One stable sort groups the delta by pair. It sorts references:
+        // a bulk history load is millions of records, and copying them
+        // would set the set-up's peak memory.
+        let mut records: Vec<&BandwidthRecord> = delta.records.iter().collect();
+        records.sort_by_key(|r| (r.src, r.dst));
+        let mut fresh: Vec<(f64, u64)> = Vec::new();
+        let mut scratch: Vec<f64> = Vec::new();
+        let mut touched: Vec<u64> = Vec::new();
+        let (mut dirty, mut recomputed) = (0usize, 0usize);
+        for run in records.chunk_by(|a, b| (a.src, a.dst) == (b.src, b.dst)) {
+            let Some(first) = run.first() else { continue };
+            let pair = (first.src, first.dst);
+            dirty += 1;
+            let ps = state.pairs.entry(pair).or_default();
+            let is_new = ps.values.is_empty();
+            fresh.extend(run.iter().map(|r| (r.gbps, r.ts.0)));
+            fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
+            ps.merge(&mut fresh);
+            let was_volatile = ps.volatile;
+            ps.volatile = SummaryStats::of_sorted(&ps.values)
                 .is_some_and(|s| s.mean > 0.0 && s.std / s.mean > self.cv_threshold);
             let window = if ps.volatile { self.volatile_window } else { self.stable_window };
-            ps.rows = TimeCoarsener::new(window, self.stats.clone()).coarsen_records(&ps.samples);
-            recomputed += ps.rows.len();
+            if is_new || ps.volatile != was_volatile {
+                recomputed += ps.rebuild_rows(pair, window, &self.stats);
+                continue;
+            }
+            touched.clear();
+            touched.extend(run.iter().map(|r| r.ts.0 / window));
+            touched.sort_unstable();
+            touched.dedup();
+            for &w in &touched {
+                recomputed += ps.refresh_row(pair, w, window, &self.stats, &mut scratch);
+            }
         }
         Ok(DeltaApplyStats {
             appended: delta.len(),
-            dirty_cells: dirty.len(),
+            dirty_cells: dirty,
             recomputed_rows: recomputed,
             total_rows: state.rows(),
         })
@@ -603,8 +742,14 @@ impl SmnController {
 
         let (time, adaptive) = {
             let mut phase = obs.phase("coarsen/apply_delta");
-            let t = state.config.time_coarsener().apply_delta(&mut state.time, telemetry)?;
-            let a = state.config.adaptive.apply_delta(&mut state.adaptive, telemetry)?;
+            let t = {
+                let _time = obs.phase("coarsen/time");
+                state.config.time_coarsener().apply_delta(&mut state.time, telemetry)?
+            };
+            let a = {
+                let _adaptive = obs.phase("coarsen/adaptive");
+                state.config.adaptive.apply_delta(&mut state.adaptive, telemetry)?
+            };
             phase.field("appended", t.appended);
             phase.field("dirty_cells", t.dirty_cells);
             phase.field("adaptive_dirty_pairs", a.dirty_cells);
@@ -687,7 +832,17 @@ impl SmnController {
         let obs = self.obs().clone();
         let mut phase = obs.phase("stream/reconcile");
         let tick = state.next_tick.saturating_sub(1);
-        let full: Vec<BandwidthRecord> = self.clds().bandwidth.read().all().to_vec();
+        // The batch oracles coarsen the lake's borrowed slice; the read
+        // guard drops before the controller adopts the CDG below.
+        let (batch_time_rows, batch_adaptive_rows, lake_records) = {
+            let lake = self.clds().bandwidth.read();
+            let full = lake.all();
+            (
+                state.config.time_coarsener().coarsen_records(full),
+                state.config.adaptive.coarsen_records(full),
+                full.len(),
+            )
+        };
 
         let diverged =
             |artifact: &str, incremental_hash: String, batch_hash: String, detail: String| {
@@ -707,7 +862,6 @@ impl SmnController {
             };
 
         let inc_time = state.time.encode();
-        let batch_time_rows = state.config.time_coarsener().coarsen(&full);
         let batch_time = encode_coarse_log(&batch_time_rows);
         if inc_time != batch_time {
             return Err(diverged(
@@ -719,7 +873,6 @@ impl SmnController {
         }
 
         let inc_adaptive = state.adaptive.encode();
-        let batch_adaptive_rows = state.config.adaptive.coarsen(&full);
         let batch_adaptive = encode_coarse_log(&batch_adaptive_rows);
         if inc_adaptive != batch_adaptive {
             return Err(diverged(
@@ -751,14 +904,14 @@ impl SmnController {
             &[
                 ("tick", tick.to_string()),
                 ("hash", hash.clone()),
-                ("lake_records", full.len().to_string()),
+                ("lake_records", lake_records.to_string()),
                 ("time_rows", state.time.rows().to_string()),
                 ("adaptive_rows", state.adaptive.rows().to_string()),
                 ("teams", state.cdg.len().to_string()),
             ],
         );
         obs.inc("stream_reconcile_total");
-        phase.field("lake_records", full.len());
+        phase.field("lake_records", lake_records);
         phase.field("time_rows", state.time.rows());
         let outcome = ReconcileOutcome {
             tick,
@@ -767,7 +920,7 @@ impl SmnController {
             adaptive_rows: state.adaptive.rows(),
             teams: state.cdg.len(),
             team_edges: state.cdg.graph.edge_count(),
-            lake_records: full.len(),
+            lake_records,
         };
         state.last_reconcile = Some(outcome.clone());
         Ok(outcome)
@@ -875,6 +1028,7 @@ impl DeltaJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarsen::Coarsening;
     use crate::controller::{ControllerConfig, SmnController};
     use smn_depgraph::fine::{Component, DependencyKind, Layer};
     use smn_telemetry::time::EPOCH_SECS;
@@ -949,6 +1103,49 @@ mod tests {
         }
         assert_eq!(state.volatile_pairs(), c.volatile_pairs(&log));
         assert_eq!(state.rows(), c.coarsen(&log).len());
+    }
+
+    #[test]
+    fn adaptive_pair_flips_stable_volatile_stable_across_day_windows() {
+        // Pair (0,1), one sample an hour for four days: flat on day 0,
+        // swinging 50/150 on day 1 (CV ≈ 0.35 over both days), flat again
+        // on days 2–3, which pulls the CV back under 0.3. Pair (2,3) stays
+        // flat throughout.
+        let mut log = Vec::new();
+        for h in 0..4 * 24u32 {
+            let ts = Ts(u64::from(h) * HOUR);
+            let swing = if h % 2 == 0 { 50.0 } else { 150.0 };
+            let gbps = if (24..48).contains(&h) { swing } else { 100.0 };
+            log.push(BandwidthRecord { ts, src: 0, dst: 1, gbps });
+            log.push(BandwidthRecord { ts, src: 2, dst: 3, gbps: 100.0 });
+        }
+        let c = AdaptiveCoarsener {
+            cv_threshold: 0.3,
+            stable_window: DAY,
+            volatile_window: HOUR,
+            stats: vec![Statistic::Mean, Statistic::P95],
+        };
+        let mut state = c.new_state();
+        let mut classes = vec![false];
+        // Five-hour deltas, so each one crosses hour (and some day)
+        // boundaries.
+        for (tick, chunk) in log.chunks(10).enumerate() {
+            let d = TelemetryDelta::new(tick as u64, chunk.to_vec());
+            c.apply_delta(&mut state, &d).unwrap();
+            let seen = &log[..log.len().min((tick + 1) * 10)];
+            assert_eq!(
+                state.encode(),
+                encode_coarse_log(&c.coarsen(&seen.to_vec())),
+                "tick {tick}"
+            );
+            let volatile = state.volatile_pairs().contains(&(0, 1));
+            if classes.last() != Some(&volatile) {
+                classes.push(volatile);
+            }
+        }
+        assert_eq!(classes, vec![false, true, false], "stable → volatile → stable");
+        assert!(state.volatile_pairs().is_empty());
+        assert_eq!(state.rows(), 8, "both pairs back to four day windows");
     }
 
     #[test]

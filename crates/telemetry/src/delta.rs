@@ -20,10 +20,11 @@ use crate::time::Ts;
 pub struct TelemetryDelta {
     /// Tick index; deltas must be applied in strictly increasing order.
     pub tick: u64,
-    /// New records, in arrival order. Arrival order is load-bearing: the
-    /// incremental coarseners append per-cell samples in this order so
+    /// New records, in arrival order. The incremental coarseners merge
+    /// each cell's samples into a buffer kept sorted under
+    /// `f64::total_cmp` — the order the batch oracle summarizes in — so
     /// their floating-point summaries are bit-identical to a batch pass
-    /// over the concatenated log.
+    /// over the concatenated log whatever the order within a delta.
     pub records: Vec<BandwidthRecord>,
 }
 

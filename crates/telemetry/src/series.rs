@@ -33,24 +33,41 @@ pub struct SummaryStats {
 
 impl SummaryStats {
     /// Summarize `values`. Returns `None` for an empty slice.
+    ///
+    /// Sorts a copy and summarizes it with [`SummaryStats::of_sorted`].
     pub fn of(values: &[f64]) -> Option<SummaryStats> {
-        if values.is_empty() {
-            return None;
-        }
         let mut sorted = values.to_vec();
         // total_cmp gives NaN a defined order instead of panicking on it.
         sorted.sort_by(f64::total_cmp);
+        Self::of_sorted(&sorted)
+    }
+
+    /// Summarize samples already sorted ascending under `f64::total_cmp`.
+    /// Returns `None` for an empty slice.
+    ///
+    /// This is the one summariser: [`SummaryStats::of`] sorts and calls
+    /// it, and incremental coarseners that keep their sample buffers
+    /// sorted call it directly. Under `total_cmp` the sorted sequence of a
+    /// multiset of values is unique bit for bit, so both paths sum the same
+    /// samples in the same order and agree exactly.
+    #[must_use]
+    pub fn of_sorted(sorted: &[f64]) -> Option<SummaryStats> {
+        debug_assert!(
+            sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()),
+            "of_sorted needs samples sorted under f64::total_cmp"
+        );
+        let (&min, &max) = (sorted.first()?, sorted.last()?);
         let count = sorted.len();
         let mean = sorted.iter().sum::<f64>() / count as f64;
         let var = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
         Some(SummaryStats {
             count,
             mean,
-            min: sorted[0],
-            max: sorted[count - 1],
-            p50: percentile_sorted(&sorted, 50.0),
-            p95: percentile_sorted(&sorted, 95.0),
-            p99: percentile_sorted(&sorted, 99.0),
+            min,
+            max,
+            p50: interpolate(sorted, 50.0),
+            p95: interpolate(sorted, 95.0),
+            p99: interpolate(sorted, 99.0),
             std: var.sqrt(),
         })
     }
@@ -95,14 +112,23 @@ pub enum Statistic {
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    if sorted.len() == 1 {
-        return sorted[0];
+    interpolate(sorted, p)
+}
+
+/// [`percentile_sorted`] without its contract checks: `p` in `[0, 100]`
+/// keeps both ranks in bounds, and an empty slice yields NaN.
+fn interpolate(sorted: &[f64], p: f64) -> f64 {
+    if let [only] = sorted {
+        return *only;
     }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let rank = p / 100.0 * sorted.len().saturating_sub(1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    match (sorted.get(lo), sorted.get(hi)) {
+        (Some(a), Some(b)) => a * (1.0 - frac) + b * frac,
+        _ => f64::NAN,
+    }
 }
 
 /// A timestamped univariate series.
@@ -189,6 +215,45 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Special values the summariser must order and sum identically on
+    /// both paths: exact ties, both zeros, NaNs of either sign, infinities.
+    const SPECIAL: [f64; 8] = [0.0, -0.0, 1.5, 1.5, -3.25, f64::NAN, -f64::NAN, f64::INFINITY];
+
+    /// Every field of a summary as raw bits, so NaN and the sign of zero
+    /// compare exactly.
+    fn bits(s: Option<SummaryStats>) -> Option<[u64; 8]> {
+        s.map(|s| {
+            [
+                s.count as u64,
+                s.mean.to_bits(),
+                s.min.to_bits(),
+                s.max.to_bits(),
+                s.p50.to_bits(),
+                s.p95.to_bits(),
+                s.p99.to_bits(),
+                s.std.to_bits(),
+            ]
+        })
+    }
+
+    proptest! {
+        /// `of` is `of_sorted` over the `total_cmp`-sorted samples, bit for
+        /// bit, whatever order the samples arrive in.
+        #[test]
+        fn of_is_of_sorted_over_sorted_samples(
+            picks in proptest::collection::vec((0usize..16, -1e3f64..1e3), 0..40),
+        ) {
+            let values: Vec<f64> =
+                picks.into_iter().map(|(i, x)| SPECIAL.get(i).copied().unwrap_or(x)).collect();
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            prop_assert_eq!(bits(SummaryStats::of(&values)), bits(SummaryStats::of_sorted(&sorted)));
+            let reversed: Vec<f64> = values.iter().rev().copied().collect();
+            prop_assert_eq!(bits(SummaryStats::of(&values)), bits(SummaryStats::of(&reversed)));
+        }
+    }
 
     #[test]
     fn summary_of_known_values() {

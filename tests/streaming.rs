@@ -7,7 +7,7 @@
 //! re-coarsening history every tick.
 
 use proptest::prelude::*;
-use smn_core::bwlogs::encode_coarse_log;
+use smn_core::bwlogs::{encode_coarse_log, AdaptiveCoarsener};
 use smn_core::coarsen::Coarsening;
 use smn_core::controller::{ControllerConfig, SmnController};
 use smn_core::stream::{StreamConfig, StreamState};
@@ -16,7 +16,8 @@ use smn_depgraph::delta::GraphDelta;
 use smn_depgraph::fine::{Component, DependencyKind, FineDepGraph, Layer};
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::time::{Ts, EPOCH_SECS};
+use smn_telemetry::series::Statistic;
+use smn_telemetry::time::{Ts, DAY, EPOCH_SECS, HOUR};
 
 fn comp(name: &str, team: &str) -> Component {
     Component {
@@ -41,6 +42,22 @@ fn controller() -> SmnController {
     ctl
 }
 
+/// Every statistic on both coarseners, so a tie or signed zero misplaced
+/// in a sorted sample buffer shows in the `Min`/`Max`/percentile bits.
+fn all_stats_config() -> StreamConfig {
+    let all = vec![
+        Statistic::Mean,
+        Statistic::Min,
+        Statistic::Max,
+        Statistic::P50,
+        Statistic::P95,
+        Statistic::P99,
+    ];
+    let base = StreamConfig::default();
+    let adaptive = AdaptiveCoarsener { stats: all.clone(), ..base.adaptive.clone() };
+    StreamConfig { stats: all, adaptive, ..base }
+}
+
 /// Strategy: per-tick telemetry deltas. Each tick is one epoch (all its
 /// records share the epoch timestamp, so concatenation in tick order is a
 /// valid time-ordered log) carrying 0..5 records over a 4-node WAN.
@@ -55,6 +72,44 @@ fn delta_stream_strategy(ticks: usize) -> impl Strategy<Value = Vec<TelemetryDel
                 let records: Vec<BandwidthRecord> = rows
                     .into_iter()
                     .map(|(src, dst, gbps)| BandwidthRecord { ts, src, dst, gbps })
+                    .collect();
+                TelemetryDelta::new(t as u64, records)
+            })
+            .collect()
+    })
+}
+
+/// Bandwidth values the boundary strategy draws from: exact ties come
+/// from repeated draws, and both zeros exercise the sorted-insert order of
+/// `-0.0 < 0.0` and the adaptive coarsener's `mean > 0` guard.
+const GBPS_POOL: [f64; 8] = [0.0, -0.0, 0.5, 1.0, 5.0, 100.0, 750.0, 2000.0];
+
+/// Epochs the boundary strategy's clock advances before a record: mostly
+/// small steps, plus an hour, half a day, and a full day.
+const STRIDES: [u64; 9] = [0, 0, 1, 1, 7, HOUR / EPOCH_SECS, 60, 150, DAY / EPOCH_SECS];
+
+/// Strategy: multi-epoch ticks whose timestamps stride across hour and
+/// day boundaries. Each record advances a clock shared by all ticks by a
+/// stride from [`STRIDES`], so the concatenation stays time-ordered while
+/// ten ticks span many hour windows and several day windows, and pairs
+/// see enough samples to flip volatility class. Values come from
+/// [`GBPS_POOL`] over a 3-node WAN.
+fn boundary_stream_strategy(ticks: usize) -> impl Strategy<Value = Vec<TelemetryDelta>> {
+    let record = (0usize..STRIDES.len(), 0u32..3, 0u32..3, 0usize..GBPS_POOL.len());
+    let tick_records = proptest::collection::vec(record, 0..7);
+    proptest::collection::vec(tick_records, ticks).prop_map(|per_tick| {
+        let mut epoch = 0u64;
+        per_tick
+            .into_iter()
+            .enumerate()
+            .map(|(t, rows)| {
+                let records: Vec<BandwidthRecord> = rows
+                    .into_iter()
+                    .map(|(stride, src, dst, gbps)| {
+                        epoch += STRIDES.get(stride).copied().unwrap_or(0);
+                        let gbps = GBPS_POOL.get(gbps).copied().unwrap_or(0.0);
+                        BandwidthRecord { ts: Ts(epoch * EPOCH_SECS), src, dst, gbps }
+                    })
                     .collect();
                 TelemetryDelta::new(t as u64, records)
             })
@@ -92,99 +147,164 @@ fn churn_strategy(ticks: usize) -> impl Strategy<Value = Vec<GraphDelta>> {
     })
 }
 
+/// Every periodic reconciliation passes and the final incremental
+/// artifacts equal a batch recompute over the concatenated log, byte for
+/// byte.
+fn check_incremental_equals_batch(
+    base: &StreamConfig,
+    telemetry: &[TelemetryDelta],
+    churn: &[GraphDelta],
+    reconcile_every: u64,
+) -> Result<(), TestCaseError> {
+    let mut ctl = controller();
+    let cfg = StreamConfig { reconcile_every, ..base.clone() };
+    let mut state = StreamState::new(cfg, base_fine());
+    let outcomes = ctl.stream_run(&mut state, telemetry, churn).expect("no tick may fail");
+    prop_assert_eq!(outcomes.len(), telemetry.len());
+    let verdict = ctl.stream_reconcile(&mut state).expect("final reconcile");
+    prop_assert_eq!(&verdict.hash, &state.fingerprint());
+
+    // Independently recompute the batch artifacts from the concatenated
+    // deltas and compare bytes.
+    let full: Vec<BandwidthRecord> =
+        telemetry.iter().flat_map(|d| d.records.iter().copied()).collect();
+    prop_assert_eq!(verdict.lake_records, full.len());
+    let batch_time = encode_coarse_log(&state.config.time_coarsener().coarsen(&full));
+    prop_assert_eq!(state.time_log().encode(), batch_time);
+    let batch_adaptive = encode_coarse_log(&state.config.adaptive.coarsen(&full));
+    prop_assert_eq!(state.adaptive_log().encode(), batch_adaptive);
+    prop_assert_eq!(
+        state.adaptive_log().volatile_pairs(),
+        state.config.adaptive.volatile_pairs(&full)
+    );
+    let batch_cdg = CoarseDepGraph::from_fine(&state.fine).canonical_bytes();
+    prop_assert_eq!(state.cdg.canonical_bytes(), batch_cdg);
+    // The controller adopted the proven CDG on reconcile.
+    prop_assert_eq!(ctl.cdg.canonical_bytes(), state.cdg.canonical_bytes());
+    Ok(())
+}
+
+/// Serializing the `StreamState` after `split` ticks, restoring it into a
+/// fresh controller, and continuing the stream yields the same
+/// fingerprint as a session that never stopped.
+fn check_checkpoint_restore(
+    base: &StreamConfig,
+    telemetry: &[TelemetryDelta],
+    churn: &[GraphDelta],
+    split: usize,
+) -> Result<(), TestCaseError> {
+    let cfg = StreamConfig { reconcile_every: 3, ..base.clone() };
+
+    // Session A: uninterrupted.
+    let mut ctl_a = controller();
+    let mut state_a = StreamState::new(cfg.clone(), base_fine());
+    ctl_a.stream_run(&mut state_a, telemetry, churn).expect("uninterrupted run");
+    ctl_a.stream_reconcile(&mut state_a).expect("uninterrupted reconcile");
+
+    // Session B: checkpoint after `split` ticks, restore from the
+    // serialized checkpoint, continue with the remaining deltas.
+    let mut ctl_b = controller();
+    let mut live = StreamState::new(cfg, base_fine());
+    ctl_b.stream_run(&mut live, &telemetry[..split], churn).expect("pre-checkpoint run");
+    let checkpoint = serde_json::to_string(&live).expect("checkpoint serializes");
+    drop(live);
+    let mut restored: StreamState = serde_json::from_str(&checkpoint).expect("checkpoint restores");
+    ctl_b.stream_run(&mut restored, &telemetry[split..], churn).expect("post-restore run");
+    let verdict = ctl_b.stream_reconcile(&mut restored).expect("post-restore reconcile");
+
+    prop_assert_eq!(state_a.fingerprint(), restored.fingerprint());
+    prop_assert_eq!(&verdict.hash, &restored.fingerprint());
+    prop_assert_eq!(state_a.time_log().encode(), restored.time_log().encode());
+    prop_assert_eq!(state_a.adaptive_log().encode(), restored.adaptive_log().encode());
+    prop_assert_eq!(state_a.cdg.canonical_bytes(), restored.cdg.canonical_bytes());
+    Ok(())
+}
+
+/// Appended record counts sum to the lake total, and the final row count
+/// matches the batch row count (no cell is ever lost or double-created by
+/// dirty tracking).
+fn check_apply_stats(
+    base: &StreamConfig,
+    telemetry: &[TelemetryDelta],
+) -> Result<(), TestCaseError> {
+    let mut ctl = controller();
+    let cfg = StreamConfig { reconcile_every: 0, ..base.clone() };
+    let mut state = StreamState::new(cfg, base_fine());
+    let outcomes = ctl.stream_run(&mut state, telemetry, &[]).expect("run");
+    let appended: usize = outcomes.iter().map(|o| o.time.appended).sum();
+    let total: usize = telemetry.iter().map(TelemetryDelta::len).sum();
+    prop_assert_eq!(appended, total);
+    let full: Vec<BandwidthRecord> =
+        telemetry.iter().flat_map(|d| d.records.iter().copied()).collect();
+    let batch_rows = state.config.time_coarsener().coarsen(&full).len();
+    prop_assert_eq!(state.time_log().rows(), batch_rows);
+    prop_assert_eq!(state.adaptive_log().rows(), state.config.adaptive.coarsen(&full).len());
+    for o in &outcomes {
+        prop_assert!(o.time.recomputed_rows <= o.time.total_rows);
+        prop_assert!(o.time.dirty_cells <= o.time.appended.max(1));
+        prop_assert!(o.adaptive.recomputed_rows <= o.adaptive.total_rows);
+    }
+    Ok(())
+}
+
 proptest! {
-    /// For any delta sequence and churn interleaving, every periodic
-    /// reconciliation passes and the final incremental artifacts equal a
-    /// batch recompute over the concatenated log, byte for byte.
+    /// For any delta sequence and churn interleaving, incremental equals
+    /// batch.
     #[test]
     fn incremental_equals_batch_for_any_delta_sequence(
         telemetry in delta_stream_strategy(10),
         churn in churn_strategy(10),
         reconcile_every in 0u64..5,
     ) {
-        let mut ctl = controller();
-        let cfg = StreamConfig { reconcile_every, ..StreamConfig::default() };
-        let mut state = StreamState::new(cfg, base_fine());
-        let outcomes = ctl
-            .stream_run(&mut state, &telemetry, &churn)
-            .expect("no tick may fail");
-        prop_assert_eq!(outcomes.len(), telemetry.len());
-        let verdict = ctl.stream_reconcile(&mut state).expect("final reconcile");
-        prop_assert_eq!(&verdict.hash, &state.fingerprint());
-
-        // Independently recompute the batch artifacts from the
-        // concatenated deltas and compare bytes.
-        let full: Vec<BandwidthRecord> =
-            telemetry.iter().flat_map(|d| d.records.iter().copied()).collect();
-        prop_assert_eq!(verdict.lake_records, full.len());
-        let batch_time = encode_coarse_log(&state.config.time_coarsener().coarsen(&full));
-        prop_assert_eq!(state.time_log().encode(), batch_time);
-        let batch_adaptive = encode_coarse_log(&state.config.adaptive.coarsen(&full));
-        prop_assert_eq!(state.adaptive_log().encode(), batch_adaptive);
-        let batch_cdg = CoarseDepGraph::from_fine(&state.fine).canonical_bytes();
-        prop_assert_eq!(state.cdg.canonical_bytes(), batch_cdg);
-        // The controller adopted the proven CDG on reconcile.
-        prop_assert_eq!(ctl.cdg.canonical_bytes(), state.cdg.canonical_bytes());
+        check_incremental_equals_batch(&StreamConfig::default(), &telemetry, &churn, reconcile_every)?;
     }
 
-    /// Checkpoint/restore mid-stream is invisible: serializing the
-    /// `StreamState` at any split point, restoring it into a fresh
-    /// controller, and continuing the stream yields the same fingerprint
-    /// as a session that never stopped.
+    /// The same, with ticks that cross hour and day windows, values that
+    /// tie or are signed zeros, and every statistic kept.
+    #[test]
+    fn incremental_equals_batch_across_window_boundaries(
+        telemetry in boundary_stream_strategy(10),
+        churn in churn_strategy(10),
+        reconcile_every in 0u64..5,
+    ) {
+        check_incremental_equals_batch(&all_stats_config(), &telemetry, &churn, reconcile_every)?;
+    }
+
+    /// Checkpoint/restore mid-stream is invisible at any split point.
     #[test]
     fn checkpoint_restore_is_byte_identical_at_any_split(
         telemetry in delta_stream_strategy(8),
         churn in churn_strategy(8),
         split in 1usize..8,
     ) {
-        let cfg = StreamConfig { reconcile_every: 3, ..StreamConfig::default() };
-
-        // Session A: uninterrupted.
-        let mut ctl_a = controller();
-        let mut state_a = StreamState::new(cfg.clone(), base_fine());
-        ctl_a.stream_run(&mut state_a, &telemetry, &churn).expect("uninterrupted run");
-        ctl_a.stream_reconcile(&mut state_a).expect("uninterrupted reconcile");
-
-        // Session B: checkpoint after `split` ticks, restore from the
-        // serialized checkpoint, continue with the remaining deltas.
-        let mut ctl_b = controller();
-        let mut live = StreamState::new(cfg, base_fine());
-        ctl_b.stream_run(&mut live, &telemetry[..split], &churn).expect("pre-checkpoint run");
-        let checkpoint = serde_json::to_string(&live).expect("checkpoint serializes");
-        drop(live);
-        let mut restored: StreamState =
-            serde_json::from_str(&checkpoint).expect("checkpoint restores");
-        ctl_b.stream_run(&mut restored, &telemetry[split..], &churn).expect("post-restore run");
-        let verdict = ctl_b.stream_reconcile(&mut restored).expect("post-restore reconcile");
-
-        prop_assert_eq!(state_a.fingerprint(), restored.fingerprint());
-        prop_assert_eq!(&verdict.hash, &restored.fingerprint());
-        prop_assert_eq!(state_a.time_log().encode(), restored.time_log().encode());
-        prop_assert_eq!(state_a.adaptive_log().encode(), restored.adaptive_log().encode());
-        prop_assert_eq!(state_a.cdg.canonical_bytes(), restored.cdg.canonical_bytes());
+        check_checkpoint_restore(&StreamConfig::default(), &telemetry, &churn, split)?;
     }
 
-    /// Delta-apply bookkeeping is conservative: appended record counts sum
-    /// to the lake total, and the final row count matches the batch row
-    /// count (no cell is ever lost or double-created by dirty tracking).
+    /// The same, with ticks that cross hour and day windows and every
+    /// statistic kept.
+    #[test]
+    fn checkpoint_restore_across_window_boundaries(
+        telemetry in boundary_stream_strategy(8),
+        churn in churn_strategy(8),
+        split in 1usize..8,
+    ) {
+        check_checkpoint_restore(&all_stats_config(), &telemetry, &churn, split)?;
+    }
+
+    /// Delta-apply bookkeeping is conservative.
     #[test]
     fn apply_stats_account_for_every_record_and_row(
         telemetry in delta_stream_strategy(12),
     ) {
-        let mut ctl = controller();
-        let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
-        let mut state = StreamState::new(cfg, base_fine());
-        let outcomes = ctl.stream_run(&mut state, &telemetry, &[]).expect("run");
-        let appended: usize = outcomes.iter().map(|o| o.time.appended).sum();
-        let total: usize = telemetry.iter().map(TelemetryDelta::len).sum();
-        prop_assert_eq!(appended, total);
-        let full: Vec<BandwidthRecord> =
-            telemetry.iter().flat_map(|d| d.records.iter().copied()).collect();
-        let batch_rows = state.config.time_coarsener().coarsen(&full).len();
-        prop_assert_eq!(state.time_log().rows(), batch_rows);
-        for o in &outcomes {
-            prop_assert!(o.time.recomputed_rows <= o.time.total_rows);
-            prop_assert!(o.time.dirty_cells <= o.time.appended.max(1));
-        }
+        check_apply_stats(&StreamConfig::default(), &telemetry)?;
+    }
+
+    /// The same, with ticks that cross hour and day windows and every
+    /// statistic kept.
+    #[test]
+    fn apply_stats_across_window_boundaries(
+        telemetry in boundary_stream_strategy(12),
+    ) {
+        check_apply_stats(&all_stats_config(), &telemetry)?;
     }
 }
