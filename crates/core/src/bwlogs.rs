@@ -134,32 +134,56 @@ impl TimeCoarsener {
     /// Crate-visible so reconciliation (`crate::stream`) runs the batch
     /// oracle over the lake's borrowed slice.
     pub(crate) fn coarsen_records(&self, records: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
-        let mut buckets: HashMap<(u64, u32, u32), Vec<f64>> = HashMap::new();
-        for r in records {
-            let w = r.ts.0 / self.window_secs;
-            buckets.entry((w, r.src, r.dst)).or_default().push(r.gbps);
-        }
-        let mut out: Vec<CoarseBwRecord> = buckets
-            .into_iter()
-            .filter_map(|((w, src, dst), vals)| {
-                // Buckets are created on first push, so `vals` is never
-                // empty; an empty bucket simply yields no coarse record.
-                let stats = SummaryStats::of(&vals)?;
-                Some(CoarseBwRecord {
+        self.coarsen_where(records, |_| true)
+    }
+
+    /// [`TimeCoarsener::coarsen_records`] over the records `keep` accepts.
+    ///
+    /// Records are keyed `((window, src, dst), gbps)` and sorted by key,
+    /// then by value under `f64::total_cmp`, so each key's run is exactly
+    /// the sorted sample buffer [`SummaryStats::of_sorted`] summarises
+    /// ([`SummaryStats::of`] is sort + `of_sorted`) and rows come out in
+    /// `(window_start, src, dst)` order. A window-ordered input (every lake
+    /// slice) is sorted one window at a time; any other input is one run.
+    pub(crate) fn coarsen_where(
+        &self,
+        records: &[BandwidthRecord],
+        keep: impl Fn(&BandwidthRecord) -> bool,
+    ) -> Vec<CoarseBwRecord> {
+        let window_of = |r: &BandwidthRecord| r.ts.0 / self.window_secs;
+        let ordered = records.is_sorted_by_key(window_of);
+        let mut out = Vec::new();
+        let mut keyed: Vec<((u64, u32, u32), f64)> = Vec::new();
+        let mut values: Vec<f64> = Vec::new();
+        for run in records.chunk_by(|a, b| !ordered || window_of(a) == window_of(b)) {
+            keyed.clear();
+            keyed.extend(
+                run.iter().filter(|r| keep(r)).map(|r| ((window_of(r), r.src, r.dst), r.gbps)),
+            );
+            keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
+            for cell in keyed.chunk_by(|a, b| a.0 == b.0) {
+                values.clear();
+                values.extend(cell.iter().map(|&(_, v)| v));
+                let (Some(&((w, src, dst), _)), Some(stats)) =
+                    (cell.first(), SummaryStats::of_sorted(&values))
+                else {
+                    continue;
+                };
+                out.push(CoarseBwRecord {
                     window_start: Ts(w * self.window_secs),
                     window_secs: self.window_secs,
                     src,
                     dst,
                     values: self.stats.iter().map(|&s| stats.get(s)).collect(),
-                })
-            })
-            .collect();
-        out.sort_by_key(|r| (r.window_start, r.src, r.dst));
+                });
+            }
+        }
         out
     }
 
     /// Estimated demand for a pair in the window containing `ts`, using the
-    /// first statistic (the acting-on-`s` side of Figure 2).
+    /// first statistic (the acting-on-`s` side of Figure 2); `None` when no
+    /// row covers it or the row carries no statistic.
     ///
     /// `records` must be a uniform-window coarse log sorted by
     /// `(window_start, src, dst)` — exactly what [`TimeCoarsener::coarsen`]
@@ -178,7 +202,7 @@ impl TimeCoarsener {
         records
             .binary_search_by(|r| (r.window_start, r.src, r.dst).cmp(&(target, src, dst)))
             .ok()
-            .map(|i| records[i].values[0])
+            .and_then(|i| records.get(i)?.values.first().copied())
     }
 }
 
@@ -354,7 +378,8 @@ pub struct AdaptiveCoarsener {
 }
 
 impl AdaptiveCoarsener {
-    /// Classify pairs by CV of their samples; returns the volatile set.
+    /// Classify pairs by CV of their samples; returns the volatile set,
+    /// sorted.
     #[must_use]
     pub fn volatile_pairs(&self, records: &[BandwidthRecord]) -> Vec<(u32, u32)> {
         let mut samples: HashMap<(u32, u32), Vec<f64>> = HashMap::new();
@@ -397,14 +422,13 @@ impl AdaptiveCoarsener {
     /// [`Coarsening::coarsen`] over a borrowed slice, so reconciliation
     /// coarsens the lake in place instead of cloning it.
     pub(crate) fn coarsen_records(&self, fine: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
-        let volatile: std::collections::HashSet<(u32, u32)> =
-            self.volatile_pairs(fine).into_iter().collect();
-        let (vol, stable): (Vec<BandwidthRecord>, Vec<BandwidthRecord>) =
-            fine.iter().partition(|r| volatile.contains(&(r.src, r.dst)));
-        let mut out =
-            TimeCoarsener::new(self.volatile_window, self.stats.clone()).coarsen_records(&vol);
+        let volatile = self.volatile_pairs(fine);
+        let is_volatile = |r: &BandwidthRecord| volatile.binary_search(&(r.src, r.dst)).is_ok();
+        let mut out = TimeCoarsener::new(self.volatile_window, self.stats.clone())
+            .coarsen_where(fine, is_volatile);
         out.extend(
-            TimeCoarsener::new(self.stable_window, self.stats.clone()).coarsen_records(&stable),
+            TimeCoarsener::new(self.stable_window, self.stats.clone())
+                .coarsen_where(fine, |r| !is_volatile(r)),
         );
         out.sort_by_key(|r| (r.window_start, r.src, r.dst));
         out
@@ -416,6 +440,7 @@ mod tests {
     use super::*;
     use crate::coarsen::Coarsening;
     use smn_telemetry::time::{DAY, EPOCH_SECS, HOUR};
+    use std::collections::HashSet;
 
     /// One pair, one record per epoch for `epochs`, gbps = epoch index.
     fn ramp_log(epochs: u64) -> Vec<BandwidthRecord> {
@@ -581,6 +606,122 @@ mod tests {
             .expect("day-2 window exists");
         assert_eq!(spike_window.values[1], 999.0, "Max preserves the spike");
         assert!(spike_window.values[0] < 20.0, "Mean flattens it");
+    }
+
+    /// The `HashMap` grouping plus final sort that `coarsen_where`
+    /// replaced: the byte-identity oracle for the sorted time coarsener.
+    fn coarsen_by_map(c: &TimeCoarsener, records: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
+        let mut buckets: HashMap<(u64, u32, u32), Vec<f64>> = HashMap::new();
+        for r in records {
+            buckets.entry((r.ts.0 / c.window_secs, r.src, r.dst)).or_default().push(r.gbps);
+        }
+        let mut out: Vec<CoarseBwRecord> = buckets
+            .into_iter()
+            .filter_map(|((w, src, dst), vals)| {
+                let stats = SummaryStats::of(&vals)?;
+                Some(CoarseBwRecord {
+                    window_start: Ts(w * c.window_secs),
+                    window_secs: c.window_secs,
+                    src,
+                    dst,
+                    values: c.stats.iter().map(|&s| stats.get(s)).collect(),
+                })
+            })
+            .collect();
+        out.sort_by_key(|r| (r.window_start, r.src, r.dst));
+        out
+    }
+
+    /// The partitioned-copy adaptive coarsening the pair filter replaced.
+    fn adaptive_by_partition(
+        c: &AdaptiveCoarsener,
+        fine: &[BandwidthRecord],
+    ) -> Vec<CoarseBwRecord> {
+        let volatile: HashSet<(u32, u32)> = c.volatile_pairs(fine).into_iter().collect();
+        let (vol, stable): (Vec<BandwidthRecord>, Vec<BandwidthRecord>) =
+            fine.iter().partition(|r| volatile.contains(&(r.src, r.dst)));
+        let mut out = coarsen_by_map(&TimeCoarsener::new(c.volatile_window, c.stats.clone()), &vol);
+        out.extend(coarsen_by_map(&TimeCoarsener::new(c.stable_window, c.stats.clone()), &stable));
+        out.sort_by_key(|r| (r.window_start, r.src, r.dst));
+        out
+    }
+
+    const ALL_STATS: [Statistic; 6] = [
+        Statistic::Mean,
+        Statistic::Min,
+        Statistic::Max,
+        Statistic::P50,
+        Statistic::P95,
+        Statistic::P99,
+    ];
+
+    /// Records over three days on four nodes, values from a pool with
+    /// ties, ±0.0 and (with `nan`) both NaN signs. `ordered` sorts by
+    /// timestamp (a lake slice); otherwise the generated order stays (a
+    /// shuffle).
+    fn oracle_log(
+        raw: &[(u64, u32, u32, usize)],
+        ordered: bool,
+        nan: bool,
+    ) -> Vec<BandwidthRecord> {
+        const GBPS: [f64; 8] = [0.0, -0.0, 1.0, 1.0, 2.5, 40.0, f64::NAN, -f64::NAN];
+        let pool = if nan { GBPS.len() } else { GBPS.len() - 2 };
+        let mut log: Vec<BandwidthRecord> = raw
+            .iter()
+            .map(|&(epoch, src, dst, v)| BandwidthRecord {
+                ts: Ts(epoch * EPOCH_SECS + epoch % 7),
+                src,
+                dst,
+                gbps: GBPS[v % pool],
+            })
+            .collect();
+        if ordered {
+            log.sort_by_key(|r| r.ts);
+        }
+        log
+    }
+
+    proptest::proptest! {
+        /// Sorting `((window, src, dst), gbps)` per window encodes every
+        /// row exactly as map grouping plus a final sort, for time-ordered
+        /// and shuffled inputs, at epoch, hour and day windows.
+        #[test]
+        fn sorted_time_oracle_matches_map_grouping(
+            raw in proptest::collection::vec((0u64..864, 0u32..4, 0u32..4, 0usize..8), 0..400),
+            ordered in 0u8..2,
+            window_pick in 0usize..3,
+        ) {
+            let log = oracle_log(&raw, ordered == 1, true);
+            let c = TimeCoarsener::new([EPOCH_SECS, HOUR, DAY][window_pick], ALL_STATS.to_vec());
+            proptest::prop_assert_eq!(
+                encode_coarse_log(&c.coarsen_records(&log)),
+                encode_coarse_log(&coarsen_by_map(&c, &log))
+            );
+        }
+
+        /// Coarsening each adaptive class through a pair filter encodes
+        /// exactly as coarsening partitioned copies of the log.
+        #[test]
+        fn filtered_adaptive_oracle_matches_partition(
+            raw in proptest::collection::vec((0u64..864, 0u32..4, 0u32..4, 0usize..8), 0..400),
+            ordered in 0u8..2,
+            nan in 0u8..4,
+            cv_threshold in 0.0f64..1.5,
+        ) {
+            // NaN makes a pair's CV NaN (stable), so most cases leave it
+            // out to keep both classes populated.
+            let log = oracle_log(&raw, ordered == 1, nan == 0);
+            let c = AdaptiveCoarsener {
+                cv_threshold,
+                stable_window: DAY,
+                volatile_window: HOUR,
+                stats: ALL_STATS.to_vec(),
+            };
+            proptest::prop_assert_eq!(
+                encode_coarse_log(&c.coarsen_records(&log)),
+                encode_coarse_log(&adaptive_by_partition(&c, &log))
+            );
+        }
     }
 
     #[test]

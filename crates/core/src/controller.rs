@@ -28,7 +28,7 @@
 //! [`SmnController::restore`] snapshot loop state so a crashed controller
 //! resumes mid-campaign without double-emitting feedback.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -616,23 +616,25 @@ impl SmnController {
         let span = end.0.saturating_sub(start.0);
         let completeness_at = |resolution: u64| -> f64 {
             let expected = (span.div_ceil(resolution)).max(1);
-            let observed: HashSet<u64> = fine.iter().map(|r| r.ts.0 / resolution).collect();
-            observed.len() as f64 / expected as f64
+            // Lake slices are time-ordered, so each observed window is one
+            // run of adjacent records.
+            let observed = fine.chunk_by(|a, b| a.ts.0 / resolution == b.ts.0 / resolution).count();
+            observed as f64 / expected as f64
         };
         let threshold = self.config.planning_completeness_threshold;
-        let mut chosen = Self::PLANNING_LADDER[Self::PLANNING_LADDER.len() - 1];
-        let mut completeness = completeness_at(chosen);
+        // Set on every rung; the last rung always ends the loop.
+        let mut rung = (DAY, 0.0);
         for (i, &resolution) in Self::PLANNING_LADDER.iter().enumerate() {
             let c = completeness_at(resolution);
-            if c >= threshold || i == Self::PLANNING_LADDER.len() - 1 {
-                chosen = resolution;
-                completeness = c;
+            rung = (resolution, c);
+            let Some(&next) = Self::PLANNING_LADDER.get(i + 1) else { break };
+            if c >= threshold {
                 break;
             }
             feedback.push(Feedback::Degraded {
                 loop_name: "planning".into(),
                 from: Self::ladder_rung_name(resolution).into(),
-                to: Self::ladder_rung_name(Self::PLANNING_LADDER[i + 1]).into(),
+                to: Self::ladder_rung_name(next).into(),
                 reason: format!(
                     "window completeness {:.0}% below {:.0}%",
                     c * 100.0,
@@ -640,22 +642,27 @@ impl SmnController {
                 ),
             });
         }
+        let (chosen, completeness) = rung;
         let records = TimeCoarsener::new(chosen, vec![Statistic::P95]).coarsen(&fine);
         (Some(PlanningWindow { resolution_secs: chosen, completeness, records }), feedback)
     }
 
     /// Per-edge utilization history from a planning window: `edge_of` maps
-    /// a `(src, dst)` pair to its WAN edge and capacity in Gbps.
+    /// a `(src, dst)` pair to its WAN edge and capacity in Gbps. Rows that
+    /// carry no statistic are skipped.
     pub fn utilization_history(
         window: &PlanningWindow,
         edge_of: impl Fn(u32, u32) -> Option<(EdgeId, f64)>,
     ) -> BTreeMap<EdgeId, Vec<f64>> {
         let mut history: BTreeMap<EdgeId, Vec<f64>> = BTreeMap::new();
         for r in &window.records {
-            if let Some((edge, capacity_gbps)) = edge_of(r.src, r.dst) {
-                if capacity_gbps > 0.0 {
-                    history.entry(edge).or_default().push(r.values[0] / capacity_gbps);
-                }
+            let (Some(&value), Some((edge, capacity_gbps))) =
+                (r.values.first(), edge_of(r.src, r.dst))
+            else {
+                continue;
+            };
+            if capacity_gbps > 0.0 {
+                history.entry(edge).or_default().push(value / capacity_gbps);
             }
         }
         history
@@ -1097,6 +1104,28 @@ mod tests {
         let (window, feedback) = c.planning_bandwidth(Ts(0), Ts(DAY));
         assert_eq!(window.unwrap().resolution_secs, EPOCH_SECS);
         assert!(feedback.is_empty());
+    }
+
+    #[test]
+    fn zero_statistic_rows_estimate_none_and_skip_history() {
+        use crate::bwlogs::{decode_coarse_log, encode_coarse_log, CoarseBwRecord};
+        let row = |dst: u32, values: Vec<f64>| CoarseBwRecord {
+            window_start: Ts(0),
+            window_secs: HOUR,
+            src: 0,
+            dst,
+            values,
+        };
+        let wire = encode_coarse_log(&[row(1, vec![]), row(2, vec![5.0])]);
+        let records = decode_coarse_log(wire).expect("zero-statistic rows decode");
+        assert_eq!(records.first().map(|r| r.values.len()), Some(0));
+        assert_eq!(TimeCoarsener::estimate(&records, 0, 1, Ts(10)), None);
+        assert_eq!(TimeCoarsener::estimate(&records, 0, 2, Ts(10)), Some(5.0));
+        let window = PlanningWindow { resolution_secs: HOUR, completeness: 1.0, records };
+        let history =
+            SmnController::utilization_history(&window, |_, dst| Some((EdgeId(dst), 10.0)));
+        assert_eq!(history.keys().copied().collect::<Vec<_>>(), [EdgeId(2)]);
+        assert_eq!(history.get(&EdgeId(2)), Some(&vec![0.5]));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! including coarse (supernode) graphs, which is how the coarsening
 //! experiments run the *same* optimization at both granularities.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use serde::{Deserialize, Serialize};
 use smn_topology::graph::{DiGraph, Edge, EdgeId, Path};
@@ -29,7 +30,9 @@ pub struct TeConfig {
     /// Paths per commodity (k-shortest, loopless).
     pub k_paths: usize,
     /// Garg–Könemann accuracy parameter (smaller = closer to optimal,
-    /// more iterations).
+    /// more iterations). Must be `>= 0`: the solver's lazy cheapest-column
+    /// heap is exact because no row length ever shrinks, which holds only
+    /// while every multiplier `1 + epsilon * gamma / cap` is at least 1.
     pub epsilon: f64,
     /// Hard iteration cap (safety valve).
     pub max_iterations: usize,
@@ -132,25 +135,7 @@ pub fn max_multicommodity_flow_with_paths<N, E>(
     paths: &[Vec<smn_topology::graph::Path>],
     cfg: &TeConfig,
 ) -> TeSolution {
-    assert_eq!(paths.len(), demand.commodities.len(), "one path set per commodity");
-    let n_edges = g.edge_count();
-    let n_rows = n_edges + demand.commodities.len();
-    let row_cap = |row: usize| -> f64 {
-        if row < n_edges {
-            // Saturating cast policy: edge ids are u32, so a row below
-            // edge_count always fits; saturation is unreachable.
-            let eid = EdgeId(u32::try_from(row).unwrap_or(u32::MAX));
-            capacity(eid, g.edge(eid))
-        } else {
-            demand.commodities[row - n_edges].demand_gbps
-        }
-    };
-    let columns = gk_columns(paths, n_edges);
-    let mut length = gk_lengths(n_rows, cfg.epsilon, &row_cap);
-    let (raw_flow, iterations) =
-        gk_pack(&columns, &mut length, &row_cap, cfg.epsilon, cfg.max_iterations);
-    let feas_scale = gk_feasibility_scale(&columns, &raw_flow, n_rows, &row_cap);
-    gk_assemble(g, &capacity, demand, paths, &columns, &raw_flow, feas_scale, iterations)
+    gk_solve(g, &capacity, demand, paths, cfg, &smn_obs::Obs::disabled())
 }
 
 /// [`max_multicommodity_flow`] with every solver stage wrapped in a
@@ -170,18 +155,37 @@ pub fn max_multicommodity_flow_profiled<N, E>(
         let _p = obs.phase("gk/paths");
         path_sets(g, &capacity, demand, cfg.k_paths)
     };
+    let solution = gk_solve(g, &capacity, demand, &paths, cfg, obs);
+    outer.field("routed_gbps", solution.routed_gbps);
+    outer.field("iterations", solution.iterations);
+    solution
+}
+
+/// The one Garg–Könemann body behind every entry point: row capacities,
+/// columns, lengths, packing, rescale and assembly, each stage in its own
+/// `gk/*` phase of `obs` (a disabled handle is the plain solver).
+fn gk_solve<N, E>(
+    g: &DiGraph<N, E>,
+    capacity: &impl Fn(EdgeId, &Edge<E>) -> f64,
+    demand: &DemandMatrix,
+    paths: &[Vec<Path>],
+    cfg: &TeConfig,
+    obs: &smn_obs::Obs,
+) -> TeSolution {
     assert_eq!(paths.len(), demand.commodities.len(), "one path set per commodity");
     let n_edges = g.edge_count();
     let n_rows = n_edges + demand.commodities.len();
     let row_cap = |row: usize| -> f64 {
         if row < n_edges {
+            // Saturating cast policy: edge ids are u32, so a row below
+            // edge_count always fits; saturation is unreachable.
             let eid = EdgeId(u32::try_from(row).unwrap_or(u32::MAX));
             capacity(eid, g.edge(eid))
         } else {
             demand.commodities[row - n_edges].demand_gbps
         }
     };
-    let columns = gk_columns(&paths, n_edges);
+    let columns = gk_columns(paths, n_edges);
     let mut length = gk_lengths(n_rows, cfg.epsilon, &row_cap);
     let (raw_flow, iterations) = {
         let mut p = obs.phase("gk/pack");
@@ -194,13 +198,8 @@ pub fn max_multicommodity_flow_profiled<N, E>(
         let _p = obs.phase("gk/rescale");
         gk_feasibility_scale(&columns, &raw_flow, n_rows, &row_cap)
     };
-    let solution = {
-        let _p = obs.phase("gk/assemble");
-        gk_assemble(g, &capacity, demand, &paths, &columns, &raw_flow, feas_scale, iterations)
-    };
-    outer.field("routed_gbps", solution.routed_gbps);
-    outer.field("iterations", solution.iterations);
-    solution
+    let _p = obs.phase("gk/assemble");
+    gk_assemble(g, capacity, demand, paths, &columns, &raw_flow, feas_scale, iterations)
 }
 
 /// One packing column: a (commodity, candidate-path) pair and the rows it
@@ -250,10 +249,57 @@ fn gk_lengths(n_rows: usize, eps: f64, row_cap: &impl Fn(usize) -> f64) -> Vec<f
         .collect()
 }
 
+/// Heap entry of [`gk_pack`]'s lazy argmin: a column's length as last
+/// computed, ordered by `f64::total_cmp` and then by column index, so
+/// equal lengths pop lowest index first.
+#[derive(Clone, Copy)]
+struct ColumnKey {
+    len: f64,
+    col: usize,
+}
+
+impl Ord for ColumnKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.len.total_cmp(&other.len).then(self.col.cmp(&other.col))
+    }
+}
+
+impl PartialOrd for ColumnKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ColumnKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ColumnKey {}
+
+/// A column's length: its rows' lengths summed left to right.
+fn column_length(col: &Column, length: &[f64]) -> f64 {
+    col.rows.iter().map(|&r| length.get(r).copied().unwrap_or(f64::INFINITY)).sum()
+}
+
 /// GK stage 2, the multiplicative-weights inner loop: repeatedly push the
 /// bottleneck capacity down the cheapest column and inflate the lengths of
 /// the rows it used. Returns the raw (infeasible) per-column flow and the
 /// iteration count.
+///
+/// The cheapest column is found by a lazy min-heap holding one entry per
+/// column of finite length, keyed by the length it had when last pushed.
+/// A popped column's length is recomputed with the same left-to-right
+/// sum: if it still equals its key it is the argmin (and goes back on the
+/// heap), otherwise it is re-pushed with the fresh length, or dropped once
+/// infinite. This is exactly the full scan's choice, first strict minimum
+/// included, because lengths never shrink: with `eps >= 0` every
+/// multiplier `1 + eps * gamma / cap` is at least 1, and IEEE
+/// multiplication and addition are monotone, so a stored key never exceeds
+/// its column's current length. The first popped entry whose key is
+/// current is then no longer than any column's current length, and among
+/// equal lengths it has the lowest index.
 fn gk_pack(
     columns: &[Column],
     length: &mut [f64],
@@ -262,28 +308,40 @@ fn gk_pack(
     max_iterations: usize,
 ) -> (Vec<f64>, usize) {
     let mut raw_flow = vec![0.0f64; columns.len()];
+    let mut heap: BinaryHeap<Reverse<ColumnKey>> = columns
+        .iter()
+        .enumerate()
+        .map(|(col, c)| ColumnKey { len: column_length(c, length), col })
+        .filter(|k| k.len.is_finite())
+        .map(Reverse)
+        .collect();
     let mut iterations = 0usize;
     while iterations < max_iterations {
         // Cheapest column under current lengths.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, col) in columns.iter().enumerate() {
-            let len: f64 = col.rows.iter().map(|&r| length[r]).sum();
-            if len.is_finite() && best.is_none_or(|(_, bl)| len < bl) {
-                best = Some((i, len));
+        let Some(Reverse(key)) = heap.pop() else { break };
+        let Some(col) = columns.get(key.col) else { continue };
+        let len = column_length(col, length);
+        if len.to_bits() != key.len.to_bits() {
+            if len.is_finite() {
+                heap.push(Reverse(ColumnKey { len, col: key.col }));
             }
+            continue;
         }
-        let Some((ci, len)) = best else { break };
+        heap.push(Reverse(key));
         if len >= 1.0 {
             break;
         }
-        let col = &columns[ci];
         let gamma = col.rows.iter().map(|&r| row_cap(r)).fold(f64::INFINITY, f64::min);
         if gamma <= 0.0 || !gamma.is_finite() {
             break;
         }
-        raw_flow[ci] += gamma;
+        if let Some(f) = raw_flow.get_mut(key.col) {
+            *f += gamma;
+        }
         for &r in &col.rows {
-            length[r] *= 1.0 + eps * gamma / row_cap(r);
+            if let Some(l) = length.get_mut(r) {
+                *l *= 1.0 + eps * gamma / row_cap(r);
+            }
         }
         iterations += 1;
     }
@@ -569,6 +627,87 @@ mod tests {
         let quiet = max_multicommodity_flow_profiled(&g, cap, &demand, &cfg, &off);
         assert_eq!(quiet.routed_gbps, plain.routed_gbps);
         assert!(off.wall_profile().is_empty());
+    }
+
+    /// The full-scan argmin `gk_pack` replaced: the byte-identity oracle
+    /// for the lazy heap.
+    fn gk_pack_scan(
+        columns: &[Column],
+        length: &mut [f64],
+        row_cap: &impl Fn(usize) -> f64,
+        eps: f64,
+        max_iterations: usize,
+    ) -> (Vec<f64>, usize) {
+        let mut raw_flow = vec![0.0f64; columns.len()];
+        let mut iterations = 0usize;
+        while iterations < max_iterations {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, col) in columns.iter().enumerate() {
+                let len: f64 = col.rows.iter().map(|&r| length[r]).sum();
+                if len.is_finite() && best.is_none_or(|(_, bl)| len < bl) {
+                    best = Some((i, len));
+                }
+            }
+            let Some((ci, len)) = best else { break };
+            if len >= 1.0 {
+                break;
+            }
+            let col = &columns[ci];
+            let gamma = col.rows.iter().map(|&r| row_cap(r)).fold(f64::INFINITY, f64::min);
+            if gamma <= 0.0 || !gamma.is_finite() {
+                break;
+            }
+            raw_flow[ci] += gamma;
+            for &r in &col.rows {
+                length[r] *= 1.0 + eps * gamma / row_cap(r);
+            }
+            iterations += 1;
+        }
+        (raw_flow, iterations)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        /// Random packings — capacities drawn from a small pool so rows
+        /// tie, repeated row sets (parallel edges), zero-capacity rows,
+        /// iteration caps that bind — pack bit for bit as the full scan
+        /// did: raw flows, iteration count and final lengths.
+        #[test]
+        fn heap_gk_pack_matches_linear_scan(
+            caps in proptest::collection::vec(0usize..6, 1..14),
+            raw_cols in proptest::collection::vec(
+                (0usize..1000, proptest::collection::vec(0usize..1000, 1..5), 0usize..3),
+                1..40,
+            ),
+            eps_pick in 0usize..4,
+            max_iterations in 0usize..40_000,
+        ) {
+            const CAP_POOL: [f64; 6] = [0.0, 1.0, 2.5, 10.0, 10.0, 40.0];
+            let caps: Vec<f64> = caps.iter().map(|&i| CAP_POOL[i]).collect();
+            let eps = [0.05, 0.1, 0.2, 0.5][eps_pick];
+            let n_rows = caps.len();
+            // A third of the columns copy an earlier column's rows: the
+            // same path offered twice, i.e. parallel candidates that tie.
+            let mut columns: Vec<Column> = Vec::new();
+            for (i, (seed, rows, kind)) in raw_cols.iter().enumerate() {
+                let rows: Vec<usize> = match columns.get(seed % i.max(1)) {
+                    Some(earlier) if *kind == 0 => earlier.rows.clone(),
+                    _ => rows.iter().map(|r| r % n_rows).collect(),
+                };
+                columns.push(Column { commodity: 0, path: i, rows });
+            }
+            let row_cap = |r: usize| caps[r];
+            let mut heap_len = gk_lengths(n_rows, eps, &row_cap);
+            let mut scan_len = heap_len.clone();
+            let heap = gk_pack(&columns, &mut heap_len, &row_cap, eps, max_iterations);
+            let scan = gk_pack_scan(&columns, &mut scan_len, &row_cap, eps, max_iterations);
+            proptest::prop_assert_eq!(heap.1, scan.1);
+            proptest::prop_assert_eq!(bits(&heap.0), bits(&scan.0));
+            proptest::prop_assert_eq!(bits(&heap_len), bits(&scan_len));
+        }
     }
 
     #[test]
