@@ -109,6 +109,35 @@ pub fn decode_coarse_log(mut bytes: bytes::Bytes) -> Result<Vec<CoarseBwRecord>,
     Ok(out)
 }
 
+/// A `(src, dst)` pair packed so that `u64` order is `(src, dst)` order.
+fn pair_key(src: u32, dst: u32) -> u64 {
+    u64::from(src) << 32 | u64::from(dst)
+}
+
+/// Inverse of [`pair_key`].
+#[allow(clippy::cast_possible_truncation)] // each half is one `u32` by construction
+fn key_pair(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
+/// `f64::total_cmp` order carried onto `u64`: negative values (sign bit
+/// set) have every bit flipped, so larger magnitudes sort lower; the rest
+/// get the sign bit set, so they sort above every negative. Sorting the
+/// keys sorts the values under `total_cmp`, NaNs and ±0.0 included.
+fn value_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`value_key`], bit for bit.
+fn key_value(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
 /// Time-based coarsening: replace per-epoch rows with per-window summary
 /// statistics ("replace per-epoch demand traces … with summary statistics
 /// (e.g., mean or 95th percentile bandwidth usage) over fixed smaller time
@@ -139,12 +168,15 @@ impl TimeCoarsener {
 
     /// [`TimeCoarsener::coarsen_records`] over the records `keep` accepts.
     ///
-    /// Records are keyed `((window, src, dst), gbps)` and sorted by key,
-    /// then by value under `f64::total_cmp`, so each key's run is exactly
-    /// the sorted sample buffer [`SummaryStats::of_sorted`] summarises
-    /// ([`SummaryStats::of`] is sort + `of_sorted`) and rows come out in
-    /// `(window_start, src, dst)` order. A window-ordered input (every lake
-    /// slice) is sorted one window at a time; any other input is one run.
+    /// Records are keyed `(window, pair, value)` as plain integers
+    /// ([`pair_key`], [`value_key`]) and sorted, so each `(window, pair)`
+    /// run is exactly the sorted sample buffer [`SummaryStats::of_sorted`]
+    /// summarises ([`SummaryStats::of`] is sort + `of_sorted`) and rows
+    /// come out in `(window_start, src, dst)` order. A window-ordered input
+    /// (every lake slice) is sorted one window at a time; any other input
+    /// is one run. The sort is stable: equal keys are bitwise-equal values,
+    /// so either sort gives the same rows, and the stable one merges the
+    /// per-epoch runs a time-ordered window is made of.
     pub(crate) fn coarsen_where(
         &self,
         records: &[BandwidthRecord],
@@ -153,32 +185,41 @@ impl TimeCoarsener {
         let window_of = |r: &BandwidthRecord| r.ts.0 / self.window_secs;
         let ordered = records.is_sorted_by_key(window_of);
         let mut out = Vec::new();
-        let mut keyed: Vec<((u64, u32, u32), f64)> = Vec::new();
+        let mut keyed: Vec<(u64, u64, u64)> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         for run in records.chunk_by(|a, b| !ordered || window_of(a) == window_of(b)) {
             keyed.clear();
             keyed.extend(
-                run.iter().filter(|r| keep(r)).map(|r| ((window_of(r), r.src, r.dst), r.gbps)),
+                run.iter()
+                    .filter(|r| keep(r))
+                    .map(|r| (window_of(r), pair_key(r.src, r.dst), value_key(r.gbps))),
             );
-            keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
-            for cell in keyed.chunk_by(|a, b| a.0 == b.0) {
+            #[allow(clippy::stable_sort_primitive)] // merges the window's per-epoch runs
+            keyed.sort();
+            for cell in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
                 values.clear();
-                values.extend(cell.iter().map(|&(_, v)| v));
-                let (Some(&((w, src, dst), _)), Some(stats)) =
+                values.extend(cell.iter().map(|&(_, _, v)| key_value(v)));
+                let (Some(&(w, pair, _)), Some(stats)) =
                     (cell.first(), SummaryStats::of_sorted(&values))
                 else {
                     continue;
                 };
-                out.push(CoarseBwRecord {
-                    window_start: Ts(w * self.window_secs),
-                    window_secs: self.window_secs,
-                    src,
-                    dst,
-                    values: self.stats.iter().map(|&s| stats.get(s)).collect(),
-                });
+                out.push(self.row(w, pair, &stats));
             }
         }
         out
+    }
+
+    /// The coarse row of window index `w` for a packed `pair`.
+    fn row(&self, w: u64, pair: u64, stats: &SummaryStats) -> CoarseBwRecord {
+        let (src, dst) = key_pair(pair);
+        CoarseBwRecord {
+            window_start: Ts(w * self.window_secs),
+            window_secs: self.window_secs,
+            src,
+            dst,
+            values: self.stats.iter().map(|&s| stats.get(s)).collect(),
+        }
     }
 
     /// Estimated demand for a pair in the window containing `ts`, using the
@@ -334,23 +375,14 @@ impl Coarsening for NestedCoarsener {
     }
     fn coarsen(&self, fine: &Self::Fine) -> NestedLog {
         assert!(self.fine_horizon <= self.mid_horizon, "horizons must nest");
-        let mut raw = Vec::new();
-        let mut mid = Vec::new();
-        let mut old = Vec::new();
-        for r in fine {
-            let age = self.now.0.saturating_sub(r.ts.0);
-            if age < self.fine_horizon {
-                raw.push(*r);
-            } else if age < self.mid_horizon {
-                mid.push(*r);
-            } else {
-                old.push(*r);
-            }
-        }
-        let mut summarized =
-            TimeCoarsener::new(self.mid_window, self.stats.clone()).coarsen_records(&mid);
-        summarized
-            .extend(TimeCoarsener::new(self.old_window, self.stats.clone()).coarsen_records(&old));
+        let age = |r: &BandwidthRecord| self.now.0.saturating_sub(r.ts.0);
+        let raw = fine.iter().filter(|r| age(r) < self.fine_horizon).copied().collect();
+        let mut summarized = TimeCoarsener::new(self.mid_window, self.stats.clone())
+            .coarsen_where(fine, |r| (self.fine_horizon..self.mid_horizon).contains(&age(r)));
+        summarized.extend(
+            TimeCoarsener::new(self.old_window, self.stats.clone())
+                .coarsen_where(fine, |r| age(r) >= self.mid_horizon),
+        );
         NestedLog { raw, summarized }
     }
     fn fine_size(&self, fine: &Self::Fine) -> usize {
@@ -378,25 +410,54 @@ pub struct AdaptiveCoarsener {
 }
 
 impl AdaptiveCoarsener {
+    /// Whether a pair with these summary statistics is volatile: its
+    /// coefficient of variation exceeds `cv_threshold`. A pair with a
+    /// non-positive (or NaN) mean is stable.
+    #[must_use]
+    pub fn is_volatile(&self, stats: &SummaryStats) -> bool {
+        stats.mean > 0.0 && stats.std / stats.mean > self.cv_threshold
+    }
+
     /// Classify pairs by CV of their samples; returns the volatile set,
     /// sorted.
     #[must_use]
     pub fn volatile_pairs(&self, records: &[BandwidthRecord]) -> Vec<(u32, u32)> {
-        let mut samples: HashMap<(u32, u32), Vec<f64>> = HashMap::new();
-        for r in records {
-            samples.entry((r.src, r.dst)).or_default().push(r.gbps);
-        }
-        let mut out: Vec<(u32, u32)> = samples
-            .into_iter()
-            .filter(|(_, v)| {
-                SummaryStats::of(v)
-                    .map(|s| s.mean > 0.0 && s.std / s.mean > self.cv_threshold)
-                    .unwrap_or(false)
-            })
-            .map(|(k, _)| k)
-            .collect();
-        out.sort_unstable();
+        let mut out = Vec::new();
+        self.for_each_pair(records, |pair, volatile, _, _| {
+            if volatile {
+                out.push(key_pair(pair));
+            }
+        });
         out
+    }
+
+    /// Sort `records` pair-major as `(pair, value, ts)` integer keys and
+    /// call `f` once per pair, in `(src, dst)` order, with the packed pair,
+    /// its class, its run of keys and the run's values. The values come
+    /// out in `f64::total_cmp` order, so the class is
+    /// [`AdaptiveCoarsener::is_volatile`] of [`SummaryStats::of_sorted`]
+    /// over them with no further sort. Stable like the time oracle's sort:
+    /// a time-ordered lake is a run of pair-sorted epochs, which it merges.
+    fn for_each_pair(
+        &self,
+        records: &[BandwidthRecord],
+        mut f: impl FnMut(u64, bool, &[(u64, u64, u64)], &[f64]),
+    ) {
+        let mut keyed: Vec<(u64, u64, u64)> =
+            records.iter().map(|r| (pair_key(r.src, r.dst), value_key(r.gbps), r.ts.0)).collect();
+        #[allow(clippy::stable_sort_primitive)] // merges the lake's per-epoch runs
+        keyed.sort();
+        let mut values: Vec<f64> = Vec::new();
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            values.clear();
+            values.extend(run.iter().map(|&(_, v, _)| key_value(v)));
+            let (Some(&(pair, _, _)), Some(stats)) =
+                (run.first(), SummaryStats::of_sorted(&values))
+            else {
+                continue;
+            };
+            f(pair, self.is_volatile(&stats), run, &values);
+        }
     }
 }
 
@@ -421,16 +482,38 @@ impl Coarsening for AdaptiveCoarsener {
 impl AdaptiveCoarsener {
     /// [`Coarsening::coarsen`] over a borrowed slice, so reconciliation
     /// coarsens the lake in place instead of cloning it.
+    ///
+    /// One pair-major sort ([`AdaptiveCoarsener::for_each_pair`]) both
+    /// classifies each pair and orders its samples by value. A stable sort
+    /// on the window index of the pair's class then buckets the run while
+    /// keeping each bucket value-sorted, ready for
+    /// [`SummaryStats::of_sorted`]. A pair has one window size, so the
+    /// final `(window_start, src, dst)` sort has unique keys.
     pub(crate) fn coarsen_records(&self, fine: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
-        let volatile = self.volatile_pairs(fine);
-        let is_volatile = |r: &BandwidthRecord| volatile.binary_search(&(r.src, r.dst)).is_ok();
-        let mut out = TimeCoarsener::new(self.volatile_window, self.stats.clone())
-            .coarsen_where(fine, is_volatile);
-        out.extend(
-            TimeCoarsener::new(self.stable_window, self.stats.clone())
-                .coarsen_where(fine, |r| !is_volatile(r)),
-        );
-        out.sort_by_key(|r| (r.window_start, r.src, r.dst));
+        let volatile = TimeCoarsener::new(self.volatile_window, self.stats.clone());
+        let stable = TimeCoarsener::new(self.stable_window, self.stats.clone());
+        let mut out = Vec::new();
+        let mut bucketed: Vec<(u64, f64)> = Vec::new();
+        let mut cell_values: Vec<f64> = Vec::new();
+        self.for_each_pair(fine, |pair, is_volatile, run, values| {
+            let class = if is_volatile { &volatile } else { &stable };
+            bucketed.clear();
+            bucketed.extend(
+                run.iter().zip(values).map(|(&(_, _, ts), &v)| (ts / class.window_secs, v)),
+            );
+            bucketed.sort_by_key(|&(w, _)| w);
+            for cell in bucketed.chunk_by(|a, b| a.0 == b.0) {
+                cell_values.clear();
+                cell_values.extend(cell.iter().map(|&(_, v)| v));
+                let (Some(&(w, _)), Some(stats)) =
+                    (cell.first(), SummaryStats::of_sorted(&cell_values))
+                else {
+                    continue;
+                };
+                out.push(class.row(w, pair, &stats));
+            }
+        });
+        out.sort_unstable_by_key(|r| (r.window_start, r.src, r.dst));
         out
     }
 }
@@ -632,12 +715,29 @@ mod tests {
         out
     }
 
-    /// The partitioned-copy adaptive coarsening the pair filter replaced.
+    /// The `HashMap` of per-pair samples plus [`SummaryStats::of`] that
+    /// the pair-major sort replaced: the oracle for `volatile_pairs`.
+    fn volatile_by_map(c: &AdaptiveCoarsener, records: &[BandwidthRecord]) -> Vec<(u32, u32)> {
+        let mut samples: HashMap<(u32, u32), Vec<f64>> = HashMap::new();
+        for r in records {
+            samples.entry((r.src, r.dst)).or_default().push(r.gbps);
+        }
+        let mut out: Vec<(u32, u32)> = samples
+            .into_iter()
+            .filter(|(_, v)| SummaryStats::of(v).is_some_and(|s| c.is_volatile(&s)))
+            .map(|(k, _)| k)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// The partitioned-copy adaptive coarsening the pair-major sort
+    /// replaced.
     fn adaptive_by_partition(
         c: &AdaptiveCoarsener,
         fine: &[BandwidthRecord],
     ) -> Vec<CoarseBwRecord> {
-        let volatile: HashSet<(u32, u32)> = c.volatile_pairs(fine).into_iter().collect();
+        let volatile: HashSet<(u32, u32)> = volatile_by_map(c, fine).into_iter().collect();
         let (vol, stable): (Vec<BandwidthRecord>, Vec<BandwidthRecord>) =
             fine.iter().partition(|r| volatile.contains(&(r.src, r.dst)));
         let mut out = coarsen_by_map(&TimeCoarsener::new(c.volatile_window, c.stats.clone()), &vol);
@@ -655,23 +755,36 @@ mod tests {
         Statistic::P99,
     ];
 
-    /// Records over three days on four nodes, values from a pool with
-    /// ties, ±0.0 and (with `nan`) both NaN signs. `ordered` sorts by
-    /// timestamp (a lake slice); otherwise the generated order stays (a
-    /// shuffle).
+    /// Up to 400 generated `(epoch, src pick, dst pick, value pick)`
+    /// records over three days on the first one to six nodes, so some
+    /// logs give a pair runs long enough for sorts to leave their
+    /// small-slice (stable) path.
+    fn raw_log() -> impl proptest::strategy::Strategy<Value = Vec<(u64, usize, usize, usize)>> {
+        let raw = proptest::collection::vec((0u64..864, 0usize..6, 0usize..6, 0usize..9), 0..400);
+        proptest::strategy::Strategy::prop_map((1usize..7, raw), |(nodes, raw)| {
+            raw.into_iter().map(|(e, src, dst, v)| (e, src % nodes, dst % nodes, v)).collect()
+        })
+    }
+
+    /// Records on small node ids and ids at the edges of `u32` (so a wrong
+    /// pair packing collides or reorders pairs), with values from a pool
+    /// with ties, a negative, ±0.0 and (with `nan`) both NaN signs.
+    /// `ordered` sorts by timestamp (a lake slice); otherwise the generated
+    /// order stays (a shuffle).
     fn oracle_log(
-        raw: &[(u64, u32, u32, usize)],
+        raw: &[(u64, usize, usize, usize)],
         ordered: bool,
         nan: bool,
     ) -> Vec<BandwidthRecord> {
-        const GBPS: [f64; 8] = [0.0, -0.0, 1.0, 1.0, 2.5, 40.0, f64::NAN, -f64::NAN];
+        const NODES: [u32; 6] = [0, 1, 2, 3, 1 << 31, u32::MAX];
+        const GBPS: [f64; 9] = [0.0, -0.0, 1.0, 1.0, 2.5, 40.0, -3.0, f64::NAN, -f64::NAN];
         let pool = if nan { GBPS.len() } else { GBPS.len() - 2 };
         let mut log: Vec<BandwidthRecord> = raw
             .iter()
             .map(|&(epoch, src, dst, v)| BandwidthRecord {
                 ts: Ts(epoch * EPOCH_SECS + epoch % 7),
-                src,
-                dst,
+                src: NODES[src],
+                dst: NODES[dst],
                 gbps: GBPS[v % pool],
             })
             .collect();
@@ -681,13 +794,53 @@ mod tests {
         log
     }
 
+    /// Arbitrary `f64` bit patterns, half of them drawn from the edges of
+    /// `total_cmp` order: ±0.0, ±infinity, subnormals and NaNs of both
+    /// signs and both kinds.
+    fn f64_bits() -> impl proptest::strategy::Strategy<Value = u64> {
+        const EDGES: [u64; 10] = [
+            0,
+            1 << 63,
+            1,
+            (1 << 63) | 1,
+            0x7FF0_0000_0000_0000,
+            0xFFF0_0000_0000_0000,
+            0x7FF8_0000_0000_0000,
+            0xFFF8_0000_0000_0000,
+            0x7FF0_0000_0000_0001,
+            u64::MAX,
+        ];
+        proptest::strategy::Strategy::prop_map((0u64..=u64::MAX, 0usize..20), |(bits, pick)| {
+            EDGES.get(pick).copied().unwrap_or(bits)
+        })
+    }
+
+    /// The adaptive coarsener the oracle proptests run, at `cv_threshold`.
+    fn adaptive(cv_threshold: f64) -> AdaptiveCoarsener {
+        AdaptiveCoarsener {
+            cv_threshold,
+            stable_window: DAY,
+            volatile_window: HOUR,
+            stats: ALL_STATS.to_vec(),
+        }
+    }
+
     proptest::proptest! {
-        /// Sorting `((window, src, dst), gbps)` per window encodes every
+        /// `value_key` carries `f64::total_cmp` onto `u64` order, and
+        /// `key_value` inverts it bit for bit, over arbitrary bit patterns.
+        #[test]
+        fn value_key_is_total_cmp_order_and_inverts(a in f64_bits(), b in f64_bits()) {
+            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+            proptest::prop_assert_eq!(key_value(value_key(x)).to_bits(), a);
+            proptest::prop_assert_eq!(value_key(x).cmp(&value_key(y)), x.total_cmp(&y));
+        }
+
+        /// Sorting `(window, pair, value)` keys per window encodes every
         /// row exactly as map grouping plus a final sort, for time-ordered
         /// and shuffled inputs, at epoch, hour and day windows.
         #[test]
         fn sorted_time_oracle_matches_map_grouping(
-            raw in proptest::collection::vec((0u64..864, 0u32..4, 0u32..4, 0usize..8), 0..400),
+            raw in raw_log(),
             ordered in 0u8..2,
             window_pick in 0usize..3,
         ) {
@@ -699,11 +852,26 @@ mod tests {
             );
         }
 
-        /// Coarsening each adaptive class through a pair filter encodes
-        /// exactly as coarsening partitioned copies of the log.
+        /// Classifying pairs from the pair-major sort gives the volatile
+        /// set that per-pair `HashMap` sample vectors give.
         #[test]
-        fn filtered_adaptive_oracle_matches_partition(
-            raw in proptest::collection::vec((0u64..864, 0u32..4, 0u32..4, 0usize..8), 0..400),
+        fn pair_sorted_volatile_pairs_match_map(
+            raw in raw_log(),
+            ordered in 0u8..2,
+            nan in 0u8..4,
+            cv_threshold in 0.0f64..1.5,
+        ) {
+            let log = oracle_log(&raw, ordered == 1, nan == 0);
+            let c = adaptive(cv_threshold);
+            proptest::prop_assert_eq!(c.volatile_pairs(&log), volatile_by_map(&c, &log));
+        }
+
+        /// Coarsening each pair's value-sorted run, bucketed by its class's
+        /// window, encodes exactly as coarsening partitioned copies of the
+        /// log.
+        #[test]
+        fn pair_sorted_adaptive_oracle_matches_partition(
+            raw in raw_log(),
             ordered in 0u8..2,
             nan in 0u8..4,
             cv_threshold in 0.0f64..1.5,
@@ -711,12 +879,7 @@ mod tests {
             // NaN makes a pair's CV NaN (stable), so most cases leave it
             // out to keep both classes populated.
             let log = oracle_log(&raw, ordered == 1, nan == 0);
-            let c = AdaptiveCoarsener {
-                cv_threshold,
-                stable_window: DAY,
-                volatile_window: HOUR,
-                stats: ALL_STATS.to_vec(),
-            };
+            let c = adaptive(cv_threshold);
             proptest::prop_assert_eq!(
                 encode_coarse_log(&c.coarsen_records(&log)),
                 encode_coarse_log(&adaptive_by_partition(&c, &log))

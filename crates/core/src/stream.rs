@@ -485,8 +485,7 @@ impl AdaptiveCoarsener {
             fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
             ps.merge(&mut fresh);
             let was_volatile = ps.volatile;
-            ps.volatile = SummaryStats::of_sorted(&ps.values)
-                .is_some_and(|s| s.mean > 0.0 && s.std / s.mean > self.cv_threshold);
+            ps.volatile = SummaryStats::of_sorted(&ps.values).is_some_and(|s| self.is_volatile(&s));
             let window = if ps.volatile { self.volatile_window } else { self.stable_window };
             if is_new || ps.volatile != was_volatile {
                 recomputed += ps.rebuild_rows(pair, window, &self.stats);
@@ -699,7 +698,7 @@ impl SmnController {
     /// [`StreamError::Graph`] on unappliable churn, and
     /// [`StreamError::Divergence`] when reconciliation disproves
     /// incremental/batch byte-identity.
-    // smn-lint: allow(deep/determinism-taint) -- phase-guard wall readings stay in the profile registry; coarsener hash-map buckets are sorted before use
+    // smn-lint: allow(deep/determinism-taint) -- phase-guard wall readings stay in the profile registry
     pub fn stream_tick(
         &mut self,
         state: &mut StreamState,
@@ -798,7 +797,7 @@ impl SmnController {
     /// # Errors
     /// The first [`StreamError`] any tick produces; ticks before it are
     /// applied.
-    // smn-lint: allow(deep/determinism-taint) -- inherits stream_tick's waiver: wall readings stay in the profile, sorted buckets
+    // smn-lint: allow(deep/determinism-taint) -- inherits stream_tick's waiver: phase-guard wall readings stay in the profile registry
     pub fn stream_run(
         &mut self,
         state: &mut StreamState,
@@ -820,11 +819,12 @@ impl SmnController {
     /// divergence an audited diff is emitted and a hard
     /// [`StreamError::Divergence`] returned — the same
     /// no-silent-disagreement discipline as the degraded-mode outcome
-    /// hashes.
+    /// hashes. The `reconcile/time-oracle`, `reconcile/adaptive-oracle`
+    /// and `reconcile/compare` child phases split its wall time.
     ///
     /// # Errors
     /// [`StreamError::Divergence`] naming the first diverging artifact.
-    // smn-lint: allow(deep/determinism-taint) -- phase-guard wall readings stay in the profile registry; batch-oracle hash-map buckets are sorted before comparison
+    // smn-lint: allow(deep/determinism-taint) -- phase-guard wall readings stay in the profile registry
     pub fn stream_reconcile(
         &mut self,
         state: &mut StreamState,
@@ -837,11 +837,15 @@ impl SmnController {
         let (batch_time_rows, batch_adaptive_rows, lake_records) = {
             let lake = self.clds().bandwidth.read();
             let full = lake.all();
-            (
-                state.config.time_coarsener().coarsen_records(full),
-                state.config.adaptive.coarsen_records(full),
-                full.len(),
-            )
+            let time = {
+                let _p = obs.phase("reconcile/time-oracle");
+                state.config.time_coarsener().coarsen_records(full)
+            };
+            let adaptive = {
+                let _p = obs.phase("reconcile/adaptive-oracle");
+                state.config.adaptive.coarsen_records(full)
+            };
+            (time, adaptive, full.len())
         };
 
         let diverged =
@@ -861,6 +865,8 @@ impl SmnController {
                 StreamError::Divergence { artifact: artifact.to_string(), tick, detail }
             };
 
+        // Encodes, byte comparisons and the CDG rebuild.
+        let compare = obs.phase("reconcile/compare");
         let inc_time = state.time.encode();
         let batch_time = encode_coarse_log(&batch_time_rows);
         if inc_time != batch_time {
@@ -893,6 +899,7 @@ impl SmnController {
                 cdg_diff_detail(&inc_cdg, &batch_cdg),
             ));
         }
+        drop(compare);
 
         let hash = fingerprint_hex(&[inc_time.as_slice(), inc_adaptive.as_slice(), &inc_cdg]);
         // The incremental CDG is now proven equal to the batch rebuild:
