@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use smn_datalake::fault::LakeError;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{Statistic, SummaryStats};
+use smn_telemetry::series::{key_pair, key_value, pair_key, value_key, Statistic, SummaryStats};
 use smn_telemetry::sizing::BW_RECORD_BYTES;
 use smn_telemetry::time::Ts;
 use smn_topology::NodeId;
@@ -107,35 +107,6 @@ pub fn decode_coarse_log(mut bytes: bytes::Bytes) -> Result<Vec<CoarseBwRecord>,
         out.push(CoarseBwRecord { window_start, window_secs, src, dst, values });
     }
     Ok(out)
-}
-
-/// A `(src, dst)` pair packed so that `u64` order is `(src, dst)` order.
-fn pair_key(src: u32, dst: u32) -> u64 {
-    u64::from(src) << 32 | u64::from(dst)
-}
-
-/// Inverse of [`pair_key`].
-#[allow(clippy::cast_possible_truncation)] // each half is one `u32` by construction
-fn key_pair(key: u64) -> (u32, u32) {
-    ((key >> 32) as u32, key as u32)
-}
-
-/// `f64::total_cmp` order carried onto `u64`: negative values (sign bit
-/// set) have every bit flipped, so larger magnitudes sort lower; the rest
-/// get the sign bit set, so they sort above every negative. Sorting the
-/// keys sorts the values under `total_cmp`, NaNs and ±0.0 included.
-fn value_key(v: f64) -> u64 {
-    let bits = v.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// Inverse of [`value_key`], bit for bit.
-fn key_value(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
 }
 
 /// Time-based coarsening: replace per-epoch rows with per-window summary
@@ -794,27 +765,6 @@ mod tests {
         log
     }
 
-    /// Arbitrary `f64` bit patterns, half of them drawn from the edges of
-    /// `total_cmp` order: ±0.0, ±infinity, subnormals and NaNs of both
-    /// signs and both kinds.
-    fn f64_bits() -> impl proptest::strategy::Strategy<Value = u64> {
-        const EDGES: [u64; 10] = [
-            0,
-            1 << 63,
-            1,
-            (1 << 63) | 1,
-            0x7FF0_0000_0000_0000,
-            0xFFF0_0000_0000_0000,
-            0x7FF8_0000_0000_0000,
-            0xFFF8_0000_0000_0000,
-            0x7FF0_0000_0000_0001,
-            u64::MAX,
-        ];
-        proptest::strategy::Strategy::prop_map((0u64..=u64::MAX, 0usize..20), |(bits, pick)| {
-            EDGES.get(pick).copied().unwrap_or(bits)
-        })
-    }
-
     /// The adaptive coarsener the oracle proptests run, at `cv_threshold`.
     fn adaptive(cv_threshold: f64) -> AdaptiveCoarsener {
         AdaptiveCoarsener {
@@ -826,15 +776,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `value_key` carries `f64::total_cmp` onto `u64` order, and
-        /// `key_value` inverts it bit for bit, over arbitrary bit patterns.
-        #[test]
-        fn value_key_is_total_cmp_order_and_inverts(a in f64_bits(), b in f64_bits()) {
-            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
-            proptest::prop_assert_eq!(key_value(value_key(x)).to_bits(), a);
-            proptest::prop_assert_eq!(value_key(x).cmp(&value_key(y)), x.total_cmp(&y));
-        }
-
         /// Sorting `(window, pair, value)` keys per window encodes every
         /// row exactly as map grouping plus a final sort, for time-ordered
         /// and shuffled inputs, at epoch, hour and day windows.

@@ -41,7 +41,7 @@ use smn_depgraph::coarse::CoarseDepGraph;
 use smn_depgraph::syndrome::{Explainability, Syndrome};
 use smn_obs::Obs;
 use smn_te::capacity::{CapacityPlanner, UpgradePolicy};
-use smn_telemetry::record::{Alert, LogEvent, ProbeResult, Severity};
+use smn_telemetry::record::{Alert, BandwidthRecord, LogEvent, ProbeResult, Severity};
 use smn_telemetry::series::Statistic;
 use smn_telemetry::time::{Ts, DAY, EPOCH_SECS, HOUR};
 use smn_topology::layer1::{Modulation, OpticalLayer, WavelengthId};
@@ -49,7 +49,6 @@ use smn_topology::EdgeId;
 
 use crate::aiops::{aggregate_alerts, AggregatedIncident};
 use crate::bwlogs::{CoarseBwRecord, TimeCoarsener};
-use crate::coarsen::Coarsening;
 
 /// Feedback emitted by the CLTO to teams or external agents.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -600,20 +599,30 @@ impl SmnController {
         start: Ts,
         end: Ts,
     ) -> (Option<PlanningWindow>, Vec<Feedback>) {
-        let mut feedback = Vec::new();
-        let fine = match self.fetch(|_| self.lake.bandwidth_range(start, end)) {
-            Ok(f) => f,
-            Err(e) => {
-                feedback.push(Feedback::Degraded {
+        // The ladder and the coarsen read the lake's slice in place: one
+        // gated query per attempt, no copy of the window.
+        let span = end.0.saturating_sub(start.0);
+        match self.fetch(|_| {
+            self.lake.with_bandwidth_range(start, end, |fine| self.plan_window(fine, span))
+        }) {
+            Ok((window, feedback)) => (Some(window), feedback),
+            Err(e) => (
+                None,
+                vec![Feedback::Degraded {
                     loop_name: "planning".into(),
                     from: Self::ladder_rung_name(EPOCH_SECS).into(),
                     to: "no planning inputs this cycle".into(),
                     reason: e.to_string(),
-                });
-                return (None, feedback);
-            }
-        };
-        let span = end.0.saturating_sub(start.0);
+                }],
+            ),
+        }
+    }
+
+    /// Walk the resolution ladder over `fine`, a time-ordered lake slice
+    /// spanning `span` seconds, and coarsen it at the first complete
+    /// enough rung (P95 per pair per window).
+    fn plan_window(&self, fine: &[BandwidthRecord], span: u64) -> (PlanningWindow, Vec<Feedback>) {
+        let mut feedback = Vec::new();
         let completeness_at = |resolution: u64| -> f64 {
             let expected = (span.div_ceil(resolution)).max(1);
             // Lake slices are time-ordered, so each observed window is one
@@ -643,8 +652,8 @@ impl SmnController {
             });
         }
         let (chosen, completeness) = rung;
-        let records = TimeCoarsener::new(chosen, vec![Statistic::P95]).coarsen(&fine);
-        (Some(PlanningWindow { resolution_secs: chosen, completeness, records }), feedback)
+        let records = TimeCoarsener::new(chosen, vec![Statistic::P95]).coarsen_records(fine);
+        (PlanningWindow { resolution_secs: chosen, completeness, records }, feedback)
     }
 
     /// Per-edge utilization history from a planning window: `edge_of` maps
@@ -1135,6 +1144,97 @@ mod tests {
         assert!(window.is_none());
         assert_eq!(feedback.len(), 1);
         assert!(is_degraded(&feedback[0]));
+    }
+
+    /// The previous planning input path: copy the lake range out, then
+    /// walk the ladder and coarsen the copy.
+    #[allow(clippy::cast_precision_loss)] // window counts are far below 2^52
+    fn planning_by_copy(
+        c: &SmnController,
+        start: Ts,
+        end: Ts,
+    ) -> (Option<PlanningWindow>, Vec<Feedback>) {
+        use crate::coarsen::Coarsening;
+        let mut feedback = Vec::new();
+        let fine = match c.fetch(|_| c.lake.bandwidth_range(start, end)) {
+            Ok(f) => f,
+            Err(e) => {
+                feedback.push(Feedback::Degraded {
+                    loop_name: "planning".into(),
+                    from: SmnController::ladder_rung_name(EPOCH_SECS).into(),
+                    to: "no planning inputs this cycle".into(),
+                    reason: e.to_string(),
+                });
+                return (None, feedback);
+            }
+        };
+        let span = end.0.saturating_sub(start.0);
+        let threshold = c.config.planning_completeness_threshold;
+        let mut rung = (DAY, 0.0);
+        for (i, &resolution) in SmnController::PLANNING_LADDER.iter().enumerate() {
+            let expected = span.div_ceil(resolution).max(1);
+            let observed = fine.chunk_by(|a, b| a.ts.0 / resolution == b.ts.0 / resolution).count();
+            let completeness = observed as f64 / expected as f64;
+            rung = (resolution, completeness);
+            let Some(&next) = SmnController::PLANNING_LADDER.get(i + 1) else { break };
+            if completeness >= threshold {
+                break;
+            }
+            feedback.push(Feedback::Degraded {
+                loop_name: "planning".into(),
+                from: SmnController::ladder_rung_name(resolution).into(),
+                to: SmnController::ladder_rung_name(next).into(),
+                reason: format!(
+                    "window completeness {:.0}% below {:.0}%",
+                    completeness * 100.0,
+                    threshold * 100.0
+                ),
+            });
+        }
+        let (chosen, completeness) = rung;
+        let records = TimeCoarsener::new(chosen, vec![Statistic::P95]).coarsen(&fine);
+        (Some(PlanningWindow { resolution_secs: chosen, completeness, records }), feedback)
+    }
+
+    #[test]
+    fn borrowed_planning_window_matches_copied_range() {
+        // A day of epochs over three pairs, keeping every `stride`-th epoch.
+        let fill = |c: &SmnController, stride: usize| {
+            let mut bw = c.clds().bandwidth.write();
+            for e in (0..288u32).step_by(stride) {
+                for (src, dst) in [(0, 1), (1, 0), (2, 1)] {
+                    bw.append(smn_telemetry::record::BandwidthRecord {
+                        ts: Ts(u64::from(e) * EPOCH_SECS),
+                        src,
+                        dst,
+                        gbps: f64::from(src + 1) * f64::from((e * 7 + dst) % 11),
+                    });
+                }
+            }
+        };
+        // Per case: the lake's stride, then the first window's resolution
+        // and feedback count.
+        let cases = [
+            (FaultProfile::reliable(), 1, (Some(EPOCH_SECS), 0)),
+            (FaultProfile::reliable(), 5, (Some(HOUR), 1)),
+            (FaultProfile::reliable().with_outage(Ts(HOUR), Ts(2 * HOUR)), 1, (None, 1)),
+            (FaultProfile::reliable().with_error_rate(0.5).with_seed(3), 1, (Some(EPOCH_SECS), 0)),
+        ];
+        for (profile, stride, first) in cases {
+            let (borrowing, copying) =
+                (faulty_controller(profile.clone()), faulty_controller(profile));
+            fill(&borrowing, stride);
+            fill(&copying, stride);
+            for w in 0..4u64 {
+                let (start, end) = (Ts(w * 6 * HOUR), Ts(DAY));
+                let got = borrowing.planning_bandwidth(start, end);
+                assert_eq!(got, planning_by_copy(&copying, start, end), "window from {start}");
+                if w == 0 {
+                    assert_eq!((got.0.map(|p| p.resolution_secs), got.1.len()), first);
+                }
+            }
+            assert_eq!(borrowing.lake.query_count(), copying.lake.query_count());
+        }
     }
 
     #[test]

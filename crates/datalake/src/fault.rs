@@ -287,8 +287,26 @@ impl FaultyStore {
 
     /// Bandwidth records with `start <= ts < end`.
     pub fn bandwidth_range(&self, start: Ts, end: Ts) -> Result<Vec<BandwidthRecord>, LakeError> {
+        self.with_bandwidth_range(start, end, <[_]>::to_vec)
+    }
+
+    /// `f` over the bandwidth records with `start <= ts < end`, borrowed
+    /// under the dataset's read lock instead of copied out: one gated
+    /// query, exactly like [`FaultyStore::bandwidth_range`], whose result
+    /// `f` turns into what the caller keeps. Writers wait until `f`
+    /// returns.
+    ///
+    /// # Errors
+    /// The gate's [`LakeError`]: an outage over the range, or a seeded
+    /// transient failure; `f` is not called then.
+    pub fn with_bandwidth_range<T>(
+        &self,
+        start: Ts,
+        end: Ts,
+        f: impl FnOnce(&[BandwidthRecord]) -> T,
+    ) -> Result<T, LakeError> {
         self.gate("wan/bandwidth-logs", start, end)?;
-        Ok(self.clds.bandwidth.read().range(start, end).to_vec())
+        Ok(f(self.clds.bandwidth.read().range(start, end)))
     }
 
     /// Alerts with `start <= ts < end`.
@@ -388,6 +406,30 @@ mod tests {
         assert!(store.probes_range(Ts(0), Ts(500)).is_ok());
         assert!(store.bandwidth_range(Ts(0), Ts(500)).is_ok());
         assert!(store.alerts_range(Ts(1000), Ts(2000)).is_ok());
+    }
+
+    #[test]
+    fn borrowed_range_read_matches_copying_read() {
+        let profiles = [
+            FaultProfile::reliable().with_outage(Ts(1000), Ts(2000)),
+            FaultProfile::reliable().with_dataset_outage("wan/bandwidth-logs", Ts(0), Ts(900)),
+            FaultProfile::reliable().with_error_rate(0.4).with_seed(23),
+        ];
+        for profile in profiles {
+            let (copying, borrowing) = (seeded_store(profile.clone()), seeded_store(profile));
+            let mut failed = 0;
+            for i in 0..40u64 {
+                let (start, end) = (Ts(i * 250), Ts(i * 250 + 1200));
+                let copied = copying.bandwidth_range(start, end);
+                let borrowed = borrowing.with_bandwidth_range(start, end, <[_]>::to_vec);
+                assert_eq!(copied, borrowed, "query {i} over [{start}, {end})");
+                let counted = borrowing.with_bandwidth_range(start, end, <[_]>::len);
+                assert_eq!(counted, copying.bandwidth_range(start, end).map(|v| v.len()));
+                failed += usize::from(copied.is_err());
+            }
+            assert!((1..40).contains(&failed), "{failed} of 40 queries failed");
+            assert_eq!(copying.query_count(), borrowing.query_count());
+        }
     }
 
     #[test]

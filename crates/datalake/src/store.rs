@@ -100,12 +100,12 @@ impl<T: Timestamped> TimeStore<T> {
         &self.records
     }
 
-    /// Records with `start <= ts < end`.
+    /// Records with `start <= ts < end`; empty when `start > end`.
     #[must_use]
     pub fn range(&self, start: Ts, end: Ts) -> &[T] {
         let lo = self.records.partition_point(|r| r.ts() < start);
         let hi = self.records.partition_point(|r| r.ts() < end);
-        &self.records[lo..hi]
+        self.records.get(lo..hi).unwrap_or_default()
     }
 
     /// Number of records.
@@ -201,6 +201,7 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r[0].gbps, 3.0);
         assert_eq!(s.range(Ts(5000), Ts(6000)).len(), 0);
+        assert_eq!(s.range(Ts(600), Ts(250)).len(), 0, "inverted range is empty");
         assert_eq!(s.latest_ts(), Some(Ts(900)));
     }
 

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{Statistic, SummaryStats};
+use smn_telemetry::series::{key_pair, key_value, pair_key, value_key, Statistic, SummaryStats};
 use smn_topology::NodeId;
 
 /// One traffic commodity: demand between a node pair.
@@ -40,29 +40,47 @@ impl DemandMatrix {
                 *merged.entry((s, d)).or_insert(0.0) += g;
             }
         }
-        let mut commodities: Vec<Commodity> = merged
+        // `NodeId` order is index order, so the map yields `(src, dst)` order.
+        let commodities = merged
             .into_iter()
             .map(|((src, dst), demand_gbps)| Commodity { src, dst, demand_gbps })
             .collect();
-        commodities.sort_by_key(|c| (c.src, c.dst));
         DemandMatrix { commodities }
     }
 
     /// Build from a window of bandwidth records, summarizing each pair's
     /// samples with `stat` (e.g. [`Statistic::Mean`] or p95 — the
     /// time-coarsening statistics of §4).
+    ///
+    /// Records are keyed `(pair, value)` as plain integers ([`pair_key`],
+    /// [`value_key`]) and sorted, so each pair's run is the sorted sample
+    /// buffer [`SummaryStats::of_sorted`] summarises and commodities come
+    /// out in `(src, dst)` order. The sort is stable: equal keys are
+    /// bitwise-equal values, so any sort gives the same matrix, and the
+    /// stable one merges the pair-sorted runs a window-major planning
+    /// window is made of.
     #[must_use]
     pub fn from_records(records: &[BandwidthRecord], stat: Statistic) -> Self {
-        let mut samples: BTreeMap<(u32, u32), Vec<f64>> = BTreeMap::new();
-        for r in records {
-            samples.entry((r.src, r.dst)).or_default().push(r.gbps);
+        let mut keyed: Vec<(u64, u64)> =
+            records.iter().map(|r| (pair_key(r.src, r.dst), value_key(r.gbps))).collect();
+        #[allow(clippy::stable_sort_primitive)] // merges the window's pair-sorted runs
+        keyed.sort();
+        let mut values: Vec<f64> = Vec::new();
+        let mut commodities = Vec::new();
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            values.clear();
+            values.extend(run.iter().map(|&(_, v)| key_value(v)));
+            let (Some(&(pair, _)), Some(stats)) = (run.first(), SummaryStats::of_sorted(&values))
+            else {
+                continue;
+            };
+            let (src, dst) = key_pair(pair);
+            let demand_gbps = stats.get(stat);
+            if demand_gbps > 0.0 && src != dst {
+                commodities.push(Commodity { src: NodeId(src), dst: NodeId(dst), demand_gbps });
+            }
         }
-        Self::from_triples(samples.into_iter().filter_map(|((s, d), v)| {
-            // Buckets are created on first push, so `v` is never empty; an
-            // empty bucket would simply contribute no commodity.
-            let value = SummaryStats::of(&v)?.get(stat);
-            Some((NodeId(s), NodeId(d), value))
-        }))
+        DemandMatrix { commodities }
     }
 
     /// Total demand in Gbps.
@@ -116,6 +134,74 @@ mod tests {
 
     fn rec(ts: u64, src: u32, dst: u32, gbps: f64) -> BandwidthRecord {
         BandwidthRecord { ts: Ts(ts), src, dst, gbps }
+    }
+
+    const ALL_STATS: [Statistic; 6] = [
+        Statistic::Mean,
+        Statistic::Min,
+        Statistic::Max,
+        Statistic::P50,
+        Statistic::P95,
+        Statistic::P99,
+    ];
+
+    /// The previous `from_records`: one sample vector per pair in a map,
+    /// summarised by [`SummaryStats::of`] and merged by `from_triples`.
+    fn from_records_by_map(records: &[BandwidthRecord], stat: Statistic) -> DemandMatrix {
+        let mut samples: BTreeMap<(u32, u32), Vec<f64>> = BTreeMap::new();
+        for r in records {
+            samples.entry((r.src, r.dst)).or_default().push(r.gbps);
+        }
+        DemandMatrix::from_triples(samples.into_iter().filter_map(|((s, d), v)| {
+            Some((NodeId(s), NodeId(d), SummaryStats::of(&v)?.get(stat)))
+        }))
+    }
+
+    /// Every commodity as raw bits, so NaN and the sign of zero compare
+    /// exactly.
+    fn commodity_bits(m: &DemandMatrix) -> Vec<(u32, u32, u64)> {
+        m.commodities.iter().map(|c| (c.src.0, c.dst.0, c.demand_gbps.to_bits())).collect()
+    }
+
+    /// Records over 1–4 nodes (self-loops included) with values drawn
+    /// half from a pool of ties, ±0.0, NaNs and negatives, half
+    /// arbitrary. In generation order (not time-ordered), or window-major
+    /// with pairs sorted inside each epoch, as a planning window is laid
+    /// out.
+    fn demand_log() -> impl proptest::strategy::Strategy<Value = Vec<BandwidthRecord>> {
+        use proptest::strategy::Strategy;
+        const GBPS: [f64; 9] = [0.0, -0.0, 1.0, 1.0, 2.5, 40.0, -3.0, f64::NAN, -f64::NAN];
+        (
+            1u32..5,
+            proptest::collection::vec((0u64..6, 0u32..4, 0u32..4, 0usize..18, -50f64..50.0), 0..60),
+            0u8..2,
+        )
+            .prop_map(|(nodes, raw, ordered)| {
+                let mut log: Vec<BandwidthRecord> = raw
+                    .into_iter()
+                    .map(|(epoch, s, d, pick, x)| {
+                        rec(epoch * 300, s % nodes, d % nodes, GBPS.get(pick).copied().unwrap_or(x))
+                    })
+                    .collect();
+                if ordered == 1 {
+                    log.sort_by_key(|r| (r.ts, r.src, r.dst));
+                }
+                log
+            })
+    }
+
+    proptest::proptest! {
+        /// Sorting `(pair, value)` integer keys builds every commodity bit
+        /// for bit as per-pair map grouping did, for every statistic.
+        #[test]
+        fn sorted_demand_matches_map_grouping(log in demand_log()) {
+            for stat in ALL_STATS {
+                proptest::prop_assert_eq!(
+                    commodity_bits(&DemandMatrix::from_records(&log, stat)),
+                    commodity_bits(&from_records_by_map(&log, stat))
+                );
+            }
+        }
     }
 
     #[test]

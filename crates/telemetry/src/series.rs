@@ -87,6 +87,48 @@ impl SummaryStats {
     }
 }
 
+/// A `(src, dst)` pair packed so that `u64` order is `(src, dst)` order.
+///
+/// With [`value_key`] this is the sort key of every batch summariser:
+/// records keyed `(pair_key, value_key)` as plain integers and sorted
+/// come out grouped by pair, each pair's run being the sorted sample
+/// buffer [`SummaryStats::of_sorted`] takes.
+#[inline]
+#[must_use]
+pub fn pair_key(src: u32, dst: u32) -> u64 {
+    u64::from(src) << 32 | u64::from(dst)
+}
+
+/// Inverse of [`pair_key`].
+#[inline]
+#[must_use]
+#[allow(clippy::cast_possible_truncation)] // each half is one `u32` by construction
+pub fn key_pair(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32) // smn-lint: allow(casts/narrowing) -- halves of a `pair_key`
+}
+
+/// `f64::total_cmp` order carried onto `u64`: negative values (sign bit
+/// set) have every bit flipped, so larger magnitudes sort lower; the rest
+/// get the sign bit set, so they sort above every negative. Sorting the
+/// keys sorts the values under `total_cmp`, NaNs and ±0.0 included.
+#[inline]
+#[must_use]
+pub fn value_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`value_key`], bit for bit.
+#[inline]
+#[must_use]
+pub fn key_value(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
 /// Selectable summary statistic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Statistic {
@@ -238,6 +280,26 @@ mod tests {
         })
     }
 
+    /// Arbitrary `f64` bit patterns, half of them drawn from the edges of
+    /// `total_cmp` order: ±0.0, ±infinity, subnormals and NaNs of both
+    /// signs and both kinds.
+    fn f64_bits() -> impl Strategy<Value = u64> {
+        const EDGES: [u64; 10] = [
+            0,
+            1 << 63,
+            1,
+            (1 << 63) | 1,
+            0x7FF0_0000_0000_0000,
+            0xFFF0_0000_0000_0000,
+            0x7FF8_0000_0000_0000,
+            0xFFF8_0000_0000_0000,
+            0x7FF0_0000_0000_0001,
+            u64::MAX,
+        ];
+        (0u64..=u64::MAX, 0usize..20)
+            .prop_map(|(bits, pick)| EDGES.get(pick).copied().unwrap_or(bits))
+    }
+
     proptest! {
         /// `of` is `of_sorted` over the `total_cmp`-sorted samples, bit for
         /// bit, whatever order the samples arrive in.
@@ -252,6 +314,15 @@ mod tests {
             prop_assert_eq!(bits(SummaryStats::of(&values)), bits(SummaryStats::of_sorted(&sorted)));
             let reversed: Vec<f64> = values.iter().rev().copied().collect();
             prop_assert_eq!(bits(SummaryStats::of(&values)), bits(SummaryStats::of(&reversed)));
+        }
+
+        /// `value_key` carries `f64::total_cmp` onto `u64` order, and
+        /// `key_value` inverts it bit for bit, over arbitrary bit patterns.
+        #[test]
+        fn value_key_is_total_cmp_order_and_inverts(a in f64_bits(), b in f64_bits()) {
+            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+            prop_assert_eq!(key_value(value_key(x)).to_bits(), a);
+            prop_assert_eq!(value_key(x).cmp(&value_key(y)), x.total_cmp(&y));
         }
     }
 
