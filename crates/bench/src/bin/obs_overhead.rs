@@ -5,11 +5,11 @@
 //! `smn_obs::Obs` handle and call into it per operation. That is only
 //! acceptable if a *disabled* handle is effectively free. This binary
 //! measures the Table 2 hot loop (the `TimeCoarsener` over a multi-day
-//! bandwidth log) three ways — plain `report` vs `report_observed` vs
-//! `report_profiled`, the latter two with a disabled handle — and fails
-//! when either instrumented path is more than 2% slower.
+//! bandwidth log) two ways — plain `report` vs `report_profiled` with a
+//! disabled handle — and fails when the instrumented path is more than 2%
+//! slower.
 //!
-//! Methodology: each trial times all variants back to back (min of a few
+//! Methodology: each trial times both variants back to back (min of a few
 //! reps each, to shed interrupt spikes) in an order that flips every
 //! trial (to cancel position bias), and yields instrumented/plain time
 //! *ratios*; the median ratio across trials is compared against the
@@ -68,31 +68,22 @@ fn main() {
         min_ms
     };
     let plain = || coarsener.report(&log);
-    let observed = || coarsener.report_observed(&log, &off, "bwlog");
     let profiled = || coarsener.report_profiled(&log, &off, "bwlog");
 
-    let mut observed_ratios = Vec::with_capacity(TRIALS);
     let mut profiled_ratios = Vec::with_capacity(TRIALS);
-    let (mut plain_min, mut observed_min, mut profiled_min) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut plain_min, mut profiled_min) = (f64::INFINITY, f64::INFINITY);
     for trial in 0..TRIALS {
         // Flip the measurement order every trial so position bias (e.g.
         // periodic throttling) hits each variant equally.
-        let (plain_ms, observed_ms, profiled_ms) = if trial % 2 == 0 {
+        let (plain_ms, profiled_ms) = if trial % 2 == 0 {
             let p = best(&plain);
-            let o = best(&observed);
-            let f = best(&profiled);
-            (p, o, f)
+            (p, best(&profiled))
         } else {
             let f = best(&profiled);
-            let o = best(&observed);
-            let p = best(&plain);
-            (p, o, f)
+            (best(&plain), f)
         };
-        observed_ratios.push(observed_ms / plain_ms);
         profiled_ratios.push(profiled_ms / plain_ms);
         plain_min = plain_min.min(plain_ms);
-        observed_min = observed_min.min(observed_ms);
         profiled_min = profiled_min.min(profiled_ms);
     }
 
@@ -100,26 +91,14 @@ fn main() {
     // ratios (robust to drift) and the ratio of global minima (robust to
     // spikes). Either alone still flakes on a busy host; both being
     // inflated by noise at once is far rarer.
-    let overhead = (median(&mut observed_ratios) - 1.0).min(observed_min / plain_min - 1.0);
-    let profiled_overhead =
-        (median(&mut profiled_ratios) - 1.0).min(profiled_min / plain_min - 1.0);
-    println!("  observed overhead: {:+.2}% (best of median-ratio / min-ratio)", overhead * 100.0);
-    println!(
-        "  profiled overhead: {:+.2}% (best of median-ratio / min-ratio)",
-        profiled_overhead * 100.0
-    );
+    let overhead = (median(&mut profiled_ratios) - 1.0).min(profiled_min / plain_min - 1.0);
+    println!("  profiled overhead: {:+.2}% (best of median-ratio / min-ratio)", overhead * 100.0);
     assert!(off.trace_jsonl().is_empty(), "disabled handle must record nothing");
     assert!(off.wall_profile().is_empty(), "disabled handle must profile nothing");
     assert!(
         overhead <= MAX_OVERHEAD,
-        "disabled observability costs {:.2}% > {:.0}% budget",
-        overhead * 100.0,
-        MAX_OVERHEAD * 100.0
-    );
-    assert!(
-        profiled_overhead <= MAX_OVERHEAD,
         "disabled profiling costs {:.2}% > {:.0}% budget",
-        profiled_overhead * 100.0,
+        overhead * 100.0,
         MAX_OVERHEAD * 100.0
     );
     println!("ok: disabled observability within the {:.0}% budget", MAX_OVERHEAD * 100.0);

@@ -45,34 +45,10 @@ pub trait Coarsening {
         CoarseningReport { coarse, fine_size, coarse_size }
     }
 
-    /// [`Coarsening::report`] wrapped in an observability span named
-    /// `coarsen/<label>`, with the size relation recorded as exit fields
-    /// and `coarsen_<label>_reduction` published as a gauge.
-    fn report_observed(
-        &self,
-        fine: &Self::Fine,
-        obs: &smn_obs::Obs,
-        label: &str,
-    ) -> CoarseningReport<Self::Coarse> {
-        if !obs.is_enabled() {
-            return self.report(fine);
-        }
-        let mut span = obs.span(&format!("coarsen/{label}"));
-        let report = self.report(fine);
-        span.field("fine_size", report.fine_size);
-        span.field("coarse_size", report.coarse_size);
-        span.field("shrinks", report.shrinks());
-        let reduction = report.reduction_factor();
-        if reduction.is_finite() {
-            obs.gauge(&format!("coarsen_{label}_reduction"), reduction);
-        }
-        report
-    }
-
-    /// [`Coarsening::report_observed`] with the span opened as a profiled
-    /// phase ([`smn_obs::Obs::phase`]): identical trace/gauge output, plus
-    /// the wall time of the coarsening folds into the perf trajectory's
-    /// wall profile under the same `coarsen/<label>` name.
+    /// [`Coarsening::report`] run inside a profiled `coarsen/<label>` phase
+    /// ([`smn_obs::Obs::phase`]): the size relation lands as exit fields and
+    /// `coarsen_<label>_reduction` publishes as a gauge. A disabled handle
+    /// returns before the label is formatted.
     fn report_profiled(
         &self,
         fine: &Self::Fine,
@@ -93,23 +69,6 @@ pub trait Coarsening {
         }
         report
     }
-
-    /// Per-layer entry point: [`Coarsening::report`] tagged with the stack
-    /// layer the coarsening acts on, so callers iterating a
-    /// [`smn_topology::LayerStack`] can collect the coarsenings relevant
-    /// to each layer uniformly.
-    fn report_for_layer(&self, fine: &Self::Fine) -> LayerReport<Self::Coarse> {
-        LayerReport { layer: self.layer(), report: self.report(fine) }
-    }
-}
-
-/// A coarsening report tagged with the unified-stack layer it was taken on.
-#[derive(Debug, Clone)]
-pub struct LayerReport<C> {
-    /// The stack layer the coarsening acts on (`None` = layer-agnostic).
-    pub layer: Option<smn_topology::LayerId>,
-    /// The size-relation report.
-    pub report: CoarseningReport<C>,
 }
 
 /// The result of applying a coarsening: the coarse structure plus the size
@@ -218,49 +177,30 @@ mod tests {
     }
 
     #[test]
-    fn observed_report_traces_the_size_relation() {
-        let c = BucketSum { bucket: 4 };
-        let fine: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let obs = smn_obs::Obs::enabled(smn_obs::clock::SimClock::new());
-        let report = c.report_observed(&fine, &obs, "bucket-sum");
-        assert_eq!(report.coarse_size, 25);
-        assert_eq!(obs.trace_len(), 2); // enter + exit
-        assert_eq!(obs.gauge_value("coarsen_bucket-sum_reduction"), Some(4.0));
-        // Disabled handle: same result, no events.
-        let off = smn_obs::Obs::disabled();
-        let report = c.report_observed(&fine, &off, "bucket-sum");
-        assert_eq!(report.coarse_size, 25);
-        assert_eq!(off.trace_len(), 0);
-    }
-
-    #[test]
     fn profiled_report_feeds_trace_and_wall_profile() {
         let c = BucketSum { bucket: 4 };
         let fine: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let obs = smn_obs::Obs::enabled(smn_obs::clock::SimClock::new());
         let report = c.report_profiled(&fine, &obs, "bucket-sum");
         assert_eq!(report.coarse_size, 25);
-        assert_eq!(obs.trace_len(), 2); // enter + exit, same as report_observed
+        assert_eq!(obs.trace_len(), 2); // enter + exit
         assert_eq!(obs.gauge_value("coarsen_bucket-sum_reduction"), Some(4.0));
         let profile = obs.wall_profile();
         assert_eq!(profile.len(), 1);
         assert_eq!(profile[0].path, "coarsen/bucket-sum");
         assert_eq!(profile[0].count, 1);
-        // Disabled handle: same result, no profile rows.
+        // Disabled handle: same result, no events or profile rows.
         let off = smn_obs::Obs::disabled();
         let report = c.report_profiled(&fine, &off, "bucket-sum");
         assert_eq!(report.coarse_size, 25);
+        assert_eq!(off.trace_len(), 0);
         assert!(off.wall_profile().is_empty());
     }
 
     #[test]
     fn layer_entry_point_tags_reports() {
         // The toy coarsening is layer-agnostic: default None.
-        let c = BucketSum { bucket: 4 };
-        let fine: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let lr = c.report_for_layer(&fine);
-        assert_eq!(lr.layer, None);
-        assert_eq!(lr.report.coarse_size, 25);
+        assert_eq!(BucketSum { bucket: 4 }.layer(), None);
         // The concrete coarseners declare their stack layer.
         use smn_topology::LayerId;
         assert_eq!(crate::cdg::CdgCoarsening.layer(), Some(LayerId::L7));

@@ -117,30 +117,9 @@ pub fn ingest_alerts(
     report
 }
 
-/// [`ingest_alerts`] with the batch outcome published to `obs`: bumps the
-/// `lake_ingested_total` / `lake_suppressed_total` counters and emits a
-/// `lake/ingest` trace event carrying the batch counts.
-pub fn ingest_alerts_observed(
-    clds: &Clds,
-    denoiser: &mut dyn Denoiser,
-    alerts: impl IntoIterator<Item = Alert>,
-    obs: &Obs,
-) -> IngestReport {
-    let report = ingest_alerts(clds, denoiser, alerts);
-    if obs.is_enabled() {
-        obs.inc_by("lake_ingested_total", report.ingested as u64);
-        obs.inc_by("lake_suppressed_total", report.suppressed as u64);
-        obs.event(
-            "lake/ingest",
-            &[("ingested", report.ingested.into()), ("suppressed", report.suppressed.into())],
-        );
-    }
-    report
-}
-
-/// [`ingest_alerts_observed`] run inside a profiled `lake/ingest` phase:
-/// same counters and trace event, plus the batch's wall time folds into
-/// the perf trajectory's wall profile.
+/// [`ingest_alerts`] run inside a profiled `lake/ingest` phase: bumps the
+/// `lake_ingested_total` / `lake_suppressed_total` counters and records
+/// the batch counts as exit fields and its wall time in the wall profile.
 pub fn ingest_alerts_profiled(
     clds: &Clds,
     denoiser: &mut dyn Denoiser,
@@ -149,12 +128,10 @@ pub fn ingest_alerts_profiled(
 ) -> IngestReport {
     let mut phase = obs.phase("lake/ingest");
     let report = ingest_alerts(clds, denoiser, alerts);
-    if obs.is_enabled() {
-        obs.inc_by("lake_ingested_total", report.ingested as u64);
-        obs.inc_by("lake_suppressed_total", report.suppressed as u64);
-        phase.field("ingested", report.ingested);
-        phase.field("suppressed", report.suppressed);
-    }
+    obs.inc_by("lake_ingested_total", report.ingested as u64);
+    obs.inc_by("lake_suppressed_total", report.suppressed as u64);
+    phase.field("ingested", report.ingested);
+    phase.field("suppressed", report.suppressed);
     report
 }
 
@@ -189,18 +166,17 @@ pub fn ingest_bandwidth_profiled(
 ) -> IngestReport {
     let mut phase = obs.phase("lake/ingest-bw");
     let report = ingest_bandwidth(clds, records);
-    if obs.is_enabled() {
-        obs.inc_by("lake_bw_ingested_total", report.ingested as u64);
-        obs.inc_by("lake_bw_suppressed_total", report.suppressed as u64);
-        phase.field("ingested", report.ingested);
-        phase.field("suppressed", report.suppressed);
-    }
+    obs.inc_by("lake_bw_ingested_total", report.ingested as u64);
+    obs.inc_by("lake_bw_suppressed_total", report.suppressed as u64);
+    phase.field("ingested", report.ingested);
+    phase.field("suppressed", report.suppressed);
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smn_obs::{EventKind, TraceEvent};
 
     fn alert(ts: u64, component: &str, severity: Severity) -> Alert {
         Alert {
@@ -233,11 +209,17 @@ mod tests {
             alert(60, "web-1", Severity::Warning), // dup
             alert(120, "web-2", Severity::Warning),
         ];
-        let r = ingest_alerts_observed(&clds, &mut d, alerts, &obs);
+        let r = ingest_alerts_profiled(&clds, &mut d, alerts, &obs);
         assert_eq!(r.ingested, 2);
         assert_eq!(obs.counter("lake_ingested_total"), 2);
         assert_eq!(obs.counter("lake_suppressed_total"), 1);
-        assert_eq!(obs.trace_len(), 1);
+        let events: Vec<_> =
+            obs.trace_jsonl().lines().map(|l| TraceEvent::from_json_line(l).unwrap()).collect();
+        let kinds: Vec<_> = events.iter().map(|e| (e.kind, e.name.as_str())).collect();
+        assert_eq!(kinds, [(EventKind::Enter, "lake/ingest"), (EventKind::Exit, "lake/ingest")]);
+        let profile = obs.wall_profile();
+        assert_eq!(profile.len(), 1);
+        assert_eq!((profile[0].path.as_str(), profile[0].count), ("lake/ingest", 1));
     }
 
     #[test]

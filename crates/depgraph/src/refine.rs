@@ -85,37 +85,10 @@ pub fn suggest_edges(
     out
 }
 
-/// [`suggest_edges`] wrapped in a `cdg/refine` span: history size and
-/// suggestion count land as exit fields, and each proposed edge is audited
-/// (actor `depgraph/refine`) with its support as evidence.
-pub fn suggest_edges_observed(
-    cdg: &CoarseDepGraph,
-    history: &[ResolvedIncident],
-    min_support: usize,
-    obs: &smn_obs::Obs,
-) -> Vec<SuggestedEdge> {
-    if !obs.is_enabled() {
-        return suggest_edges(cdg, history, min_support);
-    }
-    let mut span = obs.span("cdg/refine");
-    let suggestions = suggest_edges(cdg, history, min_support);
-    span.field("incidents", history.len());
-    span.field("min_support", min_support);
-    span.field("suggestions", suggestions.len());
-    obs.inc_by("cdg_edges_suggested_total", suggestions.len() as u64);
-    for s in &suggestions {
-        obs.audit(
-            "depgraph/refine",
-            "suggest-edge",
-            &[("from", s.from.clone()), ("to", s.to.clone()), ("support", s.support.to_string())],
-        );
-    }
-    suggestions
-}
-
-/// [`suggest_edges_observed`] with the span opened as a profiled phase:
-/// identical trace/metric/audit output, plus the refinement's wall time
-/// folds into the perf trajectory's wall profile under `cdg/refine`.
+/// [`suggest_edges`] run inside a profiled `cdg/refine` phase: history
+/// size and suggestion count land as exit fields, and each proposed edge
+/// is audited (actor `depgraph/refine`) with its support as evidence,
+/// which a disabled handle returns before building.
 pub fn suggest_edges_profiled(
     cdg: &CoarseDepGraph,
     history: &[ResolvedIncident],
@@ -251,11 +224,14 @@ mod tests {
         let history: Vec<ResolvedIncident> =
             (0..3).map(|_| incident(&cdg, &["app", "monitoring"], "app")).collect();
         let obs = smn_obs::Obs::enabled(smn_obs::clock::SimClock::new());
-        let suggestions = suggest_edges_observed(&cdg, &history, 2, &obs);
+        let suggestions = suggest_edges_profiled(&cdg, &history, 2, &obs);
         assert_eq!(suggestions, suggest_edges(&cdg, &history, 2));
         assert_eq!(obs.counter("cdg_edges_suggested_total"), 1);
         assert_eq!(obs.audit_len(), 1);
         assert!(obs.audit_jsonl().contains("\"suggest-edge\""));
+        let profile = obs.wall_profile();
+        assert_eq!(profile.len(), 1);
+        assert_eq!((profile[0].path.as_str(), profile[0].count), ("cdg/refine", 1));
     }
 
     #[test]

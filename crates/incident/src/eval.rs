@@ -174,53 +174,6 @@ pub fn evaluate(cfg: &EvalConfig) -> EvalResult {
     }
 }
 
-/// [`evaluate`] with each stage traced: an `incident/evaluate` root span
-/// with `incident/observe-campaign` and `incident/train-route` children,
-/// split sizes and accuracies as exit fields, and the headline accuracies
-/// published as gauges. Identical result to [`evaluate`] (same seeds, same
-/// pipeline) — only telemetry differs.
-pub fn evaluate_observed(cfg: &EvalConfig, obs: &smn_obs::Obs) -> EvalResult {
-    let mut span =
-        obs.span_with("incident/evaluate", &[("n_faults", cfg.campaign.n_faults.into())]);
-    let d = RedditDeployment::build();
-    let observations = {
-        let mut sim = obs.span("incident/observe-campaign");
-        let observations = observe_campaign(&d, cfg);
-        sim.field("observations", observations.len());
-        observations
-    };
-    obs.inc_by("incident_observations_total", observations.len() as u64);
-    let (train, test) = split_observations(observations, cfg.test_frac, cfg.split_seed);
-    let result = {
-        let mut stage = obs.span("incident/train-route");
-        let ex = Explainability::with_options(&d.cdg, cfg.propagation, cfg.similarity);
-        let truth: Vec<usize> =
-            test.iter().map(|o| team_index(&o.fault.team).unwrap_or(usize::MAX)).collect();
-        let scouts = ScoutsRouter::train(&d, &train, &cfg.forest);
-        let scouts_pred = scouts.route(&d, &test);
-        let internal = CltoRouter::train(&d, &ex, &train, FeatureView::InternalOnly, &cfg.forest);
-        let internal_pred = internal.route(&d, &ex, &test);
-        let full = CltoRouter::train(&d, &ex, &train, FeatureView::WithExplainability, &cfg.forest);
-        let full_pred = full.route(&d, &ex, &test);
-        stage.field("n_train", train.len());
-        stage.field("n_test", test.len());
-        EvalResult {
-            scouts_accuracy: accuracy(&truth, &scouts_pred),
-            internal_accuracy: accuracy(&truth, &internal_pred),
-            explainability_accuracy: accuracy(&truth, &full_pred),
-            confusion: ConfusionMatrix::new(TEAMS.len(), &truth, &full_pred),
-            n_train: train.len(),
-            n_test: test.len(),
-        }
-    };
-    span.field("scouts_accuracy", result.scouts_accuracy);
-    span.field("explainability_accuracy", result.explainability_accuracy);
-    obs.gauge("incident_scouts_accuracy", result.scouts_accuracy);
-    obs.gauge("incident_internal_accuracy", result.internal_accuracy);
-    obs.gauge("incident_explainability_accuracy", result.explainability_accuracy);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,26 +248,6 @@ mod tests {
             "explainability {}",
             r.explainability_accuracy
         );
-    }
-
-    #[test]
-    fn observed_evaluation_matches_plain_and_traces_stages() {
-        let cfg = EvalConfig {
-            campaign: CampaignConfig { n_faults: 60, ..Default::default() },
-            forest: ForestConfig { n_trees: 8, ..Default::default() },
-            ..Default::default()
-        };
-        let plain = evaluate(&cfg);
-        let obs = smn_obs::Obs::enabled(smn_obs::clock::SimClock::new());
-        let observed = evaluate_observed(&cfg, &obs);
-        assert_eq!(observed.scouts_accuracy, plain.scouts_accuracy);
-        assert_eq!(observed.explainability_accuracy, plain.explainability_accuracy);
-        assert_eq!(observed.n_test, plain.n_test);
-        let trace = obs.trace_jsonl();
-        assert!(trace.contains("incident/evaluate"));
-        assert!(trace.contains("incident/observe-campaign"));
-        assert!(trace.contains("incident/train-route"));
-        assert!(obs.gauge_value("incident_explainability_accuracy").is_some());
     }
 
     #[test]

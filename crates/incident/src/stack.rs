@@ -59,19 +59,8 @@ impl DeploymentStack {
     /// class.
     #[must_use]
     pub fn descend_targets(&self, d: &RedditDeployment, fault: StackFault) -> Vec<String> {
-        self.descend_targets_observed(d, fault, &smn_obs::Obs::disabled())
-    }
-
-    /// [`Self::descend_targets`] with an smn-obs span recorded around the
-    /// stack walk.
-    pub fn descend_targets_observed(
-        &self,
-        d: &RedditDeployment,
-        fault: StackFault,
-        obs: &smn_obs::Obs,
-    ) -> Vec<String> {
-        let impact = self.stack.propagate_down_observed(fault, obs);
-        impact
+        self.stack
+            .propagate_down(fault)
             .components
             .iter()
             .filter_map(|&c| d.fine.component(smn_topology::NodeId(c.0)).name.clone().into())
@@ -181,13 +170,5 @@ mod tests {
             assert_eq!(a.true_intensity, b.true_intensity);
             assert_eq!(a.syndrome.0, b.syndrome.0, "L7 outcome set must be identical");
         }
-    }
-
-    #[test]
-    fn descent_records_an_obs_span() {
-        let (d, ds) = bound();
-        let obs = smn_obs::Obs::enabled(smn_obs::clock::SimClock::new());
-        let _ = ds.descend_targets_observed(&d, StackFault::LinkDown(EdgeId(1)), &obs);
-        assert!(obs.trace_len() > 0, "stack walk must be traced");
     }
 }

@@ -281,8 +281,8 @@ impl CallGraph {
     }
 
     /// Canonical JSON: fully sorted, pretty-printed, byte-stable for a
-    /// given source tree. This is what `artifacts/callgraph.json` holds
-    /// and what the artifact engine's `callgraph` kind validates.
+    /// given source tree. This is what `--callgraph-out` writes and what
+    /// the artifact engine's `callgraph` kind validates.
     #[must_use]
     pub fn to_canonical_json(&self) -> String {
         let num = |n: usize| Value::U64(n as u64);

@@ -630,22 +630,6 @@ impl LayerStack {
         impact
     }
 
-    /// [`LayerStack::propagate_down`] wrapped in an observability span
-    /// named `stack/propagate`, recording the origin layer and the
-    /// per-layer blast sizes as exit fields.
-    pub fn propagate_down_observed(&self, fault: StackFault, obs: &smn_obs::Obs) -> StackImpact {
-        if !obs.is_enabled() {
-            return self.propagate_down(fault);
-        }
-        let mut span =
-            obs.span_with("stack/propagate", &[("origin", fault.origin().name().into())]);
-        let impact = self.propagate_down(fault);
-        span.field("wavelengths", impact.wavelengths.len());
-        span.field("links", impact.links.len());
-        span.field("components", impact.components.len());
-        impact
-    }
-
     /// Walk upward: which links carry a component, and which wavelengths
     /// back those links. The inverse of [`LayerStack::propagate_down`].
     #[must_use]
@@ -797,20 +781,6 @@ mod tests {
         let up = stack.propagate_up(StackFault::ComponentFault(ComponentId(1)));
         assert_eq!(up.links, vec![EdgeId(0), EdgeId(1)]);
         assert_eq!(up.wavelengths, vec![WavelengthId(0), WavelengthId(1)]);
-    }
-
-    #[test]
-    fn observed_propagation_traces_the_walk() {
-        let stack = small_stack();
-        let obs = smn_obs::Obs::enabled(smn_obs::clock::SimClock::new());
-        let impact =
-            stack.propagate_down_observed(StackFault::WavelengthFlap(WavelengthId(0)), &obs);
-        assert_eq!(impact.links.len(), 2);
-        assert_eq!(obs.trace_len(), 2); // enter + exit
-        let off = smn_obs::Obs::disabled();
-        let same = stack.propagate_down_observed(StackFault::WavelengthFlap(WavelengthId(0)), &off);
-        assert_eq!(same, impact);
-        assert_eq!(off.trace_len(), 0);
     }
 
     #[test]
