@@ -372,7 +372,7 @@ fn main() {
 
     // Perf-trajectory snapshot (unified BenchReport schema): deterministic
     // per-profile counters as strictly-gated metrics, outcome hashes as
-    // attrs, and the bench-only wall latencies as leniently-gated phases.
+    // attrs, and the bench-only wall latencies as ungated phases.
     #[allow(clippy::cast_precision_loss)] // campaign counters stay far below 2^52
     let report = {
         let mut report = smn_perf::BenchReport::new("degraded_mode", campaign_cfg.seed, "small")

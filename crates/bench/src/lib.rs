@@ -1,8 +1,7 @@
 //! Shared fixtures and table formatting for the SMN benchmark binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index); Criterion benches under
-//! `benches/` measure the runtime claims. This library holds what they
+//! paper (see DESIGN.md's experiment index). This library holds what they
 //! share: deterministic scenario fixtures and plain-text table rendering.
 
 #![warn(missing_docs)]
@@ -22,7 +21,7 @@ pub fn planetary() -> Planetary {
     generate_planetary(&PlanetaryConfig::default())
 }
 
-/// A small planetary fixture for quick runs and Criterion benches.
+/// A small planetary fixture for quick runs.
 #[must_use]
 pub fn planetary_small() -> Planetary {
     generate_planetary(&PlanetaryConfig::small(7))
@@ -39,50 +38,6 @@ pub fn traffic(p: &Planetary) -> TrafficModel {
 #[must_use]
 pub fn bw_log(model: &TrafficModel, start_day: u64, days: u64) -> Vec<BandwidthRecord> {
     model.generate(Ts::from_days(start_day), TrafficModel::epochs_per_days(days))
-}
-
-/// Parse the bench-binary CLI surface: `--revision <r>` and `--out <path>`,
-/// tolerating whatever extra flags `cargo bench` forwards (`--bench`, filter
-/// strings). Returns `(revision, out_override)`.
-#[must_use]
-pub fn bench_cli_args() -> (String, Option<String>) {
-    let mut revision = smn_perf::report::UNVERSIONED.to_string();
-    let mut out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--revision" => {
-                if let Some(r) = args.next() {
-                    revision = r;
-                }
-            }
-            "--out" => out = args.next(),
-            _ => {}
-        }
-    }
-    (revision, out)
-}
-
-/// Convert completed Criterion measurements into a unified [`BenchReport`]:
-/// every measurement becomes one wall-phase row keyed by its bench label.
-#[must_use]
-pub fn criterion_report(
-    bench: &str,
-    seed: u64,
-    scale: &str,
-    revision: &str,
-    c: &criterion::Criterion,
-) -> BenchReport {
-    let mut report = BenchReport::new(bench, seed, scale).with_revision(revision);
-    for r in c.results() {
-        report.push_phase(smn_perf::Phase::from_wall_stats(
-            &r.label,
-            r.iters,
-            r.mean_ms(),
-            r.mean_ms(),
-        ));
-    }
-    report
 }
 
 /// Convert one bench-registry wall-latency histogram into a [`BenchReport`]

@@ -1036,18 +1036,16 @@ pub fn obs(args: &[String]) -> Result<(), String> {
 
 /// `smn perf` — record, diff, and gate performance trajectories.
 ///
-/// `record` runs the scale-sweep suite and writes a `BenchReport`
-/// (plus a folded-stack wall profile) under `target/perf/`; `diff`
-/// prints a deterministic per-phase comparison of two report sets;
-/// `gate` fails (exit 1) when the current reports regress against the
-/// committed baselines.
+/// `record` runs the deterministic count suite and writes a `BenchReport`
+/// under `target/perf/`; `diff` prints a deterministic comparison of two
+/// report sets; `gate` fails (exit 1) when any current metric differs
+/// from the committed baselines.
 pub fn perf(args: &[String]) -> Result<(), String> {
     const PERF_USAGE: &str = "usage: smn perf <record|diff|gate> [options]\n  \
          smn perf record [--scale small|300|1000|3000] [--seed N]\n                  \
-         [--out FILE] [--profile FILE] [--revision R]\n  \
+         [--out FILE] [--revision R]\n  \
          smn perf diff <baseline> <current>         (report files or dirs)\n  \
-         smn perf gate [--baseline PATH] [--current PATH]\n                \
-         [--metric-tol F] [--wall-factor F]";
+         smn perf gate [--baseline PATH] [--current PATH]";
     match args.first().map(String::as_str) {
         Some("record") => perf_record(&args[1..]),
         Some("diff") => perf_diff(&args[1..]),
@@ -1089,7 +1087,6 @@ fn load_reports(path: &str) -> Result<Vec<smn_perf::BenchReport>, String> {
 fn perf_record(args: &[String]) -> Result<(), String> {
     let mut cfg = smn_perf::RecordConfig::default();
     let mut out: Option<String> = None;
-    let mut profile: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut take = |what: &str| -> Result<String, String> {
@@ -1105,37 +1102,25 @@ fn perf_record(args: &[String]) -> Result<(), String> {
                 cfg.seed = s.parse().map_err(|_| format!("--seed needs a number, got '{s}'"))?;
             }
             "--out" => out = Some(take("a file path")?),
-            "--profile" => profile = Some(take("a file path")?),
             "--revision" => cfg.revision = take("a string")?,
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
     let out = out.unwrap_or_else(|| format!("target/perf/BENCH_perf_{}.json", cfg.scale));
-    let profile = profile.unwrap_or_else(|| format!("target/perf/perf_{}.folded", cfg.scale));
 
     println!("perf record: scale={} seed={} revision={}", cfg.scale, cfg.seed, cfg.revision);
-    let outcome = smn_perf::record::run(&cfg);
-    outcome.report.validate().map_err(|e| format!("internal: recorded report invalid: {e}"))?;
+    let report = smn_perf::record::run(&cfg);
+    report.validate().map_err(|e| format!("internal: recorded report invalid: {e}"))?;
 
-    for path in [&out, &profile] {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-            }
+    if let Some(dir) = std::path::Path::new(&out).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         }
     }
-    std::fs::write(&out, outcome.report.to_json_pretty() + "\n")
+    std::fs::write(&out, report.to_json_pretty() + "\n")
         .map_err(|e| format!("cannot write {out}: {e}"))?;
-    std::fs::write(&profile, &outcome.folded)
-        .map_err(|e| format!("cannot write {profile}: {e}"))?;
-    println!("report:  -> {out}");
-    println!("profile: -> {profile}");
-    for phase in &outcome.report.phases {
-        if phase.path.starts_with("perf/") && !phase.path.contains(';') {
-            println!("  {:<14} {:>10.2} ms", phase.path, phase.total_ms);
-        }
-    }
+    println!("report: -> {out} ({} metrics)", report.metrics.len());
     Ok(())
 }
 
@@ -1153,7 +1138,6 @@ fn perf_diff(args: &[String]) -> Result<(), String> {
 fn perf_gate(args: &[String]) -> Result<(), String> {
     let mut baseline = "artifacts/perf".to_string();
     let mut current = "target/perf".to_string();
-    let mut cfg = smn_perf::GateConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut take = |what: &str| -> Result<String, String> {
@@ -1162,22 +1146,12 @@ fn perf_gate(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--baseline" => baseline = take("a path")?,
             "--current" => current = take("a path")?,
-            "--metric-tol" => {
-                let s = take("a number")?;
-                cfg.metric_tol =
-                    s.parse().map_err(|_| format!("--metric-tol needs a number, got '{s}'"))?;
-            }
-            "--wall-factor" => {
-                let s = take("a number")?;
-                cfg.wall_factor =
-                    s.parse().map_err(|_| format!("--wall-factor needs a number, got '{s}'"))?;
-            }
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
     let base = load_reports(&baseline)?;
     let cur = load_reports(&current)?;
-    let violations = smn_perf::gate_reports(&base, &cur, &cfg);
+    let violations = smn_perf::gate_reports(&base, &cur);
     print!("{}", smn_perf::render_gate(&violations));
     if violations.is_empty() {
         Ok(())
@@ -1217,9 +1191,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("BENCH_perf_small.json");
         let out = out.to_str().unwrap().to_string();
-        let profile = dir.join("perf_small.folded");
-        let profile = profile.to_str().unwrap().to_string();
-        perf(&s(&["record", "--scale", "small", "--out", &out, "--profile", &profile])).unwrap();
+        perf(&s(&["record", "--scale", "small", "--out", &out])).unwrap();
         // A run diffed and gated against itself is clean.
         perf(&s(&["diff", &out, &out])).unwrap();
         perf(&s(&["gate", "--baseline", &out, "--current", &out])).unwrap();

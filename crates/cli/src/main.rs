@@ -14,9 +14,9 @@
 //! smn lint [--json] [--artifacts DIR]  static analysis (source + artifacts)
 //!          [--deep]                    add the call-graph deep pass
 //! smn obs summarize <trace.jsonl>      summarize a deterministic trace
-//! smn perf record [--scale S]          record a perf-trajectory report
+//! smn perf record [--scale S]          record the deterministic count suite
 //! smn perf diff <base> <cur>           compare two report sets
-//! smn perf gate [--baseline P]         fail on perf regressions
+//! smn perf gate [--baseline P]         fail on any changed count
 //! ```
 //!
 //! Argument parsing is intentionally dependency-free (two flags per
@@ -97,13 +97,11 @@ USAGE:
   smn obs summarize <trace.jsonl>     summarize a deterministic trace
            [--metrics FILE]           (span tree, top-N slowest spans,
            [--top N] [--json]          metric snapshot; fails on parse errors)
-  smn perf record [--scale S]         run the perf suite at scale small|300|
-           [--seed N] [--out FILE]     1000|3000 and write a bench-report plus
-           [--profile FILE]            a folded-stack wall profile
-           [--revision R]
+  smn perf record [--scale S]         run the deterministic count suite at
+           [--seed N] [--out FILE]     scale small|300|1000|3000 and write a
+           [--revision R]              bench-report
   smn perf diff <base> <cur>          deterministic per-metric/per-phase diff
                                       of two report files or directories
   smn perf gate [--baseline PATH]     compare current reports against the
            [--current PATH]            committed baselines; exit 1 on any
-           [--metric-tol F]            metric deviation or wall-time blowup
-           [--wall-factor F]";
+                                      changed, missing or unbaselined metric";

@@ -117,24 +117,6 @@ pub fn ingest_alerts(
     report
 }
 
-/// [`ingest_alerts`] run inside a profiled `lake/ingest` phase: bumps the
-/// `lake_ingested_total` / `lake_suppressed_total` counters and records
-/// the batch counts as exit fields and its wall time in the wall profile.
-pub fn ingest_alerts_profiled(
-    clds: &Clds,
-    denoiser: &mut dyn Denoiser,
-    alerts: impl IntoIterator<Item = Alert>,
-    obs: &Obs,
-) -> IngestReport {
-    let mut phase = obs.phase("lake/ingest");
-    let report = ingest_alerts(clds, denoiser, alerts);
-    obs.inc_by("lake_ingested_total", report.ingested as u64);
-    obs.inc_by("lake_suppressed_total", report.suppressed as u64);
-    phase.field("ingested", report.ingested);
-    phase.field("suppressed", report.suppressed);
-    report
-}
-
 /// Append one tick's bandwidth records to the CLDS bandwidth store — the
 /// streaming controller's per-tick feed. The time index requires
 /// nondecreasing timestamps, so records older than the store's latest
@@ -176,7 +158,6 @@ pub fn ingest_bandwidth_profiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smn_obs::{EventKind, TraceEvent};
 
     fn alert(ts: u64, component: &str, severity: Severity) -> Alert {
         Alert {
@@ -197,29 +178,6 @@ mod tests {
         assert_eq!(r.ingested, 5);
         assert_eq!(r.suppressed, 0);
         assert_eq!(clds.alerts.read().len(), 5);
-    }
-
-    #[test]
-    fn observed_ingest_publishes_counters() {
-        let clds = Clds::new();
-        let mut d = DedupDenoiser::new(600);
-        let obs = Obs::enabled(smn_obs::clock::SimClock::new());
-        let alerts = vec![
-            alert(0, "web-1", Severity::Warning),
-            alert(60, "web-1", Severity::Warning), // dup
-            alert(120, "web-2", Severity::Warning),
-        ];
-        let r = ingest_alerts_profiled(&clds, &mut d, alerts, &obs);
-        assert_eq!(r.ingested, 2);
-        assert_eq!(obs.counter("lake_ingested_total"), 2);
-        assert_eq!(obs.counter("lake_suppressed_total"), 1);
-        let events: Vec<_> =
-            obs.trace_jsonl().lines().map(|l| TraceEvent::from_json_line(l).unwrap()).collect();
-        let kinds: Vec<_> = events.iter().map(|e| (e.kind, e.name.as_str())).collect();
-        assert_eq!(kinds, [(EventKind::Enter, "lake/ingest"), (EventKind::Exit, "lake/ingest")]);
-        let profile = obs.wall_profile();
-        assert_eq!(profile.len(), 1);
-        assert_eq!((profile[0].path.as_str(), profile[0].count), ("lake/ingest", 1));
     }
 
     #[test]

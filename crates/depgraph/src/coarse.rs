@@ -126,23 +126,6 @@ impl CoarseDepGraph {
         cdg
     }
 
-    /// [`CoarseDepGraph::from_fine`] run inside a profiled `cdg/build`
-    /// phase: the fine/coarse node and edge counts land as exit fields and
-    /// the node reduction factor publishes as the `cdg_node_reduction` gauge.
-    #[allow(clippy::cast_precision_loss)] // node counts stay far below 2^52
-    pub fn from_fine_profiled(fine: &FineDepGraph, obs: &smn_obs::Obs) -> Self {
-        let mut phase = obs.phase("cdg/build");
-        let cdg = Self::from_fine(fine);
-        phase.field("fine_nodes", fine.graph.node_count());
-        phase.field("fine_edges", fine.graph.edge_count());
-        phase.field("teams", cdg.len());
-        phase.field("team_edges", cdg.graph.edge_count());
-        if !cdg.is_empty() {
-            obs.gauge("cdg_node_reduction", fine.graph.node_count() as f64 / cdg.len() as f64);
-        }
-        cdg
-    }
-
     /// Apply one tick of fine-graph churn incrementally, re-deriving only
     /// the coarse cells whose fine members changed: a component of a new
     /// team appends that team node; a component of a known team bumps its
@@ -348,27 +331,6 @@ mod tests {
         g.add_dependency(a, s, DependencyKind::Call);
         let cdg = CoarseDepGraph::from_fine(&g);
         assert_eq!(cdg.false_dependency_rate(&g), 0.0);
-    }
-
-    #[test]
-    fn profiled_build_matches_plain_and_profiles_the_phase() {
-        let fine = fine_with_partial_dep();
-        let plain = CoarseDepGraph::from_fine(&fine).canonical_bytes();
-        let obs = smn_obs::Obs::enabled(smn_obs::clock::SimClock::new());
-        let cdg = CoarseDepGraph::from_fine_profiled(&fine, &obs);
-        assert_eq!(cdg.canonical_bytes(), plain);
-        assert_eq!(obs.trace_len(), 2); // enter + exit
-        assert_eq!(obs.gauge_value("cdg_node_reduction"), Some(1.5)); // 3 components / 2 teams
-        let profile = obs.wall_profile();
-        assert_eq!(profile.len(), 1);
-        assert_eq!((profile[0].path.as_str(), profile[0].count), ("cdg/build", 1));
-        // Disabled handle: identical graph, nothing recorded.
-        let off = smn_obs::Obs::disabled();
-        let cdg = CoarseDepGraph::from_fine_profiled(&fine, &off);
-        assert_eq!(cdg.canonical_bytes(), plain);
-        assert_eq!(off.trace_len(), 0);
-        assert_eq!(off.gauge_value("cdg_node_reduction"), None);
-        assert!(off.wall_profile().is_empty());
     }
 
     #[test]

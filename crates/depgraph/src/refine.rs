@@ -85,35 +85,6 @@ pub fn suggest_edges(
     out
 }
 
-/// [`suggest_edges`] run inside a profiled `cdg/refine` phase: history
-/// size and suggestion count land as exit fields, and each proposed edge
-/// is audited (actor `depgraph/refine`) with its support as evidence,
-/// which a disabled handle returns before building.
-pub fn suggest_edges_profiled(
-    cdg: &CoarseDepGraph,
-    history: &[ResolvedIncident],
-    min_support: usize,
-    obs: &smn_obs::Obs,
-) -> Vec<SuggestedEdge> {
-    if !obs.is_enabled() {
-        return suggest_edges(cdg, history, min_support);
-    }
-    let mut phase = obs.phase("cdg/refine");
-    let suggestions = suggest_edges(cdg, history, min_support);
-    phase.field("incidents", history.len());
-    phase.field("min_support", min_support);
-    phase.field("suggestions", suggestions.len());
-    obs.inc_by("cdg_edges_suggested_total", suggestions.len() as u64);
-    for s in &suggestions {
-        obs.audit(
-            "depgraph/refine",
-            "suggest-edge",
-            &[("from", s.from.clone()), ("to", s.to.clone()), ("support", s.support.to_string())],
-        );
-    }
-    suggestions
-}
-
 /// Apply a suggestion to the CDG (the "refine" step an engineer confirms).
 ///
 /// Returns `false` when either team is unknown (nothing applied).
@@ -216,22 +187,6 @@ mod tests {
         assert!((after - 1.0).abs() < 1e-9, "now perfectly explained");
         // Re-suggesting yields nothing: the gap is closed.
         assert!(suggest_edges(&cdg, &history, 1).is_empty());
-    }
-
-    #[test]
-    fn observed_suggestions_hit_the_audit_trail() {
-        let cdg = sketched_cdg();
-        let history: Vec<ResolvedIncident> =
-            (0..3).map(|_| incident(&cdg, &["app", "monitoring"], "app")).collect();
-        let obs = smn_obs::Obs::enabled(smn_obs::clock::SimClock::new());
-        let suggestions = suggest_edges_profiled(&cdg, &history, 2, &obs);
-        assert_eq!(suggestions, suggest_edges(&cdg, &history, 2));
-        assert_eq!(obs.counter("cdg_edges_suggested_total"), 1);
-        assert_eq!(obs.audit_len(), 1);
-        assert!(obs.audit_jsonl().contains("\"suggest-edge\""));
-        let profile = obs.wall_profile();
-        assert_eq!(profile.len(), 1);
-        assert_eq!((profile[0].path.as_str(), profile[0].count), ("cdg/refine", 1));
     }
 
     #[test]

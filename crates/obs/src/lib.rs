@@ -163,11 +163,6 @@ impl Obs {
         self.profile.lock().stats()
     }
 
-    /// The wall profile as folded-stack text for flamegraph tooling.
-    pub fn wall_profile_folded(&self) -> String {
-        self.profile.lock().folded()
-    }
-
     // ------------------------------------------------------------- metrics
 
     /// Add `delta` to a counter.

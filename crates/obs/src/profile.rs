@@ -6,16 +6,15 @@
 //! profiles and deterministic traces share one tree, and (b) measures the
 //! guarded region's wall time, folding it into a per-path accumulator on
 //! drop. Paths are the `;`-joined stack of open phase names (the folded-
-//! stack convention flamegraph tooling expects), so `perf/te;gk/pack` is
-//! the `gk/pack` phase observed inside `perf/te`.
+//! stack convention flamegraph tooling expects), so `te/gk;gk/pack` is
+//! the `gk/pack` phase observed inside `te/gk`.
 //!
 //! **Determinism discipline.** This is the *only* module in `smn-obs`
 //! that touches the wall clock, and the wall readings never enter the
 //! trace, metrics, or audit exports — those stay byte-identical across
 //! runs. Wall totals live in their own registry, exported only through
-//! [`crate::Obs::wall_profile`] / [`crate::Obs::wall_profile_folded`],
-//! and the `BenchReport` consumers treat them as lenient trend data,
-//! never as gated values. The accumulator itself
+//! [`crate::Obs::wall_profile`], and the `BenchReport` consumers treat
+//! them as trend data, never as gated values. The accumulator itself
 //! ([`crate::Obs::record_phase_ns`]) is pure, so tests feed it synthetic
 //! durations deterministically.
 
@@ -99,19 +98,6 @@ impl ProfileState {
             })
             .collect()
     }
-
-    /// Export as folded-stack text (`path total_us` per line, path-sorted)
-    /// — the input format of standard flamegraph tooling.
-    #[must_use]
-    pub fn folded(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (path, t) in &self.totals {
-            let us = t.total_ns / 1_000;
-            let _ = writeln!(out, "{path} {us}");
-        }
-        out
-    }
 }
 
 /// An open profiled phase: a trace span plus a wall-time measurement,
@@ -180,7 +166,6 @@ mod tests {
         assert!((stats[0].mean_ms - 2.0).abs() < 1e-9);
         assert!((stats[0].worst_ms - 3.0).abs() < 1e-9);
         assert_eq!(stats[1].path, "a;b");
-        assert_eq!(st.folded(), "a 4000\na;b 250\n");
     }
 
     #[test]
@@ -222,7 +207,6 @@ mod tests {
             assert_eq!(g.path(), "");
         }
         assert!(obs.wall_profile().is_empty());
-        assert!(obs.wall_profile_folded().is_empty());
     }
 
     #[test]

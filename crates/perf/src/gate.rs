@@ -1,41 +1,20 @@
 //! The perf regression gate (`smn perf gate`).
 //!
 //! The gate compares a current report set against committed baselines and
-//! reports violations. It is deliberately two-faced, matching the schema's
-//! split (see [`crate::report`]):
+//! reports violations. It reads only metrics: they are deterministic work
+//! counts (equal seed + scale + code ⇒ equal values on any machine), so
+//! they gate on *exact* equality. A legitimate algorithm change shows up
+//! here and is answered by re-recording the baseline in the same PR.
+//! Wall time is not gated here; `periodbench` measures it with
+//! alternating pairs and per-metric bounds.
 //!
-//! * **Metrics** are deterministic, so they gate *strictly*: any relative
-//!   deviation beyond `metric_tol` (default 0 — exact equality) is a
-//!   violation. A legitimate algorithm change shows up here and is
-//!   answered by re-recording the baseline in the same PR.
-//! * **Phases** are wall time on whatever machine ran the suite, so they
-//!   gate *leniently*: only a blowup beyond `wall_factor`× the baseline
-//!   total (default 25×) trips, catching complexity regressions without
-//!   flaking on hardware variance.
-//!
-//! All comparisons use strict `>`: a value exactly at its threshold
-//! passes, the next representable value above it fails.
+//! Coverage may grow by whole benches but never silently: a bench or
+//! metric that vanished, and a metric the baseline does not carry yet,
+//! are both violations.
 
 use std::collections::BTreeMap;
 
 use crate::report::BenchReport;
-
-/// Gate thresholds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateConfig {
-    /// Maximum allowed relative deviation of a deterministic metric
-    /// (`|cur - base| / |base|`; absolute deviation when the baseline is
-    /// zero).
-    pub metric_tol: f64,
-    /// Maximum allowed ratio `cur.total_ms / base.total_ms` per phase.
-    pub wall_factor: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig { metric_tol: 0.0, wall_factor: 25.0 }
-    }
-}
 
 /// One gate violation.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,10 +22,10 @@ pub struct Violation {
     /// Bench the violation is in.
     pub bench: String,
     /// Violation class: `"missing-bench"`, `"missing-metric"`,
-    /// `"metric-regression"`, `"non-finite-metric"`, or
-    /// `"wall-regression"`.
+    /// `"unbaselined-metric"`, `"metric-regression"`, or
+    /// `"non-finite-metric"`.
     pub kind: String,
-    /// Metric name or phase path.
+    /// Metric name (the bench name for `missing-bench`).
     pub name: String,
     /// Human-readable detail.
     pub message: String,
@@ -58,13 +37,12 @@ fn violation(bench: &str, kind: &str, name: &str, message: String) -> Violation 
 
 /// Gate `current` against `baseline`. Empty result = pass. Benches present
 /// only in `current` are allowed (the trajectory grows); benches present
-/// only in `baseline` are violations (coverage must not silently shrink).
+/// only in `baseline` are violations (coverage must not silently shrink),
+/// and so is a current metric the baseline of its bench lacks (it would
+/// otherwise never be compared).
 #[must_use]
-pub fn gate_reports(
-    baseline: &[BenchReport],
-    current: &[BenchReport],
-    cfg: &GateConfig,
-) -> Vec<Violation> {
+#[allow(clippy::float_cmp)] // deterministic counts gate on exact equality by design
+pub fn gate_reports(baseline: &[BenchReport], current: &[BenchReport]) -> Vec<Violation> {
     let mut c_ix: BTreeMap<&str, &BenchReport> = BTreeMap::new();
     for r in current {
         c_ix.entry(r.bench.as_str()).or_insert(r);
@@ -98,33 +76,22 @@ pub fn gate_reports(
                     &m.name,
                     format!("current value {cv} is not finite"),
                 ));
-                continue;
-            }
-            let deviation =
-                if m.value == 0.0 { cv.abs() } else { (cv - m.value).abs() / m.value.abs() };
-            if deviation > cfg.metric_tol {
+            } else if cv != m.value {
                 out.push(violation(
                     bench,
                     "metric-regression",
                     &m.name,
-                    format!(
-                        "{} -> {cv} deviates {deviation:.6} > tolerance {:.6}",
-                        m.value, cfg.metric_tol
-                    ),
+                    format!("{} -> {cv} differs from the baseline", m.value),
                 ));
             }
         }
-        for p in &base.phases {
-            let Some(cp) = BenchReport::phase(cur, &p.path) else { continue };
-            if p.total_ms > 0.0 && cp.total_ms > cfg.wall_factor * p.total_ms {
+        for m in &cur.metrics {
+            if base.metric(&m.name).is_none() {
                 out.push(violation(
                     bench,
-                    "wall-regression",
-                    &p.path,
-                    format!(
-                        "{:.3}ms -> {:.3}ms exceeds {}x the baseline",
-                        p.total_ms, cp.total_ms, cfg.wall_factor
-                    ),
+                    "unbaselined-metric",
+                    &m.name,
+                    format!("metric {} absent from the baseline; re-record it", m.value),
                 ));
             }
         }
@@ -163,24 +130,8 @@ mod tests {
     #[test]
     fn identical_sets_pass() {
         let a = [report("x")];
-        assert!(gate_reports(&a, &a, &GateConfig::default()).is_empty());
+        assert!(gate_reports(&a, &a).is_empty());
         assert_eq!(render_gate(&[]), "gate: pass\n");
-    }
-
-    #[test]
-    fn metric_gate_trips_strictly_above_tolerance() {
-        let base = [report("x")];
-        let cfg = GateConfig { metric_tol: 0.10, ..Default::default() };
-        // Exactly at the boundary: |110 - 100| / 100 == 0.10 — passes.
-        let mut at = [report("x")];
-        at[0].metrics[0].value = 110.0;
-        assert!(gate_reports(&base, &at, &cfg).is_empty());
-        // The next step above trips.
-        let mut over = [report("x")];
-        over[0].metrics[0].value = 110.00001;
-        let v = gate_reports(&base, &over, &cfg);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, "metric-regression");
     }
 
     #[test]
@@ -188,25 +139,12 @@ mod tests {
         let base = [report("x")];
         let mut cur = [report("x")];
         cur[0].metrics[0].value = 100.0 + f64::EPSILON * 128.0;
-        assert_eq!(gate_reports(&base, &cur, &GateConfig::default()).len(), 1);
+        assert_eq!(gate_reports(&base, &cur).len(), 1);
         cur[0].metrics[0].value = 100.0;
-        assert!(gate_reports(&base, &cur, &GateConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn wall_gate_trips_strictly_above_factor() {
-        let base = [report("x")];
-        let cfg = GateConfig { wall_factor: 4.0, ..Default::default() };
-        // Exactly 4x the 2.0ms baseline passes.
-        let mut at = [report("x")];
-        at[0].phases[0].total_ms = 8.0;
-        assert!(gate_reports(&base, &at, &cfg).is_empty());
-        let mut over = [report("x")];
-        over[0].phases[0].total_ms = 8.000_001;
-        let v = gate_reports(&base, &over, &cfg);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, "wall-regression");
-        assert!(render_gate(&v).contains("wall-regression"));
+        assert!(gate_reports(&base, &cur).is_empty());
+        // Wall phases are not gated at all.
+        cur[0].phases[0].total_ms = 1e9;
+        assert!(gate_reports(&base, &cur).is_empty());
     }
 
     #[test]
@@ -214,13 +152,26 @@ mod tests {
         let base = [report("x")];
         let mut cur = vec![report("x"), report("brand-new")];
         cur[0].metrics.clear();
-        let v = gate_reports(&base, &cur, &GateConfig::default());
+        let v = gate_reports(&base, &cur);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, "missing-metric");
         // A missing bench trips too.
-        let v = gate_reports(&base, &[report("other")], &GateConfig::default());
+        let v = gate_reports(&base, &[report("other")]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, "missing-bench");
+    }
+
+    #[test]
+    fn current_metric_without_a_baseline_is_flagged() {
+        let base = [report("x")];
+        let mut cur = [report("x")];
+        cur[0].push_metric("new/count", 3.0, "count");
+        let v = gate_reports(&base, &cur);
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].kind.as_str(), v[0].name.as_str()), ("unbaselined-metric", "new/count"));
+        assert!(render_gate(&v).contains("[unbaselined-metric] x new/count"));
+        // Re-recording the baseline with the new metric clears it.
+        assert!(gate_reports(&cur, &cur).is_empty());
     }
 
     #[test]
@@ -228,7 +179,7 @@ mod tests {
         let base = [report("x")];
         let mut cur = [report("x")];
         cur[0].metrics[0].value = f64::NAN;
-        let v = gate_reports(&base, &cur, &GateConfig::default());
+        let v = gate_reports(&base, &cur);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, "non-finite-metric");
     }

@@ -5,18 +5,18 @@
 //! * [`report`] — the unified, versioned [`BenchReport`] schema that every
 //!   `BENCH_*.json` snapshot in the workspace serializes to.
 //! * [`record`] — the `smn perf record` suite: one deterministic pass over
-//!   the pipeline's hot paths (topology → telemetry → lake → coarsening →
-//!   CDG → TE) at a chosen scale point, driven through the workspace's
-//!   profiled entry points so wall time lands in span-tree phases and
-//!   outcomes land in strictly-gated metrics.
+//!   the pipeline (topology → telemetry → lake → coarsening → CDG → TE →
+//!   incremental streaming) at a chosen scale point, recording work counts
+//!   as metrics.
 //! * [`diff`] — order-independent, byte-stable comparison of report sets.
-//! * [`gate`] — the regression gate: strict on deterministic metrics,
-//!   lenient (blowup-factor) on machine-dependent wall phases.
+//! * [`gate`] — the regression gate: exact equality on deterministic
+//!   metrics.
 //!
-//! The split between metrics and phases is the crate's core idea: a CI
-//! gate must never flake on hardware variance, yet must catch real
-//! regressions the instant they land. Deterministic outcomes give the
-//! former teeth; wall-factor bounds give the latter a tripwire.
+//! A CI gate must never flake on hardware variance, yet must catch real
+//! regressions the instant they land, so the gate reads only
+//! deterministic counts. Wall time is `periodbench`'s job: it times whole
+//! control periods with alternating pairs and per-metric bounds, and
+//! writes its per-phase profile into the same `BenchReport` schema.
 
 #![warn(missing_docs)]
 
@@ -26,6 +26,6 @@ pub mod record;
 pub mod report;
 
 pub use diff::{diff_reports, render_diff, DiffRow};
-pub use gate::{gate_reports, render_gate, GateConfig, Violation};
-pub use record::{RecordConfig, RecordOutcome, Scale};
+pub use gate::{gate_reports, render_gate, Violation};
+pub use record::{RecordConfig, Scale};
 pub use report::{Attr, BenchReport, Metric, Phase};

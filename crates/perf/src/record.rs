@@ -1,14 +1,12 @@
-//! The `smn perf record` suite: one deterministic pass over the pipeline's
-//! hot paths at a chosen topology scale, emitting a [`BenchReport`].
+//! The `smn perf record` suite: one deterministic pass over the pipeline
+//! at a chosen topology scale, emitting a [`BenchReport`] of work counts.
 //!
-//! The suite drives the *profiled* entry points added across the
-//! workspace (`report_profiled`, `from_fine_profiled`,
-//! `suggest_edges_profiled`, `max_multicommodity_flow_profiled`,
-//! `ingest_alerts_profiled`, `generate_profiled`), so every stage lands in
-//! the wall profile under a `perf/*` parent phase while its outcomes —
-//! counts, coarse sizes, solver iterations, routed gigabits — land as
-//! deterministic metrics. Equal seed + scale + code ⇒ equal metrics on any
-//! machine; that is what the regression gate compares strictly.
+//! Seven stages (topology → telemetry → lake → coarsening → CDG → TE →
+//! incremental streaming) call the plain operations and record their
+//! outcomes — counts, coarse sizes, solver iterations, routed gigabits —
+//! as metrics. Equal seed + scale + code ⇒ equal metrics on any machine;
+//! that is what the regression gate compares exactly. The report carries
+//! no wall time: `periodbench` is the workspace's wall-time harness.
 
 use std::fmt;
 
@@ -16,16 +14,14 @@ use smn_core::bwlogs::{AdaptiveCoarsener, NestedCoarsener, TimeCoarsener, Topolo
 use smn_core::coarsen::Coarsening;
 use smn_core::controller::{ControllerConfig, SmnController};
 use smn_core::stream::{StreamConfig, StreamState};
-use smn_datalake::ingest::{ingest_alerts_profiled, DedupDenoiser};
+use smn_datalake::ingest::{ingest_alerts, DedupDenoiser};
 use smn_datalake::Clds;
 use smn_depgraph::coarse::CoarseDepGraph;
-use smn_depgraph::refine::{suggest_edges_profiled, ResolvedIncident};
+use smn_depgraph::refine::{suggest_edges, ResolvedIncident};
 use smn_depgraph::syndrome::Syndrome;
 use smn_incident::RedditDeployment;
-use smn_obs::clock::SimClock;
-use smn_obs::Obs;
 use smn_te::demand::DemandMatrix;
-use smn_te::mcf::{max_multicommodity_flow_profiled, TeConfig};
+use smn_te::mcf::{max_multicommodity_flow, TeConfig};
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::{Alert, Severity};
 use smn_telemetry::series::Statistic;
@@ -114,31 +110,20 @@ impl Default for RecordConfig {
     }
 }
 
-/// The result of a record run: the report plus the folded-stack wall
-/// profile for flamegraph tooling.
-#[derive(Debug, Clone)]
-pub struct RecordOutcome {
-    /// The unified perf-trajectory report.
-    pub report: BenchReport,
-    /// Folded-stack text (`path total_us` per line).
-    pub folded: String,
-}
-
-/// Half an hour of 5-minute telemetry epochs — enough work to profile,
+/// Half an hour of 5-minute telemetry epochs — enough work to count,
 /// small enough that the 3000-DC sweep point stays tractable.
 const RECORD_EPOCHS: usize = 6;
 
 /// Half a day of 5-minute epochs streamed as one bulk delta before the
-/// steady-state ticks of the `incremental_coarsen` stage — enough history
-/// that a per-tick batch recompute visibly dwarfs the delta apply.
+/// steady-state ticks of the incremental stage — enough history that a
+/// batch recompute rebuilds many times the rows a delta apply touches.
 const HISTORY_EPOCHS: usize = 144;
 
 /// Run the suite.
 #[must_use]
 #[allow(clippy::cast_precision_loss)] // counts recorded as metrics stay far below 2^52
 #[allow(clippy::too_many_lines)] // linear suite script: one block per pipeline stage
-pub fn run(cfg: &RecordConfig) -> RecordOutcome {
-    let obs = Obs::enabled(SimClock::new());
+pub fn run(cfg: &RecordConfig) -> BenchReport {
     let mut report = BenchReport::new(
         &format!("perf_record_{}", cfg.scale.as_str()),
         cfg.seed,
@@ -147,30 +132,19 @@ pub fn run(cfg: &RecordConfig) -> RecordOutcome {
     .with_revision(&cfg.revision);
 
     // Stage 1: topology generation.
-    let planetary = {
-        let mut phase = obs.phase("perf/topology");
-        let p = generate_planetary(&cfg.scale.config(cfg.seed));
-        phase.field("dcs", p.wan.dc_count());
-        phase.field("links", p.wan.link_count());
-        p
-    };
+    let planetary = generate_planetary(&cfg.scale.config(cfg.seed));
     report.push_metric("topology/dcs", planetary.wan.dc_count() as f64, "count");
     report.push_metric("topology/links", planetary.wan.link_count() as f64, "count");
 
     // Stage 2: telemetry generation (the CLDS's raw input).
     let start = Ts::from_days(2);
-    let (model, log) = {
-        let _phase = obs.phase("perf/telemetry");
-        let model = TrafficModel::new(&planetary.wan, TrafficConfig::default());
-        let log = model.generate_profiled(start, RECORD_EPOCHS, &obs);
-        (model, log)
-    };
+    let model = TrafficModel::new(&planetary.wan, TrafficConfig::default());
+    let log = model.generate(start, RECORD_EPOCHS);
     report.push_metric("telemetry/pairs", model.pairs().len() as f64, "count");
     report.push_metric("telemetry/records", log.len() as f64, "count");
 
     // Stage 3: alert ingest through the denoiser into the CLDS.
     let ingest = {
-        let _phase = obs.phase("perf/lake");
         let clds = Clds::new();
         let mut denoiser = DedupDenoiser::new(HOUR);
         let alerts = log.iter().step_by(53).map(|r| Alert {
@@ -181,7 +155,7 @@ pub fn run(cfg: &RecordConfig) -> RecordOutcome {
             severity: Severity::Warning,
             message: "bandwidth outside forecast band".to_string(),
         });
-        ingest_alerts_profiled(&clds, &mut denoiser, alerts, &obs)
+        ingest_alerts(&clds, &mut denoiser, alerts)
     };
     report.push_metric("lake/ingested", ingest.ingested as f64, "count");
     report.push_metric("lake/suppressed", ingest.suppressed as f64, "count");
@@ -189,12 +163,11 @@ pub fn run(cfg: &RecordConfig) -> RecordOutcome {
     // Stage 4: the four bandwidth-log coarseners.
     let regions = planetary.wan.contract_by_region();
     {
-        let _phase = obs.phase("perf/coarsen");
         let time = TimeCoarsener::new(HOUR, vec![Statistic::Mean, Statistic::P95]);
-        let r = time.report_profiled(&log, &obs, "time-1h");
+        let r = time.report(&log);
         report.push_metric("coarsen/time-1h_rows", r.coarse_size as f64, "count");
         let topo = TopologyCoarsener::new(regions.node_map.clone());
-        let r = topo.report_profiled(&log, &obs, "topology-regions");
+        let r = topo.report(&log);
         report.push_metric("coarsen/topology-regions_rows", r.coarse_size as f64, "count");
         let nested = NestedCoarsener {
             fine_horizon: HOUR * 6,
@@ -204,7 +177,7 @@ pub fn run(cfg: &RecordConfig) -> RecordOutcome {
             stats: vec![Statistic::Mean, Statistic::Max],
             now: start + HOUR,
         };
-        let r = nested.report_profiled(&log, &obs, "nested");
+        let r = nested.report(&log);
         report.push_metric("coarsen/nested_rows", r.coarse_size as f64, "count");
         let adaptive = AdaptiveCoarsener {
             cv_threshold: 0.35,
@@ -212,15 +185,14 @@ pub fn run(cfg: &RecordConfig) -> RecordOutcome {
             volatile_window: HOUR,
             stats: vec![Statistic::Mean],
         };
-        let r = adaptive.report_profiled(&log, &obs, "adaptive");
+        let r = adaptive.report(&log);
         report.push_metric("coarsen/adaptive_rows", r.coarse_size as f64, "count");
     }
 
     // Stage 5: CDG build + refinement over the reference deployment.
     {
-        let _phase = obs.phase("perf/cdg");
         let deployment = RedditDeployment::build();
-        let cdg = CoarseDepGraph::from_fine_profiled(&deployment.fine, &obs);
+        let cdg = CoarseDepGraph::from_fine(&deployment.fine);
         let n = cdg.len();
         let names: Vec<String> = cdg.team_names().into_iter().map(str::to_string).collect();
         // Synthetic resolved-incident history: every team repeatedly shows
@@ -239,7 +211,7 @@ pub fn run(cfg: &RecordConfig) -> RecordOutcome {
                 history.push(ResolvedIncident { syndrome: sym, responsible: responsible.clone() });
             }
         }
-        let suggestions = suggest_edges_profiled(&cdg, &history, 8, &obs);
+        let suggestions = suggest_edges(&cdg, &history, 8);
         report.push_metric("cdg/teams", cdg.len() as f64, "count");
         report.push_metric("cdg/edges", cdg.graph.edge_count() as f64, "count");
         report.push_metric("cdg/history", history.len() as f64, "count");
@@ -248,19 +220,17 @@ pub fn run(cfg: &RecordConfig) -> RecordOutcome {
 
     // Stage 6: Garg–Könemann TE on the region-contracted WAN.
     {
-        let _phase = obs.phase("perf/te");
         let ts = start + 12 * 300;
         let demand = DemandMatrix::from_triples(
             model.demand_matrix(ts).into_iter().map(|(s, d, g)| (s, d, g * 0.05)),
         );
         let region_demand = demand.contract(&regions.node_map);
         let te_cfg = TeConfig { k_paths: 3, epsilon: 0.2, ..Default::default() };
-        let sol = max_multicommodity_flow_profiled(
+        let sol = max_multicommodity_flow(
             &regions.graph,
             |_, e| e.payload.capacity_gbps,
             &region_demand,
             &te_cfg,
-            &obs,
         );
         report.push_metric("te/supernodes", regions.graph.node_count() as f64, "count");
         report.push_metric("te/commodities", region_demand.len() as f64, "count");
@@ -273,22 +243,18 @@ pub fn run(cfg: &RecordConfig) -> RecordOutcome {
     // the batch oracle it must stay byte-identical to. Half a day of
     // history arrives as one bulk delta, then the suite's six epochs
     // stream tick by tick in steady state; the closing reconciliation is
-    // the full batch recompute (`stream/reconcile` wall phase), so the
-    // profile carries both sides of the comparison while the work-ratio
-    // speedup below stays deterministic.
+    // the full batch recompute.
     {
-        let _phase = obs.phase("perf/incremental");
         let deployment = RedditDeployment::build();
         let mut ctl = SmnController::new(
             CoarseDepGraph::from_fine(&deployment.fine),
             ControllerConfig::default(),
         );
-        ctl.set_obs(obs.clone());
         let mut state = StreamState::new(
             StreamConfig { reconcile_every: 0, ..StreamConfig::default() },
             deployment.fine.clone(),
         );
-        let stream_log = model.generate_profiled(start + DAY, HISTORY_EPOCHS + RECORD_EPOCHS, &obs);
+        let stream_log = model.generate(start + DAY, HISTORY_EPOCHS + RECORD_EPOCHS);
         let n_hist = HISTORY_EPOCHS * model.pairs().len();
         let bulk = TelemetryDelta::new(0, stream_log[..n_hist].to_vec());
         let ticks = TelemetryDelta::split_epochs(&stream_log[n_hist..], 1);
@@ -312,20 +278,17 @@ pub fn run(cfg: &RecordConfig) -> RecordOutcome {
         report.push_metric("incremental/lake_records", stream_log.len() as f64, "count");
         report.push_metric("incremental/total_rows", last.total_rows as f64, "count");
         report.push_metric("incremental/dirty_cells", last.dirty_cells as f64, "count");
-        // Work ratio of a steady-state tick: rows a batch recompute would
-        // rebuild over rows the delta apply actually recomputed. Pure
-        // counts, so strict-gated like every other metric.
+        // Rows a batch recompute would rebuild over rows the steady-state
+        // delta apply actually recomputed: a ratio of counts, not a speed.
         report.push_metric(
-            "incremental/speedup",
+            "incremental/batch_to_delta_rows",
             last.total_rows as f64 / last.recomputed_rows.max(1) as f64,
             "ratio",
         );
         report.push_metric("incremental/failures", failures as f64, "count");
         report.push_metric("incremental/reconciled", reconciled, "count");
     }
-
-    report.push_profile(&obs.wall_profile());
-    RecordOutcome { report, folded: obs.wall_profile_folded() }
+    report
 }
 
 #[cfg(test)]
@@ -348,37 +311,22 @@ mod tests {
     fn small_suite_produces_a_valid_deterministic_report() {
         let cfg = RecordConfig { scale: Scale::Small, ..Default::default() };
         let a = run(&cfg);
-        a.report.validate().unwrap();
-        assert_eq!(a.report.bench, "perf_record_small");
-        assert_eq!(a.report.scale, "small");
-        // Every pipeline stage contributed a parent phase.
-        for parent in [
-            "perf/topology",
-            "perf/telemetry",
-            "perf/lake",
-            "perf/coarsen",
-            "perf/cdg",
-            "perf/te",
-            "perf/incremental",
-        ] {
-            assert!(a.report.phase(parent).is_some(), "missing phase {parent}");
-        }
-        // The incremental stage streams cleanly: a healthy work-ratio
-        // speedup, zero failed ticks, and a passing reconciliation.
-        assert!(a.report.metric("incremental/speedup").unwrap() >= 5.0);
-        assert!(a.report.metric("incremental/failures").unwrap().abs() < f64::EPSILON);
-        assert!((a.report.metric("incremental/reconciled").unwrap() - 1.0).abs() < f64::EPSILON);
-        assert!(a.report.phase("perf/incremental;coarsen/apply_delta").is_some());
-        assert!(a.report.phase("perf/incremental;stream/reconcile").is_some());
-        // Profiled inner phases nest under their stage.
-        assert!(a.report.phase("perf/telemetry;telemetry/gen").is_some());
-        assert!(a.report.phase("perf/te;te/gk;gk/pack").is_some());
-        assert!(a.folded.contains("perf/coarsen;coarsen/time-1h"));
-        // Deterministic metrics are identical across reruns.
+        a.validate().unwrap();
+        assert_eq!(a.bench, "perf_record_small");
+        assert_eq!(a.scale, "small");
+        // A count suite: no wall time in the report.
+        assert!(a.phases.is_empty());
+        // The incremental stage streams cleanly: the delta apply touches a
+        // small share of the rows, zero failed ticks, and a passing
+        // reconciliation.
+        assert!(a.metric("incremental/batch_to_delta_rows").unwrap() >= 5.0);
+        assert!(a.metric("incremental/failures").unwrap().abs() < f64::EPSILON);
+        assert!((a.metric("incremental/reconciled").unwrap() - 1.0).abs() < f64::EPSILON);
+        // Metrics are identical across reruns.
         let b = run(&cfg);
-        assert_eq!(a.report.metrics, b.report.metrics);
-        assert!(a.report.metric("topology/dcs").unwrap() > 0.0);
-        assert!(a.report.metric("te/iterations").unwrap() > 0.0);
-        assert!(a.report.metric("cdg/suggestions").unwrap() > 0.0);
+        assert_eq!(a.metrics, b.metrics);
+        assert!(a.metric("topology/dcs").unwrap() > 0.0);
+        assert!(a.metric("te/iterations").unwrap() > 0.0);
+        assert!(a.metric("cdg/suggestions").unwrap() > 0.0);
     }
 }

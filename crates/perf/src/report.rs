@@ -7,10 +7,11 @@
 //! * [`Metric`]s are deterministic outcomes of the benched code — counts,
 //!   solver iterations, routed gigabits, coarse sizes. Equal seeds and
 //!   equal code produce equal metrics on any machine, so the regression
-//!   gate compares them strictly.
+//!   gate compares them exactly.
 //! * [`Phase`]s are wall-clock aggregates keyed by the profiler's
 //!   span-tree path (see `smn_obs::profile`). They are machine-dependent
-//!   trend data; the gate only flags order-of-magnitude blowups.
+//!   trend data the gate never reads; `periodbench` compares wall time
+//!   across alternating runs instead.
 //! * [`Attr`]s are free-form string facts (outcome hashes, campaign
 //!   seeds) carried for cross-run forensics.
 //!
@@ -112,7 +113,7 @@ pub struct BenchReport {
     pub metrics: Vec<Metric>,
     /// Free-form string facts.
     pub attrs: Vec<Attr>,
-    /// Wall-time profile rows (leniently gated).
+    /// Wall-time profile rows (never gated).
     pub phases: Vec<Phase>,
 }
 

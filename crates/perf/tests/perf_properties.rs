@@ -3,13 +3,13 @@
 //! The CLI's contract is determinism: diffing a report set against itself
 //! is always empty, the rendered diff is byte-identical no matter what
 //! order the input files were listed in, and the gate passes a run against
-//! its own baseline. Reports here are generated, not hand-picked, so the
+//! its own baseline but trips on any change to a metric. Reports here are generated, not hand-picked, so the
 //! contract holds across arbitrary metric/attr/phase contents.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use smn_perf::gate::{gate_reports, GateConfig};
+use smn_perf::gate::gate_reports;
 use smn_perf::report::Phase;
 use smn_perf::{diff_reports, render_diff, BenchReport};
 
@@ -99,26 +99,30 @@ proptest! {
         phases in vec((0usize..8, 1u64..50, 0.001f64..100.0), 0..8),
     ) {
         let set = [build_report("alpha", seed, 0, &metrics, &phases)];
-        prop_assert!(gate_reports(&set, &set, &GateConfig::default()).is_empty());
+        prop_assert!(gate_reports(&set, &set).is_empty());
     }
 
     #[test]
-    fn gate_boundary_is_exact_for_generated_tolerances(
-        base_value in 1.0f64..1e5,
-        tol in 0.01f64..0.5,
+    fn gate_trips_on_any_change_of_one_ulp_or_more(
+        base_value in 0.0f64..1e6,
+        zero_base in 0u8..8,
+        ulps_log2 in 0u32..40,
+        up in 0u8..2,
     ) {
+        // One case in eight gates a zero baseline; the step size is
+        // log-uniform, so changes of a few ulps are drawn as often as large
+        // ones.
+        let base_value = if zero_base == 0 { 0.0 } else { base_value };
+        let ulps = 1u64 << ulps_log2;
         let mut base = BenchReport::new("alpha", 7, "300");
         base.push_metric("m", base_value, "count");
-        let cfg = GateConfig { metric_tol: tol, ..GateConfig::default() };
-
-        // Deviation strictly below tolerance passes...
-        let mut under = base.clone();
-        under.metrics[0].value = base_value * (1.0 + tol * 0.5);
-        prop_assert!(gate_reports(&[base.clone()], &[under], &cfg).is_empty());
-        // ...and clearly above it trips.
-        let mut over = base.clone();
-        over.metrics[0].value = base_value * (1.0 + tol * 2.0) + 1.0;
-        let v = gate_reports(&[base], &[over], &cfg);
+        // Non-negative floats order like their bit patterns, so stepping
+        // the bits moves the value by exactly `ulps` representable values.
+        let bits = base_value.to_bits();
+        let moved = if up == 1 || bits < ulps { bits + ulps } else { bits - ulps };
+        let mut cur = base.clone();
+        cur.metrics[0].value = f64::from_bits(moved);
+        let v = gate_reports(&[base], &[cur]);
         prop_assert_eq!(v.len(), 1);
         prop_assert_eq!(v[0].kind.as_str(), "metric-regression");
     }

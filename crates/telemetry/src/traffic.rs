@@ -236,26 +236,6 @@ impl TrafficModel {
         out
     }
 
-    /// [`TrafficModel::generate`] inside a profiled `telemetry/gen` phase:
-    /// the records themselves stay byte-identical per seed (the phase only
-    /// measures wall time into the perf trajectory's separate profile).
-    // smn-lint: allow(deep/determinism-taint) -- the phase guard's wall reading never touches the generated records
-    #[must_use]
-    pub fn generate_profiled(
-        &self,
-        start: Ts,
-        n_epochs: usize,
-        obs: &smn_obs::Obs,
-    ) -> Vec<BandwidthRecord> {
-        let mut phase = obs.phase("telemetry/gen");
-        let out = self.generate(start, n_epochs);
-        if !out.is_empty() {
-            phase.field("records", out.len());
-            phase.field("epochs", n_epochs);
-        }
-        out
-    }
-
     /// Number of epochs in `days` days.
     #[must_use]
     pub fn epochs_per_days(days: u64) -> usize {
