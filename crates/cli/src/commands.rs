@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::Deserialize;
 use smn_core::bwlogs::{TimeCoarsener, TopologyCoarsener};
 use smn_core::coarsen::Coarsening;
 use smn_core::controller::{ControllerConfig, Feedback, SmnController};
@@ -18,7 +17,9 @@ use smn_depgraph::dot::cdg_to_dot;
 use smn_depgraph::fine::{Component, DependencyKind, Layer};
 use smn_depgraph::syndrome::Explainability;
 use smn_heal::{route_to_team_mttr, Diagnosis, HealConfig, HealWorld, Healer, RemediationPhase};
-use smn_incident::faults::{generate_campaign, CampaignConfig, FaultKind, FaultSpec};
+use smn_incident::faults::{
+    generate_campaign, CampaignArtifact, CampaignConfig, FaultKind, FaultSpec,
+};
 use smn_incident::sim::{observe, SimConfig};
 use smn_incident::{DeploymentStack, RedditDeployment};
 use smn_obs::clock::SimClock;
@@ -497,29 +498,17 @@ pub fn stream(args: &[String]) -> Result<(), String> {
     verdict.map_err(|e| format!("reconciliation divergence or stream error: {e}"))
 }
 
-/// Load a `fault-campaign` artifact and keep the faults whose targets
-/// exist in this deployment; returns `(faults, skipped)`.
-fn load_campaign(path: &str, d: &RedditDeployment) -> Result<(Vec<FaultSpec>, usize), String> {
+/// Load a `fault-campaign` artifact through its validating loader.
+fn load_campaign(path: &str) -> Result<CampaignArtifact, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let value = serde_json::parse_value(&text).map_err(|e| format!("{path}: {e}"))?;
-    match value.get("kind") {
-        Some(serde_json::Value::Str(k)) if k == "fault-campaign" => {}
-        _ => return Err(format!("{path}: not a fault-campaign artifact (missing kind)")),
-    }
-    let Some(serde_json::Value::Seq(fault_vs)) = value.get("faults") else {
-        return Err(format!("{path}: fault-campaign has no 'faults' array"));
-    };
-    let mut faults = Vec::new();
-    let mut skipped = 0usize;
-    for (i, v) in fault_vs.iter().enumerate() {
-        let f = FaultSpec::from_value(v).map_err(|e| format!("{path}: faults[{i}]: {e}"))?;
-        if d.fine.by_name(&f.target).is_some() {
-            faults.push(f);
-        } else {
-            skipped += 1;
+    CampaignArtifact::load(&value).map_err(|violations| {
+        let first = violations.first().map_or_else(String::new, ToString::to_string);
+        match violations.len() {
+            0 | 1 => format!("{path}: {first}"),
+            n => format!("{path}: {first} (and {} more violation(s))", n - 1),
         }
-    }
-    Ok((faults, skipped))
+    })
 }
 
 /// `smn heal` — run a remediation campaign through the closed-loop engine.
@@ -584,7 +573,15 @@ pub fn heal(args: &[String]) -> Result<(), String> {
         HealWorld { deployment: &d, stack: stack.stack(), contraction: &contraction, sim: &sim };
 
     let (faults, skipped) = match &campaign_file {
-        Some(path) => load_campaign(path, &d)?,
+        Some(path) => {
+            // Faults aimed at components outside this deployment are
+            // skipped, not refused.
+            let (faults, foreign): (Vec<FaultSpec>, Vec<FaultSpec>) = load_campaign(path)?
+                .faults
+                .into_iter()
+                .partition(|f| d.fine.by_name(&f.target).is_some());
+            (faults, foreign.len())
+        }
         None => (generate_campaign(&d, &CampaignConfig { n_faults, ..Default::default() }), 0),
     };
     if faults.is_empty() {
@@ -748,18 +745,7 @@ pub fn coverage(args: &[String]) -> Result<(), String> {
     let replay_cfg = ReplayConfig::default();
 
     let (label, campaign) = match &flags.campaign_file {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let value = serde_json::parse_value(&text).map_err(|e| format!("{path}: {e}"))?;
-            match value.get("kind") {
-                Some(serde_json::Value::Str(k)) if k == "fault-campaign" => {}
-                _ => return Err(format!("{path}: not a fault-campaign artifact (missing kind)")),
-            }
-            let campaign =
-                GeneratedCampaign::from_artifact(&value).map_err(|e| format!("{path}: {e}"))?;
-            (path.as_str(), campaign)
-        }
+        Some(path) => (path.as_str(), GeneratedCampaign::from_artifact(load_campaign(path)?)),
         None => (
             "generated",
             generate_covering_campaign(&d, &ds, &lattice, &GeneratorConfig { seed: flags.seed }),

@@ -46,6 +46,8 @@ use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
 use smn_telemetry::series::{Statistic, SummaryStats};
 use smn_telemetry::time::{Ts, DAY, HOUR};
+use smn_topology::artifact::{under, Violation};
+use smn_topology::path;
 
 use crate::bwlogs::{encode_coarse_log, AdaptiveCoarsener, CoarseBwRecord, TimeCoarsener};
 use crate::controller::SmnController;
@@ -115,6 +117,9 @@ pub enum StreamError {
         /// First differing row/byte, pretty-printed.
         detail: String,
     },
+    /// A checkpoint failed to restore: it does not deserialize, or its
+    /// fine graph or CDG breaks an invariant.
+    Checkpoint(Violation),
 }
 
 impl fmt::Display for StreamError {
@@ -128,6 +133,7 @@ impl fmt::Display for StreamError {
             StreamError::Divergence { artifact, tick, detail } => {
                 write!(f, "reconciliation divergence in {artifact} at tick {tick}: {detail}")
             }
+            StreamError::Checkpoint(v) => write!(f, "corrupt checkpoint: {v}"),
         }
     }
 }
@@ -603,6 +609,25 @@ impl StreamState {
         &self.adaptive
     }
 
+    /// Restore a serialized checkpoint, refusing one whose fine graph or
+    /// CDG breaks its invariants: a dangling edge or name-index entry
+    /// would otherwise surface as a panic on the next tick.
+    ///
+    /// # Errors
+    /// [`StreamError::Checkpoint`] with the first violation found.
+    // smn-lint: allow(deep/determinism-taint) -- name-index entries are sorted before they are checked
+    pub fn restore(checkpoint: &str) -> Result<StreamState, StreamError> {
+        let state: StreamState = serde_json::from_str(checkpoint).map_err(|e| {
+            StreamError::Checkpoint(Violation::unreadable("a stream checkpoint", &e))
+        })?;
+        let mut violations = under(&path!["fine"], FineDepGraph::violations(&state.fine));
+        violations.extend(under(&path!["cdg"], CoarseDepGraph::violations(&state.cdg)));
+        match violations.into_iter().next() {
+            Some(v) => Err(StreamError::Checkpoint(v)),
+            None => Ok(state),
+        }
+    }
+
     /// Combined FNV-1a fingerprint over all three incremental artifacts —
     /// what reconciliation stamps into audits and delta journals.
     #[must_use]
@@ -1030,6 +1055,90 @@ impl DeltaJournal {
         // would be a vendored-serde bug.
         serde_json::to_string_pretty(self).unwrap_or_default()
     }
+
+    /// The journal replays as recorded: the supported schema, strictly
+    /// increasing ticks, pairs inside the declared node count, dependency
+    /// endpoints known by their tick (initial components plus prior or
+    /// same-tick additions), and a 16-hex-digit hash on every reconciled
+    /// tick.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        if self.schema != DELTA_JOURNAL_SCHEMA {
+            out.push(Violation::new(
+                "artifact/journal-schema",
+                path!["schema"],
+                format!(
+                    "schema version {} is not the supported version {DELTA_JOURNAL_SCHEMA}",
+                    self.schema
+                ),
+                "re-record the journal with the current streaming loop; the schema \
+                 version only moves when emitter and checker move together",
+            ));
+        }
+        let mut known: BTreeSet<&str> = self.components.iter().map(String::as_str).collect();
+        let mut prev_tick: Option<u64> = None;
+        for (i, t) in self.ticks.iter().enumerate() {
+            if let Some(prev) = prev_tick.filter(|&p| t.tick <= p) {
+                out.push(Violation::new(
+                    "artifact/journal-tick-order",
+                    path!["ticks", i, "tick"],
+                    format!("tick {} does not advance past the preceding tick {prev}", t.tick),
+                    "deltas apply in strictly increasing tick order; a replayed or \
+                     reordered journal would diverge from the stream it records",
+                ));
+            }
+            prev_tick = Some(t.tick);
+            for (j, &(src, dst)) in t.pairs.iter().enumerate() {
+                if let Some(node) =
+                    [src, dst].into_iter().find(|&n| u64::from(n) >= self.node_count)
+                {
+                    out.push(Violation::new(
+                        "artifact/journal-dangling-pair",
+                        path!["ticks", i, "pairs", j],
+                        format!(
+                            "pair references node {node} beyond the declared node_count {}",
+                            self.node_count
+                        ),
+                        "telemetry pairs index WAN datacenters; an out-of-range \
+                         index means the journal and topology disagree",
+                    ));
+                }
+            }
+            // Same-tick additions are visible to this tick's dependencies
+            // (components apply before dependencies in `GraphDelta`).
+            known.extend(t.added_components.iter().map(String::as_str));
+            for (j, (src, dst)) in t.added_dependencies.iter().enumerate() {
+                if let Some(end) = [src, dst].into_iter().find(|e| !known.contains(e.as_str())) {
+                    out.push(Violation::new(
+                        "artifact/journal-dangling-component",
+                        path!["ticks", i, "added_dependencies", j],
+                        format!("dependency endpoint `{end}` names an unknown component"),
+                        "endpoints must be in the initial component set or added by \
+                         a prior or same-tick delta",
+                    ));
+                }
+            }
+            let hash = t.reconcile_hash.as_deref();
+            if t.reconciled
+                && !hash.is_some_and(|h| h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()))
+            {
+                out.push(Violation::new(
+                    "artifact/journal-missing-hash",
+                    path!["ticks", i, "reconcile_hash"],
+                    match hash {
+                        None => format!("tick {} reconciled without a reconciliation hash", t.tick),
+                        Some(h) => {
+                            format!("tick {} carries a malformed reconciliation hash `{h}`", t.tick)
+                        }
+                    },
+                    "every reconciled tick records the 16-hex-digit fingerprint that \
+                     proved incremental/batch byte-identity",
+                ));
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -1264,12 +1373,34 @@ mod tests {
         ctl2.stream_run(&mut live, &deltas[..6], &[]).unwrap();
         let snapshot = serde_json::to_string(&live).unwrap();
         drop(live);
-        let mut restored: StreamState = serde_json::from_str(&snapshot).unwrap();
+        let mut restored = StreamState::restore(&snapshot).unwrap();
         ctl2.stream_run(&mut restored, &deltas[6..], &[]).unwrap();
         let outcome = ctl2.stream_reconcile(&mut restored).unwrap();
         assert_eq!(outcome.tick, 11);
         assert_eq!(restored.fingerprint(), outcome.hash);
         assert_eq!(state.fingerprint(), restored.fingerprint());
+    }
+
+    #[test]
+    fn restore_refuses_a_checkpoint_with_a_dangling_edge() {
+        let mut ctl = controller();
+        let mut live = StreamState::new(StreamConfig::default(), small_fine());
+        let deltas = TelemetryDelta::split_epochs(&mixed_log(2), 0);
+        ctl.stream_run(&mut live, &deltas, &[]).unwrap();
+        // Point the fine graph's only edge (web-1 -> db-1) at a node that
+        // does not exist.
+        let snapshot = serde_json::to_string(&live).unwrap();
+        let edge = r#"{"src":0,"dst":1,"payload":"Call"}"#;
+        assert!(snapshot.contains(edge), "{snapshot}");
+        let snapshot = snapshot.replace(edge, r#"{"src":0,"dst":999,"payload":"Call"}"#);
+        match StreamState::restore(&snapshot) {
+            Err(StreamError::Checkpoint(violation)) => {
+                assert_eq!(violation.rule, "artifact/dangling-edge");
+                assert!(violation.to_string().contains("$.fine.graph.edges[0].dst"), "{violation}");
+            }
+            Err(other) => panic!("expected a checkpoint error, got {other}"),
+            Ok(_) => panic!("a dangling edge must not restore"),
+        }
     }
 
     #[test]

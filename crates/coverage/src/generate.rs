@@ -16,8 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Error, Serialize, Value};
-use smn_incident::faults::{FaultKind, FaultSpec};
+use smn_incident::faults::{CampaignArtifact, FaultKind, FaultSpec, Locus};
 use smn_incident::{DeploymentStack, RedditDeployment};
 use smn_telemetry::det::{mix, uniform01};
 use smn_topology::{EdgeId, StackFault};
@@ -183,73 +182,27 @@ pub fn generate_covering_campaign(
 }
 
 impl GeneratedCampaign {
-    /// Serialize as a `fault-campaign` artifact envelope: the legacy
-    /// fields (`components`, `faults`) the campaign rules and the CLI's
-    /// `--campaign` loader already understand, plus the generator's
-    /// `loci` + `link_count` extension the extended rules validate.
+    /// The campaign as a `fault-campaign` artifact over `d`'s components,
+    /// with its locus annotations and link population.
     #[must_use]
-    pub fn to_artifact(&self, d: &RedditDeployment) -> Value {
-        let components: Vec<Value> = d
-            .fine
-            .graph
-            .nodes()
-            .map(|(_, c)| {
-                Value::Map(vec![
-                    ("name".to_string(), Value::Str(c.name.clone())),
-                    ("team".to_string(), Value::Str(c.team.clone())),
-                ])
-            })
-            .collect();
-        let loci: Vec<Value> = self
-            .loci
-            .iter()
-            .map(|&(fault, link)| {
-                Value::Map(vec![
-                    ("fault".to_string(), Value::U64(fault)),
-                    ("link".to_string(), Value::U64(link.index() as u64)),
-                ])
-            })
-            .collect();
-        Value::Map(vec![
-            ("kind".to_string(), Value::Str("fault-campaign".to_string())),
-            ("components".to_string(), Value::Seq(components)),
-            ("faults".to_string(), self.faults.to_value()),
-            ("loci".to_string(), Value::Seq(loci)),
-            ("link_count".to_string(), Value::U64(self.link_count as u64)),
-        ])
+    pub fn to_artifact(&self, d: &RedditDeployment) -> CampaignArtifact {
+        let loci = self.loci.iter().map(|&(fault, link)| Locus { fault, link }).collect();
+        CampaignArtifact {
+            loci: Some(loci),
+            link_count: Some(self.link_count),
+            ..CampaignArtifact::new(&d.fine, self.faults.clone())
+        }
     }
 
-    /// Parse a campaign artifact back. `loci` and `link_count` are
-    /// optional, so plain legacy campaigns load too (with no locus
-    /// annotations).
-    ///
-    /// # Errors
-    ///
-    /// Returns a serde [`Error`] when `faults` is missing or any fault
-    /// or locus entry fails to deserialize.
-    pub fn from_artifact(v: &Value) -> Result<GeneratedCampaign, Error> {
-        let faults = Vec::<FaultSpec>::from_value(
-            v.get("faults").ok_or_else(|| Error("campaign artifact missing 'faults'".into()))?,
-        )?;
-        let mut loci = Vec::new();
-        if let Some(Value::Seq(entries)) = v.get("loci") {
-            for entry in entries {
-                let num = |key: &str| -> Result<u64, Error> {
-                    match entry.get(key) {
-                        Some(Value::U64(n)) => Ok(*n),
-                        _ => Err(Error(format!("locus entry missing integer '{key}'"))),
-                    }
-                };
-                let link = u32::try_from(num("link")?)
-                    .map_err(|_| Error("locus link id exceeds the u32 id space".into()))?;
-                loci.push((num("fault")?, EdgeId(link)));
-            }
+    /// The campaign an artifact describes; a legacy campaign without
+    /// `loci` and `link_count` has no locus annotations.
+    #[must_use]
+    pub fn from_artifact(artifact: CampaignArtifact) -> GeneratedCampaign {
+        GeneratedCampaign {
+            faults: artifact.faults,
+            loci: artifact.loci.into_iter().flatten().map(|l| (l.fault, l.link)).collect(),
+            link_count: artifact.link_count.unwrap_or(0),
         }
-        let link_count = match v.get("link_count") {
-            Some(Value::U64(n)) => usize::try_from(*n).unwrap_or(usize::MAX),
-            _ => 0,
-        };
-        Ok(GeneratedCampaign { faults, loci, link_count })
     }
 }
 
@@ -299,12 +252,13 @@ mod tests {
     fn artifact_round_trips() {
         let (d, ds, lattice) = world();
         let campaign = generate_covering_campaign(&d, &ds, &lattice, &GeneratorConfig::default());
-        let v = campaign.to_artifact(&d);
-        let back = GeneratedCampaign::from_artifact(&v).unwrap();
-        assert_eq!(back, campaign);
-        // And through actual JSON bytes.
-        let text = serde_json::to_string_pretty(&v).unwrap();
+        let artifact = campaign.to_artifact(&d);
+        assert_eq!(GeneratedCampaign::from_artifact(artifact.clone()), campaign);
+        // And through actual JSON bytes, loading through the validating
+        // loader.
+        let text = serde_json::to_string_pretty(&artifact).unwrap();
         let reparsed = serde_json::parse_value(&text).unwrap();
-        assert_eq!(GeneratedCampaign::from_artifact(&reparsed).unwrap(), campaign);
+        let loaded = CampaignArtifact::load(&reparsed).unwrap();
+        assert_eq!(GeneratedCampaign::from_artifact(loaded), campaign);
     }
 }

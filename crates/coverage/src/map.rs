@@ -8,9 +8,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::Value;
+use serde::{Deserialize, Value};
+use smn_incident::faults::FaultKind;
+use smn_topology::artifact::Violation;
+use smn_topology::{path, LayerId};
 
-use crate::lattice::{FaultLattice, LatticeCell};
+use crate::lattice::{FaultLattice, LatticeCell, LocusBucket, Rung};
 
 /// Cells exercised by one or more campaign runs, with hit counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -81,6 +84,10 @@ pub enum CellStatus {
 }
 
 impl CellStatus {
+    /// Every status.
+    pub const ALL: [CellStatus; 3] =
+        [CellStatus::Covered, CellStatus::Uncovered, CellStatus::Unexpected];
+
     /// Canonical name, e.g. `"covered"`.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -89,6 +96,12 @@ impl CellStatus {
             CellStatus::Uncovered => "uncovered",
             CellStatus::Unexpected => "unexpected",
         }
+    }
+
+    /// Parse a canonical name back into a status.
+    #[must_use]
+    pub fn parse(name: &str) -> Option<CellStatus> {
+        CellStatus::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 
@@ -219,6 +232,190 @@ impl CoverageReport {
             ("ratio".to_string(), Value::F64(self.ratio)),
             ("cells".to_string(), Value::Seq(cells)),
         ])
+    }
+}
+
+/// Decode one `cells[i]` row of a coverage-report artifact, naming every
+/// field that is not a lattice coordinate, status or hit count.
+fn decode_cell(i: usize, v: &Value) -> Result<ReportCell, Vec<Violation>> {
+    let name = |key: &str| match v.get(key) {
+        Some(Value::Str(s)) => Some(s.as_str()),
+        _ => None,
+    };
+    let names = |all: &[&str]| format!("expected one of: {}", all.join(", "));
+    let mut bad = Vec::new();
+    let mut unknown = |key: &str, what: &str, note: &str| {
+        bad.push(Violation::new(
+            "artifact/unknown-cell",
+            path!["cells", i, key],
+            format!("cell {i} {what}"),
+            note,
+        ));
+    };
+    let kind = v.get("kind").and_then(|k| FaultKind::from_value(k).ok());
+    if kind.is_none() {
+        unknown("kind", "does not name a FaultKind", "");
+    }
+    let layer = name("layer").and_then(LayerId::parse);
+    if layer.is_none() {
+        unknown("layer", "does not name a stack layer", "expected L1, L3, or L7");
+    }
+    let locus = name("locus").and_then(LocusBucket::parse);
+    if locus.is_none() {
+        let note = names(&LocusBucket::ALL.map(LocusBucket::name));
+        unknown("locus", "does not name a topology-locus bucket", &note);
+    }
+    let rung = name("rung").and_then(Rung::parse);
+    if rung.is_none() {
+        unknown("rung", "does not name a degradation rung", &names(&Rung::ALL.map(Rung::name)));
+    }
+    let status = name("status").and_then(CellStatus::parse);
+    if status.is_none() {
+        let note = names(&CellStatus::ALL.map(CellStatus::name));
+        unknown("status", "does not carry a status", &note);
+    }
+    let count = v.get("count").and_then(|c| u64::from_value(c).ok());
+    if count.is_none() {
+        unknown("count", "lacks an integer hit count", "");
+    }
+    match (kind, layer, locus, rung, status, count) {
+        (Some(kind), Some(layer), Some(locus), Some(rung), Some(status), Some(count)) => {
+            Ok(ReportCell { cell: LatticeCell { kind, layer, locus, rung }, count, status })
+        }
+        _ => Err(bad),
+    }
+}
+
+/// A coverage report's wire form, cells not yet decoded.
+#[derive(Deserialize)]
+struct WireReport {
+    campaign: String,
+    campaign_seed: u64,
+    n_faults: u64,
+    total_cells: u64,
+    reachable: u64,
+    covered: u64,
+    unreachable: u64,
+    ratio: f64,
+    cells: Vec<Value>,
+}
+
+impl CoverageReport {
+    /// Decode a `coverage-report` artifact (the wire form of
+    /// [`CoverageReport::to_artifact`]).
+    ///
+    /// # Errors
+    /// An `artifact/unreadable` violation when the report does not have
+    /// that shape, else one `artifact/unknown-cell` violation per cell
+    /// field that names no lattice coordinate, status or hit count.
+    pub fn from_artifact(v: &Value) -> Result<Self, Vec<Violation>> {
+        let w = WireReport::from_value(v)
+            .map_err(|e| vec![Violation::unreadable("a coverage report", &e)])?;
+        let mut cells = Vec::with_capacity(w.cells.len());
+        let mut bad = Vec::new();
+        for (i, row) in w.cells.iter().enumerate() {
+            match decode_cell(i, row) {
+                Ok(cell) => cells.push(cell),
+                Err(vs) => bad.extend(vs),
+            }
+        }
+        if !bad.is_empty() {
+            return Err(bad);
+        }
+        Ok(CoverageReport {
+            campaign: w.campaign,
+            campaign_seed: w.campaign_seed,
+            n_faults: w.n_faults,
+            total_cells: w.total_cells,
+            reachable: w.reachable,
+            covered: w.covered,
+            unreachable: w.unreachable,
+            ratio: w.ratio,
+            cells,
+        })
+    }
+
+    /// The report agrees with itself: the product lattice splits into
+    /// reachable and unreachable cells, each cell appears at most once
+    /// with a hit count its status allows, and the `reachable`, `covered`
+    /// and `ratio` tallies match the rows they summarize.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)] // cell tallies stay far below 2^52
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let (reachable, covered, unreachable) = (self.reachable, self.covered, self.unreachable);
+        if reachable.checked_add(unreachable) != Some(self.total_cells) {
+            out.push(Violation::new(
+                "artifact/coverage-mismatch",
+                path!["total_cells"],
+                format!(
+                    "total_cells is {}, but reachable {reachable} + unreachable {unreachable} = {}",
+                    self.total_cells,
+                    reachable.saturating_add(unreachable)
+                ),
+                "the unreachable shell is the product lattice minus the reachable cells",
+            ));
+        }
+        for (i, r) in self.cells.iter().enumerate() {
+            if self.cells.iter().take(i).any(|p| p.cell == r.cell) {
+                out.push(Violation::new(
+                    "artifact/duplicate-id",
+                    path!["cells", i],
+                    format!("duplicate cell {}", r.cell.label()),
+                    "each lattice cell appears at most once per report",
+                ));
+            }
+            // A covered or unexpected cell was exercised at least once,
+            // an uncovered one never.
+            if (r.status == CellStatus::Uncovered) != (r.count == 0) {
+                out.push(Violation::new(
+                    "artifact/coverage-mismatch",
+                    path!["cells", i, "count"],
+                    format!(
+                        "cell {i} has status `{}` but a hit count of {}",
+                        r.status.name(),
+                        r.count
+                    ),
+                    "covered/unexpected cells need count > 0; uncovered cells need count == 0",
+                ));
+            }
+        }
+        let rows =
+            |keep: fn(CellStatus) -> bool| self.cells.iter().filter(|r| keep(r.status)).count();
+        let reachable_rows = rows(|s| s != CellStatus::Unexpected);
+        if reachable_rows as u64 != reachable {
+            out.push(Violation::new(
+                "artifact/coverage-mismatch",
+                path!["reachable"],
+                format!(
+                    "report declares {reachable} reachable cell(s), \
+                     but lists {reachable_rows} covered/uncovered row(s)"
+                ),
+                "every reachable cell gets one row, covered or uncovered",
+            ));
+        }
+        let covered_rows = rows(|s| s == CellStatus::Covered);
+        if covered_rows as u64 != covered {
+            out.push(Violation::new(
+                "artifact/coverage-mismatch",
+                path!["covered"],
+                format!(
+                    "report declares {covered} covered cell(s), \
+                     but lists {covered_rows} row(s) with status `covered`"
+                ),
+                "",
+            ));
+        }
+        let expected = if reachable == 0 { 0.0 } else { covered as f64 / reachable as f64 };
+        if self.ratio.is_nan() || (self.ratio - expected).abs() > 1e-9 {
+            out.push(Violation::new(
+                "artifact/coverage-mismatch",
+                path!["ratio"],
+                format!("ratio is {}, but covered/reachable = {expected}", self.ratio),
+                "",
+            ));
+        }
+        out
     }
 }
 

@@ -11,7 +11,9 @@
 use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
+use smn_topology::artifact::{name_index_violations, under, Violation};
 use smn_topology::graph::{DiGraph, NodeId};
+use smn_topology::path;
 
 use crate::delta::{DeltaError, GraphDelta};
 use crate::fine::FineDepGraph;
@@ -253,6 +255,66 @@ impl CoarseDepGraph {
         } else {
             false_deps as f64 / implied as f64
         }
+    }
+
+    /// Invariants of a deserialized CDG: graph integrity and a name
+    /// index that agrees with the teams. Paths are relative to the CDG.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = under(&path!["graph"], DiGraph::violations(&self.graph));
+        let names: Vec<&str> = self.graph.nodes().map(|(_, t)| t.name.as_str()).collect();
+        out.extend(name_index_violations(&names, &self.name_index));
+        out
+    }
+}
+
+/// A fine dependency graph and, optionally, its coarse derivation: the
+/// `cdg` artifact.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct CdgArtifact {
+    /// Artifact kind tag: always `"cdg"`.
+    pub kind: String,
+    /// The component-level graph.
+    pub fine: FineDepGraph,
+    /// The team-level graph derived from it.
+    pub coarse: Option<CoarseDepGraph>,
+}
+
+impl CdgArtifact {
+    /// Both graphs' own invariants, plus the L7 mapping between them:
+    /// every team of the fine graph has a coarse node, and a recorded
+    /// component count matches the team's fine population.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = under(&path!["fine"], FineDepGraph::violations(&self.fine));
+        let Some(coarse) = &self.coarse else { return out };
+        out.extend(under(&path!["coarse"], CoarseDepGraph::violations(coarse)));
+        for team in self.fine.teams().iter().filter(|t| !t.is_empty()) {
+            let fine_count = self.fine.team_components(team).len();
+            let Some((ci, t)) = coarse.graph.nodes().find(|(_, t)| &t.name == team) else {
+                out.push(Violation::new(
+                    "artifact/missing-team",
+                    path!["coarse"],
+                    format!(
+                        "team `{team}` owns {fine_count} fine component(s) but has no coarse node"
+                    ),
+                    "the coarse graph must cover every team in the fine graph",
+                ));
+                continue;
+            };
+            if t.component_count > 0 && t.component_count != fine_count {
+                out.push(Violation::new(
+                    "artifact/team-count",
+                    path!["coarse", "graph", "nodes", ci.index(), "payload", "component_count"],
+                    format!(
+                        "coarse node `{team}` records {} component(s), but the fine graph has {fine_count}",
+                        t.component_count
+                    ),
+                    "",
+                ));
+            }
+        }
+        out
     }
 }
 

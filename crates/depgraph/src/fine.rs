@@ -10,7 +10,9 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
+use smn_topology::artifact::{name_index_violations, under, Violation};
 use smn_topology::graph::{DiGraph, EdgeId, NodeId};
+use smn_topology::path;
 
 /// Which layer of the stack a component lives in (L1–L7 in SMN terms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -193,6 +195,52 @@ impl FineDepGraph {
             .filter(|(_, c)| c.layer.stack_layer() == layer)
             .map(|(id, _)| smn_topology::ComponentId(id.0))
             .collect()
+    }
+
+    /// Invariants of a deserialized fine graph: graph integrity, a name
+    /// index that agrees with the components, hosting edges that descend
+    /// the stack (the host sits on a strictly lower [`Layer`]), and an
+    /// owning team on every component. Paths are relative to the graph.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = under(&path!["graph"], DiGraph::violations(&self.graph));
+        let comps: Vec<&Component> = self.graph.nodes().map(|(_, c)| c).collect();
+        let names: Vec<&str> = comps.iter().map(|c| c.name.as_str()).collect();
+        out.extend(name_index_violations(&names, &self.name_index));
+        let rank = |c: &Component| Layer::ALL.iter().position(|&l| l == c.layer);
+        for (id, e) in self.graph.edges() {
+            if e.payload != DependencyKind::Hosting {
+                continue;
+            }
+            let (Some(src), Some(dst)) = (comps.get(e.src.index()), comps.get(e.dst.index()))
+            else {
+                continue;
+            };
+            if rank(src) <= rank(dst) {
+                out.push(Violation::new(
+                    "artifact/layer-order",
+                    path!["graph", "edges", id.index()],
+                    format!(
+                        "hosting edge `{}` -> `{}` does not descend the stack \
+                         (host must sit on a strictly lower layer)",
+                        src.name, dst.name
+                    ),
+                    "L1->L3->L7 consistency: Physical < Network < Infrastructure \
+                     < Platform < Application < Monitoring",
+                ));
+            }
+        }
+        for (i, c) in comps.iter().enumerate() {
+            if c.team.is_empty() {
+                out.push(Violation::new(
+                    "artifact/missing-team",
+                    path!["graph", "nodes", i, "payload"],
+                    format!("component `{}` has no owning team", c.name),
+                    "teams are the coarsening partition; an unowned component cannot be coarsened",
+                ));
+            }
+        }
+        out
     }
 }
 

@@ -8,8 +8,9 @@
 //! about the same world without interfering.
 
 use serde::{Deserialize, Serialize};
+use smn_topology::artifact::Violation;
 use smn_topology::layer1::{Modulation, WavelengthId};
-use smn_topology::{EdgeId, LayerId};
+use smn_topology::{path, EdgeId, LayerId};
 
 /// One typed remediation step the healing engine can take for a diagnosed
 /// incident. Serialized externally tagged, e.g.
@@ -95,6 +96,101 @@ impl RemediationAction {
     #[must_use]
     pub fn is_mutating(&self) -> bool {
         !matches!(self, RemediationAction::RouteToTeam { .. })
+    }
+}
+
+/// One planned remediation: the action for one incident, with the layer
+/// it declares it acts on.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PlannedAction {
+    /// The incident this action settles.
+    pub incident_id: u64,
+    /// The layer the action declares.
+    pub layer: LayerId,
+    /// The action.
+    pub action: RemediationAction,
+}
+
+/// A remediation plan over a declared world (component names, link and
+/// wavelength populations): the `remediation-plan` artifact.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RemediationPlan {
+    /// Artifact kind tag: always `"remediation-plan"`.
+    pub kind: String,
+    /// Component names a restart may target.
+    pub components: Vec<String>,
+    /// WAN links a drain may target.
+    pub link_count: usize,
+    /// Wavelengths a retune may target.
+    pub wavelength_count: usize,
+    /// The planned actions.
+    pub actions: Vec<PlannedAction>,
+}
+
+impl RemediationPlan {
+    /// Incident ids are plan-unique, each action declares the layer its
+    /// kind operates on, and every target exists in the declared world.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for (i, p) in self.actions.iter().enumerate() {
+            if self.actions.iter().take(i).any(|q| q.incident_id == p.incident_id) {
+                out.push(Violation::new(
+                    "artifact/duplicate-id",
+                    path!["actions", i, "incident_id"],
+                    format!("duplicate incident id {}", p.incident_id),
+                    "a plan settles each incident with at most one terminal action",
+                ));
+            }
+            let (kind, actual) = (p.action.kind_name(), p.action.layer());
+            if p.layer != actual {
+                out.push(Violation::new(
+                    "artifact/layer-order",
+                    path!["actions", i, "layer"],
+                    format!(
+                        "action {i} ({kind}) declares layer `{}`, but `{kind}` operates on {actual}",
+                        p.layer
+                    ),
+                    "retune-wavelength acts on L1, drain-link on L3, \
+                     restart-component and route-to-team on L7",
+                ));
+            }
+            let dangling = match &p.action {
+                RemediationAction::RestartComponent { component }
+                    if !self.components.contains(component) =>
+                {
+                    Some((
+                        "artifact/unknown-target",
+                        format!("action {i} restarts `{component}`, not a declared component"),
+                    ))
+                }
+                RemediationAction::DrainLink { link, .. } if link.index() >= self.link_count => {
+                    Some((
+                        "artifact/dangling-link-ref",
+                        format!(
+                            "action {i} drains link {}, but the plan declares {} link(s)",
+                            link.0, self.link_count
+                        ),
+                    ))
+                }
+                RemediationAction::RetuneWavelength { wavelength, .. }
+                    if wavelength.0 as usize >= self.wavelength_count =>
+                {
+                    Some((
+                        "artifact/dangling-link-ref",
+                        format!(
+                            "action {i} retunes wavelength {}, but the plan declares {} wavelength(s)",
+                            wavelength.0, self.wavelength_count
+                        ),
+                    ))
+                }
+                _ => None,
+            };
+            if let Some((rule, message)) = dangling {
+                out.push(Violation::new(rule, path!["actions", i, "action"], message, ""));
+            }
+        }
+        out
     }
 }
 

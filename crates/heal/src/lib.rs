@@ -39,7 +39,7 @@ pub mod engine;
 pub mod plan;
 pub mod verify;
 
-pub use action::RemediationAction;
+pub use action::{PlannedAction, RemediationAction, RemediationPlan};
 pub use engine::{
     HealCheckpoint, HealConfig, HealCounters, HealWorld, Healer, NetworkState, PendingRemediation,
     RemediationPhase, RemediationRecord, RetuneRecord,

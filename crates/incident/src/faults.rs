@@ -12,8 +12,11 @@
 //! the test set "only contains incidents that are a result of a root-cause
 //! that is never injected in the same way as in the training set".
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use smn_depgraph::fine::FineDepGraph;
 use smn_telemetry::det::{mix, uniform01};
+use smn_topology::artifact::Violation;
+use smn_topology::{path, EdgeId};
 
 use crate::app::RedditDeployment;
 
@@ -295,6 +298,181 @@ pub fn generate_campaign(d: &RedditDeployment, cfg: &CampaignConfig) -> Vec<Faul
         out.push(FaultSpec { id, kind, target, variant, severity, team });
     }
     out
+}
+
+/// One component and its owning team, as a campaign declares it.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Owner {
+    /// Component name.
+    pub name: String,
+    /// Owning team.
+    pub team: String,
+}
+
+/// A topology-locus annotation: the WAN link whose failure produces a
+/// campaign fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Locus {
+    /// The annotated fault's id.
+    pub fault: u64,
+    /// The WAN link.
+    pub link: EdgeId,
+}
+
+/// A fault campaign with the component ownership table its faults are
+/// checked against: the `fault-campaign` artifact. Generated campaigns
+/// add topology-locus annotations.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CampaignArtifact {
+    /// Artifact kind tag: always `"fault-campaign"`.
+    pub kind: String,
+    /// Every component a fault may target, with its owner.
+    pub components: Vec<Owner>,
+    /// The faults, in replay order.
+    pub faults: Vec<FaultSpec>,
+    /// Locus annotations, when the campaign ties faults to WAN links.
+    pub loci: Option<Vec<Locus>>,
+    /// WAN links in the topology the loci refer into.
+    pub link_count: Option<usize>,
+}
+
+impl CampaignArtifact {
+    /// A campaign of `faults` over the components of `fine`, without
+    /// locus annotations.
+    #[must_use]
+    pub fn new(fine: &FineDepGraph, faults: Vec<FaultSpec>) -> Self {
+        let components = fine
+            .graph
+            .nodes()
+            .map(|(_, c)| Owner { name: c.name.clone(), team: c.team.clone() })
+            .collect();
+        CampaignArtifact {
+            kind: "fault-campaign".to_string(),
+            components,
+            faults,
+            loci: None,
+            link_count: None,
+        }
+    }
+
+    /// Decode a parsed `fault-campaign` artifact and refuse it unless it
+    /// satisfies every campaign invariant.
+    ///
+    /// # Errors
+    /// The violations of an artifact of another kind, one that does not
+    /// decode, or one that breaks any of [`CampaignArtifact::violations`].
+    pub fn load(v: &Value) -> Result<Self, Vec<Violation>> {
+        if v.get("kind") != Some(&Value::Str("fault-campaign".to_string())) {
+            return Err(vec![Violation::new(
+                "artifact/unknown-kind",
+                path!["kind"],
+                "not a fault-campaign artifact",
+                "",
+            )]);
+        }
+        let campaign = CampaignArtifact::from_value(v)
+            .map_err(|e| vec![Violation::unreadable("a fault campaign", &e)])?;
+        let violations = CampaignArtifact::violations(&campaign);
+        if violations.is_empty() {
+            Ok(campaign)
+        } else {
+            Err(violations)
+        }
+    }
+
+    /// Component names are unique; fault ids are unique, severities lie
+    /// in `(0, 1]`, and each fault targets a declared component and
+    /// blames its owner; the faults cover [`FaultKind::ALL`]; and every
+    /// locus annotates a campaign fault and names a link inside the
+    /// declared population.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for (i, c) in self.components.iter().enumerate() {
+            if self.components.iter().take(i).any(|p| p.name == c.name) {
+                out.push(Violation::new(
+                    "artifact/duplicate-id",
+                    path!["components", i, "name"],
+                    format!("duplicate component name `{}`", c.name),
+                    "",
+                ));
+            }
+        }
+        for (i, f) in self.faults.iter().enumerate() {
+            if self.faults.iter().take(i).any(|p| p.id == f.id) {
+                out.push(Violation::new(
+                    "artifact/duplicate-id",
+                    path!["faults", i, "id"],
+                    format!("duplicate fault id {}", f.id),
+                    "fault ids key ground-truth labels and must be campaign-unique",
+                ));
+            }
+            if !(f.severity.is_finite() && f.severity > 0.0 && f.severity <= 1.0) {
+                out.push(Violation::new(
+                    "artifact/invalid-severity",
+                    path!["faults", i, "severity"],
+                    format!("fault {} severity {} is outside (0, 1]", f.id, f.severity),
+                    "",
+                ));
+            }
+            match self.components.iter().find(|c| c.name == f.target) {
+                None => out.push(Violation::new(
+                    "artifact/unknown-target",
+                    path!["faults", i, "target"],
+                    format!("fault {} targets `{}`, not a declared component", f.id, f.target),
+                    "",
+                )),
+                Some(owner) if owner.team != f.team => out.push(Violation::new(
+                    "artifact/wrong-team",
+                    path!["faults", i, "team"],
+                    format!(
+                        "fault {} blames team `{}`, but `{}` is owned by `{}`",
+                        f.id, f.team, f.target, owner.team
+                    ),
+                    "the ground-truth team must be the owner of the target component",
+                )),
+                Some(_) => {}
+            }
+        }
+        let missing: Vec<String> = FaultKind::ALL
+            .iter()
+            .filter(|&&k| !self.faults.iter().any(|f| f.kind == k))
+            .map(|k| format!("{k:?}"))
+            .collect();
+        if !missing.is_empty() && !self.faults.is_empty() {
+            out.push(Violation::new(
+                "artifact/taxonomy-gap",
+                path!["faults"],
+                format!("campaign exercises no fault of kind(s): {}", missing.join(", ")),
+                "a campaign must cover the full fault taxonomy (FaultKind::ALL)",
+            ));
+        }
+        for (i, locus) in self.loci.iter().flatten().enumerate() {
+            if !self.faults.iter().any(|f| f.id == locus.fault) {
+                out.push(Violation::new(
+                    "artifact/unknown-fault-ref",
+                    path!["loci", i, "fault"],
+                    format!(
+                        "locus {i} annotates fault {}, not a fault of this campaign",
+                        locus.fault
+                    ),
+                    "locus annotations bind campaign faults to WAN links",
+                ));
+            }
+            if let Some(n) = self.link_count.filter(|&n| locus.link.index() >= n) {
+                out.push(Violation::new(
+                    "artifact/dangling-link-ref",
+                    path!["loci", i, "link"],
+                    format!(
+                        "locus {i} names link {}, but the campaign declares {n} link(s)",
+                        locus.link.0
+                    ),
+                    "",
+                ));
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -117,7 +117,8 @@ mod tests {
     #[test]
     fn binding_is_valid_and_spans_all_three_layers() {
         let (d, ds) = bound();
-        ds.stack().validate().expect("no dangling cross-layer refs");
+        let violations = ds.stack().shape().violations();
+        assert!(violations.is_empty(), "no dangling cross-layer refs: {violations:?}");
         assert_eq!(
             ds.stack().l3_l7().upper_len(),
             ds.stack().wan().graph.edge_count(),

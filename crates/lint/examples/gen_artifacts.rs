@@ -5,30 +5,29 @@
 //! cargo run -p smn-lint --example gen_artifacts
 //! ```
 //!
-//! Emits eight envelopes — the Reddit CDG, the small planetary topology
-//! with its optical underlay and SRLGs, the 560-fault campaign, the
-//! by-region coarsening, the unified L1→L3→L7 layer stack, the heal
-//! engine's remediation plan for the campaign head, the coverage-guided
-//! generated campaign with its topology-locus annotations, and the
-//! coverage report of its clean replay — into `<workspace>/artifacts/`.
+//! Each artifact is its owner type, serialized. Emits eight — the Reddit
+//! CDG, the small planetary topology with its optical underlay and SRLGs,
+//! the 560-fault campaign, the by-region coarsening, the unified
+//! L1→L3→L7 layer stack, the heal engine's remediation plan for the
+//! campaign head, the coverage-guided generated campaign with its
+//! topology-locus annotations, and the coverage report of its clean
+//! replay — into `<workspace>/artifacts/`.
 
-use serde::{Serialize, Value};
+use serde::Serialize;
+use smn_depgraph::coarse::CdgArtifact;
+use smn_heal::{PlannedAction, RemediationPlan};
+use smn_incident::faults::CampaignArtifact;
+use smn_te::srlg::TopologyArtifact;
 
-fn envelope(kind: &str, fields: Vec<(&str, Value)>) -> Value {
-    let mut map: Vec<(String, Value)> = vec![("kind".to_string(), Value::Str(kind.to_string()))];
-    map.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Value::Map(map)
-}
-
-fn write(root: &std::path::Path, name: &str, v: &Value) -> Result<(), String> {
+fn write(root: &std::path::Path, name: &str, artifact: &impl Serialize) -> Result<(), String> {
     let path = root.join("artifacts").join(name);
-    let text = serde_json::to_string_pretty(v).map_err(|e| format!("serialize {name}: {e:?}"))?;
+    let text =
+        serde_json::to_string_pretty(artifact).map_err(|e| format!("serialize {name}: {e:?}"))?;
     std::fs::write(&path, text + "\n").map_err(|e| format!("write {}: {e}", path.display()))?;
     println!("wrote {}", path.display());
     Ok(())
 }
 
-#[allow(clippy::too_many_lines)] // linear generator script: one step per artifact
 fn main() -> Result<(), String> {
     let cwd = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
     let root = smn_lint::find_workspace_root(&cwd)
@@ -38,157 +37,67 @@ fn main() -> Result<(), String> {
 
     // 1. The Reddit CDG: fine dependency graph plus its coarse derivation.
     let d = smn_incident::RedditDeployment::build();
-    write(
-        &root,
-        "reddit_cdg.json",
-        &envelope("cdg", vec![("fine", d.fine.to_value()), ("coarse", d.cdg.to_value())]),
-    )?;
+    let cdg =
+        CdgArtifact { kind: "cdg".to_string(), fine: d.fine.clone(), coarse: Some(d.cdg.clone()) };
+    write(&root, "reddit_cdg.json", &cdg)?;
 
     // 2. The small planetary WAN with optical underlay and derived SRLGs.
     let p = smn_topology::gen::generate_planetary(&smn_topology::gen::PlanetaryConfig::small(7));
-    let srlgs = smn_te::srlg::extract_srlgs(&p.optical);
-    write(
-        &root,
-        "planetary_small_topology.json",
-        &envelope(
-            "topology",
-            vec![
-                ("wan", p.wan.to_value()),
-                ("optical", p.optical.to_value()),
-                ("srlgs", srlgs.to_value()),
-            ],
-        ),
-    )?;
+    let topology = TopologyArtifact {
+        kind: "topology".to_string(),
+        wan: p.wan.clone(),
+        optical: Some(p.optical.clone()),
+        srlgs: Some(smn_te::srlg::extract_srlgs(&p.optical)),
+    };
+    write(&root, "planetary_small_topology.json", &topology)?;
 
     // 3. The 560-fault campaign over the Reddit deployment, with the
-    //    component ownership table the checker validates targets against.
+    //    component ownership table its targets are checked against.
     let campaign = smn_incident::faults::generate_campaign(
         &d,
         &smn_incident::faults::CampaignConfig::default(),
     );
-    let components: Vec<Value> = d
-        .fine
-        .graph
-        .nodes()
-        .map(|(_, c)| {
-            Value::Map(vec![
-                ("name".to_string(), Value::Str(c.name.clone())),
-                ("team".to_string(), Value::Str(c.team.clone())),
-            ])
-        })
-        .collect();
-    write(
-        &root,
-        "campaign_560.json",
-        &envelope(
-            "fault-campaign",
-            vec![("components", Value::Seq(components)), ("faults", campaign.to_value())],
-        ),
-    )?;
+    write(&root, "campaign_560.json", &CampaignArtifact::new(&d.fine, campaign.clone()))?;
 
     // 4. The by-region coarsening of the planetary WAN as a partition.
     let contraction = p.wan.contract_by_region();
-    let node_map: Vec<Value> =
-        contraction.node_map.iter().map(|n| Value::U64(n.index() as u64)).collect();
-    let members: Vec<Value> = contraction
-        .members
-        .iter()
-        .map(|ms| Value::Seq(ms.iter().map(|n| Value::U64(n.index() as u64)).collect()))
-        .collect();
-    write(
-        &root,
-        "region_coarsening.json",
-        &envelope(
-            "coarsening",
-            vec![
-                ("fine_nodes", Value::U64(p.wan.dc_count() as u64)),
-                ("node_map", Value::Seq(node_map)),
-                ("members", Value::Seq(members)),
-            ],
-        ),
-    )?;
+    write(&root, "region_coarsening.json", &contraction.partition())?;
 
     // 5. The unified layer stack bound over the same planetary network and
-    //    Reddit deployment: layer order plus both cross-layer maps, the
-    //    exact shape the stack artifact rules gate.
+    //    Reddit deployment: layer order plus both cross-layer maps.
     let ds = smn_incident::DeploymentStack::bind(&d, p.optical, p.wan);
     let stack = ds.stack();
-    let map_rows = |rows: Vec<Vec<u64>>| {
-        Value::Seq(
-            rows.into_iter().map(|r| Value::Seq(r.into_iter().map(Value::U64).collect())).collect(),
-        )
-    };
-    let l1_l3: Vec<Vec<u64>> = stack
-        .l1_l3()
-        .entries()
-        .map(|(_, links)| links.iter().map(|l| l.index() as u64).collect())
-        .collect();
-    let l3_l7: Vec<Vec<u64>> = stack
-        .l3_l7()
-        .entries()
-        .map(|(_, comps)| comps.iter().map(|c| u64::from(c.0)).collect())
-        .collect();
-    let count = |id: smn_topology::LayerId| Value::U64(stack.layer(id).element_count() as u64);
-    let layers = Value::Seq(
-        smn_topology::LayerId::ALL.iter().map(|l| Value::Str(l.name().to_string())).collect(),
-    );
-    write(
-        &root,
-        "planetary_stack.json",
-        &envelope(
-            "stack",
-            vec![
-                ("layers", layers),
-                ("wavelength_count", count(smn_topology::LayerId::L1)),
-                ("link_count", count(smn_topology::LayerId::L3)),
-                ("component_count", count(smn_topology::LayerId::L7)),
-                ("l1_l3", map_rows(l1_l3)),
-                ("l3_l7", map_rows(l3_l7)),
-            ],
-        ),
-    )?;
+    let shape = stack.shape();
+    write(&root, "planetary_stack.json", &shape)?;
 
     // 6. A remediation plan: what the heal engine would do for the head of
-    //    the campaign, given perfect routing — real planner output in the
-    //    envelope the remediation-plan artifact rules gate. Reuses the
-    //    by-region contraction from step 4 (same WAN).
+    //    the campaign, given perfect routing. Reuses the by-region
+    //    contraction from step 4 (same WAN).
     let sim = smn_incident::sim::SimConfig::default();
     let world = smn_heal::HealWorld { deployment: &d, stack, contraction: &contraction, sim: &sim };
     let cfg = smn_heal::HealConfig::default();
     let state = smn_heal::NetworkState::default();
-    let actions: Vec<Value> = campaign
+    let actions = campaign
         .iter()
         .take(16)
         .map(|fault| {
             let obs = smn_incident::sim::observe(&d, fault, &sim);
             let diag = smn_heal::Diagnosis::from_observation(&d, &obs, &fault.team, 0.9);
             let action = smn_heal::plan_action(&world, &diag, &state, &cfg);
-            Value::Map(vec![
-                ("incident_id".to_string(), Value::U64(fault.id)),
-                ("layer".to_string(), Value::Str(action.layer().name().to_string())),
-                ("action".to_string(), action.to_value()),
-            ])
+            PlannedAction { incident_id: fault.id, layer: action.layer(), action }
         })
         .collect();
-    let component_names: Vec<Value> =
-        d.fine.graph.nodes().map(|(_, c)| Value::Str(c.name.clone())).collect();
-    write(
-        &root,
-        "remediation_plan.json",
-        &envelope(
-            "remediation-plan",
-            vec![
-                ("components", Value::Seq(component_names)),
-                ("link_count", count(smn_topology::LayerId::L3)),
-                ("wavelength_count", count(smn_topology::LayerId::L1)),
-                ("actions", Value::Seq(actions)),
-            ],
-        ),
-    )?;
+    let plan = RemediationPlan {
+        kind: "remediation-plan".to_string(),
+        components: d.fine.graph.nodes().map(|(_, c)| c.name.clone()).collect(),
+        link_count: shape.link_count,
+        wavelength_count: shape.wavelength_count,
+        actions,
+    };
+    write(&root, "remediation_plan.json", &plan)?;
 
     // 7. The coverage-guided generated campaign: one fault per reachable
-    //    lattice cell, with the locus annotations the extended campaign
-    //    rules validate.
+    //    lattice cell, with its topology-locus annotations.
     let lattice = smn_coverage::FaultLattice::build(&d, &ds);
     let generated = smn_coverage::generate_covering_campaign(
         &d,

@@ -7,42 +7,7 @@
 //! it; on any malformed input it returns `None` and the diagnostic falls
 //! back to a file-level span.
 
-use std::fmt;
-
-/// One step of a JSON path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step {
-    /// Object member by key.
-    Key(String),
-    /// Array element by index.
-    Idx(usize),
-}
-
-impl Step {
-    /// Key step from anything stringly.
-    pub fn key(k: impl Into<String>) -> Self {
-        Step::Key(k.into())
-    }
-}
-
-impl fmt::Display for Step {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Step::Key(k) => write!(f, ".{k}"),
-            Step::Idx(i) => write!(f, "[{i}]"),
-        }
-    }
-}
-
-/// Render a path as `root.graph.edges[3].dst` for messages.
-#[must_use]
-pub fn render_path(path: &[Step]) -> String {
-    let mut out = String::from("$");
-    for s in path {
-        out.push_str(&s.to_string());
-    }
-    out
-}
+pub use smn_topology::artifact::{render_path, Step};
 
 /// `(line, col)` (1-based) where the value addressed by `path` starts in
 /// `src`, or `None` when the path does not resolve.
@@ -240,30 +205,30 @@ mod tests {
 
     #[test]
     fn locates_nested_members() {
-        let p = vec![Step::key("graph"), Step::key("edges"), Step::Idx(0), Step::key("dst")];
+        let p = vec![Step::from("graph"), Step::from("edges"), Step::Idx(0), Step::from("dst")];
         assert_eq!(locate(DOC, &p), Some((6, 25)));
-        assert_eq!(locate(DOC, &[Step::key("kind")]), Some((2, 11)));
+        assert_eq!(locate(DOC, &[Step::from("kind")]), Some((2, 11)));
         assert_eq!(
-            locate(DOC, &[Step::key("graph"), Step::key("nodes"), Step::Idx(2)]),
+            locate(DOC, &[Step::from("graph"), Step::from("nodes"), Step::Idx(2)]),
             Some((4, 21))
         );
     }
 
     #[test]
     fn missing_path_is_none() {
-        assert!(locate(DOC, &[Step::key("nope")]).is_none());
-        assert!(locate(DOC, &[Step::key("graph"), Step::key("nodes"), Step::Idx(9)]).is_none());
+        assert!(locate(DOC, &[Step::from("nope")]).is_none());
+        assert!(locate(DOC, &[Step::from("graph"), Step::from("nodes"), Step::Idx(9)]).is_none());
     }
 
     #[test]
     fn strings_with_escapes_and_brackets_do_not_confuse_the_walker() {
         let doc = r#"{"a": "}] \" tricky", "b": [10, {"c": "[,"}, 30]}"#;
-        assert_eq!(locate(doc, &[Step::key("b"), Step::Idx(2)]), Some((1, 46)));
+        assert_eq!(locate(doc, &[Step::from("b"), Step::Idx(2)]), Some((1, 46)));
     }
 
     #[test]
     fn renders_paths() {
-        let p = vec![Step::key("faults"), Step::Idx(3), Step::key("team")];
+        let p = vec![Step::from("faults"), Step::Idx(3), Step::from("team")];
         assert_eq!(render_path(&p), "$.faults[3].team");
     }
 }

@@ -1,120 +1,53 @@
 //! The artifact engine: static validation of serialized SMN artifacts.
 //!
-//! Artifacts are JSON envelopes dispatched on a top-level `"kind"`:
+//! Artifacts are JSON envelopes dispatched on a top-level `"kind"`. Each
+//! kind decodes into the one workspace type that owns it, and that type
+//! states the kind's invariants once, as `violations()`:
 //!
-//! - `"cdg"` — `{kind, fine: FineDepGraph, coarse?: CoarseDepGraph}`.
-//!   Referential integrity of both graphs, name-index consistency,
-//!   L1→L3→L7 layer-order on hosting edges, team-ownership consistency
-//!   between the fine components and their coarse supernodes.
-//! - `"topology"` — `{kind, wan: Wan, optical?: OpticalLayer, srlgs?: [Srlg]}`.
-//!   Graph integrity, link-attribute sanity, wavelength span references,
-//!   SRLG membership pointing at real links that really ride the span.
-//! - `"fault-campaign"` — `{kind, components: [{name, team}], faults: [FaultSpec]}`.
-//!   Target/team consistency, severity ranges, unique ids, and taxonomy
-//!   coverage of every [`FaultKind::ALL`] member.
-//! - `"coarsening"` — `{kind, fine_nodes, node_map, members}`.
-//!   The partition must be total, disjoint, in-range, with no empty
-//!   supernode and a node_map that agrees with the member lists.
-//! - `"stack"` — `{kind, layers, wavelength_count, link_count,
-//!   component_count, l1_l3, l3_l7}`: a serialized unified layer stack.
-//!   Layers must appear in strict L1 → L3 → L7 order, each cross-layer
-//!   map must have one row per upper-layer element, and no row may
-//!   reference an element beyond the declared lower-layer population
-//!   (no dangling cross-layer refs).
-//! - `"remediation-plan"` — `{kind, components: [name], link_count,
-//!   wavelength_count, actions: [{incident_id, layer, action:
-//!   RemediationAction}]}`: a serialized smn-heal remediation plan.
-//!   Every action must target a declared component / in-range link or
-//!   wavelength, carry the layer its action kind actually operates on,
-//!   and use a plan-unique incident id.
-//! - `"coverage-report"` — `{kind, campaign, campaign_seed, n_faults,
-//!   total_cells, reachable, covered, unreachable, ratio, cells:
-//!   [{kind, layer, locus, rung, count, status}]}`: an smn-coverage
-//!   fault-lattice report. Every cell must name a real fault kind,
-//!   layer, locus bucket, and degradation rung, appear at most once,
-//!   and carry a hit count consistent with its status; the summary
-//!   tallies must agree with the rows they summarize.
-//! - `"bench-report"` — `{kind, schema, bench, seed, scale, revision,
-//!   metrics, attrs, phases}`: a unified perf-trajectory snapshot
-//!   (`smn_perf::BenchReport`). The schema version must be the one the
-//!   workspace emits, the topology scale must be a known sweep point,
-//!   metric names / attr names / phase paths must be unique, metric
-//!   values finite, and every wall-time aggregate a non-negative finite
-//!   millisecond count (NaN arrives as the string `"nan"` on the wire).
-//! - `"delta-journal"` — `{kind, schema, scale, seed, node_count,
-//!   components, reconcile_every, ticks}`: the audited record of an
-//!   incremental streaming session (`smn_core::stream::DeltaJournal`).
-//!   Tick indices must be strictly increasing, every pair reference must
-//!   stay below the declared node count, every dependency endpoint must
-//!   name a component known by its tick (initial set plus prior or
-//!   same-tick additions), and every reconciled tick must carry its
-//!   16-hex-digit reconciliation hash.
-//! - `"callgraph"` — `{kind, schema, functions, edges, unresolved,
-//!   counts}`: the canonical call-graph artifact `smn-lint --deep`
-//!   emits. Functions must be strictly sorted by id (sortedness is the
-//!   byte-stability contract), edges by `(caller, callee, line)` and
-//!   unresolved sites by `(caller, line, name)`; every node index in an
-//!   edge or candidate list must fall inside the function population;
-//!   the `counts` block must agree with the arrays it summarizes.
+//! | kind | owner |
+//! |---|---|
+//! | `cdg` | [`CdgArtifact`] (smn-depgraph) |
+//! | `topology` | [`TopologyArtifact`] (smn-te) |
+//! | `fault-campaign` | [`CampaignArtifact`] (smn-incident) |
+//! | `coarsening` | [`Partition`] (smn-topology) |
+//! | `stack` | [`StackShape`] (smn-topology) |
+//! | `remediation-plan` | [`RemediationPlan`] (smn-heal) |
+//! | `coverage-report` | [`CoverageReport`] (smn-coverage) |
+//! | `bench-report` | [`BenchReport`] (smn-perf) |
+//! | `delta-journal` | [`DeltaJournal`] (smn-core) |
+//! | `callgraph` | `CallGraphArtifact` (this crate) |
 //!
-//! Every check first gates through the *real* workspace serde types
-//! ([`FineDepGraph`], [`Wan`], [`Srlg`], [`FaultSpec`], …) so the checker
-//! can never drift from the wire format the code actually produces; the
-//! structural walks then run on the raw [`Value`] tree, where private
-//! fields like `name_index` are still visible. Spans come from re-walking
-//! the source text with [`locate`], since the vendored JSON parser keeps
+//! Runtime loaders call the same `violations()`, so an artifact the lint
+//! passes is one the system accepts. The engine itself only parses,
+//! dispatches, decodes, and maps each violation's JSON path back to a
+//! `line:col` span with [`locate()`], since the vendored JSON parser keeps
 //! no spans.
 
-pub mod graph;
 pub mod locate;
 
 use std::path::Path;
 
-use serde::{Deserialize, Serialize, Value};
-use smn_depgraph::coarse::CoarseDepGraph;
-use smn_depgraph::fine::FineDepGraph;
-use smn_heal::RemediationAction;
-use smn_incident::faults::{FaultKind, FaultSpec};
-use smn_te::srlg::Srlg;
-use smn_topology::layer1::OpticalLayer;
-use smn_topology::layer3::Wan;
-use smn_topology::stack::LayerId;
+use serde::{Deserialize, Value};
+use smn_core::stream::DeltaJournal;
+use smn_coverage::CoverageReport;
+use smn_depgraph::coarse::CdgArtifact;
+use smn_heal::RemediationPlan;
+use smn_incident::faults::CampaignArtifact;
+use smn_perf::BenchReport;
+use smn_te::srlg::TopologyArtifact;
+use smn_topology::artifact::Violation;
+use smn_topology::graph::Partition;
+use smn_topology::path;
+use smn_topology::stack::StackShape;
 
 use crate::diag::{Diagnostic, Level};
-use graph::GraphView;
-use locate::{locate, render_path, Step};
+use crate::graph::CallGraphArtifact;
+use locate::{locate, render_path};
 
-/// Shared emit context for one artifact file.
-pub struct Checker<'a> {
-    file: &'a str,
-    src: &'a str,
-    /// Findings accumulated so far.
-    pub findings: Vec<Diagnostic>,
-}
-
-impl<'a> Checker<'a> {
-    /// Concatenate a base path with a tail.
-    #[must_use]
-    pub fn path(&self, base: &[Step], tail: &[Step]) -> Vec<Step> {
-        base.iter().chain(tail.iter()).cloned().collect()
-    }
-
-    /// Emit a deny finding at the location of `path` in the source text
-    /// (file-level span when the path cannot be located).
-    pub fn emit(&mut self, rule: &str, path: Vec<Step>, message: impl Into<String>, note: &str) {
-        let (line, col) = locate(self.src, &path).unwrap_or((0, 0));
-        let message = if path.is_empty() {
-            message.into()
-        } else {
-            format!("{} [{}]", message.into(), render_path(&path))
-        };
-        let mut d = Diagnostic::new(rule, Level::Deny, self.file, line, col, message);
-        if !note.is_empty() {
-            d = d.with_note(note);
-        }
-        self.findings.push(d);
-    }
-}
+/// The note on an unknown kind: every kind the engine dispatches on.
+const KINDS_NOTE: &str = "expected one of: cdg, topology, fault-campaign, coarsening, \
+                          stack, remediation-plan, coverage-report, callgraph, bench-report, \
+                          delta-journal";
 
 /// Check every `*.json` under `dir` (recursively, in sorted order),
 /// reporting paths relative to `root`. Returns the findings and the number
@@ -189,1578 +122,58 @@ fn collect_json(
 /// Check one artifact given its workspace-relative name and source text.
 #[must_use]
 pub fn check_str(file: &str, src: &str) -> Vec<Diagnostic> {
-    let mut ck = Checker { file, src, findings: Vec::new() };
-    match serde_json::from_str::<Value>(src) {
+    let found = match serde_json::from_str::<Value>(src) {
+        Ok(v) => violations(&v),
         Err(e) => {
-            ck.emit("artifact/unreadable", vec![], format!("invalid JSON: {e}"), "");
-        }
-        Ok(v) => match v.get("kind") {
-            Some(Value::Str(kind)) => match kind.as_str() {
-                "cdg" => check_cdg(&mut ck, &v),
-                "topology" => check_topology(&mut ck, &v),
-                "fault-campaign" => check_campaign(&mut ck, &v),
-                "coarsening" => check_coarsening(&mut ck, &v),
-                "stack" => check_stack(&mut ck, &v),
-                "remediation-plan" => check_remediation_plan(&mut ck, &v),
-                "coverage-report" => check_coverage_report(&mut ck, &v),
-                "callgraph" => check_callgraph(&mut ck, &v),
-                "bench-report" => check_bench_report(&mut ck, &v),
-                "delta-journal" => check_delta_journal(&mut ck, &v),
-                other => ck.emit(
-                    "artifact/unknown-kind",
-                    vec![Step::key("kind")],
-                    format!("unknown artifact kind `{other}`"),
-                    "expected one of: cdg, topology, fault-campaign, coarsening, \
-                     stack, remediation-plan, coverage-report, callgraph, bench-report, \
-                     delta-journal",
-                ),
-            },
-            _ => ck.emit(
-                "artifact/unknown-kind",
-                vec![],
-                "artifact envelope lacks a string `kind` field",
-                "expected one of: cdg, topology, fault-campaign, coarsening, \
-                 stack, remediation-plan, coverage-report, callgraph, bench-report, \
-                 delta-journal",
-            ),
-        },
-    }
-    ck.findings
-}
-
-/// Present-and-non-null accessor for optional envelope members.
-fn optional<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
-    match v.get(key) {
-        None | Some(Value::Null) => None,
-        Some(x) => Some(x),
-    }
-}
-
-fn f64_of(v: Option<&Value>) -> Option<f64> {
-    match v? {
-        Value::F64(x) => Some(*x),
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        // The vendored serde encodes non-finite floats as strings.
-        Value::Str(s) => match s.as_str() {
-            "inf" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            "nan" => Some(f64::NAN),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Integer accessor: declared counts and ids serialize as JSON integers.
-fn u64_of(v: Option<&Value>) -> Option<u64> {
-    match v? {
-        Value::U64(n) => Some(*n),
-        Value::I64(n) => u64::try_from(*n).ok(),
-        _ => None,
-    }
-}
-
-fn str_of(v: Option<&Value>) -> Option<&str> {
-    match v? {
-        Value::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn u64_seq(v: Option<&Value>) -> Vec<u64> {
-    match v {
-        Some(Value::Seq(items)) => items
-            .iter()
-            .filter_map(|x| match x {
-                Value::U64(n) => Some(*n),
-                Value::I64(n) if *n >= 0 => Some(*n as u64),
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-// ---------------------------------------------------------------- cdg ----
-
-/// L1→L7 stack order; hosting must point *down* the stack (a component on
-/// a higher layer is hosted by one on a strictly lower layer). Monitoring
-/// sits above everything it observes.
-fn layer_rank(payload: &Value) -> Option<u32> {
-    match str_of(payload.get("layer"))? {
-        "Physical" => Some(0),
-        "Network" => Some(1),
-        "Infrastructure" => Some(2),
-        "Platform" => Some(3),
-        "Application" => Some(4),
-        "Monitoring" => Some(5),
-        _ => None,
-    }
-}
-
-fn check_cdg(ck: &mut Checker<'_>, v: &Value) {
-    let Some(fine_v) = optional(v, "fine") else {
-        ck.emit("artifact/unreadable", vec![], "cdg artifact lacks `fine`", "");
-        return;
-    };
-    if let Err(e) = FineDepGraph::from_value(fine_v) {
-        ck.emit(
-            "artifact/unreadable",
-            vec![Step::key("fine")],
-            format!("does not deserialize as a FineDepGraph: {e}"),
-            "",
-        );
-        return;
-    }
-    let base = [Step::key("fine"), Step::key("graph")];
-    let Some(graph_v) = fine_v.get("graph") else { return };
-    let Some(fine) = GraphView::decode(ck, &base, graph_v) else { return };
-    fine.check_integrity(ck, &base);
-    fine.check_name_index(ck, &base, &[Step::key("fine")], fine_v.get("name_index"));
-
-    // Layer-order: every Hosting edge `src depends-on dst` must have the
-    // host (dst) on a strictly lower layer than the hosted component.
-    for (i, &(src, dst, payload)) in fine.edges.iter().enumerate() {
-        if str_of(Some(payload)) != Some("Hosting") {
-            continue;
-        }
-        let ranks = (
-            fine.payloads.get(src as usize).and_then(|p| layer_rank(p)),
-            fine.payloads.get(dst as usize).and_then(|p| layer_rank(p)),
-        );
-        if let (Some(rs), Some(rd)) = ranks {
-            if rs <= rd {
-                let sn = fine.node_name(src as usize).unwrap_or("?");
-                let dn = fine.node_name(dst as usize).unwrap_or("?");
-                ck.emit(
-                    "artifact/layer-order",
-                    ck.path(&base, &[Step::key("edges"), Step::Idx(i)]),
-                    format!(
-                        "hosting edge `{sn}` -> `{dn}` does not descend the stack \
-                         (host must sit on a strictly lower layer)"
-                    ),
-                    "L1->L3->L7 consistency: Physical < Network < Infrastructure \
-                     < Platform < Application < Monitoring",
-                );
-            }
-        }
-    }
-
-    // Every component must carry a team (the L7 coarsening key).
-    let mut fine_team_sizes: Vec<(String, usize)> = Vec::new();
-    for (i, payload) in fine.payloads.iter().enumerate() {
-        let team = str_of(payload.get("team")).unwrap_or("");
-        if team.is_empty() {
-            let name = fine.node_name(i).unwrap_or("?");
-            ck.emit(
-                "artifact/missing-team",
-                ck.path(&base, &[Step::key("nodes"), Step::Idx(i), Step::key("payload")]),
-                format!("component `{name}` has no owning team"),
-                "teams are the coarsening partition; an unowned component cannot be coarsened",
-            );
-            continue;
-        }
-        match fine_team_sizes.iter_mut().find(|(t, _)| t == team) {
-            Some((_, n)) => *n += 1,
-            None => fine_team_sizes.push((team.to_string(), 1)),
-        }
-    }
-
-    let Some(coarse_v) = optional(v, "coarse") else { return };
-    if let Err(e) = CoarseDepGraph::from_value(coarse_v) {
-        ck.emit(
-            "artifact/unreadable",
-            vec![Step::key("coarse")],
-            format!("does not deserialize as a CoarseDepGraph: {e}"),
-            "",
-        );
-        return;
-    }
-    let cbase = [Step::key("coarse"), Step::key("graph")];
-    let Some(cgraph_v) = coarse_v.get("graph") else { return };
-    let Some(coarse) = GraphView::decode(ck, &cbase, cgraph_v) else { return };
-    coarse.check_integrity(ck, &cbase);
-    coarse.check_name_index(ck, &cbase, &[Step::key("coarse")], coarse_v.get("name_index"));
-
-    // L7 mapping consistency: every fine team appears as a coarse node and
-    // a recorded component_count matches the fine population.
-    for (team, fine_count) in &fine_team_sizes {
-        let Some(ci) = (0..coarse.payloads.len()).find(|&i| coarse.node_name(i) == Some(team))
-        else {
-            ck.emit(
-                "artifact/missing-team",
-                vec![Step::key("coarse")],
-                format!("team `{team}` owns {fine_count} fine component(s) but has no coarse node"),
-                "the coarse graph must cover every team in the fine graph",
-            );
-            continue;
-        };
-        let recorded = f64_of(coarse.payloads[ci].get("component_count"));
-        if let Some(rec) = recorded {
-            if rec > 0.0 && rec != *fine_count as f64 {
-                ck.emit(
-                    "artifact/team-count",
-                    ck.path(
-                        &cbase,
-                        &[
-                            Step::key("nodes"),
-                            Step::Idx(ci),
-                            Step::key("payload"),
-                            Step::key("component_count"),
-                        ],
-                    ),
-                    format!(
-                        "coarse node `{team}` records {rec} component(s), \
-                         but the fine graph has {fine_count}"
-                    ),
-                    "",
-                );
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------- topology ----
-
-fn check_topology(ck: &mut Checker<'_>, v: &Value) {
-    let Some(wan_v) = optional(v, "wan") else {
-        ck.emit("artifact/unreadable", vec![], "topology artifact lacks `wan`", "");
-        return;
-    };
-    if let Err(e) = Wan::from_value(wan_v) {
-        ck.emit(
-            "artifact/unreadable",
-            vec![Step::key("wan")],
-            format!("does not deserialize as a Wan: {e}"),
-            "",
-        );
-        return;
-    }
-    let base = [Step::key("wan"), Step::key("graph")];
-    let Some(graph_v) = wan_v.get("graph") else { return };
-    let Some(wan) = GraphView::decode(ck, &base, graph_v) else { return };
-    wan.check_integrity(ck, &base);
-    wan.check_name_index(ck, &base, &[Step::key("wan")], wan_v.get("name_index"));
-
-    for (i, &(_, _, attrs)) in wan.edges.iter().enumerate() {
-        let capacity = f64_of(attrs.get("capacity_gbps"));
-        if !capacity.is_some_and(|c| c.is_finite() && c > 0.0) {
-            ck.emit(
-                "artifact/invalid-attr",
-                ck.path(
-                    &base,
-                    &[
-                        Step::key("edges"),
-                        Step::Idx(i),
-                        Step::key("payload"),
-                        Step::key("capacity_gbps"),
-                    ],
-                ),
-                format!("link {i} capacity must be finite and positive, got {capacity:?}"),
-                "",
-            );
-        }
-        let distance = f64_of(attrs.get("distance_km"));
-        if !distance.is_some_and(|d| d.is_finite() && d >= 0.0) {
-            ck.emit(
-                "artifact/invalid-attr",
-                ck.path(
-                    &base,
-                    &[
-                        Step::key("edges"),
-                        Step::Idx(i),
-                        Step::key("payload"),
-                        Step::key("distance_km"),
-                    ],
-                ),
-                format!("link {i} distance must be finite and non-negative, got {distance:?}"),
-                "",
-            );
-        }
-    }
-    let link_count = wan.edges.len() as u64;
-
-    // Optical layer: wavelengths reference real spans; the carries table
-    // maps each wavelength to real L3 links.
-    let optical_v = optional(v, "optical");
-    let mut span_count = None;
-    let mut wavelength_spans: Vec<Vec<u64>> = Vec::new();
-    let mut carries: Vec<Vec<u64>> = Vec::new();
-    if let Some(optical_v) = optical_v {
-        if let Err(e) = OpticalLayer::from_value(optical_v) {
-            ck.emit(
-                "artifact/unreadable",
-                vec![Step::key("optical")],
-                format!("does not deserialize as an OpticalLayer: {e}"),
-                "",
-            );
-            return;
-        }
-        let spans = match optical_v.get("spans") {
-            Some(Value::Seq(s)) => s.len() as u64,
-            _ => 0,
-        };
-        span_count = Some(spans);
-        if let Some(Value::Seq(wls)) = optical_v.get("wavelengths") {
-            for (i, wl) in wls.iter().enumerate() {
-                let refs = u64_seq(wl.get("spans"));
-                for (j, &sid) in refs.iter().enumerate() {
-                    if sid >= spans {
-                        ck.emit(
-                            "artifact/unknown-span",
-                            vec![
-                                Step::key("optical"),
-                                Step::key("wavelengths"),
-                                Step::Idx(i),
-                                Step::key("spans"),
-                                Step::Idx(j),
-                            ],
-                            format!(
-                                "wavelength {i} rides span {sid}, but only {spans} spans exist"
-                            ),
-                            "",
-                        );
-                    }
-                }
-                wavelength_spans.push(refs);
-            }
-        }
-        if let Some(Value::Seq(rows)) = optical_v.get("carries") {
-            for (i, row) in rows.iter().enumerate() {
-                let refs = u64_seq(Some(row));
-                for (j, &lid) in refs.iter().enumerate() {
-                    if lid >= link_count {
-                        ck.emit(
-                            "artifact/dangling-link-ref",
-                            vec![
-                                Step::key("optical"),
-                                Step::key("carries"),
-                                Step::Idx(i),
-                                Step::Idx(j),
-                            ],
-                            format!(
-                                "wavelength {i} carries link {lid}, \
-                                 but the WAN has only {link_count} links"
-                            ),
-                            "",
-                        );
-                    }
-                }
-                carries.push(refs);
-            }
-        }
-    }
-
-    // SRLGs: groups of L3 links sharing one physical span.
-    let Some(srlgs_v) = optional(v, "srlgs") else { return };
-    let Value::Seq(srlgs) = srlgs_v else {
-        ck.emit("artifact/unreadable", vec![Step::key("srlgs")], "`srlgs` is not an array", "");
-        return;
-    };
-    for (i, srlg_v) in srlgs.iter().enumerate() {
-        if let Err(e) = Srlg::from_value(srlg_v) {
-            ck.emit(
-                "artifact/unreadable",
-                vec![Step::key("srlgs"), Step::Idx(i)],
-                format!("does not deserialize as an Srlg: {e}"),
-                "",
-            );
-            continue;
-        }
-        let span = f64_of(srlg_v.get("span")).unwrap_or(-1.0) as i64;
-        if let Some(spans) = span_count {
-            if span < 0 || span as u64 >= spans {
-                ck.emit(
-                    "artifact/unknown-span",
-                    vec![Step::key("srlgs"), Step::Idx(i), Step::key("span")],
-                    format!("SRLG {i} names span {span}, but only {spans} spans exist"),
-                    "",
-                );
-                continue;
-            }
-        }
-        let links = u64_seq(srlg_v.get("links"));
-        if links.len() < 2 {
-            ck.emit(
-                "artifact/srlg-too-small",
-                vec![Step::key("srlgs"), Step::Idx(i), Step::key("links")],
-                format!("SRLG {i} groups {} link(s); a risk group needs at least 2", links.len()),
-                "single-link groups carry no shared-risk information",
-            );
-        }
-        // Which links actually ride this span, per the optical carries map.
-        let riders: Option<Vec<u64>> = span_count.map(|_| {
-            let mut out = Vec::new();
-            for (w, wspans) in wavelength_spans.iter().enumerate() {
-                if wspans.contains(&(span as u64)) {
-                    if let Some(row) = carries.get(w) {
-                        out.extend(row.iter().copied());
-                    }
-                }
-            }
-            out
-        });
-        for (j, &lid) in links.iter().enumerate() {
-            if lid >= link_count {
-                ck.emit(
-                    "artifact/dangling-link-ref",
-                    vec![Step::key("srlgs"), Step::Idx(i), Step::key("links"), Step::Idx(j)],
-                    format!("SRLG {i} lists link {lid}, but the WAN has only {link_count} links"),
-                    "",
-                );
-            } else if let Some(riders) = &riders {
-                if !riders.contains(&lid) {
-                    ck.emit(
-                        "artifact/orphan-srlg",
-                        vec![Step::key("srlgs"), Step::Idx(i), Step::key("links"), Step::Idx(j)],
-                        format!(
-                            "SRLG {i} claims link {lid} rides span {span}, \
-                             but no wavelength over that span carries it"
-                        ),
-                        "SRLG membership must be derivable from the optical carries map",
-                    );
-                }
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------- fault campaign ----
-
-fn kind_name(k: FaultKind) -> String {
-    match k.to_value() {
-        Value::Str(s) => s,
-        other => format!("{other:?}"),
-    }
-}
-
-fn check_campaign(ck: &mut Checker<'_>, v: &Value) {
-    let Some(Value::Seq(components)) = v.get("components") else {
-        ck.emit("artifact/unreadable", vec![], "campaign lacks a `components` array", "");
-        return;
-    };
-    // name -> team, for target/ownership checks.
-    let mut owners: Vec<(&str, &str)> = Vec::new();
-    for (i, c) in components.iter().enumerate() {
-        let (Some(name), Some(team)) = (str_of(c.get("name")), str_of(c.get("team"))) else {
-            ck.emit(
-                "artifact/unreadable",
-                vec![Step::key("components"), Step::Idx(i)],
-                format!("component {i} lacks string `name`/`team`"),
-                "",
-            );
-            continue;
-        };
-        if owners.iter().any(|&(n, _)| n == name) {
-            ck.emit(
-                "artifact/duplicate-id",
-                vec![Step::key("components"), Step::Idx(i), Step::key("name")],
-                format!("duplicate component name `{name}`"),
-                "",
-            );
-        }
-        owners.push((name, team));
-    }
-
-    let Some(Value::Seq(faults)) = v.get("faults") else {
-        ck.emit("artifact/unreadable", vec![], "campaign lacks a `faults` array", "");
-        return;
-    };
-    let mut seen_ids: Vec<u64> = Vec::new();
-    let mut seen_kinds: Vec<FaultKind> = Vec::new();
-    for (i, f_v) in faults.iter().enumerate() {
-        let fault = match FaultSpec::from_value(f_v) {
-            Ok(f) => f,
-            Err(e) => {
-                ck.emit(
-                    "artifact/unreadable",
-                    vec![Step::key("faults"), Step::Idx(i)],
-                    format!("does not deserialize as a FaultSpec: {e}"),
-                    "",
-                );
-                continue;
-            }
-        };
-        if seen_ids.contains(&fault.id) {
-            ck.emit(
-                "artifact/duplicate-id",
-                vec![Step::key("faults"), Step::Idx(i), Step::key("id")],
-                format!("duplicate fault id {}", fault.id),
-                "fault ids key ground-truth labels and must be campaign-unique",
-            );
-        }
-        seen_ids.push(fault.id);
-        if !seen_kinds.contains(&fault.kind) {
-            seen_kinds.push(fault.kind);
-        }
-        if !(fault.severity.is_finite() && fault.severity > 0.0 && fault.severity <= 1.0) {
-            ck.emit(
-                "artifact/invalid-severity",
-                vec![Step::key("faults"), Step::Idx(i), Step::key("severity")],
-                format!("fault {} severity {} is outside (0, 1]", fault.id, fault.severity),
-                "",
-            );
-        }
-        match owners.iter().find(|&&(n, _)| n == fault.target) {
-            None => {
-                ck.emit(
-                    "artifact/unknown-target",
-                    vec![Step::key("faults"), Step::Idx(i), Step::key("target")],
-                    format!(
-                        "fault {} targets `{}`, not a declared component",
-                        fault.id, fault.target
-                    ),
-                    "",
-                );
-            }
-            Some(&(_, team)) if team != fault.team => {
-                ck.emit(
-                    "artifact/wrong-team",
-                    vec![Step::key("faults"), Step::Idx(i), Step::key("team")],
-                    format!(
-                        "fault {} blames team `{}`, but `{}` is owned by `{team}`",
-                        fault.id, fault.team, fault.target
-                    ),
-                    "the ground-truth team must be the owner of the target component",
-                );
-            }
-            Some(_) => {}
-        }
-    }
-
-    let missing: Vec<String> =
-        FaultKind::ALL.iter().filter(|k| !seen_kinds.contains(k)).map(|&k| kind_name(k)).collect();
-    if !missing.is_empty() && !faults.is_empty() {
-        ck.emit(
-            "artifact/taxonomy-gap",
-            vec![Step::key("faults")],
-            format!("campaign exercises no fault of kind(s): {}", missing.join(", ")),
-            "a campaign must cover the full fault taxonomy (FaultKind::ALL)",
-        );
-    }
-
-    // Generator extension: topology-locus annotations (`loci` +
-    // `link_count`) tie faults to the WAN link whose failure produces
-    // them. Every annotation must name a declared fault and a link
-    // inside the declared population.
-    let link_count = u64_of(v.get("link_count"));
-    let Some(Value::Seq(loci)) = optional(v, "loci") else { return };
-    for (i, entry) in loci.iter().enumerate() {
-        match u64_of(entry.get("fault")) {
-            None => ck.emit(
-                "artifact/unreadable",
-                vec![Step::key("loci"), Step::Idx(i)],
-                format!("locus {i} lacks an integer `fault`"),
-                "",
-            ),
-            Some(id) if !seen_ids.contains(&id) => ck.emit(
-                "artifact/unknown-fault-ref",
-                vec![Step::key("loci"), Step::Idx(i), Step::key("fault")],
-                format!("locus {i} annotates fault {id}, not a fault of this campaign"),
-                "locus annotations bind campaign faults to WAN links",
-            ),
-            Some(_) => {}
-        }
-        match (u64_of(entry.get("link")), link_count) {
-            (None, _) => ck.emit(
-                "artifact/unreadable",
-                vec![Step::key("loci"), Step::Idx(i)],
-                format!("locus {i} lacks an integer `link`"),
-                "",
-            ),
-            (Some(link), Some(n)) if link >= n => ck.emit(
-                "artifact/dangling-link-ref",
-                vec![Step::key("loci"), Step::Idx(i), Step::key("link")],
-                format!("locus {i} names link {link}, but the campaign declares {n} link(s)"),
-                "",
-            ),
-            _ => {}
-        }
-    }
-}
-
-// ----------------------------------------------------- coverage report ----
-
-/// Locus-bucket names of the smn-coverage lattice (kept literal: smn-lint
-/// must stay dependency-free of the crate whose artifacts it validates).
-const LOCUS_NAMES: &[&str] =
-    &["none", "srlg-submarine", "srlg-terrestrial", "high-degree", "low-degree"];
-/// Controller degradation rungs, full sight to blind.
-const RUNG_NAMES: &[&str] = &["full", "probes-only", "alerts-only", "skipped"];
-/// Per-cell report statuses.
-const STATUS_NAMES: &[&str] = &["covered", "uncovered", "unexpected"];
-
-/// Validate one `cells[i]` row of a coverage report. Returns
-/// `Some((is_reachable, is_covered))` when the row is structurally sound.
-fn check_coverage_cell(ck: &mut Checker<'_>, i: usize, cell: &Value) -> Option<(bool, bool)> {
-    let base = [Step::key("cells"), Step::Idx(i)];
-    let mut ok = true;
-    if cell.get("kind").is_none_or(|k| FaultKind::from_value(k).is_err()) {
-        ck.emit(
-            "artifact/unknown-cell",
-            ck.path(&base, &[Step::key("kind")]),
-            format!("cell {i} does not name a FaultKind"),
-            "",
-        );
-        ok = false;
-    }
-    if str_of(cell.get("layer")).and_then(LayerId::parse).is_none() {
-        ck.emit(
-            "artifact/unknown-cell",
-            ck.path(&base, &[Step::key("layer")]),
-            format!("cell {i} does not name a stack layer"),
-            "expected L1, L3, or L7",
-        );
-        ok = false;
-    }
-    if !str_of(cell.get("locus")).is_some_and(|l| LOCUS_NAMES.contains(&l)) {
-        ck.emit(
-            "artifact/unknown-cell",
-            ck.path(&base, &[Step::key("locus")]),
-            format!("cell {i} does not name a topology-locus bucket"),
-            "expected one of: none, srlg-submarine, srlg-terrestrial, high-degree, low-degree",
-        );
-        ok = false;
-    }
-    if !str_of(cell.get("rung")).is_some_and(|r| RUNG_NAMES.contains(&r)) {
-        ck.emit(
-            "artifact/unknown-cell",
-            ck.path(&base, &[Step::key("rung")]),
-            format!("cell {i} does not name a degradation rung"),
-            "expected one of: full, probes-only, alerts-only, skipped",
-        );
-        ok = false;
-    }
-    let status = str_of(cell.get("status"));
-    if !status.is_some_and(|s| STATUS_NAMES.contains(&s)) {
-        ck.emit(
-            "artifact/unknown-cell",
-            ck.path(&base, &[Step::key("status")]),
-            format!("cell {i} does not carry a status"),
-            "expected one of: covered, uncovered, unexpected",
-        );
-        ok = false;
-    }
-    let Some(count) = u64_of(cell.get("count")) else {
-        ck.emit(
-            "artifact/unknown-cell",
-            ck.path(&base, &[Step::key("count")]),
-            format!("cell {i} lacks an integer hit count"),
-            "",
-        );
-        return None;
-    };
-    if !ok {
-        return None;
-    }
-    let status = status.unwrap_or("");
-    // Status must agree with the evidence: a covered or unexpected cell
-    // was exercised at least once, an uncovered one never.
-    let consistent = match status {
-        "uncovered" => count == 0,
-        _ => count > 0,
-    };
-    if !consistent {
-        ck.emit(
-            "artifact/coverage-mismatch",
-            ck.path(&base, &[Step::key("count")]),
-            format!("cell {i} has status `{status}` but a hit count of {count}"),
-            "covered/unexpected cells need count > 0; uncovered cells need count == 0",
-        );
-    }
-    Some((status != "unexpected", status == "covered"))
-}
-
-/// Validate a serialized smn-coverage report: every cell row names a real
-/// lattice coordinate, rows are report-unique, per-row status agrees with
-/// the hit count, and the summary tallies (`covered`, `reachable`,
-/// `total_cells`, `ratio`) agree with the rows they summarize.
-#[allow(clippy::cast_precision_loss)] // cell tallies stay far below 2^52
-fn check_coverage_report(ck: &mut Checker<'_>, v: &Value) {
-    let count = |key: &str| u64_of(v.get(key));
-    let (Some(total), Some(reachable), Some(covered), Some(unreachable)) =
-        (count("total_cells"), count("reachable"), count("covered"), count("unreachable"))
-    else {
-        ck.emit(
-            "artifact/unreadable",
-            vec![],
-            "coverage report lacks integer total_cells/reachable/covered/unreachable",
-            "the lattice tallies are required to validate the cell rows",
-        );
-        return;
-    };
-    let Some(ratio) = f64_of(v.get("ratio")) else {
-        ck.emit("artifact/unreadable", vec![], "coverage report lacks a numeric `ratio`", "");
-        return;
-    };
-    let Some(Value::Seq(cells)) = v.get("cells") else {
-        ck.emit("artifact/unreadable", vec![], "coverage report lacks a `cells` array", "");
-        return;
-    };
-
-    if total != reachable + unreachable {
-        ck.emit(
-            "artifact/coverage-mismatch",
-            vec![Step::key("total_cells")],
-            format!(
-                "total_cells is {total}, but reachable {reachable} + unreachable {unreachable} \
-                 = {}",
-                reachable + unreachable
-            ),
-            "the unreachable shell is the product lattice minus the reachable cells",
-        );
-    }
-
-    let mut seen: Vec<(String, String, String, String)> = Vec::new();
-    let mut tallied = (0u64, 0u64); // (reachable rows, covered rows)
-    let mut rows_sound = true;
-    for (i, cell) in cells.iter().enumerate() {
-        let key = (
-            str_of(cell.get("kind")).unwrap_or("").to_string(),
-            str_of(cell.get("layer")).unwrap_or("").to_string(),
-            str_of(cell.get("locus")).unwrap_or("").to_string(),
-            str_of(cell.get("rung")).unwrap_or("").to_string(),
-        );
-        if seen.contains(&key) {
-            ck.emit(
-                "artifact/duplicate-id",
-                vec![Step::key("cells"), Step::Idx(i)],
-                format!("duplicate cell {}/{}/{}/{}", key.0, key.1, key.2, key.3),
-                "each lattice cell appears at most once per report",
-            );
-        }
-        seen.push(key);
-        match check_coverage_cell(ck, i, cell) {
-            Some((is_reachable, is_covered)) => {
-                tallied.0 += u64::from(is_reachable);
-                tallied.1 += u64::from(is_covered);
-            }
-            None => rows_sound = false,
-        }
-    }
-
-    // Cross-check the summary tallies only over structurally sound rows;
-    // a malformed row already carries its own finding.
-    if rows_sound {
-        if tallied.0 != reachable {
-            ck.emit(
-                "artifact/coverage-mismatch",
-                vec![Step::key("reachable")],
-                format!(
-                    "report declares {reachable} reachable cell(s), \
-                     but lists {} covered/uncovered row(s)",
-                    tallied.0
-                ),
-                "every reachable cell gets one row, covered or uncovered",
-            );
-        }
-        if tallied.1 != covered {
-            ck.emit(
-                "artifact/coverage-mismatch",
-                vec![Step::key("covered")],
-                format!(
-                    "report declares {covered} covered cell(s), but lists {} row(s) \
-                     with status `covered`",
-                    tallied.1
-                ),
-                "",
-            );
-        }
-        let expected = if reachable == 0 { 0.0 } else { covered as f64 / reachable as f64 };
-        if (ratio - expected).abs() > 1e-9 {
-            ck.emit(
-                "artifact/coverage-mismatch",
-                vec![Step::key("ratio")],
-                format!("ratio is {ratio}, but covered/reachable = {expected}"),
-                "",
-            );
-        }
-    }
-}
-
-// ------------------------------------------------------- bench-report ----
-
-fn check_bench_report(ck: &mut Checker<'_>, v: &Value) {
-    // Gate through the real schema type, so the checker can never drift
-    // from what the emitters serialize.
-    let report = match smn_perf::BenchReport::from_value(v) {
-        Ok(r) => r,
-        Err(e) => {
-            ck.emit(
-                "artifact/unreadable",
-                vec![],
-                format!("does not deserialize as a bench report: {e}"),
-                "expected {kind, schema, bench, seed, scale, revision, metrics, attrs, phases}",
-            );
-            return;
+            vec![Violation::new("artifact/unreadable", vec![], format!("invalid JSON: {e}"), "")]
         }
     };
-
-    if report.schema != smn_perf::report::BENCH_REPORT_SCHEMA {
-        ck.emit(
-            "artifact/bench-schema",
-            vec![Step::key("schema")],
-            format!(
-                "schema version {} is not the supported version {}",
-                report.schema,
-                smn_perf::report::BENCH_REPORT_SCHEMA
-            ),
-            "re-record the snapshot with the current emitters; the schema \
-             version only moves when emitters and checker move together",
-        );
-    }
-    if !smn_perf::report::KNOWN_SCALES.contains(&report.scale.as_str()) {
-        ck.emit(
-            "artifact/bench-scale",
-            vec![Step::key("scale")],
-            format!("unknown topology scale `{}`", report.scale),
-            "expected one of: small, 300, 1000, 3000",
-        );
-    }
-
-    let mut seen = std::collections::BTreeSet::new();
-    for (i, m) in report.metrics.iter().enumerate() {
-        if !seen.insert(format!("m/{}", m.name)) {
-            ck.emit(
-                "artifact/duplicate-id",
-                vec![Step::key("metrics"), Step::Idx(i)],
-                format!("duplicate metric `{}`", m.name),
-                "metric names are unique per report; the regression gate indexes by name",
-            );
-        }
-        if !m.value.is_finite() {
-            ck.emit(
-                "artifact/negative-timing",
-                vec![Step::key("metrics"), Step::Idx(i)],
-                format!("metric `{}` has non-finite value {}", m.name, m.value),
-                "deterministic metrics gate strictly and must be finite",
-            );
-        }
-    }
-    for (i, a) in report.attrs.iter().enumerate() {
-        if !seen.insert(format!("a/{}", a.name)) {
-            ck.emit(
-                "artifact/duplicate-id",
-                vec![Step::key("attrs"), Step::Idx(i)],
-                format!("duplicate attr `{}`", a.name),
-                "attr names are unique per report",
-            );
-        }
-    }
-    for (i, p) in report.phases.iter().enumerate() {
-        if !seen.insert(format!("p/{}", p.path)) {
-            ck.emit(
-                "artifact/duplicate-id",
-                vec![Step::key("phases"), Step::Idx(i)],
-                format!("duplicate phase path `{}`", p.path),
-                "each span-tree path aggregates into exactly one phase row",
-            );
-        }
-        for (field, val) in
-            [("total_ms", p.total_ms), ("mean_ms", p.mean_ms), ("worst_ms", p.worst_ms)]
-        {
-            if !val.is_finite() || val < 0.0 {
-                ck.emit(
-                    "artifact/negative-timing",
-                    vec![Step::key("phases"), Step::Idx(i), Step::key(field)],
-                    format!("phase `{}` has invalid {field}: {val}", p.path),
-                    "wall aggregates are non-negative finite milliseconds",
-                );
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------- coarsening ----
-
-/// The serialized shape of a coarsening partition (mirrors
-#[allow(clippy::too_many_lines)] // one rule block per journal invariant
-fn check_delta_journal(ck: &mut Checker<'_>, v: &Value) {
-    // Gate through the real schema type, so the checker can never drift
-    // from what `smn stream --journal` serializes.
-    let journal = match smn_core::stream::DeltaJournal::from_value(v) {
-        Ok(j) => j,
-        Err(e) => {
-            ck.emit(
-                "artifact/unreadable",
-                vec![],
-                format!("does not deserialize as a delta journal: {e}"),
-                "expected {kind, schema, scale, seed, node_count, components, \
-                 reconcile_every, ticks}",
-            );
-            return;
-        }
-    };
-
-    if journal.schema != smn_core::stream::DELTA_JOURNAL_SCHEMA {
-        ck.emit(
-            "artifact/journal-schema",
-            vec![Step::key("schema")],
-            format!(
-                "schema version {} is not the supported version {}",
-                journal.schema,
-                smn_core::stream::DELTA_JOURNAL_SCHEMA
-            ),
-            "re-record the journal with the current streaming loop; the schema \
-             version only moves when emitter and checker move together",
-        );
-    }
-
-    // Components known so far: the initial fine-graph population plus
-    // everything added by already-checked ticks.
-    let mut known: std::collections::BTreeSet<&str> =
-        journal.components.iter().map(String::as_str).collect();
-    let mut prev_tick: Option<u64> = None;
-    for (i, t) in journal.ticks.iter().enumerate() {
-        let base = vec![Step::key("ticks"), Step::Idx(i)];
-        if prev_tick.is_some_and(|p| t.tick <= p) {
-            ck.emit(
-                "artifact/journal-tick-order",
-                ck.path(&base, &[Step::key("tick")]),
-                format!(
-                    "tick {} does not advance past the preceding tick {}",
-                    t.tick,
-                    prev_tick.unwrap_or_default()
-                ),
-                "deltas apply in strictly increasing tick order; a replayed or \
-                 reordered journal would diverge from the stream it records",
-            );
-        }
-        prev_tick = Some(t.tick);
-
-        for (j, &(src, dst)) in t.pairs.iter().enumerate() {
-            for node in [src, dst] {
-                if u64::from(node) >= journal.node_count {
-                    ck.emit(
-                        "artifact/journal-dangling-pair",
-                        ck.path(&base, &[Step::key("pairs"), Step::Idx(j)]),
-                        format!(
-                            "pair references node {node} beyond the declared \
-                             node_count {}",
-                            journal.node_count
-                        ),
-                        "telemetry pairs index WAN datacenters; an out-of-range \
-                         index means the journal and topology disagree",
-                    );
-                    break;
-                }
-            }
-        }
-
-        // Same-tick additions are visible to this tick's dependencies
-        // (components apply before dependencies in `GraphDelta`).
-        for name in &t.added_components {
-            known.insert(name.as_str());
-        }
-        for (j, (src, dst)) in t.added_dependencies.iter().enumerate() {
-            for end in [src, dst] {
-                if !known.contains(end.as_str()) {
-                    ck.emit(
-                        "artifact/journal-dangling-component",
-                        ck.path(&base, &[Step::key("added_dependencies"), Step::Idx(j)]),
-                        format!("dependency endpoint `{end}` names an unknown component"),
-                        "endpoints must be in the initial component set or added by \
-                         a prior or same-tick delta",
-                    );
-                    break;
-                }
-            }
-        }
-
-        let hash_ok = t
-            .reconcile_hash
-            .as_deref()
-            .is_some_and(|h| h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()));
-        if t.reconciled && !hash_ok {
-            ck.emit(
-                "artifact/journal-missing-hash",
-                ck.path(&base, &[Step::key("reconcile_hash")]),
-                match t.reconcile_hash.as_deref() {
-                    None => format!("tick {} reconciled without a reconciliation hash", t.tick),
-                    Some(h) => {
-                        format!("tick {} carries a malformed reconciliation hash `{h}`", t.tick)
-                    }
-                },
-                "every reconciled tick records the 16-hex-digit fingerprint that \
-                 proved incremental/batch byte-identity",
-            );
-        }
-    }
-}
-
-/// `smn_topology::graph::Contraction` minus the coarse graph itself, which
-/// does not serialize its payload-generic form).
-#[derive(Deserialize)]
-struct CoarseningSpec {
-    fine_nodes: usize,
-    node_map: Vec<usize>,
-    members: Vec<Vec<usize>>,
-}
-
-#[allow(clippy::too_many_lines)] // one rule block per coarsening invariant
-fn check_coarsening(ck: &mut Checker<'_>, v: &Value) {
-    let spec = match CoarseningSpec::from_value(v) {
-        Ok(s) => s,
-        Err(e) => {
-            ck.emit(
-                "artifact/unreadable",
-                vec![],
-                format!("does not deserialize as a coarsening spec: {e}"),
-                "expected {kind, fine_nodes, node_map, members}",
-            );
-            return;
-        }
-    };
-
-    // Owner of each fine node per the member lists; usize::MAX = unassigned.
-    let mut owner = vec![usize::MAX; spec.fine_nodes];
-    for (s, group) in spec.members.iter().enumerate() {
-        if group.is_empty() {
-            ck.emit(
-                "artifact/empty-supernode",
-                vec![Step::key("members"), Step::Idx(s)],
-                format!("supernode {s} has no members"),
-                "every coarse node must absorb at least one fine node",
-            );
-        }
-        for (j, &node) in group.iter().enumerate() {
-            if node >= spec.fine_nodes {
-                ck.emit(
-                    "artifact/dangling-node",
-                    vec![Step::key("members"), Step::Idx(s), Step::Idx(j)],
-                    format!(
-                        "supernode {s} lists fine node {node}, \
-                         but only {} fine nodes exist",
-                        spec.fine_nodes
-                    ),
-                    "",
-                );
-            } else if owner[node] != usize::MAX {
-                ck.emit(
-                    "artifact/overlapping-partition",
-                    vec![Step::key("members"), Step::Idx(s), Step::Idx(j)],
-                    format!("fine node {node} belongs to supernodes {} and {s}", owner[node]),
-                    "a coarsening is a partition: member lists must be disjoint",
-                );
+    found
+        .into_iter()
+        .map(|v| {
+            let (line, col) = locate(src, &v.path).unwrap_or((0, 0));
+            let message = if v.path.is_empty() {
+                v.message
             } else {
-                owner[node] = s;
-            }
-        }
-    }
-
-    let unassigned: Vec<usize> = (0..spec.fine_nodes).filter(|&n| owner[n] == usize::MAX).collect();
-    if !unassigned.is_empty() {
-        let shown: Vec<String> = unassigned.iter().take(8).map(usize::to_string).collect();
-        ck.emit(
-            "artifact/partition-not-total",
-            vec![Step::key("members")],
-            format!(
-                "{} of {} fine node(s) belong to no supernode: {}{}",
-                unassigned.len(),
-                spec.fine_nodes,
-                shown.join(", "),
-                if unassigned.len() > 8 { ", …" } else { "" }
-            ),
-            "a coarsening is a partition: the member lists must cover every fine node",
-        );
-    }
-
-    if spec.node_map.len() != spec.fine_nodes {
-        ck.emit(
-            "artifact/partition-not-total",
-            vec![Step::key("node_map")],
-            format!(
-                "node_map has {} entr(ies) for {} fine node(s)",
-                spec.node_map.len(),
-                spec.fine_nodes
-            ),
-            "",
-        );
-        return;
-    }
-    for (node, &super_id) in spec.node_map.iter().enumerate() {
-        if super_id >= spec.members.len() {
-            ck.emit(
-                "artifact/partition-mismatch",
-                vec![Step::key("node_map"), Step::Idx(node)],
-                format!(
-                    "node_map sends fine node {node} to supernode {super_id}, \
-                     but only {} supernodes exist",
-                    spec.members.len()
-                ),
-                "",
-            );
-            continue;
-        }
-        // Only cross-check nodes with a well-defined owner: missing or
-        // duplicated membership already produced its own finding above.
-        if owner.get(node).copied().unwrap_or(usize::MAX) != usize::MAX && owner[node] != super_id {
-            ck.emit(
-                "artifact/partition-mismatch",
-                vec![Step::key("node_map"), Step::Idx(node)],
-                format!(
-                    "node_map sends fine node {node} to supernode {super_id}, \
-                     but the member lists place it in supernode {}",
-                    owner[node]
-                ),
-                "node_map and members encode the same partition and must agree",
-            );
-        }
-    }
+                format!("{} [{}]", v.message, render_path(&v.path))
+            };
+            Diagnostic::new(&v.rule, Level::Deny, file, line, col, message).with_note(v.note)
+        })
+        .collect()
 }
 
-// -------------------------------------------------------------- stack ----
-
-/// Validate one cross-layer map of the stack envelope: one row per
-/// upper-layer element, every reference within the lower-layer population.
-fn check_stack_map(
-    ck: &mut Checker<'_>,
-    v: &Value,
-    key: &str,
-    upper: (&str, u64),
-    lower: (&str, u64),
-) {
-    let Some(map_v) = optional(v, key) else {
-        ck.emit(
-            "artifact/dangling-stack-ref",
-            vec![],
-            format!("stack artifact lacks `{key}`"),
-            "both cross-layer maps (l1_l3, l3_l7) are required",
-        );
-        return;
-    };
-    let Value::Seq(rows) = map_v else {
-        ck.emit(
-            "artifact/dangling-stack-ref",
-            vec![Step::key(key)],
-            format!("`{key}` is not an array of per-{}-element rows", upper.0),
-            "",
-        );
-        return;
-    };
-    if rows.len() as u64 != upper.1 {
-        ck.emit(
-            "artifact/dangling-stack-ref",
-            vec![Step::key(key)],
-            format!("`{key}` has {} row(s) for {} {} element(s)", rows.len(), upper.1, upper.0),
-            "a cross-layer map carries exactly one row per upper-layer element",
-        );
-    }
-    for (i, row) in rows.iter().enumerate() {
-        for (j, &ref_idx) in u64_seq(Some(row)).iter().enumerate() {
-            if ref_idx >= lower.1 {
-                ck.emit(
-                    "artifact/dangling-stack-ref",
-                    vec![Step::key(key), Step::Idx(i), Step::Idx(j)],
-                    format!(
-                        "{} {i} maps to {} {ref_idx}, but only {} exist",
-                        upper.0, lower.0, lower.1
-                    ),
-                    "cross-layer references must resolve within the lower layer",
-                );
-            }
-        }
-    }
+/// Decode `v` into the owner type of its kind.
+fn decode<T: Deserialize>(v: &Value, what: &str) -> Result<T, Vec<Violation>> {
+    T::from_value(v).map_err(|e| vec![Violation::unreadable(what, &e)])
 }
 
-fn check_stack(ck: &mut Checker<'_>, v: &Value) {
-    // Layer list: strict L1 -> L3 -> L7 descent order, no unknowns.
-    match v.get("layers") {
-        Some(Value::Seq(layers)) => {
-            let expected = ["L1", "L3", "L7"];
-            let names: Vec<&str> = layers.iter().filter_map(|l| str_of(Some(l))).collect();
-            if names.len() != layers.len() || names != expected {
-                ck.emit(
-                    "artifact/stack-layer-order",
-                    vec![Step::key("layers")],
-                    format!("stack layers are {names:?}, expected {expected:?}"),
-                    "the unified stack registers exactly L1, L3, L7 in descending-\
-                     propagation order",
-                );
-            }
-        }
-        _ => ck.emit(
-            "artifact/stack-layer-order",
-            vec![],
-            "stack artifact lacks a `layers` array",
-            "expected layers: [\"L1\", \"L3\", \"L7\"]",
-        ),
-    }
-
-    let count = |key: &str| u64_of(v.get(key));
-    let (Some(wavelengths), Some(links), Some(components)) =
-        (count("wavelength_count"), count("link_count"), count("component_count"))
-    else {
-        ck.emit(
-            "artifact/unreadable",
-            vec![],
-            "stack artifact lacks wavelength_count/link_count/component_count",
-            "per-layer populations are required to resolve cross-layer refs",
-        );
-        return;
+/// Dispatch on `kind` and collect the owner's violations.
+fn violations(v: &Value) -> Vec<Violation> {
+    let Some(Value::Str(kind)) = v.get("kind") else {
+        let message = "artifact envelope lacks a string `kind` field";
+        return vec![Violation::new("artifact/unknown-kind", vec![], message, KINDS_NOTE)];
     };
-
-    check_stack_map(ck, v, "l1_l3", ("wavelength", wavelengths), ("link", links));
-    check_stack_map(ck, v, "l3_l7", ("link", links), ("component", components));
-}
-
-// --------------------------------------------------- remediation plan ----
-
-/// Validate a serialized smn-heal remediation plan: every action gates
-/// through the real [`RemediationAction`] serde type, targets something
-/// that exists in the declared world (component name, link index,
-/// wavelength index), declares the layer its action kind actually
-/// operates on, and carries a plan-unique incident id.
-fn check_remediation_plan(ck: &mut Checker<'_>, v: &Value) {
-    let Some(Value::Seq(components)) = v.get("components") else {
-        ck.emit("artifact/unreadable", vec![], "remediation plan lacks a `components` array", "");
-        return;
-    };
-    let names: Vec<&str> = components.iter().filter_map(|c| str_of(Some(c))).collect();
-    if names.len() != components.len() {
-        ck.emit(
-            "artifact/unreadable",
-            vec![Step::key("components")],
-            "`components` must be an array of component-name strings",
-            "",
-        );
-        return;
-    }
-    let link_count = u64_of(v.get("link_count")).unwrap_or(0);
-    let wavelength_count = u64_of(v.get("wavelength_count")).unwrap_or(0);
-
-    let Some(Value::Seq(actions)) = v.get("actions") else {
-        ck.emit("artifact/unreadable", vec![], "remediation plan lacks an `actions` array", "");
-        return;
-    };
-    let mut seen_ids: Vec<u64> = Vec::new();
-    for (i, a_v) in actions.iter().enumerate() {
-        check_remediation_action(ck, i, a_v, &names, link_count, wavelength_count, &mut seen_ids);
-    }
-}
-
-/// Validate one entry of a remediation plan's `actions` array: serde
-/// round-trip, plan-unique incident id, declared-vs-actual layer, and
-/// target existence in the declared world.
-fn check_remediation_action(
-    ck: &mut Checker<'_>,
-    i: usize,
-    a_v: &Value,
-    names: &[&str],
-    link_count: u64,
-    wavelength_count: u64,
-    seen_ids: &mut Vec<u64>,
-) {
-    let base = [Step::key("actions"), Step::Idx(i)];
-    let Some(action_v) = optional(a_v, "action") else {
-        ck.emit("artifact/unreadable", base.to_vec(), format!("action {i} lacks `action`"), "");
-        return;
-    };
-    let action = match RemediationAction::from_value(action_v) {
-        Ok(a) => a,
-        Err(e) => {
-            ck.emit(
-                "artifact/unreadable",
-                ck.path(&base, &[Step::key("action")]),
-                format!("does not deserialize as a RemediationAction: {e}"),
-                "",
-            );
-            return;
+    let found = match kind.as_str() {
+        "cdg" => decode(v, "a cdg artifact").map(|a| CdgArtifact::violations(&a)),
+        "topology" => decode(v, "a topology artifact").map(|a| TopologyArtifact::violations(&a)),
+        "fault-campaign" => CampaignArtifact::load(v).map(|_| Vec::new()),
+        "coarsening" => decode(v, "a coarsening partition").map(|a| Partition::violations(&a)),
+        "stack" => decode(v, "a stack shape").map(|a| StackShape::violations(&a)),
+        "remediation-plan" => {
+            decode(v, "a remediation plan").map(|a| RemediationPlan::violations(&a))
         }
-    };
-
-    if let Some(id) = u64_of(a_v.get("incident_id")) {
-        if seen_ids.contains(&id) {
-            ck.emit(
-                "artifact/duplicate-id",
-                ck.path(&base, &[Step::key("incident_id")]),
-                format!("duplicate incident id {id}"),
-                "a plan settles each incident with at most one terminal action",
-            );
+        "coverage-report" => {
+            CoverageReport::from_artifact(v).map(|r| CoverageReport::violations(&r))
         }
-        seen_ids.push(id);
-    }
-
-    // Layer-order validity: the declared layer must be the one the
-    // action kind operates on (retune=L1, drain=L3, restart/route=L7).
-    let declared = str_of(a_v.get("layer")).unwrap_or("");
-    if LayerId::parse(declared) != Some(action.layer()) {
-        ck.emit(
-            "artifact/layer-order",
-            ck.path(&base, &[Step::key("layer")]),
-            format!(
-                "action {i} ({}) declares layer `{declared}`, but `{}` operates on {}",
-                action.kind_name(),
-                action.kind_name(),
-                action.layer().name()
-            ),
-            "retune-wavelength acts on L1, drain-link on L3, \
-             restart-component and route-to-team on L7",
-        );
-    }
-
-    // Dangling targets: names against the component list, indices
-    // against the declared layer populations.
-    match &action {
-        RemediationAction::RestartComponent { component } => {
-            if !names.contains(&component.as_str()) {
-                ck.emit(
-                    "artifact/unknown-target",
-                    ck.path(&base, &[Step::key("action")]),
-                    format!("action {i} restarts `{component}`, not a declared component"),
-                    "",
-                );
-            }
-        }
-        RemediationAction::DrainLink { link, .. } => {
-            if u64::from(link.0) >= link_count {
-                ck.emit(
-                    "artifact/dangling-link-ref",
-                    ck.path(&base, &[Step::key("action")]),
-                    format!(
-                        "action {i} drains link {}, but the plan declares {link_count} link(s)",
-                        link.0
-                    ),
-                    "",
-                );
-            }
-        }
-        RemediationAction::RetuneWavelength { wavelength, .. } => {
-            if u64::from(wavelength.0) >= wavelength_count {
-                ck.emit(
-                    "artifact/dangling-link-ref",
-                    ck.path(&base, &[Step::key("action")]),
-                    format!(
-                        "action {i} retunes wavelength {}, but the plan declares \
-                         {wavelength_count} wavelength(s)",
-                        wavelength.0
-                    ),
-                    "",
-                );
-            }
-        }
-        RemediationAction::RouteToTeam { .. } => {}
-    }
-}
-
-// ---------------------------------------------------------- callgraph ----
-
-/// Validate the canonical call-graph artifact `smn-lint --deep` writes
-/// (`CallGraph::to_canonical_json`). Three invariant families:
-///
-/// - **Order** (`artifact/callgraph-order`): functions strictly sorted by
-///   id, edges by `(caller, callee, line)`, unresolved sites by
-///   `(caller, line, name)`. Sorted output is the byte-stability contract
-///   — a shuffled artifact was not produced by the canonical writer.
-/// - **References** (`artifact/callgraph-ref`): every caller/callee index
-///   and every unresolved candidate must fall inside the function array.
-/// - **Counts** (`artifact/callgraph-count`): the `counts` block must
-///   agree with the arrays it summarizes.
-#[allow(clippy::too_many_lines)] // one block per invariant family
-fn check_callgraph(ck: &mut Checker<'_>, v: &Value) {
-    match u64_of(v.get("schema")) {
-        Some(1) => {}
+        "callgraph" => decode(v, "a callgraph").map(|a| CallGraphArtifact::violations(&a)),
+        "bench-report" => decode(v, "a bench report").map(|a| BenchReport::violations(&a)),
+        "delta-journal" => decode(v, "a delta journal").map(|a| DeltaJournal::violations(&a)),
         other => {
-            ck.emit(
-                "artifact/unreadable",
-                vec![Step::key("schema")],
-                format!("callgraph schema {other:?} is not the supported version 1"),
-                "",
-            );
-            return;
+            let message = format!("unknown artifact kind `{other}`");
+            Ok(vec![Violation::new("artifact/unknown-kind", path!["kind"], message, KINDS_NOTE)])
         }
-    }
-    let (Some(Value::Seq(functions)), Some(Value::Seq(edges)), Some(Value::Seq(unresolved))) =
-        (v.get("functions"), v.get("edges"), v.get("unresolved"))
-    else {
-        ck.emit(
-            "artifact/unreadable",
-            vec![],
-            "callgraph lacks functions/edges/unresolved arrays",
-            "",
-        );
-        return;
     };
-    let n_fns = functions.len() as u64;
-
-    // Function ids: strictly increasing (sorted, no duplicates).
-    let mut prev_id: Option<&str> = None;
-    for (i, f) in functions.iter().enumerate() {
-        let Some(id) = str_of(f.get("id")) else {
-            ck.emit(
-                "artifact/unreadable",
-                vec![Step::key("functions"), Step::Idx(i), Step::key("id")],
-                format!("function {i} lacks a string `id`"),
-                "",
-            );
-            continue;
-        };
-        if let Some(prev) = prev_id {
-            if prev == id {
-                ck.emit(
-                    "artifact/duplicate-id",
-                    vec![Step::key("functions"), Step::Idx(i), Step::key("id")],
-                    format!("duplicate function id `{id}`"),
-                    "node ids key edges and candidates; the builder suffixes collisions",
-                );
-            } else if prev > id {
-                ck.emit(
-                    "artifact/callgraph-order",
-                    vec![Step::key("functions"), Step::Idx(i)],
-                    format!("function `{id}` sorts before its predecessor `{prev}`"),
-                    "the canonical writer sorts functions by id; order is the \
-                     byte-stability contract",
-                );
-            }
-        }
-        prev_id = Some(id);
-    }
-
-    // Edges: [caller, callee, line] triples, in-range, sorted.
-    let mut prev_edge: Option<(u64, u64, u64)> = None;
-    for (i, e) in edges.iter().enumerate() {
-        let key = match e {
-            Value::Seq(t) if t.len() == 3 => {
-                let triple = (u64_of(t.first()), u64_of(t.get(1)), u64_of(t.get(2)));
-                match triple {
-                    (Some(a), Some(b), Some(l)) => (a, b, l),
-                    _ => {
-                        ck.emit(
-                            "artifact/unreadable",
-                            vec![Step::key("edges"), Step::Idx(i)],
-                            format!("edge {i} is not an integer triple"),
-                            "expected [caller, callee, line]",
-                        );
-                        continue;
-                    }
-                }
-            }
-            _ => {
-                ck.emit(
-                    "artifact/unreadable",
-                    vec![Step::key("edges"), Step::Idx(i)],
-                    format!("edge {i} is not an integer triple"),
-                    "expected [caller, callee, line]",
-                );
-                continue;
-            }
-        };
-        for (role, idx) in [("caller", key.0), ("callee", key.1)] {
-            if idx >= n_fns {
-                ck.emit(
-                    "artifact/callgraph-ref",
-                    vec![Step::key("edges"), Step::Idx(i)],
-                    format!("edge {i} {role} {idx} is out of range ({n_fns} function(s))"),
-                    "",
-                );
-            }
-        }
-        if let Some(prev) = prev_edge {
-            if prev > key {
-                ck.emit(
-                    "artifact/callgraph-order",
-                    vec![Step::key("edges"), Step::Idx(i)],
-                    format!("edge {i} breaks (caller, callee, line) order"),
-                    "the canonical writer sorts edges; order is the byte-stability contract",
-                );
-            }
-        }
-        prev_edge = Some(key);
-    }
-
-    // Unresolved sites: in-range caller + candidates, sorted.
-    let mut prev_site: Option<(u64, u64, String)> = None;
-    for (i, u) in unresolved.iter().enumerate() {
-        let (Some(caller), Some(line), Some(name)) =
-            (u64_of(u.get("caller")), u64_of(u.get("line")), str_of(u.get("name")))
-        else {
-            ck.emit(
-                "artifact/unreadable",
-                vec![Step::key("unresolved"), Step::Idx(i)],
-                format!("unresolved site {i} lacks caller/line/name"),
-                "",
-            );
-            continue;
-        };
-        if caller >= n_fns {
-            ck.emit(
-                "artifact/callgraph-ref",
-                vec![Step::key("unresolved"), Step::Idx(i), Step::key("caller")],
-                format!(
-                    "unresolved site {i} caller {caller} is out of range \
-                     ({n_fns} function(s))"
-                ),
-                "",
-            );
-        }
-        for (j, cand) in u64_seq(u.get("candidates")).iter().enumerate() {
-            if *cand >= n_fns {
-                ck.emit(
-                    "artifact/callgraph-ref",
-                    vec![
-                        Step::key("unresolved"),
-                        Step::Idx(i),
-                        Step::key("candidates"),
-                        Step::Idx(j),
-                    ],
-                    format!(
-                        "unresolved site {i} candidate {cand} is out of range \
-                         ({n_fns} function(s))"
-                    ),
-                    "",
-                );
-            }
-        }
-        let key = (caller, line, name.to_string());
-        if let Some(prev) = &prev_site {
-            if *prev > key {
-                ck.emit(
-                    "artifact/callgraph-order",
-                    vec![Step::key("unresolved"), Step::Idx(i)],
-                    format!("unresolved site {i} breaks (caller, line, name) order"),
-                    "the canonical writer sorts unresolved sites; order is the \
-                     byte-stability contract",
-                );
-            }
-        }
-        prev_site = Some(key);
-    }
-
-    // Counts block: must summarize the arrays it sits next to.
-    let Some(counts) = optional(v, "counts") else {
-        ck.emit("artifact/unreadable", vec![], "callgraph lacks a `counts` block", "");
-        return;
-    };
-    for (key, actual) in [
-        ("functions", functions.len() as u64),
-        ("edges", edges.len() as u64),
-        ("unresolved", unresolved.len() as u64),
-    ] {
-        match u64_of(counts.get(key)) {
-            Some(declared) if declared != actual => ck.emit(
-                "artifact/callgraph-count",
-                vec![Step::key("counts"), Step::key(key)],
-                format!("counts.{key} declares {declared}, but the array holds {actual}"),
-                "the counts block summarizes the arrays and must agree with them",
-            ),
-            None => ck.emit(
-                "artifact/callgraph-count",
-                vec![Step::key("counts")],
-                format!("counts lacks an integer `{key}`"),
-                "",
-            ),
-            Some(_) => {}
-        }
-    }
-    if u64_of(counts.get("external")).is_none() {
-        ck.emit(
-            "artifact/callgraph-count",
-            vec![Step::key("counts")],
-            "counts lacks an integer `external`",
-            "the external tally has no backing array; it is still part of the contract",
-        );
-    }
+    found.unwrap_or_else(|unreadable| unreadable)
 }
 
 #[cfg(test)]

@@ -27,7 +27,10 @@ pub mod extract;
 
 use std::collections::BTreeMap;
 
+use serde::Deserialize;
 use serde_json::Value;
+use smn_topology::artifact::Violation;
+use smn_topology::path;
 
 use crate::config::Config;
 use crate::scan::Allow;
@@ -341,6 +344,186 @@ impl CallGraph {
         ]);
         let mut out = serde_json::to_string_pretty(&root).unwrap_or_default();
         out.push('\n');
+        out
+    }
+}
+
+/// The canonical call-graph artifact as read back from JSON: the fields
+/// its invariants constrain. Unknown fields (file, line, sources, …) are
+/// ignored.
+#[derive(Deserialize)]
+pub(crate) struct CallGraphArtifact {
+    /// Schema version; only 1 is supported.
+    schema: u64,
+    /// Function nodes, sorted by id.
+    functions: Vec<FunctionRef>,
+    /// `(caller, callee, line)` triples, sorted.
+    edges: Vec<(u64, u64, u64)>,
+    /// Ambiguous call sites, sorted by `(caller, line, name)`.
+    unresolved: Vec<UnresolvedRef>,
+    /// Tallies of the arrays above, plus the external-call count.
+    counts: Option<CallGraphCounts>,
+}
+
+/// A function node's identity.
+#[derive(Deserialize)]
+struct FunctionRef {
+    /// Qualified id, e.g. `core::SmnController::tick`.
+    id: String,
+}
+
+/// An unresolved call site.
+#[derive(Deserialize)]
+struct UnresolvedRef {
+    /// Calling function's index.
+    caller: u64,
+    /// Called name.
+    name: String,
+    /// Source line.
+    line: u64,
+    /// Indices of the candidate callees.
+    candidates: Vec<u64>,
+}
+
+/// The `counts` block.
+#[derive(Deserialize)]
+struct CallGraphCounts {
+    /// Function count.
+    functions: Option<u64>,
+    /// Edge count.
+    edges: Option<u64>,
+    /// Unresolved-site count.
+    unresolved: Option<u64>,
+    /// Calls that resolved outside the workspace.
+    external: Option<u64>,
+}
+
+impl CallGraphArtifact {
+    /// What [`CallGraph::to_canonical_json`] guarantees: schema 1; functions
+    /// strictly sorted by id, edges by `(caller, callee, line)` and
+    /// unresolved sites by `(caller, line, name)` (sorted output is the
+    /// byte-stability contract); every node index inside the function
+    /// array; and a `counts` block that agrees with the arrays.
+    #[must_use]
+    pub(crate) fn violations(&self) -> Vec<Violation> {
+        if self.schema != 1 {
+            let message =
+                format!("callgraph schema {} is not the supported version 1", self.schema);
+            return vec![Violation::new("artifact/unreadable", path!["schema"], message, "")];
+        }
+        let mut out = Vec::new();
+        let n = self.functions.len() as u64;
+        for (i, f) in self.functions.iter().enumerate() {
+            let Some(prev) = i.checked_sub(1).and_then(|p| self.functions.get(p)) else { continue };
+            let (prev, id) = (prev.id.as_str(), f.id.as_str());
+            if prev == id {
+                out.push(Violation::new(
+                    "artifact/duplicate-id",
+                    path!["functions", i, "id"],
+                    format!("duplicate function id `{id}`"),
+                    "node ids key edges and candidates; the builder suffixes collisions",
+                ));
+            } else if prev > id {
+                out.push(Violation::new(
+                    "artifact/callgraph-order",
+                    path!["functions", i],
+                    format!("function `{id}` sorts before its predecessor `{prev}`"),
+                    "the canonical writer sorts functions by id; order is the byte-stability contract",
+                ));
+            }
+        }
+        for (i, &(caller, callee, line)) in self.edges.iter().enumerate() {
+            for (role, idx) in [("caller", caller), ("callee", callee)] {
+                if idx >= n {
+                    out.push(Violation::new(
+                        "artifact/callgraph-ref",
+                        path!["edges", i],
+                        format!("edge {i} {role} {idx} is out of range ({n} function(s))"),
+                        "",
+                    ));
+                }
+            }
+            let prev = i.checked_sub(1).and_then(|p| self.edges.get(p));
+            if prev.is_some_and(|&prev| prev > (caller, callee, line)) {
+                out.push(Violation::new(
+                    "artifact/callgraph-order",
+                    path!["edges", i],
+                    format!("edge {i} breaks (caller, callee, line) order"),
+                    "the canonical writer sorts edges; order is the byte-stability contract",
+                ));
+            }
+        }
+        for (i, u) in self.unresolved.iter().enumerate() {
+            if u.caller >= n {
+                out.push(Violation::new(
+                    "artifact/callgraph-ref",
+                    path!["unresolved", i, "caller"],
+                    format!(
+                        "unresolved site {i} caller {} is out of range ({n} function(s))",
+                        u.caller
+                    ),
+                    "",
+                ));
+            }
+            for (j, &cand) in u.candidates.iter().enumerate().filter(|&(_, &c)| c >= n) {
+                out.push(Violation::new(
+                    "artifact/callgraph-ref",
+                    path!["unresolved", i, "candidates", j],
+                    format!(
+                        "unresolved site {i} candidate {cand} is out of range ({n} function(s))"
+                    ),
+                    "",
+                ));
+            }
+            let key = |u: &UnresolvedRef| (u.caller, u.line, u.name.clone());
+            let prev = i.checked_sub(1).and_then(|p| self.unresolved.get(p));
+            if prev.is_some_and(|prev| key(prev) > key(u)) {
+                out.push(Violation::new(
+                    "artifact/callgraph-order",
+                    path!["unresolved", i],
+                    format!("unresolved site {i} breaks (caller, line, name) order"),
+                    "the canonical writer sorts unresolved sites; order is the byte-stability contract",
+                ));
+            }
+        }
+        let Some(counts) = &self.counts else {
+            out.push(Violation::new(
+                "artifact/unreadable",
+                vec![],
+                "callgraph lacks a `counts` block",
+                "",
+            ));
+            return out;
+        };
+        for (key, declared, actual) in [
+            ("functions", counts.functions, self.functions.len()),
+            ("edges", counts.edges, self.edges.len()),
+            ("unresolved", counts.unresolved, self.unresolved.len()),
+        ] {
+            match declared {
+                Some(declared) if declared != actual as u64 => out.push(Violation::new(
+                    "artifact/callgraph-count",
+                    path!["counts", key],
+                    format!("counts.{key} declares {declared}, but the array holds {actual}"),
+                    "the counts block summarizes the arrays and must agree with them",
+                )),
+                None => out.push(Violation::new(
+                    "artifact/callgraph-count",
+                    path!["counts"],
+                    format!("counts lacks an integer `{key}`"),
+                    "",
+                )),
+                Some(_) => {}
+            }
+        }
+        if counts.external.is_none() {
+            out.push(Violation::new(
+                "artifact/callgraph-count",
+                path!["counts"],
+                "counts lacks an integer `external`",
+                "the external tally has no backing array; it is still part of the contract",
+            ));
+        }
         out
     }
 }

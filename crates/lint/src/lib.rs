@@ -6,9 +6,10 @@
 //!   the spanned token stream from the vendored `syn` and enforces the
 //!   determinism / panic-freedom / narrowing-cast rules configured in
 //!   [`config::Config`];
-//! - the **artifact engine** ([`artifact`]) statically validates
-//!   serialized domain artifacts (CDGs, topologies, fault campaigns,
-//!   coarsening partitions) against the workspace's own serde types.
+//! - the **artifact engine** ([`artifact`]) decodes each serialized
+//!   domain artifact (CDGs, topologies, fault campaigns, coarsening
+//!   partitions, …) into the workspace type that owns it and reports that
+//!   type's `violations()` at `line:col` spans.
 //!
 //! Both are pure functions over the filesystem: no network, no build, no
 //! macro expansion. CI runs `smn-lint --workspace --artifacts artifacts`

@@ -1,0 +1,97 @@
+//! Damaged artifact bytes are findings or typed errors, never panics.
+//!
+//! Every committed artifact, every fixture and one stream checkpoint is
+//! truncated at a random offset or has one character replaced, then fed
+//! to the artifact engine and to each runtime loader. The engine must
+//! return findings and the loaders `Ok` or `Err`; a panic or an abort
+//! (an allocation sized from a forged count) fails the test.
+
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+use smn_core::stream::{StreamConfig, StreamState};
+use smn_incident::faults::CampaignArtifact;
+use smn_incident::RedditDeployment;
+use smn_lint::artifact::check_str;
+use smn_perf::BenchReport;
+
+/// Characters that change JSON structure, numbers, or string content.
+const REPLACEMENTS: [char; 16] =
+    ['"', '{', '}', '[', ']', ',', ':', '0', '9', '-', 'e', 'n', ' ', '\\', '.', 'x'];
+
+fn collect(dir: &Path, out: &mut Vec<(String, String)>) {
+    let mut entries: Vec<PathBuf> =
+        std::fs::read_dir(dir).into_iter().flatten().flatten().map(|e| e.path()).collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            collect(&path, out);
+        } else if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).expect("artifact is readable");
+            out.push((path.display().to_string(), text));
+        }
+    }
+}
+
+/// The committed artifacts, the fixture corpus, and a stream checkpoint.
+fn inputs() -> &'static [(String, String)] {
+    static INPUTS: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+        let mut out = Vec::new();
+        collect(&manifest.join("../../artifacts"), &mut out);
+        collect(&manifest.join("tests/fixtures"), &mut out);
+        let state = StreamState::new(StreamConfig::default(), RedditDeployment::build().fine);
+        let checkpoint = serde_json::to_string(&state).expect("checkpoint serializes");
+        out.push(("checkpoint".to_string(), checkpoint));
+        out
+    })
+}
+
+/// Truncate `text` at the `at`-th char, or replace that char with `with`.
+fn damage(text: &str, at: usize, truncate: bool, with: char) -> String {
+    if truncate {
+        text.chars().take(at).collect()
+    } else {
+        text.chars().enumerate().map(|(i, c)| if i == at { with } else { c }).collect()
+    }
+}
+
+#[test]
+fn forged_partition_size_is_a_finding_not_an_abort() {
+    let src = r#"{"kind":"coarsening","fine_nodes":100000000000000,"node_map":[],"members":[]}"#;
+    let out = check_str("c.json", src);
+    assert!(!out.is_empty());
+    assert!(out.iter().all(|d| d.rule == "artifact/partition-not-total"), "{out:?}");
+}
+
+proptest! {
+    #[test]
+    fn damaged_artifact_bytes_never_panic(
+        pick_input in 0usize..1 << 16,
+        pos in 0.0f64..1.0,
+        truncate in 0u8..2,
+        pick_char in 0usize..REPLACEMENTS.len(),
+    ) {
+        let all = inputs();
+        let Some((name, text)) = all.get(pick_input % all.len()) else {
+            return Err(TestCaseError::fail("no inputs"));
+        };
+        let n = text.chars().count();
+        // Truncation strictly inside the document always leaves it
+        // unreadable; a replacement may or may not.
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_precision_loss)]
+        let at = ((pos * n as f64) as usize).min(n.saturating_sub(2));
+        let damaged = damage(text, at, truncate == 1, REPLACEMENTS[pick_char]);
+        let findings = check_str(name, &damaged);
+        if truncate == 1 {
+            prop_assert!(!findings.is_empty(), "{name} truncated at {at} lints clean");
+        }
+        if let Ok(v) = serde_json::parse_value(&damaged) {
+            let _ = CampaignArtifact::load(&v);
+        }
+        let _ = BenchReport::from_json(&damaged);
+        let _ = StreamState::restore(&damaged);
+    }
+}

@@ -20,6 +20,8 @@
 //! passes (e.g. `git describe` via `smn perf record --revision`).
 
 use serde::{Deserialize, Serialize};
+use smn_topology::artifact::Violation;
+use smn_topology::path;
 
 /// The artifact `kind` tag dispatched on by `smn lint`.
 pub const BENCH_REPORT_KIND: &str = "bench-report";
@@ -203,47 +205,102 @@ impl BenchReport {
         Ok(report)
     }
 
-    /// Structural validity: right kind and schema version, known scale,
-    /// unique metric names and phase paths, finite metric values,
-    /// non-negative finite timings.
+    /// The first of [`BenchReport::violations`], rendered.
     ///
     /// # Errors
     /// With a message naming the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
+        match BenchReport::violations(self).first() {
+            Some(v) => Err(v.to_string()),
+            None => Ok(()),
+        }
+    }
+
+    /// Structural validity: right kind and schema version, known scale,
+    /// unique metric names, attr names and phase paths, finite metric
+    /// values, non-negative finite timings.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
         if self.kind != BENCH_REPORT_KIND {
-            return Err(format!("kind {:?} is not {BENCH_REPORT_KIND:?}", self.kind));
-        }
-        if self.schema != BENCH_REPORT_SCHEMA {
-            return Err(format!("schema {} is not {BENCH_REPORT_SCHEMA}", self.schema));
-        }
-        if !KNOWN_SCALES.contains(&self.scale.as_str()) {
-            return Err(format!(
-                "unknown scale {:?} (expected one of {KNOWN_SCALES:?})",
-                self.scale
+            out.push(Violation::new(
+                "artifact/unknown-kind",
+                path!["kind"],
+                format!("kind {:?} is not {BENCH_REPORT_KIND:?}", self.kind),
+                "",
             ));
         }
-        let mut seen = std::collections::BTreeSet::new();
-        for m in &self.metrics {
-            if !seen.insert(format!("m/{}", m.name)) {
-                return Err(format!("duplicate metric {:?}", m.name));
+        if self.schema != BENCH_REPORT_SCHEMA {
+            out.push(Violation::new(
+                "artifact/bench-schema",
+                path!["schema"],
+                format!(
+                    "schema version {} is not the supported version {BENCH_REPORT_SCHEMA}",
+                    self.schema
+                ),
+                "re-record the snapshot with the current emitters; the schema \
+                 version only moves when emitters and checker move together",
+            ));
+        }
+        if !KNOWN_SCALES.contains(&self.scale.as_str()) {
+            out.push(Violation::new(
+                "artifact/bench-scale",
+                path!["scale"],
+                format!("unknown topology scale `{}`", self.scale),
+                "expected one of: small, 300, 1000, 3000",
+            ));
+        }
+        for (i, m) in self.metrics.iter().enumerate() {
+            if self.metrics.iter().take(i).any(|p| p.name == m.name) {
+                out.push(Violation::new(
+                    "artifact/duplicate-id",
+                    path!["metrics", i],
+                    format!("duplicate metric `{}`", m.name),
+                    "metric names are unique per report; the regression gate indexes by name",
+                ));
             }
             if !m.value.is_finite() {
-                return Err(format!("metric {:?} is not finite: {}", m.name, m.value));
+                out.push(Violation::new(
+                    "artifact/negative-timing",
+                    path!["metrics", i],
+                    format!("metric `{}` has non-finite value {}", m.name, m.value),
+                    "deterministic metrics gate strictly and must be finite",
+                ));
             }
         }
-        for p in &self.phases {
-            if !seen.insert(format!("p/{}", p.path)) {
-                return Err(format!("duplicate phase path {:?}", p.path));
+        for (i, a) in self.attrs.iter().enumerate() {
+            if self.attrs.iter().take(i).any(|p| p.name == a.name) {
+                out.push(Violation::new(
+                    "artifact/duplicate-id",
+                    path!["attrs", i],
+                    format!("duplicate attr `{}`", a.name),
+                    "attr names are unique per report",
+                ));
+            }
+        }
+        for (i, p) in self.phases.iter().enumerate() {
+            if self.phases.iter().take(i).any(|q| q.path == p.path) {
+                out.push(Violation::new(
+                    "artifact/duplicate-id",
+                    path!["phases", i],
+                    format!("duplicate phase path `{}`", p.path),
+                    "each span-tree path aggregates into exactly one phase row",
+                ));
             }
             for (field, v) in
                 [("total_ms", p.total_ms), ("mean_ms", p.mean_ms), ("worst_ms", p.worst_ms)]
             {
                 if !v.is_finite() || v < 0.0 {
-                    return Err(format!("phase {:?} {field} is invalid: {v}", p.path));
+                    out.push(Violation::new(
+                        "artifact/negative-timing",
+                        path!["phases", i, field],
+                        format!("phase `{}` has invalid {field}: {v}", p.path),
+                        "wall aggregates are non-negative finite milliseconds",
+                    ));
                 }
             }
         }
-        Ok(())
+        out
     }
 }
 
@@ -295,7 +352,7 @@ mod tests {
     fn validation_rejects_bad_reports() {
         let mut r = sample();
         r.scale = "450".into();
-        assert!(r.validate().unwrap_err().contains("unknown scale"));
+        assert!(r.validate().unwrap_err().contains("unknown topology scale"));
 
         let mut r = sample();
         r.schema = 2;
@@ -307,7 +364,7 @@ mod tests {
 
         let mut r = sample();
         r.push_metric("bad", f64::NAN, "count");
-        assert!(r.validate().unwrap_err().contains("not finite"));
+        assert!(r.validate().unwrap_err().contains("non-finite"));
 
         let mut r = sample();
         r.phases[0].total_ms = -1.0;

@@ -16,8 +16,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use serde::{Deserialize, Serialize};
+use smn_topology::artifact::{under, Violation};
 use smn_topology::layer1::{FiberSpanId, OpticalLayer};
-use smn_topology::{EdgeId, LayerStack};
+use smn_topology::{path, EdgeId, LayerStack, Wan};
 
 /// One shared-risk group: a fiber span and every L3 link riding it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,6 +59,104 @@ pub fn extract_srlgs(optical: &OpticalLayer) -> Vec<Srlg> {
 #[must_use]
 pub fn extract_srlgs_from_stack(stack: &LayerStack) -> Vec<Srlg> {
     extract_srlgs(stack.optical())
+}
+
+/// A WAN with, optionally, its optical underlay and SRLGs: the `topology`
+/// artifact.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct TopologyArtifact {
+    /// Artifact kind tag: always `"topology"`.
+    pub kind: String,
+    /// The L3 network.
+    pub wan: Wan,
+    /// The L1 layer under it.
+    pub optical: Option<OpticalLayer>,
+    /// Shared-risk groups over the WAN's links.
+    pub srlgs: Option<Vec<Srlg>>,
+}
+
+impl TopologyArtifact {
+    /// Each layer's own invariants, plus SRLG membership: every group
+    /// names an existing span and at least two existing links, and with
+    /// an optical layer present, each member link must ride that span per
+    /// the L1 → L3 carries map.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let link_count = self.wan.link_count();
+        let mut out = under(&path!["wan"], Wan::violations(&self.wan));
+        if let Some(optical) = &self.optical {
+            out.extend(under(&path!["optical"], OpticalLayer::violations(optical, link_count)));
+        }
+        for (i, srlg) in self.srlgs.iter().flatten().enumerate() {
+            let span = srlg.span;
+            // The links riding this span, per the optical carries map.
+            let riders: Option<Vec<EdgeId>> = match &self.optical {
+                Some(optical) if span.0 as usize >= optical.spans().len() => {
+                    out.push(Violation::new(
+                        "artifact/unknown-span",
+                        path!["srlgs", i, "span"],
+                        format!(
+                            "SRLG {i} names span {}, but only {} spans exist",
+                            span.0,
+                            optical.spans().len()
+                        ),
+                        "",
+                    ));
+                    continue;
+                }
+                Some(optical) => Some(
+                    optical
+                        .link_map()
+                        .entries()
+                        .filter(|(w, _)| {
+                            optical
+                                .wavelengths()
+                                .get(w.0 as usize)
+                                .is_some_and(|wl| wl.spans.contains(&span))
+                        })
+                        .flat_map(|(_, links)| links.iter().copied())
+                        .collect(),
+                ),
+                None => None,
+            };
+            if srlg.links.len() < 2 {
+                out.push(Violation::new(
+                    "artifact/srlg-too-small",
+                    path!["srlgs", i, "links"],
+                    format!(
+                        "SRLG {i} groups {} link(s); a risk group needs at least 2",
+                        srlg.links.len()
+                    ),
+                    "single-link groups carry no shared-risk information",
+                ));
+            }
+            for (j, lid) in srlg.links.iter().enumerate() {
+                if lid.index() >= link_count {
+                    out.push(Violation::new(
+                        "artifact/dangling-link-ref",
+                        path!["srlgs", i, "links", j],
+                        format!(
+                            "SRLG {i} lists link {}, but the WAN has only {link_count} links",
+                            lid.0
+                        ),
+                        "",
+                    ));
+                } else if riders.as_ref().is_some_and(|r| !r.contains(lid)) {
+                    out.push(Violation::new(
+                        "artifact/orphan-srlg",
+                        path!["srlgs", i, "links", j],
+                        format!(
+                            "SRLG {i} claims link {} rides span {}, \
+                             but no wavelength over that span carries it",
+                            lid.0, span.0
+                        ),
+                        "SRLG membership must be derivable from the optical carries map",
+                    ));
+                }
+            }
+        }
+        out
+    }
 }
 
 /// All L3 links that fail together with `link` (including itself) when any

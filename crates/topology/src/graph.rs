@@ -13,10 +13,13 @@
 //! topology-based coarsening, §4 of the paper).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+
+use crate::artifact::Violation;
+use crate::path;
 
 /// Dense handle for a node in a [`DiGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -315,6 +318,64 @@ impl<N, E> DiGraph<N, E> {
         }
         (order.len() == n).then_some(order)
     }
+
+    /// Referential integrity, as a deserialized graph may lack it: every
+    /// edge endpoint names a node, and every adjacency list entry names
+    /// an edge whose matching endpoint is that node. Paths are relative
+    /// to the serialized graph.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let (n, m) = (self.nodes.len(), self.edges.len());
+        let mut out = Vec::new();
+        for (i, e) in self.edges.iter().enumerate() {
+            for (field, end) in [("src", e.src), ("dst", e.dst)] {
+                if end.index() >= n {
+                    out.push(Violation::new(
+                        "artifact/dangling-edge",
+                        path!["edges", i, field],
+                        format!(
+                            "edge {i} {field} references node {}, but only {n} nodes exist",
+                            end.0
+                        ),
+                        "every edge endpoint must name an existing node",
+                    ));
+                }
+            }
+        }
+        for (i, slot) in self.nodes.iter().enumerate() {
+            for (field, list, incoming) in
+                [("out_edges", &slot.out_edges, false), ("in_edges", &slot.in_edges, true)]
+            {
+                for (j, eid) in list.iter().enumerate() {
+                    let Some(e) = self.edges.get(eid.index()) else {
+                        out.push(Violation::new(
+                            "artifact/dangling-edge",
+                            path!["nodes", i, field, j],
+                            format!(
+                                "node {i} {field} references edge {}, but only {m} edges exist",
+                                eid.0
+                            ),
+                            "",
+                        ));
+                        continue;
+                    };
+                    let endpoint = if incoming { e.dst } else { e.src };
+                    if endpoint.index() != i {
+                        out.push(Violation::new(
+                            "artifact/dangling-edge",
+                            path!["nodes", i, field, j],
+                            format!(
+                                "node {i} {field} lists edge {}, whose endpoint is node {}",
+                                eid.0, endpoint.0
+                            ),
+                            "adjacency lists must agree with the edge table",
+                        ));
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 /// A path through the graph: the node sequence and the edges taken.
@@ -499,6 +560,135 @@ pub struct Contraction<N2, E2> {
     pub node_map: Vec<NodeId>,
     /// For each coarse node, the original nodes inside it.
     pub members: Vec<Vec<NodeId>>,
+}
+
+impl<N2, E2> Contraction<N2, E2> {
+    /// The partition this contraction induced, as the `coarsening`
+    /// artifact serializes it.
+    #[must_use]
+    pub fn partition(&self) -> Partition {
+        Partition {
+            kind: "coarsening".to_string(),
+            fine_nodes: self.node_map.len(),
+            node_map: self.node_map.iter().map(|n| n.index()).collect(),
+            members: self.members.iter().map(|ms| ms.iter().map(|n| n.index()).collect()).collect(),
+        }
+    }
+}
+
+/// A coarsening partition by plain node index: a [`Contraction`] minus
+/// its payload-generic coarse graph. This is the `coarsening` artifact.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Partition {
+    /// Artifact kind tag: always `"coarsening"`.
+    pub kind: String,
+    /// Number of fine nodes partitioned.
+    pub fine_nodes: usize,
+    /// For each fine node, its supernode.
+    pub node_map: Vec<usize>,
+    /// For each supernode, its fine nodes.
+    pub members: Vec<Vec<usize>>,
+}
+
+impl Partition {
+    /// A coarsening is a partition: member lists are disjoint, in range,
+    /// non-empty and cover every fine node, and `node_map` encodes the
+    /// same assignment. Nothing is sized from the declared `fine_nodes`,
+    /// so a forged count cannot exhaust memory.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let fine = self.fine_nodes;
+        let mut out = Vec::new();
+        // Owner of each listed fine node, per the member lists.
+        let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
+        for (s, group) in self.members.iter().enumerate() {
+            if group.is_empty() {
+                out.push(Violation::new(
+                    "artifact/empty-supernode",
+                    path!["members", s],
+                    format!("supernode {s} has no members"),
+                    "every coarse node must absorb at least one fine node",
+                ));
+            }
+            for (j, &node) in group.iter().enumerate() {
+                if node >= fine {
+                    out.push(Violation::new(
+                        "artifact/dangling-node",
+                        path!["members", s, j],
+                        format!("supernode {s} lists fine node {node}, but only {fine} fine nodes exist"),
+                        "",
+                    ));
+                } else if let Some(&first) = owner.get(&node) {
+                    out.push(Violation::new(
+                        "artifact/overlapping-partition",
+                        path!["members", s, j],
+                        format!("fine node {node} belongs to supernodes {first} and {s}"),
+                        "a coarsening is a partition: member lists must be disjoint",
+                    ));
+                } else {
+                    owner.insert(node, s);
+                }
+            }
+        }
+
+        let unassigned = fine.saturating_sub(owner.len());
+        if unassigned > 0 {
+            let shown: Vec<String> = (0..fine)
+                .filter(|n| !owner.contains_key(n))
+                .take(8)
+                .map(|n| n.to_string())
+                .collect();
+            out.push(Violation::new(
+                "artifact/partition-not-total",
+                path!["members"],
+                format!(
+                    "{unassigned} of {fine} fine node(s) belong to no supernode: {}{}",
+                    shown.join(", "),
+                    if unassigned > 8 { ", …" } else { "" }
+                ),
+                "a coarsening is a partition: the member lists must cover every fine node",
+            ));
+        }
+
+        if self.node_map.len() != fine {
+            out.push(Violation::new(
+                "artifact/partition-not-total",
+                path!["node_map"],
+                format!("node_map has {} entr(ies) for {fine} fine node(s)", self.node_map.len()),
+                "",
+            ));
+            return out;
+        }
+        for (node, &super_id) in self.node_map.iter().enumerate() {
+            if super_id >= self.members.len() {
+                out.push(Violation::new(
+                    "artifact/partition-mismatch",
+                    path!["node_map", node],
+                    format!(
+                        "node_map sends fine node {node} to supernode {super_id}, \
+                         but only {} supernodes exist",
+                        self.members.len()
+                    ),
+                    "",
+                ));
+                continue;
+            }
+            // Only nodes with a well-defined owner are cross-checked:
+            // missing or duplicated membership has its own finding above.
+            if let Some(&listed) = owner.get(&node).filter(|&&s| s != super_id) {
+                out.push(Violation::new(
+                    "artifact/partition-mismatch",
+                    path!["node_map", node],
+                    format!(
+                        "node_map sends fine node {node} to supernode {super_id}, \
+                         but the member lists place it in supernode {listed}"
+                    ),
+                    "node_map and members encode the same partition and must agree",
+                ));
+            }
+        }
+        out
+    }
 }
 
 impl<N, E> DiGraph<N, E> {

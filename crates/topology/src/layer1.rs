@@ -10,7 +10,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::artifact::Violation;
 use crate::graph::EdgeId;
+use crate::path;
 use crate::stack::CrossLayerMap;
 
 /// Identifier for a fiber span (a physical segment of fiber between two
@@ -301,6 +303,46 @@ impl OpticalLayer {
     pub fn retune(&mut self, id: WavelengthId, modulation: Modulation) -> Modulation {
         let w = self.wavelength_mut(id);
         std::mem::replace(&mut w.modulation, modulation)
+    }
+
+    /// Invariants of a deserialized optical layer under a WAN of
+    /// `link_count` links: every wavelength rides existing spans and
+    /// carries existing links. Paths are relative to the optical layer.
+    #[must_use]
+    pub fn violations(&self, link_count: usize) -> Vec<Violation> {
+        let spans = self.spans.len();
+        let mut out = Vec::new();
+        for (i, wl) in self.wavelengths.iter().enumerate() {
+            for (j, sid) in wl.spans.iter().enumerate() {
+                if sid.0 as usize >= spans {
+                    out.push(Violation::new(
+                        "artifact/unknown-span",
+                        path!["wavelengths", i, "spans", j],
+                        format!(
+                            "wavelength {i} rides span {}, but only {spans} spans exist",
+                            sid.0
+                        ),
+                        "",
+                    ));
+                }
+            }
+        }
+        for (w, links) in self.carries.entries() {
+            for (j, lid) in links.iter().enumerate() {
+                if lid.index() >= link_count {
+                    out.push(Violation::new(
+                        "artifact/dangling-link-ref",
+                        path!["carries", w.0 as usize, j],
+                        format!(
+                            "wavelength {} carries link {}, but the WAN has only {link_count} links",
+                            w.0, lid.0
+                        ),
+                        "",
+                    ));
+                }
+            }
+        }
+        out
     }
 }
 

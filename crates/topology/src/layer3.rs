@@ -11,7 +11,9 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::artifact::{name_index_violations, under, Violation};
 use crate::graph::{Contraction, DiGraph, EdgeId, NodeId};
+use crate::path;
 
 /// A continent, the coarsest geographic unit ("a supernode represents all
 /// datacenters in a continent … a small topology of 7 nodes", §4).
@@ -172,6 +174,37 @@ impl Wan {
     #[must_use]
     pub fn link_count(&self) -> usize {
         self.graph.edge_count()
+    }
+
+    /// Invariants of a deserialized WAN: graph integrity, a name index
+    /// that agrees with the datacenters, finite positive link capacities
+    /// and finite non-negative distances. Paths are relative to the WAN.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = under(&path!["graph"], DiGraph::violations(&self.graph));
+        let names: Vec<&str> = self.graph.nodes().map(|(_, dc)| dc.name.as_str()).collect();
+        out.extend(name_index_violations(&names, &self.name_index));
+        for (id, e) in self.graph.edges() {
+            let (i, capacity, distance) =
+                (id.index(), e.payload.capacity_gbps, e.payload.distance_km);
+            if !(capacity.is_finite() && capacity > 0.0) {
+                out.push(Violation::new(
+                    "artifact/invalid-attr",
+                    path!["graph", "edges", i, "payload", "capacity_gbps"],
+                    format!("link {i} capacity must be finite and positive, got {capacity}"),
+                    "",
+                ));
+            }
+            if !(distance.is_finite() && distance >= 0.0) {
+                out.push(Violation::new(
+                    "artifact/invalid-attr",
+                    path!["graph", "edges", i, "payload", "distance_km"],
+                    format!("link {i} distance must be finite and non-negative, got {distance}"),
+                    "",
+                ));
+            }
+        }
+        out
     }
 
     /// Mark a link up or down (e.g. when its wavelength flaps).

@@ -24,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod failures;
 pub mod gen;
 pub mod graph;

@@ -27,9 +27,11 @@ use std::marker::PhantomData;
 
 use serde::{Deserialize, Error, Serialize, Value};
 
+use crate::artifact::Violation;
 use crate::graph::EdgeId;
 use crate::layer1::{OpticalLayer, WavelengthId};
 use crate::layer3::Wan;
+use crate::path;
 
 /// Identifier for an L7 service-graph component (an application component
 /// in the incident app's dependency graph, by node index).
@@ -265,13 +267,6 @@ impl<U: LayerKey, D: LayerKey> CrossLayerMap<U, D> {
     pub fn entries(&self) -> impl Iterator<Item = (U, &[D])> + '_ {
         self.down.iter().enumerate().map(|(i, d)| (U::from_layer_index(i), d.as_slice()))
     }
-
-    /// The largest lower-layer index referenced anywhere, if any
-    /// reference exists. Validation uses this to catch dangling refs.
-    #[must_use]
-    pub fn max_lower_index(&self) -> Option<usize> {
-        self.down.iter().flatten().map(|d| d.layer_index()).max()
-    }
 }
 
 impl<U: LayerKey, D: LayerKey> Serialize for CrossLayerMap<U, D> {
@@ -449,44 +444,6 @@ impl StackImpact {
     }
 }
 
-/// Why a [`LayerStack`] failed validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StackError {
-    /// A cross-layer reference points past the lower layer's table.
-    DanglingRef {
-        /// Upper layer of the offending map.
-        from: LayerId,
-        /// Lower layer of the offending map.
-        to: LayerId,
-        /// The out-of-range lower index.
-        index: usize,
-        /// Size of the lower layer's table.
-        len: usize,
-    },
-    /// A map has more upper entries than the upper layer has elements.
-    UpperOverflow {
-        /// Upper layer of the offending map.
-        from: LayerId,
-        /// Upper entries in the map.
-        mapped: usize,
-        /// Elements registered in the upper layer.
-        len: usize,
-    },
-}
-
-impl fmt::Display for StackError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StackError::DanglingRef { from, to, index, len } => {
-                write!(f, "{from}->{to} reference {index} out of range (layer has {len})")
-            }
-            StackError::UpperOverflow { from, mapped, len } => {
-                write!(f, "{from} map has {mapped} entries but the layer has {len}")
-            }
-        }
-    }
-}
-
 /// The registered stack: the three layers plus the typed maps between
 /// adjacent layers. The L1 → L3 map lives inside [`OpticalLayer`] (it is
 /// the wavelength table's `carries` map); the L3 → L7 map is registered
@@ -563,48 +520,19 @@ impl LayerStack {
         }
     }
 
-    /// Check every cross-layer reference resolves and every map fits its
-    /// upper layer.
-    pub fn validate(&self) -> Result<(), StackError> {
-        let wavelengths = self.optical.wavelengths().len();
-        let links = self.wan.graph.edge_count();
-        let components = self.services.element_count();
-        let l1_l3 = self.l1_l3();
-        if l1_l3.upper_len() > wavelengths {
-            return Err(StackError::UpperOverflow {
-                from: LayerId::L1,
-                mapped: l1_l3.upper_len(),
-                len: wavelengths,
-            });
+    /// The stack's serialized shape: layer order, per-layer populations
+    /// and both cross-layer maps — the `stack` artifact.
+    #[must_use]
+    pub fn shape(&self) -> StackShape {
+        StackShape {
+            kind: "stack".to_string(),
+            layers: LayerId::ALL.iter().map(|l| l.name().to_string()).collect(),
+            wavelength_count: self.optical.element_count(),
+            link_count: self.wan.element_count(),
+            component_count: self.services.element_count(),
+            l1_l3: self.l1_l3().clone(),
+            l3_l7: self.l3_l7.clone(),
         }
-        if let Some(max) = l1_l3.max_lower_index() {
-            if max >= links {
-                return Err(StackError::DanglingRef {
-                    from: LayerId::L1,
-                    to: LayerId::L3,
-                    index: max,
-                    len: links,
-                });
-            }
-        }
-        if self.l3_l7.upper_len() > links {
-            return Err(StackError::UpperOverflow {
-                from: LayerId::L3,
-                mapped: self.l3_l7.upper_len(),
-                len: links,
-            });
-        }
-        if let Some(max) = self.l3_l7.max_lower_index() {
-            if max >= components {
-                return Err(StackError::DanglingRef {
-                    from: LayerId::L3,
-                    to: LayerId::L7,
-                    index: max,
-                    len: components,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Walk a fault downward through the stack: L1 flap → L3 links down
@@ -661,6 +589,96 @@ impl LayerStack {
     }
 }
 
+/// The serialized shape of a [`LayerStack`]: what cross-layer consistency
+/// depends on, without the layers' own payloads. This is the `stack`
+/// artifact.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StackShape {
+    /// Artifact kind tag: always `"stack"`.
+    pub kind: String,
+    /// Registered layer names, in propagation order.
+    pub layers: Vec<String>,
+    /// L1 population.
+    pub wavelength_count: usize,
+    /// L3 population.
+    pub link_count: usize,
+    /// L7 population.
+    pub component_count: usize,
+    /// The L1 → L3 map, one row per wavelength.
+    pub l1_l3: CrossLayerMap<WavelengthId, EdgeId>,
+    /// The L3 → L7 map, one row per link.
+    pub l3_l7: CrossLayerMap<EdgeId, ComponentId>,
+}
+
+impl StackShape {
+    /// Layers appear in strict L1 → L3 → L7 order, and each cross-layer
+    /// map has exactly one row per upper-layer element with every
+    /// reference inside the lower layer.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let expected = LayerId::ALL.map(LayerId::name);
+        if self.layers != expected {
+            out.push(Violation::new(
+                "artifact/stack-layer-order",
+                path!["layers"],
+                format!("stack layers are {:?}, expected {expected:?}", self.layers),
+                "the unified stack registers exactly L1, L3, L7 in descending-propagation order",
+            ));
+        }
+        let links = ("link", self.link_count);
+        let (wavelengths, components) =
+            (("wavelength", self.wavelength_count), ("component", self.component_count));
+        out.extend(map_violations("l1_l3", &self.l1_l3, wavelengths, links));
+        out.extend(map_violations("l3_l7", &self.l3_l7, links, components));
+        out
+    }
+}
+
+/// One cross-layer map of a [`StackShape`] against its `(noun, count)`
+/// upper and lower populations.
+fn map_violations<U: LayerKey, D: LayerKey>(
+    key: &str,
+    map: &CrossLayerMap<U, D>,
+    upper: (&str, usize),
+    lower: (&str, usize),
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    if map.upper_len() != upper.1 {
+        out.push(Violation::new(
+            "artifact/dangling-stack-ref",
+            path![key],
+            format!(
+                "`{key}` has {} row(s) for {} {} element(s)",
+                map.upper_len(),
+                upper.1,
+                upper.0
+            ),
+            "a cross-layer map carries exactly one row per upper-layer element",
+        ));
+    }
+    for (u, downs) in map.entries() {
+        for (j, d) in downs.iter().enumerate() {
+            if d.layer_index() >= lower.1 {
+                out.push(Violation::new(
+                    "artifact/dangling-stack-ref",
+                    path![key, u.layer_index(), j],
+                    format!(
+                        "{} {} maps to {} {}, but only {} exist",
+                        upper.0,
+                        u.layer_index(),
+                        lower.0,
+                        d.layer_index(),
+                        lower.1
+                    ),
+                    "cross-layer references must resolve within the lower layer",
+                ));
+            }
+        }
+    }
+    out
+}
+
 fn sorted_dedup<T: Ord>(mut v: Vec<T>) -> Vec<T> {
     v.sort_unstable();
     v.dedup();
@@ -714,7 +732,6 @@ mod tests {
         assert_eq!(map.up(EdgeId(9)), vec![w0]);
         assert!(map.up(EdgeId(42)).is_empty());
         assert!(map.down(WavelengthId(99)).is_empty());
-        assert_eq!(map.max_lower_index(), Some(9));
         assert!(map.maps(w0, EdgeId(9)));
         assert!(!map.maps(w1, EdgeId(9)));
     }
@@ -786,7 +803,7 @@ mod tests {
     #[test]
     fn validate_catches_dangling_refs() {
         let stack = small_stack();
-        assert_eq!(stack.validate(), Ok(()));
+        assert_eq!(stack.shape().violations(), vec![]);
 
         let mut bad = small_stack();
         bad.l3_l7 = {
@@ -794,10 +811,13 @@ mod tests {
             m.push(vec![ComponentId(9)]); // only 2 components registered
             m
         };
-        assert!(matches!(
-            bad.validate(),
-            Err(StackError::DanglingRef { from: LayerId::L3, to: LayerId::L7, index: 9, len: 2 })
-        ));
+        let out = bad.shape().violations();
+        assert!(
+            out.iter()
+                .any(|v| v.rule == "artifact/dangling-stack-ref"
+                    && v.message.contains("component 9")),
+            "{out:?}"
+        );
     }
 
     #[test]

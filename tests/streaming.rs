@@ -208,7 +208,7 @@ fn check_checkpoint_restore(
     ctl_b.stream_run(&mut live, &telemetry[..split], churn).expect("pre-checkpoint run");
     let checkpoint = serde_json::to_string(&live).expect("checkpoint serializes");
     drop(live);
-    let mut restored: StreamState = serde_json::from_str(&checkpoint).expect("checkpoint restores");
+    let mut restored = StreamState::restore(&checkpoint).expect("checkpoint restores");
     ctl_b.stream_run(&mut restored, &telemetry[split..], churn).expect("post-restore run");
     let verdict = ctl_b.stream_reconcile(&mut restored).expect("post-restore reconcile");
 
