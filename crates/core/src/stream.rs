@@ -27,14 +27,26 @@
 //!   by `of_sorted` sums the same samples in the same order as the batch
 //!   pass — whatever order they arrived in;
 //! * there is one summariser: both paths end in `SummaryStats::of_sorted`;
-//! * cell maps are `BTreeMap`s keyed exactly like the batch sort key, so
-//!   materialized row order equals batch row order;
+//! * both logs are dense sorted tables keyed like the batch sort keys —
+//!   `(window, pair_key)` cells for the uniform log, `(src, dst)` pairs
+//!   for the adaptive one — merge-joined against each delta sorted the
+//!   same way, so materialized row order equals batch row order;
 //! * the fine graph and CDG are append-only, and contraction orders teams
 //!   and coarse edges by first appearance, so appended churn lands where
 //!   a rebuild would put it.
+//!
+//! **Sealing.** Telemetry is append-only in time (`stream_tick` rejects a
+//! record that regresses behind the lake), so once a delta reaches a
+//! window, no later record can land in an earlier one. The uniform log
+//! keeps sample buffers only for *open* windows — the delta's last window
+//! and later — and seals every earlier window into immutable rows in
+//! batch order, dropping its buffers: its memory is one window of samples
+//! plus the coarse rows. A record behind the sealed frontier is a typed
+//! [`StreamError::OutOfOrder`] that leaves the state untouched. The
+//! adaptive log classifies each pair over its whole history, so it keeps
+//! every sample; reconciliation still recomputes from the whole lake.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -44,9 +56,9 @@ use smn_depgraph::delta::{DeltaError, GraphDelta};
 use smn_depgraph::fine::FineDepGraph;
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{Statistic, SummaryStats};
+use smn_telemetry::series::{key_pair, key_value, pair_key, value_key, Statistic, SummaryStats};
 use smn_telemetry::time::{Ts, DAY, HOUR};
-use smn_topology::artifact::{under, Violation};
+use smn_topology::artifact::{under, Step, Violation};
 use smn_topology::path;
 
 use crate::bwlogs::{encode_coarse_log, AdaptiveCoarsener, CoarseBwRecord, TimeCoarsener};
@@ -188,38 +200,301 @@ fn coarse_row(
     }
 }
 
-/// Incremental state of a [`TimeCoarsener`]: per-cell sample buckets plus
-/// the materialized coarse rows, both keyed `(window index, src, dst)` —
-/// exactly the batch sort key, so iterating [`Self::coarse_log`] yields
-/// batch row order. Each bucket is kept sorted under `f64::total_cmp`, so
-/// a dirty cell is summarized by [`SummaryStats::of_sorted`] without a
-/// re-sort.
+/// First index at or after `from` whose key is not below `key`. Steps
+/// double until one lands on or past `key`, then a binary search covers
+/// the last step, so walking a sorted table with ascending probes costs
+/// `O(log gap)` per probe — one comparison when consecutive probes hit
+/// consecutive keys, as a steady tick's pairs do.
+fn gallop<K: Ord>(keys: &[K], from: usize, key: &K) -> usize {
+    let rest = keys.get(from..).unwrap_or_default();
+    let mut step = 1;
+    while rest.get(step - 1).is_some_and(|k| k < key) {
+        step *= 2;
+    }
+    let lo = step / 2;
+    let last_step = rest.get(lo..step.min(rest.len())).unwrap_or_default();
+    from + lo + last_step.partition_point(|k| k < key)
+}
+
+/// Insert each `(at, item)` of `fresh` before the element that sat at
+/// index `at` of `table`, moving every old element at most once. `fresh`
+/// is ascending in `at`, as a merge-join's misses are.
+fn splice_sorted<T>(table: &mut Vec<T>, fresh: Vec<(usize, T)>) {
+    if fresh.is_empty() {
+        return;
+    }
+    let mut old = std::mem::take(table).into_iter();
+    table.reserve(old.len() + fresh.len());
+    let mut taken = 0;
+    for (at, item) in fresh {
+        table.extend(old.by_ref().take(at.saturating_sub(taken)));
+        taken = taken.max(at);
+        table.push(item);
+    }
+    table.extend(old);
+}
+
+/// Merge `run` (ascending under `f64::total_cmp`) into the sorted
+/// `samples`. A one-sample run is a sorted insert; a longer one is
+/// appended and merged by the stable sort, which finds the two runs.
+fn merge_samples(samples: &mut Vec<f64>, run: &[f64]) {
+    if let [v] = run {
+        let at = samples.partition_point(|x| x.total_cmp(v).is_le());
+        samples.insert(at, *v);
+    } else {
+        samples.extend_from_slice(run);
+        samples.sort_by(f64::total_cmp);
+    }
+}
+
+/// Whether `values` ascend under `f64::total_cmp`.
+fn is_total_sorted(values: &[f64]) -> bool {
+    values.is_sorted_by(|a, b| a.total_cmp(b).is_le())
+}
+
+/// Rules a coarse row breaks inside a log of `window`-second windows
+/// keeping `n_stats` statistics; `at` is the row's path.
+fn row_violations(
+    row: &CoarseBwRecord,
+    window: u64,
+    n_stats: usize,
+    at: &[Step],
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    if row.window_secs != window || !row.window_start.0.is_multiple_of(window) {
+        out.push(Violation::new(
+            "artifact/coarse-log-shape",
+            at,
+            format!(
+                "row window {}s starting at {} is not a {window}s window of this log",
+                row.window_secs, row.window_start.0
+            ),
+            "every row of a coarse log covers one aligned window of the log's size",
+        ));
+    }
+    if row.values.len() != n_stats {
+        out.push(Violation::new(
+            "artifact/coarse-log-shape",
+            at,
+            format!("row carries {} values for {n_stats} statistics", row.values.len()),
+            "a row keeps exactly one value per statistic of its coarsener",
+        ));
+    }
+    out
+}
+
+/// One open (window, pair) cell of an [`IncrementalCoarseLog`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct OpenCell {
+    /// The cell's samples, ascending under `f64::total_cmp`.
+    samples: Vec<f64>,
+    /// The cell's materialized row.
+    row: CoarseBwRecord,
+}
+
+/// Incremental state of a [`TimeCoarsener`], split at a **sealed
+/// frontier** window index.
+///
+/// * Windows before `frontier` are sealed: no later record may land in
+///   them, so their rows sit in `sealed`, immutable and in batch order,
+///   and their samples are gone.
+/// * Windows from `frontier` on are open. Each open cell is keyed
+///   `(window index, pair_key)` — the time oracle's sort key — in `keys`,
+///   ascending, and the parallel `cells` holds its samples (kept sorted
+///   under `f64::total_cmp`, so a dirty cell goes straight to
+///   [`SummaryStats::of_sorted`]) and its row.
+///
+/// Every open window follows every sealed one, so `sealed` then the open
+/// rows is batch row order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalCoarseLog {
     window_secs: u64,
     stats: Vec<Statistic>,
-    buckets: BTreeMap<(u64, u32, u32), Vec<f64>>,
-    cells: BTreeMap<(u64, u32, u32), CoarseBwRecord>,
+    frontier: u64,
+    sealed: Vec<CoarseBwRecord>,
+    keys: Vec<(u64, u64)>,
+    cells: Vec<OpenCell>,
 }
 
 impl IncrementalCoarseLog {
     /// Number of coarse rows currently materialized.
     #[must_use]
     pub fn rows(&self) -> usize {
-        self.cells.len()
+        self.sealed.len() + self.cells.len()
+    }
+
+    /// Sealed rows, then open rows: batch order.
+    fn all_rows(&self) -> impl Iterator<Item = &CoarseBwRecord> {
+        self.sealed.iter().chain(self.cells.iter().map(|c| &c.row))
     }
 
     /// The coarse log, in batch order (`window_start`, `src`, `dst`).
     #[must_use]
     pub fn coarse_log(&self) -> Vec<CoarseBwRecord> {
-        self.cells.values().cloned().collect()
+        self.all_rows().cloned().collect()
     }
 
     /// Wire encoding of the coarse log — the bytes reconciliation
     /// compares against the batch oracle's encoding.
     #[must_use]
     pub fn encode(&self) -> bytes::Bytes {
-        encode_coarse_log(self.cells.values())
+        encode_coarse_log(self.all_rows())
+    }
+
+    /// Refuse a delta with a record in a sealed window, before anything
+    /// is touched.
+    fn admit(&self, delta: &TelemetryDelta) -> Result<(), StreamError> {
+        let Some(late) = delta.records.iter().find(|r| r.ts.0 / self.window_secs < self.frontier)
+        else {
+            return Ok(());
+        };
+        Err(StreamError::OutOfOrder {
+            detail: format!(
+                "record at {:?} falls in {}s window {}, behind the sealed frontier (window {})",
+                late.ts,
+                self.window_secs,
+                late.ts.0 / self.window_secs,
+                self.frontier
+            ),
+        })
+    }
+
+    /// Seal every window before `w`: its rows move behind the frontier and
+    /// its sample buffers are dropped.
+    fn seal_before(&mut self, w: u64) {
+        if w <= self.frontier {
+            return;
+        }
+        let n = self.keys.partition_point(|&(kw, _)| kw < w);
+        self.keys.drain(..n);
+        self.sealed.extend(self.cells.drain(..n).map(|c| c.row));
+        self.frontier = w;
+    }
+
+    /// Merge-join one keyed run, sorted `(window, pair_key, value_key)`,
+    /// into the open cells: a hit merges its samples and recomputes the
+    /// row in place, a miss becomes a new cell spliced in after the walk.
+    /// Returns the cells dirtied.
+    fn merge_run(&mut self, keyed: &[(u64, u64, u64)], samples: &mut Vec<f64>) -> usize {
+        let mut fresh_keys = Vec::new();
+        let mut fresh_cells = Vec::new();
+        let (mut cursor, mut dirty) = (0, 0);
+        for run in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let Some(&(w, pair, _)) = run.first() else { continue };
+            samples.clear();
+            samples.extend(run.iter().map(|&(.., v)| key_value(v)));
+            cursor = gallop(&self.keys, cursor, &(w, pair));
+            let hit =
+                self.keys.get(cursor).filter(|&&k| k == (w, pair)).and(self.cells.get_mut(cursor));
+            if let Some(cell) = hit {
+                merge_samples(&mut cell.samples, samples);
+                if let Some(s) = SummaryStats::of_sorted(&cell.samples) {
+                    write_stats(&mut cell.row.values, &self.stats, &s);
+                }
+            } else if let Some(s) = SummaryStats::of_sorted(samples) {
+                let row = coarse_row(key_pair(pair), w, self.window_secs, &self.stats, &s);
+                fresh_keys.push((cursor, (w, pair)));
+                fresh_cells.push((cursor, OpenCell { samples: samples.clone(), row }));
+            }
+            dirty += 1;
+        }
+        splice_sorted(&mut self.keys, fresh_keys);
+        splice_sorted(&mut self.cells, fresh_cells);
+        dirty
+    }
+
+    /// The log is one `apply_delta` could have left: a non-zero window
+    /// and at least one statistic; sealed rows strictly ascending in
+    /// batch order and all before the frontier; open keys strictly
+    /// ascending, at or after the frontier, one cell each, with a
+    /// non-empty sample buffer sorted under `f64::total_cmp` and a row at
+    /// the key's window and pair; every row one aligned window of the
+    /// log's size with one value per statistic.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        if self.window_secs == 0 || self.stats.is_empty() {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["window_secs"],
+                format!("{}s windows with {} statistics", self.window_secs, self.stats.len()),
+                "a coarse log needs a non-zero window and at least one statistic",
+            ));
+            return out;
+        }
+        let window = self.window_secs;
+        let order = |at: &[Step], message: String| {
+            Violation::new(
+                "artifact/coarse-log-order",
+                at,
+                message,
+                "rows and open cells ascend strictly in batch order, sealed windows \
+                 before the frontier and open ones at or after it",
+            )
+        };
+        let mut prev = None;
+        for (i, row) in self.sealed.iter().enumerate() {
+            let at = path!["sealed", i];
+            out.extend(row_violations(row, window, self.stats.len(), &at));
+            let key = (row.window_start.0 / window, row.src, row.dst);
+            if prev >= Some(key) {
+                out.push(order(&at, format!("sealed row {key:?} does not follow {prev:?}")));
+            }
+            if key.0 >= self.frontier {
+                out.push(order(
+                    &at,
+                    format!(
+                        "sealed row in window {} is not before the frontier {}",
+                        key.0, self.frontier
+                    ),
+                ));
+            }
+            prev = Some(key);
+        }
+        if self.keys.len() != self.cells.len() {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["cells"],
+                format!("{} open keys but {} open cells", self.keys.len(), self.cells.len()),
+                "keys and cells are parallel vectors",
+            ));
+        }
+        let mut prev = None;
+        for (i, (&(w, pair), cell)) in self.keys.iter().zip(&self.cells).enumerate() {
+            if prev >= Some((w, pair)) {
+                out.push(order(
+                    &path!["keys", i],
+                    format!("open key {:?} does not follow {prev:?}", (w, pair)),
+                ));
+            }
+            if w < self.frontier {
+                out.push(order(
+                    &path!["keys", i],
+                    format!("open cell in window {w} is behind the frontier {}", self.frontier),
+                ));
+            }
+            prev = Some((w, pair));
+            if cell.samples.is_empty() || !is_total_sorted(&cell.samples) {
+                out.push(Violation::new(
+                    "artifact/coarse-log-samples",
+                    path!["cells", i, "samples"],
+                    format!("open cell {:?} has an empty or unsorted sample buffer", (w, pair)),
+                    "an open cell holds its samples ascending under f64::total_cmp",
+                ));
+            }
+            let at = path!["cells", i, "row"];
+            out.extend(row_violations(&cell.row, window, self.stats.len(), &at));
+            let (src, dst) = key_pair(pair);
+            if (cell.row.window_start.0 / window, cell.row.src, cell.row.dst) != (w, src, dst) {
+                out.push(Violation::new(
+                    "artifact/coarse-log-shape",
+                    at,
+                    format!("open cell {:?} holds the row of another cell", (w, src, dst)),
+                    "an open cell's row sits at the cell's window and pair",
+                ));
+            }
+        }
+        out
     }
 }
 
@@ -230,20 +505,31 @@ impl TimeCoarsener {
         IncrementalCoarseLog {
             window_secs: self.window_secs,
             stats: self.stats.clone(),
-            buckets: BTreeMap::new(),
-            cells: BTreeMap::new(),
+            frontier: 0,
+            sealed: Vec::new(),
+            keys: Vec::new(),
+            cells: Vec::new(),
         }
     }
 
     /// Apply one telemetry delta in place, recomputing only the dirty
-    /// (pair, window) cells. Applying each delta of a log in tick order
+    /// (pair, window) cells, then seal every window before the delta's
+    /// last. Applying each delta of a time-ordered log in tick order
     /// leaves `state` byte-identical (under
     /// [`IncrementalCoarseLog::encode`]) to a batch
     /// [`TimeCoarsener::coarsen`] over the concatenated log.
     ///
+    /// The delta is keyed `(window, pair_key, value_key)` and stably
+    /// sorted like the time oracle, then merge-joined against the open
+    /// cells. A window-ordered delta — every delta `stream_tick` admits —
+    /// is keyed and sealed one window at a time, so a bulk load holds one
+    /// window's keys and sample buffers at once.
+    ///
     /// # Errors
     /// [`StreamError::StateMismatch`] when `state` was built by a
-    /// different window/statistics configuration.
+    /// different window/statistics configuration, and
+    /// [`StreamError::OutOfOrder`] when a record falls in a sealed window.
+    /// Either leaves `state` untouched.
     pub fn apply_delta(
         &self,
         state: &mut IncrementalCoarseLog,
@@ -257,35 +543,31 @@ impl TimeCoarsener {
                 ),
             });
         }
-        let mut dirty: BTreeSet<(u64, u32, u32)> = BTreeSet::new();
-        for r in &delta.records {
-            let key = (r.ts.0 / self.window_secs, r.src, r.dst);
-            let bucket = state.buckets.entry(key).or_default();
-            let at = bucket.partition_point(|v| v.total_cmp(&r.gbps).is_le());
-            bucket.insert(at, r.gbps);
-            dirty.insert(key);
-        }
-        let mut recomputed = 0usize;
-        for key in &dirty {
-            let Some(s) = state.buckets.get(key).and_then(|v| SummaryStats::of_sorted(v)) else {
+        state.admit(delta)?;
+        let window_of = |r: &BandwidthRecord| r.ts.0 / self.window_secs;
+        let ordered = delta.records.is_sorted_by_key(window_of);
+        let mut keyed: Vec<(u64, u64, u64)> = Vec::new();
+        let mut samples: Vec<f64> = Vec::new();
+        let mut dirty = 0usize;
+        for run in delta.records.chunk_by(|a, b| !ordered || window_of(a) == window_of(b)) {
+            keyed.clear();
+            keyed.extend(
+                run.iter().map(|r| (window_of(r), pair_key(r.src, r.dst), value_key(r.gbps))),
+            );
+            #[allow(clippy::stable_sort_primitive)] // merges per-epoch runs, like the oracle
+            keyed.sort();
+            let (Some(&(first, ..)), Some(&(last, ..))) = (keyed.first(), keyed.last()) else {
                 continue;
             };
-            match state.cells.entry(*key) {
-                Entry::Occupied(mut cell) => {
-                    write_stats(&mut cell.get_mut().values, &self.stats, &s);
-                }
-                Entry::Vacant(cell) => {
-                    let (w, src, dst) = *key;
-                    cell.insert(coarse_row((src, dst), w, self.window_secs, &self.stats, &s));
-                }
-            }
-            recomputed += 1;
+            state.seal_before(first);
+            dirty += state.merge_run(&keyed, &mut samples);
+            state.seal_before(last);
         }
         Ok(DeltaApplyStats {
             appended: delta.len(),
-            dirty_cells: dirty.len(),
-            recomputed_rows: recomputed,
-            total_rows: state.cells.len(),
+            dirty_cells: dirty,
+            recomputed_rows: dirty,
+            total_rows: state.rows(),
         })
     }
 }
@@ -310,12 +592,32 @@ struct PairState {
     rows: Vec<CoarseBwRecord>,
 }
 
+/// Buffers one adaptive `apply_delta` reuses across pairs.
+#[derive(Default)]
+struct PairScratch {
+    /// The pair's new samples, sorted by value.
+    fresh: Vec<(f64, u64)>,
+    /// Window indices the delta touched.
+    touched: Vec<u64>,
+    /// `(window index, value)` of a rebuild, bucketed by a stable sort.
+    bucketed: Vec<(u64, f64)>,
+    /// One window's sorted samples.
+    cell: Vec<f64>,
+}
+
 impl PairState {
-    /// Merge `run` (sorted by value) into the sorted samples in one pass,
-    /// draining it: grow both vectors, then merge from the back so every
-    /// sample moves at most once. A one-sample run is a plain sorted
-    /// insert.
+    /// Merge `run` (sorted by value) into the sorted samples, draining it.
+    /// A one-sample run is a sorted insert; a longer one grows both
+    /// vectors and merges from the back, so every sample moves at most
+    /// once.
     fn merge(&mut self, run: &mut Vec<(f64, u64)>) {
+        if let [(v, t)] = run.as_slice() {
+            let at = self.values.partition_point(|x| x.total_cmp(v).is_le());
+            self.values.insert(at, *v);
+            self.ts.insert(at, *t);
+            run.clear();
+            return;
+        }
         let mut old = self.values.len();
         let mut at = old + run.len();
         self.values.resize(at, 0.0);
@@ -341,15 +643,33 @@ impl PairState {
         }
     }
 
-    /// Rebuild every row under `window`; returns the row count.
-    fn rebuild_rows(&mut self, pair: (u32, u32), window: u64, stats: &[Statistic]) -> usize {
-        let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        for (&v, &t) in self.values.iter().zip(&self.ts) {
-            buckets.entry(t / window).or_default().push(v);
-        }
+    /// Rebuild every row under `window`; returns the row count. `whole`
+    /// summarizes all the pair's samples: when they share one window it
+    /// is that window's summary, bit for bit.
+    fn rebuild_rows(
+        &mut self,
+        pair: (u32, u32),
+        window: u64,
+        stats: &[Statistic],
+        whole: &SummaryStats,
+        scratch: &mut PairScratch,
+    ) -> usize {
         self.rows.clear();
-        for (w, vals) in buckets {
-            if let Some(s) = SummaryStats::of_sorted(&vals) {
+        let mut windows = self.ts.iter().map(|t| t / window);
+        let first = windows.next();
+        if let Some(w) = first.filter(|&w| windows.all(|x| x == w)) {
+            self.rows.push(coarse_row(pair, w, window, stats, whole));
+            return 1;
+        }
+        scratch.bucketed.clear();
+        scratch.bucketed.extend(self.ts.iter().zip(&self.values).map(|(&t, &v)| (t / window, v)));
+        scratch.bucketed.sort_by_key(|&(w, _)| w);
+        for bucket in scratch.bucketed.chunk_by(|a, b| a.0 == b.0) {
+            scratch.cell.clear();
+            scratch.cell.extend(bucket.iter().map(|&(_, v)| v));
+            if let (Some(&(w, _)), Some(s)) =
+                (bucket.first(), SummaryStats::of_sorted(&scratch.cell))
+            {
                 self.rows.push(coarse_row(pair, w, window, stats, &s));
             }
         }
@@ -357,7 +677,7 @@ impl PairState {
     }
 
     /// Recompute the row of window index `w` from the samples it holds,
-    /// overwriting an existing row in place. `scratch` is reused across
+    /// overwriting an existing row in place. `cell` is reused across
     /// calls. Returns the rows recomputed (0 or 1).
     fn refresh_row(
         &mut self,
@@ -365,13 +685,13 @@ impl PairState {
         w: u64,
         window: u64,
         stats: &[Statistic],
-        scratch: &mut Vec<f64>,
+        cell: &mut Vec<f64>,
     ) -> usize {
-        scratch.clear();
-        scratch.extend(
+        cell.clear();
+        cell.extend(
             self.values.iter().zip(&self.ts).filter(|&(_, &t)| t / window == w).map(|(&v, _)| v),
         );
-        let Some(s) = SummaryStats::of_sorted(scratch) else { return 0 };
+        let Some(s) = SummaryStats::of_sorted(cell) else { return 0 };
         match self.rows.binary_search_by_key(&(w * window), |r| r.window_start.0) {
             Ok(i) => {
                 if let Some(row) = self.rows.get_mut(i) {
@@ -382,41 +702,97 @@ impl PairState {
         }
         1
     }
+
+    /// Rules this pair's state breaks under `window` and `n_stats`
+    /// statistics; paths are relative to the pair.
+    fn violations(&self, pair: (u32, u32), window: u64, n_stats: usize) -> Vec<Violation> {
+        let mut out = Vec::new();
+        if self.values.is_empty() || !is_total_sorted(&self.values) {
+            out.push(Violation::new(
+                "artifact/coarse-log-samples",
+                path!["values"],
+                format!("pair {pair:?} has an empty or unsorted history"),
+                "a pair holds its samples ascending under f64::total_cmp",
+            ));
+        }
+        if self.ts.len() != self.values.len() {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["ts"],
+                format!("{} timestamps for {} samples", self.ts.len(), self.values.len()),
+                "values and ts are parallel vectors",
+            ));
+        }
+        if self.rows.is_empty() {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["rows"],
+                format!("pair {pair:?} has samples but no rows"),
+                "every window holding a sample has a row",
+            ));
+        }
+        let mut prev = None;
+        for (j, row) in self.rows.iter().enumerate() {
+            let at = path!["rows", j];
+            out.extend(row_violations(row, window, n_stats, &at));
+            if (row.src, row.dst) != pair {
+                out.push(Violation::new(
+                    "artifact/coarse-log-shape",
+                    at.clone(),
+                    format!("pair {pair:?} holds a row of {:?}", (row.src, row.dst)),
+                    "a pair's rows are its own",
+                ));
+            }
+            if prev >= Some(row.window_start) {
+                out.push(Violation::new(
+                    "artifact/coarse-log-order",
+                    at,
+                    format!("row at {:?} does not follow {prev:?}", row.window_start),
+                    "a pair's rows ascend strictly by window",
+                ));
+            }
+            prev = Some(row.window_start);
+        }
+        out
+    }
 }
 
-/// Incremental state of an [`AdaptiveCoarsener`]: per-pair histories,
-/// classifications, and rows. Only pairs a delta touches are
-/// re-classified, and only the windows it touches are re-summarized — a
-/// pair's volatility is a function of its own history alone, so untouched
-/// pairs cannot flip class.
+/// Incremental state of an [`AdaptiveCoarsener`]: a dense pair table —
+/// `keys` ascending with the parallel `pairs` holding each pair's
+/// history, classification and rows — plus the total row count. Only
+/// pairs a delta touches are re-classified, and only the windows it
+/// touches are re-summarized — a pair's volatility is a function of its
+/// own history alone, so untouched pairs cannot flip class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalAdaptiveLog {
     cv_threshold: f64,
     stable_window: u64,
     volatile_window: u64,
     stats: Vec<Statistic>,
-    pairs: BTreeMap<(u32, u32), PairState>,
+    keys: Vec<(u32, u32)>,
+    pairs: Vec<PairState>,
+    rows: usize,
 }
 
 impl IncrementalAdaptiveLog {
     /// Total coarse rows across all pairs.
     #[must_use]
     pub fn rows(&self) -> usize {
-        self.pairs.values().map(|p| p.rows.len()).sum()
+        self.rows
     }
 
     /// Currently-volatile pairs, sorted (mirrors
     /// [`AdaptiveCoarsener::volatile_pairs`]).
     #[must_use]
     pub fn volatile_pairs(&self) -> Vec<(u32, u32)> {
-        self.pairs.iter().filter(|(_, p)| p.volatile).map(|(&k, _)| k).collect()
+        self.keys.iter().zip(&self.pairs).filter(|(_, p)| p.volatile).map(|(&k, _)| k).collect()
     }
 
     /// Every pair's rows in batch order (`window_start`, `src`, `dst`) —
     /// pairs are disjoint across rows, so the sort key is unique and the
     /// order fully determined.
     fn sorted_rows(&self) -> Vec<&CoarseBwRecord> {
-        let mut out: Vec<&CoarseBwRecord> = self.pairs.values().flat_map(|p| &p.rows).collect();
+        let mut out: Vec<&CoarseBwRecord> = self.pairs.iter().flat_map(|p| &p.rows).collect();
         out.sort_by_key(|r| (r.window_start, r.src, r.dst));
         out
     }
@@ -433,6 +809,66 @@ impl IncrementalAdaptiveLog {
     pub fn encode(&self) -> bytes::Bytes {
         encode_coarse_log(self.sorted_rows())
     }
+
+    /// The log is one `apply_delta` could have left: non-zero windows and
+    /// at least one statistic; keys strictly ascending, one pair state
+    /// each; every pair's history non-empty, sorted under
+    /// `f64::total_cmp` and paired with as many timestamps; its rows its
+    /// own, ascending, each one aligned window of its class with one value
+    /// per statistic; and the row count the sum of the pairs' rows.
+    #[must_use]
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        if self.stable_window == 0 || self.volatile_window == 0 || self.stats.is_empty() {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["stable_window"],
+                format!(
+                    "{}s stable and {}s volatile windows with {} statistics",
+                    self.stable_window,
+                    self.volatile_window,
+                    self.stats.len()
+                ),
+                "an adaptive log needs non-zero windows and at least one statistic",
+            ));
+            return out;
+        }
+        if self.keys.len() != self.pairs.len() {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["pairs"],
+                format!("{} keys but {} pair states", self.keys.len(), self.pairs.len()),
+                "keys and pairs are parallel vectors",
+            ));
+        }
+        let mut prev = None;
+        for (i, (&pair, ps)) in self.keys.iter().zip(&self.pairs).enumerate() {
+            if prev >= Some(pair) {
+                out.push(Violation::new(
+                    "artifact/coarse-log-order",
+                    path!["keys", i],
+                    format!("pair {pair:?} does not follow {prev:?}"),
+                    "the pair table's keys ascend strictly",
+                ));
+            }
+            prev = Some(pair);
+            let window = if ps.volatile { self.volatile_window } else { self.stable_window };
+            out.extend(under(
+                &path!["pairs", i],
+                PairState::violations(ps, pair, window, self.stats.len()),
+            ));
+        }
+        let counted: usize = self.pairs.iter().map(|p| p.rows.len()).sum();
+        if counted != self.rows {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["rows"],
+                format!("row count {} but the pairs hold {counted} rows", self.rows),
+                "the row count is kept as the sum of the pairs' rows",
+            ));
+        }
+        out
+    }
 }
 
 impl AdaptiveCoarsener {
@@ -444,7 +880,9 @@ impl AdaptiveCoarsener {
             stable_window: self.stable_window,
             volatile_window: self.volatile_window,
             stats: self.stats.clone(),
-            pairs: BTreeMap::new(),
+            keys: Vec::new(),
+            pairs: Vec::new(),
+            rows: 0,
         }
     }
 
@@ -454,6 +892,10 @@ impl AdaptiveCoarsener {
     /// pair is new or flips class. Byte-identical (under
     /// [`IncrementalAdaptiveLog::encode`]) to a batch
     /// [`AdaptiveCoarsener::coarsen`] over the concatenated log.
+    ///
+    /// The delta is grouped by pair with one stable sort and walked
+    /// against the pair table with a galloping cursor; new pairs are
+    /// spliced in after the walk.
     ///
     /// # Errors
     /// [`StreamError::StateMismatch`] when `state` was built by a
@@ -477,40 +919,79 @@ impl AdaptiveCoarsener {
         // would set the set-up's peak memory.
         let mut records: Vec<&BandwidthRecord> = delta.records.iter().collect();
         records.sort_by_key(|r| (r.src, r.dst));
-        let mut fresh: Vec<(f64, u64)> = Vec::new();
-        let mut scratch: Vec<f64> = Vec::new();
-        let mut touched: Vec<u64> = Vec::new();
-        let (mut dirty, mut recomputed) = (0usize, 0usize);
+        let mut scratch = PairScratch::default();
+        let mut fresh_keys = Vec::new();
+        let mut fresh_pairs = Vec::new();
+        let (mut cursor, mut dirty, mut recomputed) = (0usize, 0usize, 0usize);
         for run in records.chunk_by(|a, b| (a.src, a.dst) == (b.src, b.dst)) {
             let Some(first) = run.first() else { continue };
             let pair = (first.src, first.dst);
             dirty += 1;
-            let ps = state.pairs.entry(pair).or_default();
-            let is_new = ps.values.is_empty();
-            fresh.extend(run.iter().map(|r| (r.gbps, r.ts.0)));
-            fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
-            ps.merge(&mut fresh);
-            let was_volatile = ps.volatile;
-            ps.volatile = SummaryStats::of_sorted(&ps.values).is_some_and(|s| self.is_volatile(&s));
-            let window = if ps.volatile { self.volatile_window } else { self.stable_window };
-            if is_new || ps.volatile != was_volatile {
-                recomputed += ps.rebuild_rows(pair, window, &self.stats);
-                continue;
-            }
-            touched.clear();
-            touched.extend(run.iter().map(|r| r.ts.0 / window));
-            touched.sort_unstable();
-            touched.dedup();
-            for &w in &touched {
-                recomputed += ps.refresh_row(pair, w, window, &self.stats, &mut scratch);
+            cursor = gallop(&state.keys, cursor, &pair);
+            let hit =
+                state.keys.get(cursor).filter(|&&k| k == pair).and(state.pairs.get_mut(cursor));
+            if let Some(ps) = hit {
+                let before = ps.rows.len();
+                recomputed += self.absorb(ps, pair, run, &mut scratch);
+                state.rows = (state.rows + ps.rows.len()).saturating_sub(before);
+            } else {
+                let mut ps = PairState::default();
+                recomputed += self.absorb(&mut ps, pair, run, &mut scratch);
+                state.rows += ps.rows.len();
+                fresh_keys.push((cursor, pair));
+                fresh_pairs.push((cursor, ps));
             }
         }
+        splice_sorted(&mut state.keys, fresh_keys);
+        splice_sorted(&mut state.pairs, fresh_pairs);
         Ok(DeltaApplyStats {
             appended: delta.len(),
             dirty_cells: dirty,
             recomputed_rows: recomputed,
-            total_rows: state.rows(),
+            total_rows: state.rows,
         })
+    }
+
+    /// Merge one pair's run of new records into its state, re-classify
+    /// the pair and recompute the rows the run dirtied. Returns the rows
+    /// recomputed.
+    fn absorb(
+        &self,
+        ps: &mut PairState,
+        pair: (u32, u32),
+        run: &[&BandwidthRecord],
+        scratch: &mut PairScratch,
+    ) -> usize {
+        let is_new = ps.values.is_empty();
+        scratch.fresh.clear();
+        scratch.fresh.extend(run.iter().map(|r| (r.gbps, r.ts.0)));
+        scratch.fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
+        ps.merge(&mut scratch.fresh);
+        let Some(whole) = SummaryStats::of_sorted(&ps.values) else { return 0 };
+        let was_volatile = ps.volatile;
+        ps.volatile = self.is_volatile(&whole);
+        let window = if ps.volatile { self.volatile_window } else { self.stable_window };
+        if is_new || ps.volatile != was_volatile {
+            return ps.rebuild_rows(pair, window, &self.stats, &whole, scratch);
+        }
+        scratch.touched.clear();
+        scratch.touched.extend(run.iter().map(|r| r.ts.0 / window));
+        scratch.touched.sort_unstable();
+        scratch.touched.dedup();
+        // One touched window that already held the pair's only row now
+        // holds its whole history: its sorted samples are `values`
+        // itself, so the classification summary is its summary.
+        if let ([w], [row]) = (scratch.touched.as_slice(), ps.rows.as_mut_slice()) {
+            if row.window_start.0 == w * window {
+                write_stats(&mut row.values, &self.stats, &whole);
+                return 1;
+            }
+        }
+        let mut recomputed = 0;
+        for &w in &scratch.touched {
+            recomputed += ps.refresh_row(pair, w, window, &self.stats, &mut scratch.cell);
+        }
+        recomputed
     }
 }
 
@@ -609,9 +1090,11 @@ impl StreamState {
         &self.adaptive
     }
 
-    /// Restore a serialized checkpoint, refusing one whose fine graph or
-    /// CDG breaks its invariants: a dangling edge or name-index entry
-    /// would otherwise surface as a panic on the next tick.
+    /// Restore a serialized checkpoint, refusing one whose fine graph,
+    /// CDG or coarse logs break their invariants, or whose coarse logs
+    /// were built for another configuration: a dangling edge, an unsorted
+    /// pair table or a zero window would otherwise surface as a panic or a
+    /// silent misplacement on the next tick.
     ///
     /// # Errors
     /// [`StreamError::Checkpoint`] with the first violation found.
@@ -622,6 +1105,23 @@ impl StreamState {
         })?;
         let mut violations = under(&path!["fine"], FineDepGraph::violations(&state.fine));
         violations.extend(under(&path!["cdg"], CoarseDepGraph::violations(&state.cdg)));
+        violations.extend(under(&path!["time"], state.time.violations()));
+        violations.extend(under(&path!["adaptive"], state.adaptive.violations()));
+        let (config, time, adaptive) = (&state.config, &state.time, &state.adaptive);
+        let built_by_config = time.window_secs == config.window_secs
+            && time.stats == config.stats
+            && adaptive.cv_threshold.to_bits() == config.adaptive.cv_threshold.to_bits()
+            && adaptive.stable_window == config.adaptive.stable_window
+            && adaptive.volatile_window == config.adaptive.volatile_window
+            && adaptive.stats == config.adaptive.stats;
+        if !built_by_config {
+            violations.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["config"],
+                "the coarse logs were built for another configuration",
+                "a checkpoint's logs carry the windows, statistics and threshold of its config",
+            ));
+        }
         match violations.into_iter().next() {
             Some(v) => Err(StreamError::Checkpoint(v)),
             None => Ok(state),
@@ -762,6 +1262,10 @@ impl SmnController {
             prev = Some(r.ts);
         }
 
+        // A record in a sealed window would fail the uniform apply after
+        // ingest; refuse it while the lake is still untouched.
+        state.time.admit(telemetry)?;
+
         let ingest = ingest_bandwidth_profiled(self.clds(), &telemetry.records, &obs);
 
         let (time, adaptive) = {
@@ -806,7 +1310,7 @@ impl SmnController {
         Ok(TickOutcome {
             tick: telemetry.tick,
             ingested: ingest.ingested,
-            pairs: telemetry.pairs().into_iter().collect(),
+            pairs: telemetry.pairs(),
             time,
             adaptive,
             cdg,
@@ -1342,8 +1846,8 @@ mod tests {
         ctl.stream_run(&mut state, &deltas, &[]).unwrap();
         ctl.stream_reconcile(&mut state).unwrap();
         // Corrupt one incremental cell behind the coarsener's back.
-        if let Some(cell) = state.time.cells.values_mut().next() {
-            cell.values[0] += 1.0;
+        if let Some(cell) = state.time.cells.first_mut() {
+            cell.row.values[0] += 1.0;
         }
         let err = ctl.stream_reconcile(&mut state).unwrap_err();
         match &err {
@@ -1401,6 +1905,114 @@ mod tests {
             Err(other) => panic!("expected a checkpoint error, got {other}"),
             Ok(_) => panic!("a dangling edge must not restore"),
         }
+    }
+
+    #[test]
+    fn a_record_in_a_sealed_window_is_out_of_order_and_changes_nothing() {
+        let c = TimeCoarsener::new(HOUR, vec![Statistic::Mean, Statistic::P95]);
+        let mut state = c.new_state();
+        // Two hours of epochs: hour 0 is sealed once hour 1 arrives.
+        let log = mixed_log(24);
+        c.apply_delta(&mut state, &TelemetryDelta::new(0, log.clone())).unwrap();
+        assert_eq!(state.frontier, 1);
+        let before = state.clone();
+        let late = BandwidthRecord { ts: Ts(HOUR - EPOCH_SECS), src: 0, dst: 1, gbps: 1.0 };
+        let open = BandwidthRecord { ts: Ts(2 * HOUR), src: 0, dst: 1, gbps: 1.0 };
+        let err = c.apply_delta(&mut state, &TelemetryDelta::new(1, vec![open, late])).unwrap_err();
+        assert!(matches!(err, StreamError::OutOfOrder { .. }), "got {err}");
+        assert_eq!(state, before, "a refused delta leaves the state untouched");
+        assert_eq!(state.encode(), encode_coarse_log(&c.coarsen(&log)));
+    }
+
+    #[test]
+    fn gallop_and_splice_match_their_definitions() {
+        let keys: Vec<u32> = (0..40).map(|k| k * 3).collect();
+        for from in 0..=keys.len() {
+            for key in 0..125 {
+                let rest = keys.get(from..).unwrap_or_default();
+                assert_eq!(gallop(&keys, from, &key), from + rest.partition_point(|&k| k < key));
+            }
+        }
+        let mut table = vec![10, 20, 30];
+        splice_sorted(&mut table, vec![(0, 5), (2, 25), (2, 26), (3, 35)]);
+        assert_eq!(table, vec![5, 10, 20, 25, 26, 30, 35]);
+        splice_sorted(&mut table, vec![(7, 40), (7, 41)]);
+        assert_eq!(table, vec![5, 10, 20, 25, 26, 30, 35, 40, 41]);
+    }
+
+    #[test]
+    fn an_empty_delta_is_a_no_op() {
+        let c = TimeCoarsener::new(HOUR, vec![Statistic::Mean]);
+        let ac = StreamConfig::default().adaptive;
+        let (mut time, mut adaptive) = (c.new_state(), ac.new_state());
+        let log = mixed_log(30);
+        c.apply_delta(&mut time, &TelemetryDelta::new(0, log.clone())).unwrap();
+        ac.apply_delta(&mut adaptive, &TelemetryDelta::new(0, log)).unwrap();
+        let (time_before, adaptive_before) = (time.clone(), adaptive.clone());
+        let empty = TelemetryDelta::new(1, Vec::new());
+        let t = c.apply_delta(&mut time, &empty).unwrap();
+        let a = ac.apply_delta(&mut adaptive, &empty).unwrap();
+        assert_eq!((t.appended, t.dirty_cells, t.recomputed_rows), (0, 0, 0));
+        assert_eq!((a.appended, a.dirty_cells, a.recomputed_rows), (0, 0, 0));
+        assert_eq!((t.total_rows, a.total_rows), (time.rows(), adaptive.rows()));
+        assert_eq!(time, time_before);
+        assert_eq!(adaptive, adaptive_before);
+    }
+
+    #[test]
+    fn a_bulk_load_keeps_samples_only_for_the_open_window() {
+        // Six hours of history in one delta, as a streaming set-up loads it.
+        let log = mixed_log(72);
+        let c = TimeCoarsener::new(HOUR, vec![Statistic::Mean, Statistic::P95]);
+        let mut state = c.new_state();
+        let applied = c.apply_delta(&mut state, &TelemetryDelta::new(0, log.clone())).unwrap();
+        assert_eq!(applied.dirty_cells, 6 * 3);
+        assert_eq!(state.frontier, 5, "hours 0-4 are sealed");
+        assert_eq!(state.sealed.len(), 5 * 3);
+        let buffered: usize = state.cells.iter().map(|c| c.samples.len()).sum();
+        let open = log.iter().filter(|r| r.ts.0 / HOUR == 5).count();
+        assert_eq!(buffered, open, "only hour 5's records are buffered");
+        assert!(state.keys.iter().all(|&(w, _)| w == 5));
+        assert_eq!(state.encode(), encode_coarse_log(&c.coarsen(&log)));
+        assert!(state.violations().is_empty(), "{:?}", state.violations());
+    }
+
+    #[test]
+    fn coarse_log_violations_name_what_is_inconsistent() {
+        let cfg = StreamConfig::default();
+        let log = mixed_log(30);
+        let c = cfg.time_coarsener();
+        let mut time = c.new_state();
+        c.apply_delta(&mut time, &TelemetryDelta::new(0, log.clone())).unwrap();
+        let mut adaptive = cfg.adaptive.new_state();
+        cfg.adaptive.apply_delta(&mut adaptive, &TelemetryDelta::new(0, log)).unwrap();
+        assert!(time.violations().is_empty() && adaptive.violations().is_empty());
+
+        let rules = |vs: Vec<Violation>| vs.into_iter().map(|v| v.rule).collect::<Vec<_>>();
+        let mut bad = time.clone();
+        bad.keys.swap(0, 1);
+        assert!(rules(bad.violations()).contains(&"artifact/coarse-log-order".to_string()));
+        let mut bad = time.clone();
+        bad.cells[0].samples.reverse();
+        bad.cells[0].samples.push(-1.0);
+        assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-samples"]);
+        let mut bad = time.clone();
+        bad.frontier = 0;
+        assert_eq!(
+            rules(bad.violations()),
+            vec!["artifact/coarse-log-order"; 6],
+            "two sealed hours"
+        );
+        let mut bad = adaptive.clone();
+        bad.rows += 1;
+        assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-shape"]);
+        let mut bad = adaptive.clone();
+        bad.keys.swap(0, 1);
+        let found = bad.violations();
+        assert!(found.iter().any(|v| v.rule == "artifact/coarse-log-order"), "{found:?}");
+        let mut bad = adaptive;
+        bad.pairs.pop();
+        assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-shape"; 2]);
     }
 
     #[test]

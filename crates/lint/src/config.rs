@@ -140,6 +140,9 @@ pub const ARTIFACT_RULES: &[&str] = &[
     "artifact/journal-dangling-pair",
     "artifact/journal-dangling-component",
     "artifact/journal-missing-hash",
+    "artifact/coarse-log-order",
+    "artifact/coarse-log-shape",
+    "artifact/coarse-log-samples",
 ];
 
 /// The lint configuration.

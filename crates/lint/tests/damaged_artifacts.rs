@@ -10,11 +10,16 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use smn_core::stream::{StreamConfig, StreamState};
+use smn_core::controller::{ControllerConfig, SmnController};
+use smn_core::stream::{StreamConfig, StreamError, StreamState};
+use smn_depgraph::coarse::CoarseDepGraph;
 use smn_incident::faults::CampaignArtifact;
 use smn_incident::RedditDeployment;
 use smn_lint::artifact::check_str;
 use smn_perf::BenchReport;
+use smn_telemetry::delta::TelemetryDelta;
+use smn_telemetry::record::BandwidthRecord;
+use smn_telemetry::time::Ts;
 
 /// Characters that change JSON structure, numbers, or string content.
 const REPLACEMENTS: [char; 16] =
@@ -34,6 +39,18 @@ fn collect(dir: &Path, out: &mut Vec<(String, String)>) {
     }
 }
 
+/// A stream checkpoint after one tick over pairs (0,1), (0,2) and (3,1),
+/// so both coarse logs hold samples and rows.
+fn checkpoint() -> String {
+    let mut ctl = SmnController::new(CoarseDepGraph::new(), ControllerConfig::default());
+    let mut state = StreamState::new(StreamConfig::default(), RedditDeployment::build().fine);
+    let records = [(0, 1), (0, 2), (3, 1)]
+        .map(|(src, dst)| BandwidthRecord { ts: Ts(0), src, dst, gbps: 10.0 })
+        .to_vec();
+    ctl.stream_tick(&mut state, &TelemetryDelta::new(0, records), None).expect("tick applies");
+    serde_json::to_string(&state).expect("checkpoint serializes")
+}
+
 /// The committed artifacts, the fixture corpus, and a stream checkpoint.
 fn inputs() -> &'static [(String, String)] {
     static INPUTS: OnceLock<Vec<(String, String)>> = OnceLock::new();
@@ -42,9 +59,7 @@ fn inputs() -> &'static [(String, String)] {
         let mut out = Vec::new();
         collect(&manifest.join("../../artifacts"), &mut out);
         collect(&manifest.join("tests/fixtures"), &mut out);
-        let state = StreamState::new(StreamConfig::default(), RedditDeployment::build().fine);
-        let checkpoint = serde_json::to_string(&state).expect("checkpoint serializes");
-        out.push(("checkpoint".to_string(), checkpoint));
+        out.push(("checkpoint".to_string(), checkpoint()));
         out
     })
 }
@@ -64,6 +79,23 @@ fn forged_partition_size_is_a_finding_not_an_abort() {
     let out = check_str("c.json", src);
     assert!(!out.is_empty());
     assert!(out.iter().all(|d| d.rule == "artifact/partition-not-total"), "{out:?}");
+}
+
+#[test]
+fn swapped_pair_keys_are_a_checkpoint_error() {
+    let checkpoint = checkpoint();
+    assert!(StreamState::restore(&checkpoint).is_ok(), "the undamaged checkpoint restores");
+    let keys = r#""keys":[[0,1],[0,2],[3,1]]"#;
+    assert!(checkpoint.contains(keys), "{checkpoint}");
+    let swapped = checkpoint.replace(keys, r#""keys":[[0,2],[0,1],[3,1]]"#);
+    match StreamState::restore(&swapped) {
+        Err(StreamError::Checkpoint(v)) => {
+            assert!(v.rule.starts_with("artifact/coarse-log-"), "{v}");
+            assert!(v.to_string().contains("[$.adaptive."), "{v}");
+        }
+        Err(other) => panic!("expected a checkpoint error, got {other}"),
+        Ok(_) => panic!("a pair table with swapped keys must not restore"),
+    }
 }
 
 proptest! {

@@ -49,8 +49,11 @@ impl TelemetryDelta {
 
     /// The distinct (src, dst) pairs this delta touches, sorted.
     #[must_use]
-    pub fn pairs(&self) -> BTreeSet<(u32, u32)> {
-        self.records.iter().map(|r| (r.src, r.dst)).collect()
+    pub fn pairs(&self) -> Vec<(u32, u32)> {
+        let mut pairs: Vec<(u32, u32)> = self.records.iter().map(|r| (r.src, r.dst)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 
     /// The distinct (window index, src, dst) cells this delta dirties
@@ -115,7 +118,7 @@ mod tests {
         );
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
-        assert_eq!(d.pairs().into_iter().collect::<Vec<_>>(), vec![(0, 1), (2, 1)]);
+        assert_eq!(d.pairs(), vec![(0, 1), (2, 1)]);
         // Hour windows: ts 3600 and 3700 share window 1; ts 10 is window 0.
         let cells: Vec<_> = d.dirty_cells(3600).into_iter().collect();
         assert_eq!(cells, vec![(0, 2, 1), (1, 0, 1), (1, 2, 1)]);

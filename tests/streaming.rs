@@ -117,6 +117,42 @@ fn boundary_stream_strategy(ticks: usize) -> impl Strategy<Value = Vec<Telemetry
     })
 }
 
+/// Strategy shaped like periodbench's set-up: one bulk first delta of
+/// 1 to 10 hours of epochs, then `ticks` single-epoch deltas, plus a
+/// checkpoint split anywhere in the stream. The bulk delta seals many
+/// hour windows at once. The stream starts up to 12 hours before a day
+/// boundary, so a stable pair's whole history sometimes fits in one day
+/// window (the adaptive log reuses its classification summary for that
+/// row) and sometimes crosses into the next day (it cannot). Each epoch
+/// carries 0..4 records over a 3-node WAN with values from [`GBPS_POOL`],
+/// so pairs also flip class.
+fn bulk_then_ticks_strategy(ticks: usize) -> impl Strategy<Value = (Vec<TelemetryDelta>, usize)> {
+    let hour = (HOUR / EPOCH_SECS) as usize;
+    let epoch = proptest::collection::vec((0u32..3, 0u32..3, 0usize..GBPS_POOL.len()), 0..4);
+    let epochs = proptest::collection::vec(epoch, (hour + ticks)..(10 * hour + ticks + 1));
+    let lead = 0..12 * HOUR / EPOCH_SECS;
+    (epochs, lead, 1..ticks + 2).prop_map(move |(epochs, lead, split)| {
+        let start = DAY / EPOCH_SECS - lead;
+        let bulk_epochs = epochs.len() - ticks;
+        let mut deltas = vec![TelemetryDelta::new(0, Vec::new())];
+        for (e, rows) in epochs.into_iter().enumerate() {
+            let ts = Ts((start + e as u64) * EPOCH_SECS);
+            let records = rows.into_iter().map(|(src, dst, gbps)| BandwidthRecord {
+                ts,
+                src,
+                dst,
+                gbps: GBPS_POOL.get(gbps).copied().unwrap_or(0.0),
+            });
+            if e < bulk_epochs {
+                deltas[0].records.extend(records);
+            } else {
+                deltas.push(TelemetryDelta::new((e + 1 - bulk_epochs) as u64, records.collect()));
+            }
+        }
+        (deltas, split)
+    })
+}
+
 /// Strategy: fine-graph churn interleaved with the telemetry stream. Each
 /// entry `(tick_choice, team, wire_to_base)` adds one uniquely named
 /// component on a pseudo-random tick, wired into the existing graph
@@ -297,6 +333,29 @@ proptest! {
         telemetry in delta_stream_strategy(12),
     ) {
         check_apply_stats(&StreamConfig::default(), &telemetry)?;
+    }
+
+    /// A multi-hour bulk delta, then single-epoch ticks: incremental
+    /// equals batch and the bookkeeping holds, across the sealing of many
+    /// windows at once and day windows that do and do not hold a pair's
+    /// whole history.
+    #[test]
+    fn bulk_load_then_epoch_ticks_equal_batch(
+        (telemetry, _split) in bulk_then_ticks_strategy(12),
+        churn in churn_strategy(13),
+        reconcile_every in 0u64..5,
+    ) {
+        check_incremental_equals_batch(&all_stats_config(), &telemetry, &churn, reconcile_every)?;
+        check_apply_stats(&all_stats_config(), &telemetry)?;
+    }
+
+    /// The same stream shape with a checkpoint and restore anywhere.
+    #[test]
+    fn bulk_load_then_epoch_ticks_restore_at_any_split(
+        (telemetry, split) in bulk_then_ticks_strategy(12),
+        churn in churn_strategy(13),
+    ) {
+        check_checkpoint_restore(&all_stats_config(), &telemetry, &churn, split)?;
     }
 
     /// The same, with ticks that cross hour and day windows and every
