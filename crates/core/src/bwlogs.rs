@@ -138,24 +138,38 @@ impl TimeCoarsener {
     }
 
     /// [`TimeCoarsener::coarsen_records`] over the records `keep` accepts.
-    ///
-    /// Records are keyed `(window, pair, value)` as plain integers
-    /// ([`pair_key`], [`value_key`]) and sorted, so each `(window, pair)`
-    /// run is exactly the sorted sample buffer [`SummaryStats::of_sorted`]
-    /// summarises ([`SummaryStats::of`] is sort + `of_sorted`) and rows
-    /// come out in `(window_start, src, dst)` order. A window-ordered input
-    /// (every lake slice) is sorted one window at a time; any other input
-    /// is one run. The sort is stable: equal keys are bitwise-equal values,
-    /// so either sort gives the same rows, and the stable one merges the
-    /// per-epoch runs a time-ordered window is made of.
     pub(crate) fn coarsen_where(
         &self,
         records: &[BandwidthRecord],
         keep: impl Fn(&BandwidthRecord) -> bool,
     ) -> Vec<CoarseBwRecord> {
+        let mut out = Vec::new();
+        self.for_each_cell(records, keep, |w, pair, stats| out.push(self.row(w, pair, stats)));
+        out
+    }
+
+    /// Summarise each `(window, pair)` cell of the records `keep` accepts
+    /// and hand it to `visit` as `(window index, packed pair, stats)`, in
+    /// `(window, src, dst)` order. Every sink of the time oracle
+    /// (coarse logs, the planning ladder's rows) shares this one walk.
+    ///
+    /// Records are keyed `(window, pair, value)` as plain integers
+    /// ([`pair_key`], [`value_key`]) and sorted, so each `(window, pair)`
+    /// run is exactly the sorted sample buffer [`SummaryStats::of_sorted`]
+    /// summarises ([`SummaryStats::of`] is sort + `of_sorted`). A
+    /// window-ordered input (every lake slice) is sorted one window at a
+    /// time; any other input is one run. The sort is stable: equal keys
+    /// are bitwise-equal values, so either sort gives the same cells, and
+    /// the stable one merges the per-epoch runs a time-ordered window is
+    /// made of.
+    pub(crate) fn for_each_cell(
+        &self,
+        records: &[BandwidthRecord],
+        keep: impl Fn(&BandwidthRecord) -> bool,
+        mut visit: impl FnMut(u64, u64, &SummaryStats),
+    ) {
         let window_of = |r: &BandwidthRecord| r.ts.0 / self.window_secs;
         let ordered = records.is_sorted_by_key(window_of);
-        let mut out = Vec::new();
         let mut keyed: Vec<(u64, u64, u64)> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         for run in records.chunk_by(|a, b| !ordered || window_of(a) == window_of(b)) {
@@ -175,10 +189,9 @@ impl TimeCoarsener {
                 else {
                     continue;
                 };
-                out.push(self.row(w, pair, &stats));
+                visit(w, pair, &stats);
             }
         }
-        out
     }
 
     /// The coarse row of window index `w` for a packed `pair`.

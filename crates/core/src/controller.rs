@@ -42,13 +42,13 @@ use smn_depgraph::syndrome::{Explainability, Syndrome};
 use smn_obs::Obs;
 use smn_te::capacity::{CapacityPlanner, UpgradePolicy};
 use smn_telemetry::record::{Alert, BandwidthRecord, LogEvent, ProbeResult, Severity};
-use smn_telemetry::series::Statistic;
+use smn_telemetry::series::{key_pair, Statistic};
 use smn_telemetry::time::{Ts, DAY, EPOCH_SECS, HOUR};
 use smn_topology::layer1::{Modulation, OpticalLayer, WavelengthId};
 use smn_topology::EdgeId;
 
 use crate::aiops::{aggregate_alerts, AggregatedIncident};
-use crate::bwlogs::{CoarseBwRecord, TimeCoarsener};
+use crate::bwlogs::TimeCoarsener;
 
 /// Feedback emitted by the CLTO to teams or external agents.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -137,6 +137,22 @@ impl Default for ControllerConfig {
     }
 }
 
+/// One row of a planning window: a pair's P95 over one window of the
+/// chosen rung. The window length is the window's `resolution_secs`, and
+/// the row is plain data (24 bytes, no heap), so a 1000-DC planning hour
+/// is one allocation however many pairs it holds.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct PlanningRow {
+    /// Window start.
+    pub window_start: Ts,
+    /// Source node.
+    pub src: u32,
+    /// Destination node.
+    pub dst: u32,
+    /// The window's P95, the one statistic the ladder keeps.
+    pub values: [f64; 1],
+}
+
 /// Planning inputs assembled under possible degradation: the coarse
 /// bandwidth log at whichever ladder resolution was complete enough.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -145,8 +161,9 @@ pub struct PlanningWindow {
     pub resolution_secs: u64,
     /// Fraction of expected windows at that resolution that had data.
     pub completeness: f64,
-    /// The coarse log (P95 per pair per window).
-    pub records: Vec<CoarseBwRecord>,
+    /// The coarse log (P95 per pair per window), in
+    /// `(window_start, src, dst)` order.
+    pub records: Vec<PlanningRow>,
 }
 
 /// Serializable controller snapshot: the loop state needed to resume after
@@ -626,8 +643,16 @@ impl SmnController {
         let completeness_at = |resolution: u64| -> f64 {
             let expected = (span.div_ceil(resolution)).max(1);
             // Lake slices are time-ordered, so each observed window is one
-            // run of adjacent records.
-            let observed = fine.chunk_by(|a, b| a.ts.0 / resolution == b.ts.0 / resolution).count();
+            // run of adjacent records: jump from run to run by binary search.
+            let mut observed = 0usize;
+            let mut rest = fine;
+            while let Some(first) = rest.first() {
+                let w = first.ts.0 / resolution;
+                observed += 1;
+                rest = rest
+                    .get(rest.partition_point(|r| r.ts.0 / resolution == w)..)
+                    .unwrap_or_default();
+            }
             observed as f64 / expected as f64
         };
         let threshold = self.config.planning_completeness_threshold;
@@ -652,25 +677,38 @@ impl SmnController {
             });
         }
         let (chosen, completeness) = rung;
-        let records = TimeCoarsener::new(chosen, vec![Statistic::P95]).coarsen_records(fine);
+        // At most one row per record; an untouched reservation costs no
+        // resident memory on the coarser rungs.
+        let mut records = Vec::with_capacity(fine.len());
+        TimeCoarsener::new(chosen, vec![Statistic::P95]).for_each_cell(
+            fine,
+            |_| true,
+            |w, pair, stats| {
+                let (src, dst) = key_pair(pair);
+                let window_start = Ts(w * chosen);
+                records.push(PlanningRow {
+                    window_start,
+                    src,
+                    dst,
+                    values: [stats.get(Statistic::P95)],
+                });
+            },
+        );
         (PlanningWindow { resolution_secs: chosen, completeness, records }, feedback)
     }
 
     /// Per-edge utilization history from a planning window: `edge_of` maps
-    /// a `(src, dst)` pair to its WAN edge and capacity in Gbps. Rows that
-    /// carry no statistic are skipped.
+    /// a `(src, dst)` pair to its WAN edge and capacity in Gbps. Rows whose
+    /// pair has no edge, or whose edge has no capacity, are skipped.
     pub fn utilization_history(
         window: &PlanningWindow,
         edge_of: impl Fn(u32, u32) -> Option<(EdgeId, f64)>,
     ) -> BTreeMap<EdgeId, Vec<f64>> {
         let mut history: BTreeMap<EdgeId, Vec<f64>> = BTreeMap::new();
         for r in &window.records {
-            let (Some(&value), Some((edge, capacity_gbps))) =
-                (r.values.first(), edge_of(r.src, r.dst))
-            else {
-                continue;
-            };
+            let Some((edge, capacity_gbps)) = edge_of(r.src, r.dst) else { continue };
             if capacity_gbps > 0.0 {
+                let [value] = r.values;
                 history.entry(edge).or_default().push(value / capacity_gbps);
             }
         }
@@ -1130,7 +1168,10 @@ mod tests {
         assert_eq!(records.first().map(|r| r.values.len()), Some(0));
         assert_eq!(TimeCoarsener::estimate(&records, 0, 1, Ts(10)), None);
         assert_eq!(TimeCoarsener::estimate(&records, 0, 2, Ts(10)), Some(5.0));
-        let window = PlanningWindow { resolution_secs: HOUR, completeness: 1.0, records };
+        // A planning row always carries its P95, so a zero-statistic row
+        // cannot reach the history; the window holds the one-value row.
+        let rows = vec![PlanningRow { window_start: Ts(0), src: 0, dst: 2, values: [5.0] }];
+        let window = PlanningWindow { resolution_secs: HOUR, completeness: 1.0, records: rows };
         let history =
             SmnController::utilization_history(&window, |_, dst| Some((EdgeId(dst), 10.0)));
         assert_eq!(history.keys().copied().collect::<Vec<_>>(), [EdgeId(2)]);
@@ -1192,7 +1233,15 @@ mod tests {
             });
         }
         let (chosen, completeness) = rung;
-        let records = TimeCoarsener::new(chosen, vec![Statistic::P95]).coarsen(&fine);
+        let records = TimeCoarsener::new(chosen, vec![Statistic::P95])
+            .coarsen(&fine)
+            .into_iter()
+            .map(|r| {
+                assert_eq!(r.window_secs, chosen);
+                let values = r.values.as_slice().try_into().expect("one P95 per row");
+                PlanningRow { window_start: r.window_start, src: r.src, dst: r.dst, values }
+            })
+            .collect();
         (Some(PlanningWindow { resolution_secs: chosen, completeness, records }), feedback)
     }
 
@@ -1234,6 +1283,69 @@ mod tests {
                 }
             }
             assert_eq!(borrowing.lake.query_count(), copying.lake.query_count());
+        }
+    }
+
+    proptest::proptest! {
+        /// Random lakes — thinned epochs, several samples of one pair in
+        /// one epoch, NaN, ±0.0 and negative gbps — plan bit for bit as
+        /// the time oracle coarsens them, on every ladder rung: threshold
+        /// 0 keeps the fine rung, 2 falls through to the daily one, and
+        /// 0.5 and 0.9 step down as far as the thinning makes them. The
+        /// rung and its completeness are those of the copying path's
+        /// run-counting ladder.
+        #[test]
+        fn planning_rows_match_time_coarsener_on_every_rung(
+            raw in proptest::collection::vec((0u64..288, 0u64..300, 0usize..4, 0usize..9), 0..300),
+            from in 0u64..4,
+        ) {
+            use crate::coarsen::Coarsening;
+            const PAIRS: [(u32, u32); 4] = [(0, 1), (1, 0), (2, 1), (u32::MAX, 0)];
+            const GBPS: [f64; 9] = [0.0, -0.0, 1.0, 1.0, 2.5, 40.0, -3.0, f64::NAN, -f64::NAN];
+            let mut lake: Vec<BandwidthRecord> = raw
+                .iter()
+                .map(|&(epoch, offset, p, v)| BandwidthRecord {
+                    ts: Ts(epoch * EPOCH_SECS + offset),
+                    src: PAIRS[p].0,
+                    dst: PAIRS[p].1,
+                    gbps: GBPS[v],
+                })
+                .collect();
+            lake.sort_by_key(|r| r.ts);
+            let mut c = faulty_controller(FaultProfile::reliable());
+            c.clds().bandwidth.write().extend(lake.iter().copied());
+            let (start, end) = (Ts(from * 6 * HOUR), Ts(DAY));
+            let fine = c.lake.bandwidth_range(start, end).expect("a reliable lake reads");
+            for threshold in [0.0, 0.5, 0.9, 2.0] {
+                c.config.planning_completeness_threshold = threshold;
+                let (Some(got), feedback) = c.planning_bandwidth(start, end) else {
+                    return Err(proptest::test_runner::TestCaseError::fail("no window"));
+                };
+                let (Some(copied), copied_feedback) = planning_by_copy(&c, start, end) else {
+                    return Err(proptest::test_runner::TestCaseError::fail("no copied window"));
+                };
+                proptest::prop_assert_eq!(got.resolution_secs, copied.resolution_secs);
+                proptest::prop_assert_eq!(got.completeness.to_bits(), copied.completeness.to_bits());
+                proptest::prop_assert_eq!(feedback, copied_feedback);
+                let want: Vec<(Ts, u64, u32, u32, u64)> =
+                    TimeCoarsener::new(got.resolution_secs, vec![Statistic::P95])
+                        .coarsen(&fine)
+                        .iter()
+                        .map(|r| {
+                            let p95 = r.values.first().map_or(0, |v| v.to_bits());
+                            (r.window_start, r.window_secs, r.src, r.dst, p95)
+                        })
+                        .collect();
+                let rows: Vec<(Ts, u64, u32, u32, u64)> = got
+                    .records
+                    .iter()
+                    .map(|r| {
+                        let [p95] = r.values;
+                        (r.window_start, got.resolution_secs, r.src, r.dst, p95.to_bits())
+                    })
+                    .collect();
+                proptest::prop_assert_eq!(rows, want);
+            }
         }
     }
 

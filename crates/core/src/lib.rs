@@ -34,6 +34,6 @@ pub mod warstories;
 
 pub use coarsen::{action_fidelity, Coarsening, CoarseningReport};
 pub use controller::{
-    ControllerCheckpoint, ControllerConfig, Feedback, PlanningWindow, SmnController,
+    ControllerCheckpoint, ControllerConfig, Feedback, PlanningRow, PlanningWindow, SmnController,
 };
 pub use healing::HealingCheckpoint;

@@ -418,6 +418,33 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// Dijkstra's working arrays. [`DiGraph::k_shortest_paths`] reuses one
+/// across all its searches; a search resets them, so it sees exactly the
+/// state a freshly allocated scratch would give it.
+struct DijkstraScratch {
+    dist: Vec<f64>,
+    prev: Vec<Option<(NodeId, EdgeId)>>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl DijkstraScratch {
+    fn new(nodes: usize) -> Self {
+        Self { dist: vec![f64::INFINITY; nodes], prev: vec![None; nodes], heap: BinaryHeap::new() }
+    }
+
+    /// Append the edges of the search tree's path from its source to
+    /// `dst`, in path order.
+    fn push_path_edges(&self, dst: NodeId, edges: &mut Vec<EdgeId>) {
+        let from = edges.len();
+        let mut cur = dst;
+        while let Some((p, e)) = self.prev[cur.index()] {
+            edges.push(e);
+            cur = p;
+        }
+        edges[from..].reverse();
+    }
+}
+
 impl<N, E> DiGraph<N, E> {
     /// Dijkstra shortest path from `src` to `dst` under a non-negative edge
     /// cost function. Edges for which `cost` returns `None` are unusable
@@ -429,16 +456,32 @@ impl<N, E> DiGraph<N, E> {
         &self,
         src: NodeId,
         dst: NodeId,
-        mut cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
+        cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
     ) -> Option<Path> {
-        let n = self.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: src });
-        while let Some(HeapEntry { cost: d, node: u }) = heap.pop() {
-            if d > dist[u.index()] {
+        let mut scratch = DijkstraScratch::new(self.node_count());
+        let cost = self.dijkstra(&mut scratch, src, dst, cost)?;
+        let mut edges = Vec::new();
+        scratch.push_path_edges(dst, &mut edges);
+        Some(Path { nodes: self.path_nodes(src, &edges), edges, cost })
+    }
+
+    /// Run Dijkstra from `src` in `s` until `dst` is settled; returns the
+    /// distance to `dst`, or `None` when it is unreachable. The path is
+    /// left in `s.prev`.
+    fn dijkstra(
+        &self,
+        s: &mut DijkstraScratch,
+        src: NodeId,
+        dst: NodeId,
+        mut cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
+    ) -> Option<f64> {
+        s.dist.fill(f64::INFINITY);
+        s.prev.fill(None);
+        s.heap.clear();
+        s.dist[src.index()] = 0.0;
+        s.heap.push(HeapEntry { cost: 0.0, node: src });
+        while let Some(HeapEntry { cost: d, node: u }) = s.heap.pop() {
+            if d > s.dist[u.index()] {
                 continue;
             }
             if u == dst {
@@ -449,32 +492,32 @@ impl<N, E> DiGraph<N, E> {
                 let Some(w) = cost(eid, edge) else { continue };
                 debug_assert!(w >= 0.0, "negative edge weight {w} on {eid}");
                 let nd = d + w;
-                if nd < dist[edge.dst.index()] {
-                    dist[edge.dst.index()] = nd;
-                    prev[edge.dst.index()] = Some((u, eid));
-                    heap.push(HeapEntry { cost: nd, node: edge.dst });
+                if nd < s.dist[edge.dst.index()] {
+                    s.dist[edge.dst.index()] = nd;
+                    s.prev[edge.dst.index()] = Some((u, eid));
+                    s.heap.push(HeapEntry { cost: nd, node: edge.dst });
                 }
             }
         }
-        if dist[dst.index()].is_infinite() {
-            return None;
-        }
-        let mut nodes = vec![dst];
-        let mut edges = Vec::new();
-        let mut cur = dst;
-        while let Some((p, e)) = prev[cur.index()] {
-            nodes.push(p);
-            edges.push(e);
-            cur = p;
-        }
-        nodes.reverse();
-        edges.reverse();
-        Some(Path { nodes, edges, cost: dist[dst.index()] })
+        let d = s.dist[dst.index()];
+        (!d.is_infinite()).then_some(d)
+    }
+
+    /// The node sequence of the path that starts at `src` and takes `edges`.
+    fn path_nodes(&self, src: NodeId, edges: &[EdgeId]) -> Vec<NodeId> {
+        let mut nodes = Vec::with_capacity(edges.len() + 1);
+        nodes.push(src);
+        nodes.extend(edges.iter().map(|e| self.edges[e.index()].dst));
+        nodes
     }
 
     /// Yen's algorithm: up to `k` loopless shortest paths from `src` to
-    /// `dst`, sorted by cost. Used to build the path sets for path-based
-    /// traffic engineering (§4).
+    /// `dst`, sorted by cost (none for `k = 0`). Used to build the path
+    /// sets for path-based traffic engineering (§4).
+    ///
+    /// All searches of one call share one Dijkstra scratch, and the edges
+    /// and nodes a spur search may not use are marked in stamped arrays,
+    /// so a spur allocates only when it yields a new candidate path.
     pub fn k_shortest_paths(
         &self,
         src: NodeId,
@@ -483,16 +526,30 @@ impl<N, E> DiGraph<N, E> {
         mut cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
     ) -> Vec<Path> {
         let mut result: Vec<Path> = Vec::new();
-        let Some(first) = self.shortest_path(src, dst, &mut cost) else {
+        if k == 0 {
+            return result;
+        }
+        let mut scratch = DijkstraScratch::new(self.node_count());
+        let Some(first) = self.dijkstra(&mut scratch, src, dst, &mut cost) else {
             return result;
         };
-        result.push(first);
+        let mut edges = Vec::new();
+        scratch.push_path_edges(dst, &mut edges);
+        result.push(Path { nodes: self.path_nodes(src, &edges), edges, cost: first });
         // Candidate paths found so far, best first.
         let mut candidates: Vec<Path> = Vec::new();
+        // A spur search may not use edge `e` while `edge_ban[e] == stamp`,
+        // nor touch node `v` while `node_ban[v] == stamp`; each spur takes
+        // a fresh stamp, which lifts the previous spur's bans at no cost.
+        let mut edge_ban = vec![0usize; self.edge_count()];
+        let mut node_ban = vec![0usize; self.node_count()];
+        let mut stamp = 0usize;
+        let mut spur_edges: Vec<EdgeId> = Vec::new();
         while result.len() < k {
-            let Some(last) = result.last().cloned() else { break };
+            let Some(last) = result.last() else { break };
             // For each node in the previous path except the terminal, branch.
             for i in 0..last.nodes.len() - 1 {
+                stamp += 1;
                 let spur_node = last.nodes[i];
                 let root_nodes = &last.nodes[..=i];
                 let root_edges = &last.edges[..i];
@@ -502,38 +559,41 @@ impl<N, E> DiGraph<N, E> {
                     root_edges.iter().filter_map(|&e| cost(e, &self.edges[e.index()])).sum();
                 // Edges removed: any edge leaving the spur node that a
                 // previously accepted path with the same root uses next.
-                let mut banned_edges: HashSet<EdgeId> = HashSet::new();
                 for p in result.iter().chain(candidates.iter()) {
                     if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
                         if let Some(&e) = p.edges.get(i) {
-                            banned_edges.insert(e);
+                            edge_ban[e.index()] = stamp;
                         }
                     }
                 }
                 // Nodes removed: the root path nodes except the spur node
                 // (loopless requirement).
-                let banned_nodes: HashSet<NodeId> = root_nodes[..i].iter().copied().collect();
-                let spur = self.shortest_path(spur_node, dst, |eid, edge| {
-                    if banned_edges.contains(&eid)
-                        || banned_nodes.contains(&edge.src)
-                        || banned_nodes.contains(&edge.dst)
+                for v in &root_nodes[..i] {
+                    node_ban[v.index()] = stamp;
+                }
+                let spur = self.dijkstra(&mut scratch, spur_node, dst, |eid, edge| {
+                    if edge_ban[eid.index()] == stamp
+                        || node_ban[edge.src.index()] == stamp
+                        || node_ban[edge.dst.index()] == stamp
                     {
                         None
                     } else {
                         cost(eid, edge)
                     }
                 });
-                if let Some(spur_path) = spur {
-                    let mut nodes = root_nodes.to_vec();
-                    nodes.extend_from_slice(&spur_path.nodes[1..]);
+                let Some(spur_cost) = spur else { continue };
+                spur_edges.clear();
+                scratch.push_path_edges(dst, &mut spur_edges);
+                let is_total = |p: &Path| {
+                    p.edges.len() == i + spur_edges.len()
+                        && p.edges[..i] == *root_edges
+                        && p.edges[i..] == *spur_edges
+                };
+                if !candidates.iter().any(is_total) && !result.iter().any(is_total) {
                     let mut edges = root_edges.to_vec();
-                    edges.extend_from_slice(&spur_path.edges);
-                    let total = Path { nodes, edges, cost: root_cost + spur_path.cost };
-                    if !candidates.iter().any(|c| c.edges == total.edges)
-                        && !result.iter().any(|c| c.edges == total.edges)
-                    {
-                        candidates.push(total);
-                    }
+                    edges.extend_from_slice(&spur_edges);
+                    let nodes = self.path_nodes(src, &edges);
+                    candidates.push(Path { nodes, edges, cost: root_cost + spur_cost });
                 }
             }
             if candidates.is_empty() {
@@ -845,6 +905,174 @@ mod tests {
         let paths = g.k_shortest_paths(ids[0], ids[3], 2, |_, e| Some(e.payload));
         assert_eq!(paths.len(), 2);
         assert!(paths[0].cost <= paths[1].cost);
+    }
+
+    #[test]
+    fn yen_k_zero_returns_no_paths() {
+        let (g, ids) = diamond();
+        assert!(g.k_shortest_paths(ids[0], ids[3], 0, |_, e| Some(e.payload)).is_empty());
+        assert!(g.k_shortest_paths(ids[0], ids[0], 0, |_, e| Some(e.payload)).is_empty());
+        assert_eq!(g.k_shortest_paths(ids[0], ids[0], 1, |_, e| Some(e.payload)).len(), 1);
+    }
+
+    /// The Dijkstra `shortest_path` ran before the shared scratch: fresh
+    /// `dist`, `prev` and heap per search.
+    fn shortest_path_by_alloc<N, E>(
+        g: &DiGraph<N, E>,
+        src: NodeId,
+        dst: NodeId,
+        mut cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
+    ) -> Option<Path> {
+        let n = g.node_count();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+        let mut heap = BinaryHeap::new();
+        dist[src.index()] = 0.0;
+        heap.push(HeapEntry { cost: 0.0, node: src });
+        while let Some(HeapEntry { cost: d, node: u }) = heap.pop() {
+            if d > dist[u.index()] {
+                continue;
+            }
+            if u == dst {
+                break;
+            }
+            for &eid in g.out_edges(u) {
+                let edge = &g.edges[eid.index()];
+                let Some(w) = cost(eid, edge) else { continue };
+                let nd = d + w;
+                if nd < dist[edge.dst.index()] {
+                    dist[edge.dst.index()] = nd;
+                    prev[edge.dst.index()] = Some((u, eid));
+                    heap.push(HeapEntry { cost: nd, node: edge.dst });
+                }
+            }
+        }
+        if dist[dst.index()].is_infinite() {
+            return None;
+        }
+        let mut nodes = vec![dst];
+        let mut edges = Vec::new();
+        let mut cur = dst;
+        while let Some((p, e)) = prev[cur.index()] {
+            nodes.push(p);
+            edges.push(e);
+            cur = p;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(Path { nodes, edges, cost: dist[dst.index()] })
+    }
+
+    /// The Yen's `k_shortest_paths` replaced: a fresh Dijkstra and two
+    /// `HashSet`s per spur. The byte-identity oracle for the shared
+    /// scratch and the stamped ban arrays (it returns one path for
+    /// `k = 0`, which the fixed version does not).
+    fn k_shortest_paths_by_hashsets<N, E>(
+        g: &DiGraph<N, E>,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        mut cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
+    ) -> Vec<Path> {
+        let mut result: Vec<Path> = Vec::new();
+        let Some(first) = shortest_path_by_alloc(g, src, dst, &mut cost) else {
+            return result;
+        };
+        result.push(first);
+        let mut candidates: Vec<Path> = Vec::new();
+        while result.len() < k {
+            let Some(last) = result.last().cloned() else { break };
+            for i in 0..last.nodes.len() - 1 {
+                let spur_node = last.nodes[i];
+                let root_nodes = &last.nodes[..=i];
+                let root_edges = &last.edges[..i];
+                let root_cost: f64 =
+                    root_edges.iter().filter_map(|&e| cost(e, &g.edges[e.index()])).sum();
+                let mut banned_edges: HashSet<EdgeId> = HashSet::new();
+                for p in result.iter().chain(candidates.iter()) {
+                    if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
+                        if let Some(&e) = p.edges.get(i) {
+                            banned_edges.insert(e);
+                        }
+                    }
+                }
+                let banned_nodes: HashSet<NodeId> = root_nodes[..i].iter().copied().collect();
+                let spur = shortest_path_by_alloc(g, spur_node, dst, |eid, edge| {
+                    if banned_edges.contains(&eid)
+                        || banned_nodes.contains(&edge.src)
+                        || banned_nodes.contains(&edge.dst)
+                    {
+                        None
+                    } else {
+                        cost(eid, edge)
+                    }
+                });
+                if let Some(spur_path) = spur {
+                    let mut nodes = root_nodes.to_vec();
+                    nodes.extend_from_slice(&spur_path.nodes[1..]);
+                    let mut edges = root_edges.to_vec();
+                    edges.extend_from_slice(&spur_path.edges);
+                    let total = Path { nodes, edges, cost: root_cost + spur_path.cost };
+                    if !candidates.iter().any(|c| c.edges == total.edges)
+                        && !result.iter().any(|c| c.edges == total.edges)
+                    {
+                        candidates.push(total);
+                    }
+                }
+            }
+            if candidates.is_empty() {
+                break;
+            }
+            candidates.sort_by(|a, b| a.cost.partial_cmp(&b.cost).unwrap_or(Ordering::Equal));
+            result.push(candidates.remove(0));
+        }
+        result
+    }
+
+    proptest::proptest! {
+        /// Random multigraphs — parallel edges and self-loops from few
+        /// nodes, unit costs that tie, edges with no usable cost, `src ==
+        /// dst` and unreachable `dst` — give bit-identical path sets to
+        /// the `HashSet` oracle: nodes, edges and cost bits, path by path.
+        #[test]
+        fn scratch_yen_matches_hashset_yen(
+            n in 1u32..7,
+            raw_edges in proptest::collection::vec((0u32..9, 0u32..9, 0usize..5, 0.0f64..4.0), 0..40),
+            ends in (0u32..9, 0u32..9),
+            k in 0usize..6,
+        ) {
+            let mut g: DiGraph<(), Option<f64>> = DiGraph::new();
+            for _ in 0..n {
+                g.add_node(());
+            }
+            for &(s, d, kind, w) in &raw_edges {
+                // Two in five edges cost 1 (ties), one in five is unusable.
+                let cost = match kind {
+                    0 => None,
+                    1 | 2 => Some(1.0),
+                    _ => Some(w),
+                };
+                g.add_edge(NodeId(s % n), NodeId(d % n), cost);
+            }
+            let (src, dst) = (NodeId(ends.0 % n), NodeId(ends.1 % n));
+            let cost = |_: EdgeId, e: &Edge<Option<f64>>| e.payload;
+            let got = g.k_shortest_paths(src, dst, k, cost);
+            if k == 0 {
+                proptest::prop_assert!(got.is_empty());
+            } else {
+                let want = k_shortest_paths_by_hashsets(&g, src, dst, k, cost);
+                let key = |ps: &[Path]| -> Vec<(Vec<NodeId>, Vec<EdgeId>, u64)> {
+                    ps.iter().map(|p| (p.nodes.clone(), p.edges.clone(), p.cost.to_bits())).collect()
+                };
+                proptest::prop_assert_eq!(key(&got), key(&want));
+            }
+            let one = g.shortest_path(src, dst, cost);
+            let old = shortest_path_by_alloc(&g, src, dst, cost);
+            proptest::prop_assert_eq!(
+                one.map(|p| (p.nodes, p.edges, p.cost.to_bits())),
+                old.map(|p| (p.nodes, p.edges, p.cost.to_bits()))
+            );
+        }
     }
 
     #[test]
