@@ -581,8 +581,8 @@ impl SmnController {
     /// Assemble planning inputs from the lake, degrading along the
     /// resolution ladder when the fine window is incomplete.
     ///
-    /// A resolution is trusted when the fraction of its expected windows
-    /// that contain at least one record meets
+    /// A resolution is trusted when the fraction of the windows
+    /// `[start, end)` touches that contain at least one record meets
     /// [`ControllerConfig::planning_completeness_threshold`] — chaos-thinned
     /// epochs leave holes in the fine series that mislead the planner, but
     /// the same records spread over hourly or daily windows still populate
@@ -618,9 +618,8 @@ impl SmnController {
     ) -> (Option<PlanningWindow>, Vec<Feedback>) {
         // The ladder and the coarsen read the lake's slice in place: one
         // gated query per attempt, no copy of the window.
-        let span = end.0.saturating_sub(start.0);
         match self.fetch(|_| {
-            self.lake.with_bandwidth_range(start, end, |fine| self.plan_window(fine, span))
+            self.lake.with_bandwidth_range(start, end, |fine| self.plan_window(fine, start, end))
         }) {
             Ok((window, feedback)) => (Some(window), feedback),
             Err(e) => (
@@ -635,13 +634,28 @@ impl SmnController {
         }
     }
 
-    /// Walk the resolution ladder over `fine`, a time-ordered lake slice
-    /// spanning `span` seconds, and coarsen it at the first complete
-    /// enough rung (P95 per pair per window).
-    fn plan_window(&self, fine: &[BandwidthRecord], span: u64) -> (PlanningWindow, Vec<Feedback>) {
+    /// The number of `resolution`-second windows `[start, end)` touches
+    /// (at least one): an unaligned span touches one more window than its
+    /// length alone implies.
+    fn windows_touched(start: Ts, end: Ts, resolution: u64) -> u64 {
+        match end.0.checked_sub(1) {
+            Some(last) if last >= start.0 => last / resolution - start.0 / resolution + 1,
+            _ => 1,
+        }
+    }
+
+    /// Walk the resolution ladder over `fine`, the time-ordered lake slice
+    /// of `[start, end)`, and coarsen it at the first complete enough rung
+    /// (P95 per pair per window).
+    fn plan_window(
+        &self,
+        fine: &[BandwidthRecord],
+        start: Ts,
+        end: Ts,
+    ) -> (PlanningWindow, Vec<Feedback>) {
         let mut feedback = Vec::new();
         let completeness_at = |resolution: u64| -> f64 {
-            let expected = (span.div_ceil(resolution)).max(1);
+            let expected = Self::windows_touched(start, end, resolution);
             // Lake slices are time-ordered, so each observed window is one
             // run of adjacent records: jump from run to run by binary search.
             let mut observed = 0usize;
@@ -683,15 +697,10 @@ impl SmnController {
         TimeCoarsener::new(chosen, vec![Statistic::P95]).for_each_cell(
             fine,
             |_| true,
-            |w, pair, stats| {
+            |w, pair, samples| {
+                let Some(p95) = Statistic::P95.of_sorted(samples) else { return };
                 let (src, dst) = key_pair(pair);
-                let window_start = Ts(w * chosen);
-                records.push(PlanningRow {
-                    window_start,
-                    src,
-                    dst,
-                    values: [stats.get(Statistic::P95)],
-                });
+                records.push(PlanningRow { window_start: Ts(w * chosen), src, dst, values: [p95] });
             },
         );
         (PlanningWindow { resolution_secs: chosen, completeness, records }, feedback)
@@ -1135,6 +1144,42 @@ mod tests {
     }
 
     #[test]
+    fn unaligned_span_counts_every_window_it_touches() {
+        // `[HOUR / 2, 3 * HOUR / 2)` touches hour windows 0 and 1. Every
+        // third epoch of it holds a record, in both hours or in hour 1
+        // only: too thin for the fine rung either way.
+        let fill = |both_hours: bool| {
+            let c = controller();
+            let mut bw = c.clds().bandwidth.write();
+            for e in (HOUR / 2 / EPOCH_SECS..3 * HOUR / 2 / EPOCH_SECS).filter(|e| e % 3 == 0) {
+                let ts = Ts(e * EPOCH_SECS);
+                if both_hours || ts >= Ts(HOUR) {
+                    bw.append(smn_telemetry::record::BandwidthRecord {
+                        ts,
+                        src: 0,
+                        dst: 1,
+                        gbps: 1.0,
+                    });
+                }
+            }
+            drop(bw);
+            c
+        };
+        let (start, end) = (Ts(HOUR / 2), Ts(3 * HOUR / 2));
+        // Hour 0 is empty: the hourly rung is half complete, not whole,
+        // and the ladder falls through to the daily one.
+        let (window, feedback) = fill(false).planning_bandwidth(start, end);
+        let window = window.expect("lake is reachable");
+        assert_eq!((window.resolution_secs, window.completeness), (DAY, 1.0));
+        assert_eq!(feedback.len(), 2);
+        // Both hours hold records: the hourly rung is complete, not 2.0.
+        let (window, feedback) = fill(true).planning_bandwidth(start, end);
+        let window = window.expect("lake is reachable");
+        assert_eq!((window.resolution_secs, window.completeness), (HOUR, 1.0));
+        assert_eq!(feedback.len(), 1);
+    }
+
+    #[test]
     fn planning_full_fine_window_stays_fine() {
         let c = controller();
         {
@@ -1209,11 +1254,11 @@ mod tests {
                 return (None, feedback);
             }
         };
-        let span = end.0.saturating_sub(start.0);
         let threshold = c.config.planning_completeness_threshold;
         let mut rung = (DAY, 0.0);
         for (i, &resolution) in SmnController::PLANNING_LADDER.iter().enumerate() {
-            let expected = span.div_ceil(resolution).max(1);
+            let expected =
+                if end > start { (end.0 - 1) / resolution - start.0 / resolution + 1 } else { 1 };
             let observed = fine.chunk_by(|a, b| a.ts.0 / resolution == b.ts.0 / resolution).count();
             let completeness = observed as f64 / expected as f64;
             rung = (resolution, completeness);
@@ -1293,13 +1338,16 @@ mod tests {
         /// 0 keeps the fine rung, 2 falls through to the daily one, and
         /// 0.5 and 0.9 step down as far as the thinning makes them. The
         /// rung and its completeness are those of the copying path's
-        /// run-counting ladder.
+        /// run-counting ladder. Spans start and end aligned or not, and
+        /// completeness never exceeds 1.
         #[test]
         fn planning_rows_match_time_coarsener_on_every_rung(
             raw in proptest::collection::vec((0u64..288, 0u64..300, 0usize..4, 0usize..9), 0..300),
             from in 0u64..4,
+            shifts in (0usize..6, 0usize..6),
         ) {
             use crate::coarsen::Coarsening;
+            const SHIFTS: [u64; 6] = [0, 0, 1, EPOCH_SECS / 2, HOUR / 2, HOUR - 1];
             const PAIRS: [(u32, u32); 4] = [(0, 1), (1, 0), (2, 1), (u32::MAX, 0)];
             const GBPS: [f64; 9] = [0.0, -0.0, 1.0, 1.0, 2.5, 40.0, -3.0, f64::NAN, -f64::NAN];
             let mut lake: Vec<BandwidthRecord> = raw
@@ -1314,7 +1362,7 @@ mod tests {
             lake.sort_by_key(|r| r.ts);
             let mut c = faulty_controller(FaultProfile::reliable());
             c.clds().bandwidth.write().extend(lake.iter().copied());
-            let (start, end) = (Ts(from * 6 * HOUR), Ts(DAY));
+            let (start, end) = (Ts(from * 6 * HOUR + SHIFTS[shifts.0]), Ts(DAY - SHIFTS[shifts.1]));
             let fine = c.lake.bandwidth_range(start, end).expect("a reliable lake reads");
             for threshold in [0.0, 0.5, 0.9, 2.0] {
                 c.config.planning_completeness_threshold = threshold;
@@ -1324,6 +1372,7 @@ mod tests {
                 let (Some(copied), copied_feedback) = planning_by_copy(&c, start, end) else {
                     return Err(proptest::test_runner::TestCaseError::fail("no copied window"));
                 };
+                proptest::prop_assert!(got.completeness <= 1.0, "completeness {}", got.completeness);
                 proptest::prop_assert_eq!(got.resolution_secs, copied.resolution_secs);
                 proptest::prop_assert_eq!(got.completeness.to_bits(), copied.completeness.to_bits());
                 proptest::prop_assert_eq!(feedback, copied_feedback);

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{key_pair, key_value, pair_key, value_key, Statistic, SummaryStats};
+use smn_telemetry::series::{key_pair, merge_runs, pair_key, Statistic};
 use smn_topology::NodeId;
 
 /// One traffic commodity: demand between a node pair.
@@ -52,34 +52,28 @@ impl DemandMatrix {
     /// samples with `stat` (e.g. [`Statistic::Mean`] or p95 — the
     /// time-coarsening statistics of §4).
     ///
-    /// Records are keyed `(pair, value)` as plain integers ([`pair_key`],
-    /// [`value_key`]) and sorted, so each pair's run is the sorted sample
-    /// buffer [`SummaryStats::of_sorted`] summarises and commodities come
-    /// out in `(src, dst)` order. The sort is stable: equal keys are
-    /// bitwise-equal values, so any sort gives the same matrix, and the
-    /// stable one merges the pair-sorted runs a window-major planning
-    /// window is made of.
+    /// The records are merged by pair with [`merge_runs`], which visits
+    /// each pair once, in `(src, dst)` order, with its samples sorted
+    /// under `f64::total_cmp`, the buffer [`Statistic::of_sorted`] takes.
+    /// A window-major planning window is one pair-sorted run per window,
+    /// so the merge walks it in place with no key buffer and no sort of
+    /// the records; any other order costs `O(n log n)`.
     #[must_use]
     pub fn from_records(records: &[BandwidthRecord], stat: Statistic) -> Self {
-        let mut keyed: Vec<(u64, u64)> =
-            records.iter().map(|r| (pair_key(r.src, r.dst), value_key(r.gbps))).collect();
-        #[allow(clippy::stable_sort_primitive)] // merges the window's pair-sorted runs
-        keyed.sort();
-        let mut values: Vec<f64> = Vec::new();
         let mut commodities = Vec::new();
-        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
-            values.clear();
-            values.extend(run.iter().map(|&(_, v)| key_value(v)));
-            let (Some(&(pair, _)), Some(stats)) = (run.first(), SummaryStats::of_sorted(&values))
-            else {
-                continue;
-            };
-            let (src, dst) = key_pair(pair);
-            let demand_gbps = stats.get(stat);
-            if demand_gbps > 0.0 && src != dst {
-                commodities.push(Commodity { src: NodeId(src), dst: NodeId(dst), demand_gbps });
-            }
-        }
+        merge_runs(
+            records,
+            |r| pair_key(r.src, r.dst),
+            |r| Some(r.gbps),
+            |pair, samples| {
+                let (src, dst) = key_pair(pair);
+                if let Some(demand_gbps) =
+                    stat.of_sorted(samples).filter(|&g| g > 0.0 && src != dst)
+                {
+                    commodities.push(Commodity { src: NodeId(src), dst: NodeId(dst), demand_gbps });
+                }
+            },
+        );
         DemandMatrix { commodities }
     }
 
@@ -130,6 +124,7 @@ impl DemandMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smn_telemetry::series::SummaryStats;
     use smn_telemetry::time::Ts;
 
     fn rec(ts: u64, src: u32, dst: u32, gbps: f64) -> BandwidthRecord {
@@ -191,8 +186,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Sorting `(pair, value)` integer keys builds every commodity bit
-        /// for bit as per-pair map grouping did, for every statistic.
+        /// Merging the records' pair runs builds every commodity bit for
+        /// bit as per-pair map grouping did, for every statistic.
         #[test]
         fn sorted_demand_matches_map_grouping(log in demand_log()) {
             for stat in ALL_STATS {

@@ -17,6 +17,7 @@
 //! experiments run the *same* optimization at both granularities.
 
 use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use serde::{Deserialize, Serialize};
@@ -173,80 +174,98 @@ fn gk_solve<N, E>(
     obs: &smn_obs::Obs,
 ) -> TeSolution {
     assert_eq!(paths.len(), demand.commodities.len(), "one path set per commodity");
-    let n_edges = g.edge_count();
-    let n_rows = n_edges + demand.commodities.len();
-    let row_cap = |row: usize| -> f64 {
-        if row < n_edges {
-            // Saturating cast policy: edge ids are u32, so a row below
-            // edge_count always fits; saturation is unreachable.
-            let eid = EdgeId(u32::try_from(row).unwrap_or(u32::MAX));
-            capacity(eid, g.edge(eid))
-        } else {
-            demand.commodities[row - n_edges].demand_gbps
-        }
-    };
-    let columns = gk_columns(paths, n_edges);
-    let mut length = gk_lengths(n_rows, cfg.epsilon, &row_cap);
+    // Row capacities over the row layout `0..n_edges = edges,
+    // n_edges.. = demands`.
+    let caps: Vec<f64> = g
+        .edges()
+        .map(|(eid, e)| capacity(eid, e))
+        .chain(demand.commodities.iter().map(|c| c.demand_gbps))
+        .collect();
+    let columns = Columns::new(paths, g.edge_count());
+    let mut length = gk_lengths(&caps, cfg.epsilon);
     let (raw_flow, iterations) = {
         let mut p = obs.phase("gk/pack");
-        let packed = gk_pack(&columns, &mut length, &row_cap, cfg.epsilon, cfg.max_iterations);
+        let packed = gk_pack(&columns, &mut length, &caps, cfg.epsilon, cfg.max_iterations);
         p.field("iterations", packed.1);
         p.field("columns", columns.len());
         packed
     };
     let feas_scale = {
         let _p = obs.phase("gk/rescale");
-        gk_feasibility_scale(&columns, &raw_flow, n_rows, &row_cap)
+        gk_feasibility_scale(&columns, &raw_flow, &caps)
     };
     let _p = obs.phase("gk/assemble");
-    gk_assemble(g, capacity, demand, paths, &columns, &raw_flow, feas_scale, iterations)
+    gk_assemble(demand, paths, &columns, &raw_flow, &caps, feas_scale, iterations)
 }
 
-/// One packing column: a (commodity, candidate-path) pair and the rows it
-/// uses (the path's edges plus the commodity's demand row).
-struct Column {
-    commodity: usize,
-    path: usize,
-    rows: Vec<usize>,
+/// GK stage 1: the packing columns, flat. Column `c` is path `ids[c].1`
+/// of commodity `ids[c].0` and uses the rows
+/// `rows[offsets[c]..offsets[c + 1]]`: its path's edges, then its
+/// commodity's demand row. One allocation per field, however many
+/// columns there are.
+struct Columns {
+    ids: Vec<(usize, usize)>,
+    offsets: Vec<usize>,
+    rows: Vec<u32>,
 }
 
-/// GK stage 1: build the packing columns over the row layout
-/// `0..n_edges = edges, n_edges.. = demands`.
-fn gk_columns(paths: &[Vec<Path>], n_edges: usize) -> Vec<Column> {
-    paths
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, ps)| {
-            ps.iter().enumerate().map(move |(pi, p)| Column {
-                commodity: ci,
-                path: pi,
-                rows: p
-                    .edges
-                    .iter()
-                    .map(|e| e.index())
-                    .chain(std::iter::once(n_edges + ci))
-                    .collect(),
-            })
-        })
-        .collect()
+impl Columns {
+    /// One column per candidate path of each commodity, over the row
+    /// layout `0..n_edges = edges, n_edges.. = demands`.
+    fn new(paths: &[Vec<Path>], n_edges: usize) -> Self {
+        // Sized exactly up front, so the rows never regrow by copying.
+        let n_rows = paths.iter().flatten().map(|p| p.edges.len() + 1).sum();
+        let mut columns = Columns::with_capacity(paths.iter().map(Vec::len).sum(), n_rows);
+        for (ci, ps) in paths.iter().enumerate() {
+            // Saturating: a row past `u32::MAX` has no length, so no
+            // column can use it.
+            let demand_row = u32::try_from(n_edges + ci).unwrap_or(u32::MAX);
+            for (pi, p) in ps.iter().enumerate() {
+                columns.push((ci, pi), p.edges.iter().map(|e| e.0).chain([demand_row]));
+            }
+        }
+        columns
+    }
+
+    /// Room for `columns` columns using `rows` rows in all.
+    fn with_capacity(columns: usize, rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(columns + 1);
+        offsets.push(0);
+        Columns { ids: Vec::with_capacity(columns), offsets, rows: Vec::with_capacity(rows) }
+    }
+
+    /// Append column `id` using `rows`.
+    fn push(&mut self, id: (usize, usize), rows: impl IntoIterator<Item = u32>) {
+        self.rows.extend(rows);
+        self.offsets.push(self.rows.len());
+        self.ids.push(id);
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The rows column `c` uses (none past the last column).
+    fn rows(&self, c: usize) -> &[u32] {
+        match (self.offsets.get(c), self.offsets.get(c + 1)) {
+            (Some(&lo), Some(&hi)) => self.rows.get(lo..hi).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// Every column's rows, in column order.
+    fn all_rows(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.len()).map(|c| self.rows(c))
+    }
 }
 
 /// GK stage 1b: initial row lengths `delta / cap` (∞ for zero-capacity
 /// rows, which no column may then use).
-fn gk_lengths(n_rows: usize, eps: f64, row_cap: &impl Fn(usize) -> f64) -> Vec<f64> {
+fn gk_lengths(caps: &[f64], eps: f64) -> Vec<f64> {
     #[allow(clippy::cast_precision_loss)] // row counts stay far below 2^52
-    let m = n_rows.max(2) as f64;
+    let m = caps.len().max(2) as f64;
     let delta = (1.0 + eps) * ((1.0 + eps) * m).powf(-1.0 / eps);
-    (0..n_rows)
-        .map(|r| {
-            let c = row_cap(r);
-            if c > 0.0 {
-                delta / c
-            } else {
-                f64::INFINITY
-            }
-        })
-        .collect()
+    caps.iter().map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY }).collect()
 }
 
 /// Heap entry of [`gk_pack`]'s lazy argmin: a column's length as last
@@ -279,8 +298,8 @@ impl PartialEq for ColumnKey {
 impl Eq for ColumnKey {}
 
 /// A column's length: its rows' lengths summed left to right.
-fn column_length(col: &Column, length: &[f64]) -> f64 {
-    col.rows.iter().map(|&r| length.get(r).copied().unwrap_or(f64::INFINITY)).sum()
+fn column_length(rows: &[u32], length: &[f64]) -> f64 {
+    rows.iter().map(|&r| length.get(r as usize).copied().unwrap_or(f64::INFINITY)).sum()
 }
 
 /// GK stage 2, the multiplicative-weights inner loop: repeatedly push the
@@ -289,61 +308,65 @@ fn column_length(col: &Column, length: &[f64]) -> f64 {
 /// iteration count.
 ///
 /// The cheapest column is found by a lazy min-heap holding one entry per
-/// column of finite length, keyed by the length it had when last pushed.
-/// A popped column's length is recomputed with the same left-to-right
-/// sum: if it still equals its key it is the argmin (and goes back on the
-/// heap), otherwise it is re-pushed with the fresh length, or dropped once
-/// infinite. This is exactly the full scan's choice, first strict minimum
-/// included, because lengths never shrink: with `eps >= 0` every
-/// multiplier `1 + eps * gamma / cap` is at least 1, and IEEE
-/// multiplication and addition are monotone, so a stored key never exceeds
-/// its column's current length. The first popped entry whose key is
-/// current is then no longer than any column's current length, and among
-/// equal lengths it has the lowest index.
+/// column of finite length, keyed by its length when last computed. The
+/// top column's length is recomputed with the same left-to-right sum: if
+/// it still equals its key it is the argmin and is used. Either way its
+/// entry is then rekeyed in place to its current length (or dropped once
+/// infinite), with no pop and push. This is exactly the full scan's
+/// choice, first strict minimum included, because lengths never shrink:
+/// with `eps >= 0` every multiplier `1 + eps * gamma / cap` is at least 1,
+/// and IEEE multiplication and addition are monotone, so a key never
+/// exceeds its column's current length. Keys are unique by
+/// `(len, col)`, so the top entry whose key is current is no longer than
+/// any column's current length, and among equal lengths it has the
+/// lowest index.
 fn gk_pack(
-    columns: &[Column],
+    columns: &Columns,
     length: &mut [f64],
-    row_cap: &impl Fn(usize) -> f64,
+    caps: &[f64],
     eps: f64,
     max_iterations: usize,
 ) -> (Vec<f64>, usize) {
+    let cap = |r: u32| caps.get(r as usize).copied().unwrap_or(0.0);
     let mut raw_flow = vec![0.0f64; columns.len()];
     let mut heap: BinaryHeap<Reverse<ColumnKey>> = columns
-        .iter()
+        .all_rows()
         .enumerate()
-        .map(|(col, c)| ColumnKey { len: column_length(c, length), col })
+        .map(|(col, rows)| ColumnKey { len: column_length(rows, length), col })
         .filter(|k| k.len.is_finite())
         .map(Reverse)
         .collect();
     let mut iterations = 0usize;
     while iterations < max_iterations {
-        // Cheapest column under current lengths.
-        let Some(Reverse(key)) = heap.pop() else { break };
-        let Some(col) = columns.get(key.col) else { continue };
-        let len = column_length(col, length);
-        if len.to_bits() != key.len.to_bits() {
-            if len.is_finite() {
-                heap.push(Reverse(ColumnKey { len, col: key.col }));
+        let Some(mut top) = heap.peek_mut() else { break };
+        let Reverse(key) = *top;
+        let rows = columns.rows(key.col);
+        let mut len = column_length(rows, length);
+        if len.to_bits() == key.len.to_bits() {
+            // The cheapest column under current lengths.
+            if len >= 1.0 {
+                break;
             }
-            continue;
-        }
-        heap.push(Reverse(key));
-        if len >= 1.0 {
-            break;
-        }
-        let gamma = col.rows.iter().map(|&r| row_cap(r)).fold(f64::INFINITY, f64::min);
-        if gamma <= 0.0 || !gamma.is_finite() {
-            break;
-        }
-        if let Some(f) = raw_flow.get_mut(key.col) {
-            *f += gamma;
-        }
-        for &r in &col.rows {
-            if let Some(l) = length.get_mut(r) {
-                *l *= 1.0 + eps * gamma / row_cap(r);
+            let gamma = rows.iter().map(|&r| cap(r)).fold(f64::INFINITY, f64::min);
+            if gamma <= 0.0 || !gamma.is_finite() {
+                break;
             }
+            if let Some(f) = raw_flow.get_mut(key.col) {
+                *f += gamma;
+            }
+            for &r in rows {
+                if let Some(l) = length.get_mut(r as usize) {
+                    *l *= 1.0 + eps * gamma / cap(r);
+                }
+            }
+            iterations += 1;
+            len = column_length(rows, length);
         }
-        iterations += 1;
+        if len.is_finite() {
+            *top = Reverse(ColumnKey { len, col: key.col });
+        } else {
+            PeekMut::pop(top);
+        }
     }
     (raw_flow, iterations)
 }
@@ -352,27 +375,19 @@ fn gk_pack(
 /// `ln(1+eps)/|ln delta|` scale is subsumed by measuring the worst actual
 /// row overuse and scaling it back to 1, so the returned flow never
 /// overuses a link or a demand regardless of `epsilon`.
-fn gk_feasibility_scale(
-    columns: &[Column],
-    raw_flow: &[f64],
-    n_rows: usize,
-    row_cap: &impl Fn(usize) -> f64,
-) -> f64 {
-    let mut row_use = vec![0.0f64; n_rows];
-    for (i, col) in columns.iter().enumerate() {
-        for &r in &col.rows {
-            row_use[r] += raw_flow[i];
+fn gk_feasibility_scale(columns: &Columns, raw_flow: &[f64], caps: &[f64]) -> f64 {
+    let mut row_use = vec![0.0f64; caps.len()];
+    for (rows, &f) in columns.all_rows().zip(raw_flow) {
+        for &r in rows {
+            if let Some(u) = row_use.get_mut(r as usize) {
+                *u += f;
+            }
         }
     }
-    let worst = (0..n_rows)
-        .map(|r| {
-            let c = row_cap(r);
-            if c > 0.0 {
-                row_use[r] / c
-            } else {
-                0.0
-            }
-        })
+    let worst = row_use
+        .iter()
+        .zip(caps)
+        .map(|(&u, &c)| if c > 0.0 { u / c } else { 0.0 })
         .fold(0.0f64, f64::max);
     if worst > 1.0 {
         1.0 / worst
@@ -383,34 +398,29 @@ fn gk_feasibility_scale(
 
 /// GK stage 4: turn the rescaled column flows into a [`TeSolution`]
 /// (dropping sub-1e-9 residues).
-#[allow(clippy::too_many_arguments)] // internal stage fn: plumbing the solver's full context
-fn gk_assemble<N, E>(
-    g: &DiGraph<N, E>,
-    capacity: &impl Fn(EdgeId, &Edge<E>) -> f64,
+fn gk_assemble(
     demand: &DemandMatrix,
     paths: &[Vec<Path>],
-    columns: &[Column],
+    columns: &Columns,
     raw_flow: &[f64],
+    caps: &[f64],
     feas_scale: f64,
     iterations: usize,
 ) -> TeSolution {
     let mut solution =
         TeSolution { offered_gbps: demand.total_gbps(), iterations, ..Default::default() };
-    for (i, col) in columns.iter().enumerate() {
-        let f = raw_flow[i] * feas_scale;
+    for (&(ci, pi), &raw) in columns.ids.iter().zip(raw_flow) {
+        let f = raw * feas_scale;
         if f <= 1e-9 {
             continue;
         }
+        let Some(path) = paths.get(ci).and_then(|ps| ps.get(pi)) else { continue };
         solution.routed_gbps += f;
-        for e in &paths[col.commodity][col.path].edges {
-            let cap = capacity(*e, g.edge(*e));
+        for e in &path.edges {
+            let cap = caps.get(e.index()).copied().unwrap_or(f64::NAN);
             *solution.utilization.entry(*e).or_insert(0.0) += f / cap;
         }
-        solution.flows.push(PathFlow {
-            commodity: col.commodity,
-            path: paths[col.commodity][col.path].clone(),
-            gbps: f,
-        });
+        solution.flows.push(PathFlow { commodity: ci, path: path.clone(), gbps: f });
     }
     solution
 }
@@ -632,9 +642,9 @@ mod tests {
     /// The full-scan argmin `gk_pack` replaced: the byte-identity oracle
     /// for the lazy heap.
     fn gk_pack_scan(
-        columns: &[Column],
+        columns: &Columns,
         length: &mut [f64],
-        row_cap: &impl Fn(usize) -> f64,
+        caps: &[f64],
         eps: f64,
         max_iterations: usize,
     ) -> (Vec<f64>, usize) {
@@ -642,8 +652,8 @@ mod tests {
         let mut iterations = 0usize;
         while iterations < max_iterations {
             let mut best: Option<(usize, f64)> = None;
-            for (i, col) in columns.iter().enumerate() {
-                let len: f64 = col.rows.iter().map(|&r| length[r]).sum();
+            for i in 0..columns.len() {
+                let len: f64 = columns.rows(i).iter().map(|&r| length[r as usize]).sum();
                 if len.is_finite() && best.is_none_or(|(_, bl)| len < bl) {
                     best = Some((i, len));
                 }
@@ -652,14 +662,14 @@ mod tests {
             if len >= 1.0 {
                 break;
             }
-            let col = &columns[ci];
-            let gamma = col.rows.iter().map(|&r| row_cap(r)).fold(f64::INFINITY, f64::min);
+            let rows = columns.rows(ci);
+            let gamma = rows.iter().map(|&r| caps[r as usize]).fold(f64::INFINITY, f64::min);
             if gamma <= 0.0 || !gamma.is_finite() {
                 break;
             }
             raw_flow[ci] += gamma;
-            for &r in &col.rows {
-                length[r] *= 1.0 + eps * gamma / row_cap(r);
+            for &r in rows {
+                length[r as usize] *= 1.0 + eps * gamma / caps[r as usize];
             }
             iterations += 1;
         }
@@ -679,7 +689,7 @@ mod tests {
         fn heap_gk_pack_matches_linear_scan(
             caps in proptest::collection::vec(0usize..6, 1..14),
             raw_cols in proptest::collection::vec(
-                (0usize..1000, proptest::collection::vec(0usize..1000, 1..5), 0usize..3),
+                (0usize..1000, proptest::collection::vec(0u32..1000, 1..5), 0usize..3),
                 1..40,
             ),
             eps_pick in 0usize..4,
@@ -688,22 +698,22 @@ mod tests {
             const CAP_POOL: [f64; 6] = [0.0, 1.0, 2.5, 10.0, 10.0, 40.0];
             let caps: Vec<f64> = caps.iter().map(|&i| CAP_POOL[i]).collect();
             let eps = [0.05, 0.1, 0.2, 0.5][eps_pick];
-            let n_rows = caps.len();
+            let n_rows = u32::try_from(caps.len()).expect("a few rows");
             // A third of the columns copy an earlier column's rows: the
             // same path offered twice, i.e. parallel candidates that tie.
-            let mut columns: Vec<Column> = Vec::new();
+            let mut columns = Columns::with_capacity(raw_cols.len(), 0);
             for (i, (seed, rows, kind)) in raw_cols.iter().enumerate() {
-                let rows: Vec<usize> = match columns.get(seed % i.max(1)) {
-                    Some(earlier) if *kind == 0 => earlier.rows.clone(),
-                    _ => rows.iter().map(|r| r % n_rows).collect(),
+                let rows: Vec<u32> = if *kind == 0 && i > 0 {
+                    columns.rows(seed % i).to_vec()
+                } else {
+                    rows.iter().map(|r| r % n_rows).collect()
                 };
-                columns.push(Column { commodity: 0, path: i, rows });
+                columns.push((0, i), rows);
             }
-            let row_cap = |r: usize| caps[r];
-            let mut heap_len = gk_lengths(n_rows, eps, &row_cap);
+            let mut heap_len = gk_lengths(&caps, eps);
             let mut scan_len = heap_len.clone();
-            let heap = gk_pack(&columns, &mut heap_len, &row_cap, eps, max_iterations);
-            let scan = gk_pack_scan(&columns, &mut scan_len, &row_cap, eps, max_iterations);
+            let heap = gk_pack(&columns, &mut heap_len, &caps, eps, max_iterations);
+            let scan = gk_pack_scan(&columns, &mut scan_len, &caps, eps, max_iterations);
             proptest::prop_assert_eq!(heap.1, scan.1);
             proptest::prop_assert_eq!(bits(&heap.0), bits(&scan.0));
             proptest::prop_assert_eq!(bits(&heap_len), bits(&scan_len));

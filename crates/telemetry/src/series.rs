@@ -6,6 +6,9 @@
 //! [`TimeSeries::window_summaries`] computes it over fixed windows of a
 //! record stream.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use serde::{Deserialize, Serialize};
 
 use crate::time::Ts;
@@ -52,13 +55,10 @@ impl SummaryStats {
     /// samples in the same order and agree exactly.
     #[must_use]
     pub fn of_sorted(sorted: &[f64]) -> Option<SummaryStats> {
-        debug_assert!(
-            sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()),
-            "of_sorted needs samples sorted under f64::total_cmp"
-        );
+        debug_assert_sorted(sorted);
         let (&min, &max) = (sorted.first()?, sorted.last()?);
         let count = sorted.len();
-        let mean = sorted.iter().sum::<f64>() / count as f64;
+        let mean = mean(sorted);
         let var = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
         Some(SummaryStats {
             count,
@@ -89,10 +89,11 @@ impl SummaryStats {
 
 /// A `(src, dst)` pair packed so that `u64` order is `(src, dst)` order.
 ///
-/// With [`value_key`] this is the sort key of every batch summariser:
-/// records keyed `(pair_key, value_key)` as plain integers and sorted
-/// come out grouped by pair, each pair's run being the sorted sample
-/// buffer [`SummaryStats::of_sorted`] takes.
+/// It is the key [`merge_runs`] merges a lake window's pair-sorted epoch
+/// runs by. With [`value_key`] it is the sort key of the summarisers that
+/// still sort: records keyed `(pair_key, value_key)` as plain integers
+/// and sorted come out grouped by pair, each pair's run being the sorted
+/// sample buffer [`SummaryStats::of_sorted`] takes.
 #[inline]
 #[must_use]
 pub fn pair_key(src: u32, dst: u32) -> u64 {
@@ -144,6 +145,144 @@ pub enum Statistic {
     P95,
     /// 99th percentile.
     P99,
+}
+
+impl Statistic {
+    /// This statistic of samples already sorted ascending under
+    /// `f64::total_cmp`; `None` for an empty slice.
+    ///
+    /// Bit for bit `SummaryStats::of_sorted(sorted)?.get(self)`: both are
+    /// built from the same helpers (`interpolate` and one mean), but this
+    /// computes only the one statistic, so a percentile is one
+    /// interpolation, with no sum and no variance pass.
+    #[must_use]
+    pub fn of_sorted(self, sorted: &[f64]) -> Option<f64> {
+        debug_assert_sorted(sorted);
+        let (&min, &max) = (sorted.first()?, sorted.last()?);
+        Some(match self {
+            Statistic::Mean => mean(sorted),
+            Statistic::Min => min,
+            Statistic::Max => max,
+            Statistic::P50 => interpolate(sorted, 50.0),
+            Statistic::P95 => interpolate(sorted, 95.0),
+            Statistic::P99 => interpolate(sorted, 99.0),
+        })
+    }
+}
+
+/// The precondition of both `of_sorted` summarisers, checked in debug
+/// builds: samples ascending under `f64::total_cmp`.
+fn debug_assert_sorted(sorted: &[f64]) {
+    debug_assert!(
+        sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()),
+        "of_sorted needs samples sorted under f64::total_cmp"
+    );
+}
+
+/// Arithmetic mean, summed left to right; NaN for an empty slice.
+fn mean(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// Run heads [`merge_runs`] scans linearly; above this it keeps them in a
+/// heap.
+///
+/// A scan costs one pass over the heads per key, a heap one `O(log r)`
+/// step per key per run that holds it. So the scan wins when most keys
+/// are in most runs (a lake window, where every pair reports every
+/// epoch) and loses when each key is in a few of many runs (unordered
+/// input, up to `n / 2` runs). On 40 000 keys per run, 2 vCPUs: with
+/// every key in every run the scan is 1.1–1.7× faster than the heap at
+/// every run count from 2 to 64; with each key in one run it is 1.1×
+/// slower at 8 runs, 1.2× at 12, 1.5× at 16 and 4.8× at 64. 16 takes the
+/// lake's hour windows (12 epoch runs, 13 for a span off the epoch grid)
+/// and caps the scan's loss on scattered keys at 1.5×.
+const SCAN_RUNS: usize = 16;
+
+/// Visit each distinct key of `records` once, in ascending order, with
+/// the samples of its records sorted under `f64::total_cmp`.
+///
+/// `sample` reads a record's value, or `None` to leave the record out; a
+/// key with no sample left is not visited. The slice is split into its
+/// maximal key-ascending runs and these are merged, so input that is
+/// already a few sorted runs (a lake window: one pair-sorted run per
+/// epoch) is walked with no key buffer and no sort of the records. Each
+/// key's samples are gathered from the run heads that hold it and sorted
+/// on their own. Under `total_cmp` equal samples are equal bit for bit,
+/// so the visit is exactly that of a stable sort on `(key, value)`.
+///
+/// Cost, for `n` records in `r` runs: one pass to split them, then per
+/// key a scan of the run heads while `r` is at most a small constant, or
+/// one heap step per record above it, plus each key's sample sort. A few
+/// runs cost `O(n)` plus the sample sorts; unordered input has up to
+/// `n / 2` runs and costs `O(n log n)`.
+pub fn merge_runs<T, K: Ord + Copy>(
+    records: &[T],
+    key: impl Fn(&T) -> K,
+    sample: impl Fn(&T) -> Option<f64>,
+    mut visit: impl FnMut(K, &[f64]),
+) {
+    let mut runs: Vec<&[T]> = Vec::new();
+    let (mut start, mut prev) = (0, None);
+    for (i, r) in records.iter().enumerate() {
+        let k = key(r);
+        if prev.is_some_and(|p| k < p) {
+            runs.extend(records.get(start..i));
+            start = i;
+        }
+        prev = Some(k);
+    }
+    runs.extend(records.get(start..).filter(|run| !run.is_empty()));
+    let mut samples: Vec<f64> = Vec::new();
+    // Move `run`'s records of key `k` (its head) into `samples`.
+    let gather = |run: &mut &[T], k: K, samples: &mut Vec<f64>| {
+        let taken =
+            run.iter().take_while(|r| key(r) == k).inspect(|r| samples.extend(sample(r))).count();
+        *run = run.get(taken..).unwrap_or_default();
+    };
+    let mut emit = |k: K, samples: &mut Vec<f64>| {
+        samples.sort_unstable_by(f64::total_cmp);
+        if !samples.is_empty() {
+            visit(k, samples);
+        }
+        samples.clear();
+    };
+    if runs.len() <= SCAN_RUNS {
+        while let Some(k) = runs.iter().filter_map(|run| run.first()).map(&key).min() {
+            for run in &mut runs {
+                if run.first().is_some_and(|r| key(r) == k) {
+                    gather(run, k, &mut samples);
+                }
+            }
+            emit(k, &mut samples);
+        }
+        return;
+    }
+    let mut heads: BinaryHeap<Reverse<(K, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, run)| Some(Reverse((key(run.first()?), i))))
+        .collect();
+    while let Some(&Reverse((k, _))) = heads.peek() {
+        while let Some(mut top) = heads.peek_mut() {
+            let Reverse((head, i)) = *top;
+            if head != k {
+                break;
+            }
+            let Some(run) = runs.get_mut(i) else {
+                PeekMut::pop(top);
+                continue;
+            };
+            gather(run, k, &mut samples);
+            match run.first() {
+                Some(next) => *top = Reverse((key(next), i)),
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
+        emit(k, &mut samples);
+    }
 }
 
 /// Exact percentile of an ascending-sorted slice by linear interpolation.
@@ -300,7 +439,103 @@ mod tests {
             .prop_map(|(bits, pick)| EDGES.get(pick).copied().unwrap_or(bits))
     }
 
+    const ALL_STATS: [Statistic; 6] = [
+        Statistic::Mean,
+        Statistic::Min,
+        Statistic::Max,
+        Statistic::P50,
+        Statistic::P95,
+        Statistic::P99,
+    ];
+
+    /// The keyed stable sort [`merge_runs`] replaced: the kept records
+    /// keyed `(key, value_key)` and sorted, one visit per key run.
+    fn visits_by_keyed_sort(records: &[(u8, u64, bool)]) -> Vec<(u8, Vec<u64>)> {
+        let mut keyed: Vec<(u8, u64)> = records
+            .iter()
+            .filter(|r| r.2)
+            .map(|&(k, bits, _)| (k, value_key(f64::from_bits(bits))))
+            .collect();
+        #[allow(clippy::stable_sort_primitive)] // the stable sort is what is under test
+        keyed.sort();
+        keyed
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.iter().map(|&(_, v)| key_value(v).to_bits()).collect()))
+            .collect()
+    }
+
+    /// Records keyed from a small range, so keys repeat inside and across
+    /// runs, laid out as 1–40 chunks each sorted by key (one run or 2–16
+    /// runs: the scan path of [`merge_runs`]; or more: its heap path) or
+    /// left unsorted (up to one run per two records: the heap path).
+    /// One key's samples are all rejected and a fifth of the rest.
+    fn run_log() -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
+        let record = (0u8..12, f64_bits(), 0u8..5);
+        (
+            proptest::collection::vec(proptest::collection::vec(record, 0..12), 1..40),
+            0u8..3,
+            0u8..12,
+        )
+            .prop_map(|(chunks, layout, rejected)| {
+                let chunks = match layout {
+                    0 => vec![chunks.concat()],
+                    1 => chunks.into_iter().take(16).collect(),
+                    _ => chunks,
+                };
+                let sorted = layout < 2 || chunks.len() % 2 == 0;
+                chunks
+                    .into_iter()
+                    .flat_map(|mut chunk| {
+                        if sorted {
+                            chunk.sort_by_key(|r| r.0);
+                        }
+                        chunk
+                    })
+                    .map(|(k, bits, keep)| (k, bits, k != rejected && keep != 0))
+                    .collect()
+            })
+    }
+
     proptest! {
+        /// One statistic of sorted samples is bit for bit that statistic
+        /// of the full summary, for all six, over NaNs, ±0.0, infinities,
+        /// ties, single samples and empty slices.
+        #[test]
+        fn statistic_of_sorted_matches_summary(
+            picks in proptest::collection::vec((0usize..16, f64_bits()), 0..24),
+        ) {
+            let mut sorted: Vec<f64> = picks
+                .into_iter()
+                .map(|(i, b)| SPECIAL.get(i).copied().unwrap_or(f64::from_bits(b)))
+                .collect();
+            sorted.sort_by(f64::total_cmp);
+            for n in [0, 1, sorted.len()] {
+                let head = &sorted[..n.min(sorted.len())];
+                let summary = SummaryStats::of_sorted(head);
+                for s in ALL_STATS {
+                    prop_assert_eq!(
+                        s.of_sorted(head).map(f64::to_bits),
+                        summary.map(|x| x.get(s).to_bits())
+                    );
+                }
+            }
+        }
+
+        /// Merging the key-ascending runs visits every key that keeps a
+        /// sample, in order, with its samples exactly as a stable sort of
+        /// `(key, value_key)` groups them, on the scan and the heap path.
+        #[test]
+        fn merge_runs_matches_keyed_stable_sort(records in run_log()) {
+            let mut got: Vec<(u8, Vec<u64>)> = Vec::new();
+            merge_runs(
+                &records,
+                |r| r.0,
+                |r| r.2.then_some(f64::from_bits(r.1)),
+                |k, samples| got.push((k, samples.iter().map(|v| v.to_bits()).collect())),
+            );
+            prop_assert_eq!(got, visits_by_keyed_sort(&records));
+        }
+
         /// `of` is `of_sorted` over the `total_cmp`-sorted samples, bit for
         /// bit, whatever order the samples arrive in.
         #[test]
@@ -361,6 +596,13 @@ mod tests {
         assert_eq!(s.get(Statistic::Max), 3.0);
         assert_eq!(s.get(Statistic::Min), 1.0);
         assert_eq!(s.get(Statistic::P50), 2.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sorted under f64::total_cmp")]
+    fn statistic_of_sorted_rejects_unsorted_samples() {
+        let _ = Statistic::P95.of_sorted(&[2.0, 1.0]);
     }
 
     #[test]
