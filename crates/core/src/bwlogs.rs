@@ -11,9 +11,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use smn_datalake::fault::LakeError;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{
-    key_pair, key_value, merge_runs, pair_key, value_key, Statistic, SummaryStats,
-};
+use smn_telemetry::series::{key_pair, merge_runs, pair_key, walk_runs, Statistic, SummaryStats};
 use smn_telemetry::sizing::BW_RECORD_BYTES;
 use smn_telemetry::time::Ts;
 use smn_topology::NodeId;
@@ -423,33 +421,36 @@ impl AdaptiveCoarsener {
         out
     }
 
-    /// Sort `records` pair-major as `(pair, value, ts)` integer keys and
-    /// call `f` once per pair, in `(src, dst)` order, with the packed pair,
-    /// its class, its run of keys and the run's values. The values come
-    /// out in `f64::total_cmp` order, so the class is
-    /// [`AdaptiveCoarsener::is_volatile`] of [`SummaryStats::of_sorted`]
-    /// over them with no further sort. The sort is stable: a time-ordered
-    /// lake is a run of pair-sorted epochs, which it merges.
+    /// Walk `records` by pair and call `f` once per pair, in `(src, dst)`
+    /// order, with the packed pair, its class, the summary of all its
+    /// samples and its `(ts, gbps)` samples in input order (time order for
+    /// a lake slice). The summary is [`SummaryStats::of_sorted`] over a
+    /// copy of the values sorted under `f64::total_cmp`, and the class is
+    /// [`AdaptiveCoarsener::is_volatile`] of it.
+    ///
+    /// A time-ordered lake is a run of pair-sorted epochs, which
+    /// [`walk_runs`] merges in place: no key per record and no sort of
+    /// the lake, only each pair's own samples.
     fn for_each_pair(
         &self,
         records: &[BandwidthRecord],
-        mut f: impl FnMut(u64, bool, &[(u64, u64, u64)], &[f64]),
+        mut f: impl FnMut(u64, bool, &SummaryStats, &mut Vec<(u64, f64)>),
     ) {
-        let mut keyed: Vec<(u64, u64, u64)> =
-            records.iter().map(|r| (pair_key(r.src, r.dst), value_key(r.gbps), r.ts.0)).collect();
-        #[allow(clippy::stable_sort_primitive)] // merges the lake's per-epoch runs
-        keyed.sort();
         let mut values: Vec<f64> = Vec::new();
-        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
-            values.clear();
-            values.extend(run.iter().map(|&(_, v, _)| key_value(v)));
-            let (Some(&(pair, _, _)), Some(stats)) =
-                (run.first(), SummaryStats::of_sorted(&values))
-            else {
-                continue;
-            };
-            f(pair, self.is_volatile(&stats), run, &values);
-        }
+        let pair_of = |r: &BandwidthRecord| pair_key(r.src, r.dst);
+        walk_runs(
+            records,
+            pair_of,
+            |r| Some((r.ts.0, r.gbps)),
+            |pair, samples| {
+                values.clear();
+                values.extend(samples.iter().map(|&(_, v)| v));
+                values.sort_unstable_by(f64::total_cmp);
+                if let Some(whole) = SummaryStats::of_sorted(&values) {
+                    f(pair, self.is_volatile(&whole), &whole, samples);
+                }
+            },
+        );
     }
 }
 
@@ -475,34 +476,37 @@ impl AdaptiveCoarsener {
     /// [`Coarsening::coarsen`] over a borrowed slice, so reconciliation
     /// coarsens the lake in place instead of cloning it.
     ///
-    /// One pair-major sort ([`AdaptiveCoarsener::for_each_pair`]) both
-    /// classifies each pair and orders its samples by value. A stable sort
-    /// on the window index of the pair's class then buckets the run while
-    /// keeping each bucket value-sorted, ready for
-    /// [`SummaryStats::of_sorted`]. A pair has one window size, so the
-    /// final `(window_start, src, dst)` sort has unique keys.
+    /// One walk by pair ([`AdaptiveCoarsener::for_each_pair`]) classifies
+    /// each pair. A pair whose samples all fall in one window of its class
+    /// has that window's summary in hand: the classification summary, bit
+    /// for bit (on the benchmark, every stable pair's day). Otherwise a
+    /// stable sort by window index buckets its time-ordered samples, in
+    /// `O(n)` on sorted input, and each bucket's values are sorted and
+    /// summarised with [`SummaryStats::of_sorted`]. A pair has one window
+    /// size, so the final `(window_start, src, dst)` sort has unique keys.
     pub(crate) fn coarsen_records(&self, fine: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
         let volatile = TimeCoarsener::new(self.volatile_window, self.stats.clone());
         let stable = TimeCoarsener::new(self.stable_window, self.stats.clone());
         let mut out = Vec::new();
-        let mut bucketed: Vec<(u64, f64)> = Vec::new();
-        let mut cell_values: Vec<f64> = Vec::new();
-        self.for_each_pair(fine, |pair, is_volatile, run, values| {
+        let mut cell: Vec<f64> = Vec::new();
+        self.for_each_pair(fine, |pair, is_volatile, whole, samples| {
             let class = if is_volatile { &volatile } else { &stable };
-            bucketed.clear();
-            bucketed.extend(
-                run.iter().zip(values).map(|(&(_, _, ts), &v)| (ts / class.window_secs, v)),
-            );
-            bucketed.sort_by_key(|&(w, _)| w);
-            for cell in bucketed.chunk_by(|a, b| a.0 == b.0) {
-                cell_values.clear();
-                cell_values.extend(cell.iter().map(|&(_, v)| v));
-                let (Some(&(w, _)), Some(stats)) =
-                    (cell.first(), SummaryStats::of_sorted(&cell_values))
-                else {
-                    continue;
-                };
-                out.push(class.row(w, pair, &stats));
+            let window_of = |&(ts, _): &(u64, f64)| ts / class.window_secs;
+            let mut windows = samples.iter().map(window_of);
+            if let Some(w) = windows.next().filter(|&w| windows.all(|x| x == w)) {
+                out.push(class.row(w, pair, whole));
+                return;
+            }
+            samples.sort_by_key(window_of);
+            for bucket in samples.chunk_by(|a, b| window_of(a) == window_of(b)) {
+                cell.clear();
+                cell.extend(bucket.iter().map(|&(_, v)| v));
+                cell.sort_unstable_by(f64::total_cmp);
+                if let (Some(w), Some(stats)) =
+                    (bucket.first().map(window_of), SummaryStats::of_sorted(&cell))
+                {
+                    out.push(class.row(w, pair, &stats));
+                }
             }
         });
         out.sort_unstable_by_key(|r| (r.window_start, r.src, r.dst));
@@ -511,7 +515,7 @@ impl AdaptiveCoarsener {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::coarsen::Coarsening;
     use smn_telemetry::time::{DAY, EPOCH_SECS, HOUR};
@@ -685,8 +689,11 @@ mod tests {
 
     /// The `HashMap` grouping plus final sort that `coarsen_where`
     /// replaced: the byte-identity oracle for the run-merging time
-    /// coarsener.
-    fn coarsen_by_map(c: &TimeCoarsener, records: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
+    /// coarsener, and, walking no runs, for the incremental logs.
+    pub(crate) fn coarsen_by_map(
+        c: &TimeCoarsener,
+        records: &[BandwidthRecord],
+    ) -> Vec<CoarseBwRecord> {
         let mut buckets: HashMap<(u64, u32, u32), Vec<f64>> = HashMap::new();
         for r in records {
             buckets.entry((r.ts.0 / c.window_secs, r.src, r.dst)).or_default().push(r.gbps);
@@ -709,7 +716,7 @@ mod tests {
     }
 
     /// The `HashMap` of per-pair samples plus [`SummaryStats::of`] that
-    /// the pair-major sort replaced: the oracle for `volatile_pairs`.
+    /// the pair walk replaced: the oracle for `volatile_pairs`.
     fn volatile_by_map(c: &AdaptiveCoarsener, records: &[BandwidthRecord]) -> Vec<(u32, u32)> {
         let mut samples: HashMap<(u32, u32), Vec<f64>> = HashMap::new();
         for r in records {
@@ -724,9 +731,9 @@ mod tests {
         out
     }
 
-    /// The partitioned-copy adaptive coarsening the pair-major sort
-    /// replaced.
-    fn adaptive_by_partition(
+    /// The partitioned-copy adaptive coarsening the pair walk replaced;
+    /// it walks no runs, so it also checks the incremental logs.
+    pub(crate) fn adaptive_by_partition(
         c: &AdaptiveCoarsener,
         fine: &[BandwidthRecord],
     ) -> Vec<CoarseBwRecord> {
@@ -735,6 +742,39 @@ mod tests {
             fine.iter().partition(|r| volatile.contains(&(r.src, r.dst)));
         let mut out = coarsen_by_map(&TimeCoarsener::new(c.volatile_window, c.stats.clone()), &vol);
         out.extend(coarsen_by_map(&TimeCoarsener::new(c.stable_window, c.stats.clone()), &stable));
+        out.sort_by_key(|r| (r.window_start, r.src, r.dst));
+        out
+    }
+
+    /// The pair-major keyed sort the walked adaptive oracle replaced:
+    /// every record keyed `(pair, value, ts)` and the whole slice sorted,
+    /// values under `f64::total_cmp`. A pair's run is its history in value
+    /// order; a stable sort on its class's window index buckets it, each
+    /// bucket still value-sorted.
+    fn adaptive_by_keyed_sort(
+        c: &AdaptiveCoarsener,
+        fine: &[BandwidthRecord],
+    ) -> Vec<CoarseBwRecord> {
+        let volatile = TimeCoarsener::new(c.volatile_window, c.stats.clone());
+        let stable = TimeCoarsener::new(c.stable_window, c.stats.clone());
+        let mut keyed: Vec<(u64, f64, u64)> =
+            fine.iter().map(|r| (pair_key(r.src, r.dst), r.gbps, r.ts.0)).collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let mut out = Vec::new();
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let values: Vec<f64> = run.iter().map(|k| k.1).collect();
+            let Some(whole) = SummaryStats::of_sorted(&values) else { continue };
+            let class = if c.is_volatile(&whole) { &volatile } else { &stable };
+            let mut bucketed: Vec<(u64, f64)> =
+                run.iter().map(|&(_, v, ts)| (ts / class.window_secs, v)).collect();
+            bucketed.sort_by_key(|&(w, _)| w);
+            for cell in bucketed.chunk_by(|a, b| a.0 == b.0) {
+                let values: Vec<f64> = cell.iter().map(|&(_, v)| v).collect();
+                if let Some(stats) = SummaryStats::of_sorted(&values) {
+                    out.push(class.row(cell[0].0, run[0].0, &stats));
+                }
+            }
+        }
         out.sort_by_key(|r| (r.window_start, r.src, r.dst));
         out
     }
@@ -816,8 +856,8 @@ mod tests {
             );
         }
 
-        /// Classifying pairs from the pair-major sort gives the volatile
-        /// set that per-pair `HashMap` sample vectors give.
+        /// Classifying pairs from the pair walk gives the volatile set
+        /// that per-pair `HashMap` sample vectors give.
         #[test]
         fn pair_sorted_volatile_pairs_match_map(
             raw in raw_log(),
@@ -830,7 +870,7 @@ mod tests {
             proptest::prop_assert_eq!(c.volatile_pairs(&log), volatile_by_map(&c, &log));
         }
 
-        /// Coarsening each pair's value-sorted run, bucketed by its class's
+        /// Coarsening each pair's walked samples, bucketed by its class's
         /// window, encodes exactly as coarsening partitioned copies of the
         /// log.
         #[test]
@@ -848,6 +888,31 @@ mod tests {
                 encode_coarse_log(&c.coarsen_records(&log)),
                 encode_coarse_log(&adaptive_by_partition(&c, &log))
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// The walked adaptive oracle encodes every row exactly as the
+        /// pair-major keyed sort it replaced, over time-ordered and
+        /// unordered logs with duplicate `(pair, ts)` records, NaN and
+        /// ±0.0 samples, and stable pairs whose history spans two or three
+        /// day windows. Each log is checked whole and at its halfway
+        /// prefix, so a pair can change class between the two.
+        #[test]
+        fn walked_adaptive_oracle_matches_keyed_sort(
+            raw in raw_log(),
+            ordered in 0u8..2,
+            nan in 0u8..4,
+            cv_threshold in 0.0f64..1.5,
+        ) {
+            let log = oracle_log(&raw, ordered == 1, nan == 0);
+            let c = adaptive(cv_threshold);
+            for prefix in [&log[..log.len() / 2], &log[..]] {
+                proptest::prop_assert_eq!(
+                    encode_coarse_log(&c.coarsen_records(prefix)),
+                    encode_coarse_log(&adaptive_by_keyed_sort(&c, prefix))
+                );
+            }
         }
     }
 

@@ -27,10 +27,11 @@
 //!   by `of_sorted` sums the same samples in the same order as the batch
 //!   pass — whatever order they arrived in;
 //! * there is one summariser: both paths end in `SummaryStats::of_sorted`;
-//! * both logs are dense sorted tables keyed like the batch sort keys —
+//! * both logs are dense sorted tables keyed in batch order —
 //!   `(window, pair_key)` cells for the uniform log, `(src, dst)` pairs
-//!   for the adaptive one — merge-joined against each delta sorted the
-//!   same way, so materialized row order equals batch row order;
+//!   for the adaptive one — merge-joined against each delta walked in
+//!   that order by the batch oracles' own run walk, so materialized row
+//!   order equals batch row order;
 //! * the fine graph and CDG are append-only, and contraction orders teams
 //!   and coarse edges by first appearance, so appended churn lands where
 //!   a rebuild would put it.
@@ -56,7 +57,7 @@ use smn_depgraph::delta::{DeltaError, GraphDelta};
 use smn_depgraph::fine::FineDepGraph;
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{key_pair, key_value, pair_key, value_key, Statistic, SummaryStats};
+use smn_telemetry::series::{key_pair, pair_key, walk_runs, Statistic, SummaryStats};
 use smn_telemetry::time::{Ts, DAY, HOUR};
 use smn_topology::artifact::{under, Step, Violation};
 use smn_topology::path;
@@ -132,6 +133,9 @@ pub enum StreamError {
     /// A checkpoint failed to restore: it does not deserialize, or its
     /// fine graph or CDG breaks an invariant.
     Checkpoint(Violation),
+    /// The session's configuration breaks a coarse log's rule: a zero
+    /// window or no statistic. Refused before the lake is touched.
+    Config(Violation),
 }
 
 impl fmt::Display for StreamError {
@@ -146,6 +150,7 @@ impl fmt::Display for StreamError {
                 write!(f, "reconciliation divergence in {artifact} at tick {tick}: {detail}")
             }
             StreamError::Checkpoint(v) => write!(f, "corrupt checkpoint: {v}"),
+            StreamError::Config(v) => write!(f, "invalid stream configuration: {v}"),
         }
     }
 }
@@ -283,6 +288,35 @@ fn row_violations(
     out
 }
 
+/// The rule an [`IncrementalCoarseLog`] states first: a non-zero window
+/// and at least one statistic.
+fn time_log_shape(window_secs: u64, stats: &[Statistic]) -> Option<Violation> {
+    (window_secs == 0 || stats.is_empty()).then(|| {
+        Violation::new(
+            "artifact/coarse-log-shape",
+            path!["window_secs"],
+            format!("{window_secs}s windows with {} statistics", stats.len()),
+            "a coarse log needs a non-zero window and at least one statistic",
+        )
+    })
+}
+
+/// The rule an [`IncrementalAdaptiveLog`] states first: non-zero windows
+/// and at least one statistic.
+fn adaptive_log_shape(stable: u64, volatile: u64, stats: &[Statistic]) -> Option<Violation> {
+    (stable == 0 || volatile == 0 || stats.is_empty()).then(|| {
+        Violation::new(
+            "artifact/coarse-log-shape",
+            path!["stable_window"],
+            format!(
+                "{stable}s stable and {volatile}s volatile windows with {} statistics",
+                stats.len()
+            ),
+            "an adaptive log needs non-zero windows and at least one statistic",
+        )
+    })
+}
+
 /// One open (window, pair) cell of an [`IncrementalCoarseLog`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct OpenCell {
@@ -290,6 +324,14 @@ struct OpenCell {
     samples: Vec<f64>,
     /// The cell's materialized row.
     row: CoarseBwRecord,
+}
+
+/// Open cells one window's merge-join missed, each with the index of the
+/// cell it is spliced in before.
+#[derive(Default)]
+struct Misses {
+    keys: Vec<(usize, (u64, u64))>,
+    cells: Vec<(usize, OpenCell)>,
 }
 
 /// Incremental state of a [`TimeCoarsener`], split at a **sealed
@@ -371,36 +413,37 @@ impl IncrementalCoarseLog {
         self.frontier = w;
     }
 
-    /// Merge-join one keyed run, sorted `(window, pair_key, value_key)`,
-    /// into the open cells: a hit merges its samples and recomputes the
-    /// row in place, a miss becomes a new cell spliced in after the walk.
-    /// Returns the cells dirtied.
-    fn merge_run(&mut self, keyed: &[(u64, u64, u64)], samples: &mut Vec<f64>) -> usize {
-        let mut fresh_keys = Vec::new();
-        let mut fresh_cells = Vec::new();
-        let (mut cursor, mut dirty) = (0, 0);
-        for run in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            let Some(&(w, pair, _)) = run.first() else { continue };
-            samples.clear();
-            samples.extend(run.iter().map(|&(.., v)| key_value(v)));
-            cursor = gallop(&self.keys, cursor, &(w, pair));
-            let hit =
-                self.keys.get(cursor).filter(|&&k| k == (w, pair)).and(self.cells.get_mut(cursor));
-            if let Some(cell) = hit {
-                merge_samples(&mut cell.samples, samples);
-                if let Some(s) = SummaryStats::of_sorted(&cell.samples) {
-                    write_stats(&mut cell.row.values, &self.stats, &s);
-                }
-            } else if let Some(s) = SummaryStats::of_sorted(samples) {
-                let row = coarse_row(key_pair(pair), w, self.window_secs, &self.stats, &s);
-                fresh_keys.push((cursor, (w, pair)));
-                fresh_cells.push((cursor, OpenCell { samples: samples.clone(), row }));
+    /// Merge-join one cell's new samples, sorted under `f64::total_cmp`,
+    /// into the open cells, walking `cursor` forward: a hit merges them and
+    /// recomputes the row in place, a miss joins `misses`, to be spliced
+    /// in by [`IncrementalCoarseLog::settle`].
+    fn merge_cell(
+        &mut self,
+        (w, pair): (u64, u64),
+        samples: &[f64],
+        cursor: &mut usize,
+        misses: &mut Misses,
+    ) {
+        *cursor = gallop(&self.keys, *cursor, &(w, pair));
+        let hit =
+            self.keys.get(*cursor).filter(|&&k| k == (w, pair)).and(self.cells.get_mut(*cursor));
+        if let Some(cell) = hit {
+            merge_samples(&mut cell.samples, samples);
+            if let Some(s) = SummaryStats::of_sorted(&cell.samples) {
+                write_stats(&mut cell.row.values, &self.stats, &s);
             }
-            dirty += 1;
+        } else if let Some(s) = SummaryStats::of_sorted(samples) {
+            let row = coarse_row(key_pair(pair), w, self.window_secs, &self.stats, &s);
+            misses.keys.push((*cursor, (w, pair)));
+            misses.cells.push((*cursor, OpenCell { samples: samples.to_vec(), row }));
         }
-        splice_sorted(&mut self.keys, fresh_keys);
-        splice_sorted(&mut self.cells, fresh_cells);
-        dirty
+    }
+
+    /// Splice `misses` in, then seal every window before `w`.
+    fn settle(&mut self, misses: &mut Misses, w: u64) {
+        splice_sorted(&mut self.keys, std::mem::take(&mut misses.keys));
+        splice_sorted(&mut self.cells, std::mem::take(&mut misses.cells));
+        self.seal_before(w);
     }
 
     /// The log is one `apply_delta` could have left: a non-zero window
@@ -413,13 +456,8 @@ impl IncrementalCoarseLog {
     #[must_use]
     pub fn violations(&self) -> Vec<Violation> {
         let mut out = Vec::new();
-        if self.window_secs == 0 || self.stats.is_empty() {
-            out.push(Violation::new(
-                "artifact/coarse-log-shape",
-                path!["window_secs"],
-                format!("{}s windows with {} statistics", self.window_secs, self.stats.len()),
-                "a coarse log needs a non-zero window and at least one statistic",
-            ));
+        if let Some(v) = time_log_shape(self.window_secs, &self.stats) {
+            out.push(v);
             return out;
         }
         let window = self.window_secs;
@@ -519,11 +557,12 @@ impl TimeCoarsener {
     /// [`IncrementalCoarseLog::encode`]) to a batch
     /// [`TimeCoarsener::coarsen`] over the concatenated log.
     ///
-    /// The delta is keyed `(window, pair_key, value_key)` and stably
-    /// sorted like the time oracle, then merge-joined against the open
-    /// cells. A window-ordered delta — every delta `stream_tick` admits —
-    /// is keyed and sealed one window at a time, so a bulk load holds one
-    /// window's keys and sample buffers at once.
+    /// The delta's cells come from the time oracle's own walk
+    /// ([`TimeCoarsener::for_each_cell`]), in `(window, pair)` order with
+    /// sorted samples, and are merge-joined against the open cells. When
+    /// the walk enters a window, the misses so far are spliced in and
+    /// every earlier window is sealed, so a bulk load holds one window's
+    /// sample buffers at once.
     ///
     /// # Errors
     /// [`StreamError::StateMismatch`] when `state` was built by a
@@ -544,24 +583,22 @@ impl TimeCoarsener {
             });
         }
         state.admit(delta)?;
-        let window_of = |r: &BandwidthRecord| r.ts.0 / self.window_secs;
-        let ordered = delta.records.is_sorted_by_key(window_of);
-        let mut keyed: Vec<(u64, u64, u64)> = Vec::new();
-        let mut samples: Vec<f64> = Vec::new();
-        let mut dirty = 0usize;
-        for run in delta.records.chunk_by(|a, b| !ordered || window_of(a) == window_of(b)) {
-            keyed.clear();
-            keyed.extend(
-                run.iter().map(|r| (window_of(r), pair_key(r.src, r.dst), value_key(r.gbps))),
-            );
-            #[allow(clippy::stable_sort_primitive)] // merges per-epoch runs, like the oracle
-            keyed.sort();
-            let (Some(&(first, ..)), Some(&(last, ..))) = (keyed.first(), keyed.last()) else {
-                continue;
-            };
-            state.seal_before(first);
-            dirty += state.merge_run(&keyed, &mut samples);
-            state.seal_before(last);
+        let mut misses = Misses::default();
+        let (mut open, mut cursor, mut dirty) = (None, 0usize, 0usize);
+        self.for_each_cell(
+            &delta.records,
+            |_| true,
+            |w, pair, samples| {
+                if open != Some(w) {
+                    state.settle(&mut misses, w);
+                    (open, cursor) = (Some(w), 0);
+                }
+                state.merge_cell((w, pair), samples, &mut cursor, &mut misses);
+                dirty += 1;
+            },
+        );
+        if let Some(w) = open {
+            state.settle(&mut misses, w);
         }
         Ok(DeltaApplyStats {
             appended: delta.len(),
@@ -819,18 +856,8 @@ impl IncrementalAdaptiveLog {
     #[must_use]
     pub fn violations(&self) -> Vec<Violation> {
         let mut out = Vec::new();
-        if self.stable_window == 0 || self.volatile_window == 0 || self.stats.is_empty() {
-            out.push(Violation::new(
-                "artifact/coarse-log-shape",
-                path!["stable_window"],
-                format!(
-                    "{}s stable and {}s volatile windows with {} statistics",
-                    self.stable_window,
-                    self.volatile_window,
-                    self.stats.len()
-                ),
-                "an adaptive log needs non-zero windows and at least one statistic",
-            ));
+        if let Some(v) = adaptive_log_shape(self.stable_window, self.volatile_window, &self.stats) {
+            out.push(v);
             return out;
         }
         if self.keys.len() != self.pairs.len() {
@@ -893,9 +920,9 @@ impl AdaptiveCoarsener {
     /// [`IncrementalAdaptiveLog::encode`]) to a batch
     /// [`AdaptiveCoarsener::coarsen`] over the concatenated log.
     ///
-    /// The delta is grouped by pair with one stable sort and walked
-    /// against the pair table with a galloping cursor; new pairs are
-    /// spliced in after the walk.
+    /// The delta is walked by pair ([`walk_runs`], each pair's records in
+    /// arrival order) against the pair table with a galloping cursor; new
+    /// pairs are spliced in after the walk.
     ///
     /// # Errors
     /// [`StreamError::StateMismatch`] when `state` was built by a
@@ -904,6 +931,17 @@ impl AdaptiveCoarsener {
         &self,
         state: &mut IncrementalAdaptiveLog,
         delta: &TelemetryDelta,
+    ) -> Result<DeltaApplyStats, StreamError> {
+        self.apply_delta_visiting(state, delta, |_| {})
+    }
+
+    /// [`AdaptiveCoarsener::apply_delta`], handing `on_pair` each pair
+    /// the delta touches, once and in ascending order.
+    fn apply_delta_visiting(
+        &self,
+        state: &mut IncrementalAdaptiveLog,
+        delta: &TelemetryDelta,
+        mut on_pair: impl FnMut((u32, u32)),
     ) -> Result<DeltaApplyStats, StreamError> {
         let same = state.cv_threshold.to_bits() == self.cv_threshold.to_bits()
             && state.stable_window == self.stable_window
@@ -914,18 +952,14 @@ impl AdaptiveCoarsener {
                 detail: "state built for a different adaptive configuration".to_string(),
             });
         }
-        // One stable sort groups the delta by pair. It sorts references:
-        // a bulk history load is millions of records, and copying them
-        // would set the set-up's peak memory.
-        let mut records: Vec<&BandwidthRecord> = delta.records.iter().collect();
-        records.sort_by_key(|r| (r.src, r.dst));
         let mut scratch = PairScratch::default();
         let mut fresh_keys = Vec::new();
         let mut fresh_pairs = Vec::new();
         let (mut cursor, mut dirty, mut recomputed) = (0usize, 0usize, 0usize);
-        for run in records.chunk_by(|a, b| (a.src, a.dst) == (b.src, b.dst)) {
-            let Some(first) = run.first() else { continue };
-            let pair = (first.src, first.dst);
+        let pair_of = |r: &BandwidthRecord| pair_key(r.src, r.dst);
+        walk_runs(&delta.records, pair_of, Some, |key, run| {
+            let pair = key_pair(key);
+            on_pair(pair);
             dirty += 1;
             cursor = gallop(&state.keys, cursor, &pair);
             let hit =
@@ -941,7 +975,7 @@ impl AdaptiveCoarsener {
                 fresh_keys.push((cursor, pair));
                 fresh_pairs.push((cursor, ps));
             }
-        }
+        });
         splice_sorted(&mut state.keys, fresh_keys);
         splice_sorted(&mut state.pairs, fresh_pairs);
         Ok(DeltaApplyStats {
@@ -955,6 +989,10 @@ impl AdaptiveCoarsener {
     /// Merge one pair's run of new records into its state, re-classify
     /// the pair and recompute the rows the run dirtied. Returns the rows
     /// recomputed.
+    ///
+    /// Kept out of line: inlined into the walk's visitor, the adaptive
+    /// apply of a one-epoch 300-DC delta measured a few percent slower.
+    #[inline(never)]
     fn absorb(
         &self,
         ps: &mut PairState,
@@ -1036,6 +1074,19 @@ impl StreamConfig {
     #[must_use]
     pub fn time_coarsener(&self) -> TimeCoarsener {
         TimeCoarsener::new(self.window_secs, self.stats.clone())
+    }
+
+    /// Refuse a configuration whose coarse logs would break the first
+    /// rule of their `violations()`: a zero window or no statistic. The
+    /// coarseners assert it, so a tick or reconcile checks it first.
+    fn admit(&self) -> Result<(), StreamError> {
+        let a = &self.adaptive;
+        match time_log_shape(self.window_secs, &self.stats)
+            .or_else(|| adaptive_log_shape(a.stable_window, a.volatile_window, &a.stats))
+        {
+            Some(v) => Err(StreamError::Config(v)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -1166,7 +1217,8 @@ pub struct TickOutcome {
     pub tick: u64,
     /// Bandwidth records ingested into the lake.
     pub ingested: usize,
-    /// Distinct pairs the telemetry delta touched, sorted.
+    /// Distinct pairs the telemetry delta touched, sorted: the pairs the
+    /// adaptive apply walked.
     pub pairs: Vec<(u32, u32)>,
     /// Uniform-coarsener apply stats.
     pub time: DeltaApplyStats,
@@ -1220,7 +1272,9 @@ impl SmnController {
     ///
     /// # Errors
     /// [`StreamError::OutOfOrder`] on tick or timestamp regressions,
-    /// [`StreamError::Graph`] on unappliable churn, and
+    /// [`StreamError::Config`] on a zero window or no statistic (both
+    /// refused before ingest), [`StreamError::Graph`] on unappliable
+    /// churn, and
     /// [`StreamError::Divergence`] when reconciliation disproves
     /// incremental/batch byte-identity.
     // smn-lint: allow(deep/determinism-taint) -- phase-guard wall readings stay in the profile registry
@@ -1262,12 +1316,15 @@ impl SmnController {
             prev = Some(r.ts);
         }
 
-        // A record in a sealed window would fail the uniform apply after
-        // ingest; refuse it while the lake is still untouched.
+        // A record in a sealed window would fail the uniform apply, and a
+        // zero window or no statistic would panic in a coarsener, after
+        // ingest; refuse both while the lake is still untouched.
+        state.config.admit()?;
         state.time.admit(telemetry)?;
 
         let ingest = ingest_bandwidth_profiled(self.clds(), &telemetry.records, &obs);
 
+        let mut pairs = Vec::new();
         let (time, adaptive) = {
             let mut phase = obs.phase("coarsen/apply_delta");
             let t = {
@@ -1276,7 +1333,8 @@ impl SmnController {
             };
             let a = {
                 let _adaptive = obs.phase("coarsen/adaptive");
-                state.config.adaptive.apply_delta(&mut state.adaptive, telemetry)?
+                let visit = |pair| pairs.push(pair);
+                state.config.adaptive.apply_delta_visiting(&mut state.adaptive, telemetry, visit)?
             };
             phase.field("appended", t.appended);
             phase.field("dirty_cells", t.dirty_cells);
@@ -1310,7 +1368,7 @@ impl SmnController {
         Ok(TickOutcome {
             tick: telemetry.tick,
             ingested: ingest.ingested,
-            pairs: telemetry.pairs(),
+            pairs,
             time,
             adaptive,
             cdg,
@@ -1352,12 +1410,15 @@ impl SmnController {
     /// and `reconcile/compare` child phases split its wall time.
     ///
     /// # Errors
-    /// [`StreamError::Divergence`] naming the first diverging artifact.
+    /// [`StreamError::Divergence`] naming the first diverging artifact,
+    /// and [`StreamError::Config`] when the configuration has a zero
+    /// window or no statistic.
     // smn-lint: allow(deep/determinism-taint) -- phase-guard wall readings stay in the profile registry
     pub fn stream_reconcile(
         &mut self,
         state: &mut StreamState,
     ) -> Result<ReconcileOutcome, StreamError> {
+        state.config.admit()?;
         let obs = self.obs().clone();
         let mut phase = obs.phase("stream/reconcile");
         let tick = state.next_tick.saturating_sub(1);
@@ -2032,6 +2093,127 @@ mod tests {
         assert!(json.contains("\"delta-journal\""));
         let back: DeltaJournal = serde_json::from_str(&json).unwrap();
         assert_eq!(back, journal);
+    }
+
+    /// A stream config whose adaptive coarsener is `adaptive` must refuse
+    /// its first tick and any reconcile with a typed error, before the
+    /// lake is touched.
+    fn assert_refused_before_ingest(adaptive: AdaptiveCoarsener) {
+        let mut ctl = controller();
+        let cfg = StreamConfig { adaptive, ..StreamConfig::default() };
+        let mut state = StreamState::new(cfg, small_fine());
+        let deltas = TelemetryDelta::split_epochs(&mixed_log(2), 0);
+        let err = ctl.stream_tick(&mut state, &deltas[0], None).unwrap_err();
+        match &err {
+            StreamError::Config(v) => assert_eq!(v.rule, "artifact/coarse-log-shape"),
+            other => panic!("expected a config error, got {other}"),
+        }
+        assert!(ctl.clds().bandwidth.read().all().is_empty(), "the lake is untouched");
+        assert_eq!(state.next_tick, 0);
+        assert_eq!(state.adaptive.rows(), 0);
+        let err = ctl.stream_reconcile(&mut state).unwrap_err();
+        assert!(matches!(err, StreamError::Config(_)), "got {err}");
+    }
+
+    #[test]
+    fn a_zero_adaptive_window_is_refused_before_ingest() {
+        let ac = StreamConfig::default().adaptive;
+        assert_refused_before_ingest(AdaptiveCoarsener { stable_window: 0, ..ac });
+    }
+
+    #[test]
+    fn an_adaptive_coarsener_without_statistics_is_refused_before_ingest() {
+        let ac = StreamConfig::default().adaptive;
+        assert_refused_before_ingest(AdaptiveCoarsener { stats: Vec::new(), ..ac });
+    }
+
+    /// Epoch strides of the walk-free proptest's clock: ties on one
+    /// epoch, small steps, an hour, half a day and a day.
+    const WALK_FREE_STRIDES: [u64; 8] = [0, 0, 1, 1, 7, HOUR / EPOCH_SECS, 144, DAY / EPOCH_SECS];
+
+    /// A time-ordered log from `(stride, src, dst, value)` picks over a
+    /// 4-node WAN. Values tie, include ±0.0 and, with `nan`, NaNs of both
+    /// signs.
+    fn walk_free_log(raw: &[(usize, u32, u32, usize)], nan: bool) -> Vec<BandwidthRecord> {
+        const GBPS: [f64; 8] = [0.0, -0.0, 1.0, 1.0, 40.0, 900.0, f64::NAN, -f64::NAN];
+        let pool = if nan { GBPS.len() } else { GBPS.len() - 2 };
+        let mut epoch = 0;
+        raw.iter()
+            .map(|&(stride, src, dst, v)| {
+                epoch += WALK_FREE_STRIDES.get(stride).copied().unwrap_or(0);
+                let gbps = GBPS.get(v % pool).copied().unwrap_or(0.0);
+                BandwidthRecord { ts: Ts(epoch * EPOCH_SECS), src, dst, gbps }
+            })
+            .collect()
+    }
+
+    /// `log` as a delta stream: one delta per epoch (`shape` 0), deltas of
+    /// `chunk` records that cross window boundaries (1), or one bulk delta
+    /// of the first half followed by one delta per epoch (2).
+    fn walk_free_deltas(log: &[BandwidthRecord], shape: u8, chunk: usize) -> Vec<TelemetryDelta> {
+        let chunks: Vec<Vec<BandwidthRecord>> = match shape {
+            0 => TelemetryDelta::split_epochs(log, 0).into_iter().map(|d| d.records).collect(),
+            1 => log.chunks(chunk).map(<[_]>::to_vec).collect(),
+            _ => {
+                let (bulk, rest) = log.split_at(log.len() / 2);
+                std::iter::once(bulk.to_vec())
+                    .chain(TelemetryDelta::split_epochs(rest, 1).into_iter().map(|d| d.records))
+                    .collect()
+            }
+        };
+        chunks.into_iter().enumerate().map(|(t, r)| TelemetryDelta::new(t as u64, r)).collect()
+    }
+
+    proptest::proptest! {
+        /// Both incremental logs, fed per-epoch, window-crossing or
+        /// bulk-then-tick delta streams, encode after every delta exactly
+        /// as the walk-free oracles (map grouping, partitioned copies) over
+        /// the log so far. The applies and the batch oracles share the run
+        /// walk; these oracles do not, so a walk bug cannot hide from
+        /// reconciliation. The adaptive apply also visits exactly the
+        /// delta's sorted distinct pairs.
+        #[test]
+        fn incremental_logs_match_walk_free_oracles(
+            raw in proptest::collection::vec((0usize..8, 0u32..4, 0u32..4, 0usize..8), 0..120),
+            nan in 0u8..4,
+            shape in 0u8..3,
+            chunk in 1usize..20,
+            cv_threshold in 0.0f64..1.5,
+        ) {
+            use crate::bwlogs::tests::{adaptive_by_partition, coarsen_by_map};
+            let all = vec![
+                Statistic::Mean,
+                Statistic::Min,
+                Statistic::Max,
+                Statistic::P50,
+                Statistic::P95,
+                Statistic::P99,
+            ];
+            let log = walk_free_log(&raw, nan == 0);
+            let c = TimeCoarsener::new(HOUR, all.clone());
+            let ac = AdaptiveCoarsener {
+                cv_threshold,
+                stable_window: DAY,
+                volatile_window: HOUR,
+                stats: all,
+            };
+            let (mut time, mut adaptive) = (c.new_state(), ac.new_state());
+            let mut seen = 0;
+            for d in walk_free_deltas(&log, shape, chunk) {
+                seen += d.len();
+                let prefix = &log[..seen];
+                c.apply_delta(&mut time, &d).expect("a time-ordered delta applies");
+                let mut pairs = Vec::new();
+                ac.apply_delta_visiting(&mut adaptive, &d, |p| pairs.push(p))
+                    .expect("same configuration");
+                proptest::prop_assert_eq!(pairs, d.pairs());
+                proptest::prop_assert_eq!(time.encode(), encode_coarse_log(&coarsen_by_map(&c, prefix)));
+                proptest::prop_assert_eq!(
+                    adaptive.encode(),
+                    encode_coarse_log(&adaptive_by_partition(&ac, prefix))
+                );
+            }
+        }
     }
 
     #[test]

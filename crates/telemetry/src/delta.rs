@@ -8,8 +8,6 @@
 //! the concatenation of all deltas in tick order is exactly the batch log
 //! the reconciliation oracle recomputes from.
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::record::BandwidthRecord;
@@ -56,18 +54,6 @@ impl TelemetryDelta {
         pairs
     }
 
-    /// The distinct (window index, src, dst) cells this delta dirties
-    /// under `window_secs` windows, sorted. These are exactly the coarse
-    /// cells an incremental time-coarsener must recompute.
-    ///
-    /// # Panics
-    /// Panics on a zero window (same contract as `TimeCoarsener::new`).
-    #[must_use]
-    pub fn dirty_cells(&self, window_secs: u64) -> BTreeSet<(u64, u32, u32)> {
-        assert!(window_secs > 0, "zero window");
-        self.records.iter().map(|r| (r.ts.0 / window_secs, r.src, r.dst)).collect()
-    }
-
     /// Earliest record timestamp, `None` when empty.
     #[must_use]
     pub fn min_ts(&self) -> Option<Ts> {
@@ -111,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn pairs_and_cells_are_sorted_and_distinct() {
+    fn pairs_are_sorted_and_distinct() {
         let d = TelemetryDelta::new(
             0,
             vec![rec(3600, 2, 1, 5.0), rec(3700, 0, 1, 1.0), rec(10, 2, 1, 2.0)],
@@ -119,9 +105,6 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
         assert_eq!(d.pairs(), vec![(0, 1), (2, 1)]);
-        // Hour windows: ts 3600 and 3700 share window 1; ts 10 is window 0.
-        let cells: Vec<_> = d.dirty_cells(3600).into_iter().collect();
-        assert_eq!(cells, vec![(0, 2, 1), (1, 0, 1), (1, 2, 1)]);
         assert_eq!(d.min_ts(), Some(Ts(10)));
         assert_eq!(d.max_ts(), Some(Ts(3700)));
     }

@@ -89,11 +89,8 @@ impl SummaryStats {
 
 /// A `(src, dst)` pair packed so that `u64` order is `(src, dst)` order.
 ///
-/// It is the key [`merge_runs`] merges a lake window's pair-sorted epoch
-/// runs by. With [`value_key`] it is the sort key of the summarisers that
-/// still sort: records keyed `(pair_key, value_key)` as plain integers
-/// and sorted come out grouped by pair, each pair's run being the sorted
-/// sample buffer [`SummaryStats::of_sorted`] takes.
+/// It is the key [`walk_runs`] merges a lake window's pair-sorted epoch
+/// runs by: one integer comparison per head check.
 #[inline]
 #[must_use]
 pub fn pair_key(src: u32, dst: u32) -> u64 {
@@ -106,28 +103,6 @@ pub fn pair_key(src: u32, dst: u32) -> u64 {
 #[allow(clippy::cast_possible_truncation)] // each half is one `u32` by construction
 pub fn key_pair(key: u64) -> (u32, u32) {
     ((key >> 32) as u32, key as u32) // smn-lint: allow(casts/narrowing) -- halves of a `pair_key`
-}
-
-/// `f64::total_cmp` order carried onto `u64`: negative values (sign bit
-/// set) have every bit flipped, so larger magnitudes sort lower; the rest
-/// get the sign bit set, so they sort above every negative. Sorting the
-/// keys sorts the values under `total_cmp`, NaNs and ±0.0 included.
-#[inline]
-#[must_use]
-pub fn value_key(v: f64) -> u64 {
-    let bits = v.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// Inverse of [`value_key`], bit for bit.
-#[inline]
-#[must_use]
-pub fn key_value(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
 }
 
 /// Selectable summary statistic.
@@ -184,45 +159,59 @@ fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Run heads [`merge_runs`] scans linearly; above this it keeps them in a
-/// heap.
+/// Whether [`walk_runs`] keeps scanning the heads of `runs` runs after
+/// `checks` head checks have gathered `gathered` records.
 ///
-/// A scan costs one pass over the heads per key, a heap one `O(log r)`
-/// step per key per run that holds it. So the scan wins when most keys
-/// are in most runs (a lake window, where every pair reports every
-/// epoch) and loses when each key is in a few of many runs (unordered
-/// input, up to `n / 2` runs). On 40 000 keys per run, 2 vCPUs: with
-/// every key in every run the scan is 1.1–1.7× faster than the heap at
-/// every run count from 2 to 64; with each key in one run it is 1.1×
-/// slower at 8 runs, 1.2× at 12, 1.5× at 16 and 4.8× at 64. 16 takes the
-/// lake's hour windows (12 epoch runs, 13 for a span off the epoch grid)
-/// and caps the scan's loss on scattered keys at 1.5×.
-const SCAN_RUNS: usize = 16;
+/// A scan checks every run's head per key; a heap pays one sift of about
+/// `2·log2(r)` comparisons per record it gathers (two children per level),
+/// plus `r` to build. So the scan goes on while its checks stay within
+/// `2·bitlen(r)` per record gathered, plus `r`. Dense runs (every key in
+/// every run, as in a lake window) check one head per record gathered and
+/// stay on the scan at any `r`; keys that each sit in one of many runs
+/// check `r` heads per record and leave it within `O(r)` keys.
+fn scan_pays(checks: usize, gathered: usize, runs: usize) -> bool {
+    let per_record = 2 * (usize::BITS - runs.leading_zeros()) as usize;
+    checks <= per_record * gathered + runs
+}
 
 /// Visit each distinct key of `records` once, in ascending order, with
-/// the samples of its records sorted under `f64::total_cmp`.
+/// the payloads `sample` reads from its records, in input order.
 ///
-/// `sample` reads a record's value, or `None` to leave the record out; a
-/// key with no sample left is not visited. The slice is split into its
-/// maximal key-ascending runs and these are merged, so input that is
-/// already a few sorted runs (a lake window: one pair-sorted run per
-/// epoch) is walked with no key buffer and no sort of the records. Each
-/// key's samples are gathered from the run heads that hold it and sorted
-/// on their own. Under `total_cmp` equal samples are equal bit for bit,
-/// so the visit is exactly that of a stable sort on `(key, value)`.
+/// `sample` reads a record's payload (which may borrow the record), or
+/// `None` to leave the record out; a key with no payload left is not
+/// visited. `visit` may reorder or
+/// drain the payloads; the buffer is cleared after it returns. The slice
+/// is split into its maximal key-ascending runs and these are merged, so
+/// input that is already a few sorted runs (a lake window: one
+/// pair-sorted run per epoch) is walked with no key buffer and no sort of
+/// the records. A key's payloads are gathered from the run heads that
+/// hold it, in run order, which is input order within the key: the visit
+/// is exactly that of a stable sort by key.
 ///
-/// Cost, for `n` records in `r` runs: one pass to split them, then per
-/// key a scan of the run heads while `r` is at most a small constant, or
-/// one heap step per record above it, plus each key's sample sort. A few
-/// runs cost `O(n)` plus the sample sorts; unordered input has up to
-/// `n / 2` runs and costs `O(n log n)`.
-pub fn merge_runs<T, K: Ord + Copy>(
-    records: &[T],
+/// The heads are scanned while [`scan_pays`] holds, then the remaining
+/// heads move into a heap for the rest of the walk. Both gather in run
+/// order, so the switch changes the cost, never the visit. For `n`
+/// records in `r` runs: one pass to split them, then at most
+/// `O(n log r + r)` head work. Unordered input has up to `n / 2` runs and
+/// costs `O(n log n)`.
+pub fn walk_runs<'a, T, K: Ord + Copy, S>(
+    records: &'a [T],
     key: impl Fn(&T) -> K,
-    sample: impl Fn(&T) -> Option<f64>,
-    mut visit: impl FnMut(K, &[f64]),
+    sample: impl Fn(&'a T) -> Option<S>,
+    visit: impl FnMut(K, &mut Vec<S>),
 ) {
-    let mut runs: Vec<&[T]> = Vec::new();
+    walk(records, key, sample, visit);
+}
+
+/// [`walk_runs`], returning how many records it gathered on the scan
+/// before it moved to the heap (all of them when it never did).
+fn walk<'a, T, K: Ord + Copy, S>(
+    records: &'a [T],
+    key: impl Fn(&T) -> K,
+    sample: impl Fn(&'a T) -> Option<S>,
+    mut visit: impl FnMut(K, &mut Vec<S>),
+) -> usize {
+    let mut runs: Vec<&'a [T]> = Vec::new();
     let (mut start, mut prev) = (0, None);
     for (i, r) in records.iter().enumerate() {
         let k = key(r);
@@ -233,30 +222,35 @@ pub fn merge_runs<T, K: Ord + Copy>(
         prev = Some(k);
     }
     runs.extend(records.get(start..).filter(|run| !run.is_empty()));
-    let mut samples: Vec<f64> = Vec::new();
-    // Move `run`'s records of key `k` (its head) into `samples`.
-    let gather = |run: &mut &[T], k: K, samples: &mut Vec<f64>| {
+    let mut payloads: Vec<S> = Vec::new();
+    // Move `run`'s records of key `k` (its head) into `payloads`; returns
+    // how many it took.
+    let gather = |run: &mut &'a [T], k: K, payloads: &mut Vec<S>| {
         let taken =
-            run.iter().take_while(|r| key(r) == k).inspect(|r| samples.extend(sample(r))).count();
+            run.iter().take_while(|r| key(r) == k).inspect(|r| payloads.extend(sample(r))).count();
         *run = run.get(taken..).unwrap_or_default();
+        taken
     };
-    let mut emit = |k: K, samples: &mut Vec<f64>| {
-        samples.sort_unstable_by(f64::total_cmp);
-        if !samples.is_empty() {
-            visit(k, samples);
+    let mut emit = |k: K, payloads: &mut Vec<S>| {
+        if !payloads.is_empty() {
+            visit(k, payloads);
         }
-        samples.clear();
+        payloads.clear();
     };
-    if runs.len() <= SCAN_RUNS {
-        while let Some(k) = runs.iter().filter_map(|run| run.first()).map(&key).min() {
-            for run in &mut runs {
-                if run.first().is_some_and(|r| key(r) == k) {
-                    gather(run, k, &mut samples);
-                }
+    // Spent runs stay in the scan, and their checks count against it.
+    let total = runs.len();
+    let (mut checks, mut gathered) = (0usize, 0usize);
+    while scan_pays(checks, gathered, total) {
+        let Some(k) = runs.iter().filter_map(|run| run.first()).map(&key).min() else {
+            return gathered;
+        };
+        checks += runs.len();
+        for run in &mut runs {
+            if run.first().is_some_and(|r| key(r) == k) {
+                gathered += gather(run, k, &mut payloads);
             }
-            emit(k, &mut samples);
         }
-        return;
+        emit(k, &mut payloads);
     }
     let mut heads: BinaryHeap<Reverse<(K, usize)>> = runs
         .iter()
@@ -273,7 +267,7 @@ pub fn merge_runs<T, K: Ord + Copy>(
                 PeekMut::pop(top);
                 continue;
             };
-            gather(run, k, &mut samples);
+            gather(run, k, &mut payloads);
             match run.first() {
                 Some(next) => *top = Reverse((key(next), i)),
                 None => {
@@ -281,8 +275,28 @@ pub fn merge_runs<T, K: Ord + Copy>(
                 }
             }
         }
-        emit(k, &mut samples);
+        emit(k, &mut payloads);
     }
+    gathered
+}
+
+/// Visit each distinct key of `records` once, in ascending order, with
+/// the samples of its records sorted under `f64::total_cmp`.
+///
+/// [`walk_runs`] with `f64` samples, each key's sorted on its own. Under
+/// `total_cmp` equal samples are equal bit for bit, so the visit is
+/// exactly that of a stable sort on `(key, value)`. A few runs cost
+/// `O(n)` plus the sample sorts.
+pub fn merge_runs<T, K: Ord + Copy>(
+    records: &[T],
+    key: impl Fn(&T) -> K,
+    sample: impl Fn(&T) -> Option<f64>,
+    mut visit: impl FnMut(K, &[f64]),
+) {
+    walk_runs(records, key, sample, |k, samples| {
+        samples.sort_unstable_by(f64::total_cmp);
+        visit(k, samples);
+    });
 }
 
 /// Exact percentile of an ascending-sorted slice by linear interpolation.
@@ -448,6 +462,24 @@ mod tests {
         Statistic::P99,
     ];
 
+    /// `f64::total_cmp` order carried onto `u64`: negative values (sign
+    /// bit set) have every bit flipped, so larger magnitudes sort lower;
+    /// the rest get the sign bit set, so they sort above every negative.
+    /// The keyed oracle below sorts these as plain integers.
+    fn value_key(v: f64) -> u64 {
+        let bits = v.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+
+    /// Inverse of [`value_key`], bit for bit.
+    fn key_value(key: u64) -> f64 {
+        f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+    }
+
     /// The keyed stable sort [`merge_runs`] replaced: the kept records
     /// keyed `(key, value_key)` and sorted, one visit per key run.
     fn visits_by_keyed_sort(records: &[(u8, u64, bool)]) -> Vec<(u8, Vec<u64>)> {
@@ -465,9 +497,8 @@ mod tests {
     }
 
     /// Records keyed from a small range, so keys repeat inside and across
-    /// runs, laid out as 1–40 chunks each sorted by key (one run or 2–16
-    /// runs: the scan path of [`merge_runs`]; or more: its heap path) or
-    /// left unsorted (up to one run per two records: the heap path).
+    /// runs, laid out as 1–40 chunks each sorted by key (one run, 2–16
+    /// runs or more) or left unsorted (up to one run per two records).
     /// One key's samples are all rejected and a fifth of the rest.
     fn run_log() -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
         let record = (0u8..12, f64_bits(), 0u8..5);
@@ -494,6 +525,61 @@ mod tests {
                     .map(|(k, bits, keep)| (k, bits, k != rejected && keep != 0))
                     .collect()
             })
+    }
+
+    /// What [`walk_runs`] must visit: the kept records' indices stably
+    /// sorted by key, one visit per key run, indices in input order.
+    fn visits_by_stable_key_sort(records: &[(u16, bool)]) -> Vec<(u16, Vec<usize>)> {
+        let mut kept: Vec<(u16, usize)> =
+            records.iter().enumerate().filter(|(_, r)| r.1).map(|(i, r)| (r.0, i)).collect();
+        kept.sort_by_key(|&(k, _)| k);
+        kept.chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.iter().map(|&(_, i)| i).collect()))
+            .collect()
+    }
+
+    /// Every visit of [`walk`] over `records` with each record's index as
+    /// its payload, and the records it gathered on the scan.
+    fn walked(records: &[(u16, bool)]) -> (Vec<(u16, Vec<usize>)>, usize) {
+        let indexed: Vec<(usize, u16, bool)> =
+            records.iter().enumerate().map(|(i, &(k, keep))| (i, k, keep)).collect();
+        let mut got = Vec::new();
+        let on_scan =
+            walk(&indexed, |r| r.1, |r| r.2.then_some(r.0), |k, p| got.push((k, p.clone())));
+        (got, on_scan)
+    }
+
+    /// Records laid out as one run, 2–16 runs or 17–300 runs of keys that
+    /// are dense (every key in every run), scattered (a few keys from a
+    /// wide range per run), mixed (a dense head then a scattered tail) or
+    /// unsorted chunks. One key in eight is rejected outright and a fifth
+    /// of the rest.
+    fn walk_log() -> impl Strategy<Value = Vec<(u16, bool)>> {
+        let runs = (0usize..3, 2usize..=16, 17usize..=300)
+            .prop_map(|(class, few, many)| [1, few, many].get(class).copied().unwrap_or(1));
+        let draws = proptest::collection::vec((0u16..4096, 0u8..5, 1usize..4), 1..200);
+        (runs, 0u8..4, 1u16..8, draws, 0u16..8).prop_map(
+            |(runs, layout, width, draws, rejected)| {
+                let mut draws = draws.into_iter().cycle();
+                let mut out = Vec::new();
+                for _ in 0..runs {
+                    let Some((_, keep, n)) = draws.next() else { break };
+                    let dense = (0..width).map(|k| (k, keep));
+                    let scattered: Vec<(u16, u8)> =
+                        draws.by_ref().take(n).map(|(k, keep, _)| (width + k, keep)).collect();
+                    let mut run: Vec<(u16, u8)> = match layout {
+                        0 => dense.collect(),
+                        1 => scattered,
+                        _ => dense.chain(scattered).collect(),
+                    };
+                    if layout < 3 {
+                        run.sort_by_key(|r| r.0);
+                    }
+                    out.extend(run);
+                }
+                out.into_iter().map(|(k, keep)| (k, k % 8 != rejected && keep != 0)).collect()
+            },
+        )
     }
 
     proptest! {
@@ -523,7 +609,7 @@ mod tests {
 
         /// Merging the key-ascending runs visits every key that keeps a
         /// sample, in order, with its samples exactly as a stable sort of
-        /// `(key, value_key)` groups them, on the scan and the heap path.
+        /// `(key, value_key)` groups them.
         #[test]
         fn merge_runs_matches_keyed_stable_sort(records in run_log()) {
             let mut got: Vec<(u8, Vec<u64>)> = Vec::new();
@@ -534,6 +620,16 @@ mod tests {
                 |k, samples| got.push((k, samples.iter().map(|v| v.to_bits()).collect())),
             );
             prop_assert_eq!(got, visits_by_keyed_sort(&records));
+        }
+
+        /// The walk visits every key that keeps a payload, in order, with
+        /// its payloads in input order: exactly the visits of a stable sort
+        /// by key, for one run, 2–16 runs and 17–300 runs of dense,
+        /// scattered, mixed and unsorted keys, whether it stays on the scan
+        /// or moves to the heap.
+        #[test]
+        fn walk_runs_matches_keyed_stable_sort(records in walk_log()) {
+            prop_assert_eq!(walked(&records).0, visits_by_stable_key_sort(&records));
         }
 
         /// `of` is `of_sorted` over the `total_cmp`-sorted samples, bit for
@@ -559,6 +655,52 @@ mod tests {
             prop_assert_eq!(key_value(value_key(x)).to_bits(), a);
             prop_assert_eq!(value_key(x).cmp(&value_key(y)), x.total_cmp(&y));
         }
+    }
+
+    #[test]
+    fn the_scan_pays_for_dense_runs_and_not_for_scattered_keys() {
+        for r in 1..=512usize {
+            // Dense: each key checks `r` heads and gathers `r` records.
+            assert!((1..=64).all(|m| scan_pays(m * r, m * r, r)), "dense, r = {r}");
+            // Scattered: each key checks `r` heads and gathers one record.
+            let stays = (1..=r + 1).all(|m| scan_pays(m * r, m, r));
+            assert_eq!(stays, r <= 2 * (usize::BITS - r.leading_zeros()) as usize, "r = {r}");
+        }
+    }
+
+    #[test]
+    fn dense_runs_stay_on_the_scan_and_scattered_keys_leave_it() {
+        for r in 1..=512u16 {
+            let dense: Vec<(u16, bool)> = (0..r).flat_map(|_| (0..4).map(|k| (k, true))).collect();
+            let (got, on_scan) = walked(&dense);
+            assert_eq!(on_scan, dense.len(), "dense runs stay on the scan, r = {r}");
+            assert_eq!(got, visits_by_stable_key_sort(&dense));
+            // Run `i` holds keys `i`, `i + r`, `i + 2r`, `i + 3r`: each key
+            // in one run of `r`.
+            let scattered: Vec<(u16, bool)> =
+                (0..r).flat_map(|i| (0..4).map(move |j| (i + j * r, true))).collect();
+            // One record per key: the records gathered on the scan count
+            // the keys it took.
+            let (got, on_scan) = walked(&scattered);
+            if r > 8 {
+                assert!(on_scan <= usize::from(r) + 1, "r = {r}: {on_scan} keys on the scan");
+            }
+            assert_eq!(got, visits_by_stable_key_sort(&scattered));
+        }
+    }
+
+    #[test]
+    fn a_walk_that_moves_to_the_heap_mid_way_visits_as_the_keyed_sort() {
+        // 40 runs, each the dense keys 0..50 then 40 keys of its own:
+        // the scan pays for the dense head, not for the scattered tail.
+        let records: Vec<(u16, bool)> = (0..40u16)
+            .flat_map(|i| {
+                (0..50).chain((0..40).map(move |j| 1000 + i + 40 * j)).map(|k| (k, k != 7))
+            })
+            .collect();
+        let (got, on_scan) = walked(&records);
+        assert!((40 * 50..records.len()).contains(&on_scan), "switched after {on_scan} records");
+        assert_eq!(got, visits_by_stable_key_sort(&records));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use smn_core::bwlogs::{encode_coarse_log, AdaptiveCoarsener};
 use smn_core::coarsen::Coarsening;
 use smn_core::controller::{ControllerConfig, SmnController};
-use smn_core::stream::{StreamConfig, StreamState};
+use smn_core::stream::{StreamConfig, StreamState, TickOutcome};
 use smn_depgraph::coarse::CoarseDepGraph;
 use smn_depgraph::delta::GraphDelta;
 use smn_depgraph::fine::{Component, DependencyKind, FineDepGraph, Layer};
@@ -183,6 +183,19 @@ fn churn_strategy(ticks: usize) -> impl Strategy<Value = Vec<GraphDelta>> {
     })
 }
 
+/// Each tick reports the pairs its adaptive apply walked: the delta's
+/// distinct pairs, sorted.
+fn check_tick_pairs(
+    outcomes: &[TickOutcome],
+    telemetry: &[TelemetryDelta],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(outcomes.len(), telemetry.len());
+    for (o, d) in outcomes.iter().zip(telemetry) {
+        prop_assert_eq!(&o.pairs, &d.pairs());
+    }
+    Ok(())
+}
+
 /// Every periodic reconciliation passes and the final incremental
 /// artifacts equal a batch recompute over the concatenated log, byte for
 /// byte.
@@ -197,6 +210,7 @@ fn check_incremental_equals_batch(
     let mut state = StreamState::new(cfg, base_fine());
     let outcomes = ctl.stream_run(&mut state, telemetry, churn).expect("no tick may fail");
     prop_assert_eq!(outcomes.len(), telemetry.len());
+    check_tick_pairs(&outcomes, telemetry)?;
     let verdict = ctl.stream_reconcile(&mut state).expect("final reconcile");
     prop_assert_eq!(&verdict.hash, &state.fingerprint());
 
@@ -267,6 +281,7 @@ fn check_apply_stats(
     let cfg = StreamConfig { reconcile_every: 0, ..base.clone() };
     let mut state = StreamState::new(cfg, base_fine());
     let outcomes = ctl.stream_run(&mut state, telemetry, &[]).expect("run");
+    check_tick_pairs(&outcomes, telemetry)?;
     let appended: usize = outcomes.iter().map(|o| o.time.appended).sum();
     let total: usize = telemetry.iter().map(TelemetryDelta::len).sum();
     prop_assert_eq!(appended, total);
