@@ -11,7 +11,9 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use smn_datalake::fault::LakeError;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{key_pair, merge_runs, pair_key, walk_runs, Statistic, SummaryStats};
+use smn_telemetry::series::{
+    key_pair, merge_runs, pair_key, sort_total, walk_runs, Statistic, SummaryStats,
+};
 use smn_telemetry::sizing::BW_RECORD_BYTES;
 use smn_telemetry::time::Ts;
 use smn_topology::NodeId;
@@ -48,10 +50,31 @@ pub fn coarse_log_bytes(records: &[CoarseBwRecord]) -> usize {
     records.iter().map(|r| r.encoded_bytes()).sum()
 }
 
+/// Hand `put` the wire form of one row, field by field: window start
+/// (8 bytes), window length (8), src (4), dst (4), value count (2), then
+/// each value's bits (8), all big-endian. Every field is written and the
+/// count delimits the row, so two rows have the same bytes exactly when
+/// they agree field by field, values bit for bit.
+///
+/// The one statement of the row format: [`encode_coarse_log`] writes it,
+/// and reconciliation feeds it to its fingerprint without building an
+/// encoding.
+pub(crate) fn row_wire_bytes(r: &CoarseBwRecord, mut put: impl FnMut(&[u8])) {
+    put(&r.window_start.0.to_be_bytes());
+    put(&r.window_secs.to_be_bytes());
+    put(&r.src.to_be_bytes());
+    put(&r.dst.to_be_bytes());
+    put(&(r.values.len() as u16).to_be_bytes());
+    for v in &r.values {
+        put(&v.to_bits().to_be_bytes());
+    }
+}
+
 /// Encode a coarse log into its wire form (the format
 /// [`CoarseBwRecord::encoded_bytes`] accounts, plus a 2-byte value count
-/// per record so heterogeneous statistic sets decode unambiguously).
-/// Takes rows by reference, so incremental state encodes without cloning.
+/// per record so heterogeneous statistic sets decode unambiguously): the
+/// rows' `row_wire_bytes`, concatenated. Takes rows by reference, so
+/// incremental state encodes without cloning.
 #[must_use]
 pub fn encode_coarse_log<'a>(
     records: impl IntoIterator<Item = &'a CoarseBwRecord>,
@@ -61,14 +84,7 @@ pub fn encode_coarse_log<'a>(
     // A one-statistic row is 34 bytes; longer rows grow the buffer.
     let mut buf = bytes::BytesMut::with_capacity(34 * records.size_hint().0);
     for r in records {
-        buf.put_u64(r.window_start.0);
-        buf.put_u64(r.window_secs);
-        buf.put_u32(r.src);
-        buf.put_u32(r.dst);
-        buf.put_u16(r.values.len() as u16);
-        for &v in &r.values {
-            buf.put_f64(v);
-        }
+        row_wire_bytes(r, |b| buf.put_slice(b));
     }
     buf.freeze()
 }
@@ -200,16 +216,45 @@ impl TimeCoarsener {
         }
     }
 
-    /// The coarse row of window index `w` for a packed `pair`.
+    /// The coarse row of window index `w` for a packed `pair`: the
+    /// fields of [`TimeCoarsener::row_header`] and the values of
+    /// [`TimeCoarsener::row_values`].
     fn row(&self, w: u64, pair: u64, stats: &SummaryStats) -> CoarseBwRecord {
-        let (src, dst) = key_pair(pair);
+        let (window_start, window_secs, src, dst) = self.row_header(w, pair);
         CoarseBwRecord {
-            window_start: Ts(w * self.window_secs),
-            window_secs: self.window_secs,
+            window_start,
+            window_secs,
             src,
             dst,
-            values: self.stats.iter().map(|&s| stats.get(s)).collect(),
+            values: self.row_values(stats).collect(),
         }
+    }
+
+    /// Whether `row` has the wire bytes of [`TimeCoarsener::row`]`(w,
+    /// pair, stats)`: the same header fields, value count and value bits.
+    /// Reconciliation compares each recomputed cell with the incremental
+    /// row this way, building no row.
+    pub(crate) fn is_row(
+        &self,
+        row: &CoarseBwRecord,
+        w: u64,
+        pair: u64,
+        stats: &SummaryStats,
+    ) -> bool {
+        (row.window_start, row.window_secs, row.src, row.dst) == self.row_header(w, pair)
+            && row.values.iter().map(|v| v.to_bits()).eq(self.row_values(stats).map(f64::to_bits))
+    }
+
+    /// A row's `(window_start, window_secs, src, dst)` for window index
+    /// `w` and a packed `pair`.
+    fn row_header(&self, w: u64, pair: u64) -> (Ts, u64, u32, u32) {
+        let (src, dst) = key_pair(pair);
+        (Ts(w * self.window_secs), self.window_secs, src, dst)
+    }
+
+    /// A row's values: one per configured statistic, in order.
+    fn row_values<'a>(&'a self, stats: &'a SummaryStats) -> impl Iterator<Item = f64> + 'a {
+        self.stats.iter().map(|&s| stats.get(s))
     }
 
     /// Estimated demand for a pair in the window containing `ts`, using the
@@ -445,7 +490,7 @@ impl AdaptiveCoarsener {
             |pair, samples| {
                 values.clear();
                 values.extend(samples.iter().map(|&(_, v)| v));
-                values.sort_unstable_by(f64::total_cmp);
+                sort_total(&mut values);
                 if let Some(whole) = SummaryStats::of_sorted(&values) {
                     f(pair, self.is_volatile(&whole), &whole, samples);
                 }
@@ -473,44 +518,59 @@ impl Coarsening for AdaptiveCoarsener {
 }
 
 impl AdaptiveCoarsener {
-    /// [`Coarsening::coarsen`] over a borrowed slice, so reconciliation
-    /// coarsens the lake in place instead of cloning it.
+    /// [`Coarsening::coarsen`] over a borrowed slice: the rows of
+    /// [`AdaptiveCoarsener::for_each_row`], sorted into batch order. A
+    /// pair has one window size, so the `(window_start, src, dst)` keys
+    /// are unique.
+    pub(crate) fn coarsen_records(&self, fine: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
+        let mut out = Vec::new();
+        self.for_each_row(fine, |class, w, pair, stats| out.push(class.row(w, pair, stats)));
+        out.sort_unstable_by_key(|r| (r.window_start, r.src, r.dst));
+        out
+    }
+
+    /// Hand `visit` every row of the adaptive log as `(class, window
+    /// index, packed pair, summary)`: pair by pair in `(src, dst)` order,
+    /// each pair's rows in window order, `class` the [`TimeCoarsener`] of
+    /// the pair's window. The borrowed lake is coarsened in place, and
+    /// reconciliation compares the rows as they come without building
+    /// them.
     ///
     /// One walk by pair ([`AdaptiveCoarsener::for_each_pair`]) classifies
     /// each pair. A pair whose samples all fall in one window of its class
     /// has that window's summary in hand: the classification summary, bit
     /// for bit (on the benchmark, every stable pair's day). Otherwise a
-    /// stable sort by window index buckets its time-ordered samples, in
-    /// `O(n)` on sorted input, and each bucket's values are sorted and
-    /// summarised with [`SummaryStats::of_sorted`]. A pair has one window
-    /// size, so the final `(window_start, src, dst)` sort has unique keys.
-    pub(crate) fn coarsen_records(&self, fine: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
+    /// stable sort by window index buckets its samples, in `O(n)` on
+    /// time-ordered input, and each bucket's values are sorted and
+    /// summarised with [`SummaryStats::of_sorted`].
+    pub(crate) fn for_each_row(
+        &self,
+        fine: &[BandwidthRecord],
+        mut visit: impl FnMut(&TimeCoarsener, u64, u64, &SummaryStats),
+    ) {
         let volatile = TimeCoarsener::new(self.volatile_window, self.stats.clone());
         let stable = TimeCoarsener::new(self.stable_window, self.stats.clone());
-        let mut out = Vec::new();
         let mut cell: Vec<f64> = Vec::new();
         self.for_each_pair(fine, |pair, is_volatile, whole, samples| {
             let class = if is_volatile { &volatile } else { &stable };
             let window_of = |&(ts, _): &(u64, f64)| ts / class.window_secs;
             let mut windows = samples.iter().map(window_of);
             if let Some(w) = windows.next().filter(|&w| windows.all(|x| x == w)) {
-                out.push(class.row(w, pair, whole));
+                visit(class, w, pair, whole);
                 return;
             }
             samples.sort_by_key(window_of);
             for bucket in samples.chunk_by(|a, b| window_of(a) == window_of(b)) {
                 cell.clear();
                 cell.extend(bucket.iter().map(|&(_, v)| v));
-                cell.sort_unstable_by(f64::total_cmp);
+                sort_total(&mut cell);
                 if let (Some(w), Some(stats)) =
                     (bucket.first().map(window_of), SummaryStats::of_sorted(&cell))
                 {
-                    out.push(class.row(w, pair, &stats));
+                    visit(class, w, pair, &stats);
                 }
             }
         });
-        out.sort_unstable_by_key(|r| (r.window_start, r.src, r.dst));
-        out
     }
 }
 

@@ -57,12 +57,14 @@ use smn_depgraph::delta::{DeltaError, GraphDelta};
 use smn_depgraph::fine::FineDepGraph;
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{key_pair, pair_key, walk_runs, Statistic, SummaryStats};
+use smn_telemetry::series::{key_pair, pair_key, sort_total, walk_runs, Statistic, SummaryStats};
 use smn_telemetry::time::{Ts, DAY, HOUR};
 use smn_topology::artifact::{under, Step, Violation};
 use smn_topology::path;
 
-use crate::bwlogs::{encode_coarse_log, AdaptiveCoarsener, CoarseBwRecord, TimeCoarsener};
+use crate::bwlogs::{
+    encode_coarse_log, row_wire_bytes, AdaptiveCoarsener, CoarseBwRecord, TimeCoarsener,
+};
 use crate::controller::SmnController;
 
 /// Artifact kind tag of a serialized [`DeltaJournal`].
@@ -83,7 +85,15 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// FNV-1a fingerprint over a sequence of byte streams.
+/// Feed one coarse row's wire bytes ([`row_wire_bytes`]) to a running
+/// FNV-1a state: the fingerprint of a log is its encoding's, with no
+/// encoding built.
+fn fnv1a_row(hash: &mut u64, row: &CoarseBwRecord) {
+    row_wire_bytes(row, |b| fnv1a(hash, b));
+}
+
+/// FNV-1a fingerprint over a sequence of byte streams: one pass over
+/// their concatenation, since FNV-1a is a running state.
 #[must_use]
 pub fn fingerprint(parts: &[&[u8]]) -> u64 {
     let mut h = FNV_OFFSET;
@@ -241,14 +251,15 @@ fn splice_sorted<T>(table: &mut Vec<T>, fresh: Vec<(usize, T)>) {
 
 /// Merge `run` (ascending under `f64::total_cmp`) into the sorted
 /// `samples`. A one-sample run is a sorted insert; a longer one is
-/// appended and merged by the stable sort, which finds the two runs.
+/// appended and the cell re-sorted by [`sort_total`], which leaves the
+/// bits any `total_cmp` sort would.
 fn merge_samples(samples: &mut Vec<f64>, run: &[f64]) {
     if let [v] = run {
         let at = samples.partition_point(|x| x.total_cmp(v).is_le());
         samples.insert(at, *v);
     } else {
         samples.extend_from_slice(run);
-        samples.sort_by(f64::total_cmp);
+        sort_total(samples);
     }
 }
 
@@ -359,6 +370,20 @@ pub struct IncrementalCoarseLog {
 }
 
 impl IncrementalCoarseLog {
+    /// An empty log of `window_secs` windows keeping `stats`. Builds no
+    /// coarsener, so a configuration `violations()` refuses still makes a
+    /// log, which the first tick then refuses as a typed error.
+    fn empty(window_secs: u64, stats: Vec<Statistic>) -> Self {
+        IncrementalCoarseLog {
+            window_secs,
+            stats,
+            frontier: 0,
+            sealed: Vec::new(),
+            keys: Vec::new(),
+            cells: Vec::new(),
+        }
+    }
+
     /// Number of coarse rows currently materialized.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -381,6 +406,25 @@ impl IncrementalCoarseLog {
     #[must_use]
     pub fn encode(&self) -> bytes::Bytes {
         encode_coarse_log(self.all_rows())
+    }
+
+    /// Whether this log is, row for row and bit for bit, the log `time`
+    /// coarsens `records` into. The time oracle's cell walk is compared
+    /// with the rows in place, so no batch row and no encoding is built.
+    /// Its rows are stored in batch order, so this is exactly
+    /// `self.encode() == encode_coarse_log(&time.coarsen_records(records))`.
+    fn matches_batch(&self, time: &TimeCoarsener, records: &[BandwidthRecord]) -> bool {
+        let mut rows = self.all_rows();
+        let mut same = true;
+        time.for_each_cell(
+            records,
+            |_| true,
+            |w, pair, samples| {
+                let Some(stats) = SummaryStats::of_sorted(samples) else { return };
+                same = same && rows.next().is_some_and(|row| time.is_row(row, w, pair, &stats));
+            },
+        );
+        same && rows.next().is_none()
     }
 
     /// Refuse a delta with a record in a sealed window, before anything
@@ -540,14 +584,7 @@ impl TimeCoarsener {
     /// Fresh incremental state bound to this coarsener's configuration.
     #[must_use]
     pub fn new_state(&self) -> IncrementalCoarseLog {
-        IncrementalCoarseLog {
-            window_secs: self.window_secs,
-            stats: self.stats.clone(),
-            frontier: 0,
-            sealed: Vec::new(),
-            keys: Vec::new(),
-            cells: Vec::new(),
-        }
+        IncrementalCoarseLog::empty(self.window_secs, self.stats.clone())
     }
 
     /// Apply one telemetry delta in place, recomputing only the dirty
@@ -847,6 +884,24 @@ impl IncrementalAdaptiveLog {
         encode_coarse_log(self.sorted_rows())
     }
 
+    /// Whether this log holds, row for row and bit for bit, the rows
+    /// `adaptive` coarsens `records` into. The adaptive oracle's rows come
+    /// pair by pair, each pair's in window order, and are compared in
+    /// place with the pair table's rows (pairs with no rows skipped), so
+    /// no batch row and no encoding is built. For a log that satisfies
+    /// [`IncrementalAdaptiveLog::violations`] this is exactly
+    /// `self.encode() == encode_coarse_log(&adaptive.coarsen_records(..))`;
+    /// it also refuses a pair whose rows are out of window order, which
+    /// `violations()` flags.
+    fn matches_batch(&self, adaptive: &AdaptiveCoarsener, records: &[BandwidthRecord]) -> bool {
+        let mut rows = self.pairs.iter().flat_map(|p| &p.rows);
+        let mut same = true;
+        adaptive.for_each_row(records, |class, w, pair, stats| {
+            same = same && rows.next().is_some_and(|row| class.is_row(row, w, pair, stats));
+        });
+        same && rows.next().is_none()
+    }
+
     /// The log is one `apply_delta` could have left: non-zero windows and
     /// at least one statistic; keys strictly ascending, one pair state
     /// each; every pair's history non-empty, sorted under
@@ -1116,15 +1171,13 @@ impl StreamState {
     /// A fresh session over `fine` (the CDG derives from it) with empty
     /// coarse state. The lake's bandwidth store must be empty or the
     /// first reconciliation will rightly report divergence — incremental
-    /// state only covers what streamed through it.
-    ///
-    /// # Panics
-    /// Panics when `config` violates the [`TimeCoarsener::new`] contract
-    /// (zero window, empty statistics).
+    /// state only covers what streamed through it. A configuration with a
+    /// zero window or no statistic still makes a session; its first
+    /// tick refuses it as [`StreamError::Config`].
     #[must_use]
     pub fn new(config: StreamConfig, fine: FineDepGraph) -> Self {
         let cdg = CoarseDepGraph::from_fine(&fine);
-        let time = config.time_coarsener().new_state();
+        let time = IncrementalCoarseLog::empty(config.window_secs, config.stats.clone());
         let adaptive = config.adaptive.new_state();
         StreamState { config, next_tick: 0, fine, cdg, time, adaptive, last_reconcile: None }
     }
@@ -1180,14 +1233,18 @@ impl StreamState {
     }
 
     /// Combined FNV-1a fingerprint over all three incremental artifacts —
-    /// what reconciliation stamps into audits and delta journals.
+    /// what reconciliation stamps into audits and delta journals: the
+    /// fingerprint of the uniform log's encoding, then the adaptive log's,
+    /// then the CDG's canonical bytes, streamed row by row with no
+    /// encoding built.
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        fingerprint_hex(&[
-            self.time.encode().as_slice(),
-            self.adaptive.encode().as_slice(),
-            &self.cdg.canonical_bytes(),
-        ])
+        let mut hash = FNV_OFFSET;
+        for row in self.time.all_rows().chain(self.adaptive.sorted_rows()) {
+            fnv1a_row(&mut hash, row);
+        }
+        fnv1a(&mut hash, &self.cdg.canonical_bytes());
+        format!("{hash:016x}")
     }
 }
 
@@ -1234,33 +1291,46 @@ pub struct TickOutcome {
     pub reconcile: Option<ReconcileOutcome>,
 }
 
-/// First differing row between an incremental and a batch coarse log,
-/// pretty-printed for the audited divergence diff.
-fn coarse_diff_detail(incremental: &[CoarseBwRecord], batch: &[CoarseBwRecord]) -> String {
-    if incremental.len() != batch.len() {
-        return format!("row count {} (incremental) vs {} (batch)", incremental.len(), batch.len());
-    }
-    for (i, (a, b)) in incremental.iter().zip(batch).enumerate() {
-        if a != b {
-            return format!("row {i}: incremental {a:?} vs batch {b:?}");
-        }
-    }
-    "encodings differ with pairwise-equal rows (sign/NaN-level drift)".to_string()
+/// What a divergence audits: the fingerprints of the incremental and the
+/// batch encoding, then the diff.
+type Divergence = (String, String, String);
+
+/// The audited divergence of a coarse log whose rows, in batch order, are
+/// `incremental` against the oracle's `batch`. The diff names the first
+/// row whose wire bytes differ, so a NaN statistic equals itself and
+/// `-0.0` differs from `0.0`. Every row can agree only when the
+/// incremental log keeps a pair's adaptive rows out of window order,
+/// which its `violations()` flags.
+fn coarse_divergence(incremental: &[CoarseBwRecord], batch: &[CoarseBwRecord]) -> Divergence {
+    let differ =
+        |a: &CoarseBwRecord, b: &CoarseBwRecord| encode_coarse_log([a]) != encode_coarse_log([b]);
+    let first = incremental.iter().zip(batch).enumerate().find(|(_, (a, b))| differ(a, b));
+    let diff = if incremental.len() != batch.len() {
+        format!("row count {} (incremental) vs {} (batch)", incremental.len(), batch.len())
+    } else if let Some((i, (a, b))) = first {
+        format!("row {i}: incremental {a:?} vs batch {b:?}")
+    } else {
+        "every row agrees in batch order, but a pair's rows are out of window order".to_string()
+    };
+    (
+        fingerprint_hex(&[encode_coarse_log(incremental).as_slice()]),
+        fingerprint_hex(&[encode_coarse_log(batch).as_slice()]),
+        diff,
+    )
 }
 
-/// First differing byte offset between two canonical CDG encodings.
-fn cdg_diff_detail(incremental: &[u8], batch: &[u8]) -> String {
-    if incremental.len() != batch.len() {
-        return format!(
-            "canonical length {} (incremental) vs {} (batch)",
-            incremental.len(),
-            batch.len()
-        );
-    }
-    match incremental.iter().zip(batch).position(|(a, b)| a != b) {
-        Some(i) => format!("first differing canonical byte at offset {i}"),
-        None => "identical".to_string(),
-    }
+/// The audited divergence of two canonical CDG encodings: their
+/// fingerprints and the first differing byte offset.
+fn cdg_divergence(incremental: &[u8], batch: &[u8]) -> Divergence {
+    let diff = if incremental.len() == batch.len() {
+        match incremental.iter().zip(batch).position(|(a, b)| a != b) {
+            Some(i) => format!("first differing canonical byte at offset {i}"),
+            None => "identical".to_string(),
+        }
+    } else {
+        format!("canonical length {} (incremental) vs {} (batch)", incremental.len(), batch.len())
+    };
+    (fingerprint_hex(&[incremental]), fingerprint_hex(&[batch]), diff)
 }
 
 impl SmnController {
@@ -1406,8 +1476,17 @@ impl SmnController {
     /// divergence an audited diff is emitted and a hard
     /// [`StreamError::Divergence`] returned — the same
     /// no-silent-disagreement discipline as the degraded-mode outcome
-    /// hashes. The `reconcile/time-oracle`, `reconcile/adaptive-oracle`
-    /// and `reconcile/compare` child phases split its wall time.
+    /// hashes.
+    ///
+    /// The proof is one streaming pass: each oracle's recomputed rows are
+    /// compared with the incremental rows as they come, and the proven
+    /// state's hash is [`StreamState::fingerprint`], so success builds no
+    /// batch log and no encoding. Only a divergence rebuilds the batch
+    /// log, for its audited hashes and diff. The `reconcile/time-oracle`
+    /// child phase holds the time oracle's walk and its comparison;
+    /// `reconcile/adaptive-oracle` the adaptive oracle's walk and
+    /// comparison; `reconcile/compare` the CDG rebuild and comparison and
+    /// the fingerprint.
     ///
     /// # Errors
     /// [`StreamError::Divergence`] naming the first diverging artifact,
@@ -1422,76 +1501,62 @@ impl SmnController {
         let obs = self.obs().clone();
         let mut phase = obs.phase("stream/reconcile");
         let tick = state.next_tick.saturating_sub(1);
-        // The batch oracles coarsen the lake's borrowed slice; the read
-        // guard drops before the controller adopts the CDG below.
-        let (batch_time_rows, batch_adaptive_rows, lake_records) = {
-            let lake = self.clds().bandwidth.read();
-            let full = lake.all();
-            let time = {
-                let _p = obs.phase("reconcile/time-oracle");
-                state.config.time_coarsener().coarsen_records(full)
-            };
-            let adaptive = {
-                let _p = obs.phase("reconcile/adaptive-oracle");
-                state.config.adaptive.coarsen_records(full)
-            };
-            (time, adaptive, full.len())
+
+        let diverged = |artifact: &str, (incremental_hash, batch_hash, detail): Divergence| {
+            obs.audit(
+                "stream",
+                "reconcile-divergence",
+                &[
+                    ("artifact", artifact.to_string()),
+                    ("tick", tick.to_string()),
+                    ("incremental_hash", incremental_hash),
+                    ("batch_hash", batch_hash),
+                    ("diff", detail.clone()),
+                ],
+            );
+            obs.inc("stream_divergence_total");
+            StreamError::Divergence { artifact: artifact.to_string(), tick, detail }
         };
 
-        let diverged =
-            |artifact: &str, incremental_hash: String, batch_hash: String, detail: String| {
-                obs.audit(
-                    "stream",
-                    "reconcile-divergence",
-                    &[
-                        ("artifact", artifact.to_string()),
-                        ("tick", tick.to_string()),
-                        ("incremental_hash", incremental_hash),
-                        ("batch_hash", batch_hash),
-                        ("diff", detail.clone()),
-                    ],
-                );
-                obs.inc("stream_divergence_total");
-                StreamError::Divergence { artifact: artifact.to_string(), tick, detail }
+        // The batch oracles walk the lake's borrowed slice; the read guard
+        // drops before the controller adopts the CDG below.
+        let lake_records = {
+            let lake = self.clds().bandwidth.read();
+            let full = lake.all();
+            let time = state.config.time_coarsener();
+            let proven = {
+                let _p = obs.phase("reconcile/time-oracle");
+                state.time.matches_batch(&time, full)
             };
+            // Only a divergence rebuilds the batch log, for the audit.
+            if !proven {
+                let batch = time.coarsen_records(full);
+                let found = coarse_divergence(&state.time.coarse_log(), &batch);
+                return Err(diverged("coarse-bwlog", found));
+            }
+            let adaptive = &state.config.adaptive;
+            let proven = {
+                let _p = obs.phase("reconcile/adaptive-oracle");
+                state.adaptive.matches_batch(adaptive, full)
+            };
+            if !proven {
+                let batch = adaptive.coarsen_records(full);
+                let found = coarse_divergence(&state.adaptive.coarse_log(), &batch);
+                return Err(diverged("adaptive-bwlog", found));
+            }
+            full.len()
+        };
 
-        // Encodes, byte comparisons and the CDG rebuild.
+        // The CDG rebuild, then the fingerprint of the proven state.
         let compare = obs.phase("reconcile/compare");
-        let inc_time = state.time.encode();
-        let batch_time = encode_coarse_log(&batch_time_rows);
-        if inc_time != batch_time {
-            return Err(diverged(
-                "coarse-bwlog",
-                fingerprint_hex(&[inc_time.as_slice()]),
-                fingerprint_hex(&[batch_time.as_slice()]),
-                coarse_diff_detail(&state.time.coarse_log(), &batch_time_rows),
-            ));
-        }
-
-        let inc_adaptive = state.adaptive.encode();
-        let batch_adaptive = encode_coarse_log(&batch_adaptive_rows);
-        if inc_adaptive != batch_adaptive {
-            return Err(diverged(
-                "adaptive-bwlog",
-                fingerprint_hex(&[inc_adaptive.as_slice()]),
-                fingerprint_hex(&[batch_adaptive.as_slice()]),
-                coarse_diff_detail(&state.adaptive.coarse_log(), &batch_adaptive_rows),
-            ));
-        }
-
         let inc_cdg = state.cdg.canonical_bytes();
         let batch_cdg = CoarseDepGraph::from_fine(&state.fine).canonical_bytes();
         if inc_cdg != batch_cdg {
-            return Err(diverged(
-                "cdg",
-                fingerprint_hex(&[&inc_cdg]),
-                fingerprint_hex(&[&batch_cdg]),
-                cdg_diff_detail(&inc_cdg, &batch_cdg),
-            ));
+            return Err(diverged("cdg", cdg_divergence(&inc_cdg, &batch_cdg)));
         }
+        let hash = state.fingerprint();
         drop(compare);
 
-        let hash = fingerprint_hex(&[inc_time.as_slice(), inc_adaptive.as_slice(), &inc_cdg]);
         // The incremental CDG is now proven equal to the batch rebuild:
         // the controller adopts it as its working coarse artifact.
         self.cdg = state.cdg.clone();
@@ -1924,6 +1989,35 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_statistic_does_not_hide_the_diverging_row() {
+        let mut ctl = controller();
+        let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
+        let mut state = StreamState::new(cfg, small_fine());
+        let mut log = mixed_log(4);
+        log[0].gbps = f64::NAN;
+        let deltas = TelemetryDelta::split_epochs(&log, 0);
+        ctl.stream_run(&mut state, &deltas, &[]).unwrap();
+        ctl.stream_reconcile(&mut state).unwrap();
+        // Row 0 carries NaN statistics on both sides; the last row is the
+        // corrupted one.
+        assert!(state.time.coarse_log()[0].values[0].is_nan());
+        let last = state.time.rows() - 1;
+        if let Some(cell) = state.time.cells.last_mut() {
+            cell.row.values[0] += 1.0;
+        }
+        match ctl.stream_reconcile(&mut state).unwrap_err() {
+            StreamError::Divergence { artifact, detail, .. } => {
+                assert_eq!(artifact, "coarse-bwlog");
+                assert!(
+                    detail.starts_with(&format!("row {last}:")),
+                    "diff names row {last}: {detail}"
+                );
+            }
+            other => panic!("expected divergence, got {other}"),
+        }
+    }
+
+    #[test]
     fn checkpoint_restore_mid_stream_is_byte_identical() {
         let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
         let deltas = TelemetryDelta::split_epochs(&mixed_log(12), 0);
@@ -2095,12 +2189,10 @@ mod tests {
         assert_eq!(back, journal);
     }
 
-    /// A stream config whose adaptive coarsener is `adaptive` must refuse
-    /// its first tick and any reconcile with a typed error, before the
-    /// lake is touched.
-    fn assert_refused_before_ingest(adaptive: AdaptiveCoarsener) {
+    /// A session over `cfg` must start, then refuse its first tick and any
+    /// reconcile with a typed error, before the lake is touched.
+    fn assert_refused_before_ingest(cfg: StreamConfig) {
         let mut ctl = controller();
-        let cfg = StreamConfig { adaptive, ..StreamConfig::default() };
         let mut state = StreamState::new(cfg, small_fine());
         let deltas = TelemetryDelta::split_epochs(&mixed_log(2), 0);
         let err = ctl.stream_tick(&mut state, &deltas[0], None).unwrap_err();
@@ -2118,13 +2210,25 @@ mod tests {
     #[test]
     fn a_zero_adaptive_window_is_refused_before_ingest() {
         let ac = StreamConfig::default().adaptive;
-        assert_refused_before_ingest(AdaptiveCoarsener { stable_window: 0, ..ac });
+        let adaptive = AdaptiveCoarsener { stable_window: 0, ..ac };
+        assert_refused_before_ingest(StreamConfig { adaptive, ..StreamConfig::default() });
     }
 
     #[test]
     fn an_adaptive_coarsener_without_statistics_is_refused_before_ingest() {
         let ac = StreamConfig::default().adaptive;
-        assert_refused_before_ingest(AdaptiveCoarsener { stats: Vec::new(), ..ac });
+        let adaptive = AdaptiveCoarsener { stats: Vec::new(), ..ac };
+        assert_refused_before_ingest(StreamConfig { adaptive, ..StreamConfig::default() });
+    }
+
+    #[test]
+    fn a_zero_window_is_refused_before_ingest() {
+        assert_refused_before_ingest(StreamConfig { window_secs: 0, ..StreamConfig::default() });
+    }
+
+    #[test]
+    fn a_stream_without_statistics_is_refused_before_ingest() {
+        assert_refused_before_ingest(StreamConfig { stats: Vec::new(), ..StreamConfig::default() });
     }
 
     /// Epoch strides of the walk-free proptest's clock: ties on one
@@ -2212,6 +2316,217 @@ mod tests {
                     adaptive.encode(),
                     encode_coarse_log(&adaptive_by_partition(&ac, prefix))
                 );
+            }
+        }
+    }
+
+    /// Flip the sign bit of `v`: a sign of zero when `v` is zero.
+    fn flip_sign(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() ^ 1 << 63)
+    }
+
+    /// A NaN whose bits differ from `v`'s: another payload when `v` is
+    /// already a NaN.
+    fn other_nan(v: f64) -> f64 {
+        f64::from_bits((v.to_bits() ^ 1) | 0x7FF8_0000_0000_0000)
+    }
+
+    /// Apply corruption `kind` to `row`'s fields, at value `pick`:
+    /// a value bit, a sign of zero, a NaN payload, a shifted window or the
+    /// window length.
+    fn corrupt_fields(row: &mut CoarseBwRecord, kind: u8, pick: usize) {
+        let j = pick % row.values.len().max(1);
+        match (kind, row.values.get_mut(j)) {
+            (0, Some(v)) => *v = f64::from_bits(v.to_bits() ^ 1),
+            (1, Some(v)) => *v = flip_sign(*v),
+            (2, Some(v)) => *v = other_nan(*v),
+            (3, _) => row.window_start.0 += row.window_secs,
+            _ => row.window_secs += 1,
+        }
+    }
+
+    /// Corrupt row `at` (modulo the row count) of the uniform log with
+    /// corruption `kind`: a field (0–4, and 8 as 4), a dropped (5) or
+    /// duplicated (6) row, or (7) an extra row after the last, in the next
+    /// window.
+    fn corrupt_time_row(log: &mut IncrementalCoarseLog, kind: u8, at: usize, pick: usize) {
+        let sealed = log.sealed.len();
+        let i = at % log.rows().max(1);
+        if kind == 7 {
+            if let (Some(&(w, pair)), Some(cell)) = (log.keys.last(), log.cells.last()) {
+                let mut cell = cell.clone();
+                cell.row.window_start.0 += cell.row.window_secs;
+                log.keys.push((w + 1, pair));
+                log.cells.push(cell);
+            }
+        } else if i < sealed {
+            match kind {
+                5 => drop(log.sealed.remove(i)),
+                6 => log.sealed.insert(i, log.sealed[i].clone()),
+                _ => corrupt_fields(&mut log.sealed[i], kind, pick),
+            }
+        } else {
+            let j = i - sealed;
+            match kind {
+                5 => {
+                    log.keys.remove(j);
+                    log.cells.remove(j);
+                }
+                6 => {
+                    log.keys.insert(j, log.keys[j]);
+                    log.cells.insert(j, log.cells[j].clone());
+                }
+                _ => corrupt_fields(&mut log.cells[j].row, kind, pick),
+            }
+        }
+    }
+
+    /// Corrupt row `at` (modulo the row count, pair by pair) of the
+    /// adaptive log with corruption `kind`: a field (0–4), a dropped (5)
+    /// or duplicated (6) row, or an extra pair after the last, with a copy
+    /// of that row (7) or with no rows (8).
+    fn corrupt_adaptive_row(log: &mut IncrementalAdaptiveLog, kind: u8, at: usize, pick: usize) {
+        let mut i = at % log.rows.max(1);
+        if kind >= 7 {
+            let mut row = log.pairs.iter().flat_map(|p| &p.rows).nth(i).cloned();
+            if let Some(row) = &mut row {
+                (row.src, row.dst) = (u32::MAX, u32::MAX);
+            }
+            log.keys.push((u32::MAX, u32::MAX));
+            log.pairs.push(PairState {
+                rows: row.into_iter().filter(|_| kind == 7).collect(),
+                ..PairState::default()
+            });
+            return;
+        }
+        let Some(ps) = log.pairs.iter_mut().find(|p| {
+            let here = i < p.rows.len();
+            if !here {
+                i -= p.rows.len();
+            }
+            here
+        }) else {
+            return;
+        };
+        match kind {
+            5 => drop(ps.rows.remove(i)),
+            6 => ps.rows.insert(i, ps.rows[i].clone()),
+            _ => corrupt_fields(&mut ps.rows[i], kind, pick),
+        }
+    }
+
+    /// The position the audited diff must name: the row count when the
+    /// logs differ in length, else the first row whose wire bytes differ.
+    fn first_diff(incremental: &[CoarseBwRecord], batch: &[CoarseBwRecord]) -> String {
+        if incremental.len() != batch.len() {
+            return "row count".to_string();
+        }
+        let bytes = |r: &CoarseBwRecord| encode_coarse_log([r]);
+        let i = incremental.iter().zip(batch).position(|(a, b)| bytes(a) != bytes(b));
+        i.map_or_else(|| "every row agrees".to_string(), |i| format!("row {i}:"))
+    }
+
+    proptest::proptest! {
+        /// Corrupt one row of either log of a reconciled session: a value
+        /// bit, a sign of zero, a NaN payload, a shifted window, the
+        /// window length, a dropped, duplicated or extra row, or an extra
+        /// pair with no rows. The streaming reconcile's verdict is the
+        /// encoded logs' byte equality. On success its hash is the
+        /// fingerprint of the encodings; on divergence the audit carries
+        /// the encodings' fingerprints and the diff names the first row
+        /// whose bytes differ.
+        #[test]
+        fn streaming_reconcile_verdict_matches_encoded_bytes(
+            raw in proptest::collection::vec((0usize..8, 0u32..4, 0u32..4, 0usize..8), 1..80),
+            nan in 0u8..3,
+            shape in 0u8..3,
+            chunk in 1usize..20,
+            cv_threshold in 0.0f64..1.5,
+            target in (0u8..2, 0u8..9, 0usize..400, 0usize..6),
+        ) {
+            let (adaptive_log, kind, at, pick) = target;
+            let all = vec![
+                Statistic::Mean,
+                Statistic::Min,
+                Statistic::Max,
+                Statistic::P50,
+                Statistic::P95,
+                Statistic::P99,
+            ];
+            let cfg = StreamConfig {
+                window_secs: HOUR,
+                stats: all.clone(),
+                adaptive: AdaptiveCoarsener {
+                    cv_threshold,
+                    stable_window: DAY,
+                    volatile_window: HOUR,
+                    stats: all,
+                },
+                reconcile_every: 0,
+            };
+            let log = walk_free_log(&raw, nan == 0);
+            let mut ctl = controller();
+            let mut state = StreamState::new(cfg.clone(), small_fine());
+            ctl.stream_run(&mut state, &walk_free_deltas(&log, shape, chunk), &[])
+                .expect("a time-ordered stream applies");
+            let clean = ctl.stream_reconcile(&mut state).expect("an honest state reconciles");
+            proptest::prop_assert_eq!(&clean.hash, &state.fingerprint());
+
+            if adaptive_log == 1 {
+                corrupt_adaptive_row(&mut state.adaptive, kind, at, pick);
+            } else {
+                corrupt_time_row(&mut state.time, kind, at, pick);
+            }
+            let (time_batch, adaptive_batch) = {
+                let lake = ctl.clds().bandwidth.read();
+                (
+                    cfg.time_coarsener().coarsen_records(lake.all()),
+                    cfg.adaptive.coarsen_records(lake.all()),
+                )
+            };
+            let (time_inc, adaptive_inc) = (state.time.encode(), state.adaptive.encode());
+            let (time_bytes, adaptive_bytes) =
+                (encode_coarse_log(&time_batch), encode_coarse_log(&adaptive_batch));
+            let cdg = state.cdg.canonical_bytes();
+            match ctl.stream_reconcile(&mut state) {
+                Ok(outcome) => {
+                    proptest::prop_assert!(time_inc == time_bytes && adaptive_inc == adaptive_bytes);
+                    proptest::prop_assert_eq!(
+                        &outcome.hash,
+                        &fingerprint_hex(&[time_inc.as_slice(), adaptive_inc.as_slice(), &cdg])
+                    );
+                    proptest::prop_assert_eq!(&outcome.hash, &state.fingerprint());
+                }
+                Err(StreamError::Divergence { artifact, detail, .. }) => {
+                    let (inc, batch, inc_rows, batch_rows) = if time_inc == time_bytes {
+                        proptest::prop_assert_eq!(artifact.as_str(), "adaptive-bwlog");
+                        proptest::prop_assert!(adaptive_inc != adaptive_bytes, "{detail}");
+                        (adaptive_inc, adaptive_bytes, state.adaptive.coarse_log(), adaptive_batch)
+                    } else {
+                        proptest::prop_assert_eq!(artifact.as_str(), "coarse-bwlog");
+                        (time_inc, time_bytes, state.time.coarse_log(), time_batch)
+                    };
+                    let audit = ctl.obs().audit_jsonl();
+                    let last = audit.lines().last().unwrap_or_default();
+                    let record = smn_obs::audit::AuditRecord::from_json_line(last)
+                        .expect("the divergence is audited");
+                    let evidence = |key: &str| {
+                        record.evidence.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+                    };
+                    proptest::prop_assert_eq!(record.action.as_str(), "reconcile-divergence");
+                    proptest::prop_assert_eq!(
+                        evidence("incremental_hash"),
+                        Some(fingerprint_hex(&[inc.as_slice()]))
+                    );
+                    proptest::prop_assert_eq!(
+                        evidence("batch_hash"),
+                        Some(fingerprint_hex(&[batch.as_slice()]))
+                    );
+                    proptest::prop_assert_eq!(evidence("diff"), Some(detail.clone()));
+                    let want = first_diff(&inc_rows, &batch_rows);
+                    proptest::prop_assert!(detail.starts_with(&want), "want {want}: {detail}");
+                }
+                Err(other) => proptest::prop_assert!(false, "unexpected error {other}"),
             }
         }
     }

@@ -38,10 +38,10 @@ impl SummaryStats {
     /// Summarize `values`. Returns `None` for an empty slice.
     ///
     /// Sorts a copy and summarizes it with [`SummaryStats::of_sorted`].
+    #[must_use]
     pub fn of(values: &[f64]) -> Option<SummaryStats> {
         let mut sorted = values.to_vec();
-        // total_cmp gives NaN a defined order instead of panicking on it.
-        sorted.sort_by(f64::total_cmp);
+        sort_total(&mut sorted);
         Self::of_sorted(&sorted)
     }
 
@@ -294,9 +294,108 @@ pub fn merge_runs<T, K: Ord + Copy>(
     mut visit: impl FnMut(K, &[f64]),
 ) {
     walk_runs(records, key, sample, |k, samples| {
-        samples.sort_unstable_by(f64::total_cmp);
+        sort_total(samples);
         visit(k, samples);
     });
+}
+
+/// `f64::total_cmp` order carried onto `u64`: negative values (sign bit
+/// set) have every bit flipped, so larger magnitudes sort lower; the rest
+/// get the sign bit set, so they sort above every negative.
+#[inline]
+fn value_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`value_key`], bit for bit.
+#[inline]
+fn key_value(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
+/// Sort `values` ascending under `f64::total_cmp`: bit for bit
+/// `values.sort_unstable_by(f64::total_cmp)`. Under `total_cmp`, equal
+/// means identical bits, so any correct sort gives the same bits; this
+/// one sorts the integer keys of [`value_key`] instead of comparing
+/// floats.
+///
+/// The size rule is read from the input. Two samples are one
+/// compare-and-swap. Three to 16 go through a fixed 16-key Batcher
+/// network padded with `u64::MAX`: branch-free, and what a coarse cell
+/// of 12 epochs pays. Longer slices (a pair's whole history) are turned
+/// into their keys in place, sorted by `sort_unstable` on the bits, and
+/// turned back.
+pub fn sort_total(values: &mut [f64]) {
+    match values {
+        [] | [_] => {}
+        [a, b] => {
+            if a.total_cmp(b).is_gt() {
+                std::mem::swap(a, b);
+            }
+        }
+        _ if values.len() <= 16 => through_network(values),
+        _ => {
+            for v in values.iter_mut() {
+                *v = f64::from_bits(value_key(*v));
+            }
+            values.sort_unstable_by_key(|v| v.to_bits());
+            for v in values.iter_mut() {
+                *v = key_value(v.to_bits());
+            }
+        }
+    }
+}
+
+/// Sort up to 16 values through [`network16`]: their keys fill a 16-key
+/// array padded with `u64::MAX`, which sorts last, and the first
+/// `values.len()` sorted keys come back. A value whose key is `u64::MAX`
+/// ties the padding with identical bits, so the result is the same.
+#[inline]
+fn through_network(values: &mut [f64]) {
+    let mut keys = [u64::MAX; 16];
+    for (k, &v) in keys.iter_mut().zip(values.iter()) {
+        *k = value_key(v);
+    }
+    for (v, k) in values.iter_mut().zip(network16(keys)) {
+        *v = key_value(k);
+    }
+}
+
+/// Compare-exchange each listed pair of `u64` locals in order, leaving the
+/// smaller in the first: a sorting network's comparators, unrolled.
+macro_rules! compare_exchange {
+    ($($a:ident $b:ident),* $(,)?) => {
+        $(
+            let low = $a.min($b);
+            $b = $a.max($b);
+            $a = low;
+        )*
+    };
+}
+
+/// Batcher's 16-key odd-even merge sort network, 63 comparators: it
+/// sorts each half of each half (5 comparators per quarter), merges the
+/// quarters into halves (9 more each) and merges the halves (25).
+/// `network_sorts_every_zero_one_input` checks it.
+#[inline]
+fn network16(
+    [mut k0, mut k1, mut k2, mut k3, mut k4, mut k5, mut k6, mut k7, mut k8, mut k9, mut k10, mut k11, mut k12, mut k13, mut k14, mut k15]: [u64; 16],
+) -> [u64; 16] {
+    compare_exchange!(
+        k0 k1, k2 k3, k0 k2, k1 k3, k1 k2, k4 k5, k6 k7, k4 k6, k5 k7, k5 k6,
+        k0 k4, k2 k6, k2 k4, k1 k5, k3 k7, k3 k5, k1 k2, k3 k4, k5 k6,
+        k8 k9, k10 k11, k8 k10, k9 k11, k9 k10, k12 k13, k14 k15, k12 k14, k13 k15, k13 k14,
+        k8 k12, k10 k14, k10 k12, k9 k13, k11 k15, k11 k13, k9 k10, k11 k12, k13 k14,
+        k0 k8, k4 k12, k4 k8, k2 k10, k6 k14, k6 k10, k2 k4, k6 k8, k10 k12,
+        k1 k9, k5 k13, k5 k9, k3 k11, k7 k15, k7 k11, k3 k5, k7 k9, k11 k13,
+        k1 k2, k3 k4, k5 k6, k7 k8, k9 k10, k11 k12, k13 k14,
+    );
+    [k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15]
 }
 
 /// Exact percentile of an ascending-sorted slice by linear interpolation.
@@ -462,24 +561,6 @@ mod tests {
         Statistic::P99,
     ];
 
-    /// `f64::total_cmp` order carried onto `u64`: negative values (sign
-    /// bit set) have every bit flipped, so larger magnitudes sort lower;
-    /// the rest get the sign bit set, so they sort above every negative.
-    /// The keyed oracle below sorts these as plain integers.
-    fn value_key(v: f64) -> u64 {
-        let bits = v.to_bits();
-        if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | 1 << 63
-        }
-    }
-
-    /// Inverse of [`value_key`], bit for bit.
-    fn key_value(key: u64) -> f64 {
-        f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
-    }
-
     /// The keyed stable sort [`merge_runs`] replaced: the kept records
     /// keyed `(key, value_key)` and sorted, one visit per key run.
     fn visits_by_keyed_sort(records: &[(u8, u64, bool)]) -> Vec<(u8, Vec<u64>)> {
@@ -582,7 +663,45 @@ mod tests {
         )
     }
 
+    /// Inputs for the sort kernel: 0–40 or 100–300 arbitrary bit patterns
+    /// (NaN payloads of both signs, ±0.0, ±infinity and subnormals among
+    /// them), left as drawn, made all equal, sorted or reversed.
+    fn sort_input() -> impl Strategy<Value = Vec<f64>> {
+        let short = proptest::collection::vec(f64_bits(), 0..41);
+        let long = proptest::collection::vec(f64_bits(), 100..301);
+        (0u8..2, short, long, 0u8..4).prop_map(|(length, short, long, layout)| {
+            let bits = if length == 0 { short } else { long };
+            let mut values: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+            match layout {
+                1 => {
+                    let first = values.first().copied().unwrap_or_default();
+                    values.fill(first);
+                }
+                2 => values.sort_by(f64::total_cmp),
+                3 => {
+                    values.sort_by(f64::total_cmp);
+                    values.reverse();
+                }
+                _ => {}
+            }
+            values
+        })
+    }
+
     proptest! {
+        /// The sort kernel leaves exactly the bits of a `total_cmp` sort,
+        /// on every side of its size rule (the pair swap, the 16-key
+        /// network and the keyed sort).
+        #[test]
+        fn sort_total_matches_total_cmp_sort(values in sort_input()) {
+            let mut want = values.clone();
+            want.sort_unstable_by(f64::total_cmp);
+            let mut got = values;
+            sort_total(&mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
         /// One statistic of sorted samples is bit for bit that statistic
         /// of the full summary, for all six, over NaNs, ±0.0, infinities,
         /// ties, single samples and empty slices.
@@ -648,12 +767,23 @@ mod tests {
         }
 
         /// `value_key` carries `f64::total_cmp` onto `u64` order, and
-        /// `key_value` inverts it bit for bit, over arbitrary bit patterns.
+        /// `key_value` inverts it bit for bit, over arbitrary bit patterns:
+        /// the keys the sort kernel sorts.
         #[test]
         fn value_key_is_total_cmp_order_and_inverts(a in f64_bits(), b in f64_bits()) {
             let (x, y) = (f64::from_bits(a), f64::from_bits(b));
             prop_assert_eq!(key_value(value_key(x)).to_bits(), a);
             prop_assert_eq!(value_key(x).cmp(&value_key(y)), x.total_cmp(&y));
+        }
+    }
+
+    /// By the 0-1 principle, a comparator network sorts every input when
+    /// it sorts every input of zeros and ones.
+    #[test]
+    fn network_sorts_every_zero_one_input() {
+        for mask in 0u32..1 << 16 {
+            let bit = |i: usize| u64::from(mask >> i & 1);
+            assert!(network16(std::array::from_fn(bit)).is_sorted(), "mask {mask:#x}");
         }
     }
 
