@@ -427,6 +427,20 @@ impl IncrementalCoarseLog {
         same && rows.next().is_none()
     }
 
+    /// Refuse this log unless it was built for `window_secs` windows
+    /// keeping `stats`.
+    fn built_for(&self, window_secs: u64, stats: &[Statistic]) -> Result<(), StreamError> {
+        if self.window_secs == window_secs && self.stats == stats {
+            return Ok(());
+        }
+        Err(StreamError::StateMismatch {
+            detail: format!(
+                "state built for window {}s / {:?}, coarsener is {}s / {:?}",
+                self.window_secs, self.stats, window_secs, stats
+            ),
+        })
+    }
+
     /// Refuse a delta with a record in a sealed window, before anything
     /// is touched.
     fn admit(&self, delta: &TelemetryDelta) -> Result<(), StreamError> {
@@ -611,14 +625,7 @@ impl TimeCoarsener {
         state: &mut IncrementalCoarseLog,
         delta: &TelemetryDelta,
     ) -> Result<DeltaApplyStats, StreamError> {
-        if state.window_secs != self.window_secs || state.stats != self.stats {
-            return Err(StreamError::StateMismatch {
-                detail: format!(
-                    "state built for window {}s / {:?}, coarsener is {}s / {:?}",
-                    state.window_secs, state.stats, self.window_secs, self.stats
-                ),
-            });
-        }
+        state.built_for(self.window_secs, &self.stats)?;
         state.admit(delta)?;
         let mut misses = Misses::default();
         let (mut open, mut cursor, mut dirty) = (None, 0usize, 0usize);
@@ -884,6 +891,20 @@ impl IncrementalAdaptiveLog {
         encode_coarse_log(self.sorted_rows())
     }
 
+    /// Refuse this log unless `adaptive`'s configuration built it.
+    fn built_for(&self, adaptive: &AdaptiveCoarsener) -> Result<(), StreamError> {
+        let same = self.cv_threshold.to_bits() == adaptive.cv_threshold.to_bits()
+            && self.stable_window == adaptive.stable_window
+            && self.volatile_window == adaptive.volatile_window
+            && self.stats == adaptive.stats;
+        if same {
+            return Ok(());
+        }
+        Err(StreamError::StateMismatch {
+            detail: "state built for a different adaptive configuration".to_string(),
+        })
+    }
+
     /// Whether this log holds, row for row and bit for bit, the rows
     /// `adaptive` coarsens `records` into. The adaptive oracle's rows come
     /// pair by pair, each pair's in window order, and are compared in
@@ -998,15 +1019,7 @@ impl AdaptiveCoarsener {
         delta: &TelemetryDelta,
         mut on_pair: impl FnMut((u32, u32)),
     ) -> Result<DeltaApplyStats, StreamError> {
-        let same = state.cv_threshold.to_bits() == self.cv_threshold.to_bits()
-            && state.stable_window == self.stable_window
-            && state.volatile_window == self.volatile_window
-            && state.stats == self.stats;
-        if !same {
-            return Err(StreamError::StateMismatch {
-                detail: "state built for a different adaptive configuration".to_string(),
-            });
-        }
+        state.built_for(self)?;
         let mut scratch = PairScratch::default();
         let mut fresh_keys = Vec::new();
         let mut fresh_pairs = Vec::new();
@@ -1211,14 +1224,7 @@ impl StreamState {
         violations.extend(under(&path!["cdg"], CoarseDepGraph::violations(&state.cdg)));
         violations.extend(under(&path!["time"], state.time.violations()));
         violations.extend(under(&path!["adaptive"], state.adaptive.violations()));
-        let (config, time, adaptive) = (&state.config, &state.time, &state.adaptive);
-        let built_by_config = time.window_secs == config.window_secs
-            && time.stats == config.stats
-            && adaptive.cv_threshold.to_bits() == config.adaptive.cv_threshold.to_bits()
-            && adaptive.stable_window == config.adaptive.stable_window
-            && adaptive.volatile_window == config.adaptive.volatile_window
-            && adaptive.stats == config.adaptive.stats;
-        if !built_by_config {
+        if state.built_by_config().is_err() {
             violations.push(Violation::new(
                 "artifact/coarse-log-shape",
                 path!["config"],
@@ -1230,6 +1236,23 @@ impl StreamState {
             Some(v) => Err(StreamError::Checkpoint(v)),
             None => Ok(state),
         }
+    }
+
+    /// Refuse coarse logs built for another configuration than `config`
+    /// (its fields are public, so a caller can change it between ticks).
+    fn built_by_config(&self) -> Result<(), StreamError> {
+        self.time.built_for(self.config.window_secs, &self.config.stats)?;
+        self.adaptive.built_for(&self.config.adaptive)
+    }
+
+    /// Refuse, while the lake is still untouched, every tick whose
+    /// coarse-log applies would fail: a configuration a coarsener
+    /// asserts against, logs built for another configuration, or a
+    /// record in a sealed window. After this neither apply can fail.
+    fn admit(&self, delta: &TelemetryDelta) -> Result<(), StreamError> {
+        self.config.admit()?;
+        self.built_by_config()?;
+        self.time.admit(delta)
     }
 
     /// Combined FNV-1a fingerprint over all three incremental artifacts —
@@ -1386,14 +1409,15 @@ impl SmnController {
             prev = Some(r.ts);
         }
 
-        // A record in a sealed window would fail the uniform apply, and a
-        // zero window or no statistic would panic in a coarsener, after
-        // ingest; refuse both while the lake is still untouched.
-        state.config.admit()?;
-        state.time.admit(telemetry)?;
+        // A failing apply after ingest would leave the lake ahead of the
+        // coarse logs, and a zero window or no statistic would panic in a
+        // coarsener; refuse all of them while the lake is untouched.
+        state.admit(telemetry)?;
 
         let ingest = ingest_bandwidth_profiled(self.clds(), &telemetry.records, &obs);
 
+        // The two applies stay one after the other: forked, they raised
+        // the 1000-DC benchmark's peak RSS by 5-8% (DESIGN §14).
         let mut pairs = Vec::new();
         let (time, adaptive) = {
             let mut phase = obs.phase("coarsen/apply_delta");
@@ -1482,11 +1506,14 @@ impl SmnController {
     /// compared with the incremental rows as they come, and the proven
     /// state's hash is [`StreamState::fingerprint`], so success builds no
     /// batch log and no encoding. Only a divergence rebuilds the batch
-    /// log, for its audited hashes and diff. The `reconcile/time-oracle`
-    /// child phase holds the time oracle's walk and its comparison;
-    /// `reconcile/adaptive-oracle` the adaptive oracle's walk and
-    /// comparison; `reconcile/compare` the CDG rebuild and comparison and
-    /// the fingerprint.
+    /// log, for its audited hashes and diff. The two logs share no state,
+    /// so their proofs run side by side ([`smn_obs::Obs::fork`]) under
+    /// the one lake read guard: the `reconcile/time-oracle` child phase
+    /// is the time oracle's walk and its comparison, on a scoped thread,
+    /// and `reconcile/adaptive-oracle` the adaptive oracle's walk and
+    /// comparison, on the caller. A divergence of the uniform log is
+    /// reported first. `reconcile/compare` is the CDG rebuild and
+    /// comparison and the fingerprint.
     ///
     /// # Errors
     /// [`StreamError::Divergence`] naming the first diverging artifact,
@@ -1524,22 +1551,20 @@ impl SmnController {
             let lake = self.clds().bandwidth.read();
             let full = lake.all();
             let time = state.config.time_coarsener();
-            let proven = {
-                let _p = obs.phase("reconcile/time-oracle");
-                state.time.matches_batch(&time, full)
-            };
-            // Only a divergence rebuilds the batch log, for the audit.
-            if !proven {
+            let adaptive = &state.config.adaptive;
+            // The two proofs share no state: run them side by side.
+            let (time_proven, adaptive_proven) = obs.fork(
+                ("reconcile/time-oracle", || state.time.matches_batch(&time, full)),
+                ("reconcile/adaptive-oracle", || state.adaptive.matches_batch(adaptive, full)),
+            );
+            // Only a divergence rebuilds the batch log, for the audit; the
+            // uniform log is reported first.
+            if !time_proven {
                 let batch = time.coarsen_records(full);
                 let found = coarse_divergence(&state.time.coarse_log(), &batch);
                 return Err(diverged("coarse-bwlog", found));
             }
-            let adaptive = &state.config.adaptive;
-            let proven = {
-                let _p = obs.phase("reconcile/adaptive-oracle");
-                state.adaptive.matches_batch(adaptive, full)
-            };
-            if !proven {
+            if !adaptive_proven {
                 let batch = adaptive.coarsen_records(full);
                 let found = coarse_divergence(&state.adaptive.coarse_log(), &batch);
                 return Err(diverged("adaptive-bwlog", found));
@@ -1939,6 +1964,44 @@ mod tests {
         assert_eq!(ctl.obs().counter("stream_reconcile_total"), 4);
     }
 
+    /// The reconcile's two proofs run through `Obs::fork`, yet two
+    /// identical sessions export byte-identical traces, and every
+    /// reconcile's children are the time oracle's span, then the
+    /// adaptive oracle's, then the compare, as when they ran in turn.
+    #[test]
+    fn forked_reconciles_leave_byte_identical_traces() {
+        let session = || {
+            let mut ctl = controller();
+            let cfg = StreamConfig { reconcile_every: 2, ..StreamConfig::default() };
+            let mut state = StreamState::new(cfg, small_fine());
+            let deltas = TelemetryDelta::split_epochs(&mixed_log(8), 0);
+            ctl.stream_run(&mut state, &deltas, &[]).unwrap();
+            ctl.obs().trace_jsonl()
+        };
+        let trace = session();
+        assert_eq!(trace, session());
+        let events: Vec<smn_obs::TraceEvent> =
+            trace.lines().map(|l| smn_obs::TraceEvent::from_json_line(l).unwrap()).collect();
+        let entered = |parent: Option<u64>| {
+            events
+                .iter()
+                .filter(move |e| {
+                    e.kind == smn_obs::EventKind::Enter && parent.is_none_or(|p| e.parent == p)
+                })
+                .map(|e| (e.span, e.name.as_str()))
+        };
+        let reconciles: Vec<u64> =
+            entered(None).filter(|&(_, name)| name == "stream/reconcile").map(|(s, _)| s).collect();
+        assert_eq!(reconciles.len(), 4);
+        for span in reconciles {
+            let children: Vec<&str> = entered(Some(span)).map(|(_, name)| name).collect();
+            assert_eq!(
+                children,
+                ["reconcile/time-oracle", "reconcile/adaptive-oracle", "reconcile/compare"]
+            );
+        }
+    }
+
     #[test]
     fn out_of_order_deltas_are_hard_errors() {
         let mut ctl = controller();
@@ -2207,6 +2270,37 @@ mod tests {
         assert!(matches!(err, StreamError::Config(_)), "got {err}");
     }
 
+    /// `StreamState.config` is public: a configuration changed between
+    /// ticks no longer matches the logs, and the next tick must refuse it
+    /// before ingest, leaving the lake, `next_tick` and both logs as they
+    /// were, so that restoring the configuration resumes the session.
+    #[test]
+    fn a_config_changed_mid_session_is_refused_before_ingest() {
+        let changes: [fn(&mut StreamConfig); 3] = [
+            |c| c.adaptive.cv_threshold = 0.9,
+            |c| c.adaptive.volatile_window = 2 * HOUR,
+            |c| c.window_secs = 2 * HOUR,
+        ];
+        for change in changes {
+            let mut ctl = controller();
+            let mut state = StreamState::new(StreamConfig::default(), small_fine());
+            let deltas = TelemetryDelta::split_epochs(&mixed_log(3), 0);
+            ctl.stream_tick(&mut state, &deltas[0], None).unwrap();
+            let lake = ctl.clds().bandwidth.read().all().len();
+            let (time, adaptive) = (state.time.clone(), state.adaptive.clone());
+            change(&mut state.config);
+            let err = ctl.stream_tick(&mut state, &deltas[1], None).unwrap_err();
+            assert!(matches!(err, StreamError::StateMismatch { .. }), "got {err}");
+            assert_eq!(ctl.clds().bandwidth.read().all().len(), lake, "the lake is untouched");
+            assert_eq!(state.next_tick, 1);
+            assert_eq!(state.time, time);
+            assert_eq!(state.adaptive, adaptive);
+            state.config = StreamConfig::default();
+            ctl.stream_run(&mut state, &deltas[1..], &[]).unwrap();
+            ctl.stream_reconcile(&mut state).unwrap();
+        }
+    }
+
     #[test]
     fn a_zero_adaptive_window_is_refused_before_ingest() {
         let ac = StreamConfig::default().adaptive;
@@ -2427,14 +2521,15 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Corrupt one row of either log of a reconciled session: a value
-        /// bit, a sign of zero, a NaN payload, a shifted window, the
-        /// window length, a dropped, duplicated or extra row, or an extra
-        /// pair with no rows. The streaming reconcile's verdict is the
-        /// encoded logs' byte equality. On success its hash is the
-        /// fingerprint of the encodings; on divergence the audit carries
-        /// the encodings' fingerprints and the diff names the first row
-        /// whose bytes differ.
+        /// Corrupt one row of either log, or of both, of a reconciled
+        /// session: a value bit, a sign of zero, a NaN payload, a shifted
+        /// window, the window length, a dropped, duplicated or extra row,
+        /// or an extra pair with no rows. The streaming reconcile's
+        /// verdict is the encoded logs' byte equality. On success its hash
+        /// is the fingerprint of the encodings; on divergence the audit
+        /// carries the encodings' fingerprints and the diff names the
+        /// first row whose bytes differ (the uniform log's when both
+        /// differ).
         #[test]
         fn streaming_reconcile_verdict_matches_encoded_bytes(
             raw in proptest::collection::vec((0usize..8, 0u32..4, 0u32..4, 0usize..8), 1..80),
@@ -2442,9 +2537,11 @@ mod tests {
             shape in 0u8..3,
             chunk in 1usize..20,
             cv_threshold in 0.0f64..1.5,
-            target in (0u8..2, 0u8..9, 0usize..400, 0usize..6),
+            target in (0u8..3, 0u8..9, 0usize..400, 0usize..6),
         ) {
-            let (adaptive_log, kind, at, pick) = target;
+            // Which log to corrupt: the uniform one (0), the adaptive one
+            // (1) or both (2), when the uniform log must be reported.
+            let (which, kind, at, pick) = target;
             let all = vec![
                 Statistic::Mean,
                 Statistic::Min,
@@ -2472,9 +2569,10 @@ mod tests {
             let clean = ctl.stream_reconcile(&mut state).expect("an honest state reconciles");
             proptest::prop_assert_eq!(&clean.hash, &state.fingerprint());
 
-            if adaptive_log == 1 {
+            if which != 0 {
                 corrupt_adaptive_row(&mut state.adaptive, kind, at, pick);
-            } else {
+            }
+            if which != 1 {
                 corrupt_time_row(&mut state.time, kind, at, pick);
             }
             let (time_batch, adaptive_batch) = {

@@ -12,9 +12,11 @@
 
 use serde::{Deserialize, Serialize};
 use smn_incident::{FaultKind, IncidentObservation, RedditDeployment};
-use smn_te::restrict::restricted_alternates;
+use smn_te::restrict::RestrictedPaths;
+use smn_topology::graph::Contraction;
 use smn_topology::layer1::Modulation;
-use smn_topology::{ComponentId, StackFault};
+use smn_topology::layer3::{SuperLink, SuperNode};
+use smn_topology::{ComponentId, EdgeId, StackFault, Wan};
 
 use crate::action::RemediationAction;
 use crate::engine::{HealConfig, HealWorld, NetworkState};
@@ -144,22 +146,36 @@ fn plan_drain(
     state: &NetworkState,
     cfg: &HealConfig,
 ) -> Option<RemediationAction> {
-    let wan = world.stack.wan();
+    drain_link(world.stack.wan(), world.contraction, &state.drained_links, cfg.restricted_path_k)
+}
+
+/// The body of [`plan_drain`]: among the up links of `wan` not in
+/// `drained`, the first with the most alternates once it and `drained`
+/// are avoided. A link's alternates are the coarse-restricted paths (up
+/// to `k`) between its endpoints that use no avoided link: "if I take
+/// this edge out of service, how many coarse-conformant detours remain?"
+/// Zero means the drain would blackhole the commodity. One
+/// [`RestrictedPaths`] table serves every candidate, so the call scans
+/// the link list a constant number of times, not once per candidate and
+/// coarse hop.
+fn drain_link(
+    wan: &Wan,
+    contraction: &Contraction<SuperNode, SuperLink>,
+    drained: &[EdgeId],
+    k: usize,
+) -> Option<RemediationAction> {
+    let mut table = RestrictedPaths::new(wan, contraction, k);
+    let mut avoid = drained.to_vec();
     let mut best: Option<(usize, RemediationAction)> = None;
     for (eid, e) in wan.graph.edges() {
-        if !e.payload.up || state.drained_links.contains(&eid) {
+        if !e.payload.up || drained.contains(&eid) {
             continue;
         }
-        let mut avoid = state.drained_links.clone();
         avoid.push(eid);
-        let alternates = restricted_alternates(
-            wan,
-            world.contraction,
-            e.src,
-            e.dst,
-            cfg.restricted_path_k,
-            &avoid,
-        );
+        let paths = table.paths(e.src, e.dst);
+        let alternates =
+            paths.iter().filter(|p| p.edges.iter().all(|e| !avoid.contains(e))).count();
+        avoid.pop();
         if alternates == 0 {
             continue;
         }
@@ -216,5 +232,184 @@ pub fn plan_action(
             plan_drain(world, state, cfg).unwrap_or_else(escalate)
         }
         _ => RemediationAction::RestartComponent { component: diag.target.clone() },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use proptest::{prop_assert_eq, proptest};
+    use smn_topology::graph::{NodeId, Path};
+    use smn_topology::layer3::{Continent, Datacenter, LinkAttrs, RegionId};
+
+    use super::*;
+
+    /// The expansion as it was before [`RestrictedPaths`]: Yen's on the
+    /// region graph per call and, per coarse hop, a scan of every link
+    /// for the highest-capacity up member (`max_by`: the last of equals).
+    fn paths_by_scan(
+        wan: &Wan,
+        contraction: &Contraction<SuperNode, SuperLink>,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+    ) -> Vec<Path> {
+        let cs = contraction.node_map[src.index()];
+        let cd = contraction.node_map[dst.index()];
+        let usable = |eid: EdgeId| wan.graph.edge(eid).payload.up;
+        let within = |from: NodeId, to: NodeId, supernode: NodeId| -> Option<Path> {
+            wan.graph.shortest_path(from, to, |eid, e| {
+                (usable(eid)
+                    && contraction.node_map[e.src.index()] == supernode
+                    && contraction.node_map[e.dst.index()] == supernode)
+                    .then_some(1.0)
+            })
+        };
+        if cs == cd {
+            return within(src, dst, cs).into_iter().collect();
+        }
+        let coarse_paths = contraction
+            .graph
+            .k_shortest_paths(cs, cd, k, |_, e| (e.payload.capacity_gbps > 0.0).then_some(1.0));
+        let mut out = Vec::new();
+        'coarse: for cp in coarse_paths {
+            let mut nodes = vec![src];
+            let mut edges = Vec::new();
+            let mut cursor = src;
+            for hop in 0..cp.edges.len() {
+                let (ca, cb) = (cp.nodes[hop], cp.nodes[hop + 1]);
+                let member = wan
+                    .graph
+                    .edges()
+                    .filter(|(eid, e)| {
+                        usable(*eid)
+                            && contraction.node_map[e.src.index()] == ca
+                            && contraction.node_map[e.dst.index()] == cb
+                    })
+                    .max_by(|a, b| a.1.payload.capacity_gbps.total_cmp(&b.1.payload.capacity_gbps));
+                let Some((member_id, member_edge)) = member else { continue 'coarse };
+                if cursor != member_edge.src {
+                    let Some(bridge) = within(cursor, member_edge.src, ca) else {
+                        continue 'coarse;
+                    };
+                    nodes.extend_from_slice(&bridge.nodes[1..]);
+                    edges.extend_from_slice(&bridge.edges);
+                }
+                nodes.push(member_edge.dst);
+                edges.push(member_id);
+                cursor = member_edge.dst;
+            }
+            if cursor != dst {
+                let Some(tail) = within(cursor, dst, cd) else { continue 'coarse };
+                nodes.extend_from_slice(&tail.nodes[1..]);
+                edges.extend_from_slice(&tail.edges);
+            }
+            let mut seen = HashSet::new();
+            if !nodes.iter().all(|n| seen.insert(*n)) {
+                continue;
+            }
+            #[allow(clippy::cast_precision_loss)] // a path has far fewer than 2^52 links
+            let cost = edges.len() as f64;
+            out.push(Path { nodes, edges, cost });
+        }
+        out
+    }
+
+    /// `plan_drain`'s body before [`RestrictedPaths`]: one expansion by
+    /// scan per candidate link.
+    fn drain_by_scan(
+        wan: &Wan,
+        contraction: &Contraction<SuperNode, SuperLink>,
+        drained: &[EdgeId],
+        k: usize,
+    ) -> Option<RemediationAction> {
+        let mut best: Option<(usize, RemediationAction)> = None;
+        for (eid, e) in wan.graph.edges() {
+            if !e.payload.up || drained.contains(&eid) {
+                continue;
+            }
+            let mut avoid = drained.to_vec();
+            avoid.push(eid);
+            let alternates = paths_by_scan(wan, contraction, e.src, e.dst, k)
+                .iter()
+                .filter(|p| p.edges.iter().all(|e| !avoid.contains(e)))
+                .count();
+            if alternates == 0 {
+                continue;
+            }
+            if best.as_ref().is_none_or(|(ba, _)| alternates > *ba) {
+                let alternates_u32 = u32::try_from(alternates).unwrap_or(u32::MAX);
+                best = Some((
+                    alternates,
+                    RemediationAction::DrainLink { link: eid, alternates: alternates_u32 },
+                ));
+            }
+        }
+        best.map(|(_, a)| a)
+    }
+
+    /// A WAN of `regions.len()` datacenters in the given regions, with
+    /// directed links `(src, dst, capacity, state)` (endpoints modulo the
+    /// node count; down when `state` is 0). Capacities come from a short list, so ties are
+    /// common; intra-region links, parallel links, zero-capacity region
+    /// pairs and unreachable regions all occur.
+    fn wan_of(regions: &[u16], links: &[(usize, usize, u8, u8)]) -> Wan {
+        let mut wan = Wan::new();
+        let ids: Vec<NodeId> = regions
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                wan.add_datacenter(Datacenter {
+                    name: format!("dc{i}"),
+                    continent: Continent::NorthAmerica,
+                    region: RegionId(r),
+                    lat: 0.0,
+                    lon: 0.0,
+                })
+            })
+            .collect();
+        for &(a, b, cap, state) in links {
+            let (a, b) = (ids[a % ids.len()], ids[b % ids.len()]);
+            if a == b {
+                continue;
+            }
+            let capacity = [0.0, 10.0, 10.0, 40.0, 100.0][usize::from(cap) % 5];
+            let link = wan.add_link(a, b, LinkAttrs::new(capacity, 1.0, false));
+            wan.set_link_up(link, state != 0);
+        }
+        wan
+    }
+
+    proptest! {
+        /// The table-backed drain plan picks the same link with the same
+        /// alternate count (or none) as the per-candidate scan, and every
+        /// candidate's expansion is the scan's, path for path.
+        #[test]
+        fn drain_plan_matches_the_per_link_scan(
+            regions in proptest::collection::vec(0u16..4, 2..9),
+            links in proptest::collection::vec((0usize..9, 0usize..9, 0u8..5, 0u8..7), 1..40),
+            drained in proptest::collection::vec(0usize..40, 0..4),
+            k in 1usize..4,
+        ) {
+            let wan = wan_of(&regions, &links);
+            let contraction = wan.contract_by_region();
+            let drained: Vec<EdgeId> = drained
+                .iter()
+                .filter(|&&i| i < wan.link_count())
+                .map(|&i| EdgeId(u32::try_from(i).unwrap()))
+                .collect();
+            prop_assert_eq!(
+                drain_link(&wan, &contraction, &drained, k),
+                drain_by_scan(&wan, &contraction, &drained, k)
+            );
+            let mut table = RestrictedPaths::new(&wan, &contraction, k);
+            for (_, e) in wan.graph.edges() {
+                prop_assert_eq!(
+                    table.paths(e.src, e.dst),
+                    paths_by_scan(&wan, &contraction, e.src, e.dst, k)
+                );
+            }
+        }
     }
 }

@@ -141,13 +141,8 @@ impl Obs {
 
     // ----------------------------------------------------------- profiling
 
-    /// Open a profiled phase: a trace span plus a wall-time measurement
-    /// accumulated under the `;`-joined path of open phases (see
-    /// [`profile`]). No-op (no clock read) on a disabled handle.
-    // smn-lint: allow(deep/determinism-taint) -- wall readings stay in the profile registry, never in deterministic exports
-    pub fn phase(&self, name: &str) -> PhaseGuard<'_> {
-        profile::begin(self, name)
-    }
+    // `Obs::phase` and `Obs::fork`, the two entry points that read the
+    // wall clock, live in `profile.rs` beside their one clock read.
 
     /// Fold one synthetic observation into the wall profile — the pure,
     /// deterministic front door used by tests and report replays.

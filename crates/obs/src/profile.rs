@@ -9,8 +9,17 @@
 //! stack convention flamegraph tooling expects), so `te/gk;gk/pack` is
 //! the `gk/pack` phase observed inside `te/gk`.
 //!
+//! [`crate::Obs::fork`] runs two independent closures side by side, one
+//! on a scoped thread and one on the caller, and records each as a child
+//! phase of the open path. No phase opens inside a branch: both child
+//! spans are emitted on the caller after the join, in argument order, so
+//! the trace's span tree and event order are the same as if the branches
+//! had run one after the other. Only the wall rows tell them apart: the
+//! branches overlap, so their totals no longer sum to the parent's.
+//!
 //! **Determinism discipline.** This is the *only* module in `smn-obs`
-//! that touches the wall clock, and the wall readings never enter the
+//! that touches the wall clock, in one place (a private `stopwatch`
+//! that both entry points call), and the wall readings never enter the
 //! trace, metrics, or audit exports — those stay byte-identical across
 //! runs. Wall totals live in their own registry, exported only through
 //! [`crate::Obs::wall_profile`], and the `BenchReport` consumers treat
@@ -110,16 +119,66 @@ pub struct PhaseGuard<'a> {
     start: Option<Instant>,
 }
 
-/// Open a phase guard on `obs` (the body of [`Obs::phase`]).
-pub(crate) fn begin<'a>(obs: &'a Obs, name: &str) -> PhaseGuard<'a> {
-    let span = obs.span(name);
-    if !obs.is_enabled() {
-        return PhaseGuard { span, obs: None, path: String::new(), start: None };
+// smn-lint: allow(deep/determinism-taint) -- wall readings stay in the profile registry, never in deterministic exports
+impl Obs {
+    /// Open a profiled phase: a trace span plus a wall-time measurement
+    /// accumulated under the `;`-joined path of open phases. No-op (no
+    /// clock read) on a disabled handle.
+    pub fn phase(&self, name: &str) -> PhaseGuard<'_> {
+        let span = self.span(name);
+        let Some(start) = self.stopwatch() else {
+            return PhaseGuard { span, obs: None, path: String::new(), start: None };
+        };
+        let path = self.profile.lock().push(name);
+        PhaseGuard { span, obs: Some(self), path, start: Some(start) }
     }
-    let path = obs.profile.lock().push(name);
-    // smn-lint: allow(determinism/wall-clock) -- the profiler's sole wall read; totals never enter deterministic exports
-    let start = Instant::now();
-    PhaseGuard { span, obs: Some(obs), path, start: Some(start) }
+
+    /// Run `fa` on a scoped thread and `fb` on the caller, and return
+    /// both results. A panic in either branch resumes on the caller.
+    ///
+    /// Each branch is a child phase of the open path: after the join the
+    /// caller opens and closes `name_a`'s span, then `name_b`'s, and
+    /// records each branch's wall time under `<open path>;<name>`. So a
+    /// fork leaves the same trace as two phases run one after the other.
+    /// A branch must not record into this handle (no phase, span, event
+    /// or audit): the two branches' records would interleave in a
+    /// different order on every run. A disabled handle records nothing
+    /// and reads no clock.
+    pub fn fork<A: Send, B>(
+        &self,
+        (name_a, fa): (&str, impl FnOnce() -> A + Send),
+        (name_b, fb): (&str, impl FnOnce() -> B),
+    ) -> (A, B) {
+        let start = self.stopwatch();
+        let lap = move || start.map(elapsed_ns);
+        let ((a, a_ns), (b, b_ns)) = std::thread::scope(|s| {
+            let spawned = s.spawn(move || (fa(), lap()));
+            let b = (fb(), lap());
+            // A join error is a panic in `fa`: resume it on the caller.
+            (spawned.join().unwrap_or_else(|p| std::panic::resume_unwind(p)), b)
+        });
+        for (name, ns) in [(name_a, a_ns), (name_b, b_ns)] {
+            let _span = self.span(name);
+            if let Some(ns) = ns {
+                let mut p = self.profile.lock();
+                let path = p.push(name);
+                p.pop();
+                p.record(&path, ns);
+            }
+        }
+        (a, b)
+    }
+
+    /// The profiler's one wall-clock read, skipped on a disabled handle.
+    fn stopwatch(&self) -> Option<Instant> {
+        // smn-lint: allow(determinism/wall-clock) -- the profiler's sole wall read; totals never enter deterministic exports
+        self.is_enabled().then(Instant::now)
+    }
+}
+
+/// Wall nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl PhaseGuard<'_> {
@@ -139,7 +198,7 @@ impl PhaseGuard<'_> {
 impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
         if let (Some(obs), Some(start)) = (self.obs, self.start.take()) {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let ns = elapsed_ns(start);
             let mut p = obs.profile.lock();
             p.pop();
             ProfileState::record(&mut p, &self.path, ns);
@@ -150,7 +209,10 @@ impl Drop for PhaseGuard<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::{EventKind, TraceEvent};
 
     #[test]
     fn pure_accumulator_aggregates_per_path() {
@@ -207,6 +269,93 @@ mod tests {
             assert_eq!(g.path(), "");
         }
         assert!(obs.wall_profile().is_empty());
+    }
+
+    /// A traced run with a fork inside a phase, as `stream_reconcile`
+    /// makes one.
+    fn forked_run() -> Arc<Obs> {
+        let obs = Obs::enabled(crate::clock::SimClock::new());
+        {
+            let _outer = obs.phase("stream/reconcile");
+            let (a, b) = obs.fork(("oracle/a", || 2 + 2), ("oracle/b", || "b"));
+            assert_eq!((a, b), (4, "b"));
+            let _after = obs.phase("compare");
+        }
+        obs
+    }
+
+    #[test]
+    fn fork_records_both_branches_as_children_in_argument_order() {
+        let obs = forked_run();
+        let stats = obs.wall_profile();
+        let paths: Vec<&str> = stats.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "stream/reconcile",
+                "stream/reconcile;compare",
+                "stream/reconcile;oracle/a",
+                "stream/reconcile;oracle/b"
+            ]
+        );
+        assert!(stats.iter().all(|s| s.count == 1));
+        // Enter and exit of `oracle/a`, then of `oracle/b`, both children
+        // of the open phase, before the phase that follows the fork.
+        let events: Vec<TraceEvent> =
+            obs.trace_jsonl().lines().map(|l| TraceEvent::from_json_line(l).unwrap()).collect();
+        let names: Vec<(&str, EventKind)> =
+            events.iter().map(|e| (e.name.as_str(), e.kind)).collect();
+        assert_eq!(
+            names,
+            [
+                ("stream/reconcile", EventKind::Enter),
+                ("oracle/a", EventKind::Enter),
+                ("oracle/a", EventKind::Exit),
+                ("oracle/b", EventKind::Enter),
+                ("oracle/b", EventKind::Exit),
+                ("compare", EventKind::Enter),
+                ("compare", EventKind::Exit),
+                ("stream/reconcile", EventKind::Exit),
+            ]
+        );
+        assert_eq!(events[1].parent, events[0].span);
+        assert_eq!(events[3].parent, events[0].span);
+    }
+
+    #[test]
+    fn forked_runs_export_byte_identical_traces() {
+        let (a, b) = (forked_run(), forked_run());
+        assert!(!a.trace_jsonl().is_empty());
+        assert_eq!(a.trace_jsonl(), b.trace_jsonl());
+        assert_eq!(a.metrics_text(), b.metrics_text());
+    }
+
+    #[test]
+    fn a_disabled_fork_runs_both_branches_and_records_nothing() {
+        let obs = Obs::disabled();
+        let (a, b) = obs.fork(("a", || vec![1u8]), ("b", || 7u64));
+        assert_eq!((a, b), (vec![1u8], 7));
+        assert!(obs.wall_profile().is_empty());
+        assert!(obs.trace_jsonl().is_empty());
+    }
+
+    /// The panic message `f` unwinds with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+        payload.downcast_ref::<&str>().map(ToString::to_string).unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panic_in_either_branch_reaches_the_caller() {
+        let obs = Obs::enabled(crate::clock::SimClock::new());
+        let spawned = panic_message(|| {
+            obs.fork(("a", || -> u8 { panic!("spawned branch") }), ("b", || 1u8));
+        });
+        assert_eq!(spawned, "spawned branch");
+        let caller = panic_message(|| {
+            obs.fork(("a", || 1u8), ("b", || -> u8 { panic!("caller branch") }));
+        });
+        assert_eq!(caller, "caller branch");
     }
 
     #[test]

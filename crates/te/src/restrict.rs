@@ -12,21 +12,17 @@
 //! fine problem over these restricted path sets measures exactly the
 //! optimality the coarsening gave up.
 
-use smn_topology::graph::{Contraction, NodeId, Path};
-use smn_topology::layer3::{SuperLink, SuperNode, Wan};
-use smn_topology::LayerStack;
+use std::collections::BTreeMap;
+
+use smn_topology::graph::{Contraction, Edge, NodeId, Path, ShortestPathTree};
+use smn_topology::layer3::{LinkAttrs, SuperLink, SuperNode, Wan};
+use smn_topology::{EdgeId, LayerStack};
 
 use crate::srlg::{extract_srlgs_from_stack, Srlg};
 
 /// Expand up to `k` coarse paths between the supernodes of `src` and `dst`
-/// into fine-network paths.
-///
-/// For each coarse path: cross each coarse edge over its highest-capacity
-/// member link, and bridge within supernodes via shortest up-link routes
-/// restricted to that supernode's members. Coarse paths with no feasible
-/// expansion are skipped. When `src` and `dst` share a supernode, the
-/// intra-supernode shortest path is returned (the coarse problem cannot see
-/// this traffic at all, but the realization must still carry it).
+/// into fine-network paths ([`RestrictedPaths::paths`] over a table built
+/// for this one call).
 #[must_use]
 pub fn coarse_restricted_paths(
     wan: &Wan,
@@ -35,101 +31,137 @@ pub fn coarse_restricted_paths(
     dst: NodeId,
     k: usize,
 ) -> Vec<Path> {
-    let cs = contraction.node_map[src.index()];
-    let cd = contraction.node_map[dst.index()];
-    let usable = |eid: smn_topology::EdgeId| wan.graph.edge(eid).payload.up;
-
-    // Shortest fine path between two nodes staying inside one supernode.
-    let within = |from: NodeId, to: NodeId, supernode: NodeId| -> Option<Path> {
-        wan.graph.shortest_path(from, to, |eid, e| {
-            (usable(eid)
-                && contraction.node_map[e.src.index()] == supernode
-                && contraction.node_map[e.dst.index()] == supernode)
-                .then_some(1.0)
-        })
-    };
-
-    if cs == cd {
-        return within(src, dst, cs).into_iter().collect();
-    }
-
-    let coarse_paths = contraction
-        .graph
-        .k_shortest_paths(cs, cd, k, |_, e| (e.payload.capacity_gbps > 0.0).then_some(1.0));
-
-    let mut out = Vec::new();
-    'coarse: for cp in coarse_paths {
-        let mut nodes = vec![src];
-        let mut edges = Vec::new();
-        let mut cursor = src;
-        for (hop, &cedge) in cp.edges.iter().enumerate() {
-            // A well-formed path has edges.len() + 1 nodes, so both the
-            // head and its successor exist; a malformed path is skipped.
-            let Some((&ca, rest)) = cp.nodes[hop..].split_first() else { continue 'coarse };
-            let Some(&cb) = rest.first() else { continue 'coarse };
-            let _ = cedge;
-            // Highest-capacity member link crossing ca -> cb.
-            let member = wan
-                .graph
-                .edges()
-                .filter(|(eid, e)| {
-                    usable(*eid)
-                        && contraction.node_map[e.src.index()] == ca
-                        && contraction.node_map[e.dst.index()] == cb
-                })
-                .max_by(|a, b| a.1.payload.capacity_gbps.total_cmp(&b.1.payload.capacity_gbps));
-            let Some((member_id, member_edge)) = member else { continue 'coarse };
-            // Bridge within the current supernode to the member link's tail.
-            if cursor != member_edge.src {
-                let Some(bridge) = within(cursor, member_edge.src, ca) else {
-                    continue 'coarse;
-                };
-                nodes.extend_from_slice(&bridge.nodes[1..]);
-                edges.extend_from_slice(&bridge.edges);
-            }
-            nodes.push(member_edge.dst);
-            edges.push(member_id);
-            cursor = member_edge.dst;
-        }
-        // Final leg inside the destination supernode.
-        if cursor != dst {
-            let Some(tail) = within(cursor, dst, cd) else { continue 'coarse };
-            nodes.extend_from_slice(&tail.nodes[1..]);
-            edges.extend_from_slice(&tail.edges);
-        }
-        // Drop expansions that revisit a node (can arise from greedy
-        // member-link choices); they would be rejected by loopless TE.
-        let mut seen = std::collections::HashSet::new();
-        if !nodes.iter().all(|n| seen.insert(*n)) {
-            continue;
-        }
-        let cost = edges.len() as f64;
-        out.push(Path { nodes, edges, cost });
-    }
-    out
+    RestrictedPaths::new(wan, contraction, k).paths(src, dst)
 }
 
-/// How many coarse-restricted paths between `src` and `dst` survive when
-/// every link in `avoid` is treated as drained (on top of links that are
-/// already administratively down).
-///
-/// This is the feasibility question a remediation planner asks before
-/// draining a lossy link: "if I take this edge out of service, how many
-/// coarse-conformant detours remain?" Zero means the drain would blackhole
-/// the commodity and must not be executed.
-#[must_use]
-pub fn restricted_alternates(
-    wan: &Wan,
-    contraction: &Contraction<SuperNode, SuperLink>,
-    src: NodeId,
-    dst: NodeId,
+/// Coarse-restricted path expansion for many `(src, dst)` pairs over one
+/// network state. The highest-capacity up member link of every ordered
+/// supernode pair is found once, in one pass over the links; each
+/// supernode pair's `k` coarse paths once, and each bridge source's
+/// shortest-path tree inside its supernode once, when first asked for.
+/// So a caller that expands the endpoints of every link (the drain
+/// planner) scans the link list once instead of once per coarse hop, and
+/// runs one intra-supernode search per source node instead of one per
+/// bridge.
+#[derive(Debug)]
+pub struct RestrictedPaths<'a> {
+    wan: &'a Wan,
+    contraction: &'a Contraction<SuperNode, SuperLink>,
     k: usize,
-    avoid: &[smn_topology::EdgeId],
-) -> usize {
-    coarse_restricted_paths(wan, contraction, src, dst, k)
-        .iter()
-        .filter(|p| p.edges.iter().all(|e| !avoid.contains(e)))
-        .count()
+    /// Highest-capacity up link per ordered pair of distinct supernodes;
+    /// on a tie the later link (`Iterator::max_by`'s rule).
+    members: BTreeMap<(NodeId, NodeId), (EdgeId, &'a Edge<LinkAttrs>)>,
+    /// Up to `k` coarse paths per ordered supernode pair, once computed.
+    coarse: BTreeMap<(NodeId, NodeId), Vec<Path>>,
+    /// Shortest up-link paths inside a source node's supernode, per
+    /// source, once computed.
+    within: BTreeMap<NodeId, ShortestPathTree>,
+}
+
+impl<'a> RestrictedPaths<'a> {
+    /// A table over `wan`'s current link states, expanding up to `k`
+    /// coarse paths per commodity.
+    #[must_use]
+    pub fn new(wan: &'a Wan, contraction: &'a Contraction<SuperNode, SuperLink>, k: usize) -> Self {
+        let supernode = |n: NodeId| contraction.node_map.get(n.index()).copied();
+        let mut members = BTreeMap::new();
+        for (eid, e) in wan.graph.edges() {
+            let (Some(ca), Some(cb)) = (supernode(e.src), supernode(e.dst)) else { continue };
+            if !e.payload.up || ca == cb {
+                continue;
+            }
+            let best = members.entry((ca, cb)).or_insert((eid, e));
+            if e.payload.capacity_gbps.total_cmp(&best.1.payload.capacity_gbps).is_ge() {
+                *best = (eid, e);
+            }
+        }
+        RestrictedPaths {
+            wan,
+            contraction,
+            k,
+            members,
+            coarse: BTreeMap::new(),
+            within: BTreeMap::new(),
+        }
+    }
+
+    /// Expand up to `k` coarse paths between the supernodes of `src` and
+    /// `dst` into fine-network paths.
+    ///
+    /// For each coarse path: cross each coarse edge over its
+    /// highest-capacity member link, and bridge within supernodes via
+    /// shortest up-link routes restricted to that supernode's members.
+    /// Coarse paths with no feasible expansion are skipped. When `src` and
+    /// `dst` share a supernode, the intra-supernode shortest path is
+    /// returned (the coarse problem cannot see this traffic at all, but
+    /// the realization must still carry it).
+    pub fn paths(&mut self, src: NodeId, dst: NodeId) -> Vec<Path> {
+        let RestrictedPaths { wan, contraction, k, members, coarse, within } = self;
+        let supernode = |n: NodeId| contraction.node_map.get(n.index()).copied();
+        let (Some(cs), Some(cd)) = (supernode(src), supernode(dst)) else { return Vec::new() };
+
+        // Shortest fine path from `from` to `to` over up links inside
+        // `from`'s supernode (every bridge below starts in the supernode
+        // it must stay in).
+        let mut within = |from: NodeId, to: NodeId| -> Option<Path> {
+            let home = supernode(from);
+            let tree = within.entry(from).or_insert_with(|| {
+                wan.graph.shortest_path_tree(from, |_, e| {
+                    (e.payload.up && supernode(e.src) == home && supernode(e.dst) == home)
+                        .then_some(1.0)
+                })
+            });
+            tree.path_to(to)
+        };
+
+        if cs == cd {
+            return within(src, dst).into_iter().collect();
+        }
+
+        let coarse_paths = coarse.entry((cs, cd)).or_insert_with(|| {
+            contraction
+                .graph
+                .k_shortest_paths(cs, cd, *k, |_, e| (e.payload.capacity_gbps > 0.0).then_some(1.0))
+        });
+
+        let mut out = Vec::new();
+        'coarse: for cp in coarse_paths.iter() {
+            let mut nodes = vec![src];
+            let mut edges = Vec::new();
+            let mut cursor = src;
+            for (&ca, &cb) in cp.nodes.iter().zip(cp.nodes.iter().skip(1)) {
+                let Some(&(member_id, member_edge)) = members.get(&(ca, cb)) else {
+                    continue 'coarse;
+                };
+                // Bridge within the current supernode to the member link's tail.
+                if cursor != member_edge.src {
+                    let Some(bridge) = within(cursor, member_edge.src) else {
+                        continue 'coarse;
+                    };
+                    nodes.extend(bridge.nodes.iter().skip(1));
+                    edges.extend_from_slice(&bridge.edges);
+                }
+                nodes.push(member_edge.dst);
+                edges.push(member_id);
+                cursor = member_edge.dst;
+            }
+            // Final leg inside the destination supernode.
+            if cursor != dst {
+                let Some(tail) = within(cursor, dst) else { continue 'coarse };
+                nodes.extend(tail.nodes.iter().skip(1));
+                edges.extend_from_slice(&tail.edges);
+            }
+            // Drop expansions that revisit a node (can arise from greedy
+            // member-link choices); they would be rejected by loopless TE.
+            let mut seen = std::collections::HashSet::new();
+            if !nodes.iter().all(|n| seen.insert(*n)) {
+                continue;
+            }
+            let cost = edges.len() as f64;
+            out.push(Path { nodes, edges, cost });
+        }
+        out
+    }
 }
 
 /// Number of shared-risk groups that contain at least two of the path's

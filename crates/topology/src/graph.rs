@@ -445,6 +445,39 @@ impl DijkstraScratch {
     }
 }
 
+/// The shortest paths from one source ([`DiGraph::shortest_path_tree`]).
+#[derive(Debug, Clone)]
+pub struct ShortestPathTree {
+    src: NodeId,
+    /// `(node, predecessor, edge from it, distance)` of every node the
+    /// search reached, the source excepted, ascending by node.
+    reached: Vec<(NodeId, NodeId, EdgeId, f64)>,
+}
+
+impl ShortestPathTree {
+    /// The shortest path from the tree's source to `dst`, or `None` when
+    /// `dst` is unreachable: what [`DiGraph::shortest_path`] returns.
+    #[must_use]
+    pub fn path_to(&self, dst: NodeId) -> Option<Path> {
+        let step = |node: NodeId| {
+            let i = self.reached.binary_search_by_key(&node, |r| r.0).ok()?;
+            self.reached.get(i)
+        };
+        let cost = if dst == self.src { 0.0 } else { step(dst)?.3 };
+        let (mut nodes, mut edges) = (vec![dst], Vec::new());
+        let mut cur = dst;
+        while cur != self.src {
+            let &(_, prev, edge, _) = step(cur)?;
+            edges.push(edge);
+            nodes.push(prev);
+            cur = prev;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(Path { nodes, edges, cost })
+    }
+}
+
 impl<N, E> DiGraph<N, E> {
     /// Dijkstra shortest path from `src` to `dst` under a non-negative edge
     /// cost function. Edges for which `cost` returns `None` are unusable
@@ -465,6 +498,29 @@ impl<N, E> DiGraph<N, E> {
         Some(Path { nodes: self.path_nodes(src, &edges), edges, cost })
     }
 
+    /// Every shortest path from `src` under `cost`, from one Dijkstra run
+    /// to completion: [`ShortestPathTree::path_to`] gives, for every
+    /// `dst`, exactly the path [`DiGraph::shortest_path`] returns. That
+    /// search stops once `dst` is settled, and a settled node's distance
+    /// and predecessor never change afterwards (weights are non-negative
+    /// and an update needs a strictly shorter distance), so running on
+    /// changes no path it returns. One tree serves many destinations for
+    /// one search's cost.
+    pub fn shortest_path_tree(
+        &self,
+        src: NodeId,
+        cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
+    ) -> ShortestPathTree {
+        let mut s = DijkstraScratch::new(self.node_count());
+        self.search(&mut s, src, None, cost);
+        let reached = self
+            .node_ids()
+            .zip(s.prev.iter().zip(&s.dist))
+            .filter_map(|(node, (prev, &dist))| prev.map(|(p, e)| (node, p, e, dist)))
+            .collect();
+        ShortestPathTree { src, reached }
+    }
+
     /// Run Dijkstra from `src` in `s` until `dst` is settled; returns the
     /// distance to `dst`, or `None` when it is unreachable. The path is
     /// left in `s.prev`.
@@ -473,34 +529,51 @@ impl<N, E> DiGraph<N, E> {
         s: &mut DijkstraScratch,
         src: NodeId,
         dst: NodeId,
-        mut cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
+        cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
     ) -> Option<f64> {
+        self.search(s, src, Some(dst), cost);
+        let d = s.dist[dst.index()];
+        (!d.is_infinite()).then_some(d)
+    }
+
+    /// Dijkstra from `src` in `s`, until `stop` is settled or, without
+    /// one, every reachable node is.
+    fn search(
+        &self,
+        s: &mut DijkstraScratch,
+        src: NodeId,
+        stop: Option<NodeId>,
+        mut cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
+    ) {
         s.dist.fill(f64::INFINITY);
         s.prev.fill(None);
         s.heap.clear();
-        s.dist[src.index()] = 0.0;
+        let Some(at_src) = s.dist.get_mut(src.index()) else { return };
+        *at_src = 0.0;
         s.heap.push(HeapEntry { cost: 0.0, node: src });
         while let Some(HeapEntry { cost: d, node: u }) = s.heap.pop() {
-            if d > s.dist[u.index()] {
+            if s.dist.get(u.index()).is_some_and(|&du| d > du) {
                 continue;
             }
-            if u == dst {
+            if Some(u) == stop {
                 break;
             }
-            for &eid in self.out_edges(u) {
-                let edge = &self.edges[eid.index()];
+            let out = self.nodes.get(u.index()).map_or(&[][..], |n| &n.out_edges);
+            for &eid in out {
+                let Some(edge) = self.edges.get(eid.index()) else { continue };
                 let Some(w) = cost(eid, edge) else { continue };
                 debug_assert!(w >= 0.0, "negative edge weight {w} on {eid}");
                 let nd = d + w;
-                if nd < s.dist[edge.dst.index()] {
-                    s.dist[edge.dst.index()] = nd;
-                    s.prev[edge.dst.index()] = Some((u, eid));
-                    s.heap.push(HeapEntry { cost: nd, node: edge.dst });
+                let v = edge.dst.index();
+                if let (Some(dv), Some(pv)) = (s.dist.get_mut(v), s.prev.get_mut(v)) {
+                    if nd < *dv {
+                        *dv = nd;
+                        *pv = Some((u, eid));
+                        s.heap.push(HeapEntry { cost: nd, node: edge.dst });
+                    }
                 }
             }
         }
-        let d = s.dist[dst.index()];
-        (!d.is_infinite()).then_some(d)
     }
 
     /// The node sequence of the path that starts at `src` and takes `edges`.
@@ -1034,6 +1107,8 @@ mod tests {
         /// nodes, unit costs that tie, edges with no usable cost, `src ==
         /// dst` and unreachable `dst` — give bit-identical path sets to
         /// the `HashSet` oracle: nodes, edges and cost bits, path by path.
+        /// The shortest-path tree from `src` gives every node's
+        /// `shortest_path`, bit for bit.
         #[test]
         fn scratch_yen_matches_hashset_yen(
             n in 1u32..7,
@@ -1068,10 +1143,16 @@ mod tests {
             }
             let one = g.shortest_path(src, dst, cost);
             let old = shortest_path_by_alloc(&g, src, dst, cost);
-            proptest::prop_assert_eq!(
-                one.map(|p| (p.nodes, p.edges, p.cost.to_bits())),
-                old.map(|p| (p.nodes, p.edges, p.cost.to_bits()))
-            );
+            let bits = |p: Option<Path>| p.map(|p| (p.nodes, p.edges, p.cost.to_bits()));
+            proptest::prop_assert_eq!(bits(one), bits(old));
+            // One tree from `src` gives every destination's path.
+            let tree = g.shortest_path_tree(src, cost);
+            for to in g.node_ids() {
+                proptest::prop_assert_eq!(
+                    bits(tree.path_to(to)),
+                    bits(g.shortest_path(src, to, cost))
+                );
+            }
         }
     }
 
