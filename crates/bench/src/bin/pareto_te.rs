@@ -24,7 +24,7 @@ use smn_bench::timer;
 
 use smn_te::demand::DemandMatrix;
 use smn_te::mcf::{max_multicommodity_flow, max_multicommodity_flow_with_paths, TeConfig};
-use smn_te::restrict::coarse_restricted_paths;
+use smn_te::restrict::RestrictedPaths;
 use smn_telemetry::time::Ts;
 use smn_topology::graph::Contraction;
 use smn_topology::layer3::{SuperLink, SuperNode};
@@ -109,11 +109,9 @@ fn main() {
             )
         });
         // Realization on the fine network under coarse-conformant paths.
-        let restricted: Vec<Vec<smn_topology::Path>> = demand
-            .commodities
-            .iter()
-            .map(|c| coarse_restricted_paths(&p.wan, &contraction, c.src, c.dst, cfg.k_paths))
-            .collect();
+        let mut table = RestrictedPaths::new(&p.wan, &contraction, cfg.k_paths);
+        let restricted: Vec<Vec<smn_topology::Path>> =
+            demand.commodities.iter().map(|c| table.paths(c.src, c.dst)).collect();
         let realized =
             max_multicommodity_flow_with_paths(&p.wan.graph, cap, &demand, &restricted, &cfg);
         rows.push(vec![

@@ -24,8 +24,24 @@ use smn_telemetry::sizing::BW_RECORD_BYTES;
 use smn_telemetry::time::{DAY, HOUR};
 
 /// Mean relative error of daily-p95 recall over all (pair, day) cells.
+///
+/// A cell's estimate is the first statistic of the pair's row whose
+/// window covers midday. The adaptive log mixes window sizes, so rows are
+/// looked up per pair rather than with `TimeCoarsener::estimate`, which
+/// needs a uniform-window log (on a mixed log it finds no row for the
+/// pairs of the other window size, and their cells drop out).
 fn estimate_error(log: &[BandwidthRecord], coarse: &[CoarseBwRecord], days: u64) -> f64 {
     use std::collections::HashMap;
+    let mut rows: HashMap<(u32, u32), Vec<&CoarseBwRecord>> = HashMap::new();
+    for r in coarse {
+        rows.entry((r.src, r.dst)).or_default().push(r);
+    }
+    let estimate = |src: u32, dst: u32, ts: smn_telemetry::time::Ts| {
+        rows.get(&(src, dst))?
+            .iter()
+            .find(|r| r.window_start.0 <= ts.0 && ts.0 < r.window_start.0 + r.window_secs)
+            .and_then(|r| r.values.first().copied())
+    };
     // True daily p95 per (pair, day).
     let mut samples: HashMap<(u32, u32, u64), Vec<f64>> = HashMap::new();
     for r in log {
@@ -40,7 +56,7 @@ fn estimate_error(log: &[BandwidthRecord], coarse: &[CoarseBwRecord], days: u64)
         vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let truth = smn_telemetry::series::percentile_sorted(&vals, 95.0);
         let midday = smn_telemetry::time::Ts(day * DAY + DAY / 2);
-        if let Some(est) = TimeCoarsener::estimate(coarse, src, dst, midday) {
+        if let Some(est) = estimate(src, dst, midday) {
             total += (est - truth).abs() / truth.max(1e-9);
             n += 1;
         }

@@ -19,7 +19,7 @@ use smn_incident::eval::{evaluate, EvalConfig};
 use smn_incident::RedditDeployment;
 use smn_te::demand::DemandMatrix;
 use smn_te::mcf::{max_multicommodity_flow, max_multicommodity_flow_with_paths, TeConfig};
-use smn_te::restrict::coarse_restricted_paths;
+use smn_te::restrict::RestrictedPaths;
 use smn_telemetry::time::Ts;
 
 fn main() {
@@ -57,11 +57,9 @@ fn main() {
         )
     });
     let ((restricted, realized), restricted_ms) = timer::time_ms(|| {
-        let restricted: Vec<Vec<smn_topology::Path>> = demand
-            .commodities
-            .iter()
-            .map(|c| coarse_restricted_paths(&p.wan, &contraction, c.src, c.dst, cfg.k_paths))
-            .collect();
+        let mut table = RestrictedPaths::new(&p.wan, &contraction, cfg.k_paths);
+        let restricted: Vec<Vec<smn_topology::Path>> =
+            demand.commodities.iter().map(|c| table.paths(c.src, c.dst)).collect();
         let realized =
             max_multicommodity_flow_with_paths(&p.wan.graph, cap, &demand, &restricted, &cfg);
         (restricted, realized)

@@ -7,12 +7,13 @@
 //! factor increases manifold") are measured, not assumed.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 use smn_datalake::fault::LakeError;
 use smn_telemetry::record::BandwidthRecord;
 use smn_telemetry::series::{
-    key_pair, merge_runs, pair_key, sort_total, walk_runs, Statistic, SummaryStats,
+    key_pair, merge_runs, pair_key, sort_total, walk_runs, Fold, MeanFold, Statistic, SummaryStats,
 };
 use smn_telemetry::sizing::BW_RECORD_BYTES;
 use smn_telemetry::time::Ts;
@@ -166,7 +167,7 @@ impl TimeCoarsener {
         let mut out = Vec::with_capacity(records.len());
         self.for_each_cell(records, keep, |w, pair, samples| {
             if let Some(stats) = SummaryStats::of_sorted(samples) {
-                out.push(self.row(w, pair, &stats));
+                out.push(self.row(w, pair, self.row_values(&stats)));
             }
         });
         out.shrink_to_fit();
@@ -216,22 +217,20 @@ impl TimeCoarsener {
         }
     }
 
-    /// The coarse row of window index `w` for a packed `pair`: the
-    /// fields of [`TimeCoarsener::row_header`] and the values of
-    /// [`TimeCoarsener::row_values`].
-    fn row(&self, w: u64, pair: u64, stats: &SummaryStats) -> CoarseBwRecord {
+    /// The coarse row of window index `w` for a packed `pair` with
+    /// `values`: the fields of [`TimeCoarsener::row_header`].
+    pub(crate) fn row(
+        &self,
+        w: u64,
+        pair: u64,
+        values: impl IntoIterator<Item = f64>,
+    ) -> CoarseBwRecord {
         let (window_start, window_secs, src, dst) = self.row_header(w, pair);
-        CoarseBwRecord {
-            window_start,
-            window_secs,
-            src,
-            dst,
-            values: self.row_values(stats).collect(),
-        }
+        CoarseBwRecord { window_start, window_secs, src, dst, values: values.into_iter().collect() }
     }
 
     /// Whether `row` has the wire bytes of [`TimeCoarsener::row`]`(w,
-    /// pair, stats)`: the same header fields, value count and value bits.
+    /// pair, values)`: the same header fields, value count and value bits.
     /// Reconciliation compares each recomputed cell with the incremental
     /// row this way, building no row.
     pub(crate) fn is_row(
@@ -239,10 +238,10 @@ impl TimeCoarsener {
         row: &CoarseBwRecord,
         w: u64,
         pair: u64,
-        stats: &SummaryStats,
+        values: impl IntoIterator<Item = f64>,
     ) -> bool {
         (row.window_start, row.window_secs, row.src, row.dst) == self.row_header(w, pair)
-            && row.values.iter().map(|v| v.to_bits()).eq(self.row_values(stats).map(f64::to_bits))
+            && row.values.iter().map(|v| v.to_bits()).eq(values.into_iter().map(f64::to_bits))
     }
 
     /// A row's `(window_start, window_secs, src, dst)` for window index
@@ -253,7 +252,10 @@ impl TimeCoarsener {
     }
 
     /// A row's values: one per configured statistic, in order.
-    fn row_values<'a>(&'a self, stats: &'a SummaryStats) -> impl Iterator<Item = f64> + 'a {
+    pub(crate) fn row_values<'a>(
+        &'a self,
+        stats: &'a SummaryStats,
+    ) -> impl Iterator<Item = f64> + 'a {
         self.stats.iter().map(|&s| stats.get(s))
     }
 
@@ -432,6 +434,12 @@ impl Coarsening for NestedCoarsener {
 /// by the coefficient of variation of its history, keep *volatile* pairs at
 /// fine windows and summarize *stable* pairs over long windows — "coarsen
 /// only the stable parts".
+///
+/// Its arithmetic is one arrival-order fold per pair: the class reads the
+/// [`Fold`] of the pair's samples in the order they reached the lake, and
+/// each row's [`Statistic::Mean`] the [`MeanFold`] of its window's samples
+/// in that order ([`adaptive_row_values`]). Nothing is sorted for the
+/// mean, so the incremental log absorbs a sample in `O(1)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveCoarsener {
     /// CV above which a pair counts as volatile.
@@ -444,13 +452,84 @@ pub struct AdaptiveCoarsener {
     pub stats: Vec<Statistic>,
 }
 
+/// Whether a pair whose samples fold to `whole` is volatile at
+/// `cv_threshold`: its coefficient of variation (std over mean) exceeds
+/// the threshold. A pair with no sample, or a non-positive or NaN mean, is
+/// stable.
+pub(crate) fn volatile_at(cv_threshold: f64, whole: &Fold) -> bool {
+    match (whole.mean(), whole.std()) {
+        (Some(mean), Some(std)) => mean > 0.0 && std / mean > cv_threshold,
+        _ => false,
+    }
+}
+
+/// Buffers that building adaptive rows reuses across windows.
+#[derive(Debug, Default)]
+pub(crate) struct RowScratch {
+    /// One window's values, sorted under `f64::total_cmp`.
+    sorted: Vec<f64>,
+    /// One row's values.
+    pub(crate) values: Vec<f64>,
+}
+
+/// Write the values of the adaptive row of one window into
+/// `scratch.values`, one per statistic in `stats` order: the window's
+/// sample `values`, whose [`MeanFold`] in order is `mean`. The batch
+/// oracle and the incremental log both build rows here.
+///
+/// [`Statistic::Mean`] is `mean`'s. Any other statistic is read from a copy
+/// of the values sorted by [`sort_total`], made only when a statistic
+/// needs it, so the default Mean-only log reads no value and sorts
+/// nothing.
+pub(crate) fn adaptive_row_values(
+    stats: &[Statistic],
+    mean: &MeanFold,
+    values: impl IntoIterator<Item = f64>,
+    scratch: &mut RowScratch,
+) {
+    let RowScratch { sorted, values: row } = scratch;
+    sorted.clear();
+    if stats.iter().any(|&s| s != Statistic::Mean) {
+        sorted.extend(values);
+        sort_total(sorted);
+    }
+    row.clear();
+    row.extend(stats.iter().filter_map(|&s| match s {
+        Statistic::Mean => mean.mean(),
+        other => other.of_sorted(sorted),
+    }));
+}
+
+/// The maximal runs of `items` (ascending by the window of their
+/// timestamp `ts`) that share one `window`-second window: each run's
+/// window index and index range. A run's end is found by binary search
+/// on its window's end, so no timestamp is divided.
+pub(crate) fn window_runs<'a, T>(
+    items: &'a [T],
+    window: u64,
+    ts: impl Fn(&T) -> u64 + 'a,
+) -> impl Iterator<Item = (u64, Range<usize>)> + 'a {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let rest = items.get(start..)?;
+        let w = ts(rest.first()?) / window;
+        let len = match (w + 1).checked_mul(window) {
+            Some(end) => rest.partition_point(|t| ts(t) < end),
+            None => rest.len(),
+        };
+        let run = start..start + len;
+        start += len;
+        Some((w, run))
+    })
+}
+
 impl AdaptiveCoarsener {
-    /// Whether a pair with these summary statistics is volatile: its
+    /// Whether a pair whose samples fold to `whole` is volatile: its
     /// coefficient of variation exceeds `cv_threshold`. A pair with a
     /// non-positive (or NaN) mean is stable.
     #[must_use]
-    pub fn is_volatile(&self, stats: &SummaryStats) -> bool {
-        stats.mean > 0.0 && stats.std / stats.mean > self.cv_threshold
+    pub fn is_volatile(&self, whole: &Fold) -> bool {
+        volatile_at(self.cv_threshold, whole)
     }
 
     /// Classify pairs by CV of their samples; returns the volatile set,
@@ -458,45 +537,28 @@ impl AdaptiveCoarsener {
     #[must_use]
     pub fn volatile_pairs(&self, records: &[BandwidthRecord]) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
-        self.for_each_pair(records, |pair, volatile, _, _| {
-            if volatile {
+        fold_pairs(records, |pair, whole, _| {
+            if self.is_volatile(whole) {
                 out.push(key_pair(pair));
             }
         });
         out
     }
+}
 
-    /// Walk `records` by pair and call `f` once per pair, in `(src, dst)`
-    /// order, with the packed pair, its class, the summary of all its
-    /// samples and its `(ts, gbps)` samples in input order (time order for
-    /// a lake slice). The summary is [`SummaryStats::of_sorted`] over a
-    /// copy of the values sorted under `f64::total_cmp`, and the class is
-    /// [`AdaptiveCoarsener::is_volatile`] of it.
-    ///
-    /// A time-ordered lake is a run of pair-sorted epochs, which
-    /// [`walk_runs`] merges in place: no key per record and no sort of
-    /// the lake, only each pair's own samples.
-    fn for_each_pair(
-        &self,
-        records: &[BandwidthRecord],
-        mut f: impl FnMut(u64, bool, &SummaryStats, &mut Vec<(u64, f64)>),
-    ) {
-        let mut values: Vec<f64> = Vec::new();
-        let pair_of = |r: &BandwidthRecord| pair_key(r.src, r.dst);
-        walk_runs(
-            records,
-            pair_of,
-            |r| Some((r.ts.0, r.gbps)),
-            |pair, samples| {
-                values.clear();
-                values.extend(samples.iter().map(|&(_, v)| v));
-                sort_total(&mut values);
-                if let Some(whole) = SummaryStats::of_sorted(&values) {
-                    f(pair, self.is_volatile(&whole), &whole, samples);
-                }
-            },
-        );
-    }
+/// Walk `records` by pair and call `f` once per pair, in `(src, dst)`
+/// order, with the packed pair, the [`Fold`] of its samples in input order
+/// (arrival order for a lake slice) and those `(ts, gbps)` samples.
+///
+/// A time-ordered lake is a run of pair-sorted epochs, which [`walk_runs`]
+/// merges in place: no key per record and no sort.
+fn fold_pairs(records: &[BandwidthRecord], mut f: impl FnMut(u64, &Fold, &mut Vec<(u64, f64)>)) {
+    walk_runs(
+        records,
+        |r| pair_key(r.src, r.dst),
+        |r| Some((r.ts.0, r.gbps)),
+        |pair, samples| f(pair, &Fold::of(samples.iter().map(|&(_, v)| v)), samples),
+    );
 }
 
 impl Coarsening for AdaptiveCoarsener {
@@ -524,51 +586,44 @@ impl AdaptiveCoarsener {
     /// are unique.
     pub(crate) fn coarsen_records(&self, fine: &[BandwidthRecord]) -> Vec<CoarseBwRecord> {
         let mut out = Vec::new();
-        self.for_each_row(fine, |class, w, pair, stats| out.push(class.row(w, pair, stats)));
+        self.for_each_row(fine, |class, w, pair, values| {
+            out.push(class.row(w, pair, values.iter().copied()));
+        });
         out.sort_unstable_by_key(|r| (r.window_start, r.src, r.dst));
         out
     }
 
     /// Hand `visit` every row of the adaptive log as `(class, window
-    /// index, packed pair, summary)`: pair by pair in `(src, dst)` order,
+    /// index, packed pair, values)`: pair by pair in `(src, dst)` order,
     /// each pair's rows in window order, `class` the [`TimeCoarsener`] of
     /// the pair's window. The borrowed lake is coarsened in place, and
     /// reconciliation compares the rows as they come without building
     /// them.
     ///
-    /// One walk by pair ([`AdaptiveCoarsener::for_each_pair`]) classifies
-    /// each pair. A pair whose samples all fall in one window of its class
-    /// has that window's summary in hand: the classification summary, bit
-    /// for bit (on the benchmark, every stable pair's day). Otherwise a
-    /// stable sort by window index buckets its samples, in `O(n)` on
-    /// time-ordered input, and each bucket's values are sorted and
-    /// summarised with [`SummaryStats::of_sorted`].
+    /// One walk by pair ([`fold_pairs`]) folds and
+    /// classifies each pair. A lake slice yields each pair's samples in
+    /// time order, so its rows are the contiguous window runs of those
+    /// samples ([`window_runs`]), each summarised by
+    /// [`adaptive_row_values`], with no sort. Other input is first stably
+    /// sorted by window index, so each window's samples keep their input
+    /// order.
     pub(crate) fn for_each_row(
         &self,
         fine: &[BandwidthRecord],
-        mut visit: impl FnMut(&TimeCoarsener, u64, u64, &SummaryStats),
+        mut visit: impl FnMut(&TimeCoarsener, u64, u64, &[f64]),
     ) {
         let volatile = TimeCoarsener::new(self.volatile_window, self.stats.clone());
         let stable = TimeCoarsener::new(self.stable_window, self.stats.clone());
-        let mut cell: Vec<f64> = Vec::new();
-        self.for_each_pair(fine, |pair, is_volatile, whole, samples| {
-            let class = if is_volatile { &volatile } else { &stable };
-            let window_of = |&(ts, _): &(u64, f64)| ts / class.window_secs;
-            let mut windows = samples.iter().map(window_of);
-            if let Some(w) = windows.next().filter(|&w| windows.all(|x| x == w)) {
-                visit(class, w, pair, whole);
-                return;
+        let mut scratch = RowScratch::default();
+        fold_pairs(fine, |pair, whole, samples| {
+            let class = if self.is_volatile(whole) { &volatile } else { &stable };
+            if !samples.is_sorted_by_key(|&(t, _)| t) {
+                samples.sort_by_key(|&(t, _)| t / class.window_secs);
             }
-            samples.sort_by_key(window_of);
-            for bucket in samples.chunk_by(|a, b| window_of(a) == window_of(b)) {
-                cell.clear();
-                cell.extend(bucket.iter().map(|&(_, v)| v));
-                sort_total(&mut cell);
-                if let (Some(w), Some(stats)) =
-                    (bucket.first().map(window_of), SummaryStats::of_sorted(&cell))
-                {
-                    visit(class, w, pair, &stats);
-                }
+            for (w, run) in window_runs(samples, class.window_secs, |&(t, _)| t) {
+                let cell = samples.get(run).unwrap_or_default().iter().map(|&(_, v)| v);
+                adaptive_row_values(&self.stats, &MeanFold::of(cell.clone()), cell, &mut scratch);
+                visit(class, w, pair, &scratch.values);
             }
         });
     }
@@ -775,66 +830,82 @@ pub(crate) mod tests {
         out
     }
 
-    /// The `HashMap` of per-pair samples plus [`SummaryStats::of`] that
-    /// the pair walk replaced: the oracle for `volatile_pairs`.
-    fn volatile_by_map(c: &AdaptiveCoarsener, records: &[BandwidthRecord]) -> Vec<(u32, u32)> {
+    /// The mean and population std of `values` folded in order by a plain
+    /// loop, from [`Fold`]'s definition: `Σx` starting at the first
+    /// sample, the sums shifted by it, and a NaN mean `f64::NAN`. `None`
+    /// for no sample.
+    #[allow(clippy::cast_precision_loss)]
+    fn plain_fold(values: &[f64]) -> Option<(f64, f64)> {
+        let shift = *values.first()?;
+        let (mut sum, mut shifted, mut squares) = (0.0, 0.0, 0.0);
+        for (i, &x) in values.iter().enumerate() {
+            sum = if i == 0 { x } else { sum + x };
+            let d = x - shift;
+            shifted += d;
+            squares += d * d;
+        }
+        let n = values.len() as f64;
+        let var = (squares - shifted * shifted / n) / n;
+        let mean = if (sum / n).is_nan() { f64::NAN } else { sum / n };
+        Some((mean, if var < 0.0 { 0.0 } else { var }.sqrt()))
+    }
+
+    /// Per-pair `HashMap` sample vectors, in input order, each folded by
+    /// [`plain_fold`]: the walk-free oracle for `volatile_pairs`.
+    pub(crate) fn volatile_by_map(
+        c: &AdaptiveCoarsener,
+        records: &[BandwidthRecord],
+    ) -> Vec<(u32, u32)> {
         let mut samples: HashMap<(u32, u32), Vec<f64>> = HashMap::new();
         for r in records {
             samples.entry((r.src, r.dst)).or_default().push(r.gbps);
         }
+        let volatile = |(mean, std): (f64, f64)| mean > 0.0 && std / mean > c.cv_threshold;
         let mut out: Vec<(u32, u32)> = samples
             .into_iter()
-            .filter(|(_, v)| SummaryStats::of(v).is_some_and(|s| c.is_volatile(&s)))
+            .filter(|(_, v)| plain_fold(v).is_some_and(volatile))
             .map(|(k, _)| k)
             .collect();
         out.sort_unstable();
         out
     }
 
-    /// The partitioned-copy adaptive coarsening the pair walk replaced;
-    /// it walks no runs, so it also checks the incremental logs.
+    /// The walk-free adaptive oracle: pairs classified by
+    /// [`volatile_by_map`], then each `(window, pair)` cell of its class's
+    /// window grouped by a `HashMap` in input order. A row's Mean is its
+    /// cell's [`plain_fold`] mean and any other statistic that of
+    /// [`SummaryStats::of`]'s sorted copy. It walks no runs and calls no
+    /// fold type, so it also checks the incremental log.
     pub(crate) fn adaptive_by_partition(
         c: &AdaptiveCoarsener,
         fine: &[BandwidthRecord],
     ) -> Vec<CoarseBwRecord> {
         let volatile: HashSet<(u32, u32)> = volatile_by_map(c, fine).into_iter().collect();
-        let (vol, stable): (Vec<BandwidthRecord>, Vec<BandwidthRecord>) =
-            fine.iter().partition(|r| volatile.contains(&(r.src, r.dst)));
-        let mut out = coarsen_by_map(&TimeCoarsener::new(c.volatile_window, c.stats.clone()), &vol);
-        out.extend(coarsen_by_map(&TimeCoarsener::new(c.stable_window, c.stats.clone()), &stable));
-        out.sort_by_key(|r| (r.window_start, r.src, r.dst));
-        out
-    }
-
-    /// The pair-major keyed sort the walked adaptive oracle replaced:
-    /// every record keyed `(pair, value, ts)` and the whole slice sorted,
-    /// values under `f64::total_cmp`. A pair's run is its history in value
-    /// order; a stable sort on its class's window index buckets it, each
-    /// bucket still value-sorted.
-    fn adaptive_by_keyed_sort(
-        c: &AdaptiveCoarsener,
-        fine: &[BandwidthRecord],
-    ) -> Vec<CoarseBwRecord> {
-        let volatile = TimeCoarsener::new(c.volatile_window, c.stats.clone());
-        let stable = TimeCoarsener::new(c.stable_window, c.stats.clone());
-        let mut keyed: Vec<(u64, f64, u64)> =
-            fine.iter().map(|r| (pair_key(r.src, r.dst), r.gbps, r.ts.0)).collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let mut out = Vec::new();
-        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
-            let values: Vec<f64> = run.iter().map(|k| k.1).collect();
-            let Some(whole) = SummaryStats::of_sorted(&values) else { continue };
-            let class = if c.is_volatile(&whole) { &volatile } else { &stable };
-            let mut bucketed: Vec<(u64, f64)> =
-                run.iter().map(|&(_, v, ts)| (ts / class.window_secs, v)).collect();
-            bucketed.sort_by_key(|&(w, _)| w);
-            for cell in bucketed.chunk_by(|a, b| a.0 == b.0) {
-                let values: Vec<f64> = cell.iter().map(|&(_, v)| v).collect();
-                if let Some(stats) = SummaryStats::of_sorted(&values) {
-                    out.push(class.row(cell[0].0, run[0].0, &stats));
-                }
-            }
+        let mut cells: HashMap<(u64, u32, u32), (u64, Vec<f64>)> = HashMap::new();
+        for r in fine {
+            let window = if volatile.contains(&(r.src, r.dst)) {
+                c.volatile_window
+            } else {
+                c.stable_window
+            };
+            let cell = cells.entry((r.ts.0 / window * window, r.src, r.dst));
+            cell.or_insert_with(|| (window, Vec::new())).1.push(r.gbps);
         }
+        let mut out: Vec<CoarseBwRecord> = cells
+            .into_iter()
+            .filter_map(|((start, src, dst), (window_secs, vals))| {
+                let (mean, _) = plain_fold(&vals)?;
+                let sorted = SummaryStats::of(&vals)?;
+                let value = |s: Statistic| if s == Statistic::Mean { mean } else { sorted.get(s) };
+                Some(CoarseBwRecord {
+                    window_start: Ts(start),
+                    window_secs,
+                    src,
+                    dst,
+                    values: c.stats.iter().map(|&s| value(s)).collect(),
+                })
+            })
+            .collect();
         out.sort_by_key(|r| (r.window_start, r.src, r.dst));
         out
     }
@@ -917,7 +988,8 @@ pub(crate) mod tests {
         }
 
         /// Classifying pairs from the pair walk gives the volatile set
-        /// that per-pair `HashMap` sample vectors give.
+        /// that per-pair `HashMap` sample vectors, folded by a plain loop,
+        /// give.
         #[test]
         fn pair_sorted_volatile_pairs_match_map(
             raw in raw_log(),
@@ -930,9 +1002,9 @@ pub(crate) mod tests {
             proptest::prop_assert_eq!(c.volatile_pairs(&log), volatile_by_map(&c, &log));
         }
 
-        /// Coarsening each pair's walked samples, bucketed by its class's
-        /// window, encodes exactly as coarsening partitioned copies of the
-        /// log.
+        /// Coarsening each pair's walked samples, chunked by its class's
+        /// window, encodes exactly as the walk-free map fold
+        /// ([`adaptive_by_partition`]).
         #[test]
         fn pair_sorted_adaptive_oracle_matches_partition(
             raw in raw_log(),
@@ -951,28 +1023,84 @@ pub(crate) mod tests {
         }
     }
 
+    /// Logs over four pairs (one at the edges of `u32`) whose values come
+    /// in blocks of one phase each: steady (10.0), wild (1.0 and 500.0
+    /// alternating) or special (±0.0, NaN of both signs, ±∞, a negative).
+    /// Epoch strides of 0 (a same-`ts` duplicate), 1, 12 and 96 give
+    /// histories of up to weeks. A pair that goes steady, wild, steady
+    /// flips stable → volatile → stable across a log's prefixes. With
+    /// `shuffled` the records are scrambled by timestamp (same-`ts`
+    /// records keep their order), so the log is no lake slice.
+    fn fold_log() -> impl proptest::strategy::Strategy<Value = Vec<BandwidthRecord>> {
+        const STRIDES: [u64; 4] = [0, 1, 12, 96];
+        const PAIRS: [(u32, u32); 4] = [(0, 1), (0, 2), (3, 1), (u32::MAX, 1 << 31)];
+        const SPECIAL: [f64; 8] =
+            [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, 2.5];
+        let blocks = proptest::collection::vec((1usize..80, 0u8..3), 1..6);
+        let steps = proptest::collection::vec((0usize..4, 0usize..4, 0usize..8), 0..400);
+        proptest::strategy::Strategy::prop_map(
+            (blocks, steps, 0u8..2),
+            |(blocks, steps, shuffled)| {
+                let phases =
+                    blocks.iter().flat_map(|&(len, phase)| std::iter::repeat_n(phase, len));
+                let mut epoch = 0;
+                let mut log: Vec<BandwidthRecord> = steps
+                    .iter()
+                    .zip(phases.cycle())
+                    .map(|(&(stride, pair, v), phase)| {
+                        epoch += STRIDES[stride];
+                        let gbps = match phase {
+                            0 => 10.0,
+                            1 => [1.0, 500.0][v % 2],
+                            _ => SPECIAL[v],
+                        };
+                        let (src, dst) = PAIRS[pair];
+                        BandwidthRecord { ts: Ts(epoch * EPOCH_SECS), src, dst, gbps }
+                    })
+                    .collect();
+                if shuffled == 1 {
+                    log.sort_by_key(|r| r.ts.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40);
+                }
+                log
+            },
+        )
+    }
+
     proptest::proptest! {
-        /// The walked adaptive oracle encodes every row exactly as the
-        /// pair-major keyed sort it replaced, over time-ordered and
-        /// unordered logs with duplicate `(pair, ts)` records, NaN and
-        /// ±0.0 samples, and stable pairs whose history spans two or three
-        /// day windows. Each log is checked whole and at its halfway
-        /// prefix, so a pair can change class between the two.
+        /// The walked adaptive oracle classifies and encodes every row
+        /// exactly as the walk-free map fold: over logs with same-`ts`
+        /// duplicates, ±0.0, NaN and ±∞ samples, multi-day histories and
+        /// pairs that flip stable → volatile → stable, Mean-only and with
+        /// every statistic (the streaming proptests' configuration),
+        /// time-ordered and shuffled. Each log is checked at four
+        /// prefixes, so a pair's class changes between them.
         #[test]
-        fn walked_adaptive_oracle_matches_keyed_sort(
-            raw in raw_log(),
-            ordered in 0u8..2,
-            nan in 0u8..4,
+        fn walked_adaptive_oracle_matches_map_fold(
+            log in fold_log(),
             cv_threshold in 0.0f64..1.5,
+            all_stats in 0u8..2,
         ) {
-            let log = oracle_log(&raw, ordered == 1, nan == 0);
-            let c = adaptive(cv_threshold);
-            for prefix in [&log[..log.len() / 2], &log[..]] {
+            let stats = if all_stats == 1 { ALL_STATS.to_vec() } else { vec![Statistic::Mean] };
+            let c = AdaptiveCoarsener { stats, ..adaptive(cv_threshold) };
+            let n = log.len();
+            for prefix in [&log[..n / 4], &log[..n / 2], &log[..3 * n / 4], &log[..]] {
+                proptest::prop_assert_eq!(c.volatile_pairs(prefix), volatile_by_map(&c, prefix));
                 proptest::prop_assert_eq!(
                     encode_coarse_log(&c.coarsen_records(prefix)),
-                    encode_coarse_log(&adaptive_by_keyed_sort(&c, prefix))
+                    encode_coarse_log(&adaptive_by_partition(&c, prefix))
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_one_sample_window_keeps_its_sample_bits() {
+        let c = AdaptiveCoarsener { stats: ALL_STATS.to_vec(), ..adaptive(0.35) };
+        for gbps in [-0.0, 0.0, f64::NAN, f64::INFINITY, 7.25] {
+            let log = [BandwidthRecord { ts: Ts(0), src: 0, dst: 1, gbps }];
+            let rows = c.coarsen_records(&log);
+            let bits: Vec<u64> = rows[0].values.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, vec![gbps.to_bits(); ALL_STATS.len()], "{gbps}");
         }
     }
 

@@ -19,14 +19,20 @@
 //! log; silent drift is not an available failure mode.
 //!
 //! Byte-identity is not luck; it is engineered:
-//! * the batch oracle summarizes each cell's samples *sorted* under
-//!   `f64::total_cmp` (`SummaryStats::of` sorts, then calls
-//!   `SummaryStats::of_sorted`), and the incremental coarseners keep every
-//!   sample buffer in that same sorted order. The sorted sequence of a
-//!   multiset of `f64`s is unique bit for bit, so a dirty cell summarized
-//!   by `of_sorted` sums the same samples in the same order as the batch
-//!   pass — whatever order they arrived in;
-//! * there is one summariser: both paths end in `SummaryStats::of_sorted`;
+//! * the uniform log's batch oracle summarizes each cell's samples
+//!   *sorted* under `f64::total_cmp` (`SummaryStats::of` sorts, then calls
+//!   `SummaryStats::of_sorted`), and the incremental log keeps every open
+//!   cell's sample buffer in that same sorted order. The sorted sequence
+//!   of a multiset of `f64`s is unique bit for bit, so a dirty cell
+//!   summarized by `of_sorted` sums the same samples in the same order as
+//!   the batch pass — whatever order they arrived in;
+//! * the adaptive log's arithmetic is an *arrival-order* fold instead
+//!   ([`Fold`], [`MeanFold`]): the batch oracle folds each pair's samples
+//!   in lake order, which is arrival order, and the incremental log pushes
+//!   each new sample onto its folds as it arrives, so both sum the same
+//!   samples in the same order with no sort. Any statistic but the mean
+//!   is read from a sorted copy of the window's samples through the one
+//!   helper both sides call (`adaptive_row_values`);
 //! * both logs are dense sorted tables keyed in batch order —
 //!   `(window, pair_key)` cells for the uniform log, `(src, dst)` pairs
 //!   for the adaptive one — merge-joined against each delta walked in
@@ -45,7 +51,8 @@
 //! plus the coarse rows. A record behind the sealed frontier is a typed
 //! [`StreamError::OutOfOrder`] that leaves the state untouched. The
 //! adaptive log classifies each pair over its whole history, so it keeps
-//! every sample; reconciliation still recomputes from the whole lake.
+//! every sample, in time order; a tick folds only its new samples, and
+//! reconciliation still recomputes from the whole lake.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -57,13 +64,16 @@ use smn_depgraph::delta::{DeltaError, GraphDelta};
 use smn_depgraph::fine::FineDepGraph;
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{key_pair, pair_key, sort_total, walk_runs, Statistic, SummaryStats};
+use smn_telemetry::series::{
+    key_pair, pair_key, sort_total, walk_runs, Fold, MeanFold, Statistic, SummaryStats,
+};
 use smn_telemetry::time::{Ts, DAY, HOUR};
 use smn_topology::artifact::{under, Step, Violation};
 use smn_topology::path;
 
 use crate::bwlogs::{
-    encode_coarse_log, row_wire_bytes, AdaptiveCoarsener, CoarseBwRecord, TimeCoarsener,
+    adaptive_row_values, encode_coarse_log, row_wire_bytes, volatile_at, window_runs,
+    AdaptiveCoarsener, CoarseBwRecord, RowScratch, TimeCoarsener,
 };
 use crate::controller::SmnController;
 
@@ -198,20 +208,19 @@ fn write_stats(values: &mut Vec<f64>, stats: &[Statistic], summary: &SummaryStat
 }
 
 /// The coarse row of `(src, dst)` for window index `w` of `window`-second
-/// windows.
+/// windows, holding `values`.
 fn coarse_row(
     (src, dst): (u32, u32),
     w: u64,
     window: u64,
-    stats: &[Statistic],
-    summary: &SummaryStats,
+    values: impl IntoIterator<Item = f64>,
 ) -> CoarseBwRecord {
     CoarseBwRecord {
         window_start: Ts(w * window),
         window_secs: window,
         src,
         dst,
-        values: stats.iter().map(|&st| summary.get(st)).collect(),
+        values: values.into_iter().collect(),
     }
 }
 
@@ -421,7 +430,8 @@ impl IncrementalCoarseLog {
             |_| true,
             |w, pair, samples| {
                 let Some(stats) = SummaryStats::of_sorted(samples) else { return };
-                same = same && rows.next().is_some_and(|row| time.is_row(row, w, pair, &stats));
+                let values = time.row_values(&stats);
+                same = same && rows.next().is_some_and(|row| time.is_row(row, w, pair, values));
             },
         );
         same && rows.next().is_none()
@@ -491,7 +501,8 @@ impl IncrementalCoarseLog {
                 write_stats(&mut cell.row.values, &self.stats, &s);
             }
         } else if let Some(s) = SummaryStats::of_sorted(samples) {
-            let row = coarse_row(key_pair(pair), w, self.window_secs, &self.stats, &s);
+            let values = self.stats.iter().map(|&st| s.get(st));
+            let row = coarse_row(key_pair(pair), w, self.window_secs, values);
             misses.keys.push((*cursor, (w, pair)));
             misses.cells.push((*cursor, OpenCell { samples: samples.to_vec(), row }));
         }
@@ -653,168 +664,162 @@ impl TimeCoarsener {
     }
 }
 
-/// Per-pair incremental state of an [`AdaptiveCoarsener`].
+/// Per-pair incremental state of an [`AdaptiveCoarsener`]: the pair's
+/// samples in arrival order, which is time order (a tick may not regress
+/// behind the lake), the [`Fold`] of all of them, which classifies the
+/// pair, the [`MeanFold`] of the samples in the *open* window (the window
+/// of the last sample), and the rows of the windows before it.
 ///
-/// Volatility classification needs the pair's full history, so the state
-/// keeps every sample — as two parallel vectors sorted by value under
-/// `f64::total_cmp`. The whole run classifies the pair, and a window's
-/// sorted samples are the run filtered by timestamp, so neither needs a
-/// sort.
+/// No later sample can land before the open window, so those rows are
+/// final. The open window's row is not stored: it is computed from the
+/// open fold (and, for statistics other than the mean, the open window's
+/// values) when the log is read. A tick that keeps the pair's class pushes
+/// each new sample onto both folds, and only a sample in a later window
+/// closes the open row into `closed`: `O(1)` per sample for a Mean-only
+/// log, with no row touched. Only a class flip re-chunks the samples.
+///
+/// Timestamps and values sit in two parallel vectors rather than one of
+/// pairs: every pair doubles its history in the same tick, and two
+/// half-size blocks freed side by side coalesce into a hole the next
+/// pair's growth fits, where one block's hole never does (under glibc,
+/// one vector raised the benchmark's peak RSS by 6.6-8.6%).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct PairState {
-    /// Sample values, ascending under `f64::total_cmp`.
-    values: Vec<f64>,
-    /// Sample timestamps (seconds), parallel to `values`.
+    /// Sample timestamps (seconds), ascending, ties in arrival order.
     ts: Vec<u64>,
-    /// Current classification.
-    volatile: bool,
-    /// This pair's coarse rows under its current window, ascending by
-    /// window.
-    rows: Vec<CoarseBwRecord>,
-}
-
-/// Buffers one adaptive `apply_delta` reuses across pairs.
-#[derive(Default)]
-struct PairScratch {
-    /// The pair's new samples, sorted by value.
-    fresh: Vec<(f64, u64)>,
-    /// Window indices the delta touched.
-    touched: Vec<u64>,
-    /// `(window index, value)` of a rebuild, bucketed by a stable sort.
-    bucketed: Vec<(u64, f64)>,
-    /// One window's sorted samples.
-    cell: Vec<f64>,
+    /// Sample values, parallel to `ts`.
+    values: Vec<f64>,
+    /// The fold of every value, in order: the pair's class.
+    whole: Fold,
+    /// The fold of the open window: the last `open.count()` values.
+    open: MeanFold,
+    /// The rows of the windows before the open one, ascending by window.
+    closed: Vec<CoarseBwRecord>,
 }
 
 impl PairState {
-    /// Merge `run` (sorted by value) into the sorted samples, draining it.
-    /// A one-sample run is a sorted insert; a longer one grows both
-    /// vectors and merges from the back, so every sample moves at most
-    /// once.
-    fn merge(&mut self, run: &mut Vec<(f64, u64)>) {
-        if let [(v, t)] = run.as_slice() {
-            let at = self.values.partition_point(|x| x.total_cmp(v).is_le());
-            self.values.insert(at, *v);
-            self.ts.insert(at, *t);
-            run.clear();
-            return;
-        }
-        let mut old = self.values.len();
-        let mut at = old + run.len();
-        self.values.resize(at, 0.0);
-        self.ts.resize(at, 0);
-        while let Some(&(v, t)) = run.last() {
-            at -= 1;
-            let older =
-                old.checked_sub(1).and_then(|p| Some((p, *self.values.get(p)?, *self.ts.get(p)?)));
-            let (value, stamp) = match older {
-                Some((p, ov, ot)) if ov.total_cmp(&v).is_gt() => {
-                    old = p;
-                    (ov, ot)
-                }
-                _ => {
-                    run.pop();
-                    (v, t)
-                }
-            };
-            if let (Some(dv), Some(dt)) = (self.values.get_mut(at), self.ts.get_mut(at)) {
-                *dv = value;
-                *dt = stamp;
-            }
-        }
+    /// Rows of this pair: the closed ones and, once it holds a sample,
+    /// the open one.
+    fn rows(&self) -> usize {
+        self.closed.len() + usize::from(!self.values.is_empty())
     }
 
-    /// Rebuild every row under `window`; returns the row count. `whole`
-    /// summarizes all the pair's samples: when they share one window it
-    /// is that window's summary, bit for bit.
-    fn rebuild_rows(
+    /// The open window's values: the tail the open fold covers.
+    fn open_values(&self) -> &[f64] {
+        let from = self.values.len().saturating_sub(self.open.count());
+        self.values.get(from..).unwrap_or_default()
+    }
+
+    /// The open row under `window` keeping `stats`: its window index, its
+    /// values left in `scratch.values`. `None` before the first sample.
+    fn open_row(&self, window: u64, stats: &[Statistic], scratch: &mut RowScratch) -> Option<u64> {
+        let w = self.ts.last()? / window;
+        adaptive_row_values(stats, &self.open, self.open_values().iter().copied(), scratch);
+        Some(w)
+    }
+
+    /// Re-chunk every sample under `window`, as the batch oracle does:
+    /// every window but the last into a closed row, the last into the
+    /// open fold. Returns the row count.
+    fn rechunk(
         &mut self,
         pair: (u32, u32),
         window: u64,
         stats: &[Statistic],
-        whole: &SummaryStats,
-        scratch: &mut PairScratch,
+        scratch: &mut RowScratch,
     ) -> usize {
-        self.rows.clear();
-        let mut windows = self.ts.iter().map(|t| t / window);
-        let first = windows.next();
-        if let Some(w) = first.filter(|&w| windows.all(|x| x == w)) {
-            self.rows.push(coarse_row(pair, w, window, stats, whole));
-            return 1;
-        }
-        scratch.bucketed.clear();
-        scratch.bucketed.extend(self.ts.iter().zip(&self.values).map(|(&t, &v)| (t / window, v)));
-        scratch.bucketed.sort_by_key(|&(w, _)| w);
-        for bucket in scratch.bucketed.chunk_by(|a, b| a.0 == b.0) {
-            scratch.cell.clear();
-            scratch.cell.extend(bucket.iter().map(|&(_, v)| v));
-            if let (Some(&(w, _)), Some(s)) =
-                (bucket.first(), SummaryStats::of_sorted(&scratch.cell))
-            {
-                self.rows.push(coarse_row(pair, w, window, stats, &s));
+        let PairState { ts, values, open, closed, .. } = self;
+        closed.clear();
+        let mut runs = window_runs(ts, window, |&t| t).peekable();
+        while let Some((w, run)) = runs.next() {
+            let cell = values.get(run).unwrap_or_default().iter().copied();
+            *open = MeanFold::of(cell.clone());
+            if runs.peek().is_some() {
+                adaptive_row_values(stats, open, cell, scratch);
+                closed.push(coarse_row(pair, w, window, scratch.values.iter().copied()));
             }
         }
-        self.rows.len()
+        closed.len() + usize::from(!values.is_empty())
     }
 
-    /// Recompute the row of window index `w` from the samples it holds,
-    /// overwriting an existing row in place. `cell` is reused across
-    /// calls. Returns the rows recomputed (0 or 1).
-    fn refresh_row(
+    /// Fold the `fresh` samples a tick appended into the open window, or
+    /// close it and open later ones, under `window`. Returns the rows
+    /// recomputed: one per window the samples touched.
+    fn extend(
         &mut self,
         pair: (u32, u32),
-        w: u64,
+        fresh: usize,
         window: u64,
         stats: &[Statistic],
-        cell: &mut Vec<f64>,
+        scratch: &mut RowScratch,
     ) -> usize {
-        cell.clear();
-        cell.extend(
-            self.values.iter().zip(&self.ts).filter(|&(_, &t)| t / window == w).map(|(&v, _)| v),
-        );
-        let Some(s) = SummaryStats::of_sorted(cell) else { return 0 };
-        match self.rows.binary_search_by_key(&(w * window), |r| r.window_start.0) {
-            Ok(i) => {
-                if let Some(row) = self.rows.get_mut(i) {
-                    write_stats(&mut row.values, stats, &s);
-                }
+        let PairState { ts, values, open, closed, .. } = self;
+        let from = ts.len().saturating_sub(fresh);
+        let mut recomputed = 0;
+        for (w, run) in window_runs(ts.get(from..).unwrap_or_default(), window, |&t| t) {
+            let start = from + run.start;
+            let open_w = start.checked_sub(1).and_then(|i| ts.get(i)).map(|t| t / window);
+            if let Some(open_w) = open_w.filter(|&o| o != w) {
+                let cell = values.get(start.saturating_sub(open.count())..start);
+                adaptive_row_values(stats, open, cell.unwrap_or_default().iter().copied(), scratch);
+                closed.push(coarse_row(pair, open_w, window, scratch.values.iter().copied()));
+                *open = MeanFold::default();
             }
-            Err(i) => self.rows.insert(i, coarse_row(pair, w, window, stats, &s)),
+            for &x in values.get(start..from + run.end).unwrap_or_default() {
+                open.push(x);
+            }
+            recomputed += 1;
         }
-        1
+        recomputed
     }
 
     /// Rules this pair's state breaks under `window` and `n_stats`
     /// statistics; paths are relative to the pair.
     fn violations(&self, pair: (u32, u32), window: u64, n_stats: usize) -> Vec<Violation> {
         let mut out = Vec::new();
-        if self.values.is_empty() || !is_total_sorted(&self.values) {
+        if self.values.is_empty() || self.ts.len() != self.values.len() || !self.ts.is_sorted() {
             out.push(Violation::new(
                 "artifact/coarse-log-samples",
-                path!["values"],
-                format!("pair {pair:?} has an empty or unsorted history"),
-                "a pair holds its samples ascending under f64::total_cmp",
-            ));
-        }
-        if self.ts.len() != self.values.len() {
-            out.push(Violation::new(
-                "artifact/coarse-log-shape",
                 path!["ts"],
-                format!("{} timestamps for {} samples", self.ts.len(), self.values.len()),
-                "values and ts are parallel vectors",
+                format!(
+                    "pair {pair:?} has {} timestamps for {} values, or they do not ascend",
+                    self.ts.len(),
+                    self.values.len()
+                ),
+                "a pair holds a non-empty history, its timestamps ascending and parallel to \
+                 its values",
             ));
         }
-        if self.rows.is_empty() {
+        if !self.whole.same_bits(&Fold::of(self.values.iter().copied())) {
             out.push(Violation::new(
-                "artifact/coarse-log-shape",
-                path!["rows"],
-                format!("pair {pair:?} has samples but no rows"),
-                "every window holding a sample has a row",
+                "artifact/coarse-log-samples",
+                path!["whole"],
+                format!("pair {pair:?}'s history fold is not the fold of its values"),
+                "a pair's history fold is its values folded in order, bit for bit",
+            ));
+        }
+        // The open fold covers exactly the samples in the last sample's
+        // window, and every closed row lies before that window.
+        let start = self.values.len().saturating_sub(self.open.count());
+        let window_of = |i: usize| self.ts.get(i).map(|t| t / window);
+        let open_w = window_of(self.ts.len().saturating_sub(1));
+        let covered = self.open.count() > 0
+            && self.open.count() <= self.values.len()
+            && window_of(start) == open_w
+            && start.checked_sub(1).is_none_or(|i| window_of(i) < open_w)
+            && self.open.same_bits(&MeanFold::of(self.open_values().iter().copied()));
+        if !covered {
+            out.push(Violation::new(
+                "artifact/coarse-log-samples",
+                path!["open"],
+                format!("pair {pair:?}'s open fold is not the fold of its last window's values"),
+                "the open fold is the last sample's window's values folded in order, bit for \
+                 bit",
             ));
         }
         let mut prev = None;
-        for (j, row) in self.rows.iter().enumerate() {
-            let at = path!["rows", j];
+        for (j, row) in self.closed.iter().enumerate() {
+            let at = path!["closed", j];
             out.extend(row_violations(row, window, n_stats, &at));
             if (row.src, row.dst) != pair {
                 out.push(Violation::new(
@@ -824,12 +829,16 @@ impl PairState {
                     "a pair's rows are its own",
                 ));
             }
-            if prev >= Some(row.window_start) {
+            if prev >= Some(row.window_start) || Some(row.window_start.0 / window) >= open_w {
                 out.push(Violation::new(
                     "artifact/coarse-log-order",
                     at,
-                    format!("row at {:?} does not follow {prev:?}", row.window_start),
-                    "a pair's rows ascend strictly by window",
+                    format!(
+                        "closed row at {:?} does not follow {prev:?} or is not before the open \
+                         window {open_w:?}",
+                        row.window_start
+                    ),
+                    "a pair's closed rows ascend strictly by window, before the open window",
                 ));
             }
             prev = Some(row.window_start);
@@ -840,10 +849,10 @@ impl PairState {
 
 /// Incremental state of an [`AdaptiveCoarsener`]: a dense pair table —
 /// `keys` ascending with the parallel `pairs` holding each pair's
-/// history, classification and rows — plus the total row count. Only
-/// pairs a delta touches are re-classified, and only the windows it
-/// touches are re-summarized — a pair's volatility is a function of its
-/// own history alone, so untouched pairs cannot flip class.
+/// history, folds and closed rows — plus the total row count. Only pairs
+/// a delta touches are re-classified, and only the windows it touches are
+/// re-summarized — a pair's volatility is a function of its own history
+/// alone, so untouched pairs cannot flip class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalAdaptiveLog {
     cv_threshold: f64,
@@ -866,29 +875,75 @@ impl IncrementalAdaptiveLog {
     /// [`AdaptiveCoarsener::volatile_pairs`]).
     #[must_use]
     pub fn volatile_pairs(&self) -> Vec<(u32, u32)> {
-        self.keys.iter().zip(&self.pairs).filter(|(_, p)| p.volatile).map(|(&k, _)| k).collect()
+        let volatile = |p: &PairState| volatile_at(self.cv_threshold, &p.whole);
+        self.keys.iter().zip(&self.pairs).filter(|(_, p)| volatile(p)).map(|(&k, _)| k).collect()
     }
 
-    /// Every pair's rows in batch order (`window_start`, `src`, `dst`) —
-    /// pairs are disjoint across rows, so the sort key is unique and the
-    /// order fully determined.
-    fn sorted_rows(&self) -> Vec<&CoarseBwRecord> {
-        let mut out: Vec<&CoarseBwRecord> = self.pairs.iter().flat_map(|p| &p.rows).collect();
-        out.sort_by_key(|r| (r.window_start, r.src, r.dst));
-        out
+    /// The window of `ps`'s class.
+    fn window(&self, ps: &PairState) -> u64 {
+        if volatile_at(self.cv_threshold, &ps.whole) {
+            self.volatile_window
+        } else {
+            self.stable_window
+        }
+    }
+
+    /// Hand `visit` every row in batch order (`window_start`, `src`,
+    /// `dst`): the closed rows by reference, and each open row built from
+    /// its pair's folds into one reused record. Pairs are disjoint across
+    /// rows and the pair table ascends, so ordering by window start, then
+    /// pair index, is batch order.
+    fn for_each_sorted_row(&self, mut visit: impl FnMut(&CoarseBwRecord)) {
+        let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(self.rows);
+        for (i, ps) in self.pairs.iter().enumerate() {
+            order.extend(ps.closed.iter().enumerate().map(|(j, r)| (r.window_start.0, i, j)));
+            if let Some(&t) = ps.ts.last() {
+                let window = self.window(ps);
+                order.push((t / window * window, i, ps.closed.len()));
+            }
+        }
+        order.sort_unstable();
+        let mut scratch = RowScratch::default();
+        let mut open = coarse_row((0, 0), 0, 0, []);
+        for (_, i, j) in order {
+            match self.pairs.get(i).and_then(|ps| ps.closed.get(j)) {
+                Some(row) => visit(row),
+                None if self.fill_open_row(i, &mut open, &mut scratch) => visit(&open),
+                None => {}
+            }
+        }
+    }
+
+    /// Build pair `i`'s open row into `row`, reusing its buffers; false
+    /// when there is no such pair or it holds no sample.
+    fn fill_open_row(&self, i: usize, row: &mut CoarseBwRecord, scratch: &mut RowScratch) -> bool {
+        let (Some(ps), Some(&(src, dst))) = (self.pairs.get(i), self.keys.get(i)) else {
+            return false;
+        };
+        let window = self.window(ps);
+        let Some(w) = ps.open_row(window, &self.stats, scratch) else { return false };
+        (row.window_start, row.window_secs, row.src, row.dst) = (Ts(w * window), window, src, dst);
+        row.values.clone_from(&scratch.values);
+        true
     }
 
     /// The merged coarse log in batch order (`window_start`, `src`,
     /// `dst`).
     #[must_use]
     pub fn coarse_log(&self) -> Vec<CoarseBwRecord> {
-        self.sorted_rows().into_iter().cloned().collect()
+        let mut out = Vec::with_capacity(self.rows);
+        self.for_each_sorted_row(|row| out.push(row.clone()));
+        out
     }
 
-    /// Wire encoding of the merged coarse log.
+    /// Wire encoding of the merged coarse log: `encode_coarse_log` of
+    /// [`IncrementalAdaptiveLog::coarse_log`], with no row cloned.
     #[must_use]
     pub fn encode(&self) -> bytes::Bytes {
-        encode_coarse_log(self.sorted_rows())
+        use bytes::BufMut;
+        let mut buf = bytes::BytesMut::with_capacity(34 * self.rows);
+        self.for_each_sorted_row(|row| row_wire_bytes(row, |b| buf.put_slice(b)));
+        buf.freeze()
     }
 
     /// Refuse this log unless `adaptive`'s configuration built it.
@@ -908,27 +963,47 @@ impl IncrementalAdaptiveLog {
     /// Whether this log holds, row for row and bit for bit, the rows
     /// `adaptive` coarsens `records` into. The adaptive oracle's rows come
     /// pair by pair, each pair's in window order, and are compared in
-    /// place with the pair table's rows (pairs with no rows skipped), so
-    /// no batch row and no encoding is built. For a log that satisfies
-    /// [`IncrementalAdaptiveLog::violations`] this is exactly
-    /// `self.encode() == encode_coarse_log(&adaptive.coarsen_records(..))`;
+    /// place with each pair's closed rows and then its open row, computed
+    /// from its folds (pairs with no rows skipped), so no batch row and no
+    /// encoding is built. For a log
+    /// that satisfies [`IncrementalAdaptiveLog::violations`] this is
+    /// exactly `self.encode() == encode_coarse_log(&adaptive.coarsen_records(..))`;
     /// it also refuses a pair whose rows are out of window order, which
     /// `violations()` flags.
     fn matches_batch(&self, adaptive: &AdaptiveCoarsener, records: &[BandwidthRecord]) -> bool {
-        let mut rows = self.pairs.iter().flat_map(|p| &p.rows);
+        let mut scratch = RowScratch::default();
+        let mut open = coarse_row((0, 0), 0, 0, []);
+        let (mut at, mut row) = (0usize, 0usize);
         let mut same = true;
-        adaptive.for_each_row(records, |class, w, pair, stats| {
-            same = same && rows.next().is_some_and(|row| class.is_row(row, w, pair, stats));
+        let skip_empty = |at: &mut usize| {
+            while self.pairs.get(*at).is_some_and(|p| p.rows() == 0) {
+                *at += 1;
+            }
+        };
+        adaptive.for_each_row(records, |class, w, pair, values| {
+            skip_empty(&mut at);
+            let values = values.iter().copied();
+            if let Some(closed) = self.pairs.get(at).and_then(|ps| ps.closed.get(row)) {
+                row += 1;
+                same = same && class.is_row(closed, w, pair, values);
+                return;
+            }
+            same = same && self.fill_open_row(at, &mut open, &mut scratch);
+            same = same && class.is_row(&open, w, pair, values);
+            (at, row) = (at + 1, 0);
         });
-        same && rows.next().is_none()
+        skip_empty(&mut at);
+        same && at == self.pairs.len()
     }
 
     /// The log is one `apply_delta` could have left: non-zero windows and
     /// at least one statistic; keys strictly ascending, one pair state
-    /// each; every pair's history non-empty, sorted under
-    /// `f64::total_cmp` and paired with as many timestamps; its rows its
-    /// own, ascending, each one aligned window of its class with one value
-    /// per statistic; and the row count the sum of the pairs' rows.
+    /// each; every pair's history non-empty and ascending by timestamp,
+    /// its history fold bit for bit the fold of its values and its open
+    /// fold that of exactly the values in its last sample's window; its
+    /// closed rows its own, ascending and before that window, each one
+    /// aligned window of its class with one value per statistic; and the
+    /// row count the sum of the pairs' rows.
     #[must_use]
     pub fn violations(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -955,13 +1030,12 @@ impl IncrementalAdaptiveLog {
                 ));
             }
             prev = Some(pair);
-            let window = if ps.volatile { self.volatile_window } else { self.stable_window };
             out.extend(under(
                 &path!["pairs", i],
-                PairState::violations(ps, pair, window, self.stats.len()),
+                PairState::violations(ps, pair, self.window(ps), self.stats.len()),
             ));
         }
-        let counted: usize = self.pairs.iter().map(|p| p.rows.len()).sum();
+        let counted: usize = self.pairs.iter().map(PairState::rows).sum();
         if counted != self.rows {
             out.push(Violation::new(
                 "artifact/coarse-log-shape",
@@ -989,12 +1063,15 @@ impl AdaptiveCoarsener {
         }
     }
 
-    /// Apply one telemetry delta in place: merge each touched pair's new
-    /// samples into its sorted history, re-classify it, and re-summarize
-    /// only the windows the delta touched — or all of its rows when the
-    /// pair is new or flips class. Byte-identical (under
-    /// [`IncrementalAdaptiveLog::encode`]) to a batch
-    /// [`AdaptiveCoarsener::coarsen`] over the concatenated log.
+    /// Apply one telemetry delta in place: append each touched pair's new
+    /// samples to its history and push them onto its folds, re-classify
+    /// it, and close its open row only when a sample lands in a later
+    /// window — or re-chunk all of its rows when the pair is new or flips
+    /// class.
+    /// Applying each delta of a time-ordered log in tick order leaves
+    /// `state` byte-identical (under [`IncrementalAdaptiveLog::encode`])
+    /// to a batch [`AdaptiveCoarsener::coarsen`] over the concatenated
+    /// log: both fold each pair's samples in arrival order.
     ///
     /// The delta is walked by pair ([`walk_runs`], each pair's records in
     /// arrival order) against the pair table with a galloping cursor; new
@@ -1020,7 +1097,7 @@ impl AdaptiveCoarsener {
         mut on_pair: impl FnMut((u32, u32)),
     ) -> Result<DeltaApplyStats, StreamError> {
         state.built_for(self)?;
-        let mut scratch = PairScratch::default();
+        let mut scratch = RowScratch::default();
         let mut fresh_keys = Vec::new();
         let mut fresh_pairs = Vec::new();
         let (mut cursor, mut dirty, mut recomputed) = (0usize, 0usize, 0usize);
@@ -1033,13 +1110,13 @@ impl AdaptiveCoarsener {
             let hit =
                 state.keys.get(cursor).filter(|&&k| k == pair).and(state.pairs.get_mut(cursor));
             if let Some(ps) = hit {
-                let before = ps.rows.len();
+                let before = ps.rows();
                 recomputed += self.absorb(ps, pair, run, &mut scratch);
-                state.rows = (state.rows + ps.rows.len()).saturating_sub(before);
+                state.rows = (state.rows + ps.rows()).saturating_sub(before);
             } else {
                 let mut ps = PairState::default();
                 recomputed += self.absorb(&mut ps, pair, run, &mut scratch);
-                state.rows += ps.rows.len();
+                state.rows += ps.rows();
                 fresh_keys.push((cursor, pair));
                 fresh_pairs.push((cursor, ps));
             }
@@ -1054,9 +1131,9 @@ impl AdaptiveCoarsener {
         })
     }
 
-    /// Merge one pair's run of new records into its state, re-classify
-    /// the pair and recompute the rows the run dirtied. Returns the rows
-    /// recomputed.
+    /// Append one pair's run of new records to its state, push them onto
+    /// its history fold, re-classify the pair and recompute the rows the
+    /// run dirtied. Returns the rows recomputed.
     ///
     /// Kept out of line: inlined into the walk's visitor, the adaptive
     /// apply of a one-epoch 300-DC delta measured a few percent slower.
@@ -1066,38 +1143,21 @@ impl AdaptiveCoarsener {
         ps: &mut PairState,
         pair: (u32, u32),
         run: &[&BandwidthRecord],
-        scratch: &mut PairScratch,
+        scratch: &mut RowScratch,
     ) -> usize {
-        let is_new = ps.values.is_empty();
-        scratch.fresh.clear();
-        scratch.fresh.extend(run.iter().map(|r| (r.gbps, r.ts.0)));
-        scratch.fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
-        ps.merge(&mut scratch.fresh);
-        let Some(whole) = SummaryStats::of_sorted(&ps.values) else { return 0 };
-        let was_volatile = ps.volatile;
-        ps.volatile = self.is_volatile(&whole);
-        let window = if ps.volatile { self.volatile_window } else { self.stable_window };
-        if is_new || ps.volatile != was_volatile {
-            return ps.rebuild_rows(pair, window, &self.stats, &whole, scratch);
+        let was_volatile = (!ps.values.is_empty()).then(|| self.is_volatile(&ps.whole));
+        ps.ts.extend(run.iter().map(|r| r.ts.0));
+        ps.values.extend(run.iter().map(|r| r.gbps));
+        for r in run {
+            ps.whole.push(r.gbps);
         }
-        scratch.touched.clear();
-        scratch.touched.extend(run.iter().map(|r| r.ts.0 / window));
-        scratch.touched.sort_unstable();
-        scratch.touched.dedup();
-        // One touched window that already held the pair's only row now
-        // holds its whole history: its sorted samples are `values`
-        // itself, so the classification summary is its summary.
-        if let ([w], [row]) = (scratch.touched.as_slice(), ps.rows.as_mut_slice()) {
-            if row.window_start.0 == w * window {
-                write_stats(&mut row.values, &self.stats, &whole);
-                return 1;
-            }
+        let volatile = self.is_volatile(&ps.whole);
+        let window = if volatile { self.volatile_window } else { self.stable_window };
+        if was_volatile == Some(volatile) {
+            ps.extend(pair, run.len(), window, &self.stats, scratch)
+        } else {
+            ps.rechunk(pair, window, &self.stats, scratch)
         }
-        let mut recomputed = 0;
-        for &w in &scratch.touched {
-            recomputed += ps.refresh_row(pair, w, window, &self.stats, &mut scratch.cell);
-        }
-        recomputed
     }
 }
 
@@ -1263,9 +1323,10 @@ impl StreamState {
     #[must_use]
     pub fn fingerprint(&self) -> String {
         let mut hash = FNV_OFFSET;
-        for row in self.time.all_rows().chain(self.adaptive.sorted_rows()) {
+        for row in self.time.all_rows() {
             fnv1a_row(&mut hash, row);
         }
+        self.adaptive.for_each_sorted_row(|row| fnv1a_row(&mut hash, row));
         fnv1a(&mut hash, &self.cdg.canonical_bytes());
         format!("{hash:016x}")
     }
@@ -2234,6 +2295,42 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_pair_violations_name_each_broken_rule() {
+        // One steady pair over three days: two closed day rows and an
+        // open one.
+        let log: Vec<BandwidthRecord> = (0..36u64)
+            .map(|i| BandwidthRecord { ts: Ts(i * 2 * HOUR), src: 0, dst: 1, gbps: 10.0 })
+            .collect();
+        let c = StreamConfig::default().adaptive;
+        let mut state = c.new_state();
+        c.apply_delta(&mut state, &TelemetryDelta::new(0, log)).unwrap();
+        assert!(state.violations().is_empty(), "{:?}", state.violations());
+        assert_eq!(state.pairs[0].closed.len(), 2);
+        let broken = |edit: &dyn Fn(&mut PairState)| {
+            let mut bad = state.clone();
+            edit(&mut bad.pairs[0]);
+            bad.violations().into_iter().map(|v| v.to_string()).collect::<Vec<_>>()
+        };
+        let names = |found: &[String], rule: &str, at: &str| {
+            found.iter().any(|v| v.starts_with(rule) && v.contains(&format!("pairs[0].{at}")))
+        };
+        let found = broken(&|ps| ps.ts.swap(3, 4));
+        assert!(names(&found, "artifact/coarse-log-samples", "ts"), "{found:?}");
+        let found = broken(&|ps| ps.values[0] = 11.0);
+        assert!(names(&found, "artifact/coarse-log-samples", "whole"), "{found:?}");
+        let found = broken(&|ps| ps.open = MeanFold::of([10.0]));
+        assert!(names(&found, "artifact/coarse-log-samples", "open"), "{found:?}");
+        let found = broken(&|ps| ps.closed.swap(0, 1));
+        assert!(names(&found, "artifact/coarse-log-order", "closed[1]"), "{found:?}");
+        let found = broken(&|ps| {
+            let mut row = ps.closed[1].clone();
+            row.window_start.0 += DAY;
+            ps.closed.push(row);
+        });
+        assert!(names(&found, "artifact/coarse-log-order", "closed[2]"), "{found:?}");
+    }
+
+    #[test]
     fn delta_journal_records_the_session() {
         let mut ctl = controller();
         let cfg = StreamConfig { reconcile_every: 2, ..StreamConfig::default() };
@@ -2331,18 +2428,34 @@ mod tests {
 
     /// A time-ordered log from `(stride, src, dst, value)` picks over a
     /// 4-node WAN. Values tie, include ±0.0 and, with `nan`, NaNs of both
-    /// signs.
-    fn walk_free_log(raw: &[(usize, u32, u32, usize)], nan: bool) -> Vec<BandwidthRecord> {
-        const GBPS: [f64; 8] = [0.0, -0.0, 1.0, 1.0, 40.0, 900.0, f64::NAN, -f64::NAN];
-        let pool = if nan { GBPS.len() } else { GBPS.len() - 2 };
+    /// signs and +∞. With `phase` > 0 the records come in blocks of
+    /// `phase`: steady ones (40.0) alternate with blocks drawn from the
+    /// pool, so a pair's class flips stable → volatile → stable as its
+    /// history grows. With `dup` every record is sent twice, the copy at
+    /// the same timestamp with the next value of the pool: a same-`ts`
+    /// duplicate that a delta boundary may split.
+    fn walk_free_log(
+        raw: &[(usize, u32, u32, usize)],
+        nan: bool,
+        phase: usize,
+        dup: bool,
+    ) -> Vec<BandwidthRecord> {
+        const GBPS: [f64; 9] =
+            [0.0, -0.0, 1.0, 1.0, 40.0, 900.0, f64::NAN, -f64::NAN, f64::INFINITY];
+        let pool = if nan { GBPS.len() } else { GBPS.len() - 3 };
         let mut epoch = 0;
-        raw.iter()
-            .map(|&(stride, src, dst, v)| {
-                epoch += WALK_FREE_STRIDES.get(stride).copied().unwrap_or(0);
-                let gbps = GBPS.get(v % pool).copied().unwrap_or(0.0);
-                BandwidthRecord { ts: Ts(epoch * EPOCH_SECS), src, dst, gbps }
-            })
-            .collect()
+        let mut log = Vec::new();
+        for (i, &(stride, src, dst, v)) in raw.iter().enumerate() {
+            epoch += WALK_FREE_STRIDES.get(stride).copied().unwrap_or(0);
+            let steady = phase > 0 && (i / phase).is_multiple_of(2);
+            let gbps = |v: usize| if steady { 40.0 } else { GBPS[v % pool] };
+            let ts = Ts(epoch * EPOCH_SECS);
+            log.push(BandwidthRecord { ts, src, dst, gbps: gbps(v) });
+            if dup {
+                log.push(BandwidthRecord { ts, src, dst, gbps: gbps(v + 1) });
+            }
+        }
+        log
     }
 
     /// `log` as a delta stream: one delta per epoch (`shape` 0), deltas of
@@ -2365,20 +2478,24 @@ mod tests {
     proptest::proptest! {
         /// Both incremental logs, fed per-epoch, window-crossing or
         /// bulk-then-tick delta streams, encode after every delta exactly
-        /// as the walk-free oracles (map grouping, partitioned copies) over
-        /// the log so far. The applies and the batch oracles share the run
+        /// as the walk-free oracles (map grouping, a map fold) over the log
+        /// so far, through class flips and same-`ts` duplicates within a
+        /// delta and across ticks; the adaptive log's volatile set is the
+        /// oracle's and its state breaks no rule. The applies and the batch oracles share the run
         /// walk; these oracles do not, so a walk bug cannot hide from
         /// reconciliation. The adaptive apply also visits exactly the
         /// delta's sorted distinct pairs.
         #[test]
         fn incremental_logs_match_walk_free_oracles(
-            raw in proptest::collection::vec((0usize..8, 0u32..4, 0u32..4, 0usize..8), 0..120),
+            raw in proptest::collection::vec((0usize..8, 0u32..4, 0u32..4, 0usize..9), 0..120),
             nan in 0u8..4,
             shape in 0u8..3,
             chunk in 1usize..20,
             cv_threshold in 0.0f64..1.5,
+            phase_pick in 0usize..3,
+            dup in 0u8..3,
         ) {
-            use crate::bwlogs::tests::{adaptive_by_partition, coarsen_by_map};
+            use crate::bwlogs::tests::{adaptive_by_partition, coarsen_by_map, volatile_by_map};
             let all = vec![
                 Statistic::Mean,
                 Statistic::Min,
@@ -2387,7 +2504,8 @@ mod tests {
                 Statistic::P95,
                 Statistic::P99,
             ];
-            let log = walk_free_log(&raw, nan == 0);
+            let phase = [0, 5, 17][phase_pick];
+            let log = walk_free_log(&raw, nan == 0, phase, dup == 0);
             let c = TimeCoarsener::new(HOUR, all.clone());
             let ac = AdaptiveCoarsener {
                 cv_threshold,
@@ -2410,6 +2528,8 @@ mod tests {
                     adaptive.encode(),
                     encode_coarse_log(&adaptive_by_partition(&ac, prefix))
                 );
+                proptest::prop_assert_eq!(adaptive.volatile_pairs(), volatile_by_map(&ac, prefix));
+                proptest::prop_assert!(adaptive.violations().is_empty(), "{:?}", adaptive.violations());
             }
         }
     }
@@ -2475,37 +2595,71 @@ mod tests {
         }
     }
 
-    /// Corrupt row `at` (modulo the row count, pair by pair) of the
-    /// adaptive log with corruption `kind`: a field (0–4), a dropped (5)
-    /// or duplicated (6) row, or an extra pair after the last, with a copy
-    /// of that row (7) or with no rows (8).
+    /// Corrupt row `at` (modulo the row count, pair by pair, each pair's
+    /// closed rows then its open one) of the adaptive log with corruption
+    /// `kind`. A closed row takes a field corruption (0–4), or is dropped
+    /// (5) or duplicated (6). The open row, computed from the pair's
+    /// samples and folds, has its last sample's value bit, sign of zero or
+    /// NaN payload changed (0–2, leaving the folds as they were), its last
+    /// timestamp moved a window on (3), an unfolded sample appended (4),
+    /// its samples dropped (5) or a closed copy of it added (6). Kinds 7
+    /// and 8 add an extra pair after the last, with a copy of that row or
+    /// with no rows.
     fn corrupt_adaptive_row(log: &mut IncrementalAdaptiveLog, kind: u8, at: usize, pick: usize) {
-        let mut i = at % log.rows.max(1);
+        let target = at % log.rows.max(1);
+        let mut seen = 0;
+        let mut hit = None;
+        for (pair_at, ps) in log.pairs.iter().enumerate() {
+            if target < seen + ps.rows() {
+                hit = Some((pair_at, target - seen));
+                break;
+            }
+            seen += ps.rows();
+        }
+        let Some((pair_at, row_at)) = hit else { return };
+        let window = log.window(&log.pairs[pair_at]);
+        let mut open = coarse_row((0, 0), 0, 0, []);
+        let open =
+            log.fill_open_row(pair_at, &mut open, &mut RowScratch::default()).then_some(open);
         if kind >= 7 {
-            let mut row = log.pairs.iter().flat_map(|p| &p.rows).nth(i).cloned();
+            let mut row = log.pairs[pair_at].closed.get(row_at).cloned().or(open);
             if let Some(row) = &mut row {
                 (row.src, row.dst) = (u32::MAX, u32::MAX);
             }
             log.keys.push((u32::MAX, u32::MAX));
             log.pairs.push(PairState {
-                rows: row.into_iter().filter(|_| kind == 7).collect(),
+                closed: row.into_iter().filter(|_| kind == 7).collect(),
                 ..PairState::default()
             });
             return;
         }
-        let Some(ps) = log.pairs.iter_mut().find(|p| {
-            let here = i < p.rows.len();
-            if !here {
-                i -= p.rows.len();
+        let ps = &mut log.pairs[pair_at];
+        if row_at < ps.closed.len() {
+            match kind {
+                5 => drop(ps.closed.remove(row_at)),
+                6 => ps.closed.insert(row_at, ps.closed[row_at].clone()),
+                _ => corrupt_fields(&mut ps.closed[row_at], kind, pick),
             }
-            here
-        }) else {
             return;
-        };
-        match kind {
-            5 => drop(ps.rows.remove(i)),
-            6 => ps.rows.insert(i, ps.rows[i].clone()),
-            _ => corrupt_fields(&mut ps.rows[i], kind, pick),
+        }
+        match (kind, ps.values.last_mut()) {
+            (0, Some(value)) => *value = f64::from_bits(value.to_bits() ^ 1),
+            (1, Some(value)) => *value = flip_sign(*value),
+            (2, Some(value)) => *value = other_nan(*value),
+            (3, _) => {
+                if let Some(last) = ps.ts.last_mut() {
+                    *last += window;
+                }
+            }
+            (4, Some(&mut value)) => {
+                ps.ts.push(ps.ts.last().copied().unwrap_or_default());
+                ps.values.push(value);
+            }
+            (5, _) => {
+                ps.ts.clear();
+                ps.values.clear();
+            }
+            _ => ps.closed.extend(open),
         }
     }
 
@@ -2561,7 +2715,7 @@ mod tests {
                 },
                 reconcile_every: 0,
             };
-            let log = walk_free_log(&raw, nan == 0);
+            let log = walk_free_log(&raw, nan == 0, 0, false);
             let mut ctl = controller();
             let mut state = StreamState::new(cfg.clone(), small_fine());
             ctl.stream_run(&mut state, &walk_free_deltas(&log, shape, chunk), &[])

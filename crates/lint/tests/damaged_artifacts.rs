@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use smn_core::bwlogs::CoarseBwRecord;
 use smn_core::controller::{ControllerConfig, SmnController};
 use smn_core::stream::{StreamConfig, StreamError, StreamState};
 use smn_depgraph::coarse::CoarseDepGraph;
@@ -19,7 +20,7 @@ use smn_lint::artifact::check_str;
 use smn_perf::BenchReport;
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::time::Ts;
+use smn_telemetry::time::{Ts, DAY};
 
 /// Characters that change JSON structure, numbers, or string content.
 const REPLACEMENTS: [char; 16] =
@@ -95,6 +96,69 @@ fn swapped_pair_keys_are_a_checkpoint_error() {
         }
         Err(other) => panic!("expected a checkpoint error, got {other}"),
         Ok(_) => panic!("a pair table with swapped keys must not restore"),
+    }
+}
+
+/// `checkpoint` restores to a checkpoint error whose rule and path say
+/// what broke in the adaptive log.
+fn assert_adaptive_checkpoint_error(checkpoint: &str, rule: &str, at: &str) {
+    match StreamState::restore(checkpoint) {
+        Err(StreamError::Checkpoint(v)) => {
+            assert_eq!(v.rule, rule, "{v}");
+            assert!(v.to_string().contains(at), "{v}");
+        }
+        Err(other) => panic!("expected a checkpoint error, got {other}"),
+        Ok(_) => panic!("a damaged adaptive log must not restore"),
+    }
+}
+
+#[test]
+fn a_corrupted_fold_is_a_checkpoint_error() {
+    let checkpoint = checkpoint();
+    // Each pair folded one 10.0 sample: a sum of 20 is no fold of it.
+    for (fold, forged, at) in [
+        (r#""open":{"count":1,"sum":1"#, r#""open":{"count":1,"sum":2"#, "open"),
+        (
+            r#""whole":{"unshifted":{"count":1,"sum":1"#,
+            r#""whole":{"unshifted":{"count":1,"sum":2"#,
+            "whole",
+        ),
+    ] {
+        assert!(checkpoint.contains(fold), "{checkpoint}");
+        let forged = checkpoint.replacen(fold, forged, 1);
+        let at = format!("[$.adaptive.pairs[0].{at}]");
+        assert_adaptive_checkpoint_error(&forged, "artifact/coarse-log-samples", &at);
+    }
+}
+
+#[test]
+fn a_checkpoint_of_value_sorted_histories_is_refused() {
+    // Before folds, a pair kept its values sorted with parallel
+    // timestamps, a class flag and all of its rows: no history fold.
+    let checkpoint = checkpoint();
+    let (head, tail) = checkpoint.split_once(r#""pairs":["#).expect("the log has a pair table");
+    let (_, rest) = tail.split_once(r#"],"rows":"#).expect("the pair table ends");
+    let old: Vec<String> = [(0, 1), (0, 2), (3, 1)]
+        .map(|(src, dst)| {
+            let row = CoarseBwRecord {
+                window_start: Ts(0),
+                window_secs: DAY,
+                src,
+                dst,
+                values: vec![10.0],
+            };
+            let row = serde_json::to_string(&row).expect("a row serializes");
+            format!(r#"{{"values":[10.0],"ts":[0],"volatile":false,"rows":[{row}]}}"#)
+        })
+        .to_vec();
+    let forged = format!(r#"{head}"pairs":[{}],"rows":{rest}"#, old.join(","));
+    match StreamState::restore(&forged) {
+        Err(StreamError::Checkpoint(v)) => {
+            assert_eq!(v.rule, "artifact/unreadable", "{v}");
+            assert!(v.to_string().contains("struct Fold"), "{v}");
+        }
+        Err(other) => panic!("expected a checkpoint error, got {other}"),
+        Ok(_) => panic!("a value-sorted history must not restore"),
     }
 }
 

@@ -48,11 +48,13 @@ impl SummaryStats {
     /// Summarize samples already sorted ascending under `f64::total_cmp`.
     /// Returns `None` for an empty slice.
     ///
-    /// This is the one summariser: [`SummaryStats::of`] sorts and calls
-    /// it, and incremental coarseners that keep their sample buffers
-    /// sorted call it directly. Under `total_cmp` the sorted sequence of a
-    /// multiset of values is unique bit for bit, so both paths sum the same
-    /// samples in the same order and agree exactly.
+    /// This is the one sorted-order summariser: [`SummaryStats::of`] sorts
+    /// and calls it, and the uniform incremental coarse log, which keeps
+    /// each open cell's samples sorted, calls it directly. Under
+    /// `total_cmp` the sorted sequence of a multiset of values is unique
+    /// bit for bit, so both paths sum the same samples in the same order
+    /// and agree exactly. (The adaptive coarsener summarises in arrival
+    /// order instead, with a [`Fold`].)
     #[must_use]
     pub fn of_sorted(sorted: &[f64]) -> Option<SummaryStats> {
         debug_assert_sorted(sorted);
@@ -85,6 +87,149 @@ impl SummaryStats {
             Statistic::P99 => self.p99,
         }
     }
+}
+
+/// The count and `Σx` of samples pushed one at a time: the mean half of a
+/// [`Fold`], and all a window's row needs for [`Statistic::Mean`].
+///
+/// The first push sets the sum to the sample itself, so a one-sample mean
+/// is that sample bit for bit, `-0.0` included; every later push adds, in
+/// push order. The order is part of the definition: the same samples
+/// pushed in the same order give the same bits. The one exception is NaN:
+/// which NaN an addition of two NaNs returns is unspecified (the compiler
+/// may commute it), so a NaN mean is always [`f64::NAN`] and
+/// [`MeanFold::same_bits`] treats every NaN sum as one value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct MeanFold {
+    count: usize,
+    sum: f64,
+}
+
+impl MeanFold {
+    /// Fold `values` in order: bit for bit the fold of pushing them one
+    /// at a time.
+    #[must_use]
+    pub fn of(values: impl IntoIterator<Item = f64>) -> MeanFold {
+        let mut fold = MeanFold::default();
+        for x in values {
+            fold.push(x);
+        }
+        fold
+    }
+
+    /// Fold `x` in.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        self.sum = if self.count == 0 { x } else { self.sum + x };
+        self.count += 1;
+    }
+
+    /// The samples pushed so far.
+    #[must_use]
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// `Σx / n`, or [`f64::NAN`] when that is any NaN; `None` before the
+    /// first push.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)] // a sample count is far below 2^53
+    pub fn mean(&self) -> Option<f64> {
+        (self.count > 0).then(|| canonical_nan(self.sum / self.count as f64))
+    }
+
+    /// Whether `other` holds the same count and the same sum bits, every
+    /// NaN counting as one value (`-0.0` still differs from `0.0`).
+    #[must_use]
+    pub fn same_bits(&self, other: &MeanFold) -> bool {
+        self.count == other.count && nan_blind_bits(self.sum) == nan_blind_bits(other.sum)
+    }
+}
+
+/// Mean and population standard deviation of samples folded one at a time
+/// in arrival order, with no division per sample: a [`MeanFold`] plus the
+/// shifted-data sums `Σ(x−K)` and `Σ(x−K)²`, where the shift `K` is the
+/// first sample. Shifting by a sample keeps the variance from cancelling
+/// catastrophically around a large mean.
+///
+/// Stated once, for every caller:
+/// * mean = `Σx / n` ([`MeanFold::mean`]);
+/// * std = `√max(0, (Σ(x−K)² − (Σ(x−K))² / n) / n)`, the `max` only
+///   undoing rounding below zero (a NaN variance stays NaN).
+///
+/// A fold is defined by its push order, not by its multiset: the same
+/// samples in another order may differ in the last bits. The adaptive
+/// coarsener folds each pair in arrival order on both its batch and its
+/// incremental path, so the two agree bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct Fold {
+    unshifted: MeanFold,
+    shift: f64,
+    shifted_sum: f64,
+    shifted_squares: f64,
+}
+
+impl Fold {
+    /// Fold `values` in order: bit for bit the fold of pushing them one
+    /// at a time.
+    #[must_use]
+    pub fn of(values: impl IntoIterator<Item = f64>) -> Fold {
+        let mut fold = Fold::default();
+        for x in values {
+            fold.push(x);
+        }
+        fold
+    }
+
+    /// Fold `x` in.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        if self.unshifted.count == 0 {
+            self.shift = x;
+        }
+        self.unshifted.push(x);
+        let d = x - self.shift;
+        self.shifted_sum += d;
+        self.shifted_squares += d * d;
+    }
+
+    /// The mean: [`MeanFold::mean`] of the same samples.
+    #[must_use]
+    pub fn mean(&self) -> Option<f64> {
+        self.unshifted.mean()
+    }
+
+    /// The population standard deviation; `None` before the first push.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)] // a sample count is far below 2^53
+    pub fn std(&self) -> Option<f64> {
+        let n = self.unshifted.count as f64;
+        let var = (self.shifted_squares - self.shifted_sum * self.shifted_sum / n) / n;
+        (self.unshifted.count > 0).then(|| if var < 0.0 { 0.0 } else { var }.sqrt())
+    }
+
+    /// Whether `other` holds the same count and the same bits in every
+    /// sum and in the shift, every NaN counting as one value.
+    #[must_use]
+    pub fn same_bits(&self, other: &Fold) -> bool {
+        let sums = |f: &Fold| [f.shift, f.shifted_sum, f.shifted_squares].map(nan_blind_bits);
+        self.unshifted.same_bits(&other.unshifted) && sums(self) == sums(other)
+    }
+}
+
+/// `x`, or [`f64::NAN`] when `x` is any NaN.
+#[inline]
+fn canonical_nan(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    }
+}
+
+/// The bits of [`canonical_nan`]`(x)`.
+fn nan_blind_bits(x: f64) -> u64 {
+    canonical_nan(x).to_bits()
 }
 
 /// A `(src, dst)` pair packed so that `u64` order is `(src, dst)` order.
@@ -766,6 +911,28 @@ mod tests {
             prop_assert_eq!(bits(SummaryStats::of(&values)), bits(SummaryStats::of(&reversed)));
         }
 
+        /// Folding a slice is pushing its samples one at a time, for both
+        /// folds, over arbitrary bit patterns (NaNs of both signs, ±0.0,
+        /// ±∞, subnormals); the mean is the `MeanFold`'s, and a fold
+        /// equals itself bit for bit.
+        #[test]
+        fn folding_a_slice_is_pushing_its_samples_one_at_a_time(
+            bits in proptest::collection::vec(f64_bits(), 0..60),
+        ) {
+            let values: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+            let (mut fold, mut mean) = (Fold::default(), MeanFold::default());
+            for &x in &values {
+                fold.push(x);
+                mean.push(x);
+            }
+            prop_assert!(Fold::of(values.iter().copied()).same_bits(&fold));
+            prop_assert!(MeanFold::of(values.iter().copied()).same_bits(&mean));
+            prop_assert!(fold.same_bits(&fold));
+            prop_assert_eq!(mean.count(), values.len());
+            prop_assert_eq!(fold.mean().map(f64::to_bits), mean.mean().map(f64::to_bits));
+            prop_assert_eq!(fold.std().is_some(), !values.is_empty());
+        }
+
         /// `value_key` carries `f64::total_cmp` onto `u64` order, and
         /// `key_value` inverts it bit for bit, over arbitrary bit patterns:
         /// the keys the sort kernel sorts.
@@ -775,6 +942,27 @@ mod tests {
             prop_assert_eq!(key_value(value_key(x)).to_bits(), a);
             prop_assert_eq!(value_key(x).cmp(&value_key(y)), x.total_cmp(&y));
         }
+    }
+
+    #[test]
+    fn a_fold_states_its_mean_and_population_std() {
+        let fold = Fold::of([4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(fold.mean(), Some(2.5));
+        assert!((fold.std().unwrap() - 1.25f64.sqrt()).abs() < 1e-15);
+        // Shifted by the first sample, a large mean does not cancel away
+        // the spread.
+        let fold = Fold::of([1e9 + 1.0, 1e9 + 3.0]);
+        assert_eq!(fold.std(), Some(1.0));
+        assert_eq!(Fold::of([7.0; 5]).std(), Some(0.0));
+        assert_eq!(Fold::default().mean(), None);
+        assert_eq!(Fold::default().std(), None);
+        // One sample's mean is that sample, -0.0 included; a NaN mean is
+        // the one canonical NaN.
+        assert_eq!(MeanFold::of([-0.0]).mean().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(MeanFold::of([-f64::NAN]).mean().map(f64::to_bits), Some(f64::NAN.to_bits()));
+        assert!(MeanFold::of([f64::NAN]).same_bits(&MeanFold::of([-f64::NAN])));
+        assert!(!MeanFold::of([0.0]).same_bits(&MeanFold::of([-0.0])));
+        assert!(Fold::of([f64::INFINITY, f64::NEG_INFINITY]).std().is_some_and(f64::is_nan));
     }
 
     /// By the 0-1 principle, a comparator network sorts every input when
