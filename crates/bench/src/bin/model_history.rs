@@ -6,7 +6,7 @@
 //! answering "what was/will be the demand at time T?" — including a
 //! *held-out future week* no summary window can answer at all.
 
-use smn_core::bwlogs::TimeCoarsener;
+use smn_core::bwlogs::{CoveringRows, TimeCoarsener};
 use smn_core::coarsen::Coarsening;
 use smn_core::modelhist::{reconstruction_error, ModelCoarsener};
 use smn_telemetry::series::Statistic;
@@ -41,10 +41,11 @@ fn main() {
     let daily = TimeCoarsener::new(DAY, vec![Statistic::Mean]);
     let daily_report = daily.report(&log);
     let daily_err = {
+        let rows = CoveringRows::new(&daily_report.coarse);
         let mut total = 0.0;
         let mut n = 0usize;
         for r in log.iter().step_by(11) {
-            if let Some(est) = TimeCoarsener::estimate(&daily_report.coarse, r.src, r.dst, r.ts) {
+            if let Some(est) = rows.estimate(r.src, r.dst, r.ts) {
                 total += (est - r.gbps).abs() / r.gbps.max(1e-9);
                 n += 1;
             }

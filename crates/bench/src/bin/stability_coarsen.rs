@@ -16,7 +16,7 @@
 //! coarse log, against the true daily p95 computed from the raw log.
 //! Regime shifts inside a long window are exactly what this gets wrong.
 
-use smn_core::bwlogs::{AdaptiveCoarsener, CoarseBwRecord, TimeCoarsener};
+use smn_core::bwlogs::{AdaptiveCoarsener, CoarseBwRecord, CoveringRows, TimeCoarsener};
 use smn_core::coarsen::Coarsening;
 use smn_telemetry::record::BandwidthRecord;
 use smn_telemetry::series::Statistic;
@@ -26,22 +26,11 @@ use smn_telemetry::time::{DAY, HOUR};
 /// Mean relative error of daily-p95 recall over all (pair, day) cells.
 ///
 /// A cell's estimate is the first statistic of the pair's row whose
-/// window covers midday. The adaptive log mixes window sizes, so rows are
-/// looked up per pair rather than with `TimeCoarsener::estimate`, which
-/// needs a uniform-window log (on a mixed log it finds no row for the
-/// pairs of the other window size, and their cells drop out).
+/// window covers midday ([`CoveringRows`], which holds for the adaptive
+/// log's mix of window sizes).
 fn estimate_error(log: &[BandwidthRecord], coarse: &[CoarseBwRecord], days: u64) -> f64 {
     use std::collections::HashMap;
-    let mut rows: HashMap<(u32, u32), Vec<&CoarseBwRecord>> = HashMap::new();
-    for r in coarse {
-        rows.entry((r.src, r.dst)).or_default().push(r);
-    }
-    let estimate = |src: u32, dst: u32, ts: smn_telemetry::time::Ts| {
-        rows.get(&(src, dst))?
-            .iter()
-            .find(|r| r.window_start.0 <= ts.0 && ts.0 < r.window_start.0 + r.window_secs)
-            .and_then(|r| r.values.first().copied())
-    };
+    let rows = CoveringRows::new(coarse);
     // True daily p95 per (pair, day).
     let mut samples: HashMap<(u32, u32, u64), Vec<f64>> = HashMap::new();
     for r in log {
@@ -56,7 +45,7 @@ fn estimate_error(log: &[BandwidthRecord], coarse: &[CoarseBwRecord], days: u64)
         vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let truth = smn_telemetry::series::percentile_sorted(&vals, 95.0);
         let midday = smn_telemetry::time::Ts(day * DAY + DAY / 2);
-        if let Some(est) = estimate(src, dst, midday) {
+        if let Some(est) = rows.estimate(src, dst, midday) {
             total += (est - truth).abs() / truth.max(1e-9);
             n += 1;
         }

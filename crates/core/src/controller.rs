@@ -269,11 +269,6 @@ impl SmnController {
         &self.lake
     }
 
-    /// Mutable lake access (e.g. heal or break a partition mid-campaign).
-    pub fn lake_mut(&mut self) -> &mut FaultyStore {
-        &mut self.lake
-    }
-
     /// Tear the controller down, releasing its lake: the store outlives a
     /// controller crash (pair with [`SmnController::restore`]).
     pub fn into_lake(self) -> FaultyStore {

@@ -20,24 +20,26 @@
 //!
 //! Byte-identity is not luck; it is engineered:
 //! * the uniform log's batch oracle summarizes each cell's samples
-//!   *sorted* under `f64::total_cmp` (`SummaryStats::of` sorts, then calls
-//!   `SummaryStats::of_sorted`), and the incremental log keeps every open
+//!   *sorted* under `f64::total_cmp`, each configured statistic by
+//!   `Statistic::of_sorted`, and the incremental log keeps every open
 //!   cell's sample buffer in that same sorted order. The sorted sequence
 //!   of a multiset of `f64`s is unique bit for bit, so a dirty cell
 //!   summarized by `of_sorted` sums the same samples in the same order as
 //!   the batch pass — whatever order they arrived in;
 //! * the adaptive log's arithmetic is an *arrival-order* fold instead
-//!   ([`Fold`], [`MeanFold`]): the batch oracle folds each pair's samples
-//!   in lake order, which is arrival order, and the incremental log pushes
-//!   each new sample onto its folds as it arrives, so both sum the same
-//!   samples in the same order with no sort. Any statistic but the mean
-//!   is read from a sorted copy of the window's samples through the one
-//!   helper both sides call (`adaptive_row_values`);
+//!   ([`Fold`], [`MeanFold`]): the batch oracle sweeps the lake in lake
+//!   order, which is arrival order, folding each sample into its pair's
+//!   folds, and the incremental log pushes each new sample onto its folds
+//!   as it arrives, so both sum the same samples in the same order with
+//!   no sort. Any statistic but the mean is read from a sorted copy of the
+//!   window's samples through the one helper both sides call
+//!   (`adaptive_row_values`);
 //! * both logs are dense sorted tables keyed in batch order —
 //!   `(window, pair_key)` cells for the uniform log, `(src, dst)` pairs
-//!   for the adaptive one — merge-joined against each delta walked in
-//!   that order by the batch oracles' own run walk, so materialized row
-//!   order equals batch row order;
+//!   for the adaptive one. The uniform log is merge-joined against each
+//!   delta walked by the time oracle's own cell walk, so materialized row
+//!   order equals batch row order; reconciliation compares the adaptive
+//!   oracle's rows with each pair's own rows, in window order;
 //! * the fine graph and CDG are append-only, and contraction orders teams
 //!   and coarse edges by first appearance, so appended churn lands where
 //!   a rebuild would put it.
@@ -52,7 +54,9 @@
 //! [`StreamError::OutOfOrder`] that leaves the state untouched. The
 //! adaptive log classifies each pair over its whole history, so it keeps
 //! every sample, in time order; a tick folds only its new samples, and
-//! reconciliation still recomputes from the whole lake.
+//! reconciliation still recomputes from the whole lake. A sample behind
+//! its pair's history is its [`StreamError::OutOfOrder`], refused before
+//! the log is touched.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -64,16 +68,14 @@ use smn_depgraph::delta::{DeltaError, GraphDelta};
 use smn_depgraph::fine::FineDepGraph;
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::series::{
-    key_pair, pair_key, sort_total, walk_runs, Fold, MeanFold, Statistic, SummaryStats,
-};
+use smn_telemetry::series::{key_pair, pair_key, sort_total, walk_runs, Fold, MeanFold, Statistic};
 use smn_telemetry::time::{Ts, DAY, HOUR};
 use smn_topology::artifact::{under, Step, Violation};
 use smn_topology::path;
 
 use crate::bwlogs::{
-    adaptive_row_values, encode_coarse_log, row_wire_bytes, volatile_at, window_runs,
-    AdaptiveCoarsener, CoarseBwRecord, RowScratch, TimeCoarsener,
+    adaptive_row_values, encode_coarse_log, gallop, row_wire_bytes, splice_sorted, stat_values,
+    volatile_at, window_runs, AdaptiveCoarsener, CoarseBwRecord, RowScratch, TimeCoarsener,
 };
 use crate::controller::SmnController;
 
@@ -201,10 +203,11 @@ pub struct DeltaApplyStats {
     pub total_rows: usize,
 }
 
-/// Overwrite `values` with the `stats` of `summary`, reusing its buffer.
-fn write_stats(values: &mut Vec<f64>, stats: &[Statistic], summary: &SummaryStats) {
+/// Overwrite `values` with the `stats` of the `sorted` samples
+/// ([`stat_values`]), reusing its buffer.
+fn write_stats(values: &mut Vec<f64>, stats: &[Statistic], sorted: &[f64]) {
     values.clear();
-    values.extend(stats.iter().map(|&st| summary.get(st)));
+    values.extend(stat_values(stats, sorted));
 }
 
 /// The coarse row of `(src, dst)` for window index `w` of `window`-second
@@ -222,40 +225,6 @@ fn coarse_row(
         dst,
         values: values.into_iter().collect(),
     }
-}
-
-/// First index at or after `from` whose key is not below `key`. Steps
-/// double until one lands on or past `key`, then a binary search covers
-/// the last step, so walking a sorted table with ascending probes costs
-/// `O(log gap)` per probe — one comparison when consecutive probes hit
-/// consecutive keys, as a steady tick's pairs do.
-fn gallop<K: Ord>(keys: &[K], from: usize, key: &K) -> usize {
-    let rest = keys.get(from..).unwrap_or_default();
-    let mut step = 1;
-    while rest.get(step - 1).is_some_and(|k| k < key) {
-        step *= 2;
-    }
-    let lo = step / 2;
-    let last_step = rest.get(lo..step.min(rest.len())).unwrap_or_default();
-    from + lo + last_step.partition_point(|k| k < key)
-}
-
-/// Insert each `(at, item)` of `fresh` before the element that sat at
-/// index `at` of `table`, moving every old element at most once. `fresh`
-/// is ascending in `at`, as a merge-join's misses are.
-fn splice_sorted<T>(table: &mut Vec<T>, fresh: Vec<(usize, T)>) {
-    if fresh.is_empty() {
-        return;
-    }
-    let mut old = std::mem::take(table).into_iter();
-    table.reserve(old.len() + fresh.len());
-    let mut taken = 0;
-    for (at, item) in fresh {
-        table.extend(old.by_ref().take(at.saturating_sub(taken)));
-        taken = taken.max(at);
-        table.push(item);
-    }
-    table.extend(old);
 }
 
 /// Merge `run` (ascending under `f64::total_cmp`) into the sorted
@@ -364,7 +333,7 @@ struct Misses {
 ///   `(window index, pair_key)` — the time oracle's sort key — in `keys`,
 ///   ascending, and the parallel `cells` holds its samples (kept sorted
 ///   under `f64::total_cmp`, so a dirty cell goes straight to
-///   [`SummaryStats::of_sorted`]) and its row.
+///   [`Statistic::of_sorted`]) and its row.
 ///
 /// Every open window follows every sealed one, so `sealed` then the open
 /// rows is batch row order.
@@ -429,8 +398,7 @@ impl IncrementalCoarseLog {
             records,
             |_| true,
             |w, pair, samples| {
-                let Some(stats) = SummaryStats::of_sorted(samples) else { return };
-                let values = time.row_values(&stats);
+                let values = stat_values(&time.stats, samples);
                 same = same && rows.next().is_some_and(|row| time.is_row(row, w, pair, values));
             },
         );
@@ -452,10 +420,11 @@ impl IncrementalCoarseLog {
     }
 
     /// Refuse a delta with a record in a sealed window, before anything
-    /// is touched.
+    /// is touched. The frontier's start is computed once, so no record's
+    /// timestamp is divided.
     fn admit(&self, delta: &TelemetryDelta) -> Result<(), StreamError> {
-        let Some(late) = delta.records.iter().find(|r| r.ts.0 / self.window_secs < self.frontier)
-        else {
+        let sealed_until = self.frontier.saturating_mul(self.window_secs);
+        let Some(late) = delta.records.iter().find(|r| r.ts.0 < sealed_until) else {
             return Ok(());
         };
         Err(StreamError::OutOfOrder {
@@ -497,11 +466,9 @@ impl IncrementalCoarseLog {
             self.keys.get(*cursor).filter(|&&k| k == (w, pair)).and(self.cells.get_mut(*cursor));
         if let Some(cell) = hit {
             merge_samples(&mut cell.samples, samples);
-            if let Some(s) = SummaryStats::of_sorted(&cell.samples) {
-                write_stats(&mut cell.row.values, &self.stats, &s);
-            }
-        } else if let Some(s) = SummaryStats::of_sorted(samples) {
-            let values = self.stats.iter().map(|&st| s.get(st));
+            write_stats(&mut cell.row.values, &self.stats, &cell.samples);
+        } else if !samples.is_empty() {
+            let values = stat_values(&self.stats, samples);
             let row = coarse_row(key_pair(pair), w, self.window_secs, values);
             misses.keys.push((*cursor, (w, pair)));
             misses.cells.push((*cursor, OpenCell { samples: samples.to_vec(), row }));
@@ -638,6 +605,16 @@ impl TimeCoarsener {
     ) -> Result<DeltaApplyStats, StreamError> {
         state.built_for(self.window_secs, &self.stats)?;
         state.admit(delta)?;
+        Ok(self.apply_admitted(state, delta))
+    }
+
+    /// [`TimeCoarsener::apply_delta`] once its checks have passed (a
+    /// stream tick makes them before ingest).
+    fn apply_admitted(
+        &self,
+        state: &mut IncrementalCoarseLog,
+        delta: &TelemetryDelta,
+    ) -> DeltaApplyStats {
         let mut misses = Misses::default();
         let (mut open, mut cursor, mut dirty) = (None, 0usize, 0usize);
         self.for_each_cell(
@@ -655,12 +632,12 @@ impl TimeCoarsener {
         if let Some(w) = open {
             state.settle(&mut misses, w);
         }
-        Ok(DeltaApplyStats {
+        DeltaApplyStats {
             appended: delta.len(),
             dirty_cells: dirty,
             recomputed_rows: dirty,
             total_rows: state.rows(),
-        })
+        }
     }
 }
 
@@ -849,10 +826,11 @@ impl PairState {
 
 /// Incremental state of an [`AdaptiveCoarsener`]: a dense pair table —
 /// `keys` ascending with the parallel `pairs` holding each pair's
-/// history, folds and closed rows — plus the total row count. Only pairs
-/// a delta touches are re-classified, and only the windows it touches are
-/// re-summarized — a pair's volatility is a function of its own history
-/// alone, so untouched pairs cannot flip class.
+/// history, folds and closed rows — plus the total row count and the
+/// latest timestamp held. Only pairs a delta touches are re-classified,
+/// and only the windows it touches are re-summarized — a pair's
+/// volatility is a function of its own history alone, so untouched pairs
+/// cannot flip class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalAdaptiveLog {
     cv_threshold: f64,
@@ -862,6 +840,9 @@ pub struct IncrementalAdaptiveLog {
     keys: Vec<(u32, u32)>,
     pairs: Vec<PairState>,
     rows: usize,
+    /// The largest sample timestamp any pair holds (0 while empty): a
+    /// time-ordered delta from here on is behind no pair's history.
+    latest: u64,
 }
 
 impl IncrementalAdaptiveLog {
@@ -960,40 +941,88 @@ impl IncrementalAdaptiveLog {
         })
     }
 
+    /// Refuse a delta with a sample behind its pair's history (or behind
+    /// the pair's earlier sample in the delta), before anything is
+    /// touched. A time-ordered delta that starts at or after the latest
+    /// timestamp held, as every stream tick's does, passes at once;
+    /// `ordered` says the caller has already seen the delta's timestamps
+    /// ascend, which spares the scan that checks it. Any other delta is
+    /// walked by pair against the pair table.
+    fn admit(&self, delta: &TelemetryDelta, ordered: bool) -> Result<(), StreamError> {
+        let records = &delta.records;
+        let ahead = records.first().is_none_or(|r| r.ts.0 >= self.latest);
+        if ahead && (ordered || records.is_sorted_by_key(|r| r.ts)) {
+            return Ok(());
+        }
+        let (mut cursor, mut late) = (0usize, None);
+        walk_runs(
+            records,
+            |r| pair_key(r.src, r.dst),
+            Some,
+            |key, run| {
+                let pair = key_pair(key);
+                cursor = gallop(&self.keys, cursor, &pair);
+                let held =
+                    self.keys.get(cursor).filter(|&&k| k == pair).and(self.pairs.get(cursor));
+                let mut last = held.and_then(|ps| ps.ts.last().copied());
+                for r in run {
+                    if late.is_none() && last.is_some_and(|t| r.ts.0 < t) {
+                        late = Some((pair, r.ts, last));
+                    }
+                    last = Some(r.ts.0);
+                }
+            },
+        );
+        let Some((pair, ts, last)) = late else { return Ok(()) };
+        Err(StreamError::OutOfOrder {
+            detail: format!(
+                "adaptive sample of pair {pair:?} at {ts:?} falls behind the pair's sample at {}s",
+                last.unwrap_or_default()
+            ),
+        })
+    }
+
     /// Whether this log holds, row for row and bit for bit, the rows
     /// `adaptive` coarsens `records` into. The adaptive oracle's rows come
-    /// pair by pair, each pair's in window order, and are compared in
-    /// place with each pair's closed rows and then its open row, computed
-    /// from its folds (pairs with no rows skipped), so no batch row and no
-    /// encoding is built. For a log
-    /// that satisfies [`IncrementalAdaptiveLog::violations`] this is
-    /// exactly `self.encode() == encode_coarse_log(&adaptive.coarsen_records(..))`;
+    /// in the order its sweep closes them, each pair's in window order:
+    /// each is compared in place with its pair's next row — the closed
+    /// rows, then the open row computed from its folds — found by a
+    /// cursor into the pair table, so no batch row and no encoding is
+    /// built. Every pair's rows must then be used up. For a log that
+    /// satisfies [`IncrementalAdaptiveLog::violations`] this is exactly
+    /// `self.encode() == encode_coarse_log(&adaptive.coarsen_records(..))`;
     /// it also refuses a pair whose rows are out of window order, which
     /// `violations()` flags.
     fn matches_batch(&self, adaptive: &AdaptiveCoarsener, records: &[BandwidthRecord]) -> bool {
         let mut scratch = RowScratch::default();
         let mut open = coarse_row((0, 0), 0, 0, []);
-        let (mut at, mut row) = (0usize, 0usize);
-        let mut same = true;
-        let skip_empty = |at: &mut usize| {
-            while self.pairs.get(*at).is_some_and(|p| p.rows() == 0) {
-                *at += 1;
+        let mut used = vec![0usize; self.pairs.len()];
+        let (mut cursor, mut prev, mut same) = (0usize, None, true);
+        adaptive.for_each_row(records, |class, w, key, values| {
+            let pair = key_pair(key);
+            if prev.is_some_and(|p| pair < p) {
+                cursor = 0;
             }
-        };
-        adaptive.for_each_row(records, |class, w, pair, values| {
-            skip_empty(&mut at);
-            let values = values.iter().copied();
-            if let Some(closed) = self.pairs.get(at).and_then(|ps| ps.closed.get(row)) {
-                row += 1;
-                same = same && class.is_row(closed, w, pair, values);
+            prev = Some(pair);
+            cursor = gallop(&self.keys, cursor, &pair);
+            let ps = self.keys.get(cursor).filter(|&&k| k == pair).and(self.pairs.get(cursor));
+            let (Some(ps), Some(n)) = (ps, used.get_mut(cursor)) else {
+                same = false;
                 return;
-            }
-            same = same && self.fill_open_row(at, &mut open, &mut scratch);
-            same = same && class.is_row(&open, w, pair, values);
-            (at, row) = (at + 1, 0);
+            };
+            let values = values.iter().copied();
+            same = same
+                && match ps.closed.get(*n) {
+                    Some(closed) => class.is_row(closed, w, key, values),
+                    None => {
+                        *n == ps.closed.len()
+                            && self.fill_open_row(cursor, &mut open, &mut scratch)
+                            && class.is_row(&open, w, key, values)
+                    }
+                };
+            *n += 1;
         });
-        skip_empty(&mut at);
-        same && at == self.pairs.len()
+        same && self.pairs.iter().zip(&used).all(|(ps, &n)| n == ps.rows())
     }
 
     /// The log is one `apply_delta` could have left: non-zero windows and
@@ -1002,8 +1031,9 @@ impl IncrementalAdaptiveLog {
     /// its history fold bit for bit the fold of its values and its open
     /// fold that of exactly the values in its last sample's window; its
     /// closed rows its own, ascending and before that window, each one
-    /// aligned window of its class with one value per statistic; and the
-    /// row count the sum of the pairs' rows.
+    /// aligned window of its class with one value per statistic; the row
+    /// count the sum of the pairs' rows; and the latest timestamp the
+    /// largest any pair holds.
     #[must_use]
     pub fn violations(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -1044,6 +1074,15 @@ impl IncrementalAdaptiveLog {
                 "the row count is kept as the sum of the pairs' rows",
             ));
         }
+        let latest = self.pairs.iter().filter_map(|ps| ps.ts.last().copied()).max();
+        if latest.unwrap_or_default() != self.latest {
+            out.push(Violation::new(
+                "artifact/coarse-log-samples",
+                path!["latest"],
+                format!("latest timestamp {}s but the pairs hold up to {latest:?}", self.latest),
+                "the latest timestamp is kept as the largest one any pair holds",
+            ));
+        }
         out
     }
 }
@@ -1060,6 +1099,7 @@ impl AdaptiveCoarsener {
             keys: Vec::new(),
             pairs: Vec::new(),
             rows: 0,
+            latest: 0,
         }
     }
 
@@ -1079,24 +1119,28 @@ impl AdaptiveCoarsener {
     ///
     /// # Errors
     /// [`StreamError::StateMismatch`] when `state` was built by a
-    /// different configuration.
+    /// different configuration, and [`StreamError::OutOfOrder`] when a
+    /// sample falls behind its pair's history (or its pair's earlier
+    /// sample in the delta). Either leaves `state` untouched.
     pub fn apply_delta(
         &self,
         state: &mut IncrementalAdaptiveLog,
         delta: &TelemetryDelta,
     ) -> Result<DeltaApplyStats, StreamError> {
-        self.apply_delta_visiting(state, delta, |_| {})
+        state.built_for(self)?;
+        state.admit(delta, false)?;
+        Ok(self.apply_admitted(state, delta, |_| {}))
     }
 
-    /// [`AdaptiveCoarsener::apply_delta`], handing `on_pair` each pair
+    /// [`AdaptiveCoarsener::apply_delta`] once its checks have passed (a
+    /// stream tick makes them before ingest), handing `on_pair` each pair
     /// the delta touches, once and in ascending order.
-    fn apply_delta_visiting(
+    fn apply_admitted(
         &self,
         state: &mut IncrementalAdaptiveLog,
         delta: &TelemetryDelta,
         mut on_pair: impl FnMut((u32, u32)),
-    ) -> Result<DeltaApplyStats, StreamError> {
-        state.built_for(self)?;
+    ) -> DeltaApplyStats {
         let mut scratch = RowScratch::default();
         let mut fresh_keys = Vec::new();
         let mut fresh_pairs = Vec::new();
@@ -1113,22 +1157,24 @@ impl AdaptiveCoarsener {
                 let before = ps.rows();
                 recomputed += self.absorb(ps, pair, run, &mut scratch);
                 state.rows = (state.rows + ps.rows()).saturating_sub(before);
+                state.latest = state.latest.max(ps.ts.last().copied().unwrap_or_default());
             } else {
                 let mut ps = PairState::default();
                 recomputed += self.absorb(&mut ps, pair, run, &mut scratch);
                 state.rows += ps.rows();
+                state.latest = state.latest.max(ps.ts.last().copied().unwrap_or_default());
                 fresh_keys.push((cursor, pair));
                 fresh_pairs.push((cursor, ps));
             }
         });
         splice_sorted(&mut state.keys, fresh_keys);
         splice_sorted(&mut state.pairs, fresh_pairs);
-        Ok(DeltaApplyStats {
+        DeltaApplyStats {
             appended: delta.len(),
             dirty_cells: dirty,
             recomputed_rows: recomputed,
             total_rows: state.rows,
-        })
+        }
     }
 
     /// Append one pair's run of new records to its state, push them onto
@@ -1307,12 +1353,16 @@ impl StreamState {
 
     /// Refuse, while the lake is still untouched, every tick whose
     /// coarse-log applies would fail: a configuration a coarsener
-    /// asserts against, logs built for another configuration, or a
-    /// record in a sealed window. After this neither apply can fail.
+    /// asserts against, logs built for another configuration, a record
+    /// in a sealed window or a sample behind its pair's adaptive history.
+    /// After this neither apply can fail, so the tick applies `delta`
+    /// with no second check. `delta`'s timestamps ascend: the tick has
+    /// checked them against the lake.
     fn admit(&self, delta: &TelemetryDelta) -> Result<(), StreamError> {
         self.config.admit()?;
         self.built_by_config()?;
-        self.time.admit(delta)
+        self.time.admit(delta)?;
+        self.adaptive.admit(delta, true)
     }
 
     /// Combined FNV-1a fingerprint over all three incremental artifacts —
@@ -1322,12 +1372,17 @@ impl StreamState {
     /// encoding built.
     #[must_use]
     pub fn fingerprint(&self) -> String {
+        self.fingerprint_with(&self.cdg.canonical_bytes())
+    }
+
+    /// [`StreamState::fingerprint`], given the CDG's canonical bytes.
+    fn fingerprint_with(&self, cdg: &[u8]) -> String {
         let mut hash = FNV_OFFSET;
         for row in self.time.all_rows() {
             fnv1a_row(&mut hash, row);
         }
         self.adaptive.for_each_sorted_row(|row| fnv1a_row(&mut hash, row));
-        fnv1a(&mut hash, &self.cdg.canonical_bytes());
+        fnv1a(&mut hash, cdg);
         format!("{hash:016x}")
     }
 }
@@ -1484,12 +1539,12 @@ impl SmnController {
             let mut phase = obs.phase("coarsen/apply_delta");
             let t = {
                 let _time = obs.phase("coarsen/time");
-                state.config.time_coarsener().apply_delta(&mut state.time, telemetry)?
+                state.config.time_coarsener().apply_admitted(&mut state.time, telemetry)
             };
             let a = {
                 let _adaptive = obs.phase("coarsen/adaptive");
                 let visit = |pair| pairs.push(pair);
-                state.config.adaptive.apply_delta_visiting(&mut state.adaptive, telemetry, visit)?
+                state.config.adaptive.apply_admitted(&mut state.adaptive, telemetry, visit)
             };
             phase.field("appended", t.appended);
             phase.field("dirty_cells", t.dirty_cells);
@@ -1571,10 +1626,12 @@ impl SmnController {
     /// so their proofs run side by side ([`smn_obs::Obs::fork`]) under
     /// the one lake read guard: the `reconcile/time-oracle` child phase
     /// is the time oracle's walk and its comparison, on a scoped thread,
-    /// and `reconcile/adaptive-oracle` the adaptive oracle's walk and
-    /// comparison, on the caller. A divergence of the uniform log is
-    /// reported first. `reconcile/compare` is the CDG rebuild and
-    /// comparison and the fingerprint.
+    /// and `reconcile/adaptive-oracle` the adaptive oracle's sweeps and
+    /// comparison, on the caller. The caller's branch, the shorter, then
+    /// laps into `reconcile/compare`: the CDG rebuild and comparison and
+    /// the fingerprint, which read only state no branch changes, so they
+    /// overlap the time oracle. Divergences are reported in the order
+    /// uniform log, adaptive log, CDG.
     ///
     /// # Errors
     /// [`StreamError::Divergence`] naming the first diverging artifact,
@@ -1608,15 +1665,31 @@ impl SmnController {
 
         // The batch oracles walk the lake's borrowed slice; the read guard
         // drops before the controller adopts the CDG below.
-        let lake_records = {
+        let (lake_records, hash) = {
             let lake = self.clds().bandwidth.read();
             let full = lake.all();
             let time = state.config.time_coarsener();
             let adaptive = &state.config.adaptive;
-            // The two proofs share no state: run them side by side.
-            let (time_proven, adaptive_proven) = obs.fork(
-                ("reconcile/time-oracle", || state.time.matches_batch(&time, full)),
-                ("reconcile/adaptive-oracle", || state.adaptive.matches_batch(adaptive, full)),
+            let proven: &StreamState = state;
+            // The two proofs share no state: run them side by side. The
+            // adaptive proof is the shorter, so the CDG check and the
+            // fingerprint of the proven state follow it on its branch.
+            let (time_proven, rest) = obs.fork(
+                ("reconcile/time-oracle", |_| proven.time.matches_batch(&time, full)),
+                ("reconcile/adaptive-oracle", |laps| {
+                    if !proven.adaptive.matches_batch(adaptive, full) {
+                        let batch = adaptive.coarsen_records(full);
+                        let found = coarse_divergence(&proven.adaptive.coarse_log(), &batch);
+                        return Err(("adaptive-bwlog", found));
+                    }
+                    laps.lap("reconcile/compare");
+                    let inc_cdg = proven.cdg.canonical_bytes();
+                    let batch_cdg = CoarseDepGraph::from_fine(&proven.fine).canonical_bytes();
+                    if inc_cdg != batch_cdg {
+                        return Err(("cdg", cdg_divergence(&inc_cdg, &batch_cdg)));
+                    }
+                    Ok(proven.fingerprint_with(&inc_cdg))
+                }),
             );
             // Only a divergence rebuilds the batch log, for the audit; the
             // uniform log is reported first.
@@ -1625,23 +1698,9 @@ impl SmnController {
                 let found = coarse_divergence(&state.time.coarse_log(), &batch);
                 return Err(diverged("coarse-bwlog", found));
             }
-            if !adaptive_proven {
-                let batch = adaptive.coarsen_records(full);
-                let found = coarse_divergence(&state.adaptive.coarse_log(), &batch);
-                return Err(diverged("adaptive-bwlog", found));
-            }
-            full.len()
+            let hash = rest.map_err(|(artifact, found)| diverged(artifact, found))?;
+            (full.len(), hash)
         };
-
-        // The CDG rebuild, then the fingerprint of the proven state.
-        let compare = obs.phase("reconcile/compare");
-        let inc_cdg = state.cdg.canonical_bytes();
-        let batch_cdg = CoarseDepGraph::from_fine(&state.fine).canonical_bytes();
-        if inc_cdg != batch_cdg {
-            return Err(diverged("cdg", cdg_divergence(&inc_cdg, &batch_cdg)));
-        }
-        let hash = state.fingerprint();
-        drop(compare);
 
         // The incremental CDG is now proven equal to the batch rebuild:
         // the controller adopts it as its working coarse artifact.
@@ -2204,6 +2263,96 @@ mod tests {
     }
 
     #[test]
+    fn an_adaptive_sample_behind_its_pair_is_out_of_order_and_changes_nothing() {
+        let c = StreamConfig::default().adaptive;
+        let mut state = c.new_state();
+        let log = mixed_log(24);
+        c.apply_delta(&mut state, &TelemetryDelta::new(0, log.clone())).unwrap();
+        let before = state.clone();
+        let at = |ts: u64, src: u32, dst: u32| BandwidthRecord { ts: Ts(ts), src, dst, gbps: 1.0 };
+        let last = log.iter().map(|r| r.ts.0).max().unwrap();
+        // Behind the pair's history, behind the pair's earlier sample in
+        // the same delta, and behind it in a delta that is not
+        // time-ordered as a whole.
+        for records in [
+            vec![at(last + EPOCH_SECS, 0, 2), at(last - EPOCH_SECS, 0, 1)],
+            vec![at(last + 2 * EPOCH_SECS, 0, 1), at(last + EPOCH_SECS, 0, 1)],
+            vec![at(last + 2 * EPOCH_SECS, 0, 1), at(last + EPOCH_SECS, 0, 2), at(0, 0, 1)],
+        ] {
+            let err = c.apply_delta(&mut state, &TelemetryDelta::new(1, records)).unwrap_err();
+            assert!(matches!(err, StreamError::OutOfOrder { .. }), "got {err}");
+            assert_eq!(state, before, "a refused delta leaves the state untouched");
+        }
+        // A new pair may start anywhere, and a pair may trail another
+        // pair's latest sample as long as it follows its own history.
+        let mut ahead = state.clone();
+        c.apply_delta(&mut ahead, &TelemetryDelta::new(1, vec![at(last + HOUR, 0, 2)])).unwrap();
+        let trailing = vec![at(last, 0, 1), at(3, 7, 8), at(last, 0, 1)];
+        c.apply_delta(&mut ahead, &TelemetryDelta::new(2, trailing)).unwrap();
+        assert!(ahead.violations().is_empty(), "{:?}", ahead.violations());
+        assert_eq!(ahead.latest, last + HOUR);
+        // A wrong latest timestamp is a violation, as a checkpoint would
+        // carry it.
+        let mut bad = ahead.clone();
+        bad.latest -= 1;
+        let found: Vec<String> = bad.violations().iter().map(ToString::to_string).collect();
+        assert!(found.iter().any(|v| v.starts_with("artifact/coarse-log-samples")), "{found:?}");
+    }
+
+    proptest::proptest! {
+        /// The adaptive apply admits a delta exactly when no sample falls
+        /// behind its pair's last sample, held or earlier in the delta;
+        /// a refused delta leaves the log as it was, and an admitted one
+        /// leaves a log with no violation. The log holds a time-ordered
+        /// prefix of a generated log; the delta is the rest, time-ordered,
+        /// lake-shaped or shuffled, with a few records moved back.
+        #[test]
+        fn adaptive_admission_matches_per_pair_order(
+            log in crate::bwlogs::tests::fold_log(),
+            split in 0usize..400,
+            back in proptest::collection::vec((0usize..400, 0u64..40), 0..3),
+        ) {
+            let c = StreamConfig::default().adaptive;
+            let mut by_time: Vec<usize> = (0..log.len()).collect();
+            by_time.sort_by_key(|&i| log[i].ts);
+            let (early, late) = by_time.split_at(split.min(log.len()));
+            let held: Vec<BandwidthRecord> = early.iter().map(|&i| log[i]).collect();
+            let mut in_delta = vec![false; log.len()];
+            for &i in late {
+                in_delta[i] = true;
+            }
+            let mut delta: Vec<BandwidthRecord> =
+                log.iter().zip(&in_delta).filter(|(_, &d)| d).map(|(r, _)| *r).collect();
+            for (at, epochs) in back {
+                let n = delta.len().max(1);
+                if let Some(r) = delta.get_mut(at % n) {
+                    r.ts.0 = r.ts.0.saturating_sub(epochs * EPOCH_SECS);
+                }
+            }
+            let mut state = c.new_state();
+            c.apply_delta(&mut state, &TelemetryDelta::new(0, held.clone())).unwrap();
+            let mut last = std::collections::HashMap::new();
+            for r in &held {
+                last.insert((r.src, r.dst), r.ts.0);
+            }
+            let ordered = delta.iter().all(|r| {
+                let prev = last.insert((r.src, r.dst), r.ts.0);
+                prev.is_none_or(|p| r.ts.0 >= p)
+            });
+            let before = state.clone();
+            let result = c.apply_delta(&mut state, &TelemetryDelta::new(1, delta));
+            proptest::prop_assert_eq!(result.is_ok(), ordered, "{:?}", result);
+            if ordered {
+                proptest::prop_assert!(state.violations().is_empty(), "{:?}", state.violations());
+            } else {
+                proptest::prop_assert!(matches!(result, Err(StreamError::OutOfOrder { .. })));
+                // Debug forms, as NaN samples are unequal under `==`.
+                proptest::prop_assert!(format!("{state:?}") == format!("{before:?}"));
+            }
+        }
+    }
+
+    #[test]
     fn gallop_and_splice_match_their_definitions() {
         let keys: Vec<u32> = (0..40).map(|k| k * 3).collect();
         for from in 0..=keys.len() {
@@ -2520,8 +2669,8 @@ mod tests {
                 let prefix = &log[..seen];
                 c.apply_delta(&mut time, &d).expect("a time-ordered delta applies");
                 let mut pairs = Vec::new();
-                ac.apply_delta_visiting(&mut adaptive, &d, |p| pairs.push(p))
-                    .expect("same configuration");
+                adaptive.admit(&d, false).expect("a time-ordered delta is admitted");
+                ac.apply_admitted(&mut adaptive, &d, |p| pairs.push(p));
                 proptest::prop_assert_eq!(pairs, d.pairs());
                 proptest::prop_assert_eq!(time.encode(), encode_coarse_log(&coarsen_by_map(&c, prefix)));
                 proptest::prop_assert_eq!(

@@ -13,9 +13,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
-use smn_telemetry::record::{
-    Alert, BandwidthRecord, HealthSample, IncidentRecord, LogEvent, ProbeResult,
-};
+use smn_telemetry::record::{Alert, BandwidthRecord, LogEvent, ProbeResult};
 use smn_telemetry::time::Ts;
 
 use crate::store::Clds;
@@ -244,11 +242,6 @@ impl FaultyStore {
         &self.profile
     }
 
-    /// Replace the fault profile (e.g. heal a partition mid-campaign).
-    pub fn set_profile(&mut self, profile: FaultProfile) {
-        self.profile = profile;
-    }
-
     /// Total queries served or failed so far.
     pub fn query_count(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
@@ -315,12 +308,6 @@ impl FaultyStore {
         Ok(self.clds.alerts.read().range(start, end).to_vec())
     }
 
-    /// Health samples with `start <= ts < end`.
-    pub fn health_range(&self, start: Ts, end: Ts) -> Result<Vec<HealthSample>, LakeError> {
-        self.gate("ops/health", start, end)?;
-        Ok(self.clds.health.read().range(start, end).to_vec())
-    }
-
     /// Probe results with `start <= ts < end`.
     pub fn probes_range(&self, start: Ts, end: Ts) -> Result<Vec<ProbeResult>, LakeError> {
         self.gate(DATASET_PROBES, start, end)?;
@@ -331,12 +318,6 @@ impl FaultyStore {
     pub fn logs_range(&self, start: Ts, end: Ts) -> Result<Vec<LogEvent>, LakeError> {
         self.gate("ops/logs", start, end)?;
         Ok(self.clds.logs.read().range(start, end).to_vec())
-    }
-
-    /// Incident records opened in `[start, end)`.
-    pub fn incidents_range(&self, start: Ts, end: Ts) -> Result<Vec<IncidentRecord>, LakeError> {
-        self.gate("ops/incidents", start, end)?;
-        Ok(self.clds.incidents.read().range(start, end).to_vec())
     }
 }
 

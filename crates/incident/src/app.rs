@@ -199,16 +199,6 @@ impl RedditDeployment {
     pub fn team_node(&self, team: &str) -> NodeId {
         self.cdg.by_name(team).unwrap_or_else(|| panic!("unknown team {team}")) // smn-lint: allow(panic/panic-macro) -- documented panicking lookup; callers pass the static TEAMS list
     }
-
-    /// All component names of a team.
-    #[must_use]
-    pub fn team_component_names(&self, team: &str) -> Vec<String> {
-        self.fine
-            .team_components(team)
-            .into_iter()
-            .map(|id| self.fine.component(id).name.clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]

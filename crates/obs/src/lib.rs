@@ -47,7 +47,7 @@ use profile::ProfileState;
 use trace::{FieldValue, TracerState};
 
 pub use metrics::{Histogram, DEFAULT_MS_BUCKETS};
-pub use profile::{PhaseGuard, PhaseStat};
+pub use profile::{Laps, PhaseGuard, PhaseStat};
 pub use trace::{EventKind, TraceEvent};
 
 /// The observability handle: tracer + metrics + audit trail behind one

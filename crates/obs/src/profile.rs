@@ -11,11 +11,13 @@
 //!
 //! [`crate::Obs::fork`] runs two independent closures side by side, one
 //! on a scoped thread and one on the caller, and records each as a child
-//! phase of the open path. No phase opens inside a branch: both child
-//! spans are emitted on the caller after the join, in argument order, so
-//! the trace's span tree and event order are the same as if the branches
-//! had run one after the other. Only the wall rows tell them apart: the
-//! branches overlap, so their totals no longer sum to the parent's.
+//! phase of the open path. A branch may split its time into named
+//! [`Laps`], each another child phase. No phase opens inside a branch:
+//! every child span is emitted on the caller after the join, the first
+//! branch's laps then the second's, so the trace's span tree and event
+//! order are the same as if the laps had run one after the other. Only
+//! the wall rows tell them apart: the branches overlap, so their totals
+//! no longer sum to the parent's.
 //!
 //! **Determinism discipline.** This is the *only* module in `smn-obs`
 //! that touches the wall clock, in one place (a private `stopwatch`
@@ -136,34 +138,43 @@ impl Obs {
     /// Run `fa` on a scoped thread and `fb` on the caller, and return
     /// both results. A panic in either branch resumes on the caller.
     ///
-    /// Each branch is a child phase of the open path: after the join the
-    /// caller opens and closes `name_a`'s span, then `name_b`'s, and
-    /// records each branch's wall time under `<open path>;<name>`. So a
-    /// fork leaves the same trace as two phases run one after the other.
+    /// Each branch runs as one lap under its name until it calls
+    /// [`Laps::lap`], which starts the next lap under another name. Every
+    /// lap is a child phase of the open path: after the join the caller
+    /// opens and closes each of `fa`'s laps' spans, then each of `fb`'s,
+    /// and records each lap's wall time under `<open path>;<name>`. So a
+    /// fork leaves the same trace as its laps run one after the other.
     /// A branch must not record into this handle (no phase, span, event
     /// or audit): the two branches' records would interleave in a
     /// different order on every run. A disabled handle records nothing
     /// and reads no clock.
-    pub fn fork<A: Send, B>(
+    pub fn fork<'n, A: Send, B>(
         &self,
-        (name_a, fa): (&str, impl FnOnce() -> A + Send),
-        (name_b, fb): (&str, impl FnOnce() -> B),
+        (name_a, fa): (&'n str, impl FnOnce(&mut Laps<'n>) -> A + Send),
+        (name_b, fb): (&'n str, impl FnOnce(&mut Laps<'n>) -> B),
     ) -> (A, B) {
         let start = self.stopwatch();
-        let lap = move || start.map(elapsed_ns);
-        let ((a, a_ns), (b, b_ns)) = std::thread::scope(|s| {
-            let spawned = s.spawn(move || (fa(), lap()));
-            let b = (fb(), lap());
+        let ((a, a_laps), (b, b_laps)) = std::thread::scope(|s| {
+            let spawned = s.spawn(move || {
+                let mut laps = Laps { start, name: name_a, done: Vec::new() };
+                (fa(&mut laps), laps.finish())
+            });
+            let mut laps = Laps { start, name: name_b, done: Vec::new() };
+            let b = (fb(&mut laps), laps.finish());
             // A join error is a panic in `fa`: resume it on the caller.
             (spawned.join().unwrap_or_else(|p| std::panic::resume_unwind(p)), b)
         });
-        for (name, ns) in [(name_a, a_ns), (name_b, b_ns)] {
-            let _span = self.span(name);
-            if let Some(ns) = ns {
-                let mut p = self.profile.lock();
-                let path = p.push(name);
-                p.pop();
-                p.record(&path, ns);
+        for laps in [a_laps, b_laps] {
+            let mut from = 0;
+            for (name, end) in laps {
+                let _span = self.span(name);
+                if let Some(end) = end {
+                    let mut p = self.profile.lock();
+                    let path = p.push(name);
+                    p.pop();
+                    p.record(&path, end.saturating_sub(from));
+                    from = end;
+                }
             }
         }
         (a, b)
@@ -179,6 +190,35 @@ impl Obs {
 /// Wall nanoseconds since `start`, saturating.
 fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The laps of one [`Obs::fork`] branch. The branch runs under its fork
+/// name until [`Laps::lap`] starts a lap under another. Lapping reads the
+/// clock (on an enabled handle) and records nothing into the handle: the
+/// caller records every lap after the join.
+pub struct Laps<'n> {
+    /// The fork's clock reading; `None` on a disabled handle.
+    start: Option<Instant>,
+    /// The running lap's name.
+    name: &'n str,
+    /// The finished laps, each with its end in wall nanoseconds since
+    /// `start`.
+    done: Vec<(&'n str, Option<u64>)>,
+}
+
+impl<'n> Laps<'n> {
+    /// End the running lap and start one named `name`.
+    pub fn lap(&mut self, name: &'n str) {
+        self.done.push((self.name, self.start.map(elapsed_ns)));
+        self.name = name;
+    }
+
+    /// End the running lap; every lap in order.
+    fn finish(mut self) -> Vec<(&'n str, Option<u64>)> {
+        let last = self.name;
+        self.lap(last);
+        self.done
+    }
 }
 
 impl PhaseGuard<'_> {
@@ -272,14 +312,20 @@ mod tests {
     }
 
     /// A traced run with a fork inside a phase, as `stream_reconcile`
-    /// makes one.
+    /// makes one: the second branch laps into `compare`.
     fn forked_run() -> Arc<Obs> {
         let obs = Obs::enabled(crate::clock::SimClock::new());
         {
             let _outer = obs.phase("stream/reconcile");
-            let (a, b) = obs.fork(("oracle/a", || 2 + 2), ("oracle/b", || "b"));
+            let (a, b) = obs.fork(
+                ("oracle/a", |_| 2 + 2),
+                ("oracle/b", |laps| {
+                    laps.lap("compare");
+                    "b"
+                }),
+            );
             assert_eq!((a, b), (4, "b"));
-            let _after = obs.phase("compare");
+            let _after = obs.phase("after");
         }
         obs
     }
@@ -293,14 +339,16 @@ mod tests {
             paths,
             [
                 "stream/reconcile",
+                "stream/reconcile;after",
                 "stream/reconcile;compare",
                 "stream/reconcile;oracle/a",
                 "stream/reconcile;oracle/b"
             ]
         );
         assert!(stats.iter().all(|s| s.count == 1));
-        // Enter and exit of `oracle/a`, then of `oracle/b`, both children
-        // of the open phase, before the phase that follows the fork.
+        // Enter and exit of `oracle/a`, then of `oracle/b` and of its lap
+        // `compare`, all children of the open phase, before the phase
+        // that follows the fork.
         let events: Vec<TraceEvent> =
             obs.trace_jsonl().lines().map(|l| TraceEvent::from_json_line(l).unwrap()).collect();
         let names: Vec<(&str, EventKind)> =
@@ -315,11 +363,14 @@ mod tests {
                 ("oracle/b", EventKind::Exit),
                 ("compare", EventKind::Enter),
                 ("compare", EventKind::Exit),
+                ("after", EventKind::Enter),
+                ("after", EventKind::Exit),
                 ("stream/reconcile", EventKind::Exit),
             ]
         );
-        assert_eq!(events[1].parent, events[0].span);
-        assert_eq!(events[3].parent, events[0].span);
+        for lap in [1, 3, 5] {
+            assert_eq!(events[lap].parent, events[0].span);
+        }
     }
 
     #[test]
@@ -333,7 +384,13 @@ mod tests {
     #[test]
     fn a_disabled_fork_runs_both_branches_and_records_nothing() {
         let obs = Obs::disabled();
-        let (a, b) = obs.fork(("a", || vec![1u8]), ("b", || 7u64));
+        let (a, b) = obs.fork(
+            ("a", |laps| {
+                laps.lap("a2");
+                vec![1u8]
+            }),
+            ("b", |_| 7u64),
+        );
         assert_eq!((a, b), (vec![1u8], 7));
         assert!(obs.wall_profile().is_empty());
         assert!(obs.trace_jsonl().is_empty());
@@ -349,11 +406,11 @@ mod tests {
     fn a_panic_in_either_branch_reaches_the_caller() {
         let obs = Obs::enabled(crate::clock::SimClock::new());
         let spawned = panic_message(|| {
-            obs.fork(("a", || -> u8 { panic!("spawned branch") }), ("b", || 1u8));
+            obs.fork(("a", |_| -> u8 { panic!("spawned branch") }), ("b", |_| 1u8));
         });
         assert_eq!(spawned, "spawned branch");
         let caller = panic_message(|| {
-            obs.fork(("a", || 1u8), ("b", || -> u8 { panic!("caller branch") }));
+            obs.fork(("a", |_| 1u8), ("b", |_| -> u8 { panic!("caller branch") }));
         });
         assert_eq!(caller, "caller branch");
     }

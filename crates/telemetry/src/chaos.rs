@@ -282,13 +282,6 @@ impl ChaosInjector {
         }
         ChaosOutcome { records: delivered.into_iter().map(|(_, _, r)| r).collect(), report }
     }
-
-    /// Convenience: apply chaos to anything iterable and get the degraded
-    /// records back (report discarded).
-    pub fn wrap<T: ChaosTarget, I: IntoIterator<Item = T>>(&self, stream: I) -> Vec<T> {
-        let records: Vec<T> = stream.into_iter().collect();
-        self.apply(&records).records
-    }
 }
 
 #[cfg(test)]

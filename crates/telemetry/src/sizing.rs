@@ -68,12 +68,6 @@ impl LogVolume {
         LogVolume { rows: records.len(), bytes: records.len() * BW_RECORD_BYTES }
     }
 
-    /// Volume from an explicit row count and per-row width.
-    #[must_use]
-    pub fn from_rows(rows: usize, row_bytes: usize) -> LogVolume {
-        LogVolume { rows, bytes: rows * row_bytes }
-    }
-
     /// Reduction factor of `self` relative to `original` (by rows).
     /// A value of 10.0 means "10× fewer rows".
     #[must_use]

@@ -481,11 +481,6 @@ impl LayerStack {
         &self.optical
     }
 
-    /// Mutable optical layer (e.g. for retuning wavelengths).
-    pub fn optical_mut(&mut self) -> &mut OpticalLayer {
-        &mut self.optical
-    }
-
     /// The WAN (L3) layer.
     #[must_use]
     pub fn wan(&self) -> &Wan {
