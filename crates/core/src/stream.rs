@@ -51,18 +51,21 @@
 //! and later — and seals every earlier window into immutable rows in
 //! batch order, dropping its buffers: its memory is one window of samples
 //! plus the coarse rows. A record behind the sealed frontier is a typed
-//! [`StreamError::OutOfOrder`] that leaves the state untouched. The
-//! adaptive log classifies each pair over its whole history, so it keeps
-//! every sample, in time order; a tick folds only its new samples, and
-//! reconciliation still recomputes from the whole lake. A sample behind
-//! its pair's history is its [`StreamError::OutOfOrder`], refused before
-//! the log is touched.
+//! [`StreamError::OutOfOrder`] that leaves the state untouched. A sealed
+//! window is proven once: reconciliation walks the uniform oracle only
+//! over the lake since its last proof's frontier. The adaptive log
+//! classifies each pair over its whole history, so it keeps every sample,
+//! in time order; a tick folds only its new samples, and reconciliation
+//! still recomputes it from the whole lake. A sample behind its pair's
+//! history is its [`StreamError::OutOfOrder`], refused before the log is
+//! touched.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use smn_datalake::ingest::ingest_bandwidth_profiled;
+use smn_datalake::TimeStore;
 use smn_depgraph::coarse::{CdgDeltaStats, CoarseDepGraph};
 use smn_depgraph::delta::{DeltaError, GraphDelta};
 use smn_depgraph::fine::FineDepGraph;
@@ -386,13 +389,22 @@ impl IncrementalCoarseLog {
         encode_coarse_log(self.all_rows())
     }
 
-    /// Whether this log is, row for row and bit for bit, the log `time`
-    /// coarsens `records` into. The time oracle's cell walk is compared
-    /// with the rows in place, so no batch row and no encoding is built.
-    /// Its rows are stored in batch order, so this is exactly
+    /// Whether this log's rows from `from_row` on are, row for row and bit
+    /// for bit, the log `time` coarsens `records` into. The time oracle's
+    /// cell walk is compared with the rows in place, so no batch row and no
+    /// encoding is built. Its rows are stored in batch order, so with
+    /// `from_row = 0` this is exactly
     /// `self.encode() == encode_coarse_log(&time.coarsen_records(records))`.
-    fn matches_batch(&self, time: &TimeCoarsener, records: &[BandwidthRecord]) -> bool {
-        let mut rows = self.all_rows();
+    /// A proof from a [`ProofMark`] passes the lake since the mark's
+    /// window start and the sealed rows the mark covers.
+    fn matches_batch(
+        &self,
+        time: &TimeCoarsener,
+        records: &[BandwidthRecord],
+        from_row: usize,
+    ) -> bool {
+        let Some(sealed) = self.sealed.get(from_row..) else { return false };
+        let mut rows = sealed.iter().chain(self.cells.iter().map(|c| &c.row));
         let mut same = true;
         time.for_each_cell(
             records,
@@ -480,6 +492,18 @@ impl IncrementalCoarseLog {
         splice_sorted(&mut self.keys, std::mem::take(&mut misses.keys));
         splice_sorted(&mut self.cells, std::mem::take(&mut misses.cells));
         self.seal_before(w);
+    }
+
+    /// The mark of a proof that covered every row of this log against
+    /// `lake`, given the fingerprint's FNV-1a state after the sealed rows:
+    /// they end at the frontier's start. No mark when that start lies past
+    /// the lake's newest record, since an append could still land before
+    /// it.
+    fn proof_mark(&self, lake: &TimeStore<BandwidthRecord>, fnv: u64) -> ProofMark {
+        let start = Ts(self.frontier.saturating_mul(self.window_secs));
+        let rows = self.sealed.len();
+        let covered = lake.latest_ts().is_some_and(|latest| start <= latest);
+        ProofMark(covered.then_some(SealedProof { rows, start, lake: lake.stamp(), fnv }))
     }
 
     /// The log is one `apply_delta` could have left: a non-zero window
@@ -869,28 +893,50 @@ impl IncrementalAdaptiveLog {
         }
     }
 
+    /// The window start of row `j` of `ps`: its closed rows, then its
+    /// open row; `None` past its last row.
+    fn row_start(&self, ps: &PairState, j: usize) -> Option<u64> {
+        match ps.closed.get(j) {
+            Some(row) => Some(row.window_start.0),
+            None if j == ps.closed.len() => {
+                let window = self.window(ps);
+                ps.ts.last().map(|t| t / window * window)
+            }
+            None => None,
+        }
+    }
+
     /// Hand `visit` every row in batch order (`window_start`, `src`,
     /// `dst`): the closed rows by reference, and each open row built from
-    /// its pair's folds into one reused record. Pairs are disjoint across
-    /// rows and the pair table ascends, so ordering by window start, then
-    /// pair index, is batch order.
+    /// its pair's folds into one reused record. Each pair's rows ascend by
+    /// window start, pairs are disjoint across rows and the pair table
+    /// ascends, so batch order is the merge of the pairs' rows by window
+    /// start, then pair index. The merge keeps one entry per pair: its
+    /// index and next row, in a wave keyed by that row's window start.
+    /// The earliest wave is visited in pair order and each pair moves to
+    /// the wave of its next row. A wave fills in ascending runs (the
+    /// pairs of one earlier wave each), so its sort mostly checks order.
     fn for_each_sorted_row(&self, mut visit: impl FnMut(&CoarseBwRecord)) {
-        let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(self.rows);
+        let mut waves: BTreeMap<u64, Vec<(usize, usize)>> = BTreeMap::new();
         for (i, ps) in self.pairs.iter().enumerate() {
-            order.extend(ps.closed.iter().enumerate().map(|(j, r)| (r.window_start.0, i, j)));
-            if let Some(&t) = ps.ts.last() {
-                let window = self.window(ps);
-                order.push((t / window * window, i, ps.closed.len()));
+            if let Some(start) = self.row_start(ps, 0) {
+                waves.entry(start).or_default().push((i, 0));
             }
         }
-        order.sort_unstable();
         let mut scratch = RowScratch::default();
         let mut open = coarse_row((0, 0), 0, 0, []);
-        for (_, i, j) in order {
-            match self.pairs.get(i).and_then(|ps| ps.closed.get(j)) {
-                Some(row) => visit(row),
-                None if self.fill_open_row(i, &mut open, &mut scratch) => visit(&open),
-                None => {}
+        while let Some((_, mut wave)) = waves.pop_first() {
+            wave.sort_unstable();
+            for (i, j) in wave {
+                let Some(ps) = self.pairs.get(i) else { continue };
+                match ps.closed.get(j) {
+                    Some(row) => visit(row),
+                    None if self.fill_open_row(i, &mut open, &mut scratch) => visit(&open),
+                    None => {}
+                }
+                if let Some(start) = self.row_start(ps, j + 1) {
+                    waves.entry(start).or_default().push((i, j + 1));
+                }
             }
         }
     }
@@ -1264,6 +1310,58 @@ impl StreamConfig {
     }
 }
 
+/// Where the last successful reconcile's proof of the uniform log ended:
+/// its first `rows` rows, every sealed window before `start`, are the
+/// time oracle's cells of the lake stamped `lake` before `start`, and feed
+/// the fingerprint to the FNV-1a state `fnv`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SealedProof {
+    rows: usize,
+    start: Ts,
+    lake: u64,
+    fnv: u64,
+}
+
+/// The uniform log's proof mark: what the next reconcile need not walk
+/// again ([`SmnController::stream_reconcile`]). A lake's stamp means
+/// nothing in another process, so a checkpoint never carries a mark: it
+/// serializes as `null`, and a restored session's first reconcile is a
+/// full proof.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct ProofMark(Option<SealedProof>);
+
+impl Serialize for ProofMark {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Null
+    }
+}
+
+impl Deserialize for ProofMark {
+    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(ProofMark(None))
+    }
+}
+
+impl ProofMark {
+    /// The mark, if a proof of `log` against a lake stamped `lake` may
+    /// start from it: the same lake, changed since only by appends, and a
+    /// log that still holds the mark's rows and was built for `time`'s
+    /// configuration. Whether those rows are unchanged is checked against
+    /// the fingerprint, after the proof.
+    fn usable(
+        self,
+        lake: u64,
+        log: &IncrementalCoarseLog,
+        time: &TimeCoarsener,
+    ) -> Option<SealedProof> {
+        self.0.filter(|m| {
+            m.lake == lake
+                && m.rows <= log.sealed.len()
+                && log.built_for(time.window_secs, &time.stats).is_ok()
+        })
+    }
+}
+
 /// The full incremental state of a streaming session. Serializable as a
 /// checkpoint: restoring a serialized `StreamState` against the same lake
 /// and continuing the delta stream is byte-identical to never having
@@ -1284,6 +1382,7 @@ pub struct StreamState {
     adaptive: IncrementalAdaptiveLog,
     /// Outcome of the most recent successful reconciliation.
     pub last_reconcile: Option<ReconcileOutcome>,
+    mark: ProofMark,
 }
 
 impl StreamState {
@@ -1298,7 +1397,8 @@ impl StreamState {
         let cdg = CoarseDepGraph::from_fine(&fine);
         let time = IncrementalCoarseLog::empty(config.window_secs, config.stats.clone());
         let adaptive = config.adaptive.new_state();
-        StreamState { config, next_tick: 0, fine, cdg, time, adaptive, last_reconcile: None }
+        let mark = ProofMark::default();
+        StreamState { config, next_tick: 0, fine, cdg, time, adaptive, last_reconcile: None, mark }
     }
 
     /// The incrementally-maintained uniform coarse log.
@@ -1372,18 +1472,31 @@ impl StreamState {
     /// encoding built.
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        self.fingerprint_with(&self.cdg.canonical_bytes())
+        self.fingerprint_with(&self.cdg.canonical_bytes(), 0).0
     }
 
-    /// [`StreamState::fingerprint`], given the CDG's canonical bytes.
-    fn fingerprint_with(&self, cdg: &[u8]) -> String {
+    /// [`StreamState::fingerprint`], given the CDG's canonical bytes, with
+    /// the FNV-1a state after the first `from` uniform rows and after
+    /// every sealed row: the states a proof mark is checked against and
+    /// records. `from` is at most the sealed row count.
+    fn fingerprint_with(&self, cdg: &[u8], from: usize) -> (String, [u64; 2]) {
         let mut hash = FNV_OFFSET;
-        for row in self.time.all_rows() {
+        let sealed = &self.time.sealed;
+        let (proven, newer) = sealed.split_at_checked(from).unwrap_or((sealed, &[]));
+        for row in proven {
             fnv1a_row(&mut hash, row);
+        }
+        let at_from = hash;
+        for row in newer {
+            fnv1a_row(&mut hash, row);
+        }
+        let at_sealed = hash;
+        for cell in &self.time.cells {
+            fnv1a_row(&mut hash, &cell.row);
         }
         self.adaptive.for_each_sorted_row(|row| fnv1a_row(&mut hash, row));
         fnv1a(&mut hash, cdg);
-        format!("{hash:016x}")
+        (format!("{hash:016x}"), [at_from, at_sealed])
     }
 }
 
@@ -1618,6 +1731,24 @@ impl SmnController {
     /// no-silent-disagreement discipline as the degraded-mode outcome
     /// hashes.
     ///
+    /// **Sealed windows are proven once.** A successful proof marks where
+    /// the uniform log's sealed rows end: their count, the frontier's
+    /// window start, the lake's stamp ([`TimeStore::stamp`]) and the
+    /// fingerprint's FNV-1a state after them. The next reconcile's time
+    /// oracle walks only the lake since that start and compares it with
+    /// the rows after the mark. The skipped windows cannot have changed:
+    /// sealed rows are only appended, and the fingerprint pass checks the
+    /// mark's FNV state; the lake appends only at or after its newest
+    /// timestamp, which the mark's start never passes, and any other
+    /// change renews its stamp. A mark that fails any of these checks, a
+    /// restored session (checkpoints carry no mark) and a diverging walk
+    /// all get a full proof, so every verdict, audit and diff is a full
+    /// proof's. The adaptive oracle still walks the whole lake: a pair's
+    /// class depends on its whole history. The phase and the audit record
+    /// `proved_from`, the first window start the time oracle walked (0 for
+    /// a full proof), and `walked_records`; `lake_records` counts the
+    /// whole lake.
+    ///
     /// The proof is one streaming pass: each oracle's recomputed rows are
     /// compared with the incremental rows as they come, and the proven
     /// state's hash is [`StreamState::fingerprint`], so success builds no
@@ -1663,19 +1794,22 @@ impl SmnController {
             StreamError::Divergence { artifact: artifact.to_string(), tick, detail }
         };
 
-        // The batch oracles walk the lake's borrowed slice; the read guard
-        // drops before the controller adopts the CDG below.
-        let (lake_records, hash) = {
+        // The batch oracles walk the lake's borrowed slices; the read
+        // guard drops before the controller adopts the CDG below.
+        let (lake_records, walked_records, proved_from, hash, mark) = {
             let lake = self.clds().bandwidth.read();
             let full = lake.all();
             let time = state.config.time_coarsener();
             let adaptive = &state.config.adaptive;
             let proven: &StreamState = state;
+            // A usable mark spares the time oracle the windows it proved.
+            let from = proven.mark.usable(lake.stamp(), &proven.time, &time);
+            let (from_row, since) = from.map_or((0, full), |m| (m.rows, lake.since(m.start)));
             // The two proofs share no state: run them side by side. The
             // adaptive proof is the shorter, so the CDG check and the
             // fingerprint of the proven state follow it on its branch.
             let (time_proven, rest) = obs.fork(
-                ("reconcile/time-oracle", |_| proven.time.matches_batch(&time, full)),
+                ("reconcile/time-oracle", |_| proven.time.matches_batch(&time, since, from_row)),
                 ("reconcile/adaptive-oracle", |laps| {
                     if !proven.adaptive.matches_batch(adaptive, full) {
                         let batch = adaptive.coarsen_records(full);
@@ -1688,9 +1822,19 @@ impl SmnController {
                     if inc_cdg != batch_cdg {
                         return Err(("cdg", cdg_divergence(&inc_cdg, &batch_cdg)));
                     }
-                    Ok(proven.fingerprint_with(&inc_cdg))
+                    Ok(proven.fingerprint_with(&inc_cdg, from_row))
                 }),
             );
+            // The rows a mark skipped must still hash to its state. When
+            // they do not, when the adaptive branch stopped before hashing
+            // them, or when the rows after them diverged, the uniform log
+            // gets a full proof: every verdict is a full proof's.
+            let held = |m: &SealedProof| rest.as_ref().is_ok_and(|(_, at)| at[0] == m.fnv);
+            let used = from.filter(|m| time_proven && held(m));
+            let time_proven = match (from, used) {
+                (Some(_), None) => proven.time.matches_batch(&time, full, 0),
+                _ => time_proven,
+            };
             // Only a divergence rebuilds the batch log, for the audit; the
             // uniform log is reported first.
             if !time_proven {
@@ -1698,9 +1842,13 @@ impl SmnController {
                 let found = coarse_divergence(&state.time.coarse_log(), &batch);
                 return Err(diverged("coarse-bwlog", found));
             }
-            let hash = rest.map_err(|(artifact, found)| diverged(artifact, found))?;
-            (full.len(), hash)
+            let (hash, [_, at_sealed]) =
+                rest.map_err(|(artifact, found)| diverged(artifact, found))?;
+            let walked = if used.is_some() { since.len() } else { full.len() };
+            let proved_from = used.map_or(0, |m| m.start.0);
+            (full.len(), walked, proved_from, hash, state.time.proof_mark(&lake, at_sealed))
         };
+        state.mark = mark;
 
         // The incremental CDG is now proven equal to the batch rebuild:
         // the controller adopts it as its working coarse artifact.
@@ -1712,6 +1860,8 @@ impl SmnController {
                 ("tick", tick.to_string()),
                 ("hash", hash.clone()),
                 ("lake_records", lake_records.to_string()),
+                ("proved_from", proved_from.to_string()),
+                ("walked_records", walked_records.to_string()),
                 ("time_rows", state.time.rows().to_string()),
                 ("adaptive_rows", state.adaptive.rows().to_string()),
                 ("teams", state.cdg.len().to_string()),
@@ -1719,6 +1869,8 @@ impl SmnController {
         );
         obs.inc("stream_reconcile_total");
         phase.field("lake_records", lake_records);
+        phase.field("proved_from", proved_from);
+        phase.field("walked_records", walked_records);
         phase.field("time_rows", state.time.rows());
         let outcome = ReconcileOutcome {
             tick,
@@ -1922,6 +2074,7 @@ mod tests {
     use crate::coarsen::Coarsening;
     use crate::controller::{ControllerConfig, SmnController};
     use smn_depgraph::fine::{Component, DependencyKind, Layer};
+    use smn_obs::audit::AuditRecord;
     use smn_telemetry::time::EPOCH_SECS;
 
     /// A deterministic multi-pair log: `epochs` epochs over `pairs`, with
@@ -2928,6 +3081,133 @@ mod tests {
                     proptest::prop_assert!(detail.starts_with(&want), "want {want}: {detail}");
                 }
                 Err(other) => proptest::prop_assert!(false, "unexpected error {other}"),
+            }
+        }
+    }
+
+    /// The evidence of the last audit record of `action`.
+    fn last_audit(ctl: &SmnController, action: &str) -> Vec<(String, String)> {
+        let audit = ctl.obs().audit_jsonl();
+        let records = audit.lines().rev().filter_map(|l| AuditRecord::from_json_line(l).ok());
+        records.into_iter().find(|r| r.action == action).map(|r| r.evidence).unwrap_or_default()
+    }
+
+    /// The value of `key` in audit `evidence`.
+    fn evidence<'a>(evidence: &'a [(String, String)], key: &str) -> Option<&'a str> {
+        evidence.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// A session proven after 2.5 hours of [`mixed_log`] (its mark covers
+    /// windows 0 and 1: 6 sealed rows) and streamed on to 5 hours, so
+    /// windows 2 and 3 are sealed but unproven (rows 6 to 11) and window 4
+    /// is open (rows 12 to 14).
+    fn marked_session() -> (SmnController, StreamState) {
+        let mut ctl = controller();
+        let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
+        let mut state = StreamState::new(cfg, small_fine());
+        let deltas = TelemetryDelta::split_epochs(&mixed_log(60), 0);
+        let (proven, later) = deltas.split_at(30);
+        ctl.stream_run(&mut state, proven, &[]).unwrap();
+        ctl.stream_reconcile(&mut state).unwrap();
+        ctl.stream_run(&mut state, later, &[]).unwrap();
+        (ctl, state)
+    }
+
+    /// An honest reconcile proves from the mark: the time oracle walks
+    /// only the lake since the mark's window start. A corrupted proven
+    /// sealed row, an unproven sealed row and an open cell are each
+    /// reported with the verdict, audit and diff of a full proof.
+    #[test]
+    fn a_corrupted_row_is_reported_as_a_full_proof_would_report_it() {
+        let (mut ctl, mut state) = marked_session();
+        let mark = state.mark.0.expect("a proof leaves a mark");
+        assert_eq!((mark.rows, mark.start, state.time.sealed.len()), (6, Ts(2 * HOUR), 12));
+        ctl.stream_reconcile(&mut state).unwrap();
+        let proof = last_audit(&ctl, "reconcile");
+        let since = ctl.clds().bandwidth.read().since(Ts(2 * HOUR)).len();
+        assert_eq!(evidence(&proof, "proved_from"), Some("7200"));
+        assert_eq!(evidence(&proof, "walked_records"), Some(since.to_string().as_str()));
+        assert_eq!(evidence(&proof, "lake_records"), Some("180"));
+
+        for (part, at) in [("proven sealed", 1), ("unproven sealed", 7), ("open", 13)] {
+            let (mut ctl, mut state) = marked_session();
+            corrupt_time_row(&mut state.time, 0, at, 0);
+            let mut full = state.clone();
+            full.mark = ProofMark::default();
+            let marked = ctl.stream_reconcile(&mut state).unwrap_err();
+            let marked_audit = last_audit(&ctl, "reconcile-divergence");
+            let unmarked = ctl.stream_reconcile(&mut full).unwrap_err();
+            assert_eq!(marked, unmarked, "{part} row");
+            assert_eq!(marked_audit, last_audit(&ctl, "reconcile-divergence"), "{part} row");
+            let StreamError::Divergence { artifact, detail, .. } = marked else {
+                panic!("{part} row: expected a divergence, got {marked}");
+            };
+            assert_eq!(artifact, "coarse-bwlog", "{part} row");
+            assert!(detail.starts_with(&format!("row {at}:")), "{part} row: {detail}");
+        }
+    }
+
+    /// The adaptive log's rows in batch order by sorting every row's
+    /// `(window start, pair index)` key: the order
+    /// [`IncrementalAdaptiveLog::for_each_sorted_row`] must hand out.
+    fn rows_by_sort(log: &IncrementalAdaptiveLog) -> Vec<CoarseBwRecord> {
+        let mut order: Vec<(u64, usize, usize)> = Vec::new();
+        for (i, ps) in log.pairs.iter().enumerate() {
+            order.extend(ps.closed.iter().enumerate().map(|(j, r)| (r.window_start.0, i, j)));
+            if let Some(&t) = ps.ts.last() {
+                let window = log.window(ps);
+                order.push((t / window * window, i, ps.closed.len()));
+            }
+        }
+        order.sort_unstable();
+        let mut rows = Vec::new();
+        for (_, i, j) in order {
+            let mut open = coarse_row((0, 0), 0, 0, []);
+            match log.pairs[i].closed.get(j) {
+                Some(row) => rows.push(row.clone()),
+                None if log.fill_open_row(i, &mut open, &mut RowScratch::default()) => {
+                    rows.push(open);
+                }
+                None => {}
+            }
+        }
+        rows
+    }
+
+    proptest::proptest! {
+        /// The wave walk hands out the adaptive log's rows in the order a
+        /// sort of every row's key gives, after every delta, over logs of
+        /// up to 36 pairs with multi-day histories, both classes and class
+        /// flips, and window sizes that nest (a day of hours) or do not.
+        #[test]
+        fn wave_walk_matches_sorted_row_order(
+            raw in proptest::collection::vec((0usize..8, 0u32..6, 0u32..6, 0usize..9), 0..200),
+            shape in 0u8..3,
+            chunk in 1usize..20,
+            cv_threshold in 0.0f64..1.5,
+            phase_pick in 0usize..3,
+            windows in 0usize..3,
+            every_stat in 0u8..2,
+        ) {
+            let (stable_window, volatile_window) =
+                [(DAY, HOUR), (5 * HOUR, 2 * HOUR), (2 * HOUR, 3 * HOUR)][windows];
+            let stats = if every_stat == 1 {
+                vec![Statistic::Mean, Statistic::Min, Statistic::P95]
+            } else {
+                vec![Statistic::Mean]
+            };
+            let ac = AdaptiveCoarsener { cv_threshold, stable_window, volatile_window, stats };
+            let log = walk_free_log(&raw, false, [0, 5, 17][phase_pick], false);
+            let mut adaptive = ac.new_state();
+            for d in walk_free_deltas(&log, shape, chunk) {
+                ac.apply_delta(&mut adaptive, &d).expect("a time-ordered delta applies");
+                let mut walked = Vec::new();
+                adaptive.for_each_sorted_row(|row| walked.push(row.clone()));
+                proptest::prop_assert_eq!(walked.len(), adaptive.rows());
+                proptest::prop_assert_eq!(
+                    encode_coarse_log(&walked),
+                    encode_coarse_log(&rows_by_sort(&adaptive))
+                );
             }
         }
     }

@@ -7,8 +7,9 @@
 //! record type behind `parking_lot` locks so producer teams and the CLTO
 //! can share it.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use smn_telemetry::record::{
     Alert, BandwidthRecord, HealthSample, IncidentRecord, LogEvent, ProbeResult,
 };
@@ -53,19 +54,46 @@ impl Timestamped for IncidentRecord {
     }
 }
 
+/// Where every [`TimeStore`] stamp comes from: each one handed out is new
+/// in this process.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    // A stamp publishes no other data: the atomic add alone makes each
+    // one unique, so `Relaxed` is enough.
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
 /// An append-mostly, time-ordered store of records.
 ///
 /// Appends must be non-decreasing in time (telemetry arrives in order);
 /// range queries binary-search. Retention enforcement (the one mutation
 /// besides append) rebuilds the vector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Every store carries a **stamp** ([`TimeStore::stamp`]): a value new in
+/// this process whenever a store is built or cloned, and renewed by every
+/// [`TimeStore::retain`]. An append keeps it. So two reads of stores with
+/// the same stamp see the same records before the earlier read's latest
+/// timestamp: all that can have changed is records appended at or after
+/// it. A reader that proved something about the older records (the
+/// streaming reconcile's sealed windows) can skip them while the stamp
+/// holds.
+#[derive(Debug)]
 pub struct TimeStore<T> {
     records: Vec<T>,
+    stamp: u64,
 }
 
 impl<T> Default for TimeStore<T> {
     fn default() -> Self {
-        Self { records: Vec::new() }
+        Self { records: Vec::new(), stamp: fresh_stamp() }
+    }
+}
+
+/// A clone is another store: it gets its own stamp.
+impl<T: Clone> Clone for TimeStore<T> {
+    fn clone(&self) -> Self {
+        Self { records: self.records.clone(), stamp: fresh_stamp() }
     }
 }
 
@@ -100,6 +128,13 @@ impl<T: Timestamped> TimeStore<T> {
         &self.records
     }
 
+    /// Records with `ts >= start`.
+    #[must_use]
+    pub fn since(&self, start: Ts) -> &[T] {
+        let lo = self.records.partition_point(|r| r.ts() < start);
+        self.records.get(lo..).unwrap_or_default()
+    }
+
     /// Records with `start <= ts < end`; empty when `start > end`.
     #[must_use]
     pub fn range(&self, start: Ts, end: Ts) -> &[T] {
@@ -120,12 +155,20 @@ impl<T: Timestamped> TimeStore<T> {
         self.records.is_empty()
     }
 
-    /// Keep only records satisfying `keep` (retention enforcement).
-    /// Returns how many records were dropped.
+    /// Keep only records satisfying `keep` (retention enforcement),
+    /// renewing the stamp. Returns how many records were dropped.
     pub fn retain(&mut self, keep: impl FnMut(&T) -> bool) -> usize {
         let before = self.records.len();
         self.records.retain(keep);
+        self.stamp = fresh_stamp();
         before - self.records.len()
+    }
+
+    /// This store's stamp: equal stamps mean the same store, changed since
+    /// only by appends.
+    #[must_use]
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Timestamp of the newest record.
@@ -228,6 +271,23 @@ mod tests {
         let dropped = s.retain(|r| r.gbps >= 5.0);
         assert_eq!(dropped, 5);
         assert_eq!(s.len(), 5);
+    }
+
+    #[test]
+    fn appends_keep_the_stamp_and_anything_else_renews_it() {
+        let mut s = TimeStore::new();
+        let built = s.stamp();
+        s.extend((0..4).map(|i| bw(i * 10, 1.0)));
+        assert_eq!(s.stamp(), built, "an in-order append keeps the stamp");
+        assert_eq!(s.since(Ts(15)).len(), 2);
+        assert_eq!(s.since(Ts(0)).len(), 4);
+        assert!(s.since(Ts(31)).is_empty());
+        let copy = s.clone();
+        assert_ne!(copy.stamp(), built, "a clone is another store");
+        assert_ne!(TimeStore::<BandwidthRecord>::new().stamp(), built);
+        s.retain(|_| true);
+        assert_ne!(s.stamp(), built, "every retain renews the stamp");
+        assert_ne!(s.stamp(), copy.stamp());
     }
 
     #[test]

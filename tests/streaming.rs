@@ -10,10 +10,12 @@ use proptest::prelude::*;
 use smn_core::bwlogs::{encode_coarse_log, AdaptiveCoarsener};
 use smn_core::coarsen::Coarsening;
 use smn_core::controller::{ControllerConfig, SmnController};
-use smn_core::stream::{StreamConfig, StreamState, TickOutcome};
+use smn_core::stream::{StreamConfig, StreamError, StreamState, TickOutcome};
+use smn_datalake::TimeStore;
 use smn_depgraph::coarse::CoarseDepGraph;
 use smn_depgraph::delta::GraphDelta;
 use smn_depgraph::fine::{Component, DependencyKind, FineDepGraph, Layer};
+use smn_obs::audit::AuditRecord;
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
 use smn_telemetry::series::Statistic;
@@ -298,6 +300,160 @@ fn check_apply_stats(
     Ok(())
 }
 
+/// The evidence of the last audit record of `action`.
+fn last_audit(ctl: &SmnController, action: &str) -> Vec<(String, String)> {
+    let audit = ctl.obs().audit_jsonl();
+    let records = audit.lines().rev().filter_map(|l| AuditRecord::from_json_line(l).ok());
+    records.into_iter().find(|r| r.action == action).map(|r| r.evidence).unwrap_or_default()
+}
+
+/// The value of `key` in the last `action` audit record, if any.
+fn audited(ctl: &SmnController, action: &str, key: &str) -> Option<String> {
+    last_audit(ctl, action).into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// What the last reconcile audit says it proved: `(proved_from,
+/// walked_records)`.
+fn proof_scope(ctl: &SmnController) -> (Option<String>, Option<String>) {
+    (audited(ctl, "reconcile", "proved_from"), audited(ctl, "reconcile", "walked_records"))
+}
+
+/// The scope the last reconcile must have proved, given the window start
+/// its predecessor's proof ended at (`None` for a full proof): the lake
+/// from that start, or all of it.
+fn expected_scope(ctl: &SmnController, from: Option<u64>) -> (Option<String>, Option<String>) {
+    let lake = ctl.clds().bandwidth.read();
+    let walked = from.map_or(lake.len(), |start| lake.since(Ts(start)).len());
+    (Some(from.unwrap_or(0).to_string()), Some(walked.to_string()))
+}
+
+/// Every reconcile of a session, periodic or final, has the verdict and
+/// hash of a full proof of a restored copy of its state against the same
+/// lake. Each one proves from the window of the newest record its
+/// predecessor proved (a full proof first) and walks the lake's records
+/// from there; the restored copy walks the whole lake.
+fn check_sealed_window_proofs(
+    base: &StreamConfig,
+    telemetry: &[TelemetryDelta],
+    churn: &[GraphDelta],
+    reconcile_every: u64,
+) -> Result<(), TestCaseError> {
+    let mut ctl = controller();
+    let cfg = StreamConfig { reconcile_every, ..base.clone() };
+    let window = cfg.window_secs;
+    let mut state = StreamState::new(cfg, base_fine());
+    let mut from = None;
+    let mut check = |ctl: &mut SmnController, state: &StreamState, hash: &str| {
+        prop_assert_eq!(proof_scope(ctl), expected_scope(ctl, from));
+        let lake_records = ctl.clds().bandwidth.read().len();
+        prop_assert_eq!(audited(ctl, "reconcile", "lake_records"), Some(lake_records.to_string()));
+        let checkpoint = serde_json::to_string(state).expect("checkpoint serializes");
+        let mut restored = StreamState::restore(&checkpoint).expect("checkpoint restores");
+        let full = ctl.stream_reconcile(&mut restored).expect("a full proof passes too");
+        prop_assert_eq!(full.hash.as_str(), hash);
+        prop_assert_eq!(proof_scope(ctl), expected_scope(ctl, None));
+        from = ctl.clds().bandwidth.read().latest_ts().map(|t| t.0 / window * window);
+        Ok(())
+    };
+    for td in telemetry {
+        let gd = churn.iter().find(|g| g.tick == td.tick);
+        let outcome = ctl.stream_tick(&mut state, td, gd).expect("no tick may fail");
+        if let Some(verdict) = outcome.reconcile {
+            check(&mut ctl, &state, &verdict.hash)?;
+        }
+    }
+    let verdict = ctl.stream_reconcile(&mut state).expect("final reconcile");
+    check(&mut ctl, &state, &verdict.hash)?;
+    prop_assert_eq!(&verdict.hash, &state.fingerprint());
+    Ok(())
+}
+
+/// A session of 36 single-epoch ticks (three hours) over three pairs,
+/// proven twice after its last tick: the second proof walks only the
+/// open hour 2, and any later one would start there too.
+fn proven_session() -> (SmnController, StreamState) {
+    let mut ctl = controller();
+    let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
+    let mut state = StreamState::new(cfg, base_fine());
+    let deltas: Vec<TelemetryDelta> = (0..36u32)
+        .map(|e| {
+            let ts = Ts(u64::from(e) * EPOCH_SECS);
+            let records = [(0, 1), (1, 2), (2, 0)]
+                .map(|(src, dst)| BandwidthRecord { ts, src, dst, gbps: f64::from(e % 5 + src) })
+                .to_vec();
+            TelemetryDelta::new(u64::from(e), records)
+        })
+        .collect();
+    ctl.stream_run(&mut state, &deltas, &[]).expect("the stream applies");
+    ctl.stream_reconcile(&mut state).expect("an honest session reconciles");
+    ctl.stream_reconcile(&mut state).expect("and again, from its mark");
+    assert_eq!(proof_scope(&ctl), (Some((2 * HOUR).to_string()), Some("36".to_string())));
+    (ctl, state)
+}
+
+/// Assert that a reconcile failed with a divergence in the uniform log.
+fn assert_uniform_divergence(result: Result<impl std::fmt::Debug, StreamError>) {
+    match result {
+        Err(StreamError::Divergence { artifact, .. }) => assert_eq!(artifact, "coarse-bwlog"),
+        other => panic!("expected a uniform-log divergence, got {other:?}"),
+    }
+}
+
+#[test]
+fn retaining_the_lake_forces_a_full_proof() {
+    let (mut ctl, mut state) = proven_session();
+    let kept = ctl.clds().bandwidth.write().retain(|_| true);
+    assert_eq!(kept, 0);
+    ctl.stream_reconcile(&mut state).expect("the same records reconcile");
+    assert_eq!(proof_scope(&ctl), expected_scope(&ctl, None));
+
+    // Drop one record from a proven window: only a full proof sees it.
+    let (mut ctl, mut state) = proven_session();
+    ctl.clds().bandwidth.write().retain(|r| (r.ts, r.src) != (Ts(0), 0));
+    assert_uniform_divergence(ctl.stream_reconcile(&mut state));
+    let diff = audited(&ctl, "reconcile-divergence", "diff").unwrap_or_default();
+    assert!(diff.starts_with("row 0:"), "{diff}");
+}
+
+#[test]
+fn a_cloned_or_replaced_lake_forces_a_full_proof() {
+    let (mut ctl, mut state) = proven_session();
+    let copy = ctl.clds().bandwidth.read().clone();
+    *ctl.clds().bandwidth.write() = copy;
+    ctl.stream_reconcile(&mut state).expect("a cloned lake reconciles");
+    assert_eq!(proof_scope(&ctl), expected_scope(&ctl, None));
+
+    // A replacement that differs in a proven window diverges.
+    let (mut ctl, mut state) = proven_session();
+    let mut replaced = TimeStore::new();
+    replaced.extend(ctl.clds().bandwidth.read().all().iter().map(|&r| {
+        let planted = (r.ts, r.src) == (Ts(EPOCH_SECS), 1);
+        BandwidthRecord { gbps: if planted { r.gbps + 1.0 } else { r.gbps }, ..r }
+    }));
+    *ctl.clds().bandwidth.write() = replaced;
+    assert_uniform_divergence(ctl.stream_reconcile(&mut state));
+}
+
+#[test]
+fn a_restored_session_starts_with_a_full_proof() {
+    let (mut ctl, state) = proven_session();
+    let checkpoint = serde_json::to_string(&state).expect("checkpoint serializes");
+    let mut restored = StreamState::restore(&checkpoint).expect("checkpoint restores");
+    ctl.stream_reconcile(&mut restored).expect("a restored session reconciles");
+    assert_eq!(proof_scope(&ctl), expected_scope(&ctl, None));
+    ctl.stream_reconcile(&mut restored).expect("and again, from its own mark");
+    assert_eq!(proof_scope(&ctl), expected_scope(&ctl, Some(2 * HOUR)));
+
+    // A checkpoint whose first proven row was changed diverges.
+    let first = state.time_log().coarse_log()[0].clone();
+    let planted = smn_core::bwlogs::CoarseBwRecord { values: vec![7.0, 7.0], ..first.clone() };
+    let row = |r| serde_json::to_string(r).expect("a row serializes");
+    assert!(checkpoint.contains(&row(&first)));
+    let forged = checkpoint.replacen(&row(&first), &row(&planted), 1);
+    let mut restored = StreamState::restore(&forged).expect("the forged checkpoint restores");
+    assert_uniform_divergence(ctl.stream_reconcile(&mut restored));
+}
+
 proptest! {
     /// For any delta sequence and churn interleaving, incremental equals
     /// batch.
@@ -380,5 +536,28 @@ proptest! {
         telemetry in boundary_stream_strategy(12),
     ) {
         check_apply_stats(&all_stats_config(), &telemetry)?;
+    }
+
+    /// Every reconcile of a stream whose ticks cross hour and day
+    /// windows, at any cadence, proves from its predecessor's mark and
+    /// has a full proof's verdict and hash.
+    #[test]
+    fn sealed_window_proofs_match_full_proofs_across_window_boundaries(
+        telemetry in boundary_stream_strategy(12),
+        churn in churn_strategy(12),
+        reconcile_every in 1u64..5,
+    ) {
+        check_sealed_window_proofs(&all_stats_config(), &telemetry, &churn, reconcile_every)?;
+    }
+
+    /// The same after a multi-hour bulk load, whose first reconcile may
+    /// already follow many sealed windows.
+    #[test]
+    fn sealed_window_proofs_match_full_proofs_after_a_bulk_load(
+        (telemetry, _split) in bulk_then_ticks_strategy(12),
+        churn in churn_strategy(13),
+        reconcile_every in 1u64..5,
+    ) {
+        check_sealed_window_proofs(&StreamConfig::default(), &telemetry, &churn, reconcile_every)?;
     }
 }
