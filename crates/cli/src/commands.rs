@@ -844,8 +844,9 @@ pub fn coverage(args: &[String]) -> Result<(), String> {
 /// crate, artifact rules over `artifacts/` (or the dirs named with
 /// `--artifacts`). `--deep` adds the whole-workspace call-graph pass
 /// (determinism taint, panic reachability against the committed
-/// `panic-baseline.txt` ratchet, lock discipline, consequential
-/// unresolved-call ambiguity). Fails on deny-level findings.
+/// `panic-baseline.txt` ratchet, unused public API against
+/// `unused-baseline.txt`, lock discipline, consequential unresolved-call
+/// ambiguity). Fails on deny-level findings.
 pub fn lint(args: &[String]) -> Result<(), String> {
     let mut json = false;
     let mut deep = false;
@@ -885,11 +886,7 @@ pub fn lint(args: &[String]) -> Result<(), String> {
 
     let mut deep_result = None;
     if deep {
-        let baseline = match std::fs::read_to_string(root.join("panic-baseline.txt")) {
-            Ok(text) => Some(smn_lint::reach::parse_baseline(&text)?),
-            Err(_) => None,
-        };
-        let opts = smn_lint::deep::DeepOptions { baseline };
+        let opts = smn_lint::deep::DeepOptions::load(&root)?;
         let result = smn_lint::deep::analyze_workspace(&root, &cfg, &opts);
         report.merge(result.report.clone());
         deep_result = Some(result);
@@ -917,13 +914,14 @@ pub fn lint(args: &[String]) -> Result<(), String> {
             let s = &d.summary;
             println!(
                 "smn-lint --deep: {} function(s), {} edge(s), {} unresolved, {} external; \
-                 {} det endpoint(s); {} panic-reachable public API(s)",
+                 {} det endpoint(s); {} panic-reachable public API(s); {} unused public API(s)",
                 s.functions,
                 s.edges,
                 s.unresolved,
                 s.external,
                 s.det_endpoints,
-                s.panic_per_crate.values().sum::<usize>()
+                s.panic_per_crate.values().sum::<usize>(),
+                s.unused_public.len()
             );
         }
     }

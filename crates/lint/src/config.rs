@@ -83,6 +83,12 @@ pub const DEEP_RULES: &[(&str, Level, &str)] = &[
         "a crate's panic-reachable public API count exceeds the committed panic-baseline.txt",
     ),
     (
+        "deep/unused-public",
+        Level::Deny,
+        "a crate's public library functions that no binary, example, CLI command or periodbench \
+         function reaches exceed the committed unused-baseline.txt",
+    ),
+    (
         "deep/lock-order-cycle",
         Level::Deny,
         "two code paths acquire the same locks in opposite orders (potential deadlock)",

@@ -220,6 +220,9 @@ pub struct RawFn {
     pub elem_lets: BTreeMap<String, Vec<String>>,
     /// Call sites in source order.
     pub calls: Vec<RawCall>,
+    /// Fn items named as values, not called (`.map(Self::f)`, `sort_by(cmp)`):
+    /// `Direct` or `Qualified` paths, in source order.
+    pub refs: Vec<RawCallKind>,
     /// Potential panic sites.
     pub panics: Vec<PanicSite>,
     /// Receiver-independent taint sources.
@@ -812,6 +815,7 @@ impl<'a> Extractor<'a> {
             chain_lets: BTreeMap::new(),
             elem_lets: BTreeMap::new(),
             calls: Vec::new(),
+            refs: Vec::new(),
             panics: Vec::new(),
             sources: Vec::new(),
             for_iters: Vec::new(),
@@ -1232,7 +1236,10 @@ impl<'a> Extractor<'a> {
         }
 
         // Call sites: the ident must be directly callable.
-        let Some(open) = self.call_paren(idx) else { return };
+        let Some(open) = self.call_paren(idx) else {
+            self.value_ref(fn_idx, idx);
+            return;
+        };
         let prev = self.prev_code(idx);
         let prev_tok = prev.map(|p| &self.tokens[p]);
 
@@ -1463,6 +1470,15 @@ impl<'a> Extractor<'a> {
 
     /// `a::b::name(..)` — record a qualified-path call.
     fn qualified_call(&mut self, fn_idx: usize, idx: usize) {
+        let segs = self.path_segs(idx);
+        let line = self.tokens[idx].span.line;
+        let col = self.tokens[idx].span.col;
+        let Some(open) = self.call_paren(idx) else { return };
+        self.push_call(fn_idx, RawCallKind::Qualified(segs), idx, line, col, open);
+    }
+
+    /// The path ending at the ident `idx`: `a::b::name` → `["a", "b", "name"]`.
+    fn path_segs(&self, idx: usize) -> Vec<String> {
         let mut segs = vec![self.tokens[idx].text.clone()];
         let mut k = idx;
         while let Some(c1) = self.prev_code(k) {
@@ -1483,10 +1499,35 @@ impl<'a> Extractor<'a> {
             k = seg;
         }
         segs.reverse();
-        let line = self.tokens[idx].span.line;
-        let col = self.tokens[idx].span.col;
-        let Some(open) = self.call_paren(idx) else { return };
-        self.push_call(fn_idx, RawCallKind::Qualified(segs), idx, line, col, open);
+        segs
+    }
+
+    /// A lowercase path that is not called but ends an argument, element
+    /// or statement (`.map(Self::f)`, `sort_by(cmp)`): maybe a fn item
+    /// named as a value. Locals of the same shape resolve to nothing or,
+    /// at worst, over-count a free fn of the same name as reached.
+    fn value_ref(&mut self, fn_idx: usize, idx: usize) {
+        let tok = &self.tokens[idx];
+        if !tok.text.starts_with(|c: char| c.is_lowercase() || c == '_')
+            || EXPR_KEYWORDS.contains(&tok.text.as_str())
+        {
+            return;
+        }
+        let ends_value = self
+            .next_code(idx + 1)
+            .is_some_and(|n| [')', ',', ';', ']', '}'].iter().any(|&c| self.tokens[n].is_punct(c)));
+        if !ends_value {
+            return;
+        }
+        if self.prev_code(idx).is_some_and(|p| self.tokens[p].is_punct('.')) {
+            return; // a field, not an item
+        }
+        let mut segs = self.path_segs(idx);
+        let kind = match segs.len() {
+            1 => RawCallKind::Direct(segs.remove(0)),
+            _ => RawCallKind::Qualified(segs),
+        };
+        self.facts.fns[fn_idx].refs.push(kind);
     }
 
     fn push_call(

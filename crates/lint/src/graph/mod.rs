@@ -214,6 +214,9 @@ pub struct Node {
     pub det: bool,
     /// Defined in a file where the panic rules apply (library code).
     pub lib: bool,
+    /// Defined in an `impl Trait for Type` block: derives, std generics and
+    /// formatting can call it where the graph cannot see.
+    pub trait_impl: bool,
     /// Local potential-panic sites.
     pub panics: Vec<PanicSite>,
     /// Local determinism-taint sources (finalized, receiver-typed).
@@ -237,6 +240,11 @@ pub struct CallGraph {
     pub n_external: usize,
     /// Order-sensitive mutations under scoped locks.
     pub scope_mutations: Vec<ScopeMutation>,
+    /// `(referrer, target)` pairs, sorted and unique, that are not call
+    /// edges but may still run the target: fn items named as values, and
+    /// methods named like the std method an untypeable receiver calls.
+    /// Only the unused-public report reads them.
+    pub refs: Vec<(usize, usize)>,
     /// Per-file allow annotations (file → validated allows).
     pub allows: BTreeMap<String, Vec<Allow>>,
 }
@@ -736,12 +744,20 @@ impl<'c> Builder<'c> {
         self.create_nodes();
         self.index_fns();
         let (edges, unresolved, n_external, scope_mutations) = self.resolve_bodies();
+        let refs = self.resolve_refs();
         let mut allows = BTreeMap::new();
         for f in &self.facts {
             allows.insert(f.path.clone(), f.allows.clone());
         }
-        let mut g =
-            CallGraph { nodes: self.nodes, edges, unresolved, n_external, scope_mutations, allows };
+        let mut g = CallGraph {
+            nodes: self.nodes,
+            edges,
+            unresolved,
+            n_external,
+            scope_mutations,
+            refs,
+            allows,
+        };
         g.edges.sort_by_key(|e| (e.caller, e.callee, e.line, e.tok));
         g.unresolved.sort_by(|a, b| (a.caller, a.line, &a.name).cmp(&(b.caller, b.line, &b.name)));
         g.scope_mutations.sort_by(|a, b| {
@@ -812,6 +828,7 @@ impl<'c> Builder<'c> {
                 public: r.public,
                 det: self.cfg.is_deterministic_path(&f.path),
                 lib: self.cfg.panic_rules_apply(&f.path),
+                trait_impl: r.impl_ctx.as_ref().is_some_and(|c| c.trait_name.is_some()),
                 panics: r.panics.clone(),
                 sources: Vec::new(),
                 locks: Vec::new(),
@@ -1130,6 +1147,51 @@ impl<'c> Builder<'c> {
             self.nodes[idx].locks = locks;
         }
         (edges, unresolved, n_external, scope_mutations)
+    }
+
+    /// What a body may reach beyond its call edges: the fn items it names
+    /// as values, and every workspace method named like a std method it
+    /// calls on an untypeable receiver (such calls count as external for
+    /// the analyses). Every candidate of an ambiguous name counts, as for
+    /// an unresolved call.
+    fn resolve_refs(&self) -> Vec<(usize, usize)> {
+        let mut refs = Vec::new();
+        for (idx, &(fi, ri)) in self.origin.iter().enumerate() {
+            let r = &self.facts[fi].fns[ri];
+            let node = &self.nodes[idx];
+            for kind in &r.refs {
+                let resolution = match kind {
+                    RawCallKind::Direct(name) => self.resolve_direct(name, &node.krate, fi, ri),
+                    RawCallKind::Qualified(segs) => {
+                        self.resolve_qualified(segs, &node.krate, &r.impl_ctx)
+                    }
+                    RawCallKind::Method { .. } => continue,
+                };
+                match resolution {
+                    Resolution::Hit(t) => refs.push((idx, t)),
+                    Resolution::Fanout(ts) | Resolution::Ambiguous(ts) => {
+                        refs.extend(ts.into_iter().map(|t| (idx, t)));
+                    }
+                    Resolution::External => {}
+                }
+            }
+            for call in &r.calls {
+                let RawCallKind::Method { name, chain } = &call.kind else { continue };
+                if !COMMON_STD_METHODS.contains(&name.as_str())
+                    || chain
+                        .as_ref()
+                        .is_some_and(|ch| self.chain_type(fi, r, ch, &node.id).is_some())
+                {
+                    continue;
+                }
+                refs.extend(
+                    self.methods_by_name.get(name).into_iter().flatten().map(|&t| (idx, t)),
+                );
+            }
+        }
+        refs.sort_unstable();
+        refs.dedup();
+        refs
     }
 
     /// `ri` is the calling fn's index, or `usize::MAX` when resolving a

@@ -25,6 +25,7 @@ pub mod reach;
 pub mod scan;
 pub mod source;
 pub mod taint;
+pub mod unused;
 
 use std::path::{Path, PathBuf};
 

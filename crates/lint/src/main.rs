@@ -2,14 +2,16 @@
 //!
 //! ```text
 //! smn-lint [--workspace] [--artifacts DIR]... [--deep] [--root PATH] [--json]
-//!          [--callgraph-out PATH] [--write-panic-baseline]
+//!          [--callgraph-out PATH] [--write-baselines]
 //! ```
 //!
 //! With no engine flags, runs the source engine plus the artifact engine
 //! over `artifacts/` when that directory exists. `--deep` adds the
 //! whole-workspace call-graph pass (determinism taint, panic
-//! reachability vs. `panic-baseline.txt`, lock discipline) and can emit
-//! the canonical call-graph artifact via `--callgraph-out`. Exit codes:
+//! reachability vs. `panic-baseline.txt`, lock discipline, unused public
+//! API vs. `unused-baseline.txt`) and can emit the canonical call-graph
+//! artifact via `--callgraph-out`; `--write-baselines` regenerates both
+//! baselines. Exit codes:
 //! 0 clean, 1 deny-level findings, 2 usage or configuration error.
 
 use std::path::PathBuf;
@@ -19,10 +21,10 @@ use serde::{Serialize, Value};
 use smn_lint::config::Config;
 use smn_lint::deep::{self, DeepOptions};
 use smn_lint::diag::Report;
-use smn_lint::{find_workspace_root, reach, run_artifacts, run_source};
+use smn_lint::{find_workspace_root, reach, run_artifacts, run_source, unused};
 
 const USAGE: &str = "usage: smn-lint [--workspace] [--artifacts DIR]... [--deep] [--root PATH] \
-                     [--json] [--callgraph-out PATH] [--write-panic-baseline]";
+                     [--json] [--callgraph-out PATH] [--write-baselines]";
 
 fn main() -> ExitCode {
     let mut workspace = false;
@@ -53,7 +55,7 @@ fn main() -> ExitCode {
                 }
                 None => return usage_error("--callgraph-out needs a path"),
             },
-            "--write-panic-baseline" => {
+            "--write-baselines" => {
                 deep_pass = true;
                 write_baseline = true;
             }
@@ -103,37 +105,42 @@ fn main() -> ExitCode {
 
     let mut deep_result = None;
     if deep_pass {
-        let baseline_path = root.join("panic-baseline.txt");
-        let baseline = if write_baseline {
-            // Regenerating: the old ratchet (and its findings) are moot.
-            None
+        // Regenerating: the old ratchets (and their findings) are moot.
+        let opts = if write_baseline {
+            DeepOptions::default()
         } else {
-            match std::fs::read_to_string(&baseline_path) {
-                Ok(text) => match reach::parse_baseline(&text) {
-                    Ok(b) => Some(b),
-                    Err(e) => {
-                        eprintln!("smn-lint: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(_) => None,
+            match DeepOptions::load(&root) {
+                Ok(opts) => opts,
+                Err(e) => {
+                    eprintln!("smn-lint: {e}");
+                    return ExitCode::from(2);
+                }
             }
         };
-        let opts = DeepOptions { baseline };
         let mut result = deep::analyze_workspace(&root, &cfg, &opts);
 
         if write_baseline {
-            let text = reach::render_baseline(&result.summary.panic_per_crate);
-            if let Err(e) = std::fs::write(&baseline_path, text) {
-                eprintln!("smn-lint: cannot write {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
+            let s = &result.summary;
+            for (name, header, per_crate) in [
+                ("panic-baseline.txt", reach::BASELINE_HEADER, &s.panic_per_crate),
+                ("unused-baseline.txt", unused::BASELINE_HEADER, &s.unused_per_crate),
+            ] {
+                let path = root.join(name);
+                if let Err(e) = std::fs::write(&path, reach::render_baseline(header, per_crate)) {
+                    eprintln!("smn-lint: cannot write {}: {e}", path.display());
+                    return ExitCode::from(2);
+                }
+                eprintln!("smn-lint: wrote {}", path.display());
             }
-            eprintln!("smn-lint: wrote {}", baseline_path.display());
-            // The per-endpoint warns exist to show the surface when no
-            // ratchet is in force; having just committed the ratchet,
+            // The per-function warns exist to show the surface when no
+            // ratchet is in force; having just committed the ratchets,
             // they would only be noise.
-            let findings =
-                result.report.findings.into_iter().filter(|d| d.rule != reach::RULE).collect();
+            let findings = result
+                .report
+                .findings
+                .into_iter()
+                .filter(|d| d.rule != reach::RULE && d.rule != unused::RULE)
+                .collect();
             result.report = Report::from_findings(findings);
         }
         if let Some(out) = &callgraph_out {
@@ -169,13 +176,14 @@ fn main() -> ExitCode {
             let s = &d.summary;
             println!(
                 "smn-lint --deep: {} function(s), {} edge(s), {} unresolved, {} external; \
-                 {} det endpoint(s); {} panic-reachable public API(s)",
+                 {} det endpoint(s); {} panic-reachable public API(s); {} unused public API(s)",
                 s.functions,
                 s.edges,
                 s.unresolved,
                 s.external,
                 s.det_endpoints,
-                s.panic_per_crate.values().sum::<usize>()
+                s.panic_per_crate.values().sum::<usize>(),
+                s.unused_public.len()
             );
         }
     }

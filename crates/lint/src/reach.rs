@@ -10,7 +10,7 @@
 //! same idiom as `clippy-baseline.txt`): a crate exceeding its committed
 //! count is a deny, and the offending endpoints are reported with their
 //! witnesses as evidence. Without a baseline (fixture runs,
-//! `--write-panic-baseline`), every reachable endpoint is reported as a
+//! `--write-baselines`), every reachable endpoint is reported as a
 //! warn finding so the full surface is visible.
 
 use std::collections::BTreeMap;
@@ -27,6 +27,9 @@ use crate::graph::CallGraph;
 pub const RULE: &str = "deep/panic-reachability";
 /// Rule id for a crate exceeding its committed baseline.
 pub const BASELINE_RULE: &str = "deep/panic-baseline";
+/// The header of `panic-baseline.txt`.
+pub const BASELINE_HEADER: &str = "# Panic-reachability ratchet: public library API functions per \
+                                   crate that can\n# transitively reach a panic site.\n";
 
 /// One public endpoint that can reach a panic.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -50,8 +53,8 @@ pub struct ReachResult {
     pub per_crate: BTreeMap<String, usize>,
 }
 
-/// Parse `panic-baseline.txt`: one `crate count` pair per line, `#`
-/// comments allowed.
+/// Parse a baseline file (`panic-baseline.txt`, `unused-baseline.txt`):
+/// one `crate count` pair per line, `#` comments allowed.
 pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, usize>, String> {
     let mut map = BTreeMap::new();
     for (ln, line) in text.lines().enumerate() {
@@ -61,24 +64,21 @@ pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, usize>, String> {
         }
         let mut parts = line.split_whitespace();
         let (Some(krate), Some(count), None) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(format!("panic-baseline.txt:{}: expected `crate count`", ln + 1));
+            return Err(format!("line {}: expected `crate count`", ln + 1));
         };
-        let count: usize = count
-            .parse()
-            .map_err(|_| format!("panic-baseline.txt:{}: bad count `{count}`", ln + 1))?;
+        let count: usize =
+            count.parse().map_err(|_| format!("line {}: bad count `{count}`", ln + 1))?;
         map.insert(krate.to_string(), count);
     }
     Ok(map)
 }
 
-/// Render a per-crate map in baseline format.
+/// Render a per-crate map in baseline format under `header`, the `#`
+/// comment lines that say what is counted.
 #[must_use]
-pub fn render_baseline(per_crate: &BTreeMap<String, usize>) -> String {
-    let mut out = String::from(
-        "# Panic-reachability ratchet: public library API functions per crate that can\n\
-         # transitively reach a panic site. Regenerate with:\n\
-         #   smn-lint --deep --write-panic-baseline\n\
-         # Counts may only go down.\n",
+pub fn render_baseline(header: &str, per_crate: &BTreeMap<String, usize>) -> String {
+    let mut out = format!(
+        "{header}# Regenerate with:\n#   smn-lint --deep --write-baselines\n# Counts may only go down.\n"
     );
     for (krate, count) in per_crate {
         out.push_str(&format!("{krate} {count}\n"));
@@ -196,7 +196,7 @@ pub fn run(
                     )
                     .with_note(
                         "fix the new panic path or, if intentional, regenerate with \
-                         --write-panic-baseline and justify the increase in review"
+                         --write-baselines and justify the increase in review"
                             .to_string(),
                     ),
                 );
@@ -342,7 +342,7 @@ mod tests {
         let mut m = BTreeMap::new();
         m.insert("core".to_string(), 3usize);
         m.insert("te".to_string(), 0usize);
-        let text = render_baseline(&m);
+        let text = render_baseline(BASELINE_HEADER, &m);
         assert_eq!(parse_baseline(&text).unwrap(), m);
         assert!(parse_baseline("core x\n").is_err());
     }
