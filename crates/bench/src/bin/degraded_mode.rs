@@ -47,6 +47,7 @@ use smn_incident::RedditDeployment;
 use smn_obs::clock::SimClock;
 use smn_obs::Obs;
 use smn_telemetry::chaos::{ChaosConfig, ChaosInjector};
+use smn_telemetry::det::{fnv1a, FNV_OFFSET};
 use smn_telemetry::time::{Ts, HOUR};
 
 /// One chaos profile for a full campaign replay.
@@ -78,13 +79,6 @@ impl ProfileResult {
     #[allow(clippy::cast_precision_loss)] // campaign sizes stay far below 2^52
     fn accuracy(&self) -> f64 {
         self.correct as f64 / self.total as f64
-    }
-}
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0100_0000_01b3);
     }
 }
 
@@ -130,7 +124,7 @@ fn run_profile(
         retries: 0,
         dropped_records: 0,
         crashes: 0,
-        outcome_hash: 0xcbf2_9ce4_8422_2325,
+        outcome_hash: FNV_OFFSET,
     };
 
     let mut profile_span = ctx.obs.span_with("profile", &[("name", p.name.into())]);

@@ -46,6 +46,7 @@ use smn_incident::{DeploymentStack, RedditDeployment};
 use smn_obs::clock::SimClock;
 use smn_obs::Obs;
 use smn_telemetry::chaos::{ChaosConfig, ChaosInjector};
+use smn_telemetry::det::{fnv1a, FNV_OFFSET};
 use smn_telemetry::time::{Ts, HOUR};
 use smn_topology::gen::{generate_planetary, PlanetaryConfig};
 
@@ -101,13 +102,6 @@ impl ProfileResult {
     }
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-}
-
 /// Outage on every 4th incident window (mirrors `degraded_mode`).
 fn partition_profile(n_faults: usize) -> FaultProfile {
     let mut p = FaultProfile::reliable().with_error_rate(0.10).with_seed(0x1A7E);
@@ -157,7 +151,7 @@ fn run_profile(
         residual_heal_sum: 0.0,
         residual_route_sum: 0.0,
         counters: HealCounters::default(),
-        outcome_hash: 0xcbf2_9ce4_8422_2325,
+        outcome_hash: FNV_OFFSET,
     };
 
     // Per-incident routing decision and settled remediation record.

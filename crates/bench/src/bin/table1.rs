@@ -27,7 +27,7 @@ fn main() {
         vec![
             "APIs".into(),
             "OpenFlow, P4".into(),
-            "Uniform-schema catalog + access policies (smn-datalake::{catalog, access})".into(),
+            "Uniform-schema catalog (smn-datalake::catalog)".into(),
         ],
         vec![
             "Enabling Technologies".into(),

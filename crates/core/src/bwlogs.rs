@@ -1063,8 +1063,9 @@ pub(crate) mod tests {
         }
         let mut out: Vec<CoarseBwRecord> = buckets
             .into_iter()
-            .filter_map(|((w, src, dst), vals)| {
-                let stats = SummaryStats::of(&vals)?;
+            .filter_map(|((w, src, dst), mut vals)| {
+                vals.sort_by(f64::total_cmp);
+                let stats = SummaryStats::of_sorted(&vals)?;
                 Some(CoarseBwRecord {
                     window_start: Ts(w * c.window_secs),
                     window_secs: c.window_secs,
@@ -1122,8 +1123,8 @@ pub(crate) mod tests {
     /// [`volatile_by_map`], then each `(window, pair)` cell of its class's
     /// window grouped by a `HashMap` in input order. A row's Mean is its
     /// cell's [`plain_fold`] mean and any other statistic that of
-    /// [`SummaryStats::of`]'s sorted copy. It walks no runs and calls no
-    /// fold type, so it also checks the incremental log.
+    /// [`SummaryStats::of_sorted`] over a sorted copy. It walks no runs and
+    /// calls no fold type, so it also checks the incremental log.
     pub(crate) fn adaptive_by_partition(
         c: &AdaptiveCoarsener,
         fine: &[BandwidthRecord],
@@ -1143,7 +1144,9 @@ pub(crate) mod tests {
             .into_iter()
             .filter_map(|((start, src, dst), (window_secs, vals))| {
                 let (mean, _) = plain_fold(&vals)?;
-                let sorted = SummaryStats::of(&vals)?;
+                let mut vals = vals;
+                vals.sort_by(f64::total_cmp);
+                let sorted = SummaryStats::of_sorted(&vals)?;
                 let value = |s: Statistic| if s == Statistic::Mean { mean } else { sorted.get(s) };
                 Some(CoarseBwRecord {
                     window_start: Ts(start),

@@ -60,7 +60,7 @@
 //! history is its [`StreamError::OutOfOrder`], refused before the log is
 //! touched.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -70,6 +70,7 @@ use smn_depgraph::coarse::{CdgDeltaStats, CoarseDepGraph};
 use smn_depgraph::delta::{DeltaError, GraphDelta};
 use smn_depgraph::fine::FineDepGraph;
 use smn_telemetry::delta::TelemetryDelta;
+use smn_telemetry::det::{fnv1a, FNV_OFFSET};
 use smn_telemetry::record::BandwidthRecord;
 use smn_telemetry::series::{key_pair, pair_key, sort_total, walk_runs, Fold, MeanFold, Statistic};
 use smn_telemetry::time::{Ts, DAY, HOUR};
@@ -89,16 +90,6 @@ pub const DELTA_JOURNAL_KIND: &str = "delta-journal";
 pub const DELTA_JOURNAL_SCHEMA: u64 = 1;
 
 // ---- fingerprints ------------------------------------------------------
-
-/// FNV-1a offset basis (the seed of every reconciliation fingerprint).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-}
 
 /// Feed one coarse row's wire bytes ([`row_wire_bytes`]) to a running
 /// FNV-1a state: the fingerprint of a log is its encoding's, with no
@@ -893,50 +884,28 @@ impl IncrementalAdaptiveLog {
         }
     }
 
-    /// The window start of row `j` of `ps`: its closed rows, then its
-    /// open row; `None` past its last row.
-    fn row_start(&self, ps: &PairState, j: usize) -> Option<u64> {
-        match ps.closed.get(j) {
-            Some(row) => Some(row.window_start.0),
-            None if j == ps.closed.len() => {
-                let window = self.window(ps);
-                ps.ts.last().map(|t| t / window * window)
-            }
-            None => None,
-        }
-    }
-
     /// Hand `visit` every row in batch order (`window_start`, `src`,
     /// `dst`): the closed rows by reference, and each open row built from
-    /// its pair's folds into one reused record. Each pair's rows ascend by
-    /// window start, pairs are disjoint across rows and the pair table
-    /// ascends, so batch order is the merge of the pairs' rows by window
-    /// start, then pair index. The merge keeps one entry per pair: its
-    /// index and next row, in a wave keyed by that row's window start.
-    /// The earliest wave is visited in pair order and each pair moves to
-    /// the wave of its next row. A wave fills in ascending runs (the
-    /// pairs of one earlier wave each), so its sort mostly checks order.
+    /// its pair's folds into one reused record. Pairs are disjoint across
+    /// rows and the pair table ascends, so ordering by window start, then
+    /// pair index, is batch order.
     fn for_each_sorted_row(&self, mut visit: impl FnMut(&CoarseBwRecord)) {
-        let mut waves: BTreeMap<u64, Vec<(usize, usize)>> = BTreeMap::new();
+        let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(self.rows);
         for (i, ps) in self.pairs.iter().enumerate() {
-            if let Some(start) = self.row_start(ps, 0) {
-                waves.entry(start).or_default().push((i, 0));
+            order.extend(ps.closed.iter().enumerate().map(|(j, r)| (r.window_start.0, i, j)));
+            if let Some(&t) = ps.ts.last() {
+                let window = self.window(ps);
+                order.push((t / window * window, i, ps.closed.len()));
             }
         }
+        order.sort_unstable();
         let mut scratch = RowScratch::default();
         let mut open = coarse_row((0, 0), 0, 0, []);
-        while let Some((_, mut wave)) = waves.pop_first() {
-            wave.sort_unstable();
-            for (i, j) in wave {
-                let Some(ps) = self.pairs.get(i) else { continue };
-                match ps.closed.get(j) {
-                    Some(row) => visit(row),
-                    None if self.fill_open_row(i, &mut open, &mut scratch) => visit(&open),
-                    None => {}
-                }
-                if let Some(start) = self.row_start(ps, j + 1) {
-                    waves.entry(start).or_default().push((i, j + 1));
-                }
+        for (_, i, j) in order {
+            match self.pairs.get(i).and_then(|ps| ps.closed.get(j)) {
+                Some(row) => visit(row),
+                None if self.fill_open_row(i, &mut open, &mut scratch) => visit(&open),
+                None => {}
             }
         }
     }
@@ -2782,7 +2751,8 @@ mod tests {
         /// bulk-then-tick delta streams, encode after every delta exactly
         /// as the walk-free oracles (map grouping, a map fold) over the log
         /// so far, through class flips and same-`ts` duplicates within a
-        /// delta and across ticks; the adaptive log's volatile set is the
+        /// delta and across ticks, with adaptive window sizes that nest (a
+        /// day of hours) or do not; the adaptive log's volatile set is the
         /// oracle's and its state breaks no rule. The applies and the batch oracles share the run
         /// walk; these oracles do not, so a walk bug cannot hide from
         /// reconciliation. The adaptive apply also visits exactly the
@@ -2796,6 +2766,7 @@ mod tests {
             cv_threshold in 0.0f64..1.5,
             phase_pick in 0usize..3,
             dup in 0u8..3,
+            windows in 0usize..3,
         ) {
             use crate::bwlogs::tests::{adaptive_by_partition, coarsen_by_map, volatile_by_map};
             let all = vec![
@@ -2809,12 +2780,9 @@ mod tests {
             let phase = [0, 5, 17][phase_pick];
             let log = walk_free_log(&raw, nan == 0, phase, dup == 0);
             let c = TimeCoarsener::new(HOUR, all.clone());
-            let ac = AdaptiveCoarsener {
-                cv_threshold,
-                stable_window: DAY,
-                volatile_window: HOUR,
-                stats: all,
-            };
+            let (stable_window, volatile_window) =
+                [(DAY, HOUR), (5 * HOUR, 2 * HOUR), (2 * HOUR, 3 * HOUR)][windows];
+            let ac = AdaptiveCoarsener { cv_threshold, stable_window, volatile_window, stats: all };
             let (mut time, mut adaptive) = (c.new_state(), ac.new_state());
             let mut seen = 0;
             for d in walk_free_deltas(&log, shape, chunk) {
@@ -3144,71 +3112,6 @@ mod tests {
             };
             assert_eq!(artifact, "coarse-bwlog", "{part} row");
             assert!(detail.starts_with(&format!("row {at}:")), "{part} row: {detail}");
-        }
-    }
-
-    /// The adaptive log's rows in batch order by sorting every row's
-    /// `(window start, pair index)` key: the order
-    /// [`IncrementalAdaptiveLog::for_each_sorted_row`] must hand out.
-    fn rows_by_sort(log: &IncrementalAdaptiveLog) -> Vec<CoarseBwRecord> {
-        let mut order: Vec<(u64, usize, usize)> = Vec::new();
-        for (i, ps) in log.pairs.iter().enumerate() {
-            order.extend(ps.closed.iter().enumerate().map(|(j, r)| (r.window_start.0, i, j)));
-            if let Some(&t) = ps.ts.last() {
-                let window = log.window(ps);
-                order.push((t / window * window, i, ps.closed.len()));
-            }
-        }
-        order.sort_unstable();
-        let mut rows = Vec::new();
-        for (_, i, j) in order {
-            let mut open = coarse_row((0, 0), 0, 0, []);
-            match log.pairs[i].closed.get(j) {
-                Some(row) => rows.push(row.clone()),
-                None if log.fill_open_row(i, &mut open, &mut RowScratch::default()) => {
-                    rows.push(open);
-                }
-                None => {}
-            }
-        }
-        rows
-    }
-
-    proptest::proptest! {
-        /// The wave walk hands out the adaptive log's rows in the order a
-        /// sort of every row's key gives, after every delta, over logs of
-        /// up to 36 pairs with multi-day histories, both classes and class
-        /// flips, and window sizes that nest (a day of hours) or do not.
-        #[test]
-        fn wave_walk_matches_sorted_row_order(
-            raw in proptest::collection::vec((0usize..8, 0u32..6, 0u32..6, 0usize..9), 0..200),
-            shape in 0u8..3,
-            chunk in 1usize..20,
-            cv_threshold in 0.0f64..1.5,
-            phase_pick in 0usize..3,
-            windows in 0usize..3,
-            every_stat in 0u8..2,
-        ) {
-            let (stable_window, volatile_window) =
-                [(DAY, HOUR), (5 * HOUR, 2 * HOUR), (2 * HOUR, 3 * HOUR)][windows];
-            let stats = if every_stat == 1 {
-                vec![Statistic::Mean, Statistic::Min, Statistic::P95]
-            } else {
-                vec![Statistic::Mean]
-            };
-            let ac = AdaptiveCoarsener { cv_threshold, stable_window, volatile_window, stats };
-            let log = walk_free_log(&raw, false, [0, 5, 17][phase_pick], false);
-            let mut adaptive = ac.new_state();
-            for d in walk_free_deltas(&log, shape, chunk) {
-                ac.apply_delta(&mut adaptive, &d).expect("a time-ordered delta applies");
-                let mut walked = Vec::new();
-                adaptive.for_each_sorted_row(|row| walked.push(row.clone()));
-                proptest::prop_assert_eq!(walked.len(), adaptive.rows());
-                proptest::prop_assert_eq!(
-                    encode_coarse_log(&walked),
-                    encode_coarse_log(&rows_by_sort(&adaptive))
-                );
-            }
         }
     }
 

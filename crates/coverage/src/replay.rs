@@ -24,6 +24,7 @@ use smn_obs::audit::AuditRecord;
 use smn_obs::clock::SimClock;
 use smn_obs::Obs;
 use smn_telemetry::chaos::{ChaosConfig, ChaosInjector};
+use smn_telemetry::det::{fnv1a, FNV_OFFSET};
 use smn_telemetry::time::{Ts, HOUR};
 use smn_topology::{EdgeId, StackFault};
 
@@ -67,13 +68,6 @@ pub struct ReplayOutcome {
     pub routed: Vec<Option<String>>,
     /// FNV-1a over the routing decisions: the determinism fingerprint.
     pub outcome_hash: u64,
-}
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
 }
 
 /// The lake profile a campaign's control-plane faults force: each
@@ -240,7 +234,7 @@ pub fn replay_campaign(
         degraded_windows: 0,
         crashes,
         routed: Vec::with_capacity(faults.len()),
-        outcome_hash: 0xcbf2_9ce4_8422_2325,
+        outcome_hash: FNV_OFFSET,
     };
     for (i, fault) in faults.iter().enumerate() {
         let w = windows.get(&(i as u64 * HOUR));

@@ -1,95 +1,13 @@
-//! Access-control policies over catalog datasets (§6 requirement (3)),
-//! plus the resilience policy for flaky lake access.
-//!
-//! The SMN "cannot dismantle the existing successful organizational
-//! structure of clouds into teams, but must *augment* them" (§2) — so
-//! access control is team-scoped: owners always read/write their datasets,
-//! and grants open datasets to other teams or to everyone.
-//!
-//! The second half of this module is the *availability* side of access:
-//! [`RetryPolicy`] (exponential backoff against transient
-//! [`LakeError::QueryFailed`]s) and [`CircuitBreaker`] (fail fast once the
-//! lake looks down), composed by [`ResilientAccess::query`]. Backoff is
-//! accounted in simulated seconds rather than slept, so campaigns stay
-//! fast and deterministic.
+//! The resilience policy for flaky lake access: [`RetryPolicy`]
+//! (exponential backoff against transient [`LakeError::QueryFailed`]s)
+//! and [`CircuitBreaker`] (fail fast once the lake looks down), composed
+//! by [`ResilientAccess::query`]. Backoff is accounted in simulated
+//! seconds rather than slept, so campaigns stay fast and deterministic.
 
 use serde::{Deserialize, Serialize};
 use smn_obs::Obs;
 
-use crate::catalog::Catalog;
 use crate::fault::LakeError;
-
-/// Action a principal wants to perform on a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Action {
-    /// Query records.
-    Read,
-    /// Append records.
-    Write,
-}
-
-/// One grant: `grantee` may perform `action` on `dataset`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Grant {
-    /// Dataset name, or `"*"` for all datasets.
-    pub dataset: String,
-    /// Grantee team name, or `"*"` for all teams.
-    pub grantee: String,
-    /// Permitted action.
-    pub action: Action,
-}
-
-/// The access policy set of the CLDS.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct AccessPolicy {
-    grants: Vec<Grant>,
-}
-
-impl AccessPolicy {
-    /// Policy with no grants (owners only).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A sensible default for an SMN: every team can read every dataset
-    /// (global visibility is the whole point), writes stay owner-only.
-    #[must_use]
-    pub fn global_read() -> Self {
-        let mut p = Self::new();
-        p.grant(Grant { dataset: "*".into(), grantee: "*".into(), action: Action::Read });
-        p
-    }
-
-    /// Add a grant.
-    pub fn grant(&mut self, g: Grant) {
-        if !self.grants.contains(&g) {
-            self.grants.push(g);
-        }
-    }
-
-    /// Remove all grants matching the triple exactly.
-    pub fn revoke(&mut self, g: &Grant) {
-        self.grants.retain(|x| x != g);
-    }
-
-    /// Whether `team` may perform `action` on `dataset`. Owners are always
-    /// allowed; unknown datasets are always denied.
-    #[must_use]
-    pub fn allowed(&self, catalog: &Catalog, team: &str, dataset: &str, action: Action) -> bool {
-        let Some(d) = catalog.get(dataset) else {
-            return false;
-        };
-        if d.team == team {
-            return true;
-        }
-        self.grants.iter().any(|g| {
-            g.action == action
-                && (g.dataset == "*" || g.dataset == dataset)
-                && (g.grantee == "*" || g.grantee == team)
-        })
-    }
-}
 
 /// Exponential-backoff retry policy for transient lake failures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -232,12 +150,6 @@ pub struct ResilientAccess {
 }
 
 impl ResilientAccess {
-    /// Build from a retry policy and breaker.
-    #[must_use]
-    pub fn new(retry: RetryPolicy, breaker: CircuitBreaker) -> Self {
-        ResilientAccess { retry, breaker, total_backoff_secs: 0.0, total_retries: 0 }
-    }
-
     /// Run `op` under the breaker and retry policy. `op` is called with the
     /// 0-based attempt number. Transient errors are retried with
     /// exponential backoff (accounted, not slept); persistent errors and
@@ -279,62 +191,6 @@ impl ResilientAccess {
         obs.gauge("lake_backoff_secs_total", self.total_backoff_secs);
         obs.gauge("lake_breaker_trips_total", self.breaker.trips as f64);
         obs.gauge("lake_breaker_open", if self.breaker.is_open() { 1.0 } else { 0.0 });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::catalog::builtin_descriptors;
-
-    fn catalog() -> Catalog {
-        let mut c = Catalog::new();
-        for d in builtin_descriptors() {
-            c.register(d);
-        }
-        c
-    }
-
-    #[test]
-    fn owner_always_allowed() {
-        let c = catalog();
-        let p = AccessPolicy::new();
-        assert!(p.allowed(&c, "traffic-engineering", "wan/bandwidth-logs", Action::Write));
-        assert!(p.allowed(&c, "traffic-engineering", "wan/bandwidth-logs", Action::Read));
-        assert!(!p.allowed(&c, "app", "wan/bandwidth-logs", Action::Read));
-    }
-
-    #[test]
-    fn unknown_dataset_denied_even_with_wildcards() {
-        let c = catalog();
-        let p = AccessPolicy::global_read();
-        assert!(!p.allowed(&c, "app", "no/such/dataset", Action::Read));
-    }
-
-    #[test]
-    fn global_read_opens_reads_not_writes() {
-        let c = catalog();
-        let p = AccessPolicy::global_read();
-        assert!(p.allowed(&c, "app", "wan/bandwidth-logs", Action::Read));
-        assert!(!p.allowed(&c, "app", "wan/bandwidth-logs", Action::Write));
-    }
-
-    #[test]
-    fn specific_grant_and_revoke() {
-        let c = catalog();
-        let mut p = AccessPolicy::new();
-        let g = Grant {
-            dataset: "ops/alerts".into(),
-            grantee: "network".into(),
-            action: Action::Write,
-        };
-        p.grant(g.clone());
-        p.grant(g.clone()); // idempotent
-        assert!(p.allowed(&c, "network", "ops/alerts", Action::Write));
-        assert!(!p.allowed(&c, "network", "ops/health", Action::Write));
-        assert!(!p.allowed(&c, "app", "ops/alerts", Action::Write));
-        p.revoke(&g);
-        assert!(!p.allowed(&c, "network", "ops/alerts", Action::Write));
     }
 }
 
@@ -393,10 +249,11 @@ mod resilience_tests {
 
     #[test]
     fn breaker_opens_fails_fast_then_recovers() {
-        let mut access = ResilientAccess::new(
-            RetryPolicy { max_attempts: 1, ..Default::default() },
-            CircuitBreaker::new(2, 3),
-        );
+        let mut access = ResilientAccess {
+            retry: RetryPolicy { max_attempts: 1, ..Default::default() },
+            breaker: CircuitBreaker::new(2, 3),
+            ..Default::default()
+        };
         // Two failed operations trip the breaker.
         for q in 0..2u64 {
             let _ = access.query::<()>(|_| Err(transient(q)));
@@ -443,10 +300,11 @@ mod resilience_tests {
 
     #[test]
     fn half_open_failure_reopens() {
-        let mut access = ResilientAccess::new(
-            RetryPolicy { max_attempts: 1, ..Default::default() },
-            CircuitBreaker::new(1, 1),
-        );
+        let mut access = ResilientAccess {
+            retry: RetryPolicy { max_attempts: 1, ..Default::default() },
+            breaker: CircuitBreaker::new(1, 1),
+            ..Default::default()
+        };
         let _ = access.query::<()>(|_| Err(transient(0)));
         assert!(access.breaker.is_open());
         // One fast-fail, then the half-open trial fails: re-open.

@@ -237,11 +237,6 @@ impl FaultyStore {
         &self.clds
     }
 
-    /// The active fault profile.
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
-    }
-
     /// Total queries served or failed so far.
     pub fn query_count(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)

@@ -1,23 +1,22 @@
 //! # smn-datalake
 //!
 //! The Cross-Layer Cross-Team Data Store (CLDS) of the SMN (Figure 1):
-//! a queryable global catalog with uniform schemas ([`catalog`]),
-//! time-ordered typed stores bundled behind locks ([`store`]),
-//! incident-aware retention for the Network History store ([`retention`]),
-//! team-scoped access control plus retry/circuit-breaker resilience
-//! ([`access`]), deterministic fault injection for degraded-mode testing
-//! ([`fault`]), and a denoising ingestion pipeline ([`ingest`]).
+//! a global catalog with uniform schemas ([`catalog`]), time-ordered
+//! typed stores bundled behind locks ([`store`]), incident-aware
+//! retention for the Network History store ([`retention`]),
+//! retry/circuit-breaker resilience ([`access`]), deterministic fault
+//! injection for degraded-mode testing ([`fault`]), and a denoising
+//! ingestion pipeline ([`ingest`]).
 //!
 //! ```
 //! use smn_datalake::store::Clds;
-//! use smn_datalake::access::{AccessPolicy, Action};
 //!
 //! let clds = Clds::new();
-//! let policy = AccessPolicy::global_read();
 //! let catalog = clds.catalog.read();
-//! // Any team can discover and read any dataset; writes stay owner-only.
-//! assert!(policy.allowed(&catalog, "network", "wan/bandwidth-logs", Action::Read));
-//! assert!(!policy.allowed(&catalog, "network", "wan/bandwidth-logs", Action::Write));
+//! // Every CLDS starts with the uniform-schema built-in datasets.
+//! let bw = catalog.get("wan/bandwidth-logs").expect("built in");
+//! assert_eq!(bw.team, "traffic-engineering");
+//! assert!(catalog.get("no/such/dataset").is_none());
 //! ```
 
 #![warn(missing_docs)]
@@ -26,7 +25,6 @@ pub mod access;
 pub mod catalog;
 pub mod fault;
 pub mod ingest;
-pub mod query;
 pub mod retention;
 pub mod store;
 

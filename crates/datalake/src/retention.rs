@@ -110,7 +110,7 @@ mod tests {
     use smn_telemetry::record::BandwidthRecord;
 
     fn store_with_days(days: u64) -> TimeStore<BandwidthRecord> {
-        let mut s = TimeStore::new();
+        let mut s = TimeStore::default();
         for d in 0..days {
             s.append(BandwidthRecord { ts: Ts::from_days(d), src: 0, dst: 1, gbps: d as f64 });
         }

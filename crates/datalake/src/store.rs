@@ -98,12 +98,6 @@ impl<T: Clone> Clone for TimeStore<T> {
 }
 
 impl<T: Timestamped> TimeStore<T> {
-    /// Empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append a record.
     ///
     /// # Panics
@@ -235,7 +229,7 @@ mod tests {
 
     #[test]
     fn append_and_range_query() {
-        let mut s = TimeStore::new();
+        let mut s = TimeStore::default();
         for i in 0..10 {
             s.append(bw(i * 100, i as f64));
         }
@@ -251,14 +245,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out-of-order")]
     fn out_of_order_append_rejected() {
-        let mut s = TimeStore::new();
+        let mut s = TimeStore::default();
         s.append(bw(100, 1.0));
         s.append(bw(50, 2.0));
     }
 
     #[test]
     fn equal_timestamps_allowed() {
-        let mut s = TimeStore::new();
+        let mut s = TimeStore::default();
         s.append(bw(100, 1.0));
         s.append(bw(100, 2.0));
         assert_eq!(s.range(Ts(100), Ts(101)).len(), 2);
@@ -266,7 +260,7 @@ mod tests {
 
     #[test]
     fn retain_drops_and_counts() {
-        let mut s = TimeStore::new();
+        let mut s = TimeStore::default();
         s.extend((0..10).map(|i| bw(i * 10, i as f64)));
         let dropped = s.retain(|r| r.gbps >= 5.0);
         assert_eq!(dropped, 5);
@@ -275,7 +269,7 @@ mod tests {
 
     #[test]
     fn appends_keep_the_stamp_and_anything_else_renews_it() {
-        let mut s = TimeStore::new();
+        let mut s = TimeStore::default();
         let built = s.stamp();
         s.extend((0..4).map(|i| bw(i * 10, 1.0)));
         assert_eq!(s.stamp(), built, "an in-order append keeps the stamp");
@@ -284,7 +278,7 @@ mod tests {
         assert!(s.since(Ts(31)).is_empty());
         let copy = s.clone();
         assert_ne!(copy.stamp(), built, "a clone is another store");
-        assert_ne!(TimeStore::<BandwidthRecord>::new().stamp(), built);
+        assert_ne!(TimeStore::<BandwidthRecord>::default().stamp(), built);
         s.retain(|_| true);
         assert_ne!(s.stamp(), built, "every retain renews the stamp");
         assert_ne!(s.stamp(), copy.stamp());

@@ -141,14 +141,16 @@ mod tests {
     ];
 
     /// The previous `from_records`: one sample vector per pair in a map,
-    /// summarised by [`SummaryStats::of`] and merged by `from_triples`.
+    /// sorted, summarised by [`SummaryStats::of_sorted`] and merged by
+    /// `from_triples`.
     fn from_records_by_map(records: &[BandwidthRecord], stat: Statistic) -> DemandMatrix {
         let mut samples: BTreeMap<(u32, u32), Vec<f64>> = BTreeMap::new();
         for r in records {
             samples.entry((r.src, r.dst)).or_default().push(r.gbps);
         }
-        DemandMatrix::from_triples(samples.into_iter().filter_map(|((s, d), v)| {
-            Some((NodeId(s), NodeId(d), SummaryStats::of(&v)?.get(stat)))
+        DemandMatrix::from_triples(samples.into_iter().filter_map(|((s, d), mut v)| {
+            v.sort_by(f64::total_cmp);
+            Some((NodeId(s), NodeId(d), SummaryStats::of_sorted(&v)?.get(stat)))
         }))
     }
 

@@ -201,12 +201,6 @@ impl ChaosInjector {
         self
     }
 
-    /// The profile this injector applies.
-    #[must_use]
-    pub fn config(&self) -> &ChaosConfig {
-        &self.config
-    }
-
     /// Apply the chaos profile to `records`, returning the degraded stream
     /// in delivery order plus an injection report.
     ///

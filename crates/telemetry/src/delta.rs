@@ -54,12 +54,6 @@ impl TelemetryDelta {
         pairs
     }
 
-    /// Earliest record timestamp, `None` when empty.
-    #[must_use]
-    pub fn min_ts(&self) -> Option<Ts> {
-        self.records.iter().map(|r| r.ts).min()
-    }
-
     /// Latest record timestamp, `None` when empty.
     #[must_use]
     pub fn max_ts(&self) -> Option<Ts> {
@@ -105,7 +99,6 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
         assert_eq!(d.pairs(), vec![(0, 1), (2, 1)]);
-        assert_eq!(d.min_ts(), Some(Ts(10)));
         assert_eq!(d.max_ts(), Some(Ts(3700)));
     }
 

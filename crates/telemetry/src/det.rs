@@ -4,7 +4,9 @@
 //! sweep over coarsening configurations and need random access to any epoch
 //! without replaying a stateful RNG stream. These helpers hash integers to
 //! uniform/normal/log-normal variates with SplitMix64, which has solid
-//! avalanche behavior and is trivially reproducible.
+//! avalanche behavior and is trivially reproducible. [`fnv1a`] is the
+//! one byte-stream fingerprint: reconciliation and the outcome hashes of
+//! the campaign replays all run it.
 
 /// SplitMix64 finalizer: hashes a 64-bit value to a well-mixed 64-bit value.
 #[must_use]
@@ -23,6 +25,19 @@ pub fn mix(parts: &[u64]) -> u64 {
         acc = splitmix64(acc ^ p);
     }
     acc
+}
+
+/// FNV-1a offset basis: the starting state of every [`fnv1a`] hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Feed `bytes` to a running 64-bit FNV-1a state. The state is the hash of
+/// everything fed so far, so a stream may arrive in any number of pieces.
+#[inline]
+pub fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
 }
 
 /// Hash to a uniform variate in `[0, 1)`.

@@ -28,7 +28,6 @@ pub mod det;
 pub mod record;
 pub mod series;
 pub mod sizing;
-pub mod templates;
 pub mod time;
 pub mod traffic;
 

@@ -25,13 +25,6 @@ pub struct BandwidthRecord {
     pub gbps: f64,
 }
 
-impl BandwidthRecord {
-    /// Render as the paper's CSV row format (with simulated timestamps).
-    pub fn to_csv_row(&self, name_of: impl Fn(u32) -> String) -> String {
-        format!("{}, {}, {}, {:.0}", self.ts, name_of(self.src), name_of(self.dst), self.gbps)
-    }
-}
-
 /// Alert severity levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Severity {
@@ -128,13 +121,6 @@ pub struct IncidentRecord {
 mod tests {
     use super::*;
     use crate::time::EPOCH_SECS;
-
-    #[test]
-    fn csv_row_matches_listing_1_shape() {
-        let r = BandwidthRecord { ts: Ts(0), src: 0, dst: 1, gbps: 1250.0 };
-        let row = r.to_csv_row(|i| ["us-e1", "eu-w1"][i as usize].to_string());
-        assert_eq!(row, "d000 00:00:00, us-e1, eu-w1, 1250");
-    }
 
     #[test]
     fn severity_is_ordered() {

@@ -2,16 +2,14 @@
 //!
 //! §4: "traffic engineering controllers can replace per-epoch demand traces
 //! … with summary statistics (e.g., mean or 95th percentile bandwidth usage)
-//! over fixed smaller time windows." [`SummaryStats`] is that replacement;
-//! [`TimeSeries::window_summaries`] computes it over fixed windows of a
-//! record stream.
+//! over fixed smaller time windows." [`SummaryStats`] is that replacement,
+//! and the run walks ([`walk_runs`], [`merge_runs`]) group a lake's
+//! records into the cells it summarises.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use serde::{Deserialize, Serialize};
-
-use crate::time::Ts;
 
 /// Summary statistics of a set of samples.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,25 +33,15 @@ pub struct SummaryStats {
 }
 
 impl SummaryStats {
-    /// Summarize `values`. Returns `None` for an empty slice.
-    ///
-    /// Sorts a copy and summarizes it with [`SummaryStats::of_sorted`].
-    #[must_use]
-    pub fn of(values: &[f64]) -> Option<SummaryStats> {
-        let mut sorted = values.to_vec();
-        sort_total(&mut sorted);
-        Self::of_sorted(&sorted)
-    }
-
     /// Summarize samples already sorted ascending under `f64::total_cmp`.
     /// Returns `None` for an empty slice.
     ///
-    /// This is the one sorted-order summariser: [`SummaryStats::of`] sorts
-    /// and calls it, and the uniform incremental coarse log, which keeps
-    /// each open cell's samples sorted, calls it directly. Under
-    /// `total_cmp` the sorted sequence of a multiset of values is unique
-    /// bit for bit, so both paths sum the same samples in the same order
-    /// and agree exactly. (The adaptive coarsener summarises in arrival
+    /// This is the one sorted-order summariser: the time oracle sorts each
+    /// cell's samples and calls it, and the uniform incremental coarse
+    /// log, which keeps each open cell's samples sorted, calls it directly.
+    /// Under `total_cmp` the sorted sequence of a multiset of values is
+    /// unique bit for bit, so both paths sum the same samples in the same
+    /// order and agree exactly. (The adaptive coarsener summarises in arrival
     /// order instead, with a [`Fold`].)
     #[must_use]
     pub fn of_sorted(sorted: &[f64]) -> Option<SummaryStats> {
@@ -570,87 +558,6 @@ fn interpolate(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// A timestamped univariate series.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimeSeries {
-    /// Sample times, ascending.
-    pub ts: Vec<Ts>,
-    /// Sample values, parallel to `ts`.
-    pub values: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// Empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a sample.
-    ///
-    /// # Panics
-    /// Panics if `ts` is older than the last sample (series are append-only
-    /// and time-ordered, like the telemetry streams they model).
-    pub fn push(&mut self, ts: Ts, value: f64) {
-        if let Some(&last) = self.ts.last() {
-            assert!(ts >= last, "out-of-order sample {ts:?} after {last:?}");
-        }
-        self.ts.push(ts);
-        self.values.push(value);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the series is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Values with `start <= ts < end`.
-    #[must_use]
-    pub fn range(&self, start: Ts, end: Ts) -> &[f64] {
-        let lo = self.ts.partition_point(|&t| t < start);
-        let hi = self.ts.partition_point(|&t| t < end);
-        &self.values[lo..hi]
-    }
-
-    /// Summaries over consecutive fixed windows of `window_secs`, starting
-    /// at the first sample's window boundary. Returns `(window_start,
-    /// stats)` pairs; empty windows are skipped.
-    #[must_use]
-    pub fn window_summaries(&self, window_secs: u64) -> Vec<(Ts, SummaryStats)> {
-        assert!(window_secs > 0, "zero window");
-        let (Some(&first_ts), Some(&last)) = (self.ts.first(), self.ts.last()) else {
-            return Vec::new();
-        };
-        let first = Ts(first_ts.0 / window_secs * window_secs);
-        let mut out = Vec::new();
-        let mut w = first;
-        while w <= last {
-            let end = w + window_secs;
-            if let Some(stats) = SummaryStats::of(self.range(w, end)) {
-                out.push((w, stats));
-            }
-            w = end;
-        }
-        out
-    }
-
-    /// Coefficient of variation (std/mean) over the whole series — the
-    /// stability score used by churn-adaptive coarsening (higher = less
-    /// stable). `None` if empty or zero-mean.
-    #[must_use]
-    pub fn coefficient_of_variation(&self) -> Option<f64> {
-        let s = SummaryStats::of(&self.values)?;
-        (s.mean.abs() > f64::EPSILON).then(|| s.std / s.mean)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,23 +566,6 @@ mod tests {
     /// Special values the summariser must order and sum identically on
     /// both paths: exact ties, both zeros, NaNs of either sign, infinities.
     const SPECIAL: [f64; 8] = [0.0, -0.0, 1.5, 1.5, -3.25, f64::NAN, -f64::NAN, f64::INFINITY];
-
-    /// Every field of a summary as raw bits, so NaN and the sign of zero
-    /// compare exactly.
-    fn bits(s: Option<SummaryStats>) -> Option<[u64; 8]> {
-        s.map(|s| {
-            [
-                s.count as u64,
-                s.mean.to_bits(),
-                s.min.to_bits(),
-                s.max.to_bits(),
-                s.p50.to_bits(),
-                s.p95.to_bits(),
-                s.p99.to_bits(),
-                s.std.to_bits(),
-            ]
-        })
-    }
 
     /// Arbitrary `f64` bit patterns, half of them drawn from the edges of
     /// `total_cmp` order: ±0.0, ±infinity, subnormals and NaNs of both
@@ -896,21 +786,6 @@ mod tests {
             prop_assert_eq!(walked(&records).0, visits_by_stable_key_sort(&records));
         }
 
-        /// `of` is `of_sorted` over the `total_cmp`-sorted samples, bit for
-        /// bit, whatever order the samples arrive in.
-        #[test]
-        fn of_is_of_sorted_over_sorted_samples(
-            picks in proptest::collection::vec((0usize..16, -1e3f64..1e3), 0..40),
-        ) {
-            let values: Vec<f64> =
-                picks.into_iter().map(|(i, x)| SPECIAL.get(i).copied().unwrap_or(x)).collect();
-            let mut sorted = values.clone();
-            sorted.sort_by(f64::total_cmp);
-            prop_assert_eq!(bits(SummaryStats::of(&values)), bits(SummaryStats::of_sorted(&sorted)));
-            let reversed: Vec<f64> = values.iter().rev().copied().collect();
-            prop_assert_eq!(bits(SummaryStats::of(&values)), bits(SummaryStats::of(&reversed)));
-        }
-
         /// Folding a slice is pushing its samples one at a time, for both
         /// folds, over arbitrary bit patterns (NaNs of both signs, ±0.0,
         /// ±∞, subnormals); the mean is the `MeanFold`'s, and a fold
@@ -1023,14 +898,14 @@ mod tests {
 
     #[test]
     fn summary_of_known_values() {
-        let s = SummaryStats::of(&[4.0, 1.0, 3.0, 2.0]).unwrap();
+        let s = SummaryStats::of_sorted(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(s.count, 4);
         assert_eq!(s.mean, 2.5);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
         assert_eq!(s.p50, 2.5);
         assert!((s.std - (1.25f64).sqrt()).abs() < 1e-12);
-        assert!(SummaryStats::of(&[]).is_none());
+        assert!(SummaryStats::of_sorted(&[]).is_none());
     }
 
     #[test]
@@ -1051,7 +926,7 @@ mod tests {
 
     #[test]
     fn statistic_selector() {
-        let s = SummaryStats::of(&[1.0, 2.0, 3.0]).unwrap();
+        let s = SummaryStats::of_sorted(&[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(s.get(Statistic::Mean), 2.0);
         assert_eq!(s.get(Statistic::Max), 3.0);
         assert_eq!(s.get(Statistic::Min), 1.0);
@@ -1063,55 +938,5 @@ mod tests {
     #[should_panic(expected = "sorted under f64::total_cmp")]
     fn statistic_of_sorted_rejects_unsorted_samples() {
         let _ = Statistic::P95.of_sorted(&[2.0, 1.0]);
-    }
-
-    #[test]
-    fn series_range_queries() {
-        let mut ts = TimeSeries::new();
-        for i in 0..10 {
-            ts.push(Ts(i * 100), i as f64);
-        }
-        assert_eq!(ts.range(Ts(200), Ts(500)), &[2.0, 3.0, 4.0]);
-        assert_eq!(ts.range(Ts(950), Ts(2000)), &[] as &[f64]);
-        assert_eq!(ts.len(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-order")]
-    fn series_rejects_out_of_order() {
-        let mut ts = TimeSeries::new();
-        ts.push(Ts(100), 1.0);
-        ts.push(Ts(50), 2.0);
-    }
-
-    #[test]
-    fn window_summaries_partition_samples() {
-        let mut ts = TimeSeries::new();
-        for i in 0..6 {
-            ts.push(Ts(i * 100), i as f64);
-        }
-        let w = ts.window_summaries(300);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].0, Ts(0));
-        assert_eq!(w[0].1.count, 3);
-        assert_eq!(w[0].1.mean, 1.0);
-        assert_eq!(w[1].0, Ts(300));
-        assert_eq!(w[1].1.mean, 4.0);
-        // Total samples preserved.
-        assert_eq!(w.iter().map(|(_, s)| s.count).sum::<usize>(), 6);
-    }
-
-    #[test]
-    fn cv_ranks_stability() {
-        let mut flat = TimeSeries::new();
-        let mut wild = TimeSeries::new();
-        for i in 0..50u64 {
-            flat.push(Ts(i), 100.0 + (i % 2) as f64);
-            wild.push(Ts(i), if i % 2 == 0 { 10.0 } else { 200.0 });
-        }
-        assert!(
-            flat.coefficient_of_variation().unwrap() < wild.coefficient_of_variation().unwrap()
-        );
-        assert!(TimeSeries::new().coefficient_of_variation().is_none());
     }
 }

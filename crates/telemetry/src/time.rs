@@ -36,12 +36,6 @@ impl Ts {
         Ts(days * DAY)
     }
 
-    /// Timestamp at `hours` whole hours.
-    #[must_use]
-    pub fn from_hours(hours: u64) -> Ts {
-        Ts(hours * HOUR)
-    }
-
     /// The day number this timestamp falls on.
     #[must_use]
     pub fn day(self) -> u64 {
@@ -150,8 +144,8 @@ mod tests {
 
     #[test]
     fn arithmetic_and_display() {
-        let t = Ts::from_hours(2) + 90;
-        assert_eq!(t - Ts::from_hours(2), 90);
+        let t = Ts(2 * HOUR) + 90;
+        assert_eq!(t - Ts(2 * HOUR), 90);
         assert_eq!(format!("{}", Ts(DAY + HOUR + MINUTE + 1)), "d001 01:01:01");
     }
 }

@@ -200,16 +200,6 @@ impl TrafficModel {
         p.base_gbps * diurnal * weekly * spike * regime * noise
     }
 
-    /// Demand between `src` and `dst` at `ts`; zero if they don't
-    /// communicate.
-    #[must_use]
-    pub fn demand_gbps(&self, src: NodeId, dst: NodeId, ts: Ts) -> f64 {
-        self.pairs
-            .iter()
-            .find(|p| p.src == src && p.dst == dst)
-            .map_or(0.0, |p| self.pair_demand(p, ts))
-    }
-
     /// All bandwidth records for the epoch containing `ts` (one per
     /// communicating pair — the uncoarsened log of the paper's Listing 1).
     #[must_use]
@@ -294,11 +284,6 @@ mod tests {
         let p = &m.pairs()[0];
         let t = Ts::from_days(30) + 600;
         assert_eq!(m.pair_demand(p, t), m.pair_demand(p, t));
-        assert_eq!(m.demand_gbps(p.src, p.dst, t), m.pair_demand(p, t));
-        assert_eq!(m.demand_gbps(p.dst, p.src, Ts(0)), {
-            // May or may not communicate in reverse; consistency check only.
-            m.demand_gbps(p.dst, p.src, Ts(0))
-        });
     }
 
     #[test]

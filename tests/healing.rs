@@ -16,6 +16,7 @@ use smn_incident::sim::{observe, SimConfig};
 use smn_incident::{DeploymentStack, RedditDeployment};
 use smn_obs::clock::SimClock;
 use smn_obs::Obs;
+use smn_telemetry::det::{fnv1a, FNV_OFFSET};
 use smn_telemetry::time::{Ts, HOUR};
 use smn_topology::gen::{generate_planetary, PlanetaryConfig};
 
@@ -173,14 +174,11 @@ fn healing_leaves_routing_outcomes_byte_identical() {
 
     // Outcome hash over routed teams (degraded_mode's accounting), FNV-1a.
     let hash = |windows: &[Vec<Feedback>]| -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         for w in windows {
             for f in w {
                 if let Feedback::RouteIncident { team, .. } = f {
-                    for &b in team.as_bytes() {
-                        h ^= u64::from(b);
-                        h = h.wrapping_mul(0x0100_0000_01b3);
-                    }
+                    fnv1a(&mut h, team.as_bytes());
                 }
             }
         }

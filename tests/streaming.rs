@@ -425,7 +425,7 @@ fn a_cloned_or_replaced_lake_forces_a_full_proof() {
 
     // A replacement that differs in a proven window diverges.
     let (mut ctl, mut state) = proven_session();
-    let mut replaced = TimeStore::new();
+    let mut replaced = TimeStore::default();
     replaced.extend(ctl.clds().bandwidth.read().all().iter().map(|&r| {
         let planted = (r.ts, r.src) == (Ts(EPOCH_SECS), 1);
         BandwidthRecord { gbps: if planted { r.gbps + 1.0 } else { r.gbps }, ..r }
