@@ -838,99 +838,6 @@ pub fn coverage(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `smn lint` — run the workspace static-analysis pass (both engines).
-///
-/// Mirrors `cargo run -p smn-lint`: source rules over every workspace
-/// crate, artifact rules over `artifacts/` (or the dirs named with
-/// `--artifacts`). `--deep` adds the whole-workspace call-graph pass
-/// (determinism taint, panic reachability against the committed
-/// `panic-baseline.txt` ratchet, unused public API against
-/// `unused-baseline.txt`, lock discipline, consequential unresolved-call
-/// ambiguity). Fails on deny-level findings.
-pub fn lint(args: &[String]) -> Result<(), String> {
-    let mut json = false;
-    let mut deep = false;
-    let mut artifact_dirs: Vec<std::path::PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--deep" => deep = true,
-            "--artifacts" => match it.next() {
-                Some(dir) => artifact_dirs.push(std::path::PathBuf::from(dir)),
-                None => return Err("--artifacts needs a directory".to_string()),
-            },
-            other => {
-                return Err(format!("unknown flag '{other}' (expected --json/--deep/--artifacts)"))
-            }
-        }
-    }
-
-    let cwd = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
-    let root = smn_lint::find_workspace_root(&cwd)
-        .ok_or_else(|| "no workspace root found above the current directory".to_string())?;
-    let cfg = smn_lint::config::Config::load(&root)?;
-
-    if artifact_dirs.is_empty() {
-        let default_dir = root.join("artifacts");
-        if default_dir.is_dir() {
-            artifact_dirs.push(default_dir);
-        }
-    }
-
-    let mut report = smn_lint::run_source(&root, &cfg);
-    for dir in &artifact_dirs {
-        let dir = if dir.is_absolute() { dir.clone() } else { root.join(dir) };
-        report.merge(smn_lint::run_artifacts(&root, &dir));
-    }
-
-    let mut deep_result = None;
-    if deep {
-        let opts = smn_lint::deep::DeepOptions::load(&root)?;
-        let result = smn_lint::deep::analyze_workspace(&root, &cfg, &opts);
-        report.merge(result.report.clone());
-        deep_result = Some(result);
-    }
-
-    if json {
-        match &deep_result {
-            Some(d) => {
-                use serde::{Serialize, Value};
-                let root_value = Value::Map(vec![
-                    ("report".to_string(), report.to_value()),
-                    ("deep".to_string(), d.summary.to_value()),
-                ]);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&root_value)
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-                );
-            }
-            None => println!("{}", report.to_json()),
-        }
-    } else {
-        print!("{}", report.render());
-        if let Some(d) = &deep_result {
-            let s = &d.summary;
-            println!(
-                "smn-lint --deep: {} function(s), {} edge(s), {} unresolved, {} external; \
-                 {} det endpoint(s); {} panic-reachable public API(s); {} unused public API(s)",
-                s.functions,
-                s.edges,
-                s.unresolved,
-                s.external,
-                s.det_endpoints,
-                s.panic_per_crate.values().sum::<usize>(),
-                s.unused_public.len()
-            );
-        }
-    }
-    if report.failed() {
-        return Err("deny-level findings (see report above)".to_string());
-    }
-    Ok(())
-}
-
 /// `smn obs summarize` — summarize a deterministic JSONL trace.
 ///
 /// Renders the span tree with durations, the top-N slowest spans, and

@@ -11,8 +11,8 @@
 //!                                      reconciliation-proven byte-identity
 //! smn heal [--faults N] [--json]       closed-loop remediation campaign
 //! smn coverage [--json] [--seed N]     fault-lattice coverage gate
-//! smn lint [--json] [--artifacts DIR]  static analysis (source + artifacts)
-//!          [--deep]                    add the call-graph deep pass
+//! smn lint [--json] [--artifacts DIR]  static analysis (source + artifacts;
+//!          [--deep] ...                smn-lint's arguments)
 //! smn obs summarize <trace.jsonl>      summarize a deterministic trace
 //! smn perf record [--scale S]          record the deterministic count suite
 //! smn perf diff <base> <cur>           compare two report sets
@@ -23,6 +23,8 @@
 //! subcommand); anything richer belongs in the example binaries.
 
 use std::process::ExitCode;
+
+use smn_lint::cli::Defaults;
 
 mod commands;
 
@@ -46,7 +48,8 @@ fn main() -> ExitCode {
         "stream" => commands::stream(rest),
         "heal" => commands::heal(rest),
         "coverage" => commands::coverage(rest),
-        "lint" => commands::lint(rest),
+        // smn-lint's front end, always with the source and artifact engines.
+        "lint" => return smn_lint::cli::run("smn lint", rest.iter().cloned(), Defaults::Always),
         "obs" => commands::obs(rest),
         "perf" => commands::perf(rest),
         "help" | "--help" | "-h" => {
@@ -93,7 +96,10 @@ USAGE:
            [--out FILE]                the threshold); writes the coverage-
            [--no-baseline]             report artifact with --out
   smn lint [--json] [--artifacts DIR] run smn-lint (source + artifact engines;
-           [--deep]                    --deep adds the call-graph pass)
+           [--deep] [--workspace]      --deep adds the call-graph pass;
+           [--root PATH]               accepts every smn-lint argument)
+           [--callgraph-out PATH]
+           [--write-baselines]
   smn obs summarize <trace.jsonl>     summarize a deterministic trace
            [--metrics FILE]           (span tree, top-N slowest spans,
            [--top N] [--json]          metric snapshot; fails on parse errors)

@@ -98,6 +98,14 @@ fn fnv1a_row(hash: &mut u64, row: &CoarseBwRecord) {
     row_wire_bytes(row, |b| fnv1a(hash, b));
 }
 
+/// [`fnv1a_row`] over `rows` in order, from the FNV-1a state `hash`.
+fn fnv1a_rows<'a>(mut hash: u64, rows: impl IntoIterator<Item = &'a CoarseBwRecord>) -> u64 {
+    for row in rows {
+        fnv1a_row(&mut hash, row);
+    }
+    hash
+}
+
 /// FNV-1a fingerprint over a sequence of byte streams: one pass over
 /// their concatenation, since FNV-1a is a running state.
 #[must_use]
@@ -486,15 +494,35 @@ impl IncrementalCoarseLog {
     }
 
     /// The mark of a proof that covered every row of this log against
-    /// `lake`, given the fingerprint's FNV-1a state after the sealed rows:
-    /// they end at the frontier's start. No mark when that start lies past
-    /// the lake's newest record, since an append could still land before
-    /// it.
-    fn proof_mark(&self, lake: &TimeStore<BandwidthRecord>, fnv: u64) -> ProofMark {
-        let start = Ts(self.frontier.saturating_mul(self.window_secs));
-        let rows = self.sealed.len();
+    /// `lake`, given the fingerprint's FNV-1a states after the sealed rows
+    /// and after the open ones. The sealed rows end at the frontier's
+    /// start, the open ones at the end of the newest open window. No mark
+    /// when the frontier's start lies past the lake's newest record, since
+    /// an append could still land before it.
+    fn proof_mark(
+        &self,
+        lake: &TimeStore<BandwidthRecord>,
+        [at_sealed, at_open]: [u64; 2],
+    ) -> ProofMark {
+        let window = self.window_secs;
+        let start = Ts(self.frontier.saturating_mul(window));
+        let end = self
+            .keys
+            .last()
+            .map_or(start, |&(w, _)| Ts(w.saturating_add(1).saturating_mul(window)));
         let covered = lake.latest_ts().is_some_and(|latest| start <= latest);
-        ProofMark(covered.then_some(SealedProof { rows, start, lake: lake.stamp(), fnv }))
+        ProofMark(covered.then_some(SealedProof {
+            lake: lake.stamp(),
+            before_end: records_before(lake, end),
+            sealed: ProofPoint { rows: self.sealed.len(), start, fnv: at_sealed },
+            open: ProofPoint { rows: self.rows(), start: end, fnv: at_open },
+        }))
+    }
+
+    /// Whether the first `point.rows` rows, all sealed, still feed the
+    /// fingerprint to `point.fnv`.
+    fn hashes_to(&self, point: &ProofPoint) -> bool {
+        self.sealed.get(..point.rows).is_some_and(|rows| fnv1a_rows(FNV_OFFSET, rows) == point.fnv)
     }
 
     /// The log is one `apply_delta` could have left: a non-zero window
@@ -839,6 +867,10 @@ impl PairState {
     }
 }
 
+/// The sort keys of [`IncrementalAdaptiveLog::for_each_sorted_row`]: each
+/// row's window start, pair index and row index within its pair.
+type RowOrder = Vec<(u64, usize, usize)>;
+
 /// Incremental state of an [`AdaptiveCoarsener`]: a dense pair table —
 /// `keys` ascending with the parallel `pairs` holding each pair's
 /// history, folds and closed rows — plus the total row count and the
@@ -888,9 +920,12 @@ impl IncrementalAdaptiveLog {
     /// `dst`): the closed rows by reference, and each open row built from
     /// its pair's folds into one reused record. Pairs are disjoint across
     /// rows and the pair table ascends, so ordering by window start, then
-    /// pair index, is batch order.
-    fn for_each_sorted_row(&self, mut visit: impl FnMut(&CoarseBwRecord)) {
-        let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(self.rows);
+    /// pair index, is batch order. The sort keys go into `order`, which
+    /// is cleared and grown to exactly the row count; a caller that
+    /// allocated it with that capacity owns its only allocation.
+    fn for_each_sorted_row(&self, order: &mut RowOrder, mut visit: impl FnMut(&CoarseBwRecord)) {
+        order.clear();
+        order.reserve_exact(self.rows);
         for (i, ps) in self.pairs.iter().enumerate() {
             order.extend(ps.closed.iter().enumerate().map(|(j, r)| (r.window_start.0, i, j)));
             if let Some(&t) = ps.ts.last() {
@@ -901,7 +936,7 @@ impl IncrementalAdaptiveLog {
         order.sort_unstable();
         let mut scratch = RowScratch::default();
         let mut open = coarse_row((0, 0), 0, 0, []);
-        for (_, i, j) in order {
+        for &(_, i, j) in order.iter() {
             match self.pairs.get(i).and_then(|ps| ps.closed.get(j)) {
                 Some(row) => visit(row),
                 None if self.fill_open_row(i, &mut open, &mut scratch) => visit(&open),
@@ -928,7 +963,7 @@ impl IncrementalAdaptiveLog {
     #[must_use]
     pub fn coarse_log(&self) -> Vec<CoarseBwRecord> {
         let mut out = Vec::with_capacity(self.rows);
-        self.for_each_sorted_row(|row| out.push(row.clone()));
+        self.for_each_sorted_row(&mut RowOrder::new(), |row| out.push(row.clone()));
         out
     }
 
@@ -938,7 +973,9 @@ impl IncrementalAdaptiveLog {
     pub fn encode(&self) -> bytes::Bytes {
         use bytes::BufMut;
         let mut buf = bytes::BytesMut::with_capacity(34 * self.rows);
-        self.for_each_sorted_row(|row| row_wire_bytes(row, |b| buf.put_slice(b)));
+        self.for_each_sorted_row(&mut RowOrder::new(), |row| {
+            row_wire_bytes(row, |b| buf.put_slice(b));
+        });
         buf.freeze()
     }
 
@@ -1279,16 +1316,42 @@ impl StreamConfig {
     }
 }
 
-/// Where the last successful reconcile's proof of the uniform log ended:
-/// its first `rows` rows, every sealed window before `start`, are the
-/// time oracle's cells of the lake stamped `lake` before `start`, and feed
-/// the fingerprint to the FNV-1a state `fnv`.
+/// A point a proof of the uniform log may start from: its first `rows`
+/// rows are the time oracle's cells of the lake before `start`, a window
+/// start, and feed the fingerprint to the FNV-1a state `fnv`. The origin,
+/// no row and [`FNV_OFFSET`], is a full proof.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct SealedProof {
+struct ProofPoint {
     rows: usize,
     start: Ts,
-    lake: u64,
     fnv: u64,
+}
+
+impl ProofPoint {
+    /// The point of a full proof.
+    const ORIGIN: ProofPoint = ProofPoint { rows: 0, start: Ts(0), fnv: FNV_OFFSET };
+}
+
+/// Where the last successful reconcile proved the uniform log against the
+/// lake stamped `lake`: through its sealed rows, which end at the
+/// frontier's start, and through its open rows, which end at the newest
+/// open window's end, where the lake then held `before_end` records (all
+/// of them).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SealedProof {
+    lake: u64,
+    before_end: usize,
+    sealed: ProofPoint,
+    open: ProofPoint,
+}
+
+/// A fingerprint as reconciliation reports it, with the FNV-1a states
+/// after the uniform log's sealed rows and after its open rows.
+type Fingerprint = (String, [u64; 2]);
+
+/// The number of `lake`'s records before `end`.
+fn records_before(lake: &TimeStore<BandwidthRecord>, end: Ts) -> usize {
+    lake.len().saturating_sub(lake.since(end).len())
 }
 
 /// The uniform log's proof mark: what the next reconcile need not walk
@@ -1312,22 +1375,24 @@ impl Deserialize for ProofMark {
 }
 
 impl ProofMark {
-    /// The mark, if a proof of `log` against a lake stamped `lake` may
-    /// start from it: the same lake, changed since only by appends, and a
-    /// log that still holds the mark's rows and was built for `time`'s
-    /// configuration. Whether those rows are unchanged is checked against
-    /// the fingerprint, after the proof.
+    /// The point a proof of `log` against `lake` may start from, if any:
+    /// the same lake, changed since only by appends, and a log built for
+    /// `time`'s configuration. The open rows' point needs them all sealed
+    /// now and no record landed before their end since the proof;
+    /// otherwise the sealed rows' point, while the log still holds them.
+    /// Whether those rows are unchanged is checked against the
+    /// fingerprint's state, after the walk.
     fn usable(
         self,
-        lake: u64,
+        lake: &TimeStore<BandwidthRecord>,
         log: &IncrementalCoarseLog,
         time: &TimeCoarsener,
-    ) -> Option<SealedProof> {
-        self.0.filter(|m| {
-            m.lake == lake
-                && m.rows <= log.sealed.len()
-                && log.built_for(time.window_secs, &time.stats).is_ok()
-        })
+    ) -> Option<ProofPoint> {
+        let m = self.0.filter(|m| {
+            m.lake == lake.stamp() && log.built_for(time.window_secs, &time.stats).is_ok()
+        })?;
+        let open = (records_before(lake, m.open.start) == m.before_end).then_some(m.open);
+        open.into_iter().chain([m.sealed]).find(|p| p.rows <= log.sealed.len())
     }
 }
 
@@ -1441,31 +1506,52 @@ impl StreamState {
     /// encoding built.
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        self.fingerprint_with(&self.cdg.canonical_bytes(), 0).0
+        self.full_fingerprint(&self.cdg.canonical_bytes()).0
     }
 
-    /// [`StreamState::fingerprint`], given the CDG's canonical bytes, with
-    /// the FNV-1a state after the first `from` uniform rows and after
-    /// every sealed row: the states a proof mark is checked against and
-    /// records. `from` is at most the sealed row count.
-    fn fingerprint_with(&self, cdg: &[u8], from: usize) -> (String, [u64; 2]) {
-        let mut hash = FNV_OFFSET;
-        let sealed = &self.time.sealed;
-        let (proven, newer) = sealed.split_at_checked(from).unwrap_or((sealed, &[]));
-        for row in proven {
-            fnv1a_row(&mut hash, row);
-        }
-        let at_from = hash;
-        for row in newer {
-            fnv1a_row(&mut hash, row);
-        }
-        let at_sealed = hash;
-        for cell in &self.time.cells {
-            fnv1a_row(&mut hash, &cell.row);
-        }
-        self.adaptive.for_each_sorted_row(|row| fnv1a_row(&mut hash, row));
+    /// [`StreamState::fingerprint`] from [`ProofPoint::ORIGIN`], given the
+    /// CDG's canonical bytes, with the states a proof mark records.
+    fn full_fingerprint(&self, cdg: &[u8]) -> Fingerprint {
+        self.fingerprint_from(ProofPoint::ORIGIN, cdg, &mut RowOrder::new())
+    }
+
+    /// [`StreamState::fingerprint`], given the CDG's canonical bytes,
+    /// continued from `point`'s FNV-1a state over the uniform rows after
+    /// its first `point.rows`, which must be sealed; from
+    /// [`ProofPoint::ORIGIN`] it is the whole fingerprint. Also returns the
+    /// states after the sealed rows and after the open rows, which a proof
+    /// mark records. The adaptive rows' sort keys go into `order`.
+    fn fingerprint_from(&self, point: ProofPoint, cdg: &[u8], order: &mut RowOrder) -> Fingerprint {
+        let newer = self.time.sealed.get(point.rows..).unwrap_or_default();
+        let at_sealed = fnv1a_rows(point.fnv, newer);
+        let mut hash = fnv1a_rows(at_sealed, self.time.cells.iter().map(|c| &c.row));
+        let at_open = hash;
+        self.adaptive.for_each_sorted_row(order, |row| fnv1a_row(&mut hash, row));
         fnv1a(&mut hash, cdg);
-        (format!("{hash:016x}"), [at_from, at_sealed])
+        (format!("{hash:016x}"), [at_sealed, at_open])
+    }
+
+    /// The rest of a proof of the uniform log from a mark's `point`, once
+    /// the time oracle's walk of the rows after it returned `walked`: the
+    /// verdict, the point used and the fingerprint of the proven state.
+    /// The rows the point skipped must still hash to its state. When they
+    /// do not, or the rows after them diverged, the uniform log gets a
+    /// full proof against the whole lake `full`, and a proven log the
+    /// fingerprint from its first row: every verdict and hash is a full
+    /// proof's.
+    fn prove_from(
+        &self,
+        point: ProofPoint,
+        walked: bool,
+        time: &TimeCoarsener,
+        full: &[BandwidthRecord],
+        cdg: &[u8],
+        order: &mut RowOrder,
+    ) -> (bool, Option<ProofPoint>, Option<Fingerprint>) {
+        let used = (walked && self.time.hashes_to(&point)).then_some(point);
+        let time_ok = used.is_some() || self.time.matches_batch(time, full, 0);
+        let from = used.unwrap_or(ProofPoint::ORIGIN);
+        (time_ok, used, time_ok.then(|| self.fingerprint_from(from, cdg, order)))
     }
 }
 
@@ -1700,18 +1786,24 @@ impl SmnController {
     /// no-silent-disagreement discipline as the degraded-mode outcome
     /// hashes.
     ///
-    /// **Sealed windows are proven once.** A successful proof marks where
-    /// the uniform log's sealed rows end: their count, the frontier's
-    /// window start, the lake's stamp ([`TimeStore::stamp`]) and the
-    /// fingerprint's FNV-1a state after them. The next reconcile's time
-    /// oracle walks only the lake since that start and compares it with
-    /// the rows after the mark. The skipped windows cannot have changed:
-    /// sealed rows are only appended, and the fingerprint pass checks the
-    /// mark's FNV state; the lake appends only at or after its newest
-    /// timestamp, which the mark's start never passes, and any other
-    /// change renews its stamp. A mark that fails any of these checks, a
-    /// restored session (checkpoints carry no mark) and a diverging walk
-    /// all get a full proof, so every verdict, audit and diff is a full
+    /// **Sealed windows are proven once.** A successful proof marks two
+    /// points of the uniform log: where its sealed rows end (the
+    /// frontier's window start) and where its open rows end (the end of
+    /// the newest open window), each with its row count and the
+    /// fingerprint's FNV-1a state after those rows, plus the lake's stamp
+    /// ([`TimeStore::stamp`]) and its record count before that end. The
+    /// next reconcile starts from the open rows' point when they are all
+    /// sealed now and no record has landed before their end, otherwise
+    /// from the sealed rows' point. Its time oracle walks only the lake
+    /// since the point's start and compares it with the rows after the
+    /// point. The skipped windows cannot have changed: sealed rows are
+    /// only appended, and they must still hash to the point's FNV state;
+    /// the lake appends only at or after its newest timestamp, which the
+    /// frontier's start never passes, the open rows' point is taken only
+    /// while no record has landed before its end, and any other change
+    /// renews the stamp. A mark that fails any of these checks, a restored
+    /// session (checkpoints carry no mark) and a diverging walk all get a
+    /// full proof, so every verdict, audit, diff and hash is a full
     /// proof's. The adaptive oracle still walks the whole lake: a pair's
     /// class depends on its whole history. The phase and the audit record
     /// `proved_from`, the first window start the time oracle walked (0 for
@@ -1724,14 +1816,18 @@ impl SmnController {
     /// batch log and no encoding. Only a divergence rebuilds the batch
     /// log, for its audited hashes and diff. The two logs share no state,
     /// so their proofs run side by side ([`smn_obs::Obs::fork`]) under
-    /// the one lake read guard: the `reconcile/time-oracle` child phase
-    /// is the time oracle's walk and its comparison, on a scoped thread,
-    /// and `reconcile/adaptive-oracle` the adaptive oracle's sweeps and
-    /// comparison, on the caller. The caller's branch, the shorter, then
-    /// laps into `reconcile/compare`: the CDG rebuild and comparison and
-    /// the fingerprint, which read only state no branch changes, so they
-    /// overlap the time oracle. Divergences are reported in the order
-    /// uniform log, adaptive log, CDG.
+    /// the one lake read guard. On a scoped thread, the
+    /// `reconcile/time-oracle` child phase is the time oracle's walk and
+    /// its comparison. On the caller, `reconcile/adaptive-oracle` is the
+    /// adaptive oracle's sweeps and comparison, and the
+    /// `reconcile/compare` lap the CDG rebuild and comparison. The
+    /// `reconcile/fingerprint` lap checks the skipped rows' FNV state and
+    /// hashes everything after them, continuing from that state: it
+    /// follows the time oracle when a mark shortens its walk, and the
+    /// compare when there is no usable mark, since the time oracle then
+    /// walks the whole lake. The CDG's canonical bytes are built once,
+    /// before the fork. Divergences are reported in the order uniform log,
+    /// adaptive log, CDG.
     ///
     /// # Errors
     /// [`StreamError::Divergence`] naming the first diverging artifact,
@@ -1772,13 +1868,25 @@ impl SmnController {
             let adaptive = &state.config.adaptive;
             let proven: &StreamState = state;
             // A usable mark spares the time oracle the windows it proved.
-            let from = proven.mark.usable(lake.stamp(), &proven.time, &time);
-            let (from_row, since) = from.map_or((0, full), |m| (m.rows, lake.since(m.start)));
+            let from = proven.mark.usable(&lake, &proven.time, &time);
+            let since = from.map_or(full, |p| lake.since(p.start));
+            // Both branches read the CDG's bytes. A fingerprint on the
+            // spawned thread sorts into a buffer allocated here: a block
+            // that thread allocates stays in its arena.
+            let inc_cdg = proven.cdg.canonical_bytes();
+            let mut time_order =
+                RowOrder::with_capacity(from.map_or(0, |_| proven.adaptive.rows()));
             // The two proofs share no state: run them side by side. The
-            // adaptive proof is the shorter, so the CDG check and the
-            // fingerprint of the proven state follow it on its branch.
-            let (time_proven, rest) = obs.fork(
-                ("reconcile/time-oracle", |_| proven.time.matches_batch(&time, since, from_row)),
+            // fingerprint follows the time oracle when a mark shortens its
+            // walk, else the CDG check, which follows the adaptive oracle.
+            let ((time_ok, used, time_hash), rest) = obs.fork(
+                ("reconcile/time-oracle", |laps| {
+                    let walked =
+                        proven.time.matches_batch(&time, since, from.map_or(0, |p| p.rows));
+                    let Some(point) = from else { return (walked, None, None) };
+                    laps.lap("reconcile/fingerprint");
+                    proven.prove_from(point, walked, &time, full, &inc_cdg, &mut time_order)
+                }),
                 ("reconcile/adaptive-oracle", |laps| {
                     if !proven.adaptive.matches_batch(adaptive, full) {
                         let batch = adaptive.coarsen_records(full);
@@ -1786,36 +1894,30 @@ impl SmnController {
                         return Err(("adaptive-bwlog", found));
                     }
                     laps.lap("reconcile/compare");
-                    let inc_cdg = proven.cdg.canonical_bytes();
                     let batch_cdg = CoarseDepGraph::from_fine(&proven.fine).canonical_bytes();
                     if inc_cdg != batch_cdg {
                         return Err(("cdg", cdg_divergence(&inc_cdg, &batch_cdg)));
                     }
-                    Ok(proven.fingerprint_with(&inc_cdg, from_row))
+                    if from.is_some() {
+                        return Ok(None);
+                    }
+                    laps.lap("reconcile/fingerprint");
+                    Ok(Some(proven.full_fingerprint(&inc_cdg)))
                 }),
             );
-            // The rows a mark skipped must still hash to its state. When
-            // they do not, when the adaptive branch stopped before hashing
-            // them, or when the rows after them diverged, the uniform log
-            // gets a full proof: every verdict is a full proof's.
-            let held = |m: &SealedProof| rest.as_ref().is_ok_and(|(_, at)| at[0] == m.fnv);
-            let used = from.filter(|m| time_proven && held(m));
-            let time_proven = match (from, used) {
-                (Some(_), None) => proven.time.matches_batch(&time, full, 0),
-                _ => time_proven,
-            };
             // Only a divergence rebuilds the batch log, for the audit; the
             // uniform log is reported first.
-            if !time_proven {
+            if !time_ok {
                 let batch = time.coarsen_records(full);
                 let found = coarse_divergence(&state.time.coarse_log(), &batch);
                 return Err(diverged("coarse-bwlog", found));
             }
-            let (hash, [_, at_sealed]) =
-                rest.map_err(|(artifact, found)| diverged(artifact, found))?;
+            let caller_hash = rest.map_err(|(artifact, found)| diverged(artifact, found))?;
+            let (hash, at) =
+                time_hash.or(caller_hash).unwrap_or_else(|| state.full_fingerprint(&inc_cdg));
             let walked = if used.is_some() { since.len() } else { full.len() };
-            let proved_from = used.map_or(0, |m| m.start.0);
-            (full.len(), walked, proved_from, hash, state.time.proof_mark(&lake, at_sealed))
+            let proved_from = used.map_or(0, |p| p.start.0);
+            (full.len(), walked, proved_from, hash, state.time.proof_mark(&lake, at))
         };
         state.mark = mark;
 
@@ -2208,8 +2310,10 @@ mod tests {
 
     /// The reconcile's two proofs run through `Obs::fork`, yet two
     /// identical sessions export byte-identical traces, and every
-    /// reconcile's children are the time oracle's span, then the
-    /// adaptive oracle's, then the compare, as when they ran in turn.
+    /// reconcile's children are the time oracle's span, then the adaptive
+    /// oracle's and its compare lap, as when they ran in turn. The
+    /// fingerprint lap follows the time oracle from a mark, and the
+    /// compare in the first, full proof.
     #[test]
     fn forked_reconciles_leave_byte_identical_traces() {
         let session = || {
@@ -2235,12 +2339,19 @@ mod tests {
         let reconciles: Vec<u64> =
             entered(None).filter(|&(_, name)| name == "stream/reconcile").map(|(s, _)| s).collect();
         assert_eq!(reconciles.len(), 4);
-        for span in reconciles {
+        let (time, fingerprint, adaptive, compare) = (
+            "reconcile/time-oracle",
+            "reconcile/fingerprint",
+            "reconcile/adaptive-oracle",
+            "reconcile/compare",
+        );
+        for (i, span) in reconciles.into_iter().enumerate() {
             let children: Vec<&str> = entered(Some(span)).map(|(_, name)| name).collect();
-            assert_eq!(
-                children,
-                ["reconcile/time-oracle", "reconcile/adaptive-oracle", "reconcile/compare"]
-            );
+            if i == 0 {
+                assert_eq!(children, [time, adaptive, compare, fingerprint]);
+            } else {
+                assert_eq!(children, [time, fingerprint, adaptive, compare]);
+            }
         }
     }
 
@@ -3065,40 +3176,57 @@ mod tests {
         evidence.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
-    /// A session proven after 2.5 hours of [`mixed_log`] (its mark covers
-    /// windows 0 and 1: 6 sealed rows) and streamed on to 5 hours, so
-    /// windows 2 and 3 are sealed but unproven (rows 6 to 11) and window 4
-    /// is open (rows 12 to 14).
-    fn marked_session() -> (SmnController, StreamState) {
+    /// A session of [`mixed_log`] proven after `proven` epochs and
+    /// streamed on to 5 hours (60 epochs) with no reconcile.
+    fn marked_session(proven: usize) -> (SmnController, StreamState) {
         let mut ctl = controller();
         let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
         let mut state = StreamState::new(cfg, small_fine());
         let deltas = TelemetryDelta::split_epochs(&mixed_log(60), 0);
-        let (proven, later) = deltas.split_at(30);
+        let (proven, later) = deltas.split_at(proven);
         ctl.stream_run(&mut state, proven, &[]).unwrap();
         ctl.stream_reconcile(&mut state).unwrap();
         ctl.stream_run(&mut state, later, &[]).unwrap();
         (ctl, state)
     }
 
-    /// An honest reconcile proves from the mark: the time oracle walks
-    /// only the lake since the mark's window start. A corrupted proven
-    /// sealed row, an unproven sealed row and an open cell are each
-    /// reported with the verdict, audit and diff of a full proof.
-    #[test]
-    fn a_corrupted_row_is_reported_as_a_full_proof_would_report_it() {
-        let (mut ctl, mut state) = marked_session();
-        let mark = state.mark.0.expect("a proof leaves a mark");
-        assert_eq!((mark.rows, mark.start, state.time.sealed.len()), (6, Ts(2 * HOUR), 12));
-        ctl.stream_reconcile(&mut state).unwrap();
-        let proof = last_audit(&ctl, "reconcile");
-        let since = ctl.clds().bandwidth.read().since(Ts(2 * HOUR)).len();
-        assert_eq!(evidence(&proof, "proved_from"), Some("7200"));
+    /// Reconcile `state` and require the proof to start at `proved_from`
+    /// (seconds) and walk the lake from there, with a full proof's hash.
+    fn assert_proved_from(ctl: &mut SmnController, state: &mut StreamState, proved_from: u64) {
+        let mut full = state.clone();
+        full.mark = ProofMark::default();
+        let hash = ctl.stream_reconcile(state).unwrap().hash;
+        let proof = last_audit(ctl, "reconcile");
+        let since = ctl.clds().bandwidth.read().since(Ts(proved_from)).len();
+        assert_eq!(evidence(&proof, "proved_from"), Some(proved_from.to_string().as_str()));
         assert_eq!(evidence(&proof, "walked_records"), Some(since.to_string().as_str()));
         assert_eq!(evidence(&proof, "lake_records"), Some("180"));
+        assert_eq!(hash, ctl.stream_reconcile(&mut full).unwrap().hash);
+        assert_eq!(hash, state.fingerprint());
+    }
 
-        for (part, at) in [("proven sealed", 1), ("unproven sealed", 7), ("open", 13)] {
-            let (mut ctl, mut state) = marked_session();
+    /// An honest reconcile proves from the mark: proven after 3 hours,
+    /// the open hour 2 is sealed since and nothing landed in it, so the
+    /// time oracle walks only the lake from hour 3 on. A corrupted row
+    /// that was proven sealed, one proven open and sealed since, an
+    /// unproven sealed row and an open cell are each reported with the
+    /// verdict, audit and diff of a full proof.
+    #[test]
+    fn a_corrupted_row_is_reported_as_a_full_proof_would_report_it() {
+        let (mut ctl, mut state) = marked_session(36);
+        let mark = state.mark.0.expect("a proof leaves a mark");
+        let (sealed, open) = (mark.sealed, mark.open);
+        assert_eq!(
+            (sealed.rows, sealed.start, open.rows, open.start),
+            (6, Ts(2 * HOUR), 9, Ts(3 * HOUR))
+        );
+        assert_eq!(state.time.sealed.len(), 12);
+        assert_proved_from(&mut ctl, &mut state, 3 * HOUR);
+
+        for (part, at) in
+            [("proven sealed", 1), ("proven open", 7), ("unproven sealed", 10), ("open", 13)]
+        {
+            let (mut ctl, mut state) = marked_session(36);
             corrupt_time_row(&mut state.time, 0, at, 0);
             let mut full = state.clone();
             full.mark = ProofMark::default();
@@ -3113,6 +3241,48 @@ mod tests {
             assert_eq!(artifact, "coarse-bwlog", "{part} row");
             assert!(detail.starts_with(&format!("row {at}:")), "{part} row: {detail}");
         }
+    }
+
+    /// A mark whose skipped rows no longer hash to its state gets a full
+    /// proof, and the hash it reports is the fingerprint from the first
+    /// row, not one continued from the mark's state.
+    #[test]
+    fn a_mark_that_does_not_hash_gets_a_full_proof_and_hash() {
+        let (mut ctl, mut state) = marked_session(36);
+        let mark = state.mark.0.as_mut().expect("a proof leaves a mark");
+        mark.open.fnv ^= 1;
+        let hash = ctl.stream_reconcile(&mut state).unwrap().hash;
+        assert_eq!(evidence(&last_audit(&ctl, "reconcile"), "proved_from"), Some("0"));
+        assert_eq!(hash, state.fingerprint());
+    }
+
+    /// A record that lands in the window open at the last proof, even one
+    /// sealed since, sends the next proof back to the frontier's point:
+    /// proven after 2.5 hours, or after 3 hours with one more record in
+    /// hour 2 before the stream moves on.
+    #[test]
+    fn a_record_in_the_proven_open_window_falls_back_to_the_frontier() {
+        let (mut ctl, mut state) = marked_session(30);
+        assert_proved_from(&mut ctl, &mut state, 2 * HOUR);
+
+        let mut ctl = controller();
+        let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
+        let mut state = StreamState::new(cfg, small_fine());
+        let mut deltas = TelemetryDelta::split_epochs(&mixed_log(60), 0);
+        let (proven, later) = deltas.split_at_mut(36);
+        ctl.stream_run(&mut state, proven, &[]).unwrap();
+        ctl.stream_reconcile(&mut state).unwrap();
+        let late = BandwidthRecord { ts: Ts(35 * EPOCH_SECS), src: 3, dst: 1, gbps: 1.0 };
+        later[0].records.insert(0, late);
+        ctl.stream_run(&mut state, later, &[]).unwrap();
+        assert_eq!(state.time.frontier, 4);
+        let mark = state.mark.0.expect("a proof leaves a mark");
+        assert!(mark.open.rows <= state.time.sealed.len());
+        let mut full = state.clone();
+        full.mark = ProofMark::default();
+        let hash = ctl.stream_reconcile(&mut state).unwrap().hash;
+        assert_eq!(evidence(&last_audit(&ctl, "reconcile"), "proved_from"), Some("7200"));
+        assert_eq!(hash, ctl.stream_reconcile(&mut full).unwrap().hash);
     }
 
     #[test]

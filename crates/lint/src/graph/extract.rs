@@ -1478,28 +1478,33 @@ impl<'a> Extractor<'a> {
     }
 
     /// The path ending at the ident `idx`: `a::b::name` → `["a", "b", "name"]`.
+    /// A turbofish's generic arguments are skipped, so `Vec::<T>::new` is
+    /// `["Vec", "new"]`.
     fn path_segs(&self, idx: usize) -> Vec<String> {
         let mut segs = vec![self.tokens[idx].text.clone()];
         let mut k = idx;
-        while let Some(c1) = self.prev_code(k) {
-            if !self.tokens[c1].is_punct(':') {
-                break;
+        while let Some(mut seg) = self.prev_path_sep(k) {
+            if self.tokens[seg].is_punct('>') {
+                let Some(open) = self.backward_matching(seg, '<', '>') else { break };
+                let Some(before) = self.prev_path_sep(open) else { break };
+                seg = before;
             }
-            let Some(c2) = self.prev_code(c1) else { break };
-            if !self.tokens[c2].is_punct(':') {
-                break;
-            }
-            let Some(seg) = self.prev_code(c2) else { break };
             let t = &self.tokens[seg];
             if t.kind != TokenKind::Ident {
                 break;
             }
-            // A generic close before `::` (`Vec::<T>::new`) ends the walk.
             segs.push(t.text.clone());
             k = seg;
         }
         segs.reverse();
         segs
+    }
+
+    /// The code token before a `::` that directly precedes `idx`.
+    fn prev_path_sep(&self, idx: usize) -> Option<usize> {
+        let c1 = self.prev_code(idx).filter(|&c| self.tokens[c].is_punct(':'))?;
+        let c2 = self.prev_code(c1).filter(|&c| self.tokens[c].is_punct(':'))?;
+        self.prev_code(c2)
     }
 
     /// A lowercase path that is not called but ends an argument, element

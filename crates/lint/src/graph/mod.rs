@@ -262,7 +262,9 @@ impl CallGraph {
     pub fn out_adjacency(&self) -> Vec<Vec<(usize, u32)>> {
         let mut adj: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.nodes.len()];
         for e in &self.edges {
-            adj[e.caller].push((e.callee, e.line));
+            if let Some(row) = adj.get_mut(e.caller) {
+                row.push((e.callee, e.line));
+            }
         }
         for row in &mut adj {
             row.sort_unstable();
@@ -276,7 +278,9 @@ impl CallGraph {
     pub fn in_adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
         for e in &self.edges {
-            adj[e.callee].push(e.caller);
+            if let Some(row) = adj.get_mut(e.callee) {
+                row.push(e.caller);
+            }
         }
         for row in &mut adj {
             row.sort_unstable();

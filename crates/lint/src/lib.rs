@@ -16,6 +16,7 @@
 //! and gates on deny-level findings; see DESIGN.md §7.
 
 pub mod artifact;
+pub mod cli;
 pub mod config;
 pub mod deep;
 pub mod diag;

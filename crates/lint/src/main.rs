@@ -5,196 +5,14 @@
 //!          [--callgraph-out PATH] [--write-baselines]
 //! ```
 //!
-//! With no engine flags, runs the source engine plus the artifact engine
-//! over `artifacts/` when that directory exists. `--deep` adds the
-//! whole-workspace call-graph pass (determinism taint, panic
-//! reachability vs. `panic-baseline.txt`, lock discipline, unused public
-//! API vs. `unused-baseline.txt`) and can emit the canonical call-graph
-//! artifact via `--callgraph-out`; `--write-baselines` regenerates both
-//! baselines. Exit codes:
-//! 0 clean, 1 deny-level findings, 2 usage or configuration error.
+//! With no engine flag, runs the source engine plus the artifact engine
+//! over `artifacts/` when that directory exists. The arguments, the
+//! engines and the exit codes are [`smn_lint::cli`]'s.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use serde::{Serialize, Value};
-use smn_lint::config::Config;
-use smn_lint::deep::{self, DeepOptions};
-use smn_lint::diag::Report;
-use smn_lint::{find_workspace_root, reach, run_artifacts, run_source, unused};
-
-const USAGE: &str = "usage: smn-lint [--workspace] [--artifacts DIR]... [--deep] [--root PATH] \
-                     [--json] [--callgraph-out PATH] [--write-baselines]";
+use smn_lint::cli::{self, Defaults};
 
 fn main() -> ExitCode {
-    let mut workspace = false;
-    let mut deep_pass = false;
-    let mut artifact_dirs: Vec<PathBuf> = Vec::new();
-    let mut root_arg: Option<PathBuf> = None;
-    let mut json = false;
-    let mut callgraph_out: Option<PathBuf> = None;
-    let mut write_baseline = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workspace" => workspace = true,
-            "--deep" => deep_pass = true,
-            "--artifacts" => match args.next() {
-                Some(dir) => artifact_dirs.push(PathBuf::from(dir)),
-                None => return usage_error("--artifacts needs a directory"),
-            },
-            "--root" => match args.next() {
-                Some(dir) => root_arg = Some(PathBuf::from(dir)),
-                None => return usage_error("--root needs a path"),
-            },
-            "--callgraph-out" => match args.next() {
-                Some(path) => {
-                    deep_pass = true;
-                    callgraph_out = Some(PathBuf::from(path));
-                }
-                None => return usage_error("--callgraph-out needs a path"),
-            },
-            "--write-baselines" => {
-                deep_pass = true;
-                write_baseline = true;
-            }
-            "--json" => json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_error(&format!("unknown argument `{other}`")),
-        }
-    }
-
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let root = match root_arg.or_else(|| find_workspace_root(&cwd)) {
-        Some(r) => r,
-        None => {
-            eprintln!("smn-lint: no workspace root found (run inside the repo or pass --root)");
-            return ExitCode::from(2);
-        }
-    };
-
-    // Default run: source engine plus the checked-in artifact corpus.
-    if !workspace && artifact_dirs.is_empty() && !deep_pass {
-        workspace = true;
-        let default_dir = root.join("artifacts");
-        if default_dir.is_dir() {
-            artifact_dirs.push(default_dir);
-        }
-    }
-
-    let cfg = match Config::load(&root) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("smn-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut report = Report::default();
-    if workspace {
-        report.merge(run_source(&root, &cfg));
-    }
-    for dir in &artifact_dirs {
-        let dir = if dir.is_absolute() { dir.clone() } else { root.join(dir) };
-        report.merge(run_artifacts(&root, &dir));
-    }
-
-    let mut deep_result = None;
-    if deep_pass {
-        // Regenerating: the old ratchets (and their findings) are moot.
-        let opts = if write_baseline {
-            DeepOptions::default()
-        } else {
-            match DeepOptions::load(&root) {
-                Ok(opts) => opts,
-                Err(e) => {
-                    eprintln!("smn-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        };
-        let mut result = deep::analyze_workspace(&root, &cfg, &opts);
-
-        if write_baseline {
-            let s = &result.summary;
-            for (name, header, per_crate) in [
-                ("panic-baseline.txt", reach::BASELINE_HEADER, &s.panic_per_crate),
-                ("unused-baseline.txt", unused::BASELINE_HEADER, &s.unused_per_crate),
-            ] {
-                let path = root.join(name);
-                if let Err(e) = std::fs::write(&path, reach::render_baseline(header, per_crate)) {
-                    eprintln!("smn-lint: cannot write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!("smn-lint: wrote {}", path.display());
-            }
-            // The per-function warns exist to show the surface when no
-            // ratchet is in force; having just committed the ratchets,
-            // they would only be noise.
-            let findings = result
-                .report
-                .findings
-                .into_iter()
-                .filter(|d| d.rule != reach::RULE && d.rule != unused::RULE)
-                .collect();
-            result.report = Report::from_findings(findings);
-        }
-        if let Some(out) = &callgraph_out {
-            let out = if out.is_absolute() { out.clone() } else { root.join(out) };
-            if let Err(e) = std::fs::write(&out, &result.callgraph_json) {
-                eprintln!("smn-lint: cannot write {}: {e}", out.display());
-                return ExitCode::from(2);
-            }
-            eprintln!("smn-lint: wrote {}", out.display());
-        }
-        report.merge(result.report.clone());
-        deep_result = Some(result);
-    }
-
-    if json {
-        match &deep_result {
-            Some(d) => {
-                let root_value = Value::Map(vec![
-                    ("report".to_string(), report.to_value()),
-                    ("deep".to_string(), d.summary.to_value()),
-                ]);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&root_value)
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-                );
-            }
-            None => println!("{}", report.to_json()),
-        }
-    } else {
-        print!("{}", report.render());
-        if let Some(d) = &deep_result {
-            let s = &d.summary;
-            println!(
-                "smn-lint --deep: {} function(s), {} edge(s), {} unresolved, {} external; \
-                 {} det endpoint(s); {} panic-reachable public API(s); {} unused public API(s)",
-                s.functions,
-                s.edges,
-                s.unresolved,
-                s.external,
-                s.det_endpoints,
-                s.panic_per_crate.values().sum::<usize>(),
-                s.unused_public.len()
-            );
-        }
-    }
-    if report.failed() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("smn-lint: {msg}\n{USAGE}");
-    ExitCode::from(2)
+    cli::run("smn-lint", std::env::args().skip(1), Defaults::Unasked)
 }

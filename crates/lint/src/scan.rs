@@ -48,7 +48,7 @@ pub enum AllowIssueKind {
 /// Index of the next non-comment token at or after `idx`.
 #[must_use]
 pub fn next_code(tokens: &[Token], idx: usize) -> Option<usize> {
-    (idx..tokens.len()).find(|&i| !tokens[i].is_comment())
+    tokens.iter().enumerate().skip(idx).find(|(_, t)| !t.is_comment()).map(|(i, _)| i)
 }
 
 /// Index of the closing token matching the opener at `open` (`open_ch`

@@ -29,10 +29,15 @@ const CORPUS: &[(&str, &str)] = &[
     ("crates/core/src/bin/tool.rs", "unused_public_bin.fixture"),
     ("crates/core/tests/api.rs", "unused_public_test.fixture"),
     ("periodbench/src/main.rs", "unused_public_periodbench.fixture"),
+    ("crates/core/src/store.rs", "turbofish_call.fixture"),
+    ("crates/core/src/bin/store.rs", "turbofish_call_bin.fixture"),
 ];
 
 /// The unused-public scenario: the library file and its callers.
 const UNUSED: &[(&str, &str)] = &[CORPUS[5], CORPUS[6], CORPUS[7], CORPUS[8]];
+
+/// The turbofish scenario: a library file and a binary calling into it.
+const TURBOFISH: &[(&str, &str)] = &[CORPUS[9], CORPUS[10]];
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/deep_fixtures").join(name);
@@ -133,6 +138,16 @@ fn unused_public_fixture_lists_only_the_test_only_function() {
     let r = deep(&UNUSED[..3]);
     let want = ["core::api::from_periodbench", "core::api::from_tests_only"];
     assert_eq!(r.summary.unused_public, want.map(String::from));
+}
+
+#[test]
+fn a_turbofish_path_call_reaches_the_type_function() {
+    // `Store::<Vec<u8>>::open()` is a call of `Store::open`, not of the
+    // free `open`, which nothing calls.
+    let r = deep(TURBOFISH);
+    assert_eq!(r.summary.unused_public, vec!["core::store::open".to_string()]);
+    let d = only_rule(&r, "deep/unused-public");
+    assert_eq!((d.file.as_str(), d.line), ("crates/core/src/store.rs", 14), "span moved: {d:?}");
 }
 
 #[test]

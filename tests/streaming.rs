@@ -319,19 +319,42 @@ fn proof_scope(ctl: &SmnController) -> (Option<String>, Option<String>) {
 }
 
 /// The scope the last reconcile must have proved, given the window start
-/// its predecessor's proof ended at (`None` for a full proof): the lake
-/// from that start, or all of it.
+/// it proved from (`None` for a full proof): the lake from that start, or
+/// all of it.
 fn expected_scope(ctl: &SmnController, from: Option<u64>) -> (Option<String>, Option<String>) {
     let lake = ctl.clds().bandwidth.read();
     let walked = from.map_or(lake.len(), |start| lake.since(Ts(start)).len());
     (Some(from.unwrap_or(0).to_string()), Some(walked.to_string()))
 }
 
+/// The newest window a proof covered: its start and end, and the lake's
+/// record count at the proof.
+type ProvenWindow = (u64, u64, usize);
+
+/// The newest window of the lake `ctl` just proved, if it holds a record.
+fn proven_window(ctl: &SmnController, window: u64) -> Option<ProvenWindow> {
+    let lake = ctl.clds().bandwidth.read();
+    let start = lake.latest_ts()?.0 / window * window;
+    Some((start, start + window, lake.len()))
+}
+
+/// Where a proof must start after its predecessor proved `prev` (`None`
+/// for a full proof): at the end of the predecessor's newest window when
+/// that window is sealed now (a record lies at or after its end) and the
+/// lake holds no new record before its end; otherwise at that window.
+fn expected_start(ctl: &SmnController, prev: Option<ProvenWindow>) -> Option<u64> {
+    let (start, end, proven_len) = prev?;
+    let lake = ctl.clds().bandwidth.read();
+    let sealed = lake.latest_ts().is_some_and(|t| t.0 >= end);
+    let quiet = lake.len() - lake.since(Ts(end)).len() == proven_len;
+    Some(if sealed && quiet { end } else { start })
+}
+
 /// Every reconcile of a session, periodic or final, has the verdict and
 /// hash of a full proof of a restored copy of its state against the same
-/// lake. Each one proves from the window of the newest record its
-/// predecessor proved (a full proof first) and walks the lake's records
-/// from there; the restored copy walks the whole lake.
+/// lake. Each one proves from where [`expected_start`] says (a full proof
+/// first) and walks the lake's records from there; the restored copy
+/// walks the whole lake.
 fn check_sealed_window_proofs(
     base: &StreamConfig,
     telemetry: &[TelemetryDelta],
@@ -342,9 +365,9 @@ fn check_sealed_window_proofs(
     let cfg = StreamConfig { reconcile_every, ..base.clone() };
     let window = cfg.window_secs;
     let mut state = StreamState::new(cfg, base_fine());
-    let mut from = None;
+    let mut prev = None;
     let mut check = |ctl: &mut SmnController, state: &StreamState, hash: &str| {
-        prop_assert_eq!(proof_scope(ctl), expected_scope(ctl, from));
+        prop_assert_eq!(proof_scope(ctl), expected_scope(ctl, expected_start(ctl, prev)));
         let lake_records = ctl.clds().bandwidth.read().len();
         prop_assert_eq!(audited(ctl, "reconcile", "lake_records"), Some(lake_records.to_string()));
         let checkpoint = serde_json::to_string(state).expect("checkpoint serializes");
@@ -352,7 +375,7 @@ fn check_sealed_window_proofs(
         let full = ctl.stream_reconcile(&mut restored).expect("a full proof passes too");
         prop_assert_eq!(full.hash.as_str(), hash);
         prop_assert_eq!(proof_scope(ctl), expected_scope(ctl, None));
-        from = ctl.clds().bandwidth.read().latest_ts().map(|t| t.0 / window * window);
+        prev = proven_window(ctl, window);
         Ok(())
     };
     for td in telemetry {
