@@ -659,8 +659,108 @@ impl<'a> Extractor<'a> {
             }
             i += 1;
         }
+        if self.derives_default(idx) {
+            self.derived_default(idx, &name, &st);
+        }
         self.facts.structs.insert(name, st);
         close + 1
+    }
+
+    /// Whether the item whose keyword sits at `idx` carries a
+    /// `#[derive(..)]` naming `Default`: the attributes and visibility
+    /// before it are walked back.
+    fn derives_default(&self, idx: usize) -> bool {
+        let mut k = idx;
+        while let Some(p) = self.prev_code(k) {
+            let t = &self.tokens[p];
+            if t.is_ident("pub") {
+                k = p;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                let (open, close) = if t.is_punct(')') { ('(', ')') } else { ('[', ']') };
+                let Some(o) = self.matching_back(p, open, close) else { return false };
+                let inner = self.tokens.get(o..p).unwrap_or_default();
+                if close == ']'
+                    && inner.iter().any(|t| t.is_ident("derive"))
+                    && inner.iter().any(|t| t.is_ident("Default"))
+                {
+                    return true;
+                }
+                k = o;
+            } else if t.is_punct('#') {
+                k = p;
+            } else {
+                return false;
+            }
+        }
+        false
+    }
+
+    /// The index of the `open` bracket that the `close` bracket at `at`
+    /// closes.
+    fn matching_back(&self, at: usize, open: char, close: char) -> Option<usize> {
+        let mut depth = 0usize;
+        for i in (0..=at).rev() {
+            let t = &self.tokens[i];
+            if t.is_punct(close) {
+                depth += 1;
+            } else if t.is_punct(open) {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(i);
+                }
+            }
+        }
+        None
+    }
+
+    /// Record the `default` that `#[derive(Default)]` writes for struct
+    /// `name`: a trait method calling each field type's own `default`,
+    /// which the builder resolves to a workspace impl where there is one.
+    /// Only a field type that is a plain path is called; a reference,
+    /// tuple or array field has no such impl to reach.
+    fn derived_default(&mut self, idx: usize, name: &str, st: &RawStruct) {
+        let tok = &self.tokens[idx];
+        let calls = st
+            .fields
+            .values()
+            .filter_map(|ty| {
+                let head = ty.split('<').next().unwrap_or(ty);
+                let mut segs: Vec<String> = head.split("::").map(str::to_string).collect();
+                let plain = |s: &String| {
+                    s.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
+                        && s.chars().all(|c| c.is_alphanumeric() || c == '_')
+                };
+                segs.iter().all(plain).then(|| {
+                    segs.push("default".to_string());
+                    RawCall {
+                        kind: RawCallKind::Qualified(segs),
+                        tok: idx,
+                        line: tok.span.line,
+                        col: tok.span.col,
+                        held_until: idx,
+                        in_scope_spawn: false,
+                        in_scope: false,
+                    }
+                })
+            })
+            .collect();
+        self.facts.fns.push(RawFn {
+            name: "default".to_string(),
+            modpath: self.current_modpath(),
+            impl_ctx: Some(ImplCtx { ty: name.to_string(), trait_name: Some("Default".into()) }),
+            public: false,
+            line: tok.span.line,
+            ret: Some(name.to_string()),
+            locals: BTreeMap::new(),
+            chain_lets: BTreeMap::new(),
+            elem_lets: BTreeMap::new(),
+            calls,
+            refs: Vec::new(),
+            panics: Vec::new(),
+            sources: Vec::new(),
+            for_iters: Vec::new(),
+            has_scope: false,
+        });
     }
 
     /// `static NAME: Type = ..;` — record the type for lock naming.

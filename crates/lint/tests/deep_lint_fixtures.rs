@@ -31,6 +31,7 @@ const CORPUS: &[(&str, &str)] = &[
     ("periodbench/src/main.rs", "unused_public_periodbench.fixture"),
     ("crates/core/src/store.rs", "turbofish_call.fixture"),
     ("crates/core/src/bin/store.rs", "turbofish_call_bin.fixture"),
+    ("crates/core/src/derived.rs", "derived_default.fixture"),
 ];
 
 /// The unused-public scenario: the library file and its callers.
@@ -148,6 +149,33 @@ fn a_turbofish_path_call_reaches_the_type_function() {
     assert_eq!(r.summary.unused_public, vec!["core::store::open".to_string()]);
     let d = only_rule(&r, "deep/unused-public");
     assert_eq!((d.file.as_str(), d.line), ("crates/core/src/store.rs", 14), "span moved: {d:?}");
+}
+
+#[test]
+fn a_derived_default_reaches_its_field_types_defaults() {
+    // `Access::default()` is derived: it calls `Breaker::default`, whose
+    // hand-written body reaches the `assert!` in `Breaker::new`.
+    let r = deep(&[CORPUS[11]]);
+    let found: Vec<&Diagnostic> = r
+        .report
+        .findings
+        .iter()
+        .filter(|d| {
+            d.rule == "deep/panic-reachability" && d.message.contains("core::derived::open")
+        })
+        .collect();
+    assert_eq!(found.len(), 1, "{:?}", r.report.findings);
+    let d = found[0];
+    assert_eq!((d.file.as_str(), d.line, d.col), ("crates/core/src/derived.rs", 27, 1));
+    assert!(d.message.contains("crates/core/src/derived.rs:16"), "{}", d.message);
+    assert!(
+        d.note.contains(
+            "core::derived::open -> core::derived::<Access as Default>::default -> \
+             core::derived::<Breaker as Default>::default -> core::derived::Breaker::new"
+        ),
+        "witness chain missing: {}",
+        d.note
+    );
 }
 
 #[test]

@@ -356,11 +356,25 @@ mod tests {
                 clock.advance(120);
                 inner.field("wall_ms", 1.5 + w as f64);
             }
-            obs.event("routed", &[("team", FieldValue::Str("net".into()))]);
             clock.advance(600);
             outer.field("ok", true);
         }
-        obs.trace_jsonl()
+        // Each window also carries a point event after its coarsen span,
+        // as older traces do.
+        let mut out = String::new();
+        for line in obs.trace_jsonl().lines() {
+            out.push_str(line);
+            out.push('\n');
+            let e = TraceEvent::from_json_line(line).unwrap();
+            if e.kind == EventKind::Exit && e.name == "coarsen" {
+                let fields = vec![("team".to_string(), FieldValue::Str("net".into()))];
+                let (span, name) = (e.parent, "routed".to_string());
+                let point = TraceEvent { kind: EventKind::Point, span, name, fields, ..e };
+                out.push_str(&point.to_json_line());
+                out.push('\n');
+            }
+        }
+        out
     }
 
     #[test]

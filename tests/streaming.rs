@@ -391,6 +391,120 @@ fn check_sealed_window_proofs(
     Ok(())
 }
 
+/// Strategy: ticks of 0..6 records over a 4-node WAN, each record
+/// advancing a shared clock by a stride from [`STRIDES`] (across hour and
+/// day windows), so pairs join whenever they are first drawn. A tick is
+/// steady (every value 40.0) or wild (values swing between 1.0 and 900.0,
+/// with signed zeros), so pairs flip class as their histories grow. After
+/// each tick comes one event: none (0, 4, 5), a `retain` that keeps the
+/// whole lake (1), a clone of the state (2), or a checkpoint and restore
+/// (3).
+fn resume_stream_strategy(ticks: usize) -> impl Strategy<Value = Vec<(TelemetryDelta, u8)>> {
+    const WILD: [f64; 4] = [1.0, 900.0, 0.0, -0.0];
+    let record = (0usize..STRIDES.len(), 0u32..4, 0u32..4, 0usize..WILD.len());
+    let tick = (proptest::collection::vec(record, 0..6), 0u8..2, 0u8..6);
+    proptest::collection::vec(tick, ticks).prop_map(|per_tick| {
+        let mut epoch = 0u64;
+        per_tick
+            .into_iter()
+            .enumerate()
+            .map(|(t, (rows, wild, event))| {
+                let records = rows
+                    .into_iter()
+                    .map(|(stride, src, dst, v)| {
+                        epoch += STRIDES.get(stride).copied().unwrap_or(0);
+                        let gbps = if wild == 1 { WILD[v] } else { 40.0 };
+                        BandwidthRecord { ts: Ts(epoch * EPOCH_SECS), src, dst, gbps }
+                    })
+                    .collect();
+                (TelemetryDelta::new(t as u64, records), event)
+            })
+            .collect()
+    })
+}
+
+/// What a session's last proof left for the adaptive oracle to resume
+/// from: the lake's record count then, and its pairs with their classes.
+struct AdaptiveMark {
+    lake_records: usize,
+    pairs: Vec<((u32, u32), bool)>,
+}
+
+/// The adaptive log's pairs, ascending, each with whether it is volatile.
+fn adaptive_classes(state: &StreamState) -> Vec<((u32, u32), bool)> {
+    let volatile = state.adaptive_log().volatile_pairs();
+    let mut pairs: Vec<(u32, u32)> =
+        state.adaptive_log().coarse_log().iter().map(|r| (r.src, r.dst)).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs.into_iter().map(|p| (p, volatile.contains(&p))).collect()
+}
+
+/// Check the reconcile of `state` that just returned `hash`, given the
+/// adaptive mark its last proof left (`None` when a `retain` or a restore
+/// dropped it): the adaptive oracle resumed from that proof's lake
+/// position unless a pair it held has changed class since, and walked the
+/// lake from there; a full proof of a restored copy has the same hash.
+/// Then record this proof's mark.
+fn check_resumed_proof(
+    ctl: &mut SmnController,
+    state: &StreamState,
+    hash: &str,
+    mark: &mut Option<AdaptiveMark>,
+) -> Result<(), TestCaseError> {
+    let now = adaptive_classes(state);
+    let flipped = mark.as_ref().is_some_and(|m| m.pairs.iter().any(|p| !now.contains(p)));
+    let from = mark.as_ref().filter(|_| !flipped).map_or(0, |m| m.lake_records);
+    let lake_records = ctl.clds().bandwidth.read().len();
+    prop_assert_eq!(audited(ctl, "reconcile", "adaptive_from"), Some(from.to_string()));
+    let walked = (lake_records - from).to_string();
+    prop_assert_eq!(audited(ctl, "reconcile", "adaptive_walked"), Some(walked));
+    let checkpoint = serde_json::to_string(state).expect("checkpoint serializes");
+    let mut restored = StreamState::restore(&checkpoint).expect("checkpoint restores");
+    let full = ctl.stream_reconcile(&mut restored).expect("a full proof passes too");
+    prop_assert_eq!(full.hash.as_str(), hash);
+    prop_assert_eq!(audited(ctl, "reconcile", "adaptive_from"), Some("0".to_string()));
+    *mark = Some(AdaptiveMark { lake_records, pairs: now });
+    Ok(())
+}
+
+/// Every reconcile of a session whose pairs flip class and join late, and
+/// whose lake is retained and state cloned or restored between ticks,
+/// passes [`check_resumed_proof`].
+fn check_resumed_adaptive_proofs(
+    base: &StreamConfig,
+    ticks: &[(TelemetryDelta, u8)],
+    reconcile_every: u64,
+) -> Result<(), TestCaseError> {
+    let mut ctl = controller();
+    let cfg = StreamConfig { reconcile_every, ..base.clone() };
+    let mut state = StreamState::new(cfg, base_fine());
+    let mut mark = None;
+    for (td, event) in ticks {
+        let outcome = ctl.stream_tick(&mut state, td, None).expect("no tick may fail");
+        if let Some(verdict) = outcome.reconcile {
+            check_resumed_proof(&mut ctl, &state, &verdict.hash, &mut mark)?;
+        }
+        match event {
+            1 => {
+                ctl.clds().bandwidth.write().retain(|_| true);
+                mark = None;
+            }
+            2 => state = state.clone(),
+            3 => {
+                let checkpoint = serde_json::to_string(&state).expect("checkpoint serializes");
+                state = StreamState::restore(&checkpoint).expect("checkpoint restores");
+                mark = None;
+            }
+            _ => {}
+        }
+    }
+    let verdict = ctl.stream_reconcile(&mut state).expect("final reconcile");
+    check_resumed_proof(&mut ctl, &state, &verdict.hash, &mut mark)?;
+    prop_assert_eq!(&verdict.hash, &state.fingerprint());
+    Ok(())
+}
+
 /// A session of 36 single-epoch ticks (three hours) over three pairs,
 /// proven twice after its last tick: the second proof walks only the
 /// open hour 2, and any later one would start there too.
@@ -571,6 +685,28 @@ proptest! {
         reconcile_every in 1u64..5,
     ) {
         check_sealed_window_proofs(&all_stats_config(), &telemetry, &churn, reconcile_every)?;
+    }
+
+    /// Every reconcile resumes the adaptive oracle from its last proof
+    /// unless a held pair changed class or the mark is gone, and has a
+    /// full proof's verdict and hash: through class flips, late pairs,
+    /// lake retains, clones and restores, at any cadence, under adaptive
+    /// windows that nest (a day of hours) or do not (5 h and 2 h, 2 h and
+    /// 3 h), at any threshold, Mean-only and with every statistic.
+    #[test]
+    fn resumed_adaptive_proofs_match_full_proofs(
+        ticks in resume_stream_strategy(14),
+        reconcile_every in 1u64..4,
+        windows in 0usize..3,
+        cv_threshold in 0.1f64..1.2,
+        all_stats in 0u8..2,
+    ) {
+        let (stable_window, volatile_window) =
+            [(DAY, HOUR), (5 * HOUR, 2 * HOUR), (2 * HOUR, 3 * HOUR)][windows];
+        let base = if all_stats == 1 { all_stats_config() } else { StreamConfig::default() };
+        let adaptive =
+            AdaptiveCoarsener { cv_threshold, stable_window, volatile_window, ..base.adaptive.clone() };
+        check_resumed_adaptive_proofs(&StreamConfig { adaptive, ..base }, &ticks, reconcile_every)?;
     }
 
     /// The same after a multi-hour bulk load, whose first reconcile may
