@@ -20,6 +20,8 @@
 //! inter-continent question and "the routing within the large super nodes
 //! is not specified".
 
+use std::collections::HashMap;
+
 use smn_bench::timer;
 
 use smn_te::demand::DemandMatrix;
@@ -70,8 +72,7 @@ fn main() {
             // Split each region into two *contiguous* halves (node ids
             // within a region are consecutive by construction, so a
             // midpoint split keeps each half connected).
-            let mut region_bounds: std::collections::HashMap<u16, (usize, usize)> =
-                std::collections::HashMap::new();
+            let mut region_bounds: HashMap<u16, (usize, usize)> = HashMap::new();
             for (id, dc) in p.wan.graph.nodes() {
                 let e = region_bounds.entry(dc.region.0).or_insert((usize::MAX, 0));
                 e.0 = e.0.min(id.index());
@@ -80,7 +81,7 @@ fn main() {
             p.wan.contract_by_label(|id, dc| {
                 let (lo, hi) = region_bounds[&dc.region.0];
                 let half = (id.index() - lo) * 2 > hi - lo;
-                format!("{}-r{}-h{}", dc.continent.code(), dc.region.0, half as u8)
+                format!("{}-r{}-h{}", dc.continent.code(), dc.region.0, u8::from(half))
             })
         }),
         ("regions", p.wan.contract_by_region()),
@@ -113,7 +114,8 @@ fn main() {
         let restricted: Vec<Vec<smn_topology::Path>> =
             demand.commodities.iter().map(|c| table.paths(c.src, c.dst)).collect();
         let realized =
-            max_multicommodity_flow_with_paths(&p.wan.graph, cap, &demand, &restricted, &cfg);
+            max_multicommodity_flow_with_paths(&p.wan.graph, cap, &demand, &restricted, &cfg)
+                .expect("one restricted path set per commodity");
         rows.push(vec![
             name.to_string(),
             format!("{}", contraction.graph.node_count()),

@@ -61,7 +61,8 @@ fn main() {
         let restricted: Vec<Vec<smn_topology::Path>> =
             demand.commodities.iter().map(|c| table.paths(c.src, c.dst)).collect();
         let realized =
-            max_multicommodity_flow_with_paths(&p.wan.graph, cap, &demand, &restricted, &cfg);
+            max_multicommodity_flow_with_paths(&p.wan.graph, cap, &demand, &restricted, &cfg)
+                .expect("one restricted path set per commodity");
         (restricted, realized)
     });
     let _ = restricted;

@@ -43,6 +43,6 @@ pub use capacity::{CapacityPlan, CapacityPlanner, UpgradePolicy};
 pub use demand::{Commodity, DemandMatrix};
 pub use mcf::{
     greedy_min_max_utilization, max_multicommodity_flow, max_multicommodity_flow_with_paths,
-    TeConfig, TeSolution,
+    PathSetCountMismatch, TeConfig, TeSolution,
 };
 pub use restrict::coarse_restricted_paths;

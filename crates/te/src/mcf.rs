@@ -16,9 +16,10 @@
 //! including coarse (supernode) graphs, which is how the coarsening
 //! experiments run the *same* optimization at both granularities.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 use smn_topology::graph::{DiGraph, Edge, EdgeId, Path};
@@ -31,9 +32,10 @@ pub struct TeConfig {
     /// Paths per commodity (k-shortest, loopless).
     pub k_paths: usize,
     /// Garg–Könemann accuracy parameter (smaller = closer to optimal,
-    /// more iterations). Must be `>= 0`: the solver's lazy cheapest-column
-    /// heap is exact because no row length ever shrinks, which holds only
-    /// while every multiplier `1 + epsilon * gamma / cap` is at least 1.
+    /// more iterations). Must be `>= 0`: the solver's lazy heap, one entry
+    /// per commodity keyed by its cheapest column, is exact because no row
+    /// length ever shrinks, which holds only while every multiplier
+    /// `1 + epsilon * gamma / cap` is at least 1.
     pub epsilon: f64,
     /// Hard iteration cap (safety valve).
     pub max_iterations: usize,
@@ -123,20 +125,52 @@ pub fn max_multicommodity_flow<N, E>(
     cfg: &TeConfig,
 ) -> TeSolution {
     let paths = path_sets(g, &capacity, demand, cfg.k_paths);
-    max_multicommodity_flow_with_paths(g, capacity, demand, &paths, cfg)
+    gk_solve(g, &capacity, demand, &paths, cfg, &smn_obs::Obs::disabled(), gk_pack)
 }
+
+/// [`max_multicommodity_flow_with_paths`] was given a number of path sets
+/// other than the number of commodities.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathSetCountMismatch {
+    /// Path sets supplied.
+    pub path_sets: usize,
+    /// Commodities in the demand matrix.
+    pub commodities: usize,
+}
+
+impl std::fmt::Display for PathSetCountMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} path sets for {} commodities: need one path set per commodity",
+            self.path_sets, self.commodities
+        )
+    }
+}
+
+impl std::error::Error for PathSetCountMismatch {}
 
 /// [`max_multicommodity_flow`] over caller-supplied path sets (one `Vec` of
 /// candidate paths per commodity) — used to solve the fine problem under
 /// coarse-conformant path restriction (see [`crate::restrict`]).
+///
+/// # Errors
+/// [`PathSetCountMismatch`] unless `paths` holds exactly one path set per
+/// commodity of `demand`.
 pub fn max_multicommodity_flow_with_paths<N, E>(
     g: &DiGraph<N, E>,
     capacity: impl Fn(EdgeId, &Edge<E>) -> f64,
     demand: &DemandMatrix,
     paths: &[Vec<smn_topology::graph::Path>],
     cfg: &TeConfig,
-) -> TeSolution {
-    gk_solve(g, &capacity, demand, paths, cfg, &smn_obs::Obs::disabled())
+) -> Result<TeSolution, PathSetCountMismatch> {
+    if paths.len() != demand.commodities.len() {
+        return Err(PathSetCountMismatch {
+            path_sets: paths.len(),
+            commodities: demand.commodities.len(),
+        });
+    }
+    Ok(gk_solve(g, &capacity, demand, paths, cfg, &smn_obs::Obs::disabled(), gk_pack))
 }
 
 /// [`max_multicommodity_flow`] with every solver stage wrapped in a
@@ -156,15 +190,21 @@ pub fn max_multicommodity_flow_profiled<N, E>(
         let _p = obs.phase("gk/paths");
         path_sets(g, &capacity, demand, cfg.k_paths)
     };
-    let solution = gk_solve(g, &capacity, demand, &paths, cfg, obs);
+    let solution = gk_solve(g, &capacity, demand, &paths, cfg, obs, gk_pack);
     outer.field("routed_gbps", solution.routed_gbps);
     outer.field("iterations", solution.iterations);
     solution
 }
 
+/// The packing stage [`gk_solve`] runs: [`gk_pack`], or in tests the
+/// full-scan oracle it must match bit for bit.
+type Packer = fn(&Columns, &mut [f64], &[f64], f64, usize) -> Packed;
+
 /// The one Garg–Könemann body behind every entry point: row capacities,
 /// columns, lengths, packing, rescale and assembly, each stage in its own
-/// `gk/*` phase of `obs` (a disabled handle is the plain solver).
+/// `gk/*` phase of `obs` (a disabled handle is the plain solver). `paths`
+/// holds one path set per commodity; a commodity past its end has no
+/// column, and a path set past the last commodity has no finite one.
 fn gk_solve<N, E>(
     g: &DiGraph<N, E>,
     capacity: &impl Fn(EdgeId, &Edge<E>) -> f64,
@@ -172,8 +212,8 @@ fn gk_solve<N, E>(
     paths: &[Vec<Path>],
     cfg: &TeConfig,
     obs: &smn_obs::Obs,
+    pack: Packer,
 ) -> TeSolution {
-    assert_eq!(paths.len(), demand.commodities.len(), "one path set per commodity");
     // Row capacities over the row layout `0..n_edges = edges,
     // n_edges.. = demands`.
     let caps: Vec<f64> = g
@@ -183,30 +223,36 @@ fn gk_solve<N, E>(
         .collect();
     let columns = Columns::new(paths, g.edge_count());
     let mut length = gk_lengths(&caps, cfg.epsilon);
-    let (raw_flow, iterations) = {
+    let packed = {
         let mut p = obs.phase("gk/pack");
-        let packed = gk_pack(&columns, &mut length, &caps, cfg.epsilon, cfg.max_iterations);
-        p.field("iterations", packed.1);
+        let packed = pack(&columns, &mut length, &caps, cfg.epsilon, cfg.max_iterations);
+        p.field("iterations", packed.iterations);
         p.field("columns", columns.len());
+        p.field("visits", packed.visits);
+        p.field("entries", packed.entries);
         packed
     };
     let feas_scale = {
         let _p = obs.phase("gk/rescale");
-        gk_feasibility_scale(&columns, &raw_flow, &caps)
+        gk_feasibility_scale(&columns, &packed.raw_flow, &caps)
     };
     let _p = obs.phase("gk/assemble");
-    gk_assemble(demand, paths, &columns, &raw_flow, &caps, feas_scale, iterations)
+    gk_assemble(demand, paths, &columns, &packed.raw_flow, &caps, feas_scale, packed.iterations)
 }
 
 /// GK stage 1: the packing columns, flat. Column `c` is path `ids[c].1`
 /// of commodity `ids[c].0` and uses the rows
 /// `rows[offsets[c]..offsets[c + 1]]`: its path's edges, then its
-/// commodity's demand row. One allocation per field, however many
-/// columns there are.
+/// commodity's demand row. A commodity's columns are one contiguous run:
+/// column `c` is in run `run_of[c]`, which starts at column
+/// `starts[run_of[c]]` (commodities without a path have none). One
+/// allocation per field, however many columns there are.
 struct Columns {
     ids: Vec<(usize, usize)>,
     offsets: Vec<usize>,
     rows: Vec<u32>,
+    starts: Vec<usize>,
+    run_of: Vec<usize>,
 }
 
 impl Columns {
@@ -231,11 +277,23 @@ impl Columns {
     fn with_capacity(columns: usize, rows: usize) -> Self {
         let mut offsets = Vec::with_capacity(columns + 1);
         offsets.push(0);
-        Columns { ids: Vec::with_capacity(columns), offsets, rows: Vec::with_capacity(rows) }
+        Columns {
+            ids: Vec::with_capacity(columns),
+            offsets,
+            rows: Vec::with_capacity(rows),
+            starts: Vec::new(),
+            run_of: Vec::with_capacity(columns),
+        }
     }
 
-    /// Append column `id` using `rows`.
+    /// Append column `id` using `rows`. It joins the previous column's
+    /// run when both have the same commodity, and starts a new run
+    /// otherwise.
     fn push(&mut self, id: (usize, usize), rows: impl IntoIterator<Item = u32>) {
+        if self.ids.last().is_none_or(|last| last.0 != id.0) {
+            self.starts.push(self.ids.len());
+        }
+        self.run_of.push(self.starts.len().saturating_sub(1));
         self.rows.extend(rows);
         self.offsets.push(self.rows.len());
         self.ids.push(id);
@@ -243,6 +301,21 @@ impl Columns {
 
     fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Every commodity's run of columns, in column order.
+    fn commodities(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let ends = self.starts.iter().skip(1).copied().chain([self.len()]);
+        self.starts.iter().zip(ends).map(|(&lo, hi)| lo..hi)
+    }
+
+    /// The run of columns of column `c`'s commodity (empty past the last
+    /// column).
+    fn commodity_of(&self, c: usize) -> Range<usize> {
+        let Some(&run) = self.run_of.get(c) else { return 0..0 };
+        let lo = self.starts.get(run).copied().unwrap_or(0);
+        let hi = self.starts.get(run + 1).copied().unwrap_or(self.len());
+        lo..hi
     }
 
     /// The rows column `c` uses (none past the last column).
@@ -268,90 +341,107 @@ fn gk_lengths(caps: &[f64], eps: f64) -> Vec<f64> {
     caps.iter().map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY }).collect()
 }
 
-/// Heap entry of [`gk_pack`]'s lazy argmin: a column's length as last
-/// computed, ordered by `f64::total_cmp` and then by column index, so
-/// equal lengths pop lowest index first.
-#[derive(Clone, Copy)]
-struct ColumnKey {
-    len: f64,
-    col: usize,
-}
-
-impl Ord for ColumnKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.len.total_cmp(&other.len).then(self.col.cmp(&other.col))
-    }
-}
-
-impl PartialOrd for ColumnKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for ColumnKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for ColumnKey {}
-
 /// A column's length: its rows' lengths summed left to right.
 fn column_length(rows: &[u32], length: &[f64]) -> f64 {
     rows.iter().map(|&r| length.get(r as usize).copied().unwrap_or(f64::INFINITY)).sum()
 }
 
+/// The heap key of column `col` at length `len`: the length's bits over
+/// the column index. For finite non-negative lengths, integer order is
+/// `f64::total_cmp` order with ties broken by the lower index.
+fn column_key(len: f64, col: usize) -> u128 {
+    u128::from(len.to_bits()) << 64 | col as u128
+}
+
+/// The column index of a [`column_key`].
+#[allow(clippy::cast_possible_truncation)] // the low 64 bits hold a usize index
+fn key_column(key: u128) -> usize {
+    key as u64 as usize
+}
+
+/// The length of a [`column_key`].
+#[allow(clippy::cast_possible_truncation)] // the high 64 bits hold f64 bits
+fn key_length(key: u128) -> f64 {
+    f64::from_bits((key >> 64) as u64)
+}
+
+/// The key of the cheapest finite column among `cols`, lowest index
+/// first among equal lengths (`None` when every one is infinite).
+fn cheapest(columns: &Columns, cols: Range<usize>, length: &[f64]) -> Option<u128> {
+    cols.filter_map(|c| {
+        let len = column_length(columns.rows(c), length);
+        len.is_finite().then(|| column_key(len, c))
+    })
+    .min()
+}
+
+/// What [`gk_pack`] returns: the raw (infeasible) per-column flow, the
+/// iterations it took, the heap visits it made and the heap entries it
+/// started with (commodities with a finite column).
+struct Packed {
+    raw_flow: Vec<f64>,
+    iterations: usize,
+    visits: usize,
+    entries: usize,
+}
+
 /// GK stage 2, the multiplicative-weights inner loop: repeatedly push the
 /// bottleneck capacity down the cheapest column and inflate the lengths of
-/// the rows it used. Returns the raw (infeasible) per-column flow and the
-/// iteration count.
+/// the rows it used.
 ///
 /// The cheapest column is found by a lazy min-heap holding one entry per
-/// column of finite length, keyed by its length when last computed. The
-/// top column's length is recomputed with the same left-to-right sum: if
-/// it still equals its key it is the argmin and is used. Either way its
-/// entry is then rekeyed in place to its current length (or dropped once
-/// infinite), with no pop and push. This is exactly the full scan's
-/// choice, first strict minimum included, because lengths never shrink:
-/// with `eps >= 0` every multiplier `1 + eps * gamma / cap` is at least 1,
-/// and IEEE multiplication and addition are monotone, so a key never
-/// exceeds its column's current length. Keys are unique by
-/// `(len, col)`, so the top entry whose key is current is no longer than
-/// any column's current length, and among equal lengths it has the
-/// lowest index.
+/// commodity with a finite column: the [`column_key`] of its cheapest
+/// column when last computed. A visit recomputes the top commodity's
+/// column lengths with the same left-to-right sums. If its cheapest key
+/// still equals the entry's, that column is the argmin and is used. Either
+/// way the entry is then rekeyed in place to the commodity's current
+/// cheapest key (or dropped once every column is infinite), with no pop and
+/// push. A commodity's columns share its demand row, so one routed column
+/// makes all of them stale at once: with one entry per commodity that
+/// costs one visit, not one per column.
+///
+/// This is exactly the full scan's choice, first strict minimum included,
+/// because lengths never shrink: with `eps >= 0` every multiplier
+/// `1 + eps * gamma / cap` is at least 1, and IEEE multiplication and
+/// addition are monotone, so no column's `(len, col)` falls below its key
+/// when last computed, and no entry exceeds its commodity's current
+/// cheapest key. Keys are unique by column, so the top entry whose key is
+/// current is no longer than any column's current length, and among equal
+/// lengths it has the lowest index.
 fn gk_pack(
     columns: &Columns,
     length: &mut [f64],
     caps: &[f64],
     eps: f64,
     max_iterations: usize,
-) -> (Vec<f64>, usize) {
+) -> Packed {
     let cap = |r: u32| caps.get(r as usize).copied().unwrap_or(0.0);
     let mut raw_flow = vec![0.0f64; columns.len()];
-    let mut heap: BinaryHeap<Reverse<ColumnKey>> = columns
-        .all_rows()
-        .enumerate()
-        .map(|(col, rows)| ColumnKey { len: column_length(rows, length), col })
-        .filter(|k| k.len.is_finite())
+    let mut heap: BinaryHeap<Reverse<u128>> = columns
+        .commodities()
+        .filter_map(|cols| cheapest(columns, cols, length))
         .map(Reverse)
         .collect();
-    let mut iterations = 0usize;
+    let entries = heap.len();
+    let (mut iterations, mut visits) = (0usize, 0usize);
     while iterations < max_iterations {
         let Some(mut top) = heap.peek_mut() else { break };
+        visits += 1;
         let Reverse(key) = *top;
-        let rows = columns.rows(key.col);
-        let mut len = column_length(rows, length);
-        if len.to_bits() == key.len.to_bits() {
+        let col = key_column(key);
+        let commodity = columns.commodity_of(col);
+        let mut current = cheapest(columns, commodity.clone(), length);
+        if current == Some(key) {
             // The cheapest column under current lengths.
-            if len >= 1.0 {
+            if key_length(key) >= 1.0 {
                 break;
             }
+            let rows = columns.rows(col);
             let gamma = rows.iter().map(|&r| cap(r)).fold(f64::INFINITY, f64::min);
             if gamma <= 0.0 || !gamma.is_finite() {
                 break;
             }
-            if let Some(f) = raw_flow.get_mut(key.col) {
+            if let Some(f) = raw_flow.get_mut(col) {
                 *f += gamma;
             }
             for &r in rows {
@@ -360,15 +450,16 @@ fn gk_pack(
                 }
             }
             iterations += 1;
-            len = column_length(rows, length);
+            current = cheapest(columns, commodity, length);
         }
-        if len.is_finite() {
-            *top = Reverse(ColumnKey { len, col: key.col });
-        } else {
-            PeekMut::pop(top);
+        match current {
+            Some(key) => *top = Reverse(key),
+            None => {
+                PeekMut::pop(top);
+            }
         }
     }
-    (raw_flow, iterations)
+    Packed { raw_flow, iterations, visits, entries }
 }
 
 /// GK stage 3: exact feasibility rescale factor. The theoretical
@@ -438,6 +529,10 @@ pub fn greedy_min_max_utilization<N, E>(
     cfg: &TeConfig,
 ) -> TeSolution {
     let paths = path_sets(g, &capacity, demand, cfg.k_paths);
+    // Each edge's capacity, floored at 1e-9 so an unusable edge reads as
+    // overloaded rather than dividing by zero.
+    let caps: Vec<f64> = g.edges().map(|(eid, e)| capacity(eid, e).max(1e-9)).collect();
+    let cap = |e: EdgeId| caps.get(e.index()).copied().unwrap_or(1e-9);
     // Ordered maps: `flows` becomes `TeSolution::flows` in iteration
     // order, so a hash map here would leak hash order into the output of
     // every deterministic caller (core::simulation::run among them).
@@ -446,35 +541,27 @@ pub fn greedy_min_max_utilization<N, E>(
     let mut flows: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     let mut routed = 0.0;
     let mut iterations = 0usize;
-    for chunk in 0..cfg.greedy_chunks {
-        let _ = chunk;
-        for (ci, c) in demand.commodities.iter().enumerate() {
-            if paths[ci].is_empty() {
-                continue;
-            }
+    for _chunk in 0..cfg.greedy_chunks {
+        for (ci, (c, ps)) in demand.commodities.iter().zip(&paths).enumerate() {
             let part = c.demand_gbps / cfg.greedy_chunks as f64;
             // Pick the path minimizing the resulting max utilization along
-            // it (the path set is non-empty here, so min_by yields a value;
-            // an empty set just routes nothing).
-            let Some((best_pi, _)) = paths[ci]
+            // it; an empty path set routes nothing.
+            let Some((best_pi, best, _)) = ps
                 .iter()
                 .enumerate()
                 .map(|(pi, p)| {
                     let bottleneck = p
                         .edges
                         .iter()
-                        .map(|e| {
-                            let cap = capacity(*e, g.edge(*e)).max(1e-9);
-                            (load.get(e).copied().unwrap_or(0.0) + part) / cap
-                        })
+                        .map(|&e| (load.get(&e).copied().unwrap_or(0.0) + part) / cap(e))
                         .fold(0.0f64, f64::max);
-                    (pi, bottleneck)
+                    (pi, p, bottleneck)
                 })
-                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .min_by(|a, b| a.2.total_cmp(&b.2))
             else {
                 continue;
             };
-            for e in &paths[ci][best_pi].edges {
+            for e in &best.edges {
                 *load.entry(*e).or_insert(0.0) += part;
             }
             *flows.entry((ci, best_pi)).or_insert(0.0) += part;
@@ -489,11 +576,11 @@ pub fn greedy_min_max_utilization<N, E>(
         ..Default::default()
     };
     for (&(ci, pi), &f) in &flows {
-        solution.flows.push(PathFlow { commodity: ci, path: paths[ci][pi].clone(), gbps: f });
+        let Some(path) = paths.get(ci).and_then(|ps| ps.get(pi)) else { continue };
+        solution.flows.push(PathFlow { commodity: ci, path: path.clone(), gbps: f });
     }
     for (e, l) in load {
-        let cap = capacity(e, g.edge(e)).max(1e-9);
-        solution.utilization.insert(e, l / cap);
+        solution.utilization.insert(e, l / cap(e));
     }
     solution
 }
@@ -640,14 +727,15 @@ mod tests {
     }
 
     /// The full-scan argmin `gk_pack` replaced: the byte-identity oracle
-    /// for the lazy heap.
+    /// for the lazy heap. It keeps no heap, so it counts no visits and no
+    /// entries.
     fn gk_pack_scan(
         columns: &Columns,
         length: &mut [f64],
         caps: &[f64],
         eps: f64,
         max_iterations: usize,
-    ) -> (Vec<f64>, usize) {
+    ) -> Packed {
         let mut raw_flow = vec![0.0f64; columns.len()];
         let mut iterations = 0usize;
         while iterations < max_iterations {
@@ -673,7 +761,7 @@ mod tests {
             }
             iterations += 1;
         }
-        (raw_flow, iterations)
+        Packed { raw_flow, iterations, visits: 0, entries: 0 }
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -681,43 +769,157 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random packings — capacities drawn from a small pool so rows
-        /// tie, repeated row sets (parallel edges), zero-capacity rows,
-        /// iteration caps that bind — pack bit for bit as the full scan
-        /// did: raw flows, iteration count and final lengths.
+        /// Random packings pack bit for bit as the full scan does: raw
+        /// flows, iteration count and final lengths. Each of 1–8
+        /// commodities owns one contiguous run of 0–4 columns, each ending
+        /// in the commodity's own demand row, as `Columns::new` lays them
+        /// out. Capacities come from a small pool, so rows tie, and
+        /// include zero on edge and demand rows alike. A column may repeat
+        /// an earlier column's edges, in its own commodity or another
+        /// one, and iteration caps bind. The runs are laid out in
+        /// commodity order or shuffled: in commodity order, breaking ties
+        /// by commodity and by column pick the same column, so only a
+        /// shuffled layout tells them apart.
         #[test]
         fn heap_gk_pack_matches_linear_scan(
-            caps in proptest::collection::vec(0usize..6, 1..14),
-            raw_cols in proptest::collection::vec(
-                (0usize..1000, proptest::collection::vec(0u32..1000, 1..5), 0usize..3),
-                1..40,
+            edge_caps in proptest::collection::vec(0usize..6, 1..12),
+            commodities in proptest::collection::vec(
+                (
+                    0usize..6,
+                    0u8..8,
+                    proptest::collection::vec(
+                        (0usize..1000, proptest::collection::vec(0u32..1000, 1..5), 0usize..4),
+                        0..5,
+                    ),
+                ),
+                1..9,
             ),
+            shuffle in 0u8..2,
             eps_pick in 0usize..4,
             max_iterations in 0usize..40_000,
         ) {
             const CAP_POOL: [f64; 6] = [0.0, 1.0, 2.5, 10.0, 10.0, 40.0];
-            let caps: Vec<f64> = caps.iter().map(|&i| CAP_POOL[i]).collect();
+            let caps: Vec<f64> = edge_caps
+                .iter()
+                .chain(commodities.iter().map(|c| &c.0))
+                .map(|&i| CAP_POOL[i])
+                .collect();
             let eps = [0.05, 0.1, 0.2, 0.5][eps_pick];
-            let n_rows = u32::try_from(caps.len()).expect("a few rows");
-            // A third of the columns copy an earlier column's rows: the
-            // same path offered twice, i.e. parallel candidates that tie.
-            let mut columns = Columns::with_capacity(raw_cols.len(), 0);
-            for (i, (seed, rows, kind)) in raw_cols.iter().enumerate() {
-                let rows: Vec<u32> = if *kind == 0 && i > 0 {
-                    columns.rows(seed % i).to_vec()
-                } else {
-                    rows.iter().map(|r| r % n_rows).collect()
-                };
-                columns.push((0, i), rows);
+            let n_edges = u32::try_from(edge_caps.len()).expect("a few rows");
+            let mut order: Vec<usize> = (0..commodities.len()).collect();
+            if shuffle == 1 {
+                order.sort_by_key(|&ci| commodities[ci].1);
+            }
+            // The edge rows of every column laid out so far, by commodity.
+            let mut laid: Vec<(usize, Vec<u32>)> = Vec::new();
+            let mut columns = Columns::with_capacity(0, 0);
+            for &ci in &order {
+                let demand_row = n_edges + u32::try_from(ci).expect("a few commodities");
+                for (pi, (seed, rows, kind)) in commodities[ci].2.iter().enumerate() {
+                    let own: Vec<&Vec<u32>> =
+                        laid.iter().filter(|(c, _)| *c == ci).map(|(_, r)| r).collect();
+                    let edges: Vec<u32> = match kind {
+                        // The same path twice in one commodity.
+                        0 if !own.is_empty() => own[seed % own.len()].clone(),
+                        // A path some commodity already offers.
+                        1 if !laid.is_empty() => laid[seed % laid.len()].1.clone(),
+                        _ => rows.iter().map(|r| r % n_edges).collect(),
+                    };
+                    columns.push((ci, pi), edges.iter().copied().chain([demand_row]));
+                    laid.push((ci, edges));
+                }
             }
             let mut heap_len = gk_lengths(&caps, eps);
             let mut scan_len = heap_len.clone();
             let heap = gk_pack(&columns, &mut heap_len, &caps, eps, max_iterations);
             let scan = gk_pack_scan(&columns, &mut scan_len, &caps, eps, max_iterations);
-            proptest::prop_assert_eq!(heap.1, scan.1);
-            proptest::prop_assert_eq!(bits(&heap.0), bits(&scan.0));
+            proptest::prop_assert_eq!(heap.iterations, scan.iterations);
+            proptest::prop_assert_eq!(bits(&heap.raw_flow), bits(&scan.raw_flow));
             proptest::prop_assert_eq!(bits(&heap_len), bits(&scan_len));
+            proptest::prop_assert!(heap.entries <= commodities.len());
+            proptest::prop_assert!(heap.visits >= heap.iterations);
         }
+    }
+
+    /// Every field of two solutions, bit for bit.
+    fn assert_bit_identical(a: &TeSolution, b: &TeSolution) {
+        let flow = |f: &PathFlow| {
+            (
+                f.commodity,
+                f.path.edges.clone(),
+                f.path.nodes.clone(),
+                f.path.cost.to_bits(),
+                f.gbps.to_bits(),
+            )
+        };
+        let utilization = |s: &TeSolution| -> BTreeMap<EdgeId, u64> {
+            s.utilization.iter().map(|(&e, u)| (e, u.to_bits())).collect()
+        };
+        assert_eq!(
+            a.flows.iter().map(flow).collect::<Vec<_>>(),
+            b.flows.iter().map(flow).collect::<Vec<_>>()
+        );
+        assert_eq!(a.routed_gbps.to_bits(), b.routed_gbps.to_bits());
+        assert_eq!(a.offered_gbps.to_bits(), b.offered_gbps.to_bits());
+        assert_eq!(utilization(a), utilization(b));
+        assert_eq!(a.iterations, b.iterations);
+    }
+
+    /// `max_multicommodity_flow` solves the small planetary WAN, region
+    /// contracted and fine, over its real k-shortest path sets, bit for
+    /// bit as the same solve through the full-scan packer.
+    #[test]
+    fn heap_solve_matches_scan_solve_on_a_small_wan() {
+        use smn_telemetry::traffic::{TrafficConfig, TrafficModel};
+        use smn_topology::gen::{generate_planetary, PlanetaryConfig};
+        use smn_topology::layer3::{LinkAttrs, SuperLink};
+
+        let p = generate_planetary(&PlanetaryConfig::small(7));
+        let model = TrafficModel::new(&p.wan, TrafficConfig::default());
+        let noon = smn_telemetry::Ts::from_days(2) + 12 * 3600;
+        let demand = DemandMatrix::from_triples(
+            model.demand_matrix(noon).into_iter().map(|(s, d, g)| (s, d, g * 0.03)),
+        );
+        let cfg = TeConfig { k_paths: 3, epsilon: 0.15, ..Default::default() };
+        let off = smn_obs::Obs::disabled();
+
+        let region = p.wan.contract_by_region();
+        let coarse = demand.contract(&region.node_map);
+        let cap = |_: EdgeId, e: &Edge<SuperLink>| e.payload.capacity_gbps;
+        let heap = max_multicommodity_flow(&region.graph, cap, &coarse, &cfg);
+        let paths = path_sets(&region.graph, &cap, &coarse, cfg.k_paths);
+        assert!(paths.iter().filter(|ps| ps.len() > 1).count() > 1, "commodities share a heap");
+        let scan = gk_solve(&region.graph, &cap, &coarse, &paths, &cfg, &off, gk_pack_scan);
+        assert!(heap.iterations > 0 && !heap.flows.is_empty());
+        assert_bit_identical(&heap, &scan);
+
+        let cap = |_: EdgeId, e: &Edge<LinkAttrs>| {
+            if e.payload.up {
+                e.payload.capacity_gbps
+            } else {
+                0.0
+            }
+        };
+        let heap = max_multicommodity_flow(&p.wan.graph, cap, &demand, &cfg);
+        let paths = path_sets(&p.wan.graph, &cap, &demand, cfg.k_paths);
+        let scan = gk_solve(&p.wan.graph, &cap, &demand, &paths, &cfg, &off, gk_pack_scan);
+        assert!(heap.iterations > 0 && !heap.flows.is_empty());
+        assert_bit_identical(&heap, &scan);
+    }
+
+    #[test]
+    fn path_set_count_mismatch_is_a_typed_error() {
+        let g = parallel_graph();
+        let demand = DemandMatrix::from_triples([(NodeId(0), NodeId(1), 5.0)]);
+        let err = max_multicommodity_flow_with_paths(&g, cap, &demand, &[], &TeConfig::default())
+            .expect_err("no path set for one commodity");
+        assert_eq!(err, PathSetCountMismatch { path_sets: 0, commodities: 1 });
+        let paths = path_sets(&g, &cap, &demand, 4);
+        let with =
+            max_multicommodity_flow_with_paths(&g, cap, &demand, &paths, &TeConfig::default())
+                .expect("one path set per commodity");
+        let plain = max_multicommodity_flow(&g, cap, &demand, &TeConfig::default());
+        assert_bit_identical(&with, &plain);
     }
 
     #[test]

@@ -437,11 +437,13 @@ impl DijkstraScratch {
     fn push_path_edges(&self, dst: NodeId, edges: &mut Vec<EdgeId>) {
         let from = edges.len();
         let mut cur = dst;
-        while let Some((p, e)) = self.prev[cur.index()] {
+        while let Some(&Some((p, e))) = self.prev.get(cur.index()) {
             edges.push(e);
             cur = p;
         }
-        edges[from..].reverse();
+        if let Some(path) = edges.get_mut(from..) {
+            path.reverse();
+        }
     }
 }
 
@@ -532,8 +534,7 @@ impl<N, E> DiGraph<N, E> {
         cost: impl FnMut(EdgeId, &Edge<E>) -> Option<f64>,
     ) -> Option<f64> {
         self.search(s, src, Some(dst), cost);
-        let d = s.dist[dst.index()];
-        (!d.is_infinite()).then_some(d)
+        s.dist.get(dst.index()).copied().filter(|d| !d.is_infinite())
     }
 
     /// Dijkstra from `src` in `s`, until `stop` is settled or, without
@@ -580,7 +581,7 @@ impl<N, E> DiGraph<N, E> {
     fn path_nodes(&self, src: NodeId, edges: &[EdgeId]) -> Vec<NodeId> {
         let mut nodes = Vec::with_capacity(edges.len() + 1);
         nodes.push(src);
-        nodes.extend(edges.iter().map(|e| self.edges[e.index()].dst));
+        nodes.extend(edges.iter().filter_map(|e| self.edges.get(e.index())).map(|e| e.dst));
         nodes
     }
 
@@ -620,34 +621,44 @@ impl<N, E> DiGraph<N, E> {
         let mut spur_edges: Vec<EdgeId> = Vec::new();
         while result.len() < k {
             let Some(last) = result.last() else { break };
-            // For each node in the previous path except the terminal, branch.
-            for i in 0..last.nodes.len() - 1 {
+            // For each node in the previous path except the terminal, branch:
+            // the spur node is the last of the root path `last.nodes[..=i]`.
+            for i in 0..last.edges.len() {
+                let (Some(root_nodes), Some(root_edges)) =
+                    (last.nodes.get(..=i), last.edges.get(..i))
+                else {
+                    break;
+                };
+                let Some((&spur_node, root_prefix)) = root_nodes.split_last() else { break };
                 stamp += 1;
-                let spur_node = last.nodes[i];
-                let root_nodes = &last.nodes[..=i];
-                let root_edges = &last.edges[..i];
                 // Edges on an already-accepted path always have a usable
                 // cost; a None here would only drop that edge's contribution.
-                let root_cost: f64 =
-                    root_edges.iter().filter_map(|&e| cost(e, &self.edges[e.index()])).sum();
+                let root_cost: f64 = root_edges
+                    .iter()
+                    .filter_map(|&e| self.edges.get(e.index()).and_then(|edge| cost(e, edge)))
+                    .sum();
                 // Edges removed: any edge leaving the spur node that a
                 // previously accepted path with the same root uses next.
                 for p in result.iter().chain(candidates.iter()) {
-                    if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
-                        if let Some(&e) = p.edges.get(i) {
-                            edge_ban[e.index()] = stamp;
+                    if p.nodes.get(..=i) == Some(root_nodes) {
+                        if let Some(ban) = p.edges.get(i).and_then(|e| edge_ban.get_mut(e.index()))
+                        {
+                            *ban = stamp;
                         }
                     }
                 }
                 // Nodes removed: the root path nodes except the spur node
                 // (loopless requirement).
-                for v in &root_nodes[..i] {
-                    node_ban[v.index()] = stamp;
+                for v in root_prefix {
+                    if let Some(ban) = node_ban.get_mut(v.index()) {
+                        *ban = stamp;
+                    }
                 }
                 let spur = self.dijkstra(&mut scratch, spur_node, dst, |eid, edge| {
-                    if edge_ban[eid.index()] == stamp
-                        || node_ban[edge.src.index()] == stamp
-                        || node_ban[edge.dst.index()] == stamp
+                    let banned = |bans: &[usize], i: usize| bans.get(i) == Some(&stamp);
+                    if banned(&edge_ban, eid.index())
+                        || banned(&node_ban, edge.src.index())
+                        || banned(&node_ban, edge.dst.index())
                     {
                         None
                     } else {
@@ -657,11 +668,8 @@ impl<N, E> DiGraph<N, E> {
                 let Some(spur_cost) = spur else { continue };
                 spur_edges.clear();
                 scratch.push_path_edges(dst, &mut spur_edges);
-                let is_total = |p: &Path| {
-                    p.edges.len() == i + spur_edges.len()
-                        && p.edges[..i] == *root_edges
-                        && p.edges[i..] == *spur_edges
-                };
+                let is_total =
+                    |p: &Path| p.edges.split_at_checked(i) == Some((root_edges, &spur_edges));
                 if !candidates.iter().any(is_total) && !result.iter().any(is_total) {
                     let mut edges = root_edges.to_vec();
                     edges.extend_from_slice(&spur_edges);
