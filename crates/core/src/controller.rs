@@ -689,7 +689,10 @@ impl SmnController {
         // At most one row per record; an untouched reservation costs no
         // resident memory on the coarser rungs.
         let mut records = Vec::with_capacity(fine.len());
-        TimeCoarsener::new(chosen, vec![Statistic::P95]).for_each_cell(
+        // Every rung is a non-zero window and P95 the one statistic, so
+        // the rung's coarsener needs none of `TimeCoarsener::new`'s checks.
+        let coarsener = TimeCoarsener { window_secs: chosen, stats: vec![Statistic::P95] };
+        coarsener.for_each_cell(
             fine,
             |_| true,
             |w, pair, samples| {

@@ -321,12 +321,15 @@ fn scan_pays(checks: usize, gathered: usize, runs: usize) -> bool {
 /// hold it, in run order, which is input order within the key: the visit
 /// is exactly that of a stable sort by key.
 ///
-/// The heads are scanned while [`scan_pays`] holds, then the remaining
-/// heads move into a heap for the rest of the walk. Both gather in run
-/// order, so the switch changes the cost, never the visit. For `n`
-/// records in `r` runs: one pass to split them, then at most
-/// `O(n log r + r)` head work. Unordered input has up to `n / 2` runs and
-/// costs `O(n log n)`.
+/// Runs that hold the same strictly ascending keys at the same positions
+/// (a complete lake window) are gathered position by position
+/// ([`gather_by_position`]), with no head compared across runs. From
+/// their first disagreement on, the heads are scanned while [`scan_pays`]
+/// holds, then the remaining heads move into a heap for the rest of the
+/// walk. All three gather in run order, so the strategy changes the cost,
+/// never the visit. For `n` records in `r` runs: one pass to split them,
+/// then at most `O(n log r + r)` head work. Unordered input has up to
+/// `n / 2` runs and costs `O(n log n)`.
 pub fn walk_runs<'a, T, K: Ord + Copy, S>(
     records: &'a [T],
     key: impl Fn(&T) -> K,
@@ -336,14 +339,22 @@ pub fn walk_runs<'a, T, K: Ord + Copy, S>(
     walk(records, key, sample, visit);
 }
 
-/// [`walk_runs`], returning how many records it gathered on the scan
-/// before it moved to the heap (all of them when it never did).
+/// The records a [`walk`] gathered by each strategy: by position while
+/// the runs stayed aligned, then on the scan before it moved to the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Gathered {
+    by_position: usize,
+    on_scan: usize,
+}
+
+/// [`walk_runs`], returning how many records it gathered by position and
+/// on the scan (together all of them when it never moved to the heap).
 fn walk<'a, T, K: Ord + Copy, S>(
     records: &'a [T],
     key: impl Fn(&T) -> K,
     sample: impl Fn(&'a T) -> Option<S>,
     mut visit: impl FnMut(K, &mut Vec<S>),
-) -> usize {
+) -> Gathered {
     let mut runs: Vec<&'a [T]> = Vec::new();
     let (mut start, mut prev) = (0, None);
     for (i, r) in records.iter().enumerate() {
@@ -356,6 +367,17 @@ fn walk<'a, T, K: Ord + Copy, S>(
     }
     runs.extend(records.get(start..).filter(|run| !run.is_empty()));
     let mut payloads: Vec<S> = Vec::new();
+    let mut emit = |k: K, payloads: &mut Vec<S>| {
+        if !payloads.is_empty() {
+            visit(k, payloads);
+        }
+        payloads.clear();
+    };
+    let visited = gather_by_position(&runs, &key, &sample, &mut payloads, &mut emit);
+    for run in &mut runs {
+        *run = run.get(visited..).unwrap_or_default();
+    }
+    let by_position = visited * runs.len();
     // Move `run`'s records of key `k` (its head) into `payloads`; returns
     // how many it took.
     let gather = |run: &mut &'a [T], k: K, payloads: &mut Vec<S>| {
@@ -364,23 +386,17 @@ fn walk<'a, T, K: Ord + Copy, S>(
         *run = run.get(taken..).unwrap_or_default();
         taken
     };
-    let mut emit = |k: K, payloads: &mut Vec<S>| {
-        if !payloads.is_empty() {
-            visit(k, payloads);
-        }
-        payloads.clear();
-    };
     // Spent runs stay in the scan, and their checks count against it.
     let total = runs.len();
-    let (mut checks, mut gathered) = (0usize, 0usize);
-    while scan_pays(checks, gathered, total) {
+    let (mut checks, mut on_scan) = (0usize, 0usize);
+    while scan_pays(checks, on_scan, total) {
         let Some(k) = runs.iter().filter_map(|run| run.first()).map(&key).min() else {
-            return gathered;
+            return Gathered { by_position, on_scan };
         };
         checks += runs.len();
         for run in &mut runs {
             if run.first().is_some_and(|r| key(r) == k) {
-                gathered += gather(run, k, &mut payloads);
+                on_scan += gather(run, k, &mut payloads);
             }
         }
         emit(k, &mut payloads);
@@ -410,7 +426,51 @@ fn walk<'a, T, K: Ord + Copy, S>(
         }
         emit(k, &mut payloads);
     }
-    gathered
+    Gathered { by_position, on_scan }
+}
+
+/// Gather `runs` position by position while they are aligned, visiting
+/// the key at each position with every run's record there, in run order;
+/// returns how many positions it visited.
+///
+/// Position `i` is visited only after position `i + 1` is checked: run
+/// 0's key there must rise strictly, and every run must hold that key
+/// there, or every run must end. Then each run holds key `i` once, at
+/// `i`, so the visit is the stable sort's. The check rides in the one
+/// pass that gathers position `i`. At the first disagreement the walk
+/// goes on from the first unvisited position, and every key before it is
+/// complete in every run.
+///
+/// Kept out of line: inlined into the walk, it made the adaptive apply
+/// of a one-epoch 300-DC delta (one run) ≈25% slower.
+#[inline(never)]
+fn gather_by_position<'a, T, K: Ord + Copy, S>(
+    runs: &[&'a [T]],
+    key: impl Fn(&T) -> K,
+    sample: impl Fn(&'a T) -> Option<S>,
+    payloads: &mut Vec<S>,
+    mut emit: impl FnMut(K, &mut Vec<S>),
+) -> usize {
+    let key_at = |run: &[T], i: usize| run.get(i).map(&key);
+    let Some(first) = runs.first() else { return 0 };
+    if runs.iter().any(|run| key_at(run, 0) != key_at(first, 0)) {
+        return 0;
+    }
+    for (i, k) in first.iter().map(&key).enumerate() {
+        let next = key_at(first, i + 1);
+        if next.is_some_and(|n| n <= k) {
+            return i;
+        }
+        for run in runs {
+            payloads.extend(run.get(i).and_then(&sample));
+            if key_at(run, i + 1) != next {
+                payloads.clear();
+                return i;
+            }
+        }
+        emit(k, payloads);
+    }
+    first.len()
 }
 
 /// Visit each distinct key of `records` once, in ascending order, with
@@ -561,7 +621,10 @@ fn interpolate(sorted: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::{epochs, Ts};
+    use crate::traffic::{TrafficConfig, TrafficModel};
     use proptest::prelude::*;
+    use smn_topology::gen::{generate_planetary, PlanetaryConfig};
 
     /// Special values the summariser must order and sum identically on
     /// both paths: exact ties, both zeros, NaNs of either sign, infinities.
@@ -612,32 +675,103 @@ mod tests {
             .collect()
     }
 
+    /// One run, 2–16 runs or 17–300 runs.
+    fn run_count() -> impl Strategy<Value = usize> {
+        (0usize..3, 2usize..=16, 17usize..=300)
+            .prop_map(|(class, few, many)| [1, few, many].get(class).copied().unwrap_or(1))
+    }
+
+    /// How [`aligned`] makes its runs disagree: `(kind, run, position,
+    /// key)`. The run is taken modulo the run count. A position below 32
+    /// is the first, one below 64 the last, and any other is taken modulo
+    /// the key count.
+    type Divergence = (u8, usize, usize, u16);
+
+    fn divergence(keys: std::ops::Range<u16>) -> impl Strategy<Value = Divergence> {
+        (0u8..7, 0usize..300, 0usize..128, keys)
+    }
+
+    /// `runs` copies of the strictly ascending `keys` laid end to end, as
+    /// a lake window's epochs are, made to disagree once by `divergence`
+    /// when it is given. Run `j` drops (kind 0) or repeats (1) the key at
+    /// the position, rekeys it to `key` (2) or to one above or below it,
+    /// staying ascending (3), or gains one key after its last (4); or run
+    /// 0 (5) or every run (6) repeats the key at the position.
+    fn aligned(runs: usize, keys: &[u16], divergence: Option<Divergence>) -> Vec<u16> {
+        let mut runs = vec![keys.to_vec(); runs];
+        if let (Some((kind, j, at, key)), Some(&last)) = (divergence, keys.last()) {
+            let j = j % runs.len();
+            let at = match at {
+                0..32 => 0,
+                32..64 => keys.len() - 1,
+                _ => at % keys.len(),
+            };
+            let repeat = |run: &mut Vec<u16>| run.insert(at, run[at]);
+            match kind {
+                0 => {
+                    runs[j].remove(at);
+                }
+                1 => repeat(&mut runs[j]),
+                2 => runs[j][at] = key,
+                3 => {
+                    runs[j][at] =
+                        if key % 2 == 0 { keys[at] + 1 } else { keys[at].saturating_sub(1) }
+                }
+                4 => runs[j].push(last + 1),
+                5 => repeat(&mut runs[0]),
+                _ => runs.iter_mut().for_each(repeat),
+            }
+        }
+        runs.concat()
+    }
+
     /// Records keyed from a small range, so keys repeat inside and across
     /// runs, laid out as 1–40 chunks each sorted by key (one run, 2–16
-    /// runs or more) or left unsorted (up to one run per two records).
-    /// One key's samples are all rejected and a fifth of the rest.
+    /// runs or more) or left unsorted (up to one run per two records), or
+    /// as one run, 2–16 runs or 17–300 runs of the same strictly
+    /// ascending keys, aligned or diverging once ([`aligned`]). One key's
+    /// samples are all rejected and a fifth of the rest.
     fn run_log() -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
         let record = (0u8..12, f64_bits(), 0u8..5);
         (
             proptest::collection::vec(proptest::collection::vec(record, 0..12), 1..40),
-            0u8..3,
+            0u8..6,
             0u8..12,
+            run_count(),
+            divergence(0..12),
         )
-            .prop_map(|(chunks, layout, rejected)| {
-                let chunks = match layout {
-                    0 => vec![chunks.concat()],
-                    1 => chunks.into_iter().take(16).collect(),
-                    _ => chunks,
+            .prop_map(|(chunks, layout, rejected, runs, divergence)| {
+                let records: Vec<(u8, u64, u8)> = if layout >= 3 {
+                    let pool = chunks.concat();
+                    let mut keys: Vec<u16> = pool.iter().map(|r| u16::from(r.0)).collect();
+                    keys.sort_unstable();
+                    keys.dedup();
+                    aligned(runs, &keys, (layout > 3).then_some(divergence))
+                        .into_iter()
+                        .zip(pool.iter().cycle())
+                        .map(|(k, &(_, bits, keep))| {
+                            (u8::try_from(k).unwrap_or(u8::MAX), bits, keep)
+                        })
+                        .collect()
+                } else {
+                    let chunks = match layout {
+                        0 => vec![chunks.concat()],
+                        1 => chunks.into_iter().take(16).collect(),
+                        _ => chunks,
+                    };
+                    let sorted = layout < 2 || chunks.len() % 2 == 0;
+                    chunks
+                        .into_iter()
+                        .flat_map(|mut chunk| {
+                            if sorted {
+                                chunk.sort_by_key(|r| r.0);
+                            }
+                            chunk
+                        })
+                        .collect()
                 };
-                let sorted = layout < 2 || chunks.len() % 2 == 0;
-                chunks
+                records
                     .into_iter()
-                    .flat_map(|mut chunk| {
-                        if sorted {
-                            chunk.sort_by_key(|r| r.0);
-                        }
-                        chunk
-                    })
                     .map(|(k, bits, keep)| (k, bits, k != rejected && keep != 0))
                     .collect()
             })
@@ -655,44 +789,53 @@ mod tests {
     }
 
     /// Every visit of [`walk`] over `records` with each record's index as
-    /// its payload, and the records it gathered on the scan.
-    fn walked(records: &[(u16, bool)]) -> (Vec<(u16, Vec<usize>)>, usize) {
+    /// its payload, and the records it gathered by position and on the
+    /// scan.
+    fn walked(records: &[(u16, bool)]) -> (Vec<(u16, Vec<usize>)>, Gathered) {
         let indexed: Vec<(usize, u16, bool)> =
             records.iter().enumerate().map(|(i, &(k, keep))| (i, k, keep)).collect();
         let mut got = Vec::new();
-        let on_scan =
+        let gathered =
             walk(&indexed, |r| r.1, |r| r.2.then_some(r.0), |k, p| got.push((k, p.clone())));
-        (got, on_scan)
+        (got, gathered)
     }
 
     /// Records laid out as one run, 2–16 runs or 17–300 runs of keys that
     /// are dense (every key in every run), scattered (a few keys from a
-    /// wide range per run), mixed (a dense head then a scattered tail) or
-    /// unsorted chunks. One key in eight is rejected outright and a fifth
-    /// of the rest.
+    /// wide range per run), mixed (a dense head then a scattered tail),
+    /// unsorted chunks, or the same strictly ascending keys from a wide
+    /// range in every run, aligned or diverging once ([`aligned`]). One
+    /// key in eight is rejected outright and a fifth of the rest.
     fn walk_log() -> impl Strategy<Value = Vec<(u16, bool)>> {
-        let runs = (0usize..3, 2usize..=16, 17usize..=300)
-            .prop_map(|(class, few, many)| [1, few, many].get(class).copied().unwrap_or(1));
         let draws = proptest::collection::vec((0u16..4096, 0u8..5, 1usize..4), 1..200);
-        (runs, 0u8..4, 1u16..8, draws, 0u16..8).prop_map(
-            |(runs, layout, width, draws, rejected)| {
-                let mut draws = draws.into_iter().cycle();
-                let mut out = Vec::new();
-                for _ in 0..runs {
-                    let Some((_, keep, n)) = draws.next() else { break };
-                    let dense = (0..width).map(|k| (k, keep));
-                    let scattered: Vec<(u16, u8)> =
-                        draws.by_ref().take(n).map(|(k, keep, _)| (width + k, keep)).collect();
-                    let mut run: Vec<(u16, u8)> = match layout {
-                        0 => dense.collect(),
-                        1 => scattered,
-                        _ => dense.chain(scattered).collect(),
-                    };
-                    if layout < 3 {
-                        run.sort_by_key(|r| r.0);
+        (run_count(), 0u8..6, 1u16..8, draws, 0u16..8, divergence(0..4096)).prop_map(
+            |(runs, layout, width, draws, rejected, divergence)| {
+                let out: Vec<(u16, u8)> = if layout >= 4 {
+                    let mut keys: Vec<u16> = draws.iter().take(24).map(|d| d.0).collect();
+                    keys.sort_unstable();
+                    keys.dedup();
+                    let keys = aligned(runs, &keys, (layout == 5).then_some(divergence));
+                    keys.into_iter().zip(draws.iter().cycle().map(|d| d.1)).collect()
+                } else {
+                    let mut out = Vec::new();
+                    let mut draws = draws.into_iter().cycle();
+                    for _ in 0..runs {
+                        let Some((_, keep, n)) = draws.next() else { break };
+                        let dense = (0..width).map(|k| (k, keep));
+                        let scattered: Vec<(u16, u8)> =
+                            draws.by_ref().take(n).map(|(k, keep, _)| (width + k, keep)).collect();
+                        let mut run: Vec<(u16, u8)> = match layout {
+                            0 => dense.collect(),
+                            1 => scattered,
+                            _ => dense.chain(scattered).collect(),
+                        };
+                        if layout < 3 {
+                            run.sort_by_key(|r| r.0);
+                        }
+                        out.extend(run);
                     }
-                    out.extend(run);
-                }
+                    out
+                };
                 out.into_iter().map(|(k, keep)| (k, k % 8 != rejected && keep != 0)).collect()
             },
         )
@@ -864,18 +1007,25 @@ mod tests {
     #[test]
     fn dense_runs_stay_on_the_scan_and_scattered_keys_leave_it() {
         for r in 1..=512u16 {
-            let dense: Vec<(u16, bool)> = (0..r).flat_map(|_| (0..4).map(|k| (k, true))).collect();
-            let (got, on_scan) = walked(&dense);
-            assert_eq!(on_scan, dense.len(), "dense runs stay on the scan, r = {r}");
+            // Every key twice in every run: run 0's keys do not rise
+            // strictly, so none is gathered by position.
+            let dense: Vec<(u16, bool)> =
+                (0..r).flat_map(|_| (0..4).flat_map(|k| [(k, true); 2])).collect();
+            let (got, gathered) = walked(&dense);
+            let all_on_scan = Gathered { by_position: 0, on_scan: dense.len() };
+            assert_eq!(gathered, all_on_scan, "dense runs stay on the scan, r = {r}");
             assert_eq!(got, visits_by_stable_key_sort(&dense));
             // Run `i` holds keys `i`, `i + r`, `i + 2r`, `i + 3r`: each key
             // in one run of `r`.
             let scattered: Vec<(u16, bool)> =
                 (0..r).flat_map(|i| (0..4).map(move |j| (i + j * r, true))).collect();
-            // One record per key: the records gathered on the scan count
-            // the keys it took.
-            let (got, on_scan) = walked(&scattered);
+            // One run agrees with itself; more disagree at position 0. One
+            // record per key: the records gathered on the scan count the
+            // keys it took.
+            let (got, gathered) = walked(&scattered);
+            assert_eq!(gathered.by_position, if r == 1 { 4 } else { 0 }, "r = {r}");
             if r > 8 {
+                let on_scan = gathered.on_scan;
                 assert!(on_scan <= usize::from(r) + 1, "r = {r}: {on_scan} keys on the scan");
             }
             assert_eq!(got, visits_by_stable_key_sort(&scattered));
@@ -883,16 +1033,55 @@ mod tests {
     }
 
     #[test]
+    fn aligned_runs_are_gathered_wholly_by_position() {
+        for r in 1..=512u16 {
+            let aligned: Vec<(u16, bool)> =
+                (0..r).flat_map(|_| (0..4).map(|k| (k, k != 2))).collect();
+            let (got, gathered) = walked(&aligned);
+            let all_by_position = Gathered { by_position: aligned.len(), on_scan: 0 };
+            assert_eq!(gathered, all_by_position, "r = {r}");
+            assert_eq!(got, visits_by_stable_key_sort(&aligned));
+        }
+    }
+
+    #[test]
+    fn a_lake_window_is_gathered_wholly_by_position() {
+        let wan = generate_planetary(&PlanetaryConfig::small(1)).wan;
+        let model = TrafficModel::new(&wan, TrafficConfig::default());
+        for n in [1, 12] {
+            // One pair-sorted run per epoch, every pair in every epoch.
+            let window = model.generate(Ts(0), n);
+            let mut pairs = Vec::new();
+            let gathered = walk(
+                &window,
+                |r| pair_key(r.src, r.dst),
+                |r| Some(r.ts),
+                |pair, stamps| {
+                    assert!(stamps.iter().copied().eq(epochs(Ts(0), n)), "epoch order");
+                    pairs.push(key_pair(pair));
+                },
+            );
+            assert_eq!(gathered, Gathered { by_position: window.len(), on_scan: 0 }, "{n} epochs");
+            let want: Vec<(u32, u32)> = model.pairs().iter().map(|p| (p.src.0, p.dst.0)).collect();
+            assert_eq!(pairs, want);
+        }
+    }
+
+    #[test]
     fn a_walk_that_moves_to_the_heap_mid_way_visits_as_the_keyed_sort() {
-        // 40 runs, each the dense keys 0..50 then 40 keys of its own:
-        // the scan pays for the dense head, not for the scattered tail.
+        // 40 runs, each the dense keys 0..50 then 40 keys of its own. The
+        // runs disagree at position 50, so keys 0..49 are gathered by
+        // position. The scan takes key 49 and pays for a few scattered
+        // keys after it, not for the whole scattered tail.
         let records: Vec<(u16, bool)> = (0..40u16)
             .flat_map(|i| {
                 (0..50).chain((0..40).map(move |j| 1000 + i + 40 * j)).map(|k| (k, k != 7))
             })
             .collect();
-        let (got, on_scan) = walked(&records);
-        assert!((40 * 50..records.len()).contains(&on_scan), "switched after {on_scan} records");
+        let (got, gathered) = walked(&records);
+        assert_eq!(gathered.by_position, 40 * 49);
+        let (on_scan, rest) = (gathered.on_scan, records.len() - gathered.by_position);
+        assert!((41..rest).contains(&on_scan), "switched after {on_scan} records");
         assert_eq!(got, visits_by_stable_key_sort(&records));
     }
 
