@@ -57,7 +57,8 @@
 //! over the lake since its last proof's frontier, and a sealed window's
 //! rows sit in one immutable shared chunk whose identity guards them. The
 //! adaptive log classifies each pair over its whole history, so it keeps
-//! every sample, in time order; a tick folds only its new samples, and
+//! every sample, time-major: one immutable block of the tick's samples per
+//! tick, pairs ascending. A tick folds only its new samples, and
 //! reconciliation resumes the adaptive oracle from the state its last
 //! proof left, over the lake since then. A sample behind its pair's
 //! history is its [`StreamError::OutOfOrder`], refused before the log is
@@ -1041,133 +1042,443 @@ impl TimeCoarsener {
     }
 }
 
-/// Per-pair incremental state of an [`AdaptiveCoarsener`]: the pair's
-/// samples in arrival order, which is time order (a tick may not regress
-/// behind the lake), the [`Fold`] of all of them, which classifies the
-/// pair, the [`MeanFold`] of the samples in the *open* window (the window
-/// of the last sample), and the rows of the windows before it.
+/// The pairs of one [`Block`] and where each pair's samples end in the
+/// block's columns: pair `pairs[k]`'s samples are `ends[k - 1]..ends[k]`
+/// (from 0 for the first). A block whose runs equal the previous block's
+/// shares them, as every steady tick's block does.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Runs {
+    pairs: Vec<(u32, u32)>,
+    ends: Vec<usize>,
+}
+
+/// The samples one apply appended to an [`IncrementalAdaptiveLog`], in the
+/// walk's visit order: pairs ascending, each pair's samples in arrival
+/// order, as a timestamp column and a value column. A block is never
+/// written once pushed.
+#[derive(Debug, Clone, PartialEq)]
+struct Block {
+    runs: Arc<Runs>,
+    ts: Vec<u64>,
+    values: Vec<f64>,
+}
+
+impl Block {
+    /// The timestamps and values of run `k`; empty when there is no such
+    /// run.
+    fn run(&self, k: usize) -> (&[u64], &[f64]) {
+        let ends = &self.runs.ends;
+        let start = k.checked_sub(1).map_or(Some(0), |j| ends.get(j).copied());
+        let Some(run) = start.zip(ends.get(k).copied()).map(|(s, e)| s..e) else {
+            return (&[], &[]);
+        };
+        (self.ts.get(run.clone()).unwrap_or_default(), self.values.get(run).unwrap_or_default())
+    }
+
+    /// `pair`'s values in this block, found by binary search; empty when
+    /// the block lacks the pair.
+    fn values_of(&self, pair: (u32, u32)) -> &[f64] {
+        self.runs.pairs.binary_search(&pair).map_or(&[], |k| self.run(k).1)
+    }
+
+    /// Rules this block breaks; paths are relative to it.
+    fn violations(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let Runs { pairs, ends } = &*self.runs;
+        if pairs.is_empty() || pairs.len() != ends.len() || self.ts.len() != self.values.len() {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["ends"],
+                format!(
+                    "{} pairs, {} run ends, {} timestamps and {} values",
+                    pairs.len(),
+                    ends.len(),
+                    self.ts.len(),
+                    self.values.len()
+                ),
+                "a block holds at least one pair, one run end per pair and parallel columns",
+            ));
+        }
+        if let Some(k) = pairs.iter().zip(pairs.iter().skip(1)).position(|(a, b)| a >= b) {
+            out.push(Violation::new(
+                "artifact/coarse-log-order",
+                path!["pairs", k + 1],
+                format!("the block's pair {} does not follow the one before it", k + 1),
+                "a block's pairs ascend strictly",
+            ));
+        }
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        let short = starts.zip(ends).position(|(start, &end)| end <= start);
+        let last = ends.last().copied().unwrap_or_default();
+        if let Some(k) = short.or((last != self.ts.len()).then(|| ends.len().saturating_sub(1))) {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["ends", k],
+                format!("run end {:?} for {} samples", ends.get(k), self.ts.len()),
+                "a block's run ends ascend strictly to its columns' length",
+            ));
+        }
+        out
+    }
+}
+
+/// The sample history of an [`IncrementalAdaptiveLog`]: one [`Block`] per
+/// apply that appended anything, oldest first. A pair's samples are its
+/// runs in the blocks that hold it, in block order, which is arrival
+/// order. No pair owns a buffer, so no pair's history ever regrows.
 ///
-/// No later sample can land before the open window, so those rows are
-/// final. The open window's row is not stored: it is computed from the
+/// A checkpoint writes each block as its pair list, run ends and two
+/// columns; a restored history shares one [`Runs`] between consecutive
+/// blocks whose runs are equal, as the live one does.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct History(Vec<Block>);
+
+impl History {
+    /// `pair`'s values, newest first. Lazy: a block is searched only when
+    /// the walk back reaches it, so taking a pair's last `n` values reads
+    /// only the blocks whose time range reaches them.
+    fn newest_values(&self, pair: (u32, u32)) -> impl Iterator<Item = f64> + '_ {
+        self.0.iter().rev().flat_map(move |b| Block::values_of(b, pair).iter().rev().copied())
+    }
+
+    /// Hand `visit` each block's run of `pair`, oldest first, with the
+    /// block's index. `cursors` holds one [`gallop`] cursor per block:
+    /// calls for ascending pairs advance them, so a reader that visits
+    /// every pair in order walks each block once.
+    fn visit(
+        &self,
+        pair: (u32, u32),
+        cursors: &mut Vec<usize>,
+        mut visit: impl FnMut(usize, &[u64], &[f64]),
+    ) {
+        cursors.resize(self.0.len(), 0);
+        for (b, (block, cursor)) in self.0.iter().zip(cursors.iter_mut()).enumerate() {
+            *cursor = gallop(&block.runs.pairs, *cursor, &pair);
+            if block.runs.pairs.get(*cursor) == Some(&pair) {
+                let (ts, values) = Block::run(block, *cursor);
+                visit(b, ts, values);
+            }
+        }
+    }
+
+    /// Edit the newest block that holds `pair`: `edit` gets copies of its
+    /// runs, the block's columns and the pair's run index. Returns whether
+    /// a block holds the pair.
+    #[cfg(test)]
+    fn edit_newest(
+        &mut self,
+        pair: (u32, u32),
+        edit: impl FnOnce(&mut Runs, &mut Vec<u64>, &mut Vec<f64>, usize),
+    ) -> bool {
+        let found = self.0.iter_mut().rev().find_map(|b| {
+            let k = b.runs.pairs.binary_search(&pair).ok()?;
+            Some((b, k))
+        });
+        let Some((block, k)) = found else { return false };
+        edit(Arc::make_mut(&mut block.runs), &mut block.ts, &mut block.values, k);
+        true
+    }
+}
+
+impl Serialize for History {
+    fn to_value(&self) -> serde::Value {
+        let block = |b: &Block| {
+            serde::Value::Map(vec![
+                ("pairs".to_string(), b.runs.pairs.to_value()),
+                ("ends".to_string(), b.runs.ends.to_value()),
+                ("ts".to_string(), b.ts.to_value()),
+                ("values".to_string(), b.values.to_value()),
+            ])
+        };
+        serde::Value::Seq(self.0.iter().map(block).collect())
+    }
+}
+
+/// A [`Block`] as a checkpoint writes it.
+#[derive(Deserialize)]
+struct BlockWire {
+    pairs: Vec<(u32, u32)>,
+    ends: Vec<usize>,
+    ts: Vec<u64>,
+    values: Vec<f64>,
+}
+
+impl Deserialize for History {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let mut blocks: Vec<Block> = Vec::new();
+        for BlockWire { pairs, ends, ts, values } in Vec::<BlockWire>::from_value(v)? {
+            let runs = Runs { pairs, ends };
+            let runs = match blocks.last() {
+                Some(prev) if *prev.runs == runs => Arc::clone(&prev.runs),
+                _ => Arc::new(runs),
+            };
+            blocks.push(Block { runs, ts, values });
+        }
+        Ok(History(blocks))
+    }
+}
+
+/// The block one apply writes: two columns sized to the delta up front,
+/// and runs that stay the previous block's while they agree with them.
+/// At the first disagreement the agreeing prefix is copied out and the
+/// rest written after it, so a steady tick writes nothing per pair.
+struct NewBlock {
+    prev: Option<Arc<Runs>>,
+    shared: usize,
+    own: Option<Runs>,
+    ts: Vec<u64>,
+    values: Vec<f64>,
+}
+
+impl NewBlock {
+    /// An empty block after `prev`, with room for `samples` samples.
+    fn after(prev: Option<&Block>, samples: usize) -> Self {
+        NewBlock {
+            prev: prev.map(|b| Arc::clone(&b.runs)),
+            shared: 0,
+            own: None,
+            ts: Vec::with_capacity(samples),
+            values: Vec::with_capacity(samples),
+        }
+    }
+
+    /// Append `pair`'s run of records, which must follow every pair
+    /// appended so far; returns its samples.
+    fn push(&mut self, pair: (u32, u32), run: &[&BandwidthRecord]) -> (&[u64], &[f64]) {
+        let from = self.ts.len();
+        self.ts.extend(run.iter().map(|r| r.ts.0));
+        self.values.extend(run.iter().map(|r| r.gbps));
+        let end = self.ts.len();
+        let at = self.shared;
+        let agrees = self.own.is_none()
+            && self
+                .prev
+                .as_deref()
+                .is_some_and(|p| p.pairs.get(at) == Some(&pair) && p.ends.get(at) == Some(&end));
+        if agrees {
+            self.shared += 1;
+        } else {
+            let runs = self.own();
+            runs.pairs.push(pair);
+            runs.ends.push(end);
+        }
+        (self.ts.get(from..).unwrap_or_default(), self.values.get(from..).unwrap_or_default())
+    }
+
+    /// The runs written so far, copied out of the previous block's on the
+    /// first call.
+    fn own(&mut self) -> &mut Runs {
+        let (prev, shared) = (self.prev.as_deref(), self.shared);
+        self.own.get_or_insert_with(|| {
+            let room = prev.map_or(0, |p| p.pairs.len()).max(shared + 1);
+            let mut runs = Runs { pairs: Vec::with_capacity(room), ends: Vec::with_capacity(room) };
+            if let Some(p) = prev {
+                runs.pairs.extend(p.pairs.iter().take(shared));
+                runs.ends.extend(p.ends.iter().take(shared));
+            }
+            runs
+        })
+    }
+
+    /// The finished block, sharing the previous block's runs when they are
+    /// equal; `None` when nothing was appended.
+    fn finish(mut self) -> Option<Block> {
+        if self.ts.is_empty() {
+            return None;
+        }
+        let runs = match (&self.own, &self.prev) {
+            (None, Some(prev)) if prev.pairs.len() == self.shared => Arc::clone(prev),
+            _ => {
+                let mut runs = std::mem::take(self.own());
+                runs.pairs.shrink_to_fit();
+                runs.ends.shrink_to_fit();
+                Arc::new(runs)
+            }
+        };
+        Some(Block { runs, ts: self.ts, values: self.values })
+    }
+}
+
+/// Buffers a class flip gathers its pair's samples into, reused across an
+/// apply's pairs, with one [`History::visit`] cursor per block: the walk
+/// visits pairs in ascending order.
+#[derive(Default)]
+struct Gathered {
+    cursors: Vec<usize>,
+    ts: Vec<u64>,
+    values: Vec<f64>,
+}
+
+impl Gathered {
+    /// Every sample of `pair`, in arrival order: its runs in `history`,
+    /// then `fresh`.
+    fn of(
+        &mut self,
+        history: &History,
+        pair: (u32, u32),
+        fresh: (&[u64], &[f64]),
+    ) -> (&[u64], &[f64]) {
+        let Gathered { cursors, ts, values } = self;
+        ts.clear();
+        values.clear();
+        history.visit(pair, cursors, |_, t, v| {
+            ts.extend_from_slice(t);
+            values.extend_from_slice(v);
+        });
+        ts.extend_from_slice(fresh.0);
+        values.extend_from_slice(fresh.1);
+        (ts, values)
+    }
+}
+
+/// A pair's samples replayed in order from the history under `window`:
+/// what its state must hold.
+#[derive(Default)]
+struct Replay {
+    whole: Fold,
+    open: MeanFold,
+    last: Option<u64>,
+    behind: bool,
+}
+
+impl Replay {
+    /// Replay one run of samples under `window`-second windows.
+    fn push(&mut self, ts: &[u64], values: &[f64], window: u64) {
+        for (&t, &x) in ts.iter().zip(values) {
+            self.behind |= self.last.is_some_and(|l| t < l);
+            if self.last.map(|l| l / window) != Some(t / window) {
+                self.open = MeanFold::default();
+            }
+            self.open.push(x);
+            self.whole.push(x);
+            self.last = Some(t);
+        }
+    }
+}
+
+/// Per-pair incremental state of an [`AdaptiveCoarsener`], fixed-size but
+/// for the closed rows: the [`Fold`] of every sample, which classifies
+/// the pair, the [`MeanFold`] of the samples in the *open* window (the
+/// window of the last sample), the last sample's timestamp, and the rows
+/// of the windows before the open one. The samples themselves sit in the
+/// log's [`History`].
+///
+/// No later sample can land before the open window, so the closed rows
+/// are final. The open window's row is not stored: it is computed from the
 /// open fold (and, for statistics other than the mean, the open window's
-/// values) when the log is read. A tick that keeps the pair's class pushes
-/// each new sample onto both folds, and only a sample in a later window
-/// closes the open row into `closed`: `O(1)` per sample for a Mean-only
-/// log, with no row touched. Only a class flip re-chunks the samples.
-///
-/// Timestamps and values sit in two parallel vectors rather than one of
-/// pairs: every pair doubles its history in the same tick, and two
-/// half-size blocks freed side by side coalesce into a hole the next
-/// pair's growth fits, where one block's hole never does (under glibc,
-/// one vector raised the benchmark's peak RSS by 6.6-8.6%).
+/// values, gathered from the history) when the log is read. A tick that
+/// keeps the pair's class pushes each new sample onto both folds, and only
+/// a sample in a later window closes the open row into `closed`: `O(1)` per
+/// sample for a Mean-only log, with no row touched and nothing allocated.
+/// Only a class flip re-chunks the samples.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct PairState {
-    /// Sample timestamps (seconds), ascending, ties in arrival order.
-    ts: Vec<u64>,
-    /// Sample values, parallel to `ts`.
-    values: Vec<f64>,
     /// The fold of every value, in order: the pair's class.
     whole: Fold,
     /// The fold of the open window: the last `open.count()` values.
     open: MeanFold,
+    /// The last sample's timestamp (seconds).
+    last: u64,
     /// The rows of the windows before the open one, ascending by window.
     closed: Vec<CoarseBwRecord>,
 }
 
 impl PairState {
+    /// The last sample's timestamp; `None` before the first sample.
+    fn newest(&self) -> Option<u64> {
+        (self.open.count() > 0).then_some(self.last)
+    }
+
     /// Rows of this pair: the closed ones and, once it holds a sample,
     /// the open one.
     fn rows(&self) -> usize {
-        self.closed.len() + usize::from(!self.values.is_empty())
+        self.closed.len() + usize::from(self.open.count() > 0)
     }
 
-    /// The open window's values: the tail the open fold covers.
-    fn open_values(&self) -> &[f64] {
-        let from = self.values.len().saturating_sub(self.open.count());
-        self.values.get(from..).unwrap_or_default()
-    }
-
-    /// The open row under `window` keeping `stats`: its window index, its
-    /// values left in `scratch.values`. `None` before the first sample.
-    fn open_row(&self, window: u64, stats: &[Statistic], scratch: &mut RowScratch) -> Option<u64> {
-        let w = self.ts.last()? / window;
-        adaptive_row_values(stats, &self.open, self.open_values().iter().copied(), scratch);
-        Some(w)
-    }
-
-    /// Re-chunk every sample under `window`, as the batch oracle does:
-    /// every window but the last into a closed row, the last into the
-    /// open fold. Returns the row count.
+    /// Re-chunk every sample, `(ts, values)`, under `window`, as the batch
+    /// oracle does: every window but the last into a closed row, the last
+    /// into the open fold. Returns the row count.
     fn rechunk(
         &mut self,
         pair: (u32, u32),
+        (ts, values): (&[u64], &[f64]),
         window: u64,
         stats: &[Statistic],
         scratch: &mut RowScratch,
     ) -> usize {
-        let PairState { ts, values, open, closed, .. } = self;
-        closed.clear();
+        self.closed.clear();
         let mut runs = window_runs(ts, window, |&t| t).peekable();
         while let Some((w, run)) = runs.next() {
             let cell = values.get(run).unwrap_or_default().iter().copied();
-            *open = MeanFold::of(cell.clone());
+            self.open = MeanFold::of(cell.clone());
             if runs.peek().is_some() {
-                adaptive_row_values(stats, open, cell, scratch);
-                closed.push(coarse_row(pair, w, window, scratch.values.iter().copied()));
+                adaptive_row_values(stats, &self.open, cell, scratch);
+                self.closed.push(coarse_row(pair, w, window, scratch.values.iter().copied()));
             }
         }
-        closed.len() + usize::from(!values.is_empty())
+        self.last = ts.last().copied().unwrap_or_default();
+        self.rows()
     }
 
     /// Fold the `fresh` samples a tick appended into the open window, or
-    /// close it and open later ones, under `window`. Returns the rows
-    /// recomputed: one per window the samples touched.
+    /// close it and open later ones, under `window`; the pair's earlier
+    /// samples are in `history`. Returns the rows recomputed: one per
+    /// window the samples touched.
     fn extend(
         &mut self,
         pair: (u32, u32),
-        fresh: usize,
+        history: &History,
+        (ts, values): (&[u64], &[f64]),
         window: u64,
         stats: &[Statistic],
         scratch: &mut RowScratch,
     ) -> usize {
-        let PairState { ts, values, open, closed, .. } = self;
-        let from = ts.len().saturating_sub(fresh);
+        let mut open_w = self.last / window;
         let mut recomputed = 0;
-        for (w, run) in window_runs(ts.get(from..).unwrap_or_default(), window, |&t| t) {
-            let start = from + run.start;
-            let open_w = start.checked_sub(1).and_then(|i| ts.get(i)).map(|t| t / window);
-            if let Some(open_w) = open_w.filter(|&o| o != w) {
-                let cell = values.get(start.saturating_sub(open.count())..start);
-                adaptive_row_values(stats, open, cell.unwrap_or_default().iter().copied(), scratch);
-                closed.push(coarse_row(pair, open_w, window, scratch.values.iter().copied()));
-                *open = MeanFold::default();
+        for (w, run) in window_runs(ts, window, |&t| t) {
+            if w != open_w {
+                // The open window's values are the pair's last
+                // `open.count()` samples: the fresh ones before this run,
+                // then its history, newest first. Only a statistic other
+                // than the mean reads them, from a sorted copy.
+                let before = values.get(..run.start).unwrap_or_default().iter().rev().copied();
+                let cell = before.chain(history.newest_values(pair)).take(self.open.count());
+                adaptive_row_values(stats, &self.open, cell, scratch);
+                self.closed.push(coarse_row(pair, open_w, window, scratch.values.iter().copied()));
+                self.open = MeanFold::default();
             }
-            for &x in values.get(start..from + run.end).unwrap_or_default() {
-                open.push(x);
+            for &x in values.get(run).unwrap_or_default() {
+                self.open.push(x);
             }
+            open_w = w;
             recomputed += 1;
+        }
+        if let Some(&t) = ts.last() {
+            self.last = t;
         }
         recomputed
     }
 
     /// Rules this pair's state breaks under `window` and `n_stats`
-    /// statistics; paths are relative to the pair.
-    fn violations(&self, pair: (u32, u32), window: u64, n_stats: usize) -> Vec<Violation> {
+    /// statistics, given its samples replayed from the history as `seen`;
+    /// paths are relative to the pair.
+    fn violations(
+        &self,
+        pair: (u32, u32),
+        seen: &Replay,
+        window: u64,
+        n_stats: usize,
+    ) -> Vec<Violation> {
         let mut out = Vec::new();
-        if self.values.is_empty() || self.ts.len() != self.values.len() || !self.ts.is_sorted() {
+        if seen.last.is_none() || seen.behind {
             out.push(Violation::new(
                 "artifact/coarse-log-samples",
-                path!["ts"],
-                format!(
-                    "pair {pair:?} has {} timestamps for {} values, or they do not ascend",
-                    self.ts.len(),
-                    self.values.len()
-                ),
-                "a pair holds a non-empty history, its timestamps ascending and parallel to \
-                 its values",
+                path!["history"],
+                format!("pair {pair:?} holds no sample, or its timestamps do not ascend"),
+                "a pair holds at least one sample, its timestamps ascending block after block",
             ));
         }
-        if !self.whole.same_bits(&Fold::of(self.values.iter().copied())) {
+        if !self.whole.same_bits(&seen.whole) {
             out.push(Violation::new(
                 "artifact/coarse-log-samples",
                 path!["whole"],
@@ -1175,17 +1486,7 @@ impl PairState {
                 "a pair's history fold is its values folded in order, bit for bit",
             ));
         }
-        // The open fold covers exactly the samples in the last sample's
-        // window, and every closed row lies before that window.
-        let start = self.values.len().saturating_sub(self.open.count());
-        let window_of = |i: usize| self.ts.get(i).map(|t| t / window);
-        let open_w = window_of(self.ts.len().saturating_sub(1));
-        let covered = self.open.count() > 0
-            && self.open.count() <= self.values.len()
-            && window_of(start) == open_w
-            && start.checked_sub(1).is_none_or(|i| window_of(i) < open_w)
-            && self.open.same_bits(&MeanFold::of(self.open_values().iter().copied()));
-        if !covered {
+        if !self.open.same_bits(&seen.open) {
             out.push(Violation::new(
                 "artifact/coarse-log-samples",
                 path!["open"],
@@ -1194,6 +1495,15 @@ impl PairState {
                  bit",
             ));
         }
+        if seen.last.is_some_and(|t| t != self.last) {
+            out.push(Violation::new(
+                "artifact/coarse-log-samples",
+                path!["last"],
+                format!("pair {pair:?}'s last timestamp {}s is not its last sample's", self.last),
+                "a pair's last timestamp is its last sample's",
+            ));
+        }
+        let open_w = self.newest().map(|t| t / window);
         let mut prev = None;
         for (j, row) in self.closed.iter().enumerate() {
             let at = path!["closed", j];
@@ -1225,9 +1535,10 @@ impl PairState {
 }
 
 /// Incremental state of an [`AdaptiveCoarsener`]: a dense pair table —
-/// `keys` ascending with the parallel `pairs` holding each pair's
-/// history, folds and closed rows — plus the total row count and the
-/// latest timestamp held. Only pairs a delta touches are re-classified,
+/// `keys` ascending with the parallel `pairs` holding each pair's folds,
+/// last timestamp and closed rows — the samples, time-major, in
+/// `history`, one immutable block per apply, plus the total row count and
+/// the latest timestamp held. Only pairs a delta touches are re-classified,
 /// and only the windows it touches are re-summarized — a pair's
 /// volatility is a function of its own history alone, so untouched pairs
 /// cannot flip class.
@@ -1239,6 +1550,7 @@ pub struct IncrementalAdaptiveLog {
     stats: Vec<Statistic>,
     keys: Vec<(u32, u32)>,
     pairs: Vec<PairState>,
+    history: History,
     rows: usize,
     /// The largest sample timestamp any pair holds (0 while empty): a
     /// time-ordered delta from here on is behind no pair's history.
@@ -1250,6 +1562,16 @@ impl IncrementalAdaptiveLog {
     #[must_use]
     pub fn rows(&self) -> usize {
         self.rows
+    }
+
+    /// The pairs the apply that returned `applied` touched, ascending: one
+    /// exact-size copy of the pair list of the block it pushed, and none
+    /// when it appended nothing (it pushed no block).
+    fn touched(&self, applied: &DeltaApplyStats) -> Vec<(u32, u32)> {
+        match self.history.0.last() {
+            Some(block) if applied.appended > 0 => block.runs.pairs.clone(),
+            _ => Vec::new(),
+        }
     }
 
     /// Currently-volatile pairs, sorted (mirrors
@@ -1279,7 +1601,7 @@ impl IncrementalAdaptiveLog {
         let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(self.rows);
         for (i, ps) in self.pairs.iter().enumerate() {
             order.extend(ps.closed.iter().enumerate().map(|(j, r)| (r.window_start.0, i, j)));
-            if let Some(&t) = ps.ts.last() {
+            if let Some(t) = ps.newest() {
                 let window = self.window(ps);
                 order.push((t / window * window, i, ps.closed.len()));
             }
@@ -1297,13 +1619,18 @@ impl IncrementalAdaptiveLog {
     }
 
     /// Build pair `i`'s open row into `row`, reusing its buffers; false
-    /// when there is no such pair or it holds no sample.
+    /// when there is no such pair or it holds no sample. Only a statistic
+    /// other than the mean reads the open window's values, the pair's last
+    /// `open.count()` samples, gathered newest first from the history.
     fn fill_open_row(&self, i: usize, row: &mut CoarseBwRecord, scratch: &mut RowScratch) -> bool {
-        let (Some(ps), Some(&(src, dst))) = (self.pairs.get(i), self.keys.get(i)) else {
+        let (Some(ps), Some(&pair)) = (self.pairs.get(i), self.keys.get(i)) else {
             return false;
         };
+        let Some(last) = ps.newest() else { return false };
         let window = self.window(ps);
-        let Some(w) = ps.open_row(window, &self.stats, scratch) else { return false };
+        let cell = self.history.newest_values(pair).take(ps.open.count());
+        adaptive_row_values(&self.stats, &ps.open, cell, scratch);
+        let (w, (src, dst)) = (last / window, pair);
         (row.window_start, row.window_secs, row.src, row.dst) = (Ts(w * window), window, src, dst);
         row.values.clone_from(&scratch.values);
         true
@@ -1367,7 +1694,7 @@ impl IncrementalAdaptiveLog {
                 cursor = gallop(&self.keys, cursor, &pair);
                 let held =
                     self.keys.get(cursor).filter(|&&k| k == pair).and(self.pairs.get(cursor));
-                let mut last = held.and_then(|ps| ps.ts.last().copied());
+                let mut last = held.and_then(PairState::newest);
                 for r in run {
                     if late.is_none() && last.is_some_and(|t| r.ts.0 < t) {
                         late = Some((pair, r.ts, last));
@@ -1468,13 +1795,16 @@ impl IncrementalAdaptiveLog {
 
     /// The log is one `apply_delta` could have left: non-zero windows and
     /// at least one statistic; keys strictly ascending, one pair state
-    /// each; every pair's history non-empty and ascending by timestamp,
-    /// its history fold bit for bit the fold of its values and its open
-    /// fold that of exactly the values in its last sample's window; its
-    /// closed rows its own, ascending and before that window, each one
-    /// aligned window of its class with one value per statistic; the row
-    /// count the sum of the pairs' rows; and the latest timestamp the
-    /// largest any pair holds.
+    /// each; every block's pairs strictly ascending and all in the table,
+    /// its run ends strictly ascending to its columns' length; every
+    /// pair's samples, gathered block by block, non-empty and ascending by
+    /// timestamp, its history fold bit for bit the fold of its values, its
+    /// open fold that of exactly the values in its last sample's window and
+    /// its last timestamp its last sample's; its closed rows its own,
+    /// ascending and before that window, each one aligned window of its
+    /// class with one value per statistic; the row count the sum of the
+    /// pairs' rows; and the latest timestamp the largest any pair holds.
+    /// Pairs are visited in table order with one cursor per block.
     #[must_use]
     pub fn violations(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -1490,8 +1820,13 @@ impl IncrementalAdaptiveLog {
                 "keys and pairs are parallel vectors",
             ));
         }
+        let blocks = &self.history.0;
+        for (b, block) in blocks.iter().enumerate() {
+            out.extend(under(&path!["history", b], Block::violations(block)));
+        }
+        let (mut cursors, mut held) = (Vec::new(), vec![0usize; blocks.len()]);
         let mut prev = None;
-        for (i, (&pair, ps)) in self.keys.iter().zip(&self.pairs).enumerate() {
+        for (i, &pair) in self.keys.iter().enumerate() {
             if prev >= Some(pair) {
                 out.push(Violation::new(
                     "artifact/coarse-log-order",
@@ -1501,10 +1836,32 @@ impl IncrementalAdaptiveLog {
                 ));
             }
             prev = Some(pair);
-            out.extend(under(
-                &path!["pairs", i],
-                PairState::violations(ps, pair, self.window(ps), self.stats.len()),
-            ));
+            let ps = self.pairs.get(i);
+            let window = ps.map_or(self.stable_window, |ps| self.window(ps));
+            let mut seen = Replay::default();
+            self.history.visit(pair, &mut cursors, |b, ts, values| {
+                if let Some(n) = held.get_mut(b) {
+                    *n += 1;
+                }
+                seen.push(ts, values, window);
+            });
+            if let Some(ps) = ps {
+                let found = PairState::violations(ps, pair, &seen, window, self.stats.len());
+                out.extend(under(&path!["pairs", i], found));
+            }
+        }
+        for (b, (block, &n)) in blocks.iter().zip(&held).enumerate() {
+            if n != block.runs.pairs.len() {
+                out.push(Violation::new(
+                    "artifact/coarse-log-samples",
+                    path!["history", b, "pairs"],
+                    format!(
+                        "{n} of the block's {} pairs are in the pair table",
+                        block.runs.pairs.len()
+                    ),
+                    "every pair of a block is in the pair table",
+                ));
+            }
         }
         let counted: usize = self.pairs.iter().map(PairState::rows).sum();
         if counted != self.rows {
@@ -1515,7 +1872,7 @@ impl IncrementalAdaptiveLog {
                 "the row count is kept as the sum of the pairs' rows",
             ));
         }
-        let latest = self.pairs.iter().filter_map(|ps| ps.ts.last().copied()).max();
+        let latest = self.pairs.iter().filter_map(PairState::newest).max();
         if latest.unwrap_or_default() != self.latest {
             out.push(Violation::new(
                 "artifact/coarse-log-samples",
@@ -1539,16 +1896,17 @@ impl AdaptiveCoarsener {
             stats: self.stats.clone(),
             keys: Vec::new(),
             pairs: Vec::new(),
+            history: History::default(),
             rows: 0,
             latest: 0,
         }
     }
 
-    /// Apply one telemetry delta in place: append each touched pair's new
-    /// samples to its history and push them onto its folds, re-classify
-    /// it, and close its open row only when a sample lands in a later
-    /// window — or re-chunk all of its rows when the pair is new or flips
-    /// class.
+    /// Apply one telemetry delta in place: append the delta's samples to
+    /// the history as one new block, push each touched pair's samples onto
+    /// its folds, re-classify it, and close its open row only when a sample
+    /// lands in a later window — or re-chunk all of its rows when the pair
+    /// is new or flips class.
     /// Applying each delta of a time-ordered log in tick order leaves
     /// `state` byte-identical (under [`IncrementalAdaptiveLog::encode`])
     /// to a batch [`AdaptiveCoarsener::coarsen`] over the concatenated
@@ -1570,57 +1928,61 @@ impl AdaptiveCoarsener {
     ) -> Result<DeltaApplyStats, StreamError> {
         state.built_for(self)?;
         state.admit(delta, false)?;
-        Ok(self.apply_admitted(state, delta, |_| {}))
+        Ok(self.apply_admitted(state, delta))
     }
 
     /// [`AdaptiveCoarsener::apply_delta`] once its checks have passed (a
-    /// stream tick makes them before ingest), handing `on_pair` each pair
-    /// the delta touches, once and in ascending order.
+    /// stream tick makes them before ingest). The walk writes the new
+    /// block's columns in visit order and updates the pair table in one
+    /// ascending pass; an empty delta pushes no block.
     fn apply_admitted(
         &self,
         state: &mut IncrementalAdaptiveLog,
         delta: &TelemetryDelta,
-        mut on_pair: impl FnMut((u32, u32)),
     ) -> DeltaApplyStats {
-        let mut scratch = RowScratch::default();
-        let mut fresh_keys = Vec::new();
-        let mut fresh_pairs = Vec::new();
+        let IncrementalAdaptiveLog { keys, pairs, history, rows, latest, .. } = state;
+        let mut block = NewBlock::after(history.0.last(), delta.len());
+        let (mut scratch, mut gathered) = (RowScratch::default(), Gathered::default());
+        let (mut fresh_keys, mut fresh_pairs) = (Vec::new(), Vec::new());
         let (mut cursor, mut dirty, mut recomputed) = (0usize, 0usize, 0usize);
         let pair_of = |r: &BandwidthRecord| pair_key(r.src, r.dst);
         walk_runs(&delta.records, pair_of, Some, |key, run| {
             let pair = key_pair(key);
-            on_pair(pair);
+            let fresh = block.push(pair, run);
             dirty += 1;
-            cursor = gallop(&state.keys, cursor, &pair);
-            let hit =
-                state.keys.get(cursor).filter(|&&k| k == pair).and(state.pairs.get_mut(cursor));
+            cursor = gallop(keys, cursor, &pair);
+            let hit = keys.get(cursor).filter(|&&k| k == pair).and(pairs.get_mut(cursor));
             if let Some(ps) = hit {
                 let before = ps.rows();
-                recomputed += self.absorb(ps, pair, run, &mut scratch);
-                state.rows = (state.rows + ps.rows()).saturating_sub(before);
-                state.latest = state.latest.max(ps.ts.last().copied().unwrap_or_default());
+                recomputed += self.absorb(ps, pair, history, fresh, &mut scratch, &mut gathered);
+                *rows = (*rows + ps.rows()).saturating_sub(before);
+                *latest = (*latest).max(ps.last);
             } else {
                 let mut ps = PairState::default();
-                recomputed += self.absorb(&mut ps, pair, run, &mut scratch);
-                state.rows += ps.rows();
-                state.latest = state.latest.max(ps.ts.last().copied().unwrap_or_default());
+                recomputed +=
+                    self.absorb(&mut ps, pair, history, fresh, &mut scratch, &mut gathered);
+                *rows += ps.rows();
+                *latest = (*latest).max(ps.last);
                 fresh_keys.push((cursor, pair));
                 fresh_pairs.push((cursor, ps));
             }
         });
-        splice_sorted(&mut state.keys, fresh_keys);
-        splice_sorted(&mut state.pairs, fresh_pairs);
+        history.0.extend(block.finish());
+        splice_sorted(keys, fresh_keys);
+        splice_sorted(pairs, fresh_pairs);
         DeltaApplyStats {
             appended: delta.len(),
             dirty_cells: dirty,
             recomputed_rows: recomputed,
-            total_rows: state.rows,
+            total_rows: *rows,
         }
     }
 
-    /// Append one pair's run of new records to its state, push them onto
-    /// its history fold, re-classify the pair and recompute the rows the
-    /// run dirtied. Returns the rows recomputed.
+    /// Push one pair's `fresh` samples, already in the new block, onto its
+    /// history fold, re-classify the pair and recompute the rows they
+    /// dirtied. A new pair's samples are all fresh; a flip gathers the
+    /// pair's earlier ones from `history` into `gathered`. Returns the rows
+    /// recomputed.
     ///
     /// Kept out of line: inlined into the walk's visitor, the adaptive
     /// apply of a one-epoch 300-DC delta measured a few percent slower.
@@ -1629,21 +1991,26 @@ impl AdaptiveCoarsener {
         &self,
         ps: &mut PairState,
         pair: (u32, u32),
-        run: &[&BandwidthRecord],
+        history: &History,
+        fresh: (&[u64], &[f64]),
         scratch: &mut RowScratch,
+        gathered: &mut Gathered,
     ) -> usize {
-        let was_volatile = (!ps.values.is_empty()).then(|| self.is_volatile(&ps.whole));
-        ps.ts.extend(run.iter().map(|r| r.ts.0));
-        ps.values.extend(run.iter().map(|r| r.gbps));
-        for r in run {
-            ps.whole.push(r.gbps);
+        let was_volatile = ps.newest().map(|_| self.is_volatile(&ps.whole));
+        for &x in fresh.1 {
+            ps.whole.push(x);
         }
         let volatile = self.is_volatile(&ps.whole);
         let window = if volatile { self.volatile_window } else { self.stable_window };
-        if was_volatile == Some(volatile) {
-            ps.extend(pair, run.len(), window, &self.stats, scratch)
-        } else {
-            ps.rechunk(pair, window, &self.stats, scratch)
+        match was_volatile {
+            Some(was) if was == volatile => {
+                ps.extend(pair, history, fresh, window, &self.stats, scratch)
+            }
+            Some(_) => {
+                let all = gathered.of(history, pair, fresh);
+                ps.rechunk(pair, all, window, &self.stats, scratch)
+            }
+            None => ps.rechunk(pair, fresh, window, &self.stats, scratch),
         }
     }
 }
@@ -2172,22 +2539,21 @@ impl SmnController {
 
         // The two applies stay one after the other: forked, they raised
         // the 1000-DC benchmark's peak RSS by 5-8% (DESIGN §14).
-        let mut pairs = Vec::new();
-        let (time, adaptive) = {
+        let (time, adaptive, pairs) = {
             let mut phase = obs.phase("coarsen/apply_delta");
             let t = {
                 let _time = obs.phase("coarsen/time");
                 state.config.time_coarsener().apply_admitted(&mut state.time, telemetry)
             };
-            let a = {
+            let (a, pairs) = {
                 let _adaptive = obs.phase("coarsen/adaptive");
-                let visit = |pair| pairs.push(pair);
-                state.config.adaptive.apply_admitted(&mut state.adaptive, telemetry, visit)
+                let a = state.config.adaptive.apply_admitted(&mut state.adaptive, telemetry);
+                (a, state.adaptive.touched(&a))
             };
             phase.field("appended", t.appended);
             phase.field("dirty_cells", t.dirty_cells);
             phase.field("adaptive_dirty_pairs", a.dirty_cells);
-            (t, a)
+            (t, a, pairs)
         };
 
         let mut cdg = CdgDeltaStats::default();
@@ -3001,21 +3367,33 @@ mod tests {
             let err = c.apply_delta(&mut state, &TelemetryDelta::new(1, records)).unwrap_err();
             assert!(matches!(err, StreamError::OutOfOrder { .. }), "got {err}");
             assert_eq!(state, before, "a refused delta leaves the state untouched");
+            assert_eq!(state.history.0.len(), 1, "and pushes no block");
         }
         // A new pair may start anywhere, and a pair may trail another
-        // pair's latest sample as long as it follows its own history.
+        // pair's latest sample as long as it follows its own history: its
+        // sample sits in a block after samples far later than it.
         let mut ahead = state.clone();
         c.apply_delta(&mut ahead, &TelemetryDelta::new(1, vec![at(last + HOUR, 0, 2)])).unwrap();
         let trailing = vec![at(last, 0, 1), at(3, 7, 8), at(last, 0, 1)];
         c.apply_delta(&mut ahead, &TelemetryDelta::new(2, trailing)).unwrap();
         assert!(ahead.violations().is_empty(), "{:?}", ahead.violations());
         assert_eq!(ahead.latest, last + HOUR);
-        // A wrong latest timestamp is a violation, as a checkpoint would
-        // carry it.
+        assert_eq!(ahead.history.0.len(), 3, "one block per admitted delta");
+        assert_eq!(ahead.history.0[2].runs.pairs, [(0, 1), (7, 8)]);
+        assert_eq!(ahead.history.0[2].ts, [last, last, 3]);
+        let late = ahead.keys.binary_search(&(7, 8)).unwrap();
+        assert_eq!(ahead.pairs[late].newest(), Some(3));
+        // A wrong latest timestamp, or a pair's wrong last timestamp, is a
+        // violation, as a checkpoint would carry it.
         let mut bad = ahead.clone();
         bad.latest -= 1;
         let found: Vec<String> = bad.violations().iter().map(ToString::to_string).collect();
         assert!(found.iter().any(|v| v.starts_with("artifact/coarse-log-samples")), "{found:?}");
+        let mut bad = ahead.clone();
+        bad.pairs[late].last += 1;
+        let found: Vec<String> = bad.violations().iter().map(ToString::to_string).collect();
+        let at = format!("[$.pairs[{late}].last]");
+        assert!(found.iter().any(|v| v.contains(&at)), "{found:?}");
     }
 
     proptest::proptest! {
@@ -3271,40 +3649,200 @@ mod tests {
         assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-shape"; 2]);
     }
 
-    #[test]
-    fn adaptive_pair_violations_name_each_broken_rule() {
-        // One steady pair over three days: two closed day rows and an
-        // open one.
-        let log: Vec<BandwidthRecord> = (0..36u64)
-            .map(|i| BandwidthRecord { ts: Ts(i * 2 * HOUR), src: 0, dst: 1, gbps: 10.0 })
-            .collect();
+    /// Two steady pairs over three days, a day per delta: each pair has
+    /// two closed day rows and an open one, its samples in three blocks.
+    fn three_day_blocks() -> IncrementalAdaptiveLog {
         let c = StreamConfig::default().adaptive;
         let mut state = c.new_state();
-        c.apply_delta(&mut state, &TelemetryDelta::new(0, log)).unwrap();
+        for day in 0..3u64 {
+            let log: Vec<BandwidthRecord> = (0..12u64)
+                .flat_map(|i| {
+                    let ts = Ts(day * DAY + i * 2 * HOUR);
+                    [(0, 1), (0, 2)].map(|(src, dst)| BandwidthRecord { ts, src, dst, gbps: 10.0 })
+                })
+                .collect();
+            c.apply_delta(&mut state, &TelemetryDelta::new(day, log)).unwrap();
+        }
+        state
+    }
+
+    #[test]
+    fn adaptive_pair_violations_name_each_broken_rule() {
+        /// Block `b`'s runs, copied out of the blocks that share them, and
+        /// its columns.
+        fn block(
+            log: &mut IncrementalAdaptiveLog,
+            b: usize,
+        ) -> (&mut Runs, &mut Vec<u64>, &mut Vec<f64>) {
+            let block = &mut log.history.0[b];
+            (Arc::make_mut(&mut block.runs), &mut block.ts, &mut block.values)
+        }
+        let state = three_day_blocks();
         assert!(state.violations().is_empty(), "{:?}", state.violations());
+        assert_eq!(state.history.0.len(), 3);
         assert_eq!(state.pairs[0].closed.len(), 2);
-        let broken = |edit: &dyn Fn(&mut PairState)| {
+        let broken = |edit: &dyn Fn(&mut IncrementalAdaptiveLog)| {
             let mut bad = state.clone();
-            edit(&mut bad.pairs[0]);
+            edit(&mut bad);
             bad.violations().into_iter().map(|v| v.to_string()).collect::<Vec<_>>()
         };
         let names = |found: &[String], rule: &str, at: &str| {
-            found.iter().any(|v| v.starts_with(rule) && v.contains(&format!("pairs[0].{at}")))
+            found.iter().any(|v| v.starts_with(rule) && v.contains(&format!("[$.{at}]")))
         };
-        let found = broken(&|ps| ps.ts.swap(3, 4));
-        assert!(names(&found, "artifact/coarse-log-samples", "ts"), "{found:?}");
-        let found = broken(&|ps| ps.values[0] = 11.0);
-        assert!(names(&found, "artifact/coarse-log-samples", "whole"), "{found:?}");
-        let found = broken(&|ps| ps.open = MeanFold::of([10.0]));
-        assert!(names(&found, "artifact/coarse-log-samples", "open"), "{found:?}");
-        let found = broken(&|ps| ps.closed.swap(0, 1));
-        assert!(names(&found, "artifact/coarse-log-order", "closed[1]"), "{found:?}");
-        let found = broken(&|ps| {
-            let mut row = ps.closed[1].clone();
-            row.window_start.0 += DAY;
-            ps.closed.push(row);
+        // Pair rules, over the samples gathered from the blocks.
+        let found = broken(&|log| block(log, 1).1.swap(3, 4));
+        assert!(names(&found, "artifact/coarse-log-samples", "pairs[0].history"), "{found:?}");
+        let found = broken(&|log| block(log, 2).1[0] = DAY);
+        assert!(names(&found, "artifact/coarse-log-samples", "pairs[0].history"), "{found:?}");
+        let found = broken(&|log| block(log, 0).2[0] = 11.0);
+        assert!(names(&found, "artifact/coarse-log-samples", "pairs[0].whole"), "{found:?}");
+        let found = broken(&|log| log.pairs[0].open = MeanFold::of([10.0]));
+        assert!(names(&found, "artifact/coarse-log-samples", "pairs[0].open"), "{found:?}");
+        let found = broken(&|log| log.pairs[1].last -= 1);
+        assert!(names(&found, "artifact/coarse-log-samples", "pairs[1].last"), "{found:?}");
+        let found = broken(&|log| {
+            for b in 0..3 {
+                let (runs, ts, values) = block(log, b);
+                runs.pairs.remove(1);
+                runs.ends.remove(1);
+                ts.truncate(12);
+                values.truncate(12);
+            }
         });
-        assert!(names(&found, "artifact/coarse-log-order", "closed[2]"), "{found:?}");
+        assert!(names(&found, "artifact/coarse-log-samples", "pairs[1].history"), "{found:?}");
+        let found = broken(&|log| log.pairs[0].closed.swap(0, 1));
+        assert!(names(&found, "artifact/coarse-log-order", "pairs[0].closed[1]"), "{found:?}");
+        let found = broken(&|log| {
+            let mut row = log.pairs[0].closed[1].clone();
+            row.window_start.0 += DAY;
+            log.pairs[0].closed.push(row);
+        });
+        assert!(names(&found, "artifact/coarse-log-order", "pairs[0].closed[2]"), "{found:?}");
+        // Block rules.
+        let found = broken(&|log| block(log, 1).0.pairs.swap(0, 1));
+        assert!(names(&found, "artifact/coarse-log-order", "history[1].pairs[1]"), "{found:?}");
+        let found = broken(&|log| block(log, 1).0.pairs[1] = (0, 3));
+        assert!(names(&found, "artifact/coarse-log-samples", "history[1].pairs"), "{found:?}");
+        let found = broken(&|log| block(log, 0).0.ends[0] = 0);
+        assert!(names(&found, "artifact/coarse-log-shape", "history[0].ends[0]"), "{found:?}");
+        let found = broken(&|log| block(log, 0).0.ends[1] -= 1);
+        assert!(names(&found, "artifact/coarse-log-shape", "history[0].ends[1]"), "{found:?}");
+        let found = broken(&|log| {
+            block(log, 2).2.pop();
+        });
+        assert!(names(&found, "artifact/coarse-log-shape", "history[2].ends"), "{found:?}");
+        // The blocks share one `Runs`; an edit through a copy leaves the
+        // others as they were.
+        assert!(Arc::ptr_eq(&state.history.0[1].runs, &state.history.0[2].runs));
+    }
+
+    /// Feed `log` to `ac` one epoch per delta and require, after every
+    /// delta, the batch oracle's encoding and a log with no violation.
+    /// Returns the log and the deltas after which each pair was volatile.
+    fn per_epoch_against_batch(
+        ac: &AdaptiveCoarsener,
+        log: &[BandwidthRecord],
+    ) -> (IncrementalAdaptiveLog, Vec<Vec<(u32, u32)>>) {
+        let mut state = ac.new_state();
+        let (mut seen, mut volatile) = (0, Vec::new());
+        for d in TelemetryDelta::split_epochs(log, 0) {
+            seen += d.len();
+            ac.apply_delta(&mut state, &d).unwrap();
+            let batch = ac.coarsen_records(&log[..seen]);
+            assert_eq!(state.encode(), encode_coarse_log(&batch), "after delta {}", d.tick);
+            assert!(state.violations().is_empty(), "{:?}", state.violations());
+            volatile.push(state.volatile_pairs());
+        }
+        (state, volatile)
+    }
+
+    /// A pair steady for three hours of one-epoch blocks, then swinging,
+    /// flips to volatile after more than 30 blocks: its re-chunk gathers
+    /// its samples from every earlier block plus the current run, and its
+    /// hourly rows, P95 included, are the batch oracle's.
+    #[test]
+    fn a_class_flip_after_thirty_one_epoch_blocks_rechunks_the_gathered_history() {
+        let ac = AdaptiveCoarsener {
+            stats: vec![Statistic::Mean, Statistic::P95],
+            ..StreamConfig::default().adaptive
+        };
+        let log: Vec<BandwidthRecord> = (0..48u32)
+            .flat_map(|e| {
+                let ts = Ts(u64::from(e) * EPOCH_SECS);
+                let swing = if e % 2 == 0 { 10.0 } else { 500.0 };
+                let gbps = if e < 36 { 100.0 } else { swing };
+                [
+                    BandwidthRecord { ts, src: 0, dst: 1, gbps },
+                    BandwidthRecord { ts, src: 0, dst: 2, gbps: 40.0 + f64::from(e % 3) },
+                ]
+            })
+            .collect();
+        let (state, volatile) = per_epoch_against_batch(&ac, &log);
+        let flip = volatile.iter().position(|v| v.contains(&(0, 1))).expect("(0, 1) flips");
+        assert!(flip >= 30, "flipped after block {flip}");
+        assert_eq!(volatile.last(), Some(&vec![(0, 1)]));
+        assert_eq!(state.pairs[0].closed.len(), 3, "hours 0-2 closed, hour 3 open");
+    }
+
+    /// A pair volatile from its second sample, under `[Mean, P95]`, fed
+    /// one epoch per delta for an hour and a half: its open hour spans
+    /// several blocks, so its P95 is gathered from them while the hour is
+    /// open, when it closes and once the next hour is open.
+    #[test]
+    fn a_volatile_hour_spanning_blocks_reads_its_p95_from_the_history() {
+        let ac = AdaptiveCoarsener {
+            stats: vec![Statistic::Mean, Statistic::P95],
+            ..StreamConfig::default().adaptive
+        };
+        let log: Vec<BandwidthRecord> = (0..18u32)
+            .flat_map(|e| {
+                let ts = Ts(u64::from(e) * EPOCH_SECS);
+                let gbps = [10.0, 500.0, 70.0][e as usize % 3];
+                [
+                    BandwidthRecord { ts, src: 0, dst: 1, gbps },
+                    BandwidthRecord { ts, src: 3, dst: 1, gbps: 40.0 },
+                ]
+            })
+            .collect();
+        let (state, volatile) = per_epoch_against_batch(&ac, &log);
+        assert!(volatile.iter().skip(1).all(|v| v == &[(0, 1)]));
+        assert_eq!(state.history.0.len(), 18);
+        let hour = &state.pairs[0].closed;
+        assert_eq!(hour.len(), 1);
+        assert_eq!(hour[0].values[1..], [500.0], "hour 0's P95 is read from 12 blocks");
+    }
+
+    /// 48 one-epoch ticks over a fixed pair set: every block after the
+    /// first shares the first one's `Runs`, so the history stores exactly
+    /// 16 bytes a sample in its columns and nothing per pair, and a
+    /// checkpoint restores it with the same sharing.
+    #[test]
+    fn steady_ticks_share_one_runs_and_store_sixteen_bytes_a_sample() {
+        let ac = StreamConfig::default().adaptive;
+        let log: Vec<BandwidthRecord> = (0..48u32)
+            .flat_map(|e| {
+                let ts = Ts(u64::from(e) * EPOCH_SECS);
+                (0..40u32).map(move |p| BandwidthRecord {
+                    ts,
+                    src: p / 8,
+                    dst: p % 8,
+                    gbps: f64::from(10 + (p + e) % 7),
+                })
+            })
+            .collect();
+        let (state, _) = per_epoch_against_batch(&ac, &log);
+        let blocks = &state.history.0;
+        assert_eq!(blocks.len(), 48);
+        assert!(blocks.windows(2).all(|w| Arc::ptr_eq(&w[0].runs, &w[1].runs)));
+        let bytes: usize = blocks
+            .iter()
+            .map(|b| b.ts.capacity() * size_of::<u64>() + b.values.capacity() * size_of::<f64>())
+            .sum();
+        assert_eq!(bytes, 16 * log.len());
+        let json = serde_json::to_string(&state).unwrap();
+        let restored: IncrementalAdaptiveLog = serde_json::from_str(&json).unwrap();
+        assert_eq!(restored, state);
+        assert!(restored.history.0.windows(2).all(|w| Arc::ptr_eq(&w[0].runs, &w[1].runs)));
     }
 
     #[test]
@@ -3461,8 +3999,8 @@ mod tests {
         /// day of hours) or do not; the adaptive log's volatile set is the
         /// oracle's and its state breaks no rule. The applies and the batch oracles share the run
         /// walk; these oracles do not, so a walk bug cannot hide from
-        /// reconciliation. The adaptive apply also visits exactly the
-        /// delta's sorted distinct pairs.
+        /// reconciliation. The adaptive apply's new block also lists exactly
+        /// the delta's sorted distinct pairs, and an empty delta pushes none.
         #[test]
         fn incremental_logs_match_walk_free_oracles(
             raw in proptest::collection::vec((0usize..8, 0u32..4, 0u32..4, 0usize..9), 0..120),
@@ -3495,10 +4033,9 @@ mod tests {
                 seen += d.len();
                 let prefix = &log[..seen];
                 c.apply_delta(&mut time, &d).expect("a time-ordered delta applies");
-                let mut pairs = Vec::new();
                 adaptive.admit(&d, false).expect("a time-ordered delta is admitted");
-                ac.apply_admitted(&mut adaptive, &d, |p| pairs.push(p));
-                proptest::prop_assert_eq!(pairs, d.pairs());
+                let applied = ac.apply_admitted(&mut adaptive, &d);
+                proptest::prop_assert_eq!(adaptive.touched(&applied), d.pairs());
                 proptest::prop_assert_eq!(time.encode(), encode_coarse_log(&coarsen_by_map(&c, prefix)));
                 proptest::prop_assert_eq!(
                     adaptive.encode(),
@@ -3591,13 +4128,14 @@ mod tests {
     /// Corrupt row `at` (modulo the row count, pair by pair, each pair's
     /// closed rows then its open one) of the adaptive log with corruption
     /// `kind`. A closed row takes a field corruption (0–4), or is dropped
-    /// (5) or duplicated (6). The open row, computed from the pair's
-    /// samples and folds, has its last sample's value bit, sign of zero or
-    /// NaN payload changed (0–2, leaving the folds as they were), its last
-    /// timestamp moved a window on (3), an unfolded sample appended (4),
-    /// its samples dropped (5) or a closed copy of it added (6). Kinds 7
-    /// and 8 add an extra pair after the last, with a copy of that row or
-    /// with no rows.
+    /// (5) or duplicated (6). The open row, computed from the pair's folds
+    /// and samples, has its last sample's value bit, sign of zero or NaN
+    /// payload changed in its block (0–2, leaving the folds as they were),
+    /// its last timestamp moved a window on (3), an unfolded sample
+    /// appended to its newest block (4), its samples dropped from every
+    /// block, with its open fold (5), or a closed copy of it added (6).
+    /// Kinds 7 and 8 add an extra pair after the last, with a copy of that
+    /// row or with no rows.
     fn corrupt_adaptive_row(log: &mut IncrementalAdaptiveLog, kind: u8, at: usize, pick: usize) {
         let target = at % log.rows.max(1);
         let mut seen = 0;
@@ -3626,7 +4164,8 @@ mod tests {
             });
             return;
         }
-        let ps = &mut log.pairs[pair_at];
+        let pair = log.keys[pair_at];
+        let (ps, history) = (&mut log.pairs[pair_at], &mut log.history);
         if row_at < ps.closed.len() {
             match kind {
                 5 => drop(ps.closed.remove(row_at)),
@@ -3635,22 +4174,44 @@ mod tests {
             }
             return;
         }
-        match (kind, ps.values.last_mut()) {
-            (0, Some(value)) => *value = f64::from_bits(value.to_bits() ^ 1),
-            (1, Some(value)) => *value = flip_sign(*value),
-            (2, Some(value)) => *value = other_nan(*value),
-            (3, _) => {
-                if let Some(last) = ps.ts.last_mut() {
-                    *last += window;
-                }
+        // The pair's last sample is the last of its run `k` in its newest
+        // block: at `ends[k] - 1`.
+        match kind {
+            0..=2 => {
+                history.edit_newest(pair, |runs, _, values, k| {
+                    let value = &mut values[runs.ends[k] - 1];
+                    *value = match kind {
+                        0 => f64::from_bits(value.to_bits() ^ 1),
+                        1 => flip_sign(*value),
+                        _ => other_nan(*value),
+                    };
+                });
             }
-            (4, Some(&mut value)) => {
-                ps.ts.push(ps.ts.last().copied().unwrap_or_default());
-                ps.values.push(value);
+            3 => {
+                ps.last += window;
+                history.edit_newest(pair, |runs, ts, _, k| ts[runs.ends[k] - 1] += window);
             }
-            (5, _) => {
-                ps.ts.clear();
-                ps.values.clear();
+            4 => {
+                history.edit_newest(pair, |runs, ts, values, k| {
+                    let end = runs.ends[k];
+                    ts.insert(end, ts[end - 1]);
+                    values.insert(end, values[end - 1]);
+                    runs.ends[k..].iter_mut().for_each(|e| *e += 1);
+                });
+            }
+            5 => {
+                let drop_run =
+                    |runs: &mut Runs, ts: &mut Vec<u64>, values: &mut Vec<f64>, k: usize| {
+                        let (start, end) =
+                            (k.checked_sub(1).map_or(0, |j| runs.ends[j]), runs.ends[k]);
+                        ts.drain(start..end);
+                        values.drain(start..end);
+                        runs.pairs.remove(k);
+                        runs.ends.remove(k);
+                        runs.ends[k..].iter_mut().for_each(|e| *e -= end - start);
+                    };
+                while history.edit_newest(pair, drop_run) {}
+                ps.open = MeanFold::default();
             }
             _ => ps.closed.extend(open),
         }
