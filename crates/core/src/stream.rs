@@ -55,10 +55,10 @@
 //! [`StreamError::OutOfOrder`] that leaves the state untouched. A sealed
 //! window is proven once: reconciliation walks the uniform oracle only
 //! over the lake since its last proof's frontier, and a sealed window's
-//! rows sit in one immutable shared chunk whose identity guards them. The
-//! adaptive log classifies each pair over its whole history, so it keeps
-//! every sample, time-major: one immutable block of the tick's samples per
-//! tick, pairs ascending. A tick folds only its new samples, and
+//! rows sit in one immutable shared column block whose identity guards
+//! them. The adaptive log classifies each pair over its whole history, so
+//! it keeps every sample, time-major: one immutable block of the tick's
+//! samples per tick, pairs ascending. A tick folds only its new samples, and
 //! reconciliation resumes the adaptive oracle from the state its last
 //! proof left, over the lake since then. A sample behind its pair's
 //! history is its [`StreamError::OutOfOrder`], refused before the log is
@@ -356,20 +356,6 @@ impl OpenCells {
         self.values.get(i * n..(i + 1) * n).unwrap_or_default()
     }
 
-    /// The rows of cells `cells` under `window`-second windows and `n`
-    /// statistics.
-    fn rows(
-        &self,
-        cells: Range<usize>,
-        window: u64,
-        n: usize,
-    ) -> impl Iterator<Item = CoarseBwRecord> + '_ {
-        cells.filter_map(move |i| {
-            let &(w, pair) = self.keys.get(i)?;
-            Some(coarse_row(key_pair(pair), w, window, self.values_of(i, n).iter().copied()))
-        })
-    }
-
     /// Widen `gap` so that `cells` cells holding `samples` samples can be
     /// written before the unread cells, moving those on (under `n`
     /// statistics). Samples move exactly as far as needed. Cells move at
@@ -519,89 +505,227 @@ fn merge_in_place(samples: &mut [f64], at: usize, old: Range<usize>, run: &[f64]
     end
 }
 
+/// A run of rows of one [`SealedBlock`] that share their window: the
+/// rows before `end`, from the previous run's end.
+#[derive(Debug)]
+struct WindowRun {
+    start: Ts,
+    secs: u64,
+    end: usize,
+}
+
+/// One seal's rows, in batch order, as columns: row `i` is pair
+/// `pairs[i]` with the `i`-th run of `stride` values in `values`, over the
+/// window of the [`WindowRun`] it falls in (a stream seals one window at
+/// a time, so a seal's block holds one run). A row costs 8 bytes plus its
+/// values, where a `CoarseBwRecord` with its own value block costs ≈80.
+/// A seal sizes the columns exactly to its rows. Rows are built on read
+/// into one reused record ([`SealedCursor`]).
+#[derive(Debug)]
+struct SealedBlock {
+    windows: Vec<WindowRun>,
+    pairs: Vec<(u32, u32)>,
+    stride: usize,
+    values: Vec<f64>,
+}
+
+impl SealedBlock {
+    /// An empty block with room for exactly `rows` rows of `stride`
+    /// values.
+    fn with_capacity(rows: usize, stride: usize) -> Self {
+        SealedBlock {
+            windows: Vec::new(),
+            pairs: Vec::with_capacity(rows),
+            stride,
+            values: Vec::with_capacity(rows * stride),
+        }
+    }
+
+    /// Number of rows.
+    fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Append the row of `pair` over the `secs`-second window from
+    /// `start`, holding `values` (`stride` of them).
+    fn push(&mut self, start: Ts, secs: u64, pair: (u32, u32), values: &[f64]) {
+        self.pairs.push(pair);
+        self.values.extend_from_slice(values);
+        let end = self.pairs.len();
+        match self.windows.last_mut() {
+            Some(run) if (run.start, run.secs) == (start, secs) => run.end = end,
+            _ => self.windows.push(WindowRun { start, secs, end }),
+        }
+    }
+
+    /// `rows` as blocks, one per run of rows with equal value counts: a
+    /// stream's rows all hold one value per statistic, so they make one
+    /// block, and any other rows keep their values as they are.
+    fn from_rows(rows: &[CoarseBwRecord]) -> impl Iterator<Item = SealedBlock> + '_ {
+        rows.chunk_by(|a, b| a.values.len() == b.values.len()).map(|rows| {
+            let stride = rows.first().map_or(0, |r| r.values.len());
+            let mut block = SealedBlock::with_capacity(rows.len(), stride);
+            for r in rows {
+                block.push(r.window_start, r.window_secs, (r.src, r.dst), &r.values);
+            }
+            block
+        })
+    }
+
+    /// Build row `i` into `row`, reusing its value buffer, given `run`, a
+    /// window run at or before row `i`'s, which this moves to row `i`'s;
+    /// false when there is no such row.
+    fn fill_row(&self, i: usize, run: &mut usize, row: &mut CoarseBwRecord) -> bool {
+        let Some(&(src, dst)) = self.pairs.get(i) else { return false };
+        while self.windows.get(*run).is_some_and(|w| w.end <= i) {
+            *run += 1;
+        }
+        let Some(w) = self.windows.get(*run) else { return false };
+        (row.window_start, row.window_secs, row.src, row.dst) = (w.start, w.secs, src, dst);
+        row.values.clear();
+        let values = self.values.get(i * self.stride..(i + 1) * self.stride);
+        row.values.extend_from_slice(values.unwrap_or_default());
+        true
+    }
+}
+
 /// The sealed rows of an [`IncrementalCoarseLog`], in batch order, as
-/// immutable shared chunks: each seal moves the rows it seals into one new
-/// chunk (a stream seals one window at a time). No chunk is written in
-/// place. A proof mark holds the chunks it proved and checks that the log
-/// still holds those very chunks ([`Arc::ptr_eq`]), so an edit has to
-/// build a new chunk (copy on write), which the mark sees as a change. A
-/// checkpoint writes the rows as one flat array, and a restored log holds
-/// them as one chunk.
+/// immutable shared column blocks ([`SealedBlock`]), one per seal. No
+/// block is written in place. A proof mark holds the blocks it proved and
+/// checks that the log still holds those very blocks ([`Arc::ptr_eq`]), so
+/// an edit has to build a new block (copy on write), which the mark sees
+/// as a change. A checkpoint writes the rows as one flat array, and a
+/// restored log holds them as one block.
 #[derive(Clone, Default)]
-struct SealedRows(Vec<Arc<[CoarseBwRecord]>>);
+struct SealedRows(Vec<Arc<SealedBlock>>);
+
+/// A reader of [`SealedRows`] in order, building each row into one reused
+/// record, as the open rows are built ([`IncrementalCoarseLog::fill_open_row`]).
+struct SealedCursor<'a> {
+    blocks: &'a [Arc<SealedBlock>],
+    at: usize,
+    run: usize,
+    row: CoarseBwRecord,
+}
+
+impl SealedCursor<'_> {
+    /// The next row, or `None` after the last.
+    fn next(&mut self) -> Option<&CoarseBwRecord> {
+        loop {
+            let (block, rest) = self.blocks.split_first()?;
+            if block.fill_row(self.at, &mut self.run, &mut self.row) {
+                self.at += 1;
+                return Some(&self.row);
+            }
+            (self.blocks, self.at, self.run) = (rest, 0, 0);
+        }
+    }
+
+    /// Hand `visit` every row left, in order.
+    fn for_each(mut self, mut visit: impl FnMut(&CoarseBwRecord)) {
+        while let Some(row) = self.next() {
+            visit(row);
+        }
+    }
+}
 
 impl SealedRows {
     /// Number of sealed rows.
     fn len(&self) -> usize {
-        self.0.iter().map(|c| c.len()).sum()
+        self.0.iter().map(|b| b.len()).sum()
     }
 
-    /// Every sealed row, in order.
-    fn iter(&self) -> impl Iterator<Item = &CoarseBwRecord> {
-        self.0.iter().flat_map(|c| c.iter())
+    /// A cursor at the first row.
+    fn rows(&self) -> SealedCursor<'_> {
+        SealedCursor { blocks: &self.0, at: 0, run: 0, row: coarse_row((0, 0), 0, 0, []) }
     }
 
-    /// The rows after the first `from`, or `None` when there are fewer.
-    /// Skipping steps over whole chunks.
-    fn after(&self, from: usize) -> Option<impl Iterator<Item = &CoarseBwRecord>> {
-        (from <= self.len()).then(|| self.iter().skip(from))
+    /// A cursor at the row after the first `from`, or `None` when there
+    /// are fewer. Skipping steps over whole blocks.
+    fn after(&self, from: usize) -> Option<SealedCursor<'_>> {
+        let mut cursor = self.rows();
+        let mut skip = from;
+        while let Some((block, rest)) = cursor.blocks.split_first() {
+            if skip < block.len() {
+                cursor.at = skip;
+                cursor.run = block.windows.partition_point(|w| w.end <= skip);
+                return Some(cursor);
+            }
+            (cursor.blocks, skip) = (rest, skip - block.len());
+        }
+        (skip == 0).then_some(cursor)
     }
 
-    /// Seal `rows` into a new chunk, unless there are none.
-    fn seal(&mut self, rows: impl Iterator<Item = CoarseBwRecord>) {
-        let chunk: Arc<[CoarseBwRecord]> = rows.collect();
-        if !chunk.is_empty() {
-            self.0.push(chunk);
+    /// Seal `block`, unless it holds no row.
+    fn seal(&mut self, block: SealedBlock) {
+        if block.len() > 0 {
+            self.0.push(Arc::new(block));
         }
     }
 
-    /// Write the chunk that holds row `at` through a copy: `edit` gets the
-    /// chunk's rows, copied, and `at`'s index among them, and the copy
-    /// takes the chunk's place, so the chunk's identity changes, as any
-    /// write's must.
+    /// Write the block that holds row `at` through a copy: `edit` gets the
+    /// block's rows, built, and `at`'s index among them, and blocks of the
+    /// edited rows take the block's place, so the block's identity
+    /// changes, as any write's must.
     #[cfg(test)]
     fn write(&mut self, at: usize, edit: impl FnOnce(&mut Vec<CoarseBwRecord>, usize)) {
         let mut skip = at;
-        for chunk in &mut self.0 {
-            if skip < chunk.len() {
-                let mut rows = chunk.to_vec();
+        for (b, block) in self.0.iter().enumerate() {
+            if skip < block.len() {
+                let mut rows = Vec::new();
+                SealedRows(vec![Arc::clone(block)]).rows().for_each(|r| rows.push(r.clone()));
                 edit(&mut rows, skip);
-                *chunk = rows.into();
+                let blocks: Vec<_> = SealedBlock::from_rows(&rows).map(Arc::new).collect();
+                self.0.splice(b..=b, blocks);
                 return;
             }
-            skip -= chunk.len();
+            skip -= block.len();
         }
     }
 
-    /// Whether the first chunks are `chunks`, the very same ones.
-    fn starts_with(&self, chunks: &[Arc<[CoarseBwRecord]>]) -> bool {
-        self.0.len() >= chunks.len() && self.0.iter().zip(chunks).all(|(a, b)| Arc::ptr_eq(a, b))
+    /// Whether the first blocks are `blocks`, the very same ones.
+    fn starts_with(&self, blocks: &[Arc<SealedBlock>]) -> bool {
+        self.0.len() >= blocks.len() && self.0.iter().zip(blocks).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 }
 
 impl PartialEq for SealedRows {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
+        let (mut a, mut b) = (self.rows(), other.rows());
+        loop {
+            match (a.next(), b.next()) {
+                (Some(x), Some(y)) if x == y => {}
+                (None, None) => return true,
+                _ => return false,
+            }
+        }
     }
 }
 
 impl fmt::Debug for SealedRows {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
+        let mut list = f.debug_list();
+        self.rows().for_each(|row| {
+            list.entry(row);
+        });
+        list.finish()
     }
 }
 
 impl Serialize for SealedRows {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Seq(self.iter().map(Serialize::to_value).collect())
+        let mut rows = Vec::with_capacity(self.len());
+        self.rows().for_each(|row| rows.push(row.to_value()));
+        serde::Value::Seq(rows)
     }
 }
 
 impl Deserialize for SealedRows {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let mut rows = SealedRows::default();
-        rows.seal(Vec::<CoarseBwRecord>::from_value(v)?.into_iter());
-        Ok(rows)
+        let rows = Vec::<CoarseBwRecord>::from_value(v)?;
+        let mut sealed = SealedRows::default();
+        SealedBlock::from_rows(&rows).for_each(|block| sealed.seal(block));
+        Ok(sealed)
     }
 }
 
@@ -609,8 +733,8 @@ impl Deserialize for SealedRows {
 /// frontier** window index.
 ///
 /// * Windows before `frontier` are sealed: no later record may land in
-///   them, so their rows sit in `sealed`, immutable shared chunks in batch
-///   order ([`SealedRows`]), and their samples are gone.
+///   them, so their rows sit in `sealed`, immutable shared column blocks
+///   in batch order ([`SealedRows`]), and their samples are gone.
 /// * Windows from `frontier` on are open. Their cells sit in `open` as
 ///   columns ([`OpenCells`]), keyed `(window index, pair_key)` — the time
 ///   oracle's sort key — ascending, each with its sorted samples and its
@@ -676,7 +800,7 @@ impl IncrementalCoarseLog {
     /// Hand `visit` every row in batch order: the sealed rows, then the
     /// open ones.
     fn for_each_row(&self, mut visit: impl FnMut(&CoarseBwRecord)) {
-        self.sealed.iter().for_each(&mut visit);
+        self.sealed.rows().for_each(&mut visit);
         self.for_each_open_row(visit);
     }
 
@@ -772,8 +896,9 @@ impl IncrementalCoarseLog {
     }
 
     /// Seal every window before `w`: the cells merged so far, then the
-    /// unread open cells before `w`, move behind the frontier as one chunk
-    /// of rows, and their samples are dropped (the gap takes their place).
+    /// unread open cells before `w`, move behind the frontier as one
+    /// column block, and their samples are dropped (the gap takes their
+    /// place).
     fn seal_before(&mut self, gap: &mut Gap, w: u64) {
         if w <= self.frontier {
             return;
@@ -782,10 +907,68 @@ impl IncrementalCoarseLog {
         let rest = open.keys.get(gap.read..).unwrap_or_default();
         let end = gap.read + rest.partition_point(|&(kw, _)| kw < w);
         let (window, n) = (*window_secs, stats.len());
-        sealed.seal(open.rows(0..gap.write, window, n).chain(open.rows(gap.read..end, window, n)));
+        let mut block = SealedBlock::with_capacity(gap.write + (end - gap.read), n);
+        for i in (0..gap.write).chain(gap.read..end) {
+            if let Some(&(kw, pair)) = open.keys.get(i) {
+                block.push(Ts(kw * window), window, key_pair(pair), open.values_of(i, n));
+            }
+        }
+        sealed.seal(block);
         open.skip_cells(gap, end);
         (gap.write, gap.write_at) = (0, 0);
         self.frontier = w;
+    }
+
+    /// Ready the log for the apply of `delta`, whose timestamps ascend,
+    /// so that the apply keeps no new allocation: a stream tick does this
+    /// on the caller of its fork (see `SmnController::stream_tick`).
+    ///
+    /// First, seal every open window before the delta's first window:
+    /// the first seal of the apply's walk, made before it, with the open
+    /// columns closed behind it. The walk's own seal of that window is
+    /// then a no-op, so the apply leaves the same blocks, rows and
+    /// columns. Then reserve the open columns' room for the delta, the
+    /// peak lengths [`IncrementalCoarseLog::peak_room`] expects. A short
+    /// guess only leaves a column's growth to the walk.
+    fn prepare(&mut self, delta: &TelemetryDelta) {
+        let Some(first) = delta.records.first() else { return };
+        let (w, n) = (first.ts.0 / self.window_secs, self.stats.len());
+        if w > self.frontier {
+            let mut gap = Gap::default();
+            self.seal_before(&mut gap, w);
+            self.open.close(gap, n);
+        }
+        let (samples, cells) = self.peak_room(&delta.records);
+        let open = &mut self.open;
+        open.samples.reserve(samples.saturating_sub(open.samples.len()));
+        let cells = cells.saturating_sub(open.len());
+        open.keys.reserve(cells);
+        open.ends.reserve(cells);
+        open.values.reserve(cells * n);
+    }
+
+    /// The samples and cells the open columns hold at most while a walk
+    /// merges `records`, ascending in time, if each epoch holds every pair
+    /// of its window, as a lake-shaped delta does. A window's cells are
+    /// then the pairs of its longest run of one timestamp. The window open
+    /// now (all open cells sit in the frontier's) keeps its samples and
+    /// cells as well; each later window holds only its own, since entering
+    /// it seals the windows before.
+    fn peak_room(&self, records: &[BandwidthRecord]) -> (usize, usize) {
+        let now = (self.open.samples.len(), self.open.len());
+        let (mut peak, mut rest) = (now, records);
+        while let Some(first) = rest.first() {
+            let w = first.ts.0 / self.window_secs;
+            let held = if w == self.frontier { now } else { (0, 0) };
+            let (mut samples, mut longest) = (0, 0);
+            while let Some(r) = rest.first().filter(|r| r.ts.0 / self.window_secs == w) {
+                let run = rest.partition_point(|x| x.ts == r.ts);
+                (samples, longest) = (samples + run, longest.max(run));
+                rest = rest.get(run..).unwrap_or_default();
+            }
+            peak = (peak.0.max(held.0 + samples), peak.1.max(held.1.max(longest)));
+        }
+        peak
     }
 
     /// How many of `records` can land before the last unread open cell,
@@ -813,7 +996,7 @@ impl IncrementalCoarseLog {
     /// `lake`, given the fingerprint's FNV-1a states after the sealed rows
     /// and after the open ones. The sealed rows end at the frontier's
     /// start, the open ones at the end of the newest open window; the mark
-    /// holds the sealed chunks. No mark when the frontier's start lies
+    /// holds the sealed blocks. No mark when the frontier's start lies
     /// past the lake's newest record, since an append could still land
     /// before it.
     fn proof_mark(
@@ -832,7 +1015,7 @@ impl IncrementalCoarseLog {
         covered.then(|| SealedProof {
             lake: lake.stamp(),
             before_end: records_before(lake, end),
-            chunks: self.sealed.0.clone(),
+            blocks: self.sealed.0.clone(),
             sealed: ProofPoint { rows: self.sealed.len(), start, fnv: at_sealed },
             open: ProofPoint { rows: self.rows(), start: end, fnv: at_open },
         })
@@ -842,10 +1025,13 @@ impl IncrementalCoarseLog {
     /// fingerprint from `from`'s FNV-1a state to `to`'s: the rows a mark
     /// proved open and that are sealed since, at most one window's.
     fn hashes_to(&self, from: &ProofPoint, to: &ProofPoint) -> bool {
-        let n = to.rows.saturating_sub(from.rows);
-        let rows = self.sealed.after(from.rows).map(|rows| rows.take(n));
-        self.sealed.len() >= to.rows
-            && rows.is_some_and(|rows| fnv1a_rows(from.fnv, rows) == to.fnv)
+        let Some(mut rows) = self.sealed.after(from.rows) else { return false };
+        let mut hash = from.fnv;
+        for _ in from.rows..to.rows {
+            let Some(row) = rows.next() else { return false };
+            fnv1a_row(&mut hash, row);
+        }
+        hash == to.fnv
     }
 
     /// The log is one `apply_delta` could have left: a non-zero window
@@ -874,9 +1060,10 @@ impl IncrementalCoarseLog {
                  before the frontier and open ones at or after it",
             )
         };
-        let mut prev = None;
-        for (i, row) in self.sealed.iter().enumerate() {
+        let (mut prev, mut i, mut rows) = (None, 0, self.sealed.rows());
+        while let Some(row) = rows.next() {
             let at = path!["sealed", i];
+            i += 1;
             out.extend(row_violations(row, window, self.stats.len(), &at));
             let key = (row.window_start.0 / window, row.src, row.dst);
             if prev >= Some(key) {
@@ -2089,7 +2276,7 @@ impl ProofPoint {
 }
 
 /// Where the last successful reconcile proved the uniform log against the
-/// lake stamped `lake`: through its sealed rows, the chunks `chunks`,
+/// lake stamped `lake`: through its sealed rows, the blocks `blocks`,
 /// which end at the frontier's start, and through its open rows, which
 /// end at the newest open window's end, where the lake then held
 /// `before_end` records (all of them).
@@ -2097,7 +2284,7 @@ impl ProofPoint {
 struct SealedProof {
     lake: u64,
     before_end: usize,
-    chunks: Vec<Arc<[CoarseBwRecord]>>,
+    blocks: Vec<Arc<SealedBlock>>,
     sealed: ProofPoint,
     open: ProofPoint,
 }
@@ -2150,7 +2337,7 @@ impl Deserialize for ProofMark {
 impl ProofMark {
     /// The points a proof of `log` against `lake` may start from, if any:
     /// the same lake, changed since only by appends, a log built for
-    /// `time`'s configuration and still holding the very chunks the mark
+    /// `time`'s configuration and still holding the very blocks the mark
     /// proved sealed. Returns the sealed rows' point and the point to
     /// start from: the open rows' point when they are all sealed now and
     /// no record landed before their end since the proof, otherwise the
@@ -2166,7 +2353,7 @@ impl ProofMark {
         let m = self.uniform.as_ref().filter(|m| {
             m.lake == lake.stamp()
                 && log.built_for(time.window_secs, &time.stats).is_ok()
-                && log.sealed.starts_with(&m.chunks)
+                && log.sealed.starts_with(&m.blocks)
         })?;
         let open = (records_before(lake, m.open.start) == m.before_end).then_some(m.open);
         let from = open.into_iter().chain([m.sealed]).find(|p| p.rows <= log.sealed.len())?;
@@ -2300,9 +2487,11 @@ impl StreamState {
     /// states after the sealed rows and after the open rows, which a proof
     /// mark records.
     fn fingerprint_from(&self, point: ProofPoint, cdg: &[u8]) -> Fingerprint {
-        let newer = self.time.sealed.after(point.rows);
-        let at_sealed = newer.map_or(point.fnv, |rows| fnv1a_rows(point.fnv, rows));
-        let mut hash = at_sealed;
+        let mut hash = point.fnv;
+        if let Some(newer) = self.time.sealed.after(point.rows) {
+            newer.for_each(|row| fnv1a_row(&mut hash, row));
+        }
+        let at_sealed = hash;
         self.time.for_each_open_row(|row| fnv1a_row(&mut hash, row));
         let at_open = hash;
         self.adaptive.for_each_sorted_row(|row| fnv1a_row(&mut hash, row));
@@ -2537,19 +2726,27 @@ impl SmnController {
 
         let ingest = ingest_bandwidth_profiled(self.clds(), &telemetry.records, &obs);
 
-        // The two applies stay one after the other: forked, they raised
-        // the 1000-DC benchmark's peak RSS by 5-8% (DESIGN §14).
+        // The two logs share no state and neither apply can fail now, so
+        // they run side by side: the uniform apply on a spawned thread,
+        // the adaptive one on the caller. Memory a thread allocates and
+        // keeps sits in its own glibc arena, where the caller's later
+        // allocations cannot reuse it (DESIGN §14 "Forked tick"). So the
+        // caller first seals the windows before the delta and reserves
+        // the open columns' room for it, and only the adaptive branch, on
+        // the caller, keeps new blocks and rows.
         let (time, adaptive, pairs) = {
             let mut phase = obs.phase("coarsen/apply_delta");
-            let t = {
-                let _time = obs.phase("coarsen/time");
-                state.config.time_coarsener().apply_admitted(&mut state.time, telemetry)
-            };
-            let (a, pairs) = {
-                let _adaptive = obs.phase("coarsen/adaptive");
-                let a = state.config.adaptive.apply_admitted(&mut state.adaptive, telemetry);
-                (a, state.adaptive.touched(&a))
-            };
+            let coarsener = state.config.time_coarsener();
+            state.time.prepare(telemetry);
+            let (config, time_log, adaptive_log) =
+                (&state.config, &mut state.time, &mut state.adaptive);
+            let (t, (a, pairs)) = obs.fork(
+                ("coarsen/time", |_| coarsener.apply_admitted(time_log, telemetry)),
+                ("coarsen/adaptive", |_| {
+                    let a = config.adaptive.apply_admitted(adaptive_log, telemetry);
+                    (a, adaptive_log.touched(&a))
+                }),
+            );
             phase.field("appended", t.appended);
             phase.field("dirty_cells", t.dirty_cells);
             phase.field("adaptive_dirty_pairs", a.dirty_cells);
@@ -2626,15 +2823,15 @@ impl SmnController {
     /// points of the uniform log: where its sealed rows end (the
     /// frontier's window start) and where its open rows end (the end of
     /// the newest open window), each with its row count and the
-    /// fingerprint's FNV-1a state after those rows, plus the sealed chunks
+    /// fingerprint's FNV-1a state after those rows, plus the sealed blocks
     /// themselves, the lake's stamp ([`TimeStore::stamp`]) and its record
     /// count before that end. The next reconcile starts from the open
     /// rows' point when they are all sealed now and no record has landed
     /// before their end, otherwise from the sealed rows' point. Its time
     /// oracle walks only the lake since the point's start and compares it
     /// with the rows after the point. The skipped windows cannot have
-    /// changed: sealed chunks are never written in place, and the log must
-    /// still hold the mark's chunks; the rows proven open and sealed since
+    /// changed: sealed blocks are never written in place, and the log must
+    /// still hold the mark's blocks; the rows proven open and sealed since
     /// must still hash from the sealed rows' FNV state to the open rows';
     /// the lake appends only at or after its newest timestamp, which the
     /// frontier's start never passes, the open rows' point is taken only
@@ -3196,6 +3393,50 @@ mod tests {
         }
     }
 
+    /// A stream tick forks its two applies through `Obs::fork`, yet two
+    /// identical sessions of one-epoch ticks across three hours and a
+    /// delta spanning windows export byte-identical traces, and every
+    /// `coarsen/apply_delta` span's children are `coarsen/time`, then
+    /// `coarsen/adaptive`, as when the applies ran in turn.
+    #[test]
+    fn forked_ticks_leave_byte_identical_traces() {
+        let session = || {
+            let mut ctl = controller();
+            let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
+            let mut state = StreamState::new(cfg, small_fine());
+            let log = mixed_log(54);
+            let mut deltas = TelemetryDelta::split_epochs(&log[..36 * 3], 0);
+            deltas.push(TelemetryDelta::new(36, log[36 * 3..].to_vec()));
+            let outcomes = ctl.stream_run(&mut state, &deltas, &[]).unwrap();
+            assert_eq!(outcomes.len(), 37);
+            let batch = StreamConfig::default().time_coarsener().coarsen(&log);
+            assert_eq!(state.time.encode(), encode_coarse_log(&batch));
+            assert_eq!(state.time.frontier, 4, "the last delta sealed hours 2 and 3");
+            ctl.obs().trace_jsonl()
+        };
+        let trace = session();
+        assert_eq!(trace, session());
+        let events: Vec<smn_obs::TraceEvent> =
+            trace.lines().map(|l| smn_obs::TraceEvent::from_json_line(l).unwrap()).collect();
+        let entered = |parent: Option<u64>| {
+            events
+                .iter()
+                .filter(move |e| {
+                    e.kind == smn_obs::EventKind::Enter && parent.is_none_or(|p| e.parent == p)
+                })
+                .map(|e| (e.span, e.name.as_str()))
+        };
+        let applies: Vec<u64> = entered(None)
+            .filter(|&(_, name)| name == "coarsen/apply_delta")
+            .map(|(s, _)| s)
+            .collect();
+        assert_eq!(applies.len(), 37);
+        for span in applies {
+            let children: Vec<&str> = entered(Some(span)).map(|(_, name)| name).collect();
+            assert_eq!(children, ["coarsen/time", "coarsen/adaptive"]);
+        }
+    }
+
     #[test]
     fn out_of_order_deltas_are_hard_errors() {
         let mut ctl = controller();
@@ -3570,7 +3811,7 @@ mod tests {
         assert!(state.violations().is_empty(), "{:?}", state.violations());
     }
 
-    /// Sealed rows sit in one chunk per sealed window, yet a checkpoint
+    /// Sealed rows sit in one block per sealed window, yet a checkpoint
     /// writes them as the one flat row array it always wrote, and a
     /// restored log holds the same rows.
     #[test]
@@ -3580,14 +3821,115 @@ mod tests {
         for d in TelemetryDelta::split_epochs(&mixed_log(72), 0) {
             c.apply_delta(&mut state, &d).unwrap();
         }
-        assert_eq!(state.sealed.0.len(), 5, "one chunk per sealed hour");
-        let flat: Vec<CoarseBwRecord> = state.sealed.iter().cloned().collect();
+        assert_eq!(state.sealed.0.len(), 5, "one block per sealed hour");
+        let mut flat: Vec<CoarseBwRecord> = Vec::new();
+        state.sealed.rows().for_each(|row| flat.push(row.clone()));
         let json = serde_json::to_string(&state).unwrap();
         let rows = format!("\"sealed\":{}", serde_json::to_string(&flat).unwrap());
         assert!(json.contains(&rows), "{json}");
         let back: IncrementalCoarseLog = serde_json::from_str(&json).unwrap();
         assert_eq!(back, state);
         assert_eq!(back.encode(), state.encode());
+    }
+
+    /// Bytes of column capacity a sealed block holds per row: a pair and
+    /// `n` values.
+    fn sealed_row_bytes(n: usize) -> usize {
+        std::mem::size_of::<(u32, u32)>() + n * std::mem::size_of::<f64>()
+    }
+
+    /// Four hours of one-epoch stream ticks over 40 pairs: three hours
+    /// seal, on the caller of each tick's fork, one column block each,
+    /// its columns exactly its rows' size. After every tick the uniform
+    /// log encodes as the batch oracle over the lake, and it is the log
+    /// the same deltas applied directly (sealing in the walk) leave, block
+    /// for block. A checkpoint round trip restores one block, as exact,
+    /// that reads back the same bytes, and the stream goes on from it.
+    #[test]
+    fn sealed_windows_are_exact_column_blocks() {
+        let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
+        let (c, n) = (cfg.time_coarsener(), cfg.stats.len());
+        let log: Vec<BandwidthRecord> = (0..54u32)
+            .flat_map(|e| {
+                let ts = Ts(u64::from(e) * EPOCH_SECS);
+                (0..40u32).map(move |p| BandwidthRecord {
+                    ts,
+                    src: p / 8,
+                    dst: p % 8 + 10,
+                    gbps: f64::from((e * 37 + p * 11) % 23),
+                })
+            })
+            .collect();
+        let deltas = TelemetryDelta::split_epochs(&log, 0);
+        let (head, tail) = deltas.split_at(48);
+        let mut ctl = controller();
+        let mut state = StreamState::new(cfg.clone(), small_fine());
+        let mut direct = c.new_state();
+        let batch = |ctl: &SmnController| {
+            encode_coarse_log(&c.coarsen_records(ctl.clds().bandwidth.read().all()))
+        };
+        for d in head {
+            ctl.stream_tick(&mut state, d, None).unwrap();
+            c.apply_delta(&mut direct, d).unwrap();
+            assert_eq!(state.time.encode(), batch(&ctl), "tick {}", d.tick);
+            assert_eq!(state.time, direct, "tick {}", d.tick);
+        }
+        let blocks = |log: &IncrementalCoarseLog| {
+            log.sealed.0.iter().map(|b| (b.len(), b.windows.len())).collect::<Vec<_>>()
+        };
+        assert_eq!(state.time.frontier, 3);
+        assert_eq!(blocks(&state.time), [(40, 1); 3], "one block per sealed hour");
+        assert_eq!(blocks(&state.time), blocks(&direct));
+        let exact = |log: &IncrementalCoarseLog| {
+            log.sealed.0.iter().all(|b| {
+                let bytes = b.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+                    + b.values.capacity() * std::mem::size_of::<f64>();
+                bytes == b.len() * sealed_row_bytes(n) && b.stride == n
+            })
+        };
+        assert!(exact(&state.time));
+
+        let snapshot = serde_json::to_string(&state).unwrap();
+        let mut restored = StreamState::restore(&snapshot).unwrap();
+        assert_eq!(blocks(&restored.time), [(120, 3)], "one block of three windows");
+        assert!(exact(&restored.time));
+        assert_eq!(restored.time, state.time);
+        assert_eq!(restored.time.encode(), batch(&ctl));
+        assert_eq!(restored.fingerprint(), state.fingerprint());
+        for d in tail {
+            ctl.stream_tick(&mut restored, d, None).unwrap();
+            assert_eq!(restored.time.encode(), batch(&ctl), "tick {}", d.tick);
+        }
+        assert_eq!(ctl.stream_reconcile(&mut restored).unwrap().hash, restored.fingerprint());
+    }
+
+    /// A lake-shaped stream, a bulk load of an hour and a half and then
+    /// one epoch per tick over 40 pairs: after `prepare` no apply widens
+    /// an open column, so the uniform apply keeps no new allocation, and
+    /// the log is the one a direct apply leaves, sealing in its walk.
+    #[test]
+    fn a_prepared_apply_widens_no_open_column() {
+        let c = TimeCoarsener::new(HOUR, vec![Statistic::Mean, Statistic::P95]);
+        let log: Vec<BandwidthRecord> = (0..48u32)
+            .flat_map(|e| {
+                let ts = Ts(u64::from(e) * EPOCH_SECS);
+                (0..40u32).map(move |p| BandwidthRecord { ts, src: p, dst: 99, gbps: f64::from(e) })
+            })
+            .collect();
+        let (bulk, rest) = log.split_at(18 * 40);
+        let mut deltas = vec![TelemetryDelta::new(0, bulk.to_vec())];
+        deltas.extend(TelemetryDelta::split_epochs(rest, 1));
+        let (mut prepared, mut direct) = (c.new_state(), c.new_state());
+        for d in &deltas {
+            prepared.prepare(d);
+            let held = prepared.open.capacities();
+            c.apply_admitted(&mut prepared, d);
+            assert_eq!(prepared.open.capacities(), held, "tick {}", d.tick);
+            c.apply_delta(&mut direct, d).unwrap();
+            assert_eq!(prepared, direct, "tick {}", d.tick);
+        }
+        assert_eq!(prepared.frontier, 3);
+        assert_eq!(prepared.encode(), encode_coarse_log(&c.coarsen(&log)));
     }
 
     #[test]
@@ -4088,11 +4430,13 @@ mod tests {
     /// Corrupt row `at` (modulo the row count) of the uniform log with
     /// corruption `kind`: a field (0–4, and 8 as 4), a dropped (5) or
     /// duplicated (6) row, or (7) an extra row after the last, in the next
-    /// window. A sealed row takes the field corruptions of
-    /// [`corrupt_fields`]. An open row, built from its cell's key and
-    /// statistics, has a statistic's value bit, sign of zero or NaN payload
-    /// changed (0–2), its key moved a window on (3) or its key's pair
-    /// changed (4).
+    /// window. A sealed row is edited in its block's rows, which new
+    /// blocks then hold ([`SealedRows::write`]): it takes the field
+    /// corruptions of [`corrupt_fields`], is dropped or duplicated, or,
+    /// with no open cell, the last one is copied a window on. An open row,
+    /// built from its cell's key and statistics, has a statistic's value
+    /// bit, sign of zero or NaN payload changed (0–2), its key moved a
+    /// window on (3) or its key's pair changed (4).
     fn corrupt_time_row(log: &mut IncrementalCoarseLog, kind: u8, at: usize, pick: usize) {
         let sealed = log.sealed.len();
         let (n, len) = (log.stats.len(), log.open.len());
@@ -4101,6 +4445,12 @@ mod tests {
             if len > 0 {
                 splice_cells(&mut log.open, n, &[0..len, len - 1..len]);
                 log.open.keys[len].0 += 1;
+            } else if sealed > 0 {
+                log.sealed.write(sealed - 1, |rows, j| {
+                    let mut extra = rows[j].clone();
+                    extra.window_start.0 += extra.window_secs;
+                    rows.push(extra);
+                });
             }
         } else if i < sealed {
             match kind {
@@ -4392,7 +4742,7 @@ mod tests {
     /// the open hour 2 is sealed since and nothing landed in it, so the
     /// time oracle walks only the lake from hour 3 on, and the adaptive
     /// oracle resumes after the 108 records it proved. A corrupted row
-    /// that was proven sealed (its chunk written through a copy), one
+    /// that was proven sealed (its block written through a copy), one
     /// proven open and sealed since, an unproven sealed row and an open
     /// cell are each reported with the verdict, audit and diff of a full
     /// proof; so are an adaptive row of the volatile pair (0, 2) proven

@@ -10,8 +10,9 @@
 //! the `gk/pack` phase observed inside `te/gk`.
 //!
 //! [`crate::Obs::fork`] runs two independent closures side by side, one
-//! on a scoped thread and one on the caller, and records each as a child
-//! phase of the open path. A branch may split its time into named
+//! on a scoped thread and one on the caller (both on the caller, one after
+//! the other, when the system refuses the thread), and records each as a
+//! child phase of the open path. A branch may split its time into named
 //! [`Laps`], each another child phase. No phase opens inside a branch:
 //! every child span is emitted on the caller after the join, the first
 //! branch's laps then the second's, so the trace's span tree and event
@@ -31,6 +32,8 @@
 
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+use parking_lot::Mutex;
 
 use crate::{Obs, Span};
 
@@ -136,7 +139,9 @@ impl Obs {
     }
 
     /// Run `fa` on a scoped thread and `fb` on the caller, and return
-    /// both results. A panic in either branch resumes on the caller.
+    /// both results. A panic in either branch resumes on the caller. When
+    /// the thread cannot be spawned, `fa` runs on the caller after `fb`,
+    /// with the same laps, trace and results, so a fork never fails.
     ///
     /// Each branch runs as one lap under its name until it calls
     /// [`Laps::lap`], which starts the next lap under another name. Every
@@ -154,16 +159,29 @@ impl Obs {
         (name_b, fb): (&'n str, impl FnOnce(&mut Laps<'n>) -> B),
     ) -> (A, B) {
         let start = self.stopwatch();
-        let ((a, a_laps), (b, b_laps)) = std::thread::scope(|s| {
-            let spawned = s.spawn(move || {
-                let mut laps = Laps { start, name: name_a, done: Vec::new() };
-                (fa(&mut laps), laps.finish())
-            });
+        // `fa` waits in the slot for the one thread that takes it: the
+        // spawned one, or the caller when the spawn is refused.
+        let slot = Mutex::new(Some(fa));
+        let run_a = |start| {
+            let fa = slot.lock().take()?;
+            let mut laps = Laps { start, name: name_a, done: Vec::new() };
+            Some((fa(&mut laps), laps.finish()))
+        };
+        let (a, (b, b_laps)) = std::thread::scope(|s| {
+            let spawned = spawn_scoped(s, || run_a(start));
             let mut laps = Laps { start, name: name_b, done: Vec::new() };
             let b = (fb(&mut laps), laps.finish());
             // A join error is a panic in `fa`: resume it on the caller.
-            (spawned.join().unwrap_or_else(|p| std::panic::resume_unwind(p)), b)
+            let a = spawned.map(|a| a.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            // Refused, `fa` runs here, its laps timed from its own start.
+            (a.unwrap_or_else(|_| run_a(self.stopwatch())), b)
         });
+        // `run_a` finds the slot empty only once `fa` is taken, and one
+        // call takes it: the spawned thread's, or the caller's after a
+        // refused spawn. So `a` holds `fa`'s result.
+        let Some((a, a_laps)) = a else {
+            std::panic::resume_unwind(Box::new("a fork branch was taken and never run"))
+        };
         for laps in [a_laps, b_laps] {
             let mut from = 0;
             for (name, end) in laps {
@@ -185,6 +203,25 @@ impl Obs {
         // smn-lint: allow(determinism/wall-clock) -- the profiler's sole wall read; totals never enter deterministic exports
         self.is_enabled().then(Instant::now)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set by a test to make [`spawn_scoped`] refuse on this thread, so
+    /// that a fork takes its caller path.
+    static REFUSE_SPAWN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Spawn `f` on a thread of scope `s`, or say why the system refused.
+fn spawn_scoped<'scope, T: Send + 'scope>(
+    s: &'scope std::thread::Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::io::Result<std::thread::ScopedJoinHandle<'scope, T>> {
+    #[cfg(test)]
+    if REFUSE_SPAWN.get() {
+        return Err(std::io::Error::other("spawn refused by the test"));
+    }
+    std::thread::Builder::new().spawn_scoped(s, f)
 }
 
 /// Wall nanoseconds since `start`, saturating.
@@ -413,6 +450,46 @@ mod tests {
             obs.fork(("a", |_| 1u8), ("b", |_| -> u8 { panic!("caller branch") }));
         });
         assert_eq!(caller, "caller branch");
+    }
+
+    /// `f`, run with every spawn on this thread refused.
+    fn refused<T>(f: impl FnOnce() -> T) -> T {
+        REFUSE_SPAWN.set(true);
+        let out = f();
+        REFUSE_SPAWN.set(false);
+        out
+    }
+
+    /// A refused spawn runs the first branch on the caller, after the
+    /// second, and the fork leaves the trace, metrics and profile rows of
+    /// a spawned run; a panic there still reaches the caller.
+    #[test]
+    fn a_refused_spawn_runs_the_branch_on_the_caller_with_the_same_trace() {
+        let (spawned, caller) = (forked_run(), refused(forked_run));
+        assert!(!caller.trace_jsonl().is_empty());
+        assert_eq!(spawned.trace_jsonl(), caller.trace_jsonl());
+        assert_eq!(spawned.metrics_text(), caller.metrics_text());
+        let rows = |obs: &Obs| {
+            obs.wall_profile().into_iter().map(|s| (s.path, s.count)).collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&spawned), rows(&caller));
+
+        let obs = Obs::enabled(crate::clock::SimClock::new());
+        let order = Mutex::new(Vec::new());
+        let here = std::thread::current().id();
+        let ran = |name| {
+            order.lock().push(name);
+            std::thread::current().id()
+        };
+        let (a, b) = refused(|| obs.fork(("a", |_| ran("a")), ("b", |_| ran("b"))));
+        assert_eq!((a, b), (here, here));
+        assert_eq!(*order.lock(), ["b", "a"]);
+        let (a, _) = obs.fork(("a", |_| ran("a")), ("b", |_| ran("b")));
+        assert_ne!(a, here, "an allowed spawn runs the branch on its own thread");
+        let caller = panic_message(|| {
+            refused(|| obs.fork(("a", |_| -> u8 { panic!("refused branch") }), ("b", |_| 1u8)));
+        });
+        assert_eq!(caller, "refused branch");
     }
 
     #[test]
