@@ -94,7 +94,7 @@ struct CampaignRun {
 /// profile's ambient conditions (the `self_healing` campaign script minus
 /// the observability plumbing), returning mean heal-arm and route-arm
 /// MTTR over the whole campaign.
-#[allow(clippy::too_many_lines)] // linear campaign script: ingest, heal, settle, account
+#[allow(clippy::too_many_lines, reason = "linear campaign script: ingest, heal, settle, account")]
 fn heal_pass(
     d: &RedditDeployment,
     world: &HealWorld<'_>,
@@ -175,12 +175,12 @@ fn heal_pass(
         route_sum += route_mttr;
         heal_sum += settled.get(&fault.id).map_or(route_mttr, |r| r.mttr_minutes);
     }
-    #[allow(clippy::cast_precision_loss)] // campaign sizes stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "campaign sizes stay far below 2^52")]
     let n = faults.len().max(1) as f64;
     (heal_sum / n, route_sum / n)
 }
 
-#[allow(clippy::too_many_arguments)] // bench plumbing: world + campaign + profile
+#[allow(clippy::too_many_arguments, reason = "bench plumbing: world + campaign + profile")]
 fn run_campaign(
     d: &RedditDeployment,
     ds: &DeploymentStack,
@@ -215,7 +215,7 @@ fn run_campaign(
     }
 }
 
-#[allow(clippy::cast_precision_loss)] // campaign sizes stay far below 2^52
+#[allow(clippy::cast_precision_loss, reason = "campaign sizes stay far below 2^52")]
 fn pct(num: usize, den: usize) -> f64 {
     if den == 0 {
         0.0
@@ -226,7 +226,7 @@ fn pct(num: usize, den: usize) -> f64 {
 
 /// Push one campaign run's deterministic outcomes into the report under
 /// `prefix` (`"{profile}/generated"` or `"{profile}/fixed"`).
-#[allow(clippy::cast_precision_loss)] // campaign counters stay far below 2^52
+#[allow(clippy::cast_precision_loss, reason = "campaign counters stay far below 2^52")]
 fn push_run(report: &mut smn_perf::BenchReport, prefix: &str, r: &CampaignRun) {
     report.push_metric(&format!("{prefix}/coverage_pct"), r.coverage_pct, "pct");
     report.push_metric(&format!("{prefix}/covered_cells"), r.covered as f64, "count");
@@ -275,7 +275,10 @@ fn parse_args() -> (String, String) {
     (out, revision)
 }
 
-#[allow(clippy::too_many_lines)] // linear experiment script: profiles, table, replay, snapshot
+#[allow(
+    clippy::too_many_lines,
+    reason = "linear experiment script: profiles, table, replay, snapshot"
+)]
 fn main() {
     let (out, revision) = parse_args();
 
@@ -440,7 +443,7 @@ fn main() {
         out_covered,
     );
 
-    #[allow(clippy::cast_precision_loss)] // campaign counters stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "campaign counters stay far below 2^52")]
     {
         report.push_metric("campaigns/generated_faults", generated.faults.len() as f64, "count");
         report.push_metric("campaigns/fixed_faults", fixed.len() as f64, "count");

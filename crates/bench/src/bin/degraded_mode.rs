@@ -76,7 +76,7 @@ struct ProfileResult {
 }
 
 impl ProfileResult {
-    #[allow(clippy::cast_precision_loss)] // campaign sizes stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "campaign sizes stay far below 2^52")]
     fn accuracy(&self) -> f64 {
         self.correct as f64 / self.total as f64
     }
@@ -245,7 +245,10 @@ fn parse_args() -> Args {
     args
 }
 
-#[allow(clippy::too_many_lines)] // linear experiment script: profiles, table, replay, export
+#[allow(
+    clippy::too_many_lines,
+    reason = "linear experiment script: profiles, table, replay, export"
+)]
 fn main() {
     let args = parse_args();
     let export = args.trace.is_some() || args.metrics.is_some() || args.audit.is_some();
@@ -367,7 +370,7 @@ fn main() {
     // Perf-trajectory snapshot (unified BenchReport schema): deterministic
     // per-profile counters as strictly-gated metrics, outcome hashes as
     // attrs, and the bench-only wall latencies as ungated phases.
-    #[allow(clippy::cast_precision_loss)] // campaign counters stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "campaign counters stay far below 2^52")]
     let report = {
         let mut report = smn_perf::BenchReport::new("degraded_mode", campaign_cfg.seed, "small")
             .with_revision(&args.revision);

@@ -80,7 +80,7 @@ struct ProfileResult {
 }
 
 impl ProfileResult {
-    #[allow(clippy::cast_precision_loss)] // campaign sizes stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "campaign sizes stay far below 2^52")]
     fn mean(sum: f64, n: usize) -> f64 {
         if n == 0 {
             0.0
@@ -117,7 +117,7 @@ struct ObsCtx {
     bench: Arc<Obs>,
 }
 
-#[allow(clippy::too_many_lines)] // linear campaign script: ingest, heal, settle, account
+#[allow(clippy::too_many_lines, reason = "linear campaign script: ingest, heal, settle, account")]
 fn run_profile(
     d: &RedditDeployment,
     world: &HealWorld<'_>,
@@ -310,7 +310,10 @@ fn parse_args() -> Args {
     args
 }
 
-#[allow(clippy::too_many_lines)] // linear experiment script: profiles, table, replay, snapshot
+#[allow(
+    clippy::too_many_lines,
+    reason = "linear experiment script: profiles, table, replay, snapshot"
+)]
 fn main() {
     let args = parse_args();
     let clock = SimClock::new();
@@ -463,7 +466,7 @@ fn main() {
     assert!(improved >= 3, "healing must strictly reduce MTTR on at least 3 of 5 profiles");
 
     // Perf-trajectory snapshot (unified BenchReport schema).
-    #[allow(clippy::cast_precision_loss)] // campaign counters stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "campaign counters stay far below 2^52")]
     let report = {
         let mut report = smn_perf::BenchReport::new("self_healing", campaign_cfg.seed, "small")
             .with_revision(&args.revision);

@@ -2,15 +2,16 @@
 //!
 //! Benchmarks are the one place wall time is legitimate: everything under
 //! simulation control runs on tick time. Routing every measurement through
-//! this helper keeps the workspace down to a single audited wall-clock
-//! read (the `determinism/wall-clock` rule of `smn-lint` denies
-//! `Instant::now` everywhere else).
+//! this helper keeps the benches down to one audited wall-clock read
+//! (`clippy.toml` disallows `Instant::now` everywhere; the obs profiler's
+//! stopwatch is the only other read that expects the lint).
 
 use std::time::{Duration, Instant};
 
 /// Run `f`, returning its result and the elapsed wall-clock duration.
+#[expect(clippy::disallowed_methods, reason = "bench binaries measure real runtime")]
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now(); // smn-lint: allow(determinism/wall-clock) -- the workspace's single audited wall-clock read; bench binaries measure real runtime
+    let start = Instant::now();
     let out = f();
     (out, start.elapsed())
 }

@@ -108,7 +108,7 @@ pub fn coarsen(args: &[String]) -> Result<(), String> {
     }
     let combined =
         TimeCoarsener::new(86_400, vec![Statistic::Mean, Statistic::P95]).report(&topo.coarse);
-    #[allow(clippy::cast_precision_loss)] // row counts stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "row counts stay far below 2^52")]
     let reduction = (log.len() * 24) as f64
         / (combined.coarse.len() * combined.coarse[0].encoded_bytes()) as f64;
     println!("  combined (regions+1d):  {:>8} rows  {:>7.1}x", combined.coarse.len(), reduction);
@@ -312,7 +312,7 @@ fn stream_churn(tick: u64, teams: &[String], names: &[String]) -> Option<GraphDe
     }
     let mut d = GraphDelta::new(tick);
     let name = format!("svc-tick-{tick}");
-    #[allow(clippy::cast_possible_truncation)] // rotation index, bounded by len
+    #[allow(clippy::cast_possible_truncation, reason = "rotation index, bounded by len")]
     let team = &teams[(tick as usize / 3) % teams.len()];
     d.push_component(Component {
         name: name.clone(),
@@ -320,7 +320,7 @@ fn stream_churn(tick: u64, teams: &[String], names: &[String]) -> Option<GraphDe
         team: team.clone(),
         layer: Layer::Application,
     });
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(clippy::cast_possible_truncation, reason = "rotation index, bounded by len")]
     let src = &names[tick as usize % names.len()];
     d.push_dependency(src.clone(), name, DependencyKind::Call);
     Some(d)
@@ -349,7 +349,7 @@ impl StreamTickRow {
 /// ticks and once more at the end; any divergence is reported and exits
 /// non-zero. `--journal` writes the `delta-journal` artifact that
 /// `smn lint` checks.
-#[allow(clippy::too_many_lines)] // linear report script: run, journal, render
+#[allow(clippy::too_many_lines, reason = "linear report script: run, journal, render")]
 pub fn stream(args: &[String]) -> Result<(), String> {
     let flags = parse_stream_flags(args)?;
     let planetary = generate_planetary(&flags.scale.config(flags.seed));
@@ -421,7 +421,7 @@ pub fn stream(args: &[String]) -> Result<(), String> {
     }
 
     let mean = |f: fn(&StreamTickRow) -> f64| -> f64 {
-        #[allow(clippy::cast_precision_loss)] // tick counts stay far below 2^52
+        #[allow(clippy::cast_precision_loss, reason = "tick counts stay far below 2^52")]
         let n = rows.len().max(1) as f64;
         rows.iter().map(f).sum::<f64>() / n
     };
@@ -617,12 +617,12 @@ pub fn heal(args: &[String]) -> Result<(), String> {
     }
 
     let attempted = verified + rolled_back;
-    #[allow(clippy::cast_precision_loss)] // campaign sizes stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "campaign sizes stay far below 2^52")]
     let mean = |sum: f64, n: usize| if n == 0 { 0.0 } else { sum / n as f64 };
     let rollback_pct = if attempted == 0 {
         0.0
     } else {
-        #[allow(clippy::cast_precision_loss)]
+        #[allow(clippy::cast_precision_loss, reason = "campaign counters stay far below 2^52")]
         {
             100.0 * rolled_back as f64 / attempted as f64
         }
@@ -733,7 +733,7 @@ fn parse_coverage_flags(args: &[String]) -> Result<CoverageFlags, String> {
 /// percent of the reachable lattice (default 80), which is the CI gate.
 /// Unless `--no-baseline`, the fixed 560-fault campaign is replayed too
 /// and reported alongside, as the floor the generator must beat.
-#[allow(clippy::too_many_lines)] // linear gate script: replay, report, baseline, threshold
+#[allow(clippy::too_many_lines, reason = "linear gate script: replay, report, baseline, threshold")]
 pub fn coverage(args: &[String]) -> Result<(), String> {
     let flags = parse_coverage_flags(args)?;
 
@@ -816,7 +816,7 @@ pub fn coverage(args: &[String]) -> Result<(), String> {
         }
     }
 
-    #[allow(clippy::cast_precision_loss)] // thresholds are small percentages
+    #[allow(clippy::cast_precision_loss, reason = "thresholds are small percentages")]
     let threshold_pct = flags.threshold as f64;
     if report.ratio_pct() < threshold_pct {
         return Err(format!(

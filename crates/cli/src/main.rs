@@ -11,8 +11,8 @@
 //!                                      reconciliation-proven byte-identity
 //! smn heal [--faults N] [--json]       closed-loop remediation campaign
 //! smn coverage [--json] [--seed N]     fault-lattice coverage gate
-//! smn lint [--json] [--artifacts DIR]  static analysis (source + artifacts;
-//!          [--deep] ...                smn-lint's arguments)
+//! smn lint [--json] [--artifacts DIR]  static analysis (artifacts and the
+//!          [--deep] ...                call-graph pass; smn-lint's arguments)
 //! smn obs summarize <trace.jsonl>      summarize a deterministic trace
 //! smn perf record [--scale S]          record the deterministic count suite
 //! smn perf diff <base> <cur>           compare two report sets
@@ -23,8 +23,6 @@
 //! subcommand); anything richer belongs in the example binaries.
 
 use std::process::ExitCode;
-
-use smn_lint::cli::Defaults;
 
 mod commands;
 
@@ -48,8 +46,7 @@ fn main() -> ExitCode {
         "stream" => commands::stream(rest),
         "heal" => commands::heal(rest),
         "coverage" => commands::coverage(rest),
-        // smn-lint's front end, always with the source and artifact engines.
-        "lint" => return smn_lint::cli::run("smn lint", rest.iter().cloned(), Defaults::Always),
+        "lint" => return smn_lint::cli::run("smn lint", rest.iter().cloned()),
         "obs" => commands::obs(rest),
         "perf" => commands::perf(rest),
         "help" | "--help" | "-h" => {
@@ -95,8 +92,8 @@ USAGE:
            [--campaign FILE]           unreachable cells; non-zero exit below
            [--out FILE]                the threshold); writes the coverage-
            [--no-baseline]             report artifact with --out
-  smn lint [--json] [--artifacts DIR] run smn-lint (source + artifact engines;
-           [--deep] [--workspace]      --deep adds the call-graph pass;
+  smn lint [--json] [--artifacts DIR] run smn-lint (the artifact engine;
+           [--deep]                    --deep adds the call-graph pass;
            [--root PATH]               accepts every smn-lint argument)
            [--callgraph-out PATH]
            [--write-baselines]

@@ -1168,7 +1168,7 @@ pub(crate) mod tests {
     /// loop, from [`Fold`]'s definition: `Σx` starting at the first
     /// sample, the sums shifted by it, and a NaN mean `f64::NAN`. `None`
     /// for no sample.
-    #[allow(clippy::cast_precision_loss)]
+    #[allow(clippy::cast_precision_loss, reason = "the sample index stays far below 2^52")]
     fn plain_fold(values: &[f64]) -> Option<(f64, f64)> {
         let shift = *values.first()?;
         let (mut sum, mut shifted, mut squares) = (0.0, 0.0, 0.0);

@@ -89,7 +89,7 @@ impl<C> CoarseningReport<C> {
         if self.coarse_size == 0 {
             f64::INFINITY
         } else {
-            #[allow(clippy::cast_precision_loss)] // structure sizes stay far below 2^52
+            #[allow(clippy::cast_precision_loss, reason = "structure sizes stay far below 2^52")]
             let ratio = self.fine_size as f64 / self.coarse_size as f64;
             ratio
         }

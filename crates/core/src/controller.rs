@@ -597,7 +597,7 @@ impl SmnController {
         if let Some(w) = &window {
             span.field("resolution_secs", w.resolution_secs);
             span.field("completeness", w.completeness);
-            #[allow(clippy::cast_precision_loss)] // resolutions are seconds-scale
+            #[allow(clippy::cast_precision_loss, reason = "resolutions are seconds-scale")]
             self.obs.gauge("planning_resolution_secs", w.resolution_secs as f64);
             self.obs.gauge("planning_completeness", w.completeness);
         }
@@ -1232,7 +1232,7 @@ mod tests {
 
     /// The previous planning input path: copy the lake range out, then
     /// walk the ladder and coarsen the copy.
-    #[allow(clippy::cast_precision_loss)] // window counts are far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "window counts are far below 2^52")]
     fn planning_by_copy(
         c: &SmnController,
         start: Ts,

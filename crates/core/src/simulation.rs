@@ -8,6 +8,7 @@
 //! application fault (driving the minutes-scale incident loop), and at the
 //! planning cadence runs TE to refresh utilization history and invokes the
 //! capacity planner. The run log is the audit trail an operator would see.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use std::collections::BTreeMap;
 

@@ -63,6 +63,7 @@
 //! proof left, over the lake since then. A sample behind its pair's
 //! history is its [`StreamError::OutOfOrder`], refused before the log is
 //! touched.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -18,6 +18,9 @@
 //!   campaign covering every reachable cell, deterministic per seed.
 //! * [`CoverageReport`] joins the two into the `coverage-report` artifact
 //!   smn-lint validates and CI gates on (≥80% of the reachable lattice).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 pub mod generate;
 pub mod lattice;

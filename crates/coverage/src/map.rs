@@ -143,7 +143,7 @@ pub struct CoverageReport {
 impl CoverageReport {
     /// Join `map` against `lattice`.
     #[must_use]
-    #[allow(clippy::cast_precision_loss)] // cell counts stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "cell counts stay far below 2^52")]
     pub fn build(
         campaign: &str,
         campaign_seed: u64,
@@ -340,7 +340,7 @@ impl CoverageReport {
     /// with a hit count its status allows, and the `reachable`, `covered`
     /// and `ratio` tallies match the rows they summarize.
     #[must_use]
-    #[allow(clippy::cast_precision_loss)] // cell tallies stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "cell tallies stay far below 2^52")]
     pub fn violations(&self) -> Vec<Violation> {
         let mut out = Vec::new();
         let (reachable, covered, unreachable) = (self.reachable, self.covered, self.unreachable);

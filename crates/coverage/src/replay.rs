@@ -154,7 +154,7 @@ pub fn exercised_locus(
 /// topology locus links (the generator's annotations); faults absent from
 /// it exercise the no-locus column.
 #[must_use]
-#[allow(clippy::too_many_lines)] // one linear pass: ingest, loop, crash, account
+#[allow(clippy::too_many_lines, reason = "one linear pass: ingest, loop, crash, account")]
 pub fn replay_campaign(
     d: &RedditDeployment,
     ds: &DeploymentStack,

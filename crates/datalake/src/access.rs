@@ -182,7 +182,7 @@ impl ResilientAccess {
     /// Snapshot resilience state into observability gauges. The struct
     /// itself stays serializable (it is part of controller checkpoints), so
     /// it cannot hold an [`Obs`] handle — callers publish after querying.
-    #[allow(clippy::cast_precision_loss)] // retry/trip counts stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "retry/trip counts stay far below 2^52")]
     pub fn record(&self, obs: &Obs) {
         if !obs.is_enabled() {
             return;

@@ -1,5 +1,6 @@
 //! Ingestion pipeline with denoising (§6 AIOps engine, step (1):
 //! "denoise telemetry and logs on injection into the data lake").
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

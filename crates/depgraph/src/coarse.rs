@@ -201,7 +201,10 @@ impl CoarseDepGraph {
     /// [`CoarseDepGraph::from_fine`] oracle even in ways that a
     /// set-semantics comparison would forgive.
     #[must_use]
-    #[allow(clippy::cast_possible_truncation)] // usize -> u64 cannot truncate on supported targets
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "usize -> u64 cannot truncate on supported targets"
+    )]
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.graph.node_count() as u64).to_be_bytes());

@@ -10,6 +10,7 @@
 //! fine nodes and coarse edges in first-occurrence order over fine edges,
 //! so appending churn at the end of the fine graph appends the induced
 //! coarse churn at the end of the CDG.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use serde::{Deserialize, Serialize};
 

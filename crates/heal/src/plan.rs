@@ -309,7 +309,7 @@ mod tests {
             if !nodes.iter().all(|n| seen.insert(*n)) {
                 continue;
             }
-            #[allow(clippy::cast_precision_loss)] // a path has far fewer than 2^52 links
+            #[allow(clippy::cast_precision_loss, reason = "a path has far fewer than 2^52 links")]
             let cost = edges.len() as f64;
             out.push(Path { nodes, edges, cost });
         }

@@ -19,6 +19,7 @@
 //!   observed syndrome is a noisy subset of the CDG closure.
 //!
 //! Everything is a pure function of `(fault, seed)` via hash-based variates.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use serde::{Deserialize, Serialize};
 use smn_depgraph::fine::DependencyKind;

@@ -59,7 +59,7 @@ pub fn check_dir(root: &Path, dir: &Path) -> (Vec<Diagnostic>, usize) {
     collect_json(dir, &mut files, &mut dir_errors);
     files.sort();
     let mut findings = Vec::new();
-    // Same discipline as the source engine: an unreadable directory is a
+    // Same discipline as the deep pass: an unreadable directory is a
     // finding, never a silently shorter scan.
     for (bad_dir, err) in dir_errors {
         let rel = bad_dir

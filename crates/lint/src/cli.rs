@@ -2,19 +2,19 @@
 //! `smn-lint` binary and `smn lint`.
 //!
 //! ```text
-//! [--workspace] [--artifacts DIR]... [--deep] [--root PATH] [--json]
+//! [--artifacts DIR]... [--deep] [--root PATH] [--json]
 //! [--callgraph-out PATH] [--write-baselines]
 //! ```
 //!
-//! `--workspace` runs the source engine and each `--artifacts DIR` the
-//! artifact engine over `DIR`; which engines run when neither is given
-//! is the front end's [`Defaults`]. `--deep` adds the whole-workspace
-//! call-graph pass (determinism taint, panic reachability vs.
-//! `panic-baseline.txt`, lock discipline, unused public API vs.
-//! `unused-baseline.txt`) and can emit the canonical call-graph artifact
-//! via `--callgraph-out`; `--write-baselines` regenerates both
-//! baselines. Exit codes: 0 clean, 1 deny-level findings, 2 usage or
-//! configuration error.
+//! Each `--artifacts DIR` runs the artifact engine over `DIR`; with no
+//! engine named, it runs over `artifacts/` when that directory exists.
+//! `--deep` adds the whole-workspace call-graph pass (determinism taint,
+//! panic reachability vs. `panic-baseline.txt`, lock discipline, unused
+//! public API vs. `unused-baseline.txt`) and can emit the canonical
+//! call-graph artifact via `--callgraph-out`; `--write-baselines`
+//! regenerates both baselines. The per-line source rules are clippy
+//! lints (DESIGN.md §7). Exit codes: 0 clean, 1 deny-level findings, 2
+//! usage or configuration error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,30 +22,18 @@ use std::process::ExitCode;
 use serde::{Serialize, Value};
 
 use crate::config::Config;
-use crate::deep::{self, DeepOptions};
+use crate::deep::{self, DeepOptions, DeepSummary};
 use crate::diag::Report;
-use crate::{find_workspace_root, reach, run_artifacts, run_source, unused};
+use crate::{find_workspace_root, reach, run_artifacts, unused};
 
 /// The arguments every front end accepts.
-const USAGE: &str = "[--workspace] [--artifacts DIR]... [--deep] [--root PATH] [--json] \
+const USAGE: &str = "[--artifacts DIR]... [--deep] [--root PATH] [--json] \
                          [--callgraph-out PATH] [--write-baselines]";
-
-/// When a front end runs the default engines: the source engine, plus
-/// the artifact engine over `artifacts/` when no `--artifacts` directory
-/// is named and that directory exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Defaults {
-    /// Only when no engine is asked for: no `--workspace`, `--artifacts`
-    /// or `--deep` (`smn-lint`).
-    Unasked,
-    /// On every run, beside the engines asked for (`smn lint`).
-    Always,
-}
 
 /// Run the engines `args` ask for from `prog` (the name prefixed to
 /// messages), print the report (and the deep summary) to stdout, and
 /// return the exit code.
-pub fn run(prog: &str, args: impl IntoIterator<Item = String>, defaults: Defaults) -> ExitCode {
+pub fn run(prog: &str, args: impl IntoIterator<Item = String>) -> ExitCode {
     let usage_error = |msg: &str| {
         eprintln!("{prog}: {msg}\nusage: {prog} {USAGE}");
         ExitCode::from(2)
@@ -54,7 +42,6 @@ pub fn run(prog: &str, args: impl IntoIterator<Item = String>, defaults: Default
         eprintln!("{prog}: {msg}");
         ExitCode::from(2)
     };
-    let mut workspace = false;
     let mut deep_pass = false;
     let mut artifact_dirs: Vec<PathBuf> = Vec::new();
     let mut root_arg: Option<PathBuf> = None;
@@ -65,7 +52,6 @@ pub fn run(prog: &str, args: impl IntoIterator<Item = String>, defaults: Default
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workspace" => workspace = true,
             "--deep" => deep_pass = true,
             "--artifacts" => match args.next() {
                 Some(dir) => artifact_dirs.push(PathBuf::from(dir)),
@@ -100,24 +86,12 @@ pub fn run(prog: &str, args: impl IntoIterator<Item = String>, defaults: Default
         return fail("no workspace root found (run inside the repo or pass --root)".to_string());
     };
 
-    let unasked = !workspace && artifact_dirs.is_empty() && !deep_pass;
-    if defaults == Defaults::Always || unasked {
-        workspace = true;
-        let default_dir = root.join("artifacts");
-        if artifact_dirs.is_empty() && default_dir.is_dir() {
-            artifact_dirs.push(default_dir);
-        }
+    let default_dir = root.join("artifacts");
+    if artifact_dirs.is_empty() && !deep_pass && default_dir.is_dir() {
+        artifact_dirs.push(default_dir);
     }
-
-    let cfg = match Config::load(&root) {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
 
     let mut report = Report::default();
-    if workspace {
-        report.merge(run_source(&root, &cfg));
-    }
     for dir in &artifact_dirs {
         let dir = if dir.is_absolute() { dir.clone() } else { root.join(dir) };
         report.merge(run_artifacts(&root, &dir));
@@ -134,7 +108,7 @@ pub fn run(prog: &str, args: impl IntoIterator<Item = String>, defaults: Default
                 Err(e) => return fail(e),
             }
         };
-        let mut result = deep::analyze_workspace(&root, &cfg, &opts);
+        let mut result = deep::analyze_workspace(&root, &Config::default(), &opts);
 
         if write_baseline {
             let s = &result.summary;
@@ -170,41 +144,52 @@ pub fn run(prog: &str, args: impl IntoIterator<Item = String>, defaults: Default
         deep_result = Some(result);
     }
 
+    let summary = deep_result.as_ref().map(|d| &d.summary);
     if json {
-        match &deep_result {
-            Some(d) => {
-                let root_value = Value::Map(vec![
-                    ("report".to_string(), report.to_value()),
-                    ("deep".to_string(), d.summary.to_value()),
-                ]);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&root_value)
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-                );
-            }
-            None => println!("{}", report.to_json()),
-        }
+        println!("{}", render_json(&report, summary));
     } else {
-        print!("{}", report.render());
-        if let Some(d) = &deep_result {
-            let s = &d.summary;
-            println!(
-                "smn-lint --deep: {} function(s), {} edge(s), {} unresolved, {} external; \
-                 {} det endpoint(s); {} panic-reachable public API(s); {} unused public API(s)",
-                s.functions,
-                s.edges,
-                s.unresolved,
-                s.external,
-                s.det_endpoints,
-                s.panic_per_crate.values().sum::<usize>(),
-                s.unused_public.len()
-            );
-        }
+        print!("{}", render(&report, summary));
     }
     if report.failed() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// The text the front end prints: the report, then the deep summary
+/// line when the deep pass ran.
+#[must_use]
+pub fn render(report: &Report, deep: Option<&DeepSummary>) -> String {
+    let mut out = report.render();
+    if let Some(s) = deep {
+        out.push_str(&format!(
+            "smn-lint --deep: {} function(s), {} edge(s), {} unresolved, {} external; \
+             {} det endpoint(s); {} panic-reachable public API(s); {} unused public API(s)\n",
+            s.functions,
+            s.edges,
+            s.unresolved,
+            s.external,
+            s.det_endpoints,
+            s.panic_per_crate.values().sum::<usize>(),
+            s.unused_public.len()
+        ));
+    }
+    out
+}
+
+/// The JSON the front end prints under `--json`: the report alone, or the
+/// report and the deep summary when the deep pass ran.
+#[must_use]
+pub fn render_json(report: &Report, deep: Option<&DeepSummary>) -> String {
+    match deep {
+        Some(s) => {
+            let root = Value::Map(vec![
+                ("report".to_string(), report.to_value()),
+                ("deep".to_string(), s.to_value()),
+            ]);
+            serde_json::to_string_pretty(&root).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
+        }
+        None => report.to_json(),
     }
 }

@@ -1,13 +1,15 @@
-//! Rule configuration: which rules run at which level over which paths.
+//! The deep pass's rules and the path scopes they apply over.
 //!
-//! The compiled-in [`Config::default`] encodes the SMN invariants from the
-//! lint charter; a repo can override levels and path scopes by committing
-//! an `.smn-lint.json` at the workspace root (the shape is this module's
-//! serde model). Every rule can also be waived in-source with an
-//! annotation comment:
+//! The per-line rules (panics in library code, wall-clock reads, hash
+//! containers on deterministic paths, narrowing casts, waivers without a
+//! reason) are clippy lints declared in the source; DESIGN.md §7 maps them.
+//! [`Config::default`] holds the scopes the call-graph analyses need, and
+//! a test holds its deterministic paths equal to the files that deny
+//! `clippy::disallowed_types`. A deep-pass finding can be waived in-source
+//! with an annotation comment:
 //!
 //! ```text
-//! // smn-lint: allow(determinism/wall-clock) -- benches report wall time
+//! // smn-lint: allow(deep/determinism-taint) -- timing stays in the profile registry
 //! ```
 //!
 //! which covers the next item (through its closing brace) or, as a
@@ -15,57 +17,10 @@
 //! the whole file. Annotations must carry a `-- reason`; a bare allow is
 //! itself a deny-level finding, so waivers stay auditable.
 
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
-
 use crate::diag::Level;
 
-/// Every rule the source engine knows, with its charter default.
-pub const SOURCE_RULES: &[(&str, Level, &str)] = &[
-    (
-        "determinism/unseeded-rng",
-        Level::Deny,
-        "entropy-seeded RNGs (thread_rng, from_entropy, OsRng) break replayable campaigns",
-    ),
-    (
-        "determinism/wall-clock",
-        Level::Deny,
-        "SystemTime / Instant::now make runs time-dependent; derive time from simulation clocks",
-    ),
-    (
-        "determinism/hash-iter",
-        Level::Deny,
-        "HashMap/HashSet iteration order leaks into outputs on deterministic simulation paths",
-    ),
-    ("panic/unwrap", Level::Deny, ".unwrap() in library code panics on fallible paths"),
-    ("panic/expect", Level::Deny, ".expect() in library code panics on fallible paths"),
-    (
-        "panic/panic-macro",
-        Level::Deny,
-        "panic!/unreachable!/todo!/unimplemented! in library code aborts the control plane",
-    ),
-    (
-        "casts/narrowing",
-        Level::Deny,
-        "unchecked `as` narrowing in telemetry ingest / TE hot paths silently truncates",
-    ),
-    (
-        "annotation/missing-reason",
-        Level::Deny,
-        "smn-lint allow annotations must carry a `-- reason`",
-    ),
-    ("annotation/unknown-rule", Level::Deny, "allow annotation names a rule that does not exist"),
-    (
-        "source/unparsed",
-        Level::Deny,
-        "a source file could not be read or lexed, so its rules went unchecked",
-    ),
-];
-
 /// Every rule of the deep (whole-workspace call-graph) pass, with its
-/// charter default. These are known for annotation validation even when
-/// `--deep` is not running, so waivers never rot into unknown-rule denies.
+/// charter level.
 pub const DEEP_RULES: &[(&str, Level, &str)] = &[
     (
         "deep/determinism-taint",
@@ -103,6 +58,17 @@ pub const DEEP_RULES: &[(&str, Level, &str)] = &[
         Level::Warn,
         "a call site matched several workspace candidates; the graph cannot pick one",
     ),
+    (
+        "source/unparsed",
+        Level::Deny,
+        "a source file could not be read or lexed, so the deep pass did not see it",
+    ),
+    (
+        "annotation/missing-reason",
+        Level::Deny,
+        "smn-lint allow annotations must carry a `-- reason`",
+    ),
+    ("annotation/unknown-rule", Level::Deny, "allow annotation names a rule that does not exist"),
 ];
 
 /// Rule identifiers of the artifact engine (levels are not configurable:
@@ -151,30 +117,23 @@ pub const ARTIFACT_RULES: &[&str] = &[
     "artifact/coarse-log-samples",
 ];
 
-/// The lint configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The path scopes of the deep pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
-    /// Per-rule level overrides (rule id -> level). Rules absent here run
-    /// at their charter default.
-    pub levels: BTreeMap<String, Level>,
     /// Path prefixes (workspace-relative, `/`-separated) whose files are
-    /// *deterministic simulation paths*: `determinism/hash-iter` applies
-    /// only here.
+    /// *deterministic simulation paths*, the endpoints of the determinism
+    /// taint analysis. Each denies `clippy::disallowed_types` in source.
     pub deterministic_paths: Vec<String>,
-    /// Path prefixes where `casts/narrowing` applies (telemetry ingest and
-    /// TE hot paths).
-    pub cast_paths: Vec<String>,
     /// Path prefixes exempt from the panic rules (binaries, benches, the
     /// operator CLI — crashing loudly is their correct failure mode).
     pub panic_exempt: Vec<String>,
-    /// Path prefixes never scanned at all.
+    /// Path prefixes never analyzed at all.
     pub skip: Vec<String>,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Self {
-            levels: BTreeMap::new(),
             deterministic_paths: vec![
                 "crates/core/src/simulation.rs".into(),
                 "crates/core/src/stream.rs".into(),
@@ -188,11 +147,6 @@ impl Default for Config {
                 "crates/perf/src/report.rs".into(),
                 "crates/telemetry/src/".into(),
                 "crates/topology/src/stack.rs".into(),
-            ],
-            cast_paths: vec![
-                "crates/telemetry/src/".into(),
-                "crates/te/src/".into(),
-                "crates/datalake/src/ingest.rs".into(),
             ],
             panic_exempt: vec![
                 "crates/bench/".into(),
@@ -209,48 +163,27 @@ impl Default for Config {
     }
 }
 
+/// The charter level of a deep-pass rule; an unknown id is a deny.
+#[must_use]
+pub fn level(rule: &str) -> Level {
+    DEEP_RULES.iter().find(|(id, _, _)| *id == rule).map_or(Level::Deny, |&(_, l, _)| l)
+}
+
+/// True when `rule` names a known deep or artifact rule (used to validate
+/// allow annotations).
+#[must_use]
+pub fn known_rule(rule: &str) -> bool {
+    DEEP_RULES.iter().any(|(id, _, _)| *id == rule)
+        || ARTIFACT_RULES.contains(&rule)
+        || rule == "all"
+}
+
 impl Config {
-    /// Load the configuration for a workspace root: `.smn-lint.json` when
-    /// present, the compiled-in defaults otherwise. A malformed config
-    /// file is an error (silently falling back would un-gate CI).
-    pub fn load(root: &std::path::Path) -> Result<Self, String> {
-        let path = root.join(".smn-lint.json");
-        match std::fs::read_to_string(&path) {
-            Ok(text) => serde_json::from_str(&text)
-                .map_err(|e| format!("{}: malformed lint config: {e}", path.display())),
-            Err(_) => Ok(Self::default()),
-        }
-    }
-
-    /// The active level for a source rule, `None` when the rule id is
-    /// unknown.
-    #[must_use]
-    pub fn level(&self, rule: &str) -> Option<Level> {
-        if let Some(&l) = self.levels.get(rule) {
-            return Some(l);
-        }
-        SOURCE_RULES
-            .iter()
-            .chain(DEEP_RULES.iter())
-            .find(|(id, _, _)| *id == rule)
-            .map(|&(_, l, _)| l)
-    }
-
-    /// True when `rule` names a known source, deep, or artifact rule
-    /// (used to validate allow annotations).
-    #[must_use]
-    pub fn known_rule(&self, rule: &str) -> bool {
-        SOURCE_RULES.iter().any(|(id, _, _)| *id == rule)
-            || DEEP_RULES.iter().any(|(id, _, _)| *id == rule)
-            || ARTIFACT_RULES.contains(&rule)
-            || rule == "all"
-    }
-
     fn matches_any(path: &str, prefixes: &[String]) -> bool {
         prefixes.iter().any(|p| path.starts_with(p.as_str()))
     }
 
-    /// Is `path` (workspace-relative) scanned at all?
+    /// Is `path` (workspace-relative) analyzed at all?
     #[must_use]
     pub fn scanned(&self, path: &str) -> bool {
         !Self::matches_any(path, &self.skip)
@@ -260,12 +193,6 @@ impl Config {
     #[must_use]
     pub fn is_deterministic_path(&self, path: &str) -> bool {
         Self::matches_any(path, &self.deterministic_paths)
-    }
-
-    /// Does `casts/narrowing` apply to `path`?
-    #[must_use]
-    pub fn is_cast_path(&self, path: &str) -> bool {
-        Self::matches_any(path, &self.cast_paths)
     }
 
     /// Do the panic rules apply to `path`? Library code only: binaries
@@ -287,22 +214,19 @@ impl Config {
 
 #[cfg(test)]
 mod tests {
+    use std::path::{Path, PathBuf};
+
     use super::*;
 
     #[test]
     fn charter_defaults_resolve() {
-        let c = Config::default();
-        assert_eq!(c.level("panic/unwrap"), Some(Level::Deny));
-        assert_eq!(c.level("nonsense/rule"), None);
-        assert!(c.known_rule("artifact/dangling-edge"));
-        assert!(!c.known_rule("artifact/bogus"));
-    }
-
-    #[test]
-    fn overrides_win() {
-        let mut c = Config::default();
-        c.levels.insert("panic/expect".into(), Level::Warn);
-        assert_eq!(c.level("panic/expect"), Some(Level::Warn));
+        assert_eq!(level("deep/unresolved-call"), Level::Warn);
+        assert_eq!(level("source/unparsed"), Level::Deny);
+        assert_eq!(level("nonsense/rule"), Level::Deny);
+        assert!(known_rule("artifact/dangling-edge"));
+        assert!(known_rule("annotation/missing-reason"));
+        assert!(!known_rule("artifact/bogus"));
+        assert!(!known_rule("panic/unwrap"));
     }
 
     #[test]
@@ -311,7 +235,6 @@ mod tests {
         assert!(c.is_deterministic_path("crates/telemetry/src/chaos.rs"));
         assert!(c.is_deterministic_path("crates/obs/src/trace.rs"));
         assert!(!c.is_deterministic_path("crates/te/src/mcf.rs"));
-        assert!(c.is_cast_path("crates/te/src/mcf.rs"));
         assert!(c.panic_rules_apply("crates/core/src/bwlogs.rs"));
         assert!(!c.panic_rules_apply("crates/bench/src/bin/table2.rs"));
         assert!(!c.panic_rules_apply("crates/cli/src/commands.rs"));
@@ -319,10 +242,54 @@ mod tests {
         assert!(!c.scanned("vendor/rand/src/lib.rs"));
     }
 
+    fn workspace_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// Workspace-relative paths of the files under `crates/` whose inner
+    /// attributes deny `lint`; a library root stands for its `src/` tree.
+    fn files_denying(lint: &str) -> Vec<String> {
+        let root = workspace_root();
+        let (mut files, mut errors) = (Vec::new(), Vec::new());
+        crate::deep::collect_rs(&root.join("crates"), &mut files, &mut errors);
+        assert!(errors.is_empty(), "{errors:?}");
+        let mut out: Vec<String> = files
+            .iter()
+            .filter(|path| {
+                std::fs::read_to_string(path)
+                    .unwrap()
+                    .lines()
+                    .any(|l| l.starts_with("#![") && l.contains("deny(") && l.contains(lint))
+            })
+            .map(|path| {
+                let rel = path.strip_prefix(&root).unwrap().to_string_lossy().into_owned();
+                rel.strip_suffix("lib.rs").map_or(rel.clone(), str::to_string)
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
     #[test]
-    fn config_json_roundtrips() {
-        let c = Config::default();
-        let back: Config = serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
-        assert_eq!(back, c);
+    fn deterministic_paths_are_the_files_denying_hash_containers() {
+        assert_eq!(
+            files_denying("clippy::disallowed_types"),
+            Config::default().deterministic_paths
+        );
+    }
+
+    #[test]
+    fn panic_scope_is_the_library_roots_denying_the_panic_family() {
+        let (c, root) = (Config::default(), workspace_root());
+        let mut libs: Vec<String> = std::fs::read_dir(root.join("crates"))
+            .unwrap()
+            .map(|e| format!("crates/{}/src/lib.rs", e.unwrap().file_name().to_string_lossy()))
+            .filter(|lib| root.join(lib).is_file() && c.panic_rules_apply(lib))
+            .map(|lib| lib.replace("lib.rs", ""))
+            .collect();
+        libs.sort();
+        for lint in ["clippy::unwrap_used", "clippy::unimplemented"] {
+            assert_eq!(files_denying(lint), libs, "{lint}");
+        }
     }
 }

@@ -14,21 +14,25 @@
 //! `callgraph.json`'s `unresolved` array but not reported; the graph's
 //! blind spots are part of the artifact, never silently dropped.
 //!
+//! The pass also denies what would leave part of the tree unchecked:
+//! files and directories it cannot read or lex (`source/unparsed`) and
+//! malformed or unknown-rule allow annotations (`annotation/*`).
+//!
 //! [`analyze_files`] is pure over `(path, source)` pairs so tests and
 //! the fixture corpus can run the whole pass in memory; pairs under
 //! `periodbench/` and `examples/` only root the unused-public report;
 //! [`analyze_workspace`] is the filesystem wrapper the CLI uses.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
-use crate::config::Config;
-use crate::diag::{Diagnostic, Level, Report};
+use crate::config::{self, Config};
+use crate::diag::{Diagnostic, Report};
 use crate::graph::{self, CallGraph};
 use crate::reach::{self, Witness};
-use crate::{locks, source, taint, unused};
+use crate::{locks, taint, unused};
 
 /// Rule id for ambiguous call sites.
 pub const UNRESOLVED_RULE: &str = "deep/unresolved-call";
@@ -95,45 +99,6 @@ pub struct DeepResult {
     pub callgraph_json: String,
 }
 
-impl DeepResult {
-    /// Human rendering: findings plus the summary lines.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for d in &self.report.findings {
-            out.push_str(&d.render());
-            out.push('\n');
-        }
-        let s = &self.summary;
-        out.push_str(&format!(
-            "smn-lint --deep: {} function(s), {} edge(s), {} unresolved, {} external\n",
-            s.functions, s.edges, s.unresolved, s.external
-        ));
-        out.push_str(&format!(
-            "  determinism: {} endpoint(s) checked; panic-reachable public APIs: {}; \
-             unused public APIs: {}\n",
-            s.det_endpoints,
-            s.panic_per_crate.values().sum::<usize>(),
-            s.unused_public.len()
-        ));
-        out.push_str(&format!(
-            "  findings: {} deny, {} warn\n",
-            self.report.deny, self.report.warn
-        ));
-        out
-    }
-
-    /// JSON rendering: the findings report wrapped with the summary.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let root = Value::Map(vec![
-            ("report".to_string(), self.report.to_value()),
-            ("summary".to_string(), self.summary.to_value()),
-        ]);
-        serde_json::to_string_pretty(&root).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-    }
-}
-
 /// Run the deep pass over in-memory `(path, source)` pairs.
 #[must_use]
 pub fn analyze_files(files: &[(String, String)], cfg: &Config, opts: &DeepOptions) -> DeepResult {
@@ -142,18 +107,19 @@ pub fn analyze_files(files: &[(String, String)], cfg: &Config, opts: &DeepOption
     let g = graph::build(&workspace, cfg);
     let mut findings = Vec::new();
 
-    let (taint_findings, det_endpoints) = taint::run(&g, cfg);
+    let (taint_findings, det_endpoints) = taint::run(&g);
     findings.extend(taint_findings);
 
-    let reach = reach::run(&g, cfg, opts.baseline.as_ref());
+    let reach = reach::run(&g, opts.baseline.as_ref());
     findings.extend(reach.findings);
 
-    findings.extend(locks::run(&g, cfg));
-    findings.extend(unresolved_findings(&g, cfg));
+    findings.extend(locks::run(&g));
+    findings.extend(unresolved_findings(&g));
 
     let rooted = (workspace.len() < files.len()).then(|| graph::build(files, cfg));
-    let unused = unused::run(&g, rooted.as_ref(), cfg, opts.unused_baseline.as_ref());
+    let unused = unused::run(&g, rooted.as_ref(), opts.unused_baseline.as_ref());
     findings.extend(unused.findings);
+    findings.extend(rooted.as_ref().unwrap_or(&g).file_findings.iter().cloned());
 
     let summary = DeepSummary {
         functions: g.nodes.len(),
@@ -166,36 +132,68 @@ pub fn analyze_files(files: &[(String, String)], cfg: &Config, opts: &DeepOption
         unused_per_crate: unused.per_crate,
         unused_public: unused.unused,
     };
-    DeepResult {
-        report: Report::from_findings(findings),
-        summary,
-        callgraph_json: g.to_canonical_json(),
-    }
+    let mut report = Report::from_findings(findings);
+    report.files_scanned = files.len();
+    DeepResult { report, summary, callgraph_json: g.to_canonical_json() }
 }
 
 /// Run the deep pass over the workspace at `root`.
 #[must_use]
 pub fn analyze_workspace(root: &Path, cfg: &Config, opts: &DeepOptions) -> DeepResult {
+    let rel = |path: &Path| {
+        path.strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace(std::path::MAIN_SEPARATOR, "/")
+    };
     let mut paths = Vec::new();
     let mut dir_errors = Vec::new();
     for dir in ["crates", "periodbench/src", "examples"] {
-        source::collect_rs(&root.join(dir), &mut paths, &mut dir_errors);
+        collect_rs(&root.join(dir), &mut paths, &mut dir_errors);
     }
     paths.sort();
+    // What cannot be read is an unknown amount of unchecked code: report
+    // it, so a partial pass cannot masquerade as a clean one.
+    let mut unread: Vec<Diagnostic> = dir_errors
+        .iter()
+        .map(|(dir, e)| unparsed(&rel(dir), format!("cannot read directory: {e}")))
+        .collect();
     let mut files = Vec::new();
     for path in paths {
-        let rel: String = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace(std::path::MAIN_SEPARATOR, "/");
-        if let Ok(src) = std::fs::read_to_string(&path) {
-            files.push((rel, src));
+        let rel = rel(&path);
+        match std::fs::read_to_string(&path) {
+            Ok(src) => files.push((rel, src)),
+            Err(e) => unread.push(unparsed(&rel, format!("cannot read file: {e}"))),
         }
-        // Unreadable files/dirs are the source engine's `source/unparsed`
-        // findings; the deep pass analyzes what is readable.
     }
-    analyze_files(&files, cfg, opts)
+    let mut result = analyze_files(&files, cfg, opts);
+    result.report.merge(Report::from_findings(unread));
+    result
+}
+
+/// A `source/unparsed` finding for a whole file or directory.
+fn unparsed(file: &str, message: String) -> Diagnostic {
+    Diagnostic::new(graph::UNPARSED_RULE, config::level(graph::UNPARSED_RULE), file, 0, 0, message)
+}
+
+/// Recursively collect `.rs` files under `dir`. A directory that cannot
+/// be read is pushed onto `errors` instead of being silently skipped.
+pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>, errors: &mut Vec<(PathBuf, String)>) {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) => {
+            errors.push((dir.to_path_buf(), e.to_string()));
+            return;
+        }
+    };
+    for entry in entries.flatten() {
+        let p = entry.path();
+        if p.is_dir() {
+            collect_rs(&p, out, errors);
+        } else if p.extension().is_some_and(|x| x == "rs") {
+            out.push(p);
+        }
+    }
 }
 
 /// Nodes whose behavior the analyses care about: the function itself, or
@@ -221,8 +219,8 @@ fn consequential_nodes(g: &CallGraph) -> Vec<bool> {
 }
 
 /// Warn findings for the consequential part of the unresolved bucket.
-fn unresolved_findings(g: &CallGraph, cfg: &Config) -> Vec<Diagnostic> {
-    let level = cfg.level(UNRESOLVED_RULE).unwrap_or(Level::Warn);
+fn unresolved_findings(g: &CallGraph) -> Vec<Diagnostic> {
+    let level = config::level(UNRESOLVED_RULE);
     let consequential = consequential_nodes(g);
     let mut findings = Vec::new();
     for u in &g.unresolved {
@@ -265,6 +263,7 @@ fn unresolved_findings(g: &CallGraph, cfg: &Config) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::Level;
 
     fn files(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
         pairs.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect()
@@ -282,8 +281,10 @@ mod tests {
         let cfg = Config::default();
         let a = analyze_files(&fs, &cfg, &DeepOptions::default());
         let b = analyze_files(&fs, &cfg, &DeepOptions::default());
-        assert_eq!(a.render(), b.render());
-        assert_eq!(a.to_json(), b.to_json());
+        let render = |r: &DeepResult| crate::cli::render(&r.report, Some(&r.summary));
+        let json = |r: &DeepResult| crate::cli::render_json(&r.report, Some(&r.summary));
+        assert_eq!(render(&a), render(&b));
+        assert_eq!(json(&a), json(&b));
         assert_eq!(a.callgraph_json, b.callgraph_json);
         assert!(a.report.findings.iter().any(|d| d.rule == taint::RULE));
     }
@@ -330,6 +331,78 @@ mod tests {
         assert!(r.report.findings.iter().all(|d| d.rule != UNRESOLVED_RULE));
         assert_eq!(r.summary.unresolved, 1);
         assert!(r.callgraph_json.contains("\"unresolved\""));
+    }
+
+    /// The rules of `r`'s findings, less the unused-public warns that a
+    /// tree without roots raises on every public fn.
+    fn rules_of(r: &DeepResult) -> Vec<&str> {
+        r.report.findings.iter().map(|d| d.rule.as_str()).filter(|&d| d != unused::RULE).collect()
+    }
+
+    #[test]
+    fn a_file_that_does_not_lex_is_denied() {
+        let r = analyze_files(
+            &files(&[
+                ("crates/core/src/lib.rs", "pub fn a() {}\n"),
+                ("crates/core/src/broken.rs", "pub fn b() -> &'static str {\n    \"open\n}\n"),
+            ]),
+            &Config::default(),
+            &DeepOptions::default(),
+        );
+        assert_eq!(rules_of(&r), vec!["source/unparsed"]);
+        let d = &r.report.findings[0];
+        assert_eq!((d.file.as_str(), d.level), ("crates/core/src/broken.rs", Level::Deny));
+        assert!(d.message.contains("unterminated"), "{}", d.message);
+        assert_eq!(r.summary.functions, 1);
+    }
+
+    #[test]
+    fn an_annotation_without_a_reason_is_denied_and_waives_nothing() {
+        let r = analyze_files(
+            &files(&[(
+                "crates/core/src/lib.rs",
+                "// smn-lint: allow(deep/panic-reachability)\npub fn f(v: Vec<u8>) -> u8 { v[0] }\n",
+            )]),
+            &Config::default(),
+            &DeepOptions::default(),
+        );
+        assert_eq!(rules_of(&r), vec!["annotation/missing-reason", reach::RULE]);
+        assert_eq!(r.report.findings[0].level, Level::Deny);
+        assert_eq!(r.report.findings[0].line, 1);
+    }
+
+    #[test]
+    fn an_annotation_naming_an_unknown_rule_is_denied() {
+        let r = analyze_files(
+            &files(&[(
+                "crates/core/src/lib.rs",
+                "// smn-lint: allow(panic/unwrap) -- the per-line rules are clippy's now\n\
+                 pub fn f() {}\n",
+            )]),
+            &Config::default(),
+            &DeepOptions::default(),
+        );
+        assert_eq!(rules_of(&r), vec!["annotation/unknown-rule"]);
+        assert_eq!(r.report.findings[0].level, Level::Deny);
+        assert!(r.report.findings[0].message.contains("`panic/unwrap`"));
+    }
+
+    #[test]
+    fn unreadable_crates_dir_is_reported_not_skipped() {
+        // A root whose `crates` entry is a plain file: read_dir fails, and
+        // the failure must surface as a finding instead of a clean pass.
+        let root = std::env::temp_dir().join("smn-lint-unreadable-dir-test");
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).expect("create test root");
+        std::fs::write(root.join("crates"), b"not a directory").expect("write blocker file");
+        let r = analyze_workspace(&root, &Config::default(), &DeepOptions::default());
+        let _ = std::fs::remove_dir_all(&root);
+        let crates: Vec<&Diagnostic> =
+            r.report.findings.iter().filter(|d| d.file == "crates").collect();
+        assert_eq!(crates.len(), 1, "{:?}", r.report.findings);
+        assert_eq!(crates[0].rule, "source/unparsed");
+        assert!(crates[0].message.contains("cannot read directory"), "{}", crates[0].message);
+        assert!(r.report.failed());
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub struct Report {
     pub deny: usize,
     /// Number of warn-level findings.
     pub warn: usize,
-    /// Files analyzed by the source engine.
+    /// Source files read by the deep pass.
     pub files_scanned: usize,
     /// Artifact files checked by the artifact engine.
     pub artifacts_checked: usize,

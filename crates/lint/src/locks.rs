@@ -21,8 +21,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::config::Config;
-use crate::diag::{Diagnostic, Level};
+use crate::config;
+use crate::diag::Diagnostic;
 use crate::graph::CallGraph;
 
 /// Rule id for lock-order cycles.
@@ -45,14 +45,14 @@ struct OrderEdge {
 
 /// Run both concurrency rules.
 #[must_use]
-pub fn run(graph: &CallGraph, cfg: &Config) -> Vec<Diagnostic> {
-    let mut findings = scope_order(graph, cfg);
-    findings.extend(lock_cycles(graph, cfg));
+pub fn run(graph: &CallGraph) -> Vec<Diagnostic> {
+    let mut findings = scope_order(graph);
+    findings.extend(lock_cycles(graph));
     findings
 }
 
-fn scope_order(graph: &CallGraph, cfg: &Config) -> Vec<Diagnostic> {
-    let level = cfg.level(SCOPE_RULE).unwrap_or(Level::Deny);
+fn scope_order(graph: &CallGraph) -> Vec<Diagnostic> {
+    let level = config::level(SCOPE_RULE);
     let mut findings = Vec::new();
     for m in &graph.scope_mutations {
         let node = &graph.nodes[m.node];
@@ -85,8 +85,8 @@ fn scope_order(graph: &CallGraph, cfg: &Config) -> Vec<Diagnostic> {
     findings
 }
 
-fn lock_cycles(graph: &CallGraph, cfg: &Config) -> Vec<Diagnostic> {
-    let level = cfg.level(CYCLE_RULE).unwrap_or(Level::Deny);
+fn lock_cycles(graph: &CallGraph) -> Vec<Diagnostic> {
+    let level = config::level(CYCLE_RULE);
     let adj = graph.out_adjacency();
 
     // Transitive lock sets per node (locks acquired here or in any
@@ -268,14 +268,14 @@ fn dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
+    use crate::diag::Level;
     use crate::graph;
 
     fn analyze(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         let owned: Vec<(String, String)> =
             files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
-        let cfg = Config::default();
-        let g = graph::build(&owned, &cfg);
-        run(&g, &cfg)
+        run(&graph::build(&owned, &Config::default()))
     }
 
     const CYCLIC: &str = "pub struct Store { a: Mutex<u64>, b: Mutex<u64> }\n\

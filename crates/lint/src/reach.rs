@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::Config;
+use crate::config;
 use crate::diag::{Diagnostic, Level};
 use crate::graph::extract::PanicKind;
 use crate::graph::CallGraph;
@@ -89,30 +89,19 @@ pub fn render_baseline(header: &str, per_crate: &BTreeMap<String, usize>) -> Str
 /// Run the analysis. `baseline` is `Some` when a committed
 /// `panic-baseline.txt` is in force.
 #[must_use]
-pub fn run(
-    graph: &CallGraph,
-    cfg: &Config,
-    baseline: Option<&BTreeMap<String, usize>>,
-) -> ReachResult {
+pub fn run(graph: &CallGraph, baseline: Option<&BTreeMap<String, usize>>) -> ReachResult {
     let n = graph.nodes.len();
     let adj = graph.out_adjacency();
     let radj = graph.in_adjacency();
 
-    // Unwaived local sites per node. Existing per-file panic waivers
-    // (panic/unwrap, …) and deep waivers at the site line both count —
-    // a site the charter already blessed is not re-litigated here.
+    // Unwaived local sites per node. A deep waiver at the site line, or a
+    // clippy waiver of the lint that denies the site, blesses it: a site
+    // the charter already blessed is not re-litigated here.
     let mut local: Vec<Vec<(PanicKind, u32, u32)>> = vec![Vec::new(); n];
     for (i, node) in graph.nodes.iter().enumerate() {
         for p in &node.panics {
-            let per_file_rule = match p.kind {
-                PanicKind::Macro => Some("panic/panic-macro"),
-                PanicKind::Unwrap => Some("panic/unwrap"),
-                PanicKind::Expect => Some("panic/expect"),
-                PanicKind::Assert | PanicKind::Index => None,
-            };
-            let waived = per_file_rule.is_some_and(|r| graph.waived(&node.file, r, p.line))
-                || graph.waived(&node.file, RULE, p.line);
-            if !waived {
+            let waived = |rule: &str| graph.waived(&node.file, rule, p.line);
+            if !waived(RULE) && !p.kind.lints().iter().any(|lint| waived(lint)) {
                 local[i].push((p.kind, p.line, p.col));
             }
         }
@@ -176,7 +165,7 @@ pub fn run(
             }
         }
         Some(base) => {
-            let level = cfg.level(BASELINE_RULE).unwrap_or(Level::Deny);
+            let level = config::level(BASELINE_RULE);
             for (krate, &count) in &per_crate {
                 let allowed = base.get(krate).copied().unwrap_or(0);
                 if count <= allowed {
@@ -273,14 +262,13 @@ fn witness_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
     use crate::graph;
 
     fn analyze(files: &[(&str, &str)], baseline: Option<&BTreeMap<String, usize>>) -> ReachResult {
         let owned: Vec<(String, String)> =
             files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
-        let cfg = Config::default();
-        let g = graph::build(&owned, &cfg);
-        run(&g, &cfg, baseline)
+        run(&graph::build(&owned, &Config::default()), baseline)
     }
 
     const TREE: &[(&str, &str)] = &[

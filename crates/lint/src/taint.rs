@@ -16,8 +16,8 @@
 
 use std::collections::VecDeque;
 
-use crate::config::Config;
-use crate::diag::{Diagnostic, Level};
+use crate::config;
+use crate::diag::Diagnostic;
 use crate::graph::CallGraph;
 
 /// Rule id for tainted deterministic paths.
@@ -26,9 +26,9 @@ pub const RULE: &str = "deep/determinism-taint";
 /// Run the taint analysis. Returns findings plus the number of
 /// deterministic endpoints checked.
 #[must_use]
-pub fn run(graph: &CallGraph, cfg: &Config) -> (Vec<Diagnostic>, usize) {
+pub fn run(graph: &CallGraph) -> (Vec<Diagnostic>, usize) {
     let adj = graph.out_adjacency();
-    let level = cfg.level(RULE).unwrap_or(Level::Deny);
+    let level = config::level(RULE);
     let mut findings = Vec::new();
     let mut checked = 0usize;
 
@@ -108,14 +108,13 @@ fn chain_to(parent: &[Option<usize>], start: usize, end: usize, graph: &CallGrap
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
     use crate::graph;
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         let owned: Vec<(String, String)> =
             files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
-        let cfg = Config::default();
-        let g = graph::build(&owned, &cfg);
-        run(&g, &cfg).0
+        run(&graph::build(&owned, &Config::default())).0
     }
 
     #[test]

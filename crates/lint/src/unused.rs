@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::config::Config;
+use crate::config;
 use crate::diag::{Diagnostic, Level};
 use crate::graph::{CallGraph, Node};
 
@@ -57,7 +57,6 @@ pub(crate) struct UnusedResult {
 pub(crate) fn run(
     graph: &CallGraph,
     rooted: Option<&CallGraph>,
-    cfg: &Config,
     baseline: Option<&BTreeMap<String, usize>>,
 ) -> UnusedResult {
     let in_examples = |n: &Node| n.file.contains("/examples/");
@@ -94,7 +93,7 @@ pub(crate) fn run(
             })
             .collect(),
         Some(base) => {
-            let level = cfg.level(RULE).unwrap_or(Level::Deny);
+            let level = config::level(RULE);
             let mut findings = Vec::new();
             for (krate, &count) in &per_crate {
                 let allowed = base.get(krate).copied().unwrap_or(0);
@@ -157,13 +156,13 @@ fn reached_ids(g: &CallGraph, root: impl Fn(&Node) -> bool) -> BTreeSet<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
     use crate::graph;
 
     fn analyze(files: &[(&str, &str)], baseline: Option<&BTreeMap<String, usize>>) -> UnusedResult {
         let owned: Vec<(String, String)> =
             files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
-        let cfg = Config::default();
-        run(&graph::build(&owned, &cfg), None, &cfg, baseline)
+        run(&graph::build(&owned, &Config::default()), None, baseline)
     }
 
     const TREE: &[(&str, &str)] = &[

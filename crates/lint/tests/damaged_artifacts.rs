@@ -177,7 +177,7 @@ proptest! {
         let n = text.chars().count();
         // Truncation strictly inside the document always leaves it
         // unreadable; a replacement may or may not.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_precision_loss)]
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_precision_loss, reason = "a fraction of a document's length, clamped to it")]
         let at = ((pos * n as f64) as usize).min(n.saturating_sub(2));
         let damaged = damage(text, at, truncate == 1, REPLACEMENTS[pick_char]);
         let findings = check_str(name, &damaged);

@@ -28,6 +28,9 @@
 //! under 2%).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 pub mod audit;
 pub mod clock;
@@ -67,7 +70,10 @@ pub struct Obs {
 // The three state mutexes are deliberately elided: dumping thousands of
 // recorded events through `Debug` would make every instrumented struct's
 // own `Debug` output unreadable.
-#[allow(clippy::missing_fields_in_debug)]
+#[allow(
+    clippy::missing_fields_in_debug,
+    reason = "the state mutexes are elided on purpose, see above"
+)]
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Obs").field("enabled", &self.enabled).finish()

@@ -66,7 +66,7 @@ impl Histogram {
 
     /// Mean of all observations (0 when empty).
     #[must_use]
-    #[allow(clippy::cast_precision_loss)] // observation counts stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "observation counts stay far below 2^52")]
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -79,8 +79,12 @@ impl Histogram {
     /// the bucket containing the `q`-th observation (the last finite bound
     /// for the overflow bucket; 0 when empty).
     #[must_use]
-    #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-    #[allow(clippy::cast_sign_loss)] // rank is clamped to [1, count]
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        reason = "observation counts stay far below 2^52"
+    )]
+    #[allow(clippy::cast_sign_loss, reason = "rank is clamped to [1, count]")]
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -166,7 +170,7 @@ impl MetricsState {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // exact literals round-trip exactly; no arithmetic involved
+#[allow(clippy::float_cmp, reason = "exact literals round-trip exactly; no arithmetic involved")]
 mod tests {
     use super::*;
 

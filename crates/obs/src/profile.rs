@@ -102,11 +102,11 @@ impl ProfileState {
         self.totals
             .iter()
             .map(|(path, t)| {
-                #[allow(clippy::cast_precision_loss)] // wall totals stay far below 2^52 ns
+                #[allow(clippy::cast_precision_loss, reason = "wall totals stay far below 2^52 ns")]
                 let total_ms = t.total_ns as f64 / NS_PER_MS;
-                #[allow(clippy::cast_precision_loss)]
+                #[allow(clippy::cast_precision_loss, reason = "counts stay far below 2^52")]
                 let mean_ms = if t.count == 0 { 0.0 } else { total_ms / t.count as f64 };
-                #[allow(clippy::cast_precision_loss)]
+                #[allow(clippy::cast_precision_loss, reason = "wall totals stay far below 2^52 ns")]
                 let worst_ms = t.max_ns as f64 / NS_PER_MS;
                 PhaseStat { path: path.clone(), count: t.count, total_ms, mean_ms, worst_ms }
             })
@@ -199,8 +199,8 @@ impl Obs {
     }
 
     /// The profiler's one wall-clock read, skipped on a disabled handle.
+    #[expect(clippy::disallowed_methods, reason = "totals never enter deterministic exports")]
     fn stopwatch(&self) -> Option<Instant> {
-        // smn-lint: allow(determinism/wall-clock) -- the profiler's sole wall read; totals never enter deterministic exports
         self.is_enabled().then(Instant::now)
     }
 }

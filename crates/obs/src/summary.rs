@@ -46,7 +46,7 @@ impl SpanNode {
     /// recorded, otherwise simulated seconds promoted to a comparable
     /// float (sim time ranks below any wall measurement of equal value
     /// only by convention — traces mix the two rarely).
-    #[allow(clippy::cast_precision_loss)] // sim durations stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "sim durations stay far below 2^52")]
     fn rank_key(&self) -> f64 {
         self.wall_ms.or_else(|| self.sim_secs().map(|s| s as f64)).unwrap_or(0.0)
     }
@@ -337,7 +337,7 @@ fn aggregate_to_value(agg: &SpanAggregate) -> Value {
 }
 
 #[cfg(test)]
-#[allow(clippy::cast_precision_loss)] // small literal loop indices
+#[allow(clippy::cast_precision_loss, reason = "small literal loop indices")]
 mod tests {
     use super::*;
     use crate::clock::SimClock;

@@ -64,7 +64,7 @@ impl FieldValue {
 
     /// The float value, if this field is numeric.
     #[must_use]
-    #[allow(clippy::cast_precision_loss)] // trace field magnitudes stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "trace field magnitudes stay far below 2^52")]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             FieldValue::U64(n) => Some(*n as f64),

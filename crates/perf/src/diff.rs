@@ -5,6 +5,7 @@
 //! the rows come out sorted by `(bench, kind, name)` — so the rendered
 //! output is byte-identical regardless of the order the input files were
 //! listed in, and diffing a report set against itself is empty.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use std::collections::{BTreeMap, BTreeSet};
 

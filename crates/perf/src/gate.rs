@@ -11,6 +11,7 @@
 //! Coverage may grow by whole benches but never silently: a bench or
 //! metric that vanished, and a metric the baseline does not carry yet,
 //! are both violations.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use std::collections::BTreeMap;
 
@@ -41,7 +42,7 @@ fn violation(bench: &str, kind: &str, name: &str, message: String) -> Violation 
 /// and so is a current metric the baseline of its bench lacks (it would
 /// otherwise never be compared).
 #[must_use]
-#[allow(clippy::float_cmp)] // deterministic counts gate on exact equality by design
+#[allow(clippy::float_cmp, reason = "deterministic counts gate on exact equality by design")]
 pub fn gate_reports(baseline: &[BenchReport], current: &[BenchReport]) -> Vec<Violation> {
     let mut c_ix: BTreeMap<&str, &BenchReport> = BTreeMap::new();
     for r in current {

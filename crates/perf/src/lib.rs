@@ -19,6 +19,8 @@
 //! writes its per-phase profile into the same `BenchReport` schema.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod diff;
 pub mod gate;

@@ -121,8 +121,8 @@ const HISTORY_EPOCHS: usize = 144;
 
 /// Run the suite.
 #[must_use]
-#[allow(clippy::cast_precision_loss)] // counts recorded as metrics stay far below 2^52
-#[allow(clippy::too_many_lines)] // linear suite script: one block per pipeline stage
+#[allow(clippy::cast_precision_loss, reason = "counts recorded as metrics stay far below 2^52")]
+#[allow(clippy::too_many_lines, reason = "linear suite script: one block per pipeline stage")]
 pub fn run(cfg: &RecordConfig) -> BenchReport {
     let mut report = BenchReport::new(
         &format!("perf_record_{}", cfg.scale.as_str()),

@@ -18,6 +18,7 @@
 //! Reports carry no wall-clock timestamps; run identity comes from the
 //! `seed`, the topology `scale`, and the `revision` string the caller
 //! passes (e.g. `git describe` via `smn perf record --revision`).
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use serde::{Deserialize, Serialize};
 use smn_topology::artifact::Violation;
@@ -77,7 +78,7 @@ impl Phase {
     /// reconstructed as `mean * count`, worst is the p99.
     #[must_use]
     pub fn from_wall_stats(path: &str, count: u64, mean_ms: f64, p99_ms: f64) -> Self {
-        #[allow(clippy::cast_precision_loss)] // sample counts stay far below 2^52
+        #[allow(clippy::cast_precision_loss, reason = "sample counts stay far below 2^52")]
         let total_ms = mean_ms * count as f64;
         Phase { path: path.to_string(), count, total_ms, mean_ms, worst_ms: p99_ms }
     }

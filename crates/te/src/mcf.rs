@@ -335,7 +335,7 @@ impl Columns {
 /// GK stage 1b: initial row lengths `delta / cap` (∞ for zero-capacity
 /// rows, which no column may then use).
 fn gk_lengths(caps: &[f64], eps: f64) -> Vec<f64> {
-    #[allow(clippy::cast_precision_loss)] // row counts stay far below 2^52
+    #[allow(clippy::cast_precision_loss, reason = "row counts stay far below 2^52")]
     let m = caps.len().max(2) as f64;
     let delta = (1.0 + eps) * ((1.0 + eps) * m).powf(-1.0 / eps);
     caps.iter().map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY }).collect()
@@ -354,13 +354,13 @@ fn column_key(len: f64, col: usize) -> u128 {
 }
 
 /// The column index of a [`column_key`].
-#[allow(clippy::cast_possible_truncation)] // the low 64 bits hold a usize index
+#[allow(clippy::cast_possible_truncation, reason = "the low 64 bits hold a usize index")]
 fn key_column(key: u128) -> usize {
     key as u64 as usize
 }
 
 /// The length of a [`column_key`].
-#[allow(clippy::cast_possible_truncation)] // the high 64 bits hold f64 bits
+#[allow(clippy::cast_possible_truncation, reason = "the high 64 bits hold f64 bits")]
 fn key_length(key: u128) -> f64 {
     f64::from_bits((key >> 64) as u64)
 }

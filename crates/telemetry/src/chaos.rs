@@ -226,7 +226,7 @@ impl ChaosInjector {
                 };
                 let shifted =
                     record.chaos_ts().0 as i128 + cfg.clock_skew_secs as i128 + jitter as i128;
-                record.set_chaos_ts(Ts(shifted.clamp(0, u64::MAX as i128) as u64));
+                record.set_chaos_ts(Ts(u64::try_from(shifted.max(0)).unwrap_or(u64::MAX)));
             }
 
             // 2. Loss.
@@ -271,7 +271,7 @@ impl ChaosInjector {
             self.obs.inc_by("telemetry_chaos_dropped_total", report.dropped as u64);
             self.obs.inc_by("telemetry_chaos_duplicated_total", report.duplicated as u64);
             self.obs.inc_by("telemetry_chaos_delayed_total", report.delayed as u64);
-            #[allow(clippy::cast_precision_loss)] // delays are bounded small
+            #[allow(clippy::cast_precision_loss, reason = "delays are bounded small")]
             self.obs.gauge("telemetry_chaos_max_delay_secs", report.max_observed_delay_secs as f64);
         }
         ChaosOutcome { records: delivered.into_iter().map(|(_, _, r)| r).collect(), report }
@@ -351,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::cast_precision_loss)] // small test magnitudes
+    #[allow(clippy::cast_precision_loss, reason = "small test magnitudes")]
     fn obs_counters_track_the_report() {
         let log = stream(500);
         let obs = Obs::enabled(smn_obs::clock::SimClock::new());

@@ -21,6 +21,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod chaos;
 pub mod delta;

@@ -121,7 +121,7 @@ impl MeanFold {
     /// `Σx / n`, or [`f64::NAN`] when that is any NaN; `None` before the
     /// first push.
     #[must_use]
-    #[allow(clippy::cast_precision_loss)] // a sample count is far below 2^53
+    #[allow(clippy::cast_precision_loss, reason = "a sample count is far below 2^53")]
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| canonical_nan(self.sum / self.count as f64))
     }
@@ -189,7 +189,7 @@ impl Fold {
 
     /// The population standard deviation; `None` before the first push.
     #[must_use]
-    #[allow(clippy::cast_precision_loss)] // a sample count is far below 2^53
+    #[allow(clippy::cast_precision_loss, reason = "a sample count is far below 2^53")]
     pub fn std(&self) -> Option<f64> {
         let n = self.unshifted.count as f64;
         let var = (self.shifted_squares - self.shifted_sum * self.shifted_sum / n) / n;
@@ -233,9 +233,9 @@ pub fn pair_key(src: u32, dst: u32) -> u64 {
 /// Inverse of [`pair_key`].
 #[inline]
 #[must_use]
-#[allow(clippy::cast_possible_truncation)] // each half is one `u32` by construction
+#[expect(clippy::cast_possible_truncation, reason = "each half of a `pair_key` is one `u32`")]
 pub fn key_pair(key: u64) -> (u32, u32) {
-    ((key >> 32) as u32, key as u32) // smn-lint: allow(casts/narrowing) -- halves of a `pair_key`
+    ((key >> 32) as u32, key as u32)
 }
 
 /// Selectable summary statistic.
@@ -604,6 +604,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 
 /// [`percentile_sorted`] without its contract checks: `p` in `[0, 100]`
 /// keeps both ranks in bounds, and an empty slice yields NaN.
+#[expect(clippy::cast_possible_truncation, reason = "both ranks lie in `[0, len - 1]`")]
 fn interpolate(sorted: &[f64], p: f64) -> f64 {
     if let [only] = sorted {
         return *only;
@@ -667,7 +668,7 @@ mod tests {
             .filter(|r| r.2)
             .map(|&(k, bits, _)| (k, value_key(f64::from_bits(bits))))
             .collect();
-        #[allow(clippy::stable_sort_primitive)] // the stable sort is what is under test
+        #[allow(clippy::stable_sort_primitive, reason = "the stable sort is what is under test")]
         keyed.sort();
         keyed
             .chunk_by(|a, b| a.0 == b.0)

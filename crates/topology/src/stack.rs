@@ -21,6 +21,7 @@
 //! the serialized form of a [`CrossLayerMap`] is the plain
 //! seq-of-seqs-of-indices its predecessor (`Vec<Vec<usize>>`) used, so
 //! existing topology artifacts keep their wire shape.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 use std::fmt;
 use std::marker::PhantomData;
