@@ -236,6 +236,20 @@ fn is_total_sorted(values: &[f64]) -> bool {
     values.is_sorted_by(|a, b| a.total_cmp(b).is_le())
 }
 
+/// The rule a `secs`-second window from `start` breaks in a log of
+/// `window`-second windows, `at` its path: it must be one aligned window of
+/// the log's size.
+fn window_violation(start: Ts, secs: u64, window: u64, at: &[Step]) -> Option<Violation> {
+    (secs != window || !start.0.is_multiple_of(window)).then(|| {
+        Violation::new(
+            "artifact/coarse-log-shape",
+            at,
+            format!("window {secs}s starting at {} is not a {window}s window of this log", start.0),
+            "every row of a coarse log covers one aligned window of the log's size",
+        )
+    })
+}
+
 /// Rules a coarse row breaks inside a log of `window`-second windows
 /// keeping `n_stats` statistics; `at` is the row's path.
 fn row_violations(
@@ -244,18 +258,8 @@ fn row_violations(
     n_stats: usize,
     at: &[Step],
 ) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if row.window_secs != window || !row.window_start.0.is_multiple_of(window) {
-        out.push(Violation::new(
-            "artifact/coarse-log-shape",
-            at,
-            format!(
-                "row window {}s starting at {} is not a {window}s window of this log",
-                row.window_secs, row.window_start.0
-            ),
-            "every row of a coarse log covers one aligned window of the log's size",
-        ));
-    }
+    let mut out: Vec<Violation> =
+        window_violation(row.window_start, row.window_secs, window, at).into_iter().collect();
     if row.values.len() != n_stats {
         out.push(Violation::new(
             "artifact/coarse-log-shape",
@@ -296,18 +300,166 @@ fn adaptive_log_shape(stable: u64, volatile: u64, stats: &[Statistic]) -> Option
     })
 }
 
-/// The open cells of an [`IncrementalCoarseLog`] as columns. Cell `i` is
-/// keyed `keys[i]`, `(window index, pair_key)`; its samples are
-/// `samples[ends[i - 1]..ends[i]]` (from 0 for the first cell), ascending
-/// under `f64::total_cmp`, so a dirty cell goes straight to
+// ---- column blocks -----------------------------------------------------
+
+/// Keys whose items end at strictly ascending offsets into a column: run
+/// `k` is key `keys[k]` over items `ends[k - 1]..ends[k]` (from 0 for the
+/// first). The open cells of an [`IncrementalCoarseLog`] run their keys
+/// over their samples; a [`ColumnBlock`] runs its keys over its items.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct Runs<K> {
+    keys: Vec<K>,
+    ends: Vec<usize>,
+}
+
+impl<K: Ord> Runs<K> {
+    /// Number of runs.
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// End the last run at `end` when it is keyed `key`, else push a run
+    /// of `key` ending there.
+    fn push(&mut self, key: K, end: usize) {
+        match (self.keys.last(), self.ends.last_mut()) {
+            (Some(last), Some(e)) if *last == key => *e = end,
+            _ => {
+                self.keys.push(key);
+                self.ends.push(end);
+            }
+        }
+    }
+
+    /// The items of run `k`; empty when there is no such run.
+    fn range(&self, k: usize) -> Range<usize> {
+        let start = k.checked_sub(1).and_then(|j| self.ends.get(j)).copied().unwrap_or(0);
+        start..self.ends.get(k).copied().unwrap_or(start).max(start)
+    }
+
+    /// The run keyed `key`, found by binary search.
+    fn find(&self, key: &K) -> Option<usize> {
+        self.keys.binary_search(key).ok()
+    }
+
+    /// The run that holds item `i`: the first that ends after it.
+    fn run_of(&self, i: usize) -> usize {
+        self.ends.partition_point(|&end| end <= i)
+    }
+
+    /// Rules this index over a column of `len` items breaks; paths are
+    /// relative to it. One end per key, keys strictly ascending, and ends
+    /// strictly ascending to `len`, so no run is empty and the runs cover
+    /// every item.
+    fn violations(&self, len: usize) -> Vec<Violation> {
+        let mut out = Vec::new();
+        if self.keys.len() != self.ends.len() {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["ends"],
+                format!("{} keys but {} run ends", self.keys.len(), self.ends.len()),
+                "a run index holds one end per key",
+            ));
+        }
+        if let Some(k) = self.keys.windows(2).position(|w| w.first() >= w.get(1)) {
+            out.push(Violation::new(
+                "artifact/coarse-log-order",
+                path!["keys", k + 1],
+                format!("run key {} does not follow the one before it", k + 1),
+                "a run index's keys ascend strictly",
+            ));
+        }
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let short = starts.zip(&self.ends).position(|(start, &end)| end <= start);
+        let last = self.ends.last().copied().unwrap_or_default();
+        if let Some(k) = short.or((last != len).then(|| self.ends.len().saturating_sub(1))) {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["ends", k],
+                format!("run end {:?} for {len} items", self.ends.get(k)),
+                "run ends ascend strictly to their column's length",
+            ));
+        }
+        out
+    }
+}
+
+/// An immutable column block: a run index over an item column, and a
+/// value column of `stride` values per item. A sealed block of an
+/// [`IncrementalCoarseLog`] runs windows over `(src, dst)` items with one
+/// value per statistic ([`SealedBlock`]); a history block of an
+/// [`IncrementalAdaptiveLog`] runs pairs over sample timestamps with one
+/// value per sample ([`HistoryBlock`]). A log holds its blocks behind
+/// `Arc` and never writes one in place, and a checkpoint writes each
+/// block as it is.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ColumnBlock<K, I> {
+    runs: Arc<Runs<K>>,
+    items: Vec<I>,
+    stride: usize,
+    values: Vec<f64>,
+}
+
+/// One seal of the uniform log: windows `(start, secs)` over pairs.
+type SealedBlock = ColumnBlock<(Ts, u64), (u32, u32)>;
+
+/// One apply's samples in the adaptive log: pairs over timestamps.
+type HistoryBlock = ColumnBlock<(u32, u32), u64>;
+
+impl<K: Ord, I> ColumnBlock<K, I> {
+    /// Number of items.
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// The values of items `items`.
+    fn values_of(&self, items: Range<usize>) -> &[f64] {
+        let [start, end] = [items.start, items.end].map(|i| i.saturating_mul(self.stride));
+        self.values.get(start..end).unwrap_or_default()
+    }
+
+    /// The items and values of run `k`; empty when there is no such run.
+    fn run(&self, k: usize) -> (&[I], &[f64]) {
+        let items = self.runs.range(k);
+        (self.items.get(items.clone()).unwrap_or_default(), self.values_of(items))
+    }
+
+    /// The values of the run keyed `key`; empty when the block lacks it.
+    fn values_keyed(&self, key: &K) -> &[f64] {
+        self.runs.find(key).map_or(&[], |k| self.run(k).1)
+    }
+
+    /// Rules this block breaks in a log of `stride` values per item;
+    /// paths are relative to it. Its run index holds ([`Runs::violations`])
+    /// and it holds items, each with `stride` values.
+    fn violations(&self, stride: usize) -> Vec<Violation> {
+        let mut out = under(&path!["runs"], self.runs.violations(self.items.len()));
+        let len = self.items.len();
+        if len == 0 || self.stride != stride || Some(self.values.len()) != len.checked_mul(stride) {
+            out.push(Violation::new(
+                "artifact/coarse-log-shape",
+                path!["values"],
+                format!(
+                    "{} values for {len} items at stride {} in a log of stride {stride}",
+                    self.values.len(),
+                    self.stride
+                ),
+                "a block holds items, each with its log's stride of values",
+            ));
+        }
+        out
+    }
+}
+
+/// The open cells of an [`IncrementalCoarseLog`] as columns: cell `i` is
+/// run `i` of `runs`, keyed `(window index, pair_key)` over its samples,
+/// ascending under `f64::total_cmp`, so a dirty cell goes straight to
 /// [`Statistic::of_sorted`]; its statistics are the `i`-th run of
 /// `values`, one value per statistic. No cell owns a buffer, and a tick
 /// merges the delta's cells into the columns in place ([`Gap`]), so a
 /// window turnover allocates nothing once the columns have grown.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct OpenCells {
-    keys: Vec<(u64, u64)>,
-    ends: Vec<usize>,
+    runs: Runs<(u64, u64)>,
     samples: Vec<f64>,
     values: Vec<f64>,
 }
@@ -342,14 +494,12 @@ fn shift<T: Copy + Default>(column: &mut Vec<T>, from: usize, to: usize) {
 impl OpenCells {
     /// Number of open cells.
     fn len(&self) -> usize {
-        self.keys.len()
+        self.runs.len()
     }
 
     /// Cell `i`'s samples.
     fn samples_of(&self, i: usize) -> &[f64] {
-        let start = i.checked_sub(1).and_then(|i| self.ends.get(i)).copied().unwrap_or(0);
-        let end = self.ends.get(i).copied().unwrap_or(start).max(start);
-        self.samples.get(start..end).unwrap_or_default()
+        self.samples.get(self.runs.range(i)).unwrap_or_default()
     }
 
     /// Cell `i`'s statistics, under `n` statistics.
@@ -367,8 +517,8 @@ impl OpenCells {
         let short = (gap.write + cells).saturating_sub(gap.read);
         if short > 0 {
             let short = short.max((self.len() - gap.read) / 8);
-            shift(&mut self.keys, gap.read, gap.read + short);
-            shift(&mut self.ends, gap.read, gap.read + short);
+            shift(&mut self.runs.keys, gap.read, gap.read + short);
+            shift(&mut self.runs.ends, gap.read, gap.read + short);
             shift(&mut self.values, gap.read * n, (gap.read + short) * n);
             gap.read += short;
         }
@@ -382,16 +532,16 @@ impl OpenCells {
     /// Move the unread cells before cell `to` to the written front, as
     /// they are (under `n` statistics).
     fn move_cells(&mut self, gap: &mut Gap, to: usize, n: usize) {
-        let Some(&end) = to.checked_sub(1).and_then(|i| self.ends.get(i)) else { return };
+        let Some(&end) = to.checked_sub(1).and_then(|i| self.runs.ends.get(i)) else { return };
         if to <= gap.read {
             return;
         }
         let (cells, held) = (to - gap.read, end - gap.base);
-        self.keys.copy_within(gap.read..to, gap.write);
+        self.runs.keys.copy_within(gap.read..to, gap.write);
         self.values.copy_within(gap.read * n..to * n, gap.write * n);
         self.samples.copy_within(gap.read_at..gap.read_at + held, gap.write_at);
-        self.ends.copy_within(gap.read..to, gap.write);
-        for e in self.ends.get_mut(gap.write..gap.write + cells).unwrap_or_default() {
+        self.runs.ends.copy_within(gap.read..to, gap.write);
+        for e in self.runs.ends.get_mut(gap.write..gap.write + cells).unwrap_or_default() {
             *e = *e - gap.base + gap.write_at;
         }
         (gap.write, gap.write_at) = (gap.write + cells, gap.write_at + held);
@@ -400,7 +550,7 @@ impl OpenCells {
 
     /// Drop the unread cells before cell `to` (sealed) without moving them.
     fn skip_cells(&mut self, gap: &mut Gap, to: usize) {
-        let Some(&end) = to.checked_sub(1).and_then(|i| self.ends.get(i)) else { return };
+        let Some(&end) = to.checked_sub(1).and_then(|i| self.runs.ends.get(i)) else { return };
         if to > gap.read {
             (gap.read, gap.read_at, gap.base) = (to, gap.read_at + (end - gap.base), end);
         }
@@ -413,14 +563,14 @@ impl OpenCells {
     /// of the samples, bit for bit whatever order they arrived in.
     fn write_cell(&mut self, gap: &mut Gap, key: (u64, u64), run: &[f64], stats: &[Statistic]) {
         let n = stats.len();
-        let hit = self.keys.get(gap.read) == Some(&key);
+        let hit = self.runs.keys.get(gap.read) == Some(&key);
         if !hit && run.is_empty() {
             return;
         }
         self.make_room(gap, usize::from(!hit), run.len(), n);
         let start = gap.write_at;
         let old = if hit {
-            let held = self.ends.get(gap.read).map_or(0, |&e| e - gap.base);
+            let held = self.runs.ends.get(gap.read).map_or(0, |&e| e - gap.base);
             let old = gap.read_at..gap.read_at + held;
             self.skip_cells(gap, gap.read + 1);
             old
@@ -428,10 +578,10 @@ impl OpenCells {
             gap.read_at..gap.read_at
         };
         gap.write_at = merge_in_place(&mut self.samples, start, old, run);
-        if let Some(k) = self.keys.get_mut(gap.write) {
+        if let Some(k) = self.runs.keys.get_mut(gap.write) {
             *k = key;
         }
-        if let Some(e) = self.ends.get_mut(gap.write) {
+        if let Some(e) = self.runs.ends.get_mut(gap.write) {
             *e = gap.write_at;
         }
         let cell = self.samples.get(start..gap.write_at).unwrap_or_default();
@@ -446,8 +596,8 @@ impl OpenCells {
     /// and the columns end there (under `n` statistics).
     fn close(&mut self, mut gap: Gap, n: usize) {
         self.move_cells(&mut gap, self.len(), n);
-        self.keys.truncate(gap.write);
-        self.ends.truncate(gap.write);
+        self.runs.keys.truncate(gap.write);
+        self.runs.ends.truncate(gap.write);
         self.values.truncate(gap.write * n);
         self.samples.truncate(gap.write_at);
     }
@@ -456,8 +606,8 @@ impl OpenCells {
     #[cfg(test)]
     fn capacities(&self) -> [usize; 4] {
         [
-            self.keys.capacity(),
-            self.ends.capacity(),
+            self.runs.keys.capacity(),
+            self.runs.ends.capacity(),
             self.samples.capacity(),
             self.values.capacity(),
         ]
@@ -506,70 +656,33 @@ fn merge_in_place(samples: &mut [f64], at: usize, old: Range<usize>, run: &[f64]
     end
 }
 
-/// A run of rows of one [`SealedBlock`] that share their window: the
-/// rows before `end`, from the previous run's end.
-#[derive(Debug)]
-struct WindowRun {
-    start: Ts,
-    secs: u64,
-    end: usize,
-}
-
-/// One seal's rows, in batch order, as columns: row `i` is pair
-/// `pairs[i]` with the `i`-th run of `stride` values in `values`, over the
-/// window of the [`WindowRun`] it falls in (a stream seals one window at
-/// a time, so a seal's block holds one run). A row costs 8 bytes plus its
-/// values, where a `CoarseBwRecord` with its own value block costs ≈80.
-/// A seal sizes the columns exactly to its rows. Rows are built on read
-/// into one reused record ([`SealedCursor`]).
-#[derive(Debug)]
-struct SealedBlock {
-    windows: Vec<WindowRun>,
-    pairs: Vec<(u32, u32)>,
-    stride: usize,
-    values: Vec<f64>,
-}
-
 impl SealedBlock {
-    /// An empty block with room for exactly `rows` rows of `stride`
-    /// values.
-    fn with_capacity(rows: usize, stride: usize) -> Self {
-        SealedBlock {
-            windows: Vec::new(),
-            pairs: Vec::with_capacity(rows),
-            stride,
-            values: Vec::with_capacity(rows * stride),
+    /// The block of `count` rows, each its window, pair and `stride`
+    /// values, in order: a run per window, the columns sized exactly.
+    fn of_rows<'a>(
+        count: usize,
+        stride: usize,
+        rows: impl IntoIterator<Item = ((Ts, u64), (u32, u32), &'a [f64])>,
+    ) -> Self {
+        let (mut runs, mut items) = (Runs::default(), Vec::with_capacity(count));
+        let mut values = Vec::with_capacity(count * stride);
+        for (window, pair, row) in rows {
+            items.push(pair);
+            values.extend_from_slice(row);
+            runs.push(window, items.len());
         }
+        ColumnBlock { runs: Arc::new(runs), items, stride, values }
     }
 
-    /// Number of rows.
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Append the row of `pair` over the `secs`-second window from
-    /// `start`, holding `values` (`stride` of them).
-    fn push(&mut self, start: Ts, secs: u64, pair: (u32, u32), values: &[f64]) {
-        self.pairs.push(pair);
-        self.values.extend_from_slice(values);
-        let end = self.pairs.len();
-        match self.windows.last_mut() {
-            Some(run) if (run.start, run.secs) == (start, secs) => run.end = end,
-            _ => self.windows.push(WindowRun { start, secs, end }),
-        }
-    }
-
-    /// `rows` as blocks, one per run of rows with equal value counts: a
-    /// stream's rows all hold one value per statistic, so they make one
-    /// block, and any other rows keep their values as they are.
+    /// `rows` as blocks, one per run of rows with equal value counts.
+    #[cfg(test)]
     fn from_rows(rows: &[CoarseBwRecord]) -> impl Iterator<Item = SealedBlock> + '_ {
         rows.chunk_by(|a, b| a.values.len() == b.values.len()).map(|rows| {
             let stride = rows.first().map_or(0, |r| r.values.len());
-            let mut block = SealedBlock::with_capacity(rows.len(), stride);
-            for r in rows {
-                block.push(r.window_start, r.window_secs, (r.src, r.dst), &r.values);
-            }
-            block
+            let rows = rows
+                .iter()
+                .map(|r| ((r.window_start, r.window_secs), (r.src, r.dst), r.values.as_slice()));
+            SealedBlock::of_rows(rows.len(), stride, rows)
         })
     }
 
@@ -577,15 +690,14 @@ impl SealedBlock {
     /// window run at or before row `i`'s, which this moves to row `i`'s;
     /// false when there is no such row.
     fn fill_row(&self, i: usize, run: &mut usize, row: &mut CoarseBwRecord) -> bool {
-        let Some(&(src, dst)) = self.pairs.get(i) else { return false };
-        while self.windows.get(*run).is_some_and(|w| w.end <= i) {
+        let Some(&(src, dst)) = self.items.get(i) else { return false };
+        while self.runs.ends.get(*run).is_some_and(|&end| end <= i) {
             *run += 1;
         }
-        let Some(w) = self.windows.get(*run) else { return false };
-        (row.window_start, row.window_secs, row.src, row.dst) = (w.start, w.secs, src, dst);
+        let Some(&(start, secs)) = self.runs.keys.get(*run) else { return false };
+        (row.window_start, row.window_secs, row.src, row.dst) = (start, secs, src, dst);
         row.values.clear();
-        let values = self.values.get(i * self.stride..(i + 1) * self.stride);
-        row.values.extend_from_slice(values.unwrap_or_default());
+        row.values.extend_from_slice(self.values_of(i..i + 1));
         true
     }
 }
@@ -595,9 +707,8 @@ impl SealedBlock {
 /// block is written in place. A proof mark holds the blocks it proved and
 /// checks that the log still holds those very blocks ([`Arc::ptr_eq`]), so
 /// an edit has to build a new block (copy on write), which the mark sees
-/// as a change. A checkpoint writes the rows as one flat array, and a
-/// restored log holds them as one block.
-#[derive(Clone, Default)]
+/// as a change.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct SealedRows(Vec<Arc<SealedBlock>>);
 
 /// A reader of [`SealedRows`] in order, building each row into one reused
@@ -648,8 +759,7 @@ impl SealedRows {
         let mut skip = from;
         while let Some((block, rest)) = cursor.blocks.split_first() {
             if skip < block.len() {
-                cursor.at = skip;
-                cursor.run = block.windows.partition_point(|w| w.end <= skip);
+                (cursor.at, cursor.run) = (skip, block.runs.run_of(skip));
                 return Some(cursor);
             }
             (cursor.blocks, skip) = (rest, skip - block.len());
@@ -687,46 +797,6 @@ impl SealedRows {
     /// Whether the first blocks are `blocks`, the very same ones.
     fn starts_with(&self, blocks: &[Arc<SealedBlock>]) -> bool {
         self.0.len() >= blocks.len() && self.0.iter().zip(blocks).all(|(a, b)| Arc::ptr_eq(a, b))
-    }
-}
-
-impl PartialEq for SealedRows {
-    fn eq(&self, other: &Self) -> bool {
-        let (mut a, mut b) = (self.rows(), other.rows());
-        loop {
-            match (a.next(), b.next()) {
-                (Some(x), Some(y)) if x == y => {}
-                (None, None) => return true,
-                _ => return false,
-            }
-        }
-    }
-}
-
-impl fmt::Debug for SealedRows {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut list = f.debug_list();
-        self.rows().for_each(|row| {
-            list.entry(row);
-        });
-        list.finish()
-    }
-}
-
-impl Serialize for SealedRows {
-    fn to_value(&self) -> serde::Value {
-        let mut rows = Vec::with_capacity(self.len());
-        self.rows().for_each(|row| rows.push(row.to_value()));
-        serde::Value::Seq(rows)
-    }
-}
-
-impl Deserialize for SealedRows {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let rows = Vec::<CoarseBwRecord>::from_value(v)?;
-        let mut sealed = SealedRows::default();
-        SealedBlock::from_rows(&rows).for_each(|block| sealed.seal(block));
-        Ok(sealed)
     }
 }
 
@@ -778,7 +848,7 @@ impl IncrementalCoarseLog {
     /// Build open cell `i`'s row into `row`, reusing its value buffer;
     /// false when there is no such cell.
     fn fill_open_row(&self, i: usize, row: &mut CoarseBwRecord) -> bool {
-        let Some(&(w, pair)) = self.open.keys.get(i) else { return false };
+        let Some(&(w, pair)) = self.open.runs.keys.get(i) else { return false };
         let (src, dst) = key_pair(pair);
         let window = self.window_secs;
         (row.window_start, row.window_secs, row.src, row.dst) = (Ts(w * window), window, src, dst);
@@ -905,16 +975,14 @@ impl IncrementalCoarseLog {
             return;
         }
         let IncrementalCoarseLog { window_secs, stats, sealed, open, .. } = self;
-        let rest = open.keys.get(gap.read..).unwrap_or_default();
+        let rest = open.runs.keys.get(gap.read..).unwrap_or_default();
         let end = gap.read + rest.partition_point(|&(kw, _)| kw < w);
         let (window, n) = (*window_secs, stats.len());
-        let mut block = SealedBlock::with_capacity(gap.write + (end - gap.read), n);
-        for i in (0..gap.write).chain(gap.read..end) {
-            if let Some(&(kw, pair)) = open.keys.get(i) {
-                block.push(Ts(kw * window), window, key_pair(pair), open.values_of(i, n));
-            }
-        }
-        sealed.seal(block);
+        let rows = (0..gap.write).chain(gap.read..end).filter_map(|i| {
+            let &(kw, pair) = open.runs.keys.get(i)?;
+            Some(((Ts(kw * window), window), key_pair(pair), open.values_of(i, n)))
+        });
+        sealed.seal(SealedBlock::of_rows(gap.write + (end - gap.read), n, rows));
         open.skip_cells(gap, end);
         (gap.write, gap.write_at) = (0, 0);
         self.frontier = w;
@@ -943,8 +1011,8 @@ impl IncrementalCoarseLog {
         let open = &mut self.open;
         open.samples.reserve(samples.saturating_sub(open.samples.len()));
         let cells = cells.saturating_sub(open.len());
-        open.keys.reserve(cells);
-        open.ends.reserve(cells);
+        open.runs.keys.reserve(cells);
+        open.runs.ends.reserve(cells);
         open.values.reserve(cells * n);
     }
 
@@ -976,7 +1044,7 @@ impl IncrementalCoarseLog {
     /// so how many samples the gap must hold: those in windows up to its
     /// own, none when no cell is left unread.
     fn room(&self, records: &[BandwidthRecord], gap: &Gap) -> usize {
-        let unread = self.open.keys.get(gap.read..).unwrap_or_default();
+        let unread = self.open.runs.keys.get(gap.read..).unwrap_or_default();
         let Some(&(last, _)) = unread.last() else { return 0 };
         let end = last.saturating_add(1).saturating_mul(self.window_secs);
         records.iter().filter(|r| r.ts.0 < end).count()
@@ -988,7 +1056,7 @@ impl IncrementalCoarseLog {
     /// written with its statistics recomputed, its samples merged with
     /// those of the unread cell of its key (a hit) or alone (a miss).
     fn merge_cell(&mut self, gap: &mut Gap, key: (u64, u64), run: &[f64]) {
-        let at = gallop(&self.open.keys, gap.read, &key);
+        let at = gallop(&self.open.runs.keys, gap.read, &key);
         self.open.move_cells(gap, at, self.stats.len());
         self.open.write_cell(gap, key, run, &self.stats);
     }
@@ -1009,6 +1077,7 @@ impl IncrementalCoarseLog {
         let start = Ts(self.frontier.saturating_mul(window));
         let end = self
             .open
+            .runs
             .keys
             .last()
             .map_or(start, |&(w, _)| Ts(w.saturating_add(1).saturating_mul(window)));
@@ -1036,14 +1105,15 @@ impl IncrementalCoarseLog {
     }
 
     /// The log is one `apply_delta` could have left: a non-zero window
-    /// and at least one statistic; sealed rows strictly ascending in
-    /// batch order and all before the frontier, each one aligned window of
-    /// the log's size with one value per statistic; open keys strictly
-    /// ascending, at or after the frontier, each window's end a timestamp;
-    /// the open columns parallel to the keys: cell ends ascending strictly
-    /// to the sample column's length, so no cell is empty, each cell's
-    /// samples sorted under `f64::total_cmp`, and one statistics value per
-    /// cell and statistic.
+    /// and at least one statistic; every sealed block sound
+    /// ([`ColumnBlock::violations`], one value per statistic), its runs
+    /// aligned windows of the log's size, all before the frontier, and its
+    /// rows strictly ascending in batch order; the open cells' run index
+    /// sound over the sample column ([`Runs::violations`]), so no cell is
+    /// empty, each cell at or after the frontier, its window's end a
+    /// timestamp and its samples sorted under `f64::total_cmp`; and one
+    /// statistics value per open cell and statistic. The sealed rows are
+    /// read through their blocks' run indexes, so only sound blocks are.
     #[must_use]
     pub fn violations(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -1051,7 +1121,7 @@ impl IncrementalCoarseLog {
             out.push(v);
             return out;
         }
-        let window = self.window_secs;
+        let (window, n) = (self.window_secs, self.stats.len());
         let order = |at: &[Step], message: String| {
             Violation::new(
                 "artifact/coarse-log-order",
@@ -1061,40 +1131,42 @@ impl IncrementalCoarseLog {
                  before the frontier and open ones at or after it",
             )
         };
-        let (mut prev, mut i, mut rows) = (None, 0, self.sealed.rows());
-        while let Some(row) = rows.next() {
-            let at = path!["sealed", i];
-            i += 1;
-            out.extend(row_violations(row, window, self.stats.len(), &at));
-            let key = (row.window_start.0 / window, row.src, row.dst);
-            if prev >= Some(key) {
-                out.push(order(&at, format!("sealed row {key:?} does not follow {prev:?}")));
+        for (b, block) in self.sealed.0.iter().enumerate() {
+            out.extend(under(&path!["sealed", b], ColumnBlock::violations(block, n)));
+        }
+        let (sound, mut prev) = (out.is_empty(), None);
+        for (b, block) in self.sealed.0.iter().enumerate().filter(|_| sound) {
+            for (k, &(start, secs)) in block.runs.keys.iter().enumerate() {
+                let at = path!["sealed", b, "runs", "keys", k];
+                out.extend(window_violation(start, secs, window, &at));
+                let w = start.0 / window;
+                if w >= self.frontier {
+                    let message =
+                        format!("sealed window {w} is not before the frontier {}", self.frontier);
+                    out.push(order(&at, message));
+                }
+                for (j, &pair) in block.runs.range(k).zip(ColumnBlock::run(block, k).0) {
+                    if prev >= Some((start, pair)) {
+                        let message =
+                            format!("sealed row {:?} does not follow {prev:?}", (start, pair));
+                        out.push(order(&path!["sealed", b, "items", j], message));
+                    }
+                    prev = Some((start, pair));
+                }
             }
-            if key.0 >= self.frontier {
-                out.push(order(
-                    &at,
-                    format!(
-                        "sealed row in window {} is not before the frontier {}",
-                        key.0, self.frontier
-                    ),
-                ));
-            }
-            prev = Some(key);
         }
         let open = &self.open;
-        let mut prev = None;
-        for (i, &(w, pair)) in open.keys.iter().enumerate() {
-            let at = path!["open", "keys", i];
-            if prev >= Some((w, pair)) {
-                out.push(order(&at, format!("open key {:?} does not follow {prev:?}", (w, pair))));
-            }
+        let runs = open.runs.violations(open.samples.len());
+        let ranged = runs.is_empty();
+        out.extend(under(&path!["open", "runs"], runs));
+        for (i, &key) in open.runs.keys.iter().enumerate() {
+            let (at, w) = (path!["open", "runs", "keys", i], key.0);
             if w < self.frontier {
                 out.push(order(
                     &at,
                     format!("open cell in window {w} is behind the frontier {}", self.frontier),
                 ));
             }
-            prev = Some((w, pair));
             if w.checked_add(1).and_then(|end| end.checked_mul(window)).is_none() {
                 out.push(Violation::new(
                     "artifact/coarse-log-shape",
@@ -1103,47 +1175,22 @@ impl IncrementalCoarseLog {
                     "every window of a coarse log ends at a representable timestamp",
                 ));
             }
+            if ranged && !is_total_sorted(open.samples_of(i)) {
+                out.push(Violation::new(
+                    "artifact/coarse-log-samples",
+                    path!["open", "samples"],
+                    format!("open cell {key:?} has unsorted samples"),
+                    "an open cell holds its samples ascending under f64::total_cmp",
+                ));
+            }
         }
-        if open.ends.len() != open.keys.len() {
-            out.push(Violation::new(
-                "artifact/coarse-log-shape",
-                path!["open", "ends"],
-                format!("{} open keys but {} cell ends", open.keys.len(), open.ends.len()),
-                "the open columns are parallel to the open keys",
-            ));
-        }
-        let n = self.stats.len();
-        if Some(open.values.len()) != open.keys.len().checked_mul(n) {
+        if Some(open.values.len()) != open.len().checked_mul(n) {
             out.push(Violation::new(
                 "artifact/coarse-log-shape",
                 path!["open", "values"],
-                format!(
-                    "{} statistics values for {} open cells",
-                    open.values.len(),
-                    open.keys.len()
-                ),
+                format!("{} statistics values for {} open cells", open.values.len(), open.len()),
                 "the statistics column holds one value per open cell and statistic",
             ));
-        }
-        let ascending = open.ends.iter().try_fold(0, |prev, &end| (end > prev).then_some(end));
-        if ascending.is_none() || open.ends.last().copied().unwrap_or(0) != open.samples.len() {
-            out.push(Violation::new(
-                "artifact/coarse-log-samples",
-                path!["open", "ends"],
-                format!("cell ends do not ascend strictly to the {} samples", open.samples.len()),
-                "every open cell holds samples, and the cells hold every sample, in order",
-            ));
-        } else {
-            for (i, key) in open.keys.iter().enumerate() {
-                if !is_total_sorted(open.samples_of(i)) {
-                    out.push(Violation::new(
-                        "artifact/coarse-log-samples",
-                        path!["open", "samples"],
-                        format!("open cell {key:?} has unsorted samples"),
-                        "an open cell holds its samples ascending under f64::total_cmp",
-                    ));
-                }
-            }
         }
         out
     }
@@ -1230,103 +1277,22 @@ impl TimeCoarsener {
     }
 }
 
-/// The pairs of one [`Block`] and where each pair's samples end in the
-/// block's columns: pair `pairs[k]`'s samples are `ends[k - 1]..ends[k]`
-/// (from 0 for the first). A block whose runs equal the previous block's
-/// shares them, as every steady tick's block does.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Runs {
-    pairs: Vec<(u32, u32)>,
-    ends: Vec<usize>,
-}
-
-/// The samples one apply appended to an [`IncrementalAdaptiveLog`], in the
-/// walk's visit order: pairs ascending, each pair's samples in arrival
-/// order, as a timestamp column and a value column. A block is never
-/// written once pushed.
-#[derive(Debug, Clone, PartialEq)]
-struct Block {
-    runs: Arc<Runs>,
-    ts: Vec<u64>,
-    values: Vec<f64>,
-}
-
-impl Block {
-    /// The timestamps and values of run `k`; empty when there is no such
-    /// run.
-    fn run(&self, k: usize) -> (&[u64], &[f64]) {
-        let ends = &self.runs.ends;
-        let start = k.checked_sub(1).map_or(Some(0), |j| ends.get(j).copied());
-        let Some(run) = start.zip(ends.get(k).copied()).map(|(s, e)| s..e) else {
-            return (&[], &[]);
-        };
-        (self.ts.get(run.clone()).unwrap_or_default(), self.values.get(run).unwrap_or_default())
-    }
-
-    /// `pair`'s values in this block, found by binary search; empty when
-    /// the block lacks the pair.
-    fn values_of(&self, pair: (u32, u32)) -> &[f64] {
-        self.runs.pairs.binary_search(&pair).map_or(&[], |k| self.run(k).1)
-    }
-
-    /// Rules this block breaks; paths are relative to it.
-    fn violations(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let Runs { pairs, ends } = &*self.runs;
-        if pairs.is_empty() || pairs.len() != ends.len() || self.ts.len() != self.values.len() {
-            out.push(Violation::new(
-                "artifact/coarse-log-shape",
-                path!["ends"],
-                format!(
-                    "{} pairs, {} run ends, {} timestamps and {} values",
-                    pairs.len(),
-                    ends.len(),
-                    self.ts.len(),
-                    self.values.len()
-                ),
-                "a block holds at least one pair, one run end per pair and parallel columns",
-            ));
-        }
-        if let Some(k) = pairs.iter().zip(pairs.iter().skip(1)).position(|(a, b)| a >= b) {
-            out.push(Violation::new(
-                "artifact/coarse-log-order",
-                path!["pairs", k + 1],
-                format!("the block's pair {} does not follow the one before it", k + 1),
-                "a block's pairs ascend strictly",
-            ));
-        }
-        let starts = std::iter::once(0).chain(ends.iter().copied());
-        let short = starts.zip(ends).position(|(start, &end)| end <= start);
-        let last = ends.last().copied().unwrap_or_default();
-        if let Some(k) = short.or((last != self.ts.len()).then(|| ends.len().saturating_sub(1))) {
-            out.push(Violation::new(
-                "artifact/coarse-log-shape",
-                path!["ends", k],
-                format!("run end {:?} for {} samples", ends.get(k), self.ts.len()),
-                "a block's run ends ascend strictly to its columns' length",
-            ));
-        }
-        out
-    }
-}
-
-/// The sample history of an [`IncrementalAdaptiveLog`]: one [`Block`] per
-/// apply that appended anything, oldest first. A pair's samples are its
-/// runs in the blocks that hold it, in block order, which is arrival
-/// order. No pair owns a buffer, so no pair's history ever regrows.
-///
-/// A checkpoint writes each block as its pair list, run ends and two
-/// columns; a restored history shares one [`Runs`] between consecutive
-/// blocks whose runs are equal, as the live one does.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct History(Vec<Block>);
+/// The sample history of an [`IncrementalAdaptiveLog`]: one
+/// [`HistoryBlock`] per apply that appended anything, oldest first, its
+/// pairs ascending, each pair's samples in arrival order. A pair's samples
+/// are its runs in the blocks that hold it, in block order, which is
+/// arrival order. No pair owns a buffer, so no pair's history ever
+/// regrows. A block whose runs equal the previous block's shares them, as
+/// every steady tick's block does.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct History(Vec<Arc<HistoryBlock>>);
 
 impl History {
     /// `pair`'s values, newest first. Lazy: a block is searched only when
     /// the walk back reaches it, so taking a pair's last `n` values reads
     /// only the blocks whose time range reaches them.
     fn newest_values(&self, pair: (u32, u32)) -> impl Iterator<Item = f64> + '_ {
-        self.0.iter().rev().flat_map(move |b| Block::values_of(b, pair).iter().rev().copied())
+        self.0.iter().rev().flat_map(move |b| b.values_keyed(&pair).iter().rev().copied())
     }
 
     /// Hand `visit` each block's run of `pair`, oldest first, with the
@@ -1341,10 +1307,23 @@ impl History {
     ) {
         cursors.resize(self.0.len(), 0);
         for (b, (block, cursor)) in self.0.iter().zip(cursors.iter_mut()).enumerate() {
-            *cursor = gallop(&block.runs.pairs, *cursor, &pair);
-            if block.runs.pairs.get(*cursor) == Some(&pair) {
-                let (ts, values) = Block::run(block, *cursor);
+            *cursor = gallop(&block.runs.keys, *cursor, &pair);
+            if block.runs.keys.get(*cursor) == Some(&pair) {
+                let (ts, values) = ColumnBlock::run(block, *cursor);
                 visit(b, ts, values);
+            }
+        }
+    }
+
+    /// Share one run index between consecutive blocks whose runs are
+    /// equal, as the live history does: a checkpoint writes each block's
+    /// runs, so a restored block holds its own.
+    fn share_runs(&mut self) {
+        let mut prev: Option<Arc<Runs<(u32, u32)>>> = None;
+        for block in &mut self.0 {
+            match &prev {
+                Some(p) if *p == block.runs => Arc::make_mut(block).runs = Arc::clone(p),
+                _ => prev = Some(Arc::clone(&block.runs)),
             }
         }
     }
@@ -1356,53 +1335,13 @@ impl History {
     fn edit_newest(
         &mut self,
         pair: (u32, u32),
-        edit: impl FnOnce(&mut Runs, &mut Vec<u64>, &mut Vec<f64>, usize),
+        edit: impl FnOnce(&mut Runs<(u32, u32)>, &mut Vec<u64>, &mut Vec<f64>, usize),
     ) -> bool {
-        let found = self.0.iter_mut().rev().find_map(|b| {
-            let k = b.runs.pairs.binary_search(&pair).ok()?;
-            Some((b, k))
-        });
-        let Some((block, k)) = found else { return false };
-        edit(Arc::make_mut(&mut block.runs), &mut block.ts, &mut block.values, k);
+        let found = self.0.iter_mut().rev().find_map(|b| Some((b.runs.find(&pair)?, b)));
+        let Some((k, block)) = found else { return false };
+        let block = Arc::make_mut(block);
+        edit(Arc::make_mut(&mut block.runs), &mut block.items, &mut block.values, k);
         true
-    }
-}
-
-impl Serialize for History {
-    fn to_value(&self) -> serde::Value {
-        let block = |b: &Block| {
-            serde::Value::Map(vec![
-                ("pairs".to_string(), b.runs.pairs.to_value()),
-                ("ends".to_string(), b.runs.ends.to_value()),
-                ("ts".to_string(), b.ts.to_value()),
-                ("values".to_string(), b.values.to_value()),
-            ])
-        };
-        serde::Value::Seq(self.0.iter().map(block).collect())
-    }
-}
-
-/// A [`Block`] as a checkpoint writes it.
-#[derive(Deserialize)]
-struct BlockWire {
-    pairs: Vec<(u32, u32)>,
-    ends: Vec<usize>,
-    ts: Vec<u64>,
-    values: Vec<f64>,
-}
-
-impl Deserialize for History {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let mut blocks: Vec<Block> = Vec::new();
-        for BlockWire { pairs, ends, ts, values } in Vec::<BlockWire>::from_value(v)? {
-            let runs = Runs { pairs, ends };
-            let runs = match blocks.last() {
-                Some(prev) if *prev.runs == runs => Arc::clone(&prev.runs),
-                _ => Arc::new(runs),
-            };
-            blocks.push(Block { runs, ts, values });
-        }
-        Ok(History(blocks))
     }
 }
 
@@ -1411,16 +1350,16 @@ impl Deserialize for History {
 /// At the first disagreement the agreeing prefix is copied out and the
 /// rest written after it, so a steady tick writes nothing per pair.
 struct NewBlock {
-    prev: Option<Arc<Runs>>,
+    prev: Option<Arc<Runs<(u32, u32)>>>,
     shared: usize,
-    own: Option<Runs>,
+    own: Option<Runs<(u32, u32)>>,
     ts: Vec<u64>,
     values: Vec<f64>,
 }
 
 impl NewBlock {
     /// An empty block after `prev`, with room for `samples` samples.
-    fn after(prev: Option<&Block>, samples: usize) -> Self {
+    fn after(prev: Option<&Arc<HistoryBlock>>, samples: usize) -> Self {
         NewBlock {
             prev: prev.map(|b| Arc::clone(&b.runs)),
             shared: 0,
@@ -1442,26 +1381,24 @@ impl NewBlock {
             && self
                 .prev
                 .as_deref()
-                .is_some_and(|p| p.pairs.get(at) == Some(&pair) && p.ends.get(at) == Some(&end));
+                .is_some_and(|p| p.keys.get(at) == Some(&pair) && p.ends.get(at) == Some(&end));
         if agrees {
             self.shared += 1;
         } else {
-            let runs = self.own();
-            runs.pairs.push(pair);
-            runs.ends.push(end);
+            self.own().push(pair, end);
         }
         (self.ts.get(from..).unwrap_or_default(), self.values.get(from..).unwrap_or_default())
     }
 
     /// The runs written so far, copied out of the previous block's on the
     /// first call.
-    fn own(&mut self) -> &mut Runs {
+    fn own(&mut self) -> &mut Runs<(u32, u32)> {
         let (prev, shared) = (self.prev.as_deref(), self.shared);
         self.own.get_or_insert_with(|| {
-            let room = prev.map_or(0, |p| p.pairs.len()).max(shared + 1);
-            let mut runs = Runs { pairs: Vec::with_capacity(room), ends: Vec::with_capacity(room) };
+            let room = prev.map_or(0, Runs::len).max(shared + 1);
+            let mut runs = Runs { keys: Vec::with_capacity(room), ends: Vec::with_capacity(room) };
             if let Some(p) = prev {
-                runs.pairs.extend(p.pairs.iter().take(shared));
+                runs.keys.extend(p.keys.iter().take(shared));
                 runs.ends.extend(p.ends.iter().take(shared));
             }
             runs
@@ -1470,20 +1407,20 @@ impl NewBlock {
 
     /// The finished block, sharing the previous block's runs when they are
     /// equal; `None` when nothing was appended.
-    fn finish(mut self) -> Option<Block> {
+    fn finish(mut self) -> Option<HistoryBlock> {
         if self.ts.is_empty() {
             return None;
         }
         let runs = match (&self.own, &self.prev) {
-            (None, Some(prev)) if prev.pairs.len() == self.shared => Arc::clone(prev),
+            (None, Some(prev)) if prev.len() == self.shared => Arc::clone(prev),
             _ => {
                 let mut runs = std::mem::take(self.own());
-                runs.pairs.shrink_to_fit();
+                runs.keys.shrink_to_fit();
                 runs.ends.shrink_to_fit();
                 Arc::new(runs)
             }
         };
-        Some(Block { runs, ts: self.ts, values: self.values })
+        Some(ColumnBlock { runs, items: self.ts, stride: 1, values: self.values })
     }
 }
 
@@ -1757,7 +1694,7 @@ impl IncrementalAdaptiveLog {
     /// when it appended nothing (it pushed no block).
     fn touched(&self, applied: &DeltaApplyStats) -> Vec<(u32, u32)> {
         match self.history.0.last() {
-            Some(block) if applied.appended > 0 => block.runs.pairs.clone(),
+            Some(block) if applied.appended > 0 => block.runs.keys.clone(),
             _ => Vec::new(),
         }
     }
@@ -1983,8 +1920,8 @@ impl IncrementalAdaptiveLog {
 
     /// The log is one `apply_delta` could have left: non-zero windows and
     /// at least one statistic; keys strictly ascending, one pair state
-    /// each; every block's pairs strictly ascending and all in the table,
-    /// its run ends strictly ascending to its columns' length; every
+    /// each; every block sound ([`ColumnBlock::violations`], one value
+    /// per sample) and its pairs all in the table; every
     /// pair's samples, gathered block by block, non-empty and ascending by
     /// timestamp, its history fold bit for bit the fold of its values, its
     /// open fold that of exactly the values in its last sample's window and
@@ -2010,7 +1947,7 @@ impl IncrementalAdaptiveLog {
         }
         let blocks = &self.history.0;
         for (b, block) in blocks.iter().enumerate() {
-            out.extend(under(&path!["history", b], Block::violations(block)));
+            out.extend(under(&path!["history", b], ColumnBlock::violations(block, 1)));
         }
         let (mut cursors, mut held) = (Vec::new(), vec![0usize; blocks.len()]);
         let mut prev = None;
@@ -2039,14 +1976,11 @@ impl IncrementalAdaptiveLog {
             }
         }
         for (b, (block, &n)) in blocks.iter().zip(&held).enumerate() {
-            if n != block.runs.pairs.len() {
+            if n != block.runs.len() {
                 out.push(Violation::new(
                     "artifact/coarse-log-samples",
-                    path!["history", b, "pairs"],
-                    format!(
-                        "{n} of the block's {} pairs are in the pair table",
-                        block.runs.pairs.len()
-                    ),
+                    path!["history", b, "runs", "keys"],
+                    format!("{n} of the block's {} pairs are in the pair table", block.runs.len()),
                     "every pair of a block is in the pair table",
                 ));
             }
@@ -2155,7 +2089,7 @@ impl AdaptiveCoarsener {
                 fresh_pairs.push((cursor, ps));
             }
         });
-        history.0.extend(block.finish());
+        history.0.extend(block.finish().map(Arc::new));
         splice_sorted(keys, fresh_keys);
         splice_sorted(pairs, fresh_pairs);
         DeltaApplyStats {
@@ -2417,13 +2351,15 @@ impl StreamState {
     /// CDG or coarse logs break their invariants, or whose coarse logs
     /// were built for another configuration: a dangling edge, an unsorted
     /// pair table or a zero window would otherwise surface as a panic or a
-    /// silent misplacement on the next tick.
+    /// silent misplacement on the next tick. The coarse logs come back
+    /// block for block as they were written, consecutive adaptive blocks
+    /// with equal runs sharing them again.
     ///
     /// # Errors
     /// [`StreamError::Checkpoint`] with the first violation found.
     // smn-lint: allow(deep/determinism-taint) -- name-index entries are sorted before they are checked
     pub fn restore(checkpoint: &str) -> Result<StreamState, StreamError> {
-        let state: StreamState = serde_json::from_str(checkpoint).map_err(|e| {
+        let mut state: StreamState = serde_json::from_str(checkpoint).map_err(|e| {
             StreamError::Checkpoint(Violation::unreadable("a stream checkpoint", &e))
         })?;
         let mut violations = under(&path!["fine"], FineDepGraph::violations(&state.fine));
@@ -2438,10 +2374,11 @@ impl StreamState {
                 "a checkpoint's logs carry the windows, statistics and threshold of its config",
             ));
         }
-        match violations.into_iter().next() {
-            Some(v) => Err(StreamError::Checkpoint(v)),
-            None => Ok(state),
+        if let Some(v) = violations.into_iter().next() {
+            return Err(StreamError::Checkpoint(v));
         }
+        state.adaptive.history.share_runs();
+        Ok(state)
     }
 
     /// Refuse coarse logs built for another configuration than `config`
@@ -3621,8 +3558,8 @@ mod tests {
         assert!(ahead.violations().is_empty(), "{:?}", ahead.violations());
         assert_eq!(ahead.latest, last + HOUR);
         assert_eq!(ahead.history.0.len(), 3, "one block per admitted delta");
-        assert_eq!(ahead.history.0[2].runs.pairs, [(0, 1), (7, 8)]);
-        assert_eq!(ahead.history.0[2].ts, [last, last, 3]);
+        assert_eq!(ahead.history.0[2].runs.keys, [(0, 1), (7, 8)]);
+        assert_eq!(ahead.history.0[2].items, [last, last, 3]);
         let late = ahead.keys.binary_search(&(7, 8)).unwrap();
         assert_eq!(ahead.pairs[late].newest(), Some(3));
         // A wrong latest timestamp, or a pair's wrong last timestamp, is a
@@ -3738,8 +3675,8 @@ mod tests {
         assert_eq!(state.sealed.len(), 5 * 3);
         let open = log.iter().filter(|r| r.ts.0 / HOUR == 5).count();
         assert_eq!(state.open.samples.len(), open, "only hour 5's records are buffered");
-        assert!(state.open.keys.iter().all(|&(w, _)| w == 5));
-        assert_eq!(state.open.ends.last(), Some(&open));
+        assert!(state.open.runs.keys.iter().all(|&(w, _)| w == 5));
+        assert_eq!(state.open.runs.ends.last(), Some(&open));
         assert_eq!(state.open.values.len(), 3 * 2, "one value per open cell and statistic");
         assert_eq!(state.encode(), encode_coarse_log(&c.coarsen(&log)));
         assert!(state.violations().is_empty(), "{:?}", state.violations());
@@ -3812,22 +3749,20 @@ mod tests {
         assert!(state.violations().is_empty(), "{:?}", state.violations());
     }
 
-    /// Sealed rows sit in one block per sealed window, yet a checkpoint
-    /// writes them as the one flat row array it always wrote, and a
-    /// restored log holds the same rows.
+    /// Sealed rows sit in one block per sealed window, and a checkpoint
+    /// writes the blocks as they are: a restored log holds the same
+    /// blocks, which read back the same rows.
     #[test]
-    fn sealed_chunks_serialize_as_one_flat_row_array() {
+    fn sealed_blocks_serialize_as_written() {
         let c = TimeCoarsener::new(HOUR, vec![Statistic::Mean, Statistic::P95]);
         let mut state = c.new_state();
         for d in TelemetryDelta::split_epochs(&mixed_log(72), 0) {
             c.apply_delta(&mut state, &d).unwrap();
         }
         assert_eq!(state.sealed.0.len(), 5, "one block per sealed hour");
-        let mut flat: Vec<CoarseBwRecord> = Vec::new();
-        state.sealed.rows().for_each(|row| flat.push(row.clone()));
         let json = serde_json::to_string(&state).unwrap();
-        let rows = format!("\"sealed\":{}", serde_json::to_string(&flat).unwrap());
-        assert!(json.contains(&rows), "{json}");
+        let first = format!("\"sealed\":[{}", serde_json::to_string(&state.sealed.0[0]).unwrap());
+        assert!(json.contains(&first), "{json}");
         let back: IncrementalCoarseLog = serde_json::from_str(&json).unwrap();
         assert_eq!(back, state);
         assert_eq!(back.encode(), state.encode());
@@ -3844,8 +3779,9 @@ mod tests {
     /// its columns exactly its rows' size. After every tick the uniform
     /// log encodes as the batch oracle over the lake, and it is the log
     /// the same deltas applied directly (sealing in the walk) leave, block
-    /// for block. A checkpoint round trip restores one block, as exact,
-    /// that reads back the same bytes, and the stream goes on from it.
+    /// for block. A checkpoint round trip restores the three blocks, as
+    /// exact, that read back the same bytes, with the adaptive history's
+    /// runs shared again, and the stream goes on from it.
     #[test]
     fn sealed_windows_are_exact_column_blocks() {
         let cfg = StreamConfig { reconcile_every: 0, ..StreamConfig::default() };
@@ -3876,14 +3812,14 @@ mod tests {
             assert_eq!(state.time, direct, "tick {}", d.tick);
         }
         let blocks = |log: &IncrementalCoarseLog| {
-            log.sealed.0.iter().map(|b| (b.len(), b.windows.len())).collect::<Vec<_>>()
+            log.sealed.0.iter().map(|b| (b.len(), b.runs.len())).collect::<Vec<_>>()
         };
         assert_eq!(state.time.frontier, 3);
         assert_eq!(blocks(&state.time), [(40, 1); 3], "one block per sealed hour");
         assert_eq!(blocks(&state.time), blocks(&direct));
         let exact = |log: &IncrementalCoarseLog| {
             log.sealed.0.iter().all(|b| {
-                let bytes = b.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+                let bytes = b.items.capacity() * std::mem::size_of::<(u32, u32)>()
                     + b.values.capacity() * std::mem::size_of::<f64>();
                 bytes == b.len() * sealed_row_bytes(n) && b.stride == n
             })
@@ -3892,8 +3828,10 @@ mod tests {
 
         let snapshot = serde_json::to_string(&state).unwrap();
         let mut restored = StreamState::restore(&snapshot).unwrap();
-        assert_eq!(blocks(&restored.time), [(120, 3)], "one block of three windows");
+        assert_eq!(blocks(&restored.time), [(40, 1); 3], "the blocks it wrote");
         assert!(exact(&restored.time));
+        let shared = |w: &[Arc<HistoryBlock>]| Arc::ptr_eq(&w[0].runs, &w[1].runs);
+        assert!(restored.adaptive.history.0.windows(2).all(shared));
         assert_eq!(restored.time, state.time);
         assert_eq!(restored.time.encode(), batch(&ctl));
         assert_eq!(restored.fingerprint(), state.fingerprint());
@@ -3946,40 +3884,60 @@ mod tests {
 
         let rules = |vs: Vec<Violation>| vs.into_iter().map(|v| v.rule).collect::<Vec<_>>();
         let mut bad = time.clone();
-        bad.open.keys.swap(0, 1);
+        bad.open.runs.keys.swap(0, 1);
         assert!(rules(bad.violations()).contains(&"artifact/coarse-log-order".to_string()));
         // The first open cell's samples out of order, or its end moved so
         // that a cell is empty or the last misses a sample.
         let mut bad = time.clone();
         bad.open.samples[0] = f64::INFINITY;
         assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-samples"]);
-        for end in [0, bad.open.ends[1]] {
+        for end in [0, bad.open.runs.ends[1]] {
             let mut bad = time.clone();
-            bad.open.ends[0] = end;
-            assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-samples"], "end {end}");
+            bad.open.runs.ends[0] = end;
+            assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-shape"], "end {end}");
         }
         let mut bad = time.clone();
         bad.open.samples.push(1.0);
-        assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-samples"]);
+        assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-shape"]);
         // Columns that are not parallel to the keys.
         let mut bad = time.clone();
-        bad.open.ends.pop();
+        bad.open.runs.ends.pop();
         assert!(rules(bad.violations()).contains(&"artifact/coarse-log-shape".to_string()));
         let mut bad = time.clone();
         bad.open.values.pop();
         assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-shape"]);
         // An open window whose end is no timestamp.
         let mut bad = time.clone();
-        let last = bad.open.keys.len() - 1;
-        bad.open.keys[last].0 = u64::MAX / HOUR;
+        let last = bad.open.runs.keys.len() - 1;
+        bad.open.runs.keys[last].0 = u64::MAX / HOUR;
         assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-shape"]);
         let mut bad = time.clone();
         bad.frontier = 0;
         assert_eq!(
             rules(bad.violations()),
-            vec!["artifact/coarse-log-order"; 6],
+            vec!["artifact/coarse-log-order"; 2],
             "two sealed hours"
         );
+        // A sealed block whose run ends short of its rows, whose run keys
+        // do not ascend, or whose value column is not its rows' stride.
+        let sealed = |edit: &dyn Fn(&mut SealedBlock)| {
+            let mut bad = time.clone();
+            edit(Arc::make_mut(&mut bad.sealed.0[1]));
+            bad.violations().into_iter().map(|v| v.to_string()).collect::<Vec<_>>()
+        };
+        let found = sealed(&|b| Arc::make_mut(&mut b.runs).ends[0] -= 1);
+        assert!(found[0].contains("[$.sealed[1].runs.ends[0]]"), "{found:?}");
+        let found = sealed(&|b| {
+            let runs = Arc::make_mut(&mut b.runs);
+            runs.keys.insert(0, (Ts(HOUR), HOUR));
+            runs.ends.insert(0, 1);
+        });
+        assert!(found[0].contains("[$.sealed[1].runs.keys[1]]"), "{found:?}");
+        let found = sealed(&|b| {
+            b.values.pop();
+        });
+        assert!(found[0].contains("[$.sealed[1].values]"), "{found:?}");
+        assert_eq!(found.len(), 1, "rows are read only from sound blocks: {found:?}");
         let mut bad = adaptive.clone();
         bad.rows += 1;
         assert_eq!(rules(bad.violations()), vec!["artifact/coarse-log-shape"]);
@@ -4016,9 +3974,9 @@ mod tests {
         fn block(
             log: &mut IncrementalAdaptiveLog,
             b: usize,
-        ) -> (&mut Runs, &mut Vec<u64>, &mut Vec<f64>) {
-            let block = &mut log.history.0[b];
-            (Arc::make_mut(&mut block.runs), &mut block.ts, &mut block.values)
+        ) -> (&mut Runs<(u32, u32)>, &mut Vec<u64>, &mut Vec<f64>) {
+            let block = Arc::make_mut(&mut log.history.0[b]);
+            (Arc::make_mut(&mut block.runs), &mut block.items, &mut block.values)
         }
         let state = three_day_blocks();
         assert!(state.violations().is_empty(), "{:?}", state.violations());
@@ -4046,7 +4004,7 @@ mod tests {
         let found = broken(&|log| {
             for b in 0..3 {
                 let (runs, ts, values) = block(log, b);
-                runs.pairs.remove(1);
+                runs.keys.remove(1);
                 runs.ends.remove(1);
                 ts.truncate(12);
                 values.truncate(12);
@@ -4062,18 +4020,24 @@ mod tests {
         });
         assert!(names(&found, "artifact/coarse-log-order", "pairs[0].closed[2]"), "{found:?}");
         // Block rules.
-        let found = broken(&|log| block(log, 1).0.pairs.swap(0, 1));
-        assert!(names(&found, "artifact/coarse-log-order", "history[1].pairs[1]"), "{found:?}");
-        let found = broken(&|log| block(log, 1).0.pairs[1] = (0, 3));
-        assert!(names(&found, "artifact/coarse-log-samples", "history[1].pairs"), "{found:?}");
+        let found = broken(&|log| block(log, 1).0.keys.swap(0, 1));
+        let at = "history[1].runs.keys[1]";
+        assert!(names(&found, "artifact/coarse-log-order", at), "{found:?}");
+        let found = broken(&|log| block(log, 1).0.keys[1] = (0, 3));
+        let at = "history[1].runs.keys";
+        assert!(names(&found, "artifact/coarse-log-samples", at), "{found:?}");
         let found = broken(&|log| block(log, 0).0.ends[0] = 0);
-        assert!(names(&found, "artifact/coarse-log-shape", "history[0].ends[0]"), "{found:?}");
+        let at = "history[0].runs.ends[0]";
+        assert!(names(&found, "artifact/coarse-log-shape", at), "{found:?}");
         let found = broken(&|log| block(log, 0).0.ends[1] -= 1);
-        assert!(names(&found, "artifact/coarse-log-shape", "history[0].ends[1]"), "{found:?}");
+        let at = "history[0].runs.ends[1]";
+        assert!(names(&found, "artifact/coarse-log-shape", at), "{found:?}");
         let found = broken(&|log| {
             block(log, 2).2.pop();
         });
-        assert!(names(&found, "artifact/coarse-log-shape", "history[2].ends"), "{found:?}");
+        assert!(names(&found, "artifact/coarse-log-shape", "history[2].values"), "{found:?}");
+        let found = broken(&|log| Arc::make_mut(&mut log.history.0[2]).stride = 2);
+        assert!(names(&found, "artifact/coarse-log-shape", "history[2].values"), "{found:?}");
         // The blocks share one `Runs`; an edit through a copy leaves the
         // others as they were.
         assert!(Arc::ptr_eq(&state.history.0[1].runs, &state.history.0[2].runs));
@@ -4157,8 +4121,8 @@ mod tests {
 
     /// 48 one-epoch ticks over a fixed pair set: every block after the
     /// first shares the first one's `Runs`, so the history stores exactly
-    /// 16 bytes a sample in its columns and nothing per pair, and a
-    /// checkpoint restores it with the same sharing.
+    /// 16 bytes a sample in its columns and nothing per pair. A checkpoint
+    /// writes each block's runs, and a restore shares them again.
     #[test]
     fn steady_ticks_share_one_runs_and_store_sixteen_bytes_a_sample() {
         let ac = StreamConfig::default().adaptive;
@@ -4179,12 +4143,14 @@ mod tests {
         assert!(blocks.windows(2).all(|w| Arc::ptr_eq(&w[0].runs, &w[1].runs)));
         let bytes: usize = blocks
             .iter()
-            .map(|b| b.ts.capacity() * size_of::<u64>() + b.values.capacity() * size_of::<f64>())
+            .map(|b| b.items.capacity() * size_of::<u64>() + b.values.capacity() * size_of::<f64>())
             .sum();
         assert_eq!(bytes, 16 * log.len());
         let json = serde_json::to_string(&state).unwrap();
-        let restored: IncrementalAdaptiveLog = serde_json::from_str(&json).unwrap();
+        let mut restored: IncrementalAdaptiveLog = serde_json::from_str(&json).unwrap();
         assert_eq!(restored, state);
+        assert!(!Arc::ptr_eq(&restored.history.0[0].runs, &restored.history.0[1].runs));
+        restored.history.share_runs();
         assert!(restored.history.0.windows(2).all(|w| Arc::ptr_eq(&w[0].runs, &w[1].runs)));
     }
 
@@ -4420,9 +4386,9 @@ mod tests {
     fn splice_cells(cells: &mut OpenCells, n: usize, parts: &[Range<usize>]) {
         let mut out = OpenCells::default();
         for i in parts.iter().cloned().flatten() {
-            out.keys.push(cells.keys[i]);
+            out.runs.keys.push(cells.runs.keys[i]);
             out.samples.extend_from_slice(cells.samples_of(i));
-            out.ends.push(out.samples.len());
+            out.runs.ends.push(out.samples.len());
             out.values.extend_from_slice(cells.values_of(i, n));
         }
         *cells = out;
@@ -4445,7 +4411,7 @@ mod tests {
         if kind == 7 {
             if len > 0 {
                 splice_cells(&mut log.open, n, &[0..len, len - 1..len]);
-                log.open.keys[len].0 += 1;
+                log.open.runs.keys[len].0 += 1;
             } else if sealed > 0 {
                 log.sealed.write(sealed - 1, |rows, j| {
                     let mut extra = rows[j].clone();
@@ -4468,10 +4434,10 @@ mod tests {
                     corrupt_fields(&mut row, kind, pick);
                     log.open.values[j * n..(j + 1) * n].copy_from_slice(&row.values);
                 }
-                3 => log.open.keys[j].0 += 1,
+                3 => log.open.runs.keys[j].0 += 1,
                 5 => splice_cells(&mut log.open, n, &[0..j, j + 1..len]),
                 6 => splice_cells(&mut log.open, n, &[0..j + 1, j..len]),
-                _ => log.open.keys[j].1 ^= 1,
+                _ => log.open.runs.keys[j].1 ^= 1,
             }
         }
     }
@@ -4551,16 +4517,17 @@ mod tests {
                 });
             }
             5 => {
-                let drop_run =
-                    |runs: &mut Runs, ts: &mut Vec<u64>, values: &mut Vec<f64>, k: usize| {
-                        let (start, end) =
-                            (k.checked_sub(1).map_or(0, |j| runs.ends[j]), runs.ends[k]);
-                        ts.drain(start..end);
-                        values.drain(start..end);
-                        runs.pairs.remove(k);
-                        runs.ends.remove(k);
-                        runs.ends[k..].iter_mut().for_each(|e| *e -= end - start);
-                    };
+                let drop_run = |runs: &mut Runs<(u32, u32)>,
+                                ts: &mut Vec<u64>,
+                                values: &mut Vec<f64>,
+                                k: usize| {
+                    let (start, end) = (k.checked_sub(1).map_or(0, |j| runs.ends[j]), runs.ends[k]);
+                    ts.drain(start..end);
+                    values.drain(start..end);
+                    runs.keys.remove(k);
+                    runs.ends.remove(k);
+                    runs.ends[k..].iter_mut().for_each(|e| *e -= end - start);
+                };
                 while history.edit_newest(pair, drop_run) {}
                 ps.open = MeanFold::default();
             }

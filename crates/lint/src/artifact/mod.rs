@@ -56,7 +56,7 @@ const KINDS_NOTE: &str = "expected one of: cdg, topology, fault-campaign, coarse
 pub fn check_dir(root: &Path, dir: &Path) -> (Vec<Diagnostic>, usize) {
     let mut files = Vec::new();
     let mut dir_errors = Vec::new();
-    collect_json(dir, &mut files, &mut dir_errors);
+    crate::collect_files(dir, "json", &mut files, &mut dir_errors);
     files.sort();
     let mut findings = Vec::new();
     // Same discipline as the deep pass: an unreadable directory is a
@@ -95,28 +95,6 @@ pub fn check_dir(root: &Path, dir: &Path) -> (Vec<Diagnostic>, usize) {
         }
     }
     (findings, files.len())
-}
-
-fn collect_json(
-    dir: &Path,
-    out: &mut Vec<std::path::PathBuf>,
-    errors: &mut Vec<(std::path::PathBuf, String)>,
-) {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) => {
-            errors.push((dir.to_path_buf(), e.to_string()));
-            return;
-        }
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_json(&path, out, errors);
-        } else if path.extension().is_some_and(|e| e == "json") {
-            out.push(path);
-        }
-    }
 }
 
 /// Check one artifact given its workspace-relative name and source text.

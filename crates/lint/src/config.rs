@@ -251,7 +251,7 @@ mod tests {
     fn files_denying(lint: &str) -> Vec<String> {
         let root = workspace_root();
         let (mut files, mut errors) = (Vec::new(), Vec::new());
-        crate::deep::collect_rs(&root.join("crates"), &mut files, &mut errors);
+        crate::collect_files(&root.join("crates"), "rs", &mut files, &mut errors);
         assert!(errors.is_empty(), "{errors:?}");
         let mut out: Vec<String> = files
             .iter()

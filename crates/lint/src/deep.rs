@@ -24,7 +24,7 @@
 //! [`analyze_workspace`] is the filesystem wrapper the CLI uses.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::Serialize;
 
@@ -149,7 +149,7 @@ pub fn analyze_workspace(root: &Path, cfg: &Config, opts: &DeepOptions) -> DeepR
     let mut paths = Vec::new();
     let mut dir_errors = Vec::new();
     for dir in ["crates", "periodbench/src", "examples"] {
-        collect_rs(&root.join(dir), &mut paths, &mut dir_errors);
+        crate::collect_files(&root.join(dir), "rs", &mut paths, &mut dir_errors);
     }
     paths.sort();
     // What cannot be read is an unknown amount of unchecked code: report
@@ -174,26 +174,6 @@ pub fn analyze_workspace(root: &Path, cfg: &Config, opts: &DeepOptions) -> DeepR
 /// A `source/unparsed` finding for a whole file or directory.
 fn unparsed(file: &str, message: String) -> Diagnostic {
     Diagnostic::new(graph::UNPARSED_RULE, config::level(graph::UNPARSED_RULE), file, 0, 0, message)
-}
-
-/// Recursively collect `.rs` files under `dir`. A directory that cannot
-/// be read is pushed onto `errors` instead of being silently skipped.
-pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>, errors: &mut Vec<(PathBuf, String)>) {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) => {
-            errors.push((dir.to_path_buf(), e.to_string()));
-            return;
-        }
-    };
-    for entry in entries.flatten() {
-        let p = entry.path();
-        if p.is_dir() {
-            collect_rs(&p, out, errors);
-        } else if p.extension().is_some_and(|x| x == "rs") {
-            out.push(p);
-        }
-    }
 }
 
 /// Nodes whose behavior the analyses care about: the function itself, or

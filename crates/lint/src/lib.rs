@@ -53,6 +53,32 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
+/// Recursively collect the files under `dir` whose extension is `ext`,
+/// the one walk of both engines. A directory that cannot be read is
+/// pushed onto `errors` instead of being silently skipped.
+pub(crate) fn collect_files(
+    dir: &Path,
+    ext: &str,
+    out: &mut Vec<PathBuf>,
+    errors: &mut Vec<(PathBuf, String)>,
+) {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) => {
+            errors.push((dir.to_path_buf(), e.to_string()));
+            return;
+        }
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            collect_files(&path, ext, out, errors);
+        } else if path.extension().is_some_and(|x| x == ext) {
+            out.push(path);
+        }
+    }
+}
+
 /// Run the artifact engine over every `*.json` under `dir`.
 #[must_use]
 pub fn run_artifacts(root: &Path, dir: &Path) -> Report {

@@ -20,7 +20,7 @@ use smn_lint::artifact::check_str;
 use smn_perf::BenchReport;
 use smn_telemetry::delta::TelemetryDelta;
 use smn_telemetry::record::BandwidthRecord;
-use smn_telemetry::time::{Ts, DAY};
+use smn_telemetry::time::{Ts, DAY, EPOCH_SECS};
 
 /// Characters that change JSON structure, numbers, or string content.
 const REPLACEMENTS: [char; 16] =
@@ -40,15 +40,21 @@ fn collect(dir: &Path, out: &mut Vec<(String, String)>) {
     }
 }
 
-/// A stream checkpoint after one tick over pairs (0,1), (0,2) and (3,1),
-/// so both coarse logs hold samples and rows.
+/// A stream checkpoint after three hours of one-epoch ticks over pairs
+/// (0,1), (0,2) and (3,1), each sample 10.0: the uniform log holds two
+/// sealed hours (a block each) and an open one, and the adaptive log a
+/// history block per tick.
 fn checkpoint() -> String {
     let mut ctl = SmnController::new(CoarseDepGraph::new(), ControllerConfig::default());
     let mut state = StreamState::new(StreamConfig::default(), RedditDeployment::build().fine);
-    let records = [(0, 1), (0, 2), (3, 1)]
-        .map(|(src, dst)| BandwidthRecord { ts: Ts(0), src, dst, gbps: 10.0 })
-        .to_vec();
-    ctl.stream_tick(&mut state, &TelemetryDelta::new(0, records), None).expect("tick applies");
+    for tick in 0..36 {
+        let ts = Ts(tick * EPOCH_SECS);
+        let records = [(0, 1), (0, 2), (3, 1)]
+            .map(|(src, dst)| BandwidthRecord { ts, src, dst, gbps: 10.0 })
+            .to_vec();
+        ctl.stream_tick(&mut state, &TelemetryDelta::new(tick, records), None)
+            .expect("tick applies");
+    }
     serde_json::to_string(&state).expect("checkpoint serializes")
 }
 
@@ -86,9 +92,9 @@ fn forged_partition_size_is_a_finding_not_an_abort() {
 fn swapped_pair_keys_are_a_checkpoint_error() {
     let checkpoint = checkpoint();
     assert!(StreamState::restore(&checkpoint).is_ok(), "the undamaged checkpoint restores");
-    let keys = r#""keys":[[0,1],[0,2],[3,1]]"#;
+    let keys = r#""keys":[[0,1],[0,2],[3,1]],"pairs""#;
     assert!(checkpoint.contains(keys), "{checkpoint}");
-    let swapped = checkpoint.replace(keys, r#""keys":[[0,2],[0,1],[3,1]]"#);
+    let swapped = checkpoint.replace(keys, r#""keys":[[0,2],[0,1],[3,1]],"pairs""#);
     match StreamState::restore(&swapped) {
         Err(StreamError::Checkpoint(v)) => {
             assert!(v.rule.starts_with("artifact/coarse-log-"), "{v}");
@@ -100,34 +106,75 @@ fn swapped_pair_keys_are_a_checkpoint_error() {
 }
 
 /// `checkpoint` restores to a checkpoint error whose rule and path say
-/// what broke in the adaptive log.
-fn assert_adaptive_checkpoint_error(checkpoint: &str, rule: &str, at: &str) {
+/// what broke in a coarse log.
+fn assert_checkpoint_error(checkpoint: &str, rule: &str, at: &str) {
     match StreamState::restore(checkpoint) {
         Err(StreamError::Checkpoint(v)) => {
             assert_eq!(v.rule, rule, "{v}");
             assert!(v.to_string().contains(at), "{v}");
         }
         Err(other) => panic!("expected a checkpoint error, got {other}"),
-        Ok(_) => panic!("a damaged adaptive log must not restore"),
+        Ok(_) => panic!("a damaged coarse log must not restore"),
     }
 }
 
 #[test]
 fn a_corrupted_fold_is_a_checkpoint_error() {
     let checkpoint = checkpoint();
-    // Each pair folded one 10.0 sample: a sum of 20 is no fold of it.
+    // Each pair folded 36 samples of 10.0: a sum of 370 is no fold of them.
     for (fold, forged, at) in [
-        (r#""open":{"count":1,"sum":1"#, r#""open":{"count":1,"sum":2"#, "open"),
+        (r#""open":{"count":36,"sum":360.0"#, r#""open":{"count":36,"sum":370.0"#, "open"),
         (
-            r#""whole":{"unshifted":{"count":1,"sum":1"#,
-            r#""whole":{"unshifted":{"count":1,"sum":2"#,
+            r#""whole":{"unshifted":{"count":36,"sum":360.0"#,
+            r#""whole":{"unshifted":{"count":36,"sum":370.0"#,
             "whole",
         ),
     ] {
         assert!(checkpoint.contains(fold), "{checkpoint}");
         let forged = checkpoint.replacen(fold, forged, 1);
         let at = format!("[$.adaptive.pairs[0].{at}]");
-        assert_adaptive_checkpoint_error(&forged, "artifact/coarse-log-samples", &at);
+        assert_checkpoint_error(&forged, "artifact/coarse-log-samples", &at);
+    }
+}
+
+/// A checkpoint writes each column block as it is, so a restore checks
+/// each one: a sealed block or a history block with a run end short of its
+/// items, run keys that do not ascend, or a value column that is not its
+/// items times its stride is refused, with the block's path, before any
+/// row is read through its run index.
+#[test]
+fn a_checkpoint_with_a_malformed_block_is_refused() {
+    let checkpoint = checkpoint();
+    let sealed = r#""sealed":[{"runs":{"keys":[[0,3600]],"ends":[3]},"items":[[0,1],[0,2],[3,1]],"stride":2,"values":[10.0,"#;
+    let history = r#""history":[{"runs":{"keys":[[0,1],[0,2],[3,1]],"ends":[1,2,3]},"items":[0,0,0],"stride":1,"values":[10.0,"#;
+    let (shape, order) = ("artifact/coarse-log-shape", "artifact/coarse-log-order");
+    for (block, (from, to), rule, at) in [
+        (sealed, (r#""ends":[3]"#, r#""ends":[2]"#), shape, "time.sealed[0].runs.ends[0]"),
+        (
+            sealed,
+            (r#""keys":[[0,3600]],"ends":[3]"#, r#""keys":[[3600,3600],[0,3600]],"ends":[1,3]"#),
+            order,
+            "time.sealed[0].runs.keys[1]",
+        ),
+        (sealed, (r#""values":[10.0,"#, r#""values":["#), shape, "time.sealed[0].values"),
+        (
+            history,
+            (r#""ends":[1,2,3]"#, r#""ends":[1,2,2]"#),
+            shape,
+            "adaptive.history[0].runs.ends[2]",
+        ),
+        (
+            history,
+            (r#""keys":[[0,1],[0,2],[3,1]]"#, r#""keys":[[0,2],[0,1],[3,1]]"#),
+            order,
+            "adaptive.history[0].runs.keys[1]",
+        ),
+        (history, (r#""values":[10.0,"#, r#""values":["#), shape, "adaptive.history[0].values"),
+    ] {
+        assert!(checkpoint.contains(block), "{checkpoint}");
+        let forged = checkpoint.replacen(block, &block.replacen(from, to, 1), 1);
+        assert_ne!(forged, checkpoint);
+        assert_checkpoint_error(&forged, rule, &format!("[$.{at}]"));
     }
 }
 

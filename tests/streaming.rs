@@ -581,12 +581,14 @@ fn a_restored_session_starts_with_a_full_proof() {
     ctl.stream_reconcile(&mut restored).expect("and again, from its own mark");
     assert_eq!(proof_scope(&ctl), expected_scope(&ctl, Some(2 * HOUR)));
 
-    // A checkpoint whose first proven row was changed diverges.
-    let first = state.time_log().coarse_log()[0].clone();
-    let planted = smn_core::bwlogs::CoarseBwRecord { values: vec![7.0, 7.0], ..first.clone() };
-    let row = |r| serde_json::to_string(r).expect("a row serializes");
-    assert!(checkpoint.contains(&row(&first)));
-    let forged = checkpoint.replacen(&row(&first), &row(&planted), 1);
+    // A checkpoint whose first proven row was changed diverges: the first
+    // value of the first sealed block.
+    let first = state.time_log().coarse_log()[0].values[0];
+    let values = r#""stride":2,"values":["#;
+    let (head, tail) = checkpoint.split_once(values).expect("the log holds a sealed block");
+    let (value, rest) = tail.split_once(',').expect("the block holds two values");
+    assert_eq!(value.parse::<f64>(), Ok(first));
+    let forged = format!("{head}{values}{},{rest}", first + 1.0);
     let mut restored = StreamState::restore(&forged).expect("the forged checkpoint restores");
     assert_uniform_divergence(ctl.stream_reconcile(&mut restored));
 }
