@@ -42,7 +42,7 @@ use smn_depgraph::syndrome::{Explainability, Syndrome};
 use smn_obs::Obs;
 use smn_te::capacity::{CapacityPlanner, UpgradePolicy};
 use smn_telemetry::record::{Alert, BandwidthRecord, LogEvent, ProbeResult, Severity};
-use smn_telemetry::series::{key_pair, Statistic};
+use smn_telemetry::series::{key_pair, pair_key, Statistic};
 use smn_telemetry::time::{Ts, DAY, EPOCH_SECS, HOUR};
 use smn_topology::layer1::{Modulation, OpticalLayer, WavelengthId};
 use smn_topology::EdgeId;
@@ -641,13 +641,15 @@ impl SmnController {
 
     /// Walk the resolution ladder over `fine`, the time-ordered lake slice
     /// of `[start, end)`, and coarsen it at the first complete enough rung
-    /// (P95 per pair per window).
+    /// (P95 per pair per window), in the profiled phase `planning/window`.
+    /// Its `rows` field says how the rows were built ([`planning_rows`]).
     fn plan_window(
         &self,
         fine: &[BandwidthRecord],
         start: Ts,
         end: Ts,
     ) -> (PlanningWindow, Vec<Feedback>) {
+        let mut phase = self.obs.phase("planning/window");
         let mut feedback = Vec::new();
         let completeness_at = |resolution: u64| -> f64 {
             let expected = Self::windows_touched(start, end, resolution);
@@ -686,21 +688,8 @@ impl SmnController {
             });
         }
         let (chosen, completeness) = rung;
-        // At most one row per record; an untouched reservation costs no
-        // resident memory on the coarser rungs.
-        let mut records = Vec::with_capacity(fine.len());
-        // Every rung is a non-zero window and P95 the one statistic, so
-        // the rung's coarsener needs none of `TimeCoarsener::new`'s checks.
-        let coarsener = TimeCoarsener { window_secs: chosen, stats: vec![Statistic::P95] };
-        coarsener.for_each_cell(
-            fine,
-            |_| true,
-            |w, pair, samples| {
-                let Some(p95) = Statistic::P95.of_sorted(samples) else { return };
-                let (src, dst) = key_pair(pair);
-                records.push(PlanningRow { window_start: Ts(w * chosen), src, dst, values: [p95] });
-            },
-        );
+        let (records, build) = planning_rows(fine, chosen);
+        phase.field("rows", build);
         (PlanningWindow { resolution_secs: chosen, completeness, records }, feedback)
     }
 
@@ -834,6 +823,49 @@ pub fn flap_counts_from_logs(logs: &[LogEvent]) -> BTreeMap<EdgeId, u32> {
         }
     }
     counts
+}
+
+/// The P95 planning rows of `fine`, a lake slice, at `chosen`-second
+/// windows, in `(window, pair)` order, and how they were built: `one-pass`
+/// or `walk`.
+///
+/// On a full lake's epoch rung every `(window, pair)` cell holds one
+/// record, and the P95 of one sample is that sample bit for bit (NaN and
+/// `-0.0` included), so each row is its record's: one pass, no merge.
+/// The same pass checks the case: each record's `(window, pair)` must be
+/// strictly above the previous one's. At the first that is not (a coarser
+/// rung, a duplicate, a pair out of order), the rows are dropped and
+/// [`TimeCoarsener::for_each_cell`] walks the whole slice.
+fn planning_rows(fine: &[BandwidthRecord], chosen: u64) -> (Vec<PlanningRow>, &'static str) {
+    // At most one row per record; an untouched reservation costs no
+    // resident memory on the coarser rungs.
+    let mut records = Vec::with_capacity(fine.len());
+    let mut prev = None;
+    for r in fine {
+        let cell = (r.ts.0 / chosen, pair_key(r.src, r.dst));
+        if prev.is_some_and(|p| cell <= p) {
+            records.clear();
+            // Every rung is a non-zero window and P95 the one statistic,
+            // so the rung's coarsener needs none of `TimeCoarsener::new`'s
+            // checks.
+            let coarsener = TimeCoarsener { window_secs: chosen, stats: vec![Statistic::P95] };
+            coarsener.for_each_cell(
+                fine,
+                |_| true,
+                |w, pair, samples| {
+                    let Some(p95) = Statistic::P95.of_sorted(samples) else { return };
+                    let (src, dst) = key_pair(pair);
+                    let window_start = Ts(w * chosen);
+                    records.push(PlanningRow { window_start, src, dst, values: [p95] });
+                },
+            );
+            return (records, "walk");
+        }
+        prev = Some(cell);
+        let window_start = Ts(cell.0 * chosen);
+        records.push(PlanningRow { window_start, src: r.src, dst: r.dst, values: [r.gbps] });
+    }
+    (records, "one-pass")
 }
 
 #[cfg(test)]
@@ -1329,6 +1361,104 @@ mod tests {
         }
     }
 
+    /// Lay `lake` out as a full lake is: epoch-major, one record per
+    /// `(epoch, pair)` cell, pairs ascending in each epoch. Each epoch's
+    /// records sit at its start, or (`unaligned`) at its records' offsets
+    /// sorted ascending, so the lake stays time-ordered.
+    fn lay_out_as_full(lake: &mut Vec<BandwidthRecord>, unaligned: bool) {
+        let cell = |r: &BandwidthRecord| (r.ts.0 / EPOCH_SECS, pair_key(r.src, r.dst));
+        lake.sort_by_key(cell);
+        lake.dedup_by_key(|r| cell(r));
+        for epoch in lake.chunk_by_mut(|a, b| a.ts.0 / EPOCH_SECS == b.ts.0 / EPOCH_SECS) {
+            let mut offsets: Vec<u64> = epoch.iter().map(|r| r.ts.0 % EPOCH_SECS).collect();
+            offsets.sort_unstable();
+            for (r, offset) in epoch.iter_mut().zip(offsets) {
+                r.ts = Ts(r.ts.0 / EPOCH_SECS * EPOCH_SECS + if unaligned { offset } else { 0 });
+            }
+        }
+    }
+
+    /// Break a full lake's layout once at record `at` (modulo its length),
+    /// keeping it time-ordered: kind 1 repeats the record, kind 2 swaps its
+    /// pair with the next record's, and any other kind leaves the lake as
+    /// it is.
+    fn break_once(lake: &mut Vec<BandwidthRecord>, (kind, at): (u8, usize)) {
+        let Some(i) = at.checked_rem(lake.len()) else { return };
+        match kind {
+            1 => lake.insert(i, lake[i]),
+            2 if i + 1 < lake.len() => {
+                let (a, b) = (lake[i], lake[i + 1]);
+                (lake[i].src, lake[i].dst, lake[i + 1].src, lake[i + 1].dst) =
+                    (b.src, b.dst, a.src, a.dst);
+            }
+            _ => {}
+        }
+    }
+
+    /// The planning window's `rows` field in `obs`'s trace: how each
+    /// `planning/window` phase built its rows, in order.
+    fn row_builds(obs: &Obs) -> Vec<String> {
+        obs.trace_jsonl()
+            .lines()
+            .filter(|l| l.contains("\"name\":\"planning/window\"") && l.contains("\"rows\""))
+            .filter_map(|l| l.split("\"rows\":\"").nth(1)?.split('"').next().map(String::from))
+            .collect()
+    }
+
+    /// A clean full lake builds its planning rows in one pass, and one
+    /// broken only in its last window (a duplicate record, or two pairs
+    /// out of order) falls back to the cell walk; both planning windows
+    /// equal the time oracle's rows, and two seeded runs export the same
+    /// trace.
+    #[test]
+    fn a_full_lake_plans_in_one_pass_and_a_broken_one_walks() {
+        use crate::coarsen::Coarsening;
+        let lake: Vec<BandwidthRecord> = (0..24u32)
+            .flat_map(|e| {
+                [(0u32, 1u32, f64::NAN), (1, 0, -0.0), (2, 1, 2.5)].map(|(src, dst, gbps)| {
+                    BandwidthRecord {
+                        ts: Ts(u64::from(e) * EPOCH_SECS + u64::from(src)),
+                        src,
+                        dst,
+                        gbps: gbps * f64::from(e + 1),
+                    }
+                })
+            })
+            .collect();
+        let last = lake.len() - 1;
+        let mut swapped = lake.clone();
+        swapped.swap(last - 1, last);
+        swapped[last - 1].ts = swapped[last].ts;
+        let mut repeated = lake.clone();
+        repeated.push(lake[last]);
+        let plan = |lake: &[BandwidthRecord]| {
+            let mut c = faulty_controller(FaultProfile::reliable());
+            c.set_obs(Obs::enabled(smn_obs::clock::SimClock::new()));
+            c.clds().bandwidth.write().extend(lake.iter().copied());
+            let (window, feedback) = c.planning_bandwidth(Ts(0), Ts(2 * HOUR));
+            (window.expect("a reliable lake reads"), feedback, c.obs().clone())
+        };
+        for (lake, build) in [(&lake, "one-pass"), (&swapped, "walk"), (&repeated, "walk")] {
+            let (window, feedback, obs) = plan(lake);
+            assert!(feedback.is_empty());
+            assert_eq!(window.resolution_secs, EPOCH_SECS);
+            assert_eq!(row_builds(&obs), [build]);
+            let want: Vec<(Ts, u32, u32, u64)> =
+                TimeCoarsener::new(EPOCH_SECS, vec![Statistic::P95])
+                    .coarsen(lake)
+                    .iter()
+                    .map(|r| (r.window_start, r.src, r.dst, r.values[0].to_bits()))
+                    .collect();
+            let got: Vec<(Ts, u32, u32, u64)> = window
+                .records
+                .iter()
+                .map(|r| (r.window_start, r.src, r.dst, r.values[0].to_bits()))
+                .collect();
+            assert_eq!(got, want, "{build}");
+            assert_eq!(obs.trace_jsonl(), plan(lake).2.trace_jsonl());
+        }
+    }
+
     proptest::proptest! {
         /// Random lakes — thinned epochs, several samples of one pair in
         /// one epoch, NaN, ±0.0 and negative gbps — plan bit for bit as
@@ -1337,12 +1467,19 @@ mod tests {
         /// 0.5 and 0.9 step down as far as the thinning makes them. The
         /// rung and its completeness are those of the copying path's
         /// run-counting ladder. Spans start and end aligned or not, and
-        /// completeness never exceeds 1.
+        /// completeness never exceeds 1. Half the lakes are laid out as a
+        /// full lake is, epoch-major with one record per pair per epoch
+        /// and pairs ascending in each epoch (at the epoch's start, or at
+        /// ascending offsets in it), so the fine rung builds its rows in
+        /// one pass; half of those are broken once at a random place, by
+        /// a duplicate record or two pairs out of order.
         #[test]
         fn planning_rows_match_time_coarsener_on_every_rung(
             raw in proptest::collection::vec((0u64..288, 0u64..300, 0usize..4, 0usize..9), 0..300),
             from in 0u64..4,
             shifts in (0usize..6, 0usize..6),
+            layout in 0u8..4,
+            broken in (0u8..4, 0usize..300),
         ) {
             use crate::coarsen::Coarsening;
             const SHIFTS: [u64; 6] = [0, 0, 1, EPOCH_SECS / 2, HOUR / 2, HOUR - 1];
@@ -1358,6 +1495,10 @@ mod tests {
                 })
                 .collect();
             lake.sort_by_key(|r| r.ts);
+            if layout >= 2 {
+                lay_out_as_full(&mut lake, layout == 3);
+                break_once(&mut lake, broken);
+            }
             let mut c = faulty_controller(FaultProfile::reliable());
             c.clds().bandwidth.write().extend(lake.iter().copied());
             let (start, end) = (Ts(from * 6 * HOUR + SHIFTS[shifts.0]), Ts(DAY - SHIFTS[shifts.1]));

@@ -131,6 +131,7 @@ impl<'a> SmnSimulation<'a> {
     }
 
     /// Run the configured number of days and return the report.
+    // smn-lint: allow(deep/determinism-taint) -- the demand merge and the path search fork on a disabled handle, which reads no clock, and their results do not depend on the thread schedule
     pub fn run(&mut self) -> SimulationReport {
         let cfg = self.config.clone();
         let mut report = SimulationReport::default();
