@@ -36,7 +36,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use smn_datalake::access::ResilientAccess;
 use smn_datalake::fault::{FaultyStore, LakeError};
-use smn_datalake::store::Clds;
+use smn_datalake::store::{Clds, SharedRange};
 use smn_depgraph::coarse::CoarseDepGraph;
 use smn_depgraph::syndrome::{Explainability, Syndrome};
 use smn_obs::Obs;
@@ -139,8 +139,9 @@ impl Default for ControllerConfig {
 
 /// One row of a planning window: a pair's P95 over one window of the
 /// chosen rung. The window length is the window's `resolution_secs`, and
-/// the row is plain data (24 bytes, no heap), so a 1000-DC planning hour
-/// is one allocation however many pairs it holds.
+/// the row is plain data (24 bytes, no heap). A window's rows are either
+/// read from the lake's own records or built into one buffer
+/// ([`PlanningRows`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlanningRow {
     /// Window start.
@@ -153,8 +154,149 @@ pub struct PlanningRow {
     pub values: [f64; 1],
 }
 
+/// The rows of a [`PlanningWindow`], in `(window_start, src, dst)` order.
+///
+/// On a full lake at the epoch rung each lake record is its cell's row
+/// (see [`planning_rows`]), so the rows share the lake's records and
+/// each row is made when it is read. Otherwise they are built rows. Both
+/// read, compare and serialize alike: as a flat array of
+/// [`PlanningRow`]s.
+#[derive(Clone)]
+pub struct PlanningRows {
+    /// The shared lake range whose records are the rows, or empty.
+    fine: SharedRange<BandwidthRecord>,
+    /// Window length of the shared rows.
+    window_secs: u64,
+    /// Built rows, or empty.
+    built: Vec<PlanningRow>,
+}
+
+impl PlanningRows {
+    /// The rows of `fine`, a one-pass lake range at `window_secs`.
+    fn shared(fine: SharedRange<BandwidthRecord>, window_secs: u64) -> Self {
+        Self { fine, window_secs, built: Vec::new() }
+    }
+
+    /// The rows, by value.
+    #[must_use]
+    pub fn iter(&self) -> PlanningRowsIter<'_> {
+        PlanningRowsIter {
+            fine: self.fine.iter(),
+            window: WindowCursor::new(self.window_secs),
+            built: self.built.iter(),
+        }
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.fine.len() + self.built.len()
+    }
+
+    /// Whether there are no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<'a> IntoIterator for &'a PlanningRows {
+    type Item = PlanningRow;
+    type IntoIter = PlanningRowsIter<'a>;
+
+    fn into_iter(self) -> PlanningRowsIter<'a> {
+        self.iter()
+    }
+}
+
+impl From<Vec<PlanningRow>> for PlanningRows {
+    fn from(built: Vec<PlanningRow>) -> Self {
+        Self { fine: SharedRange::default(), window_secs: EPOCH_SECS, built }
+    }
+}
+
+impl PartialEq for PlanningRows {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for PlanningRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for PlanningRows {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Seq(self.iter().map(|r| r.to_value()).collect())
+    }
+}
+
+/// Rows deserialize as built rows.
+impl Deserialize for PlanningRows {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Vec::from_value(v).map(Self::from)
+    }
+}
+
+/// The rows of a [`PlanningRows`], by value.
+#[derive(Debug, Clone)]
+pub struct PlanningRowsIter<'a> {
+    fine: std::slice::Iter<'a, BandwidthRecord>,
+    window: WindowCursor,
+    built: std::slice::Iter<'a, PlanningRow>,
+}
+
+impl Iterator for PlanningRowsIter<'_> {
+    type Item = PlanningRow;
+
+    fn next(&mut self) -> Option<PlanningRow> {
+        let Some(r) = self.fine.next() else { return self.built.next().copied() };
+        let window_start = Ts(self.window.start_of(r.ts.0));
+        Some(PlanningRow { window_start, src: r.src, dst: r.dst, values: [r.gbps] })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.fine.len() + self.built.len();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for PlanningRowsIter<'_> {}
+
+/// The `secs`-second window of the last timestamp it was moved to. Moved
+/// along time-ordered timestamps, it divides once a window rather than
+/// once a timestamp.
+#[derive(Debug, Clone, Copy)]
+struct WindowCursor {
+    secs: u64,
+    /// The current window's start; `None` before the first move.
+    start: Option<u64>,
+}
+
+impl WindowCursor {
+    fn new(secs: u64) -> Self {
+        Self { secs, start: None }
+    }
+
+    /// Move to `ts`'s window and return its start.
+    fn start_of(&mut self, ts: u64) -> u64 {
+        match self.start {
+            Some(start) if ts.checked_sub(start).is_some_and(|d| d < self.secs) => start,
+            _ => *self.start.insert(ts / self.secs * self.secs),
+        }
+    }
+}
+
 /// Planning inputs assembled under possible degradation: the coarse
 /// bandwidth log at whichever ladder resolution was complete enough.
+///
+/// A one-pass window ([`PlanningRows`]) shares the lake's records rather
+/// than copying them. So it stays a snapshot: held across the lake's next
+/// append (a `stream_tick`'s ingest), it still reads its plan-time rows,
+/// and that append copies the whole lake once (24 B a record) to leave
+/// them be. Drop a window before the next tick to spare that copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanningWindow {
     /// Resolution actually used (seconds per coarse window).
@@ -163,7 +305,7 @@ pub struct PlanningWindow {
     pub completeness: f64,
     /// The coarse log (P95 per pair per window), in
     /// `(window_start, src, dst)` order.
-    pub records: Vec<PlanningRow>,
+    pub records: PlanningRows,
 }
 
 /// Serializable controller snapshot: the loop state needed to resume after
@@ -611,12 +753,13 @@ impl SmnController {
         start: Ts,
         end: Ts,
     ) -> (Option<PlanningWindow>, Vec<Feedback>) {
-        // The ladder and the coarsen read the lake's slice in place: one
-        // gated query per attempt, no copy of the window.
-        match self.fetch(|_| {
-            self.lake.with_bandwidth_range(start, end, |fine| self.plan_window(fine, start, end))
-        }) {
-            Ok((window, feedback)) => (Some(window), feedback),
+        // One gated query shares the lake's range: the ladder and the rows
+        // read it in place, with no copy of the window.
+        match self.fetch(|_| self.lake.bandwidth_range(start, end)) {
+            Ok(fine) => {
+                let (window, feedback) = self.plan_window(fine, start, end);
+                (Some(window), feedback)
+            }
             Err(e) => (
                 None,
                 vec![Feedback::Degraded {
@@ -639,13 +782,13 @@ impl SmnController {
         }
     }
 
-    /// Walk the resolution ladder over `fine`, the time-ordered lake slice
+    /// Walk the resolution ladder over `fine`, the time-ordered lake range
     /// of `[start, end)`, and coarsen it at the first complete enough rung
     /// (P95 per pair per window), in the profiled phase `planning/window`.
     /// Its `rows` field says how the rows were built ([`planning_rows`]).
     fn plan_window(
         &self,
-        fine: &[BandwidthRecord],
+        fine: SharedRange<BandwidthRecord>,
         start: Ts,
         end: Ts,
     ) -> (PlanningWindow, Vec<Feedback>) {
@@ -656,7 +799,7 @@ impl SmnController {
             // Lake slices are time-ordered, so each observed window is one
             // run of adjacent records: jump from run to run by binary search.
             let mut observed = 0usize;
-            let mut rest = fine;
+            let mut rest: &[BandwidthRecord] = &fine;
             while let Some(first) = rest.first() {
                 let w = first.ts.0 / resolution;
                 observed += 1;
@@ -825,47 +968,54 @@ pub fn flap_counts_from_logs(logs: &[LogEvent]) -> BTreeMap<EdgeId, u32> {
     counts
 }
 
-/// The P95 planning rows of `fine`, a lake slice, at `chosen`-second
+/// The P95 planning rows of `fine`, a lake range, at `chosen`-second
 /// windows, in `(window, pair)` order, and how they were built: `one-pass`
 /// or `walk`.
 ///
 /// On a full lake's epoch rung every `(window, pair)` cell holds one
 /// record, and the P95 of one sample is that sample bit for bit (NaN and
-/// `-0.0` included), so each row is its record's: one pass, no merge.
-/// The same pass checks the case: each record's `(window, pair)` must be
-/// strictly above the previous one's. At the first that is not (a coarser
-/// rung, a duplicate, a pair out of order), the rows are dropped and
-/// [`TimeCoarsener::for_each_cell`] walks the whole slice.
-fn planning_rows(fine: &[BandwidthRecord], chosen: u64) -> (Vec<PlanningRow>, &'static str) {
-    // At most one row per record; an untouched reservation costs no
-    // resident memory on the coarser rungs.
-    let mut records = Vec::with_capacity(fine.len());
-    let mut prev = None;
-    for r in fine {
-        let cell = (r.ts.0 / chosen, pair_key(r.src, r.dst));
-        if prev.is_some_and(|p| cell <= p) {
-            records.clear();
-            // Every rung is a non-zero window and P95 the one statistic,
-            // so the rung's coarsener needs none of `TimeCoarsener::new`'s
-            // checks.
-            let coarsener = TimeCoarsener { window_secs: chosen, stats: vec![Statistic::P95] };
-            coarsener.for_each_cell(
-                fine,
-                |_| true,
-                |w, pair, samples| {
-                    let Some(p95) = Statistic::P95.of_sorted(samples) else { return };
-                    let (src, dst) = key_pair(pair);
-                    let window_start = Ts(w * chosen);
-                    records.push(PlanningRow { window_start, src, dst, values: [p95] });
-                },
-            );
-            return (records, "walk");
-        }
-        prev = Some(cell);
-        let window_start = Ts(cell.0 * chosen);
-        records.push(PlanningRow { window_start, src: r.src, dst: r.dst, values: [r.gbps] });
+/// `-0.0` included), so each row is its record's and the rows share the
+/// range: no copy, no merge. [`is_one_pass`] checks that case without
+/// writing anything. Otherwise (a coarser rung, a duplicate, a pair out of
+/// order) [`TimeCoarsener::for_each_cell`] walks the whole range into
+/// built rows.
+fn planning_rows(fine: SharedRange<BandwidthRecord>, chosen: u64) -> (PlanningRows, &'static str) {
+    if is_one_pass(&fine, chosen) {
+        (PlanningRows::shared(fine, chosen), "one-pass")
+    } else {
+        (walked_rows(&fine, chosen).into(), "walk")
     }
-    (records, "one-pass")
+}
+
+/// The P95 rows of `fine` at `chosen`-second windows, built by the cell
+/// walk: the general path, for any time-ordered slice.
+fn walked_rows(fine: &[BandwidthRecord], chosen: u64) -> Vec<PlanningRow> {
+    // Every rung is a non-zero window and P95 the one statistic, so the
+    // rung's coarsener needs none of `TimeCoarsener::new`'s checks.
+    let coarsener = TimeCoarsener { window_secs: chosen, stats: vec![Statistic::P95] };
+    let mut records = Vec::new();
+    coarsener.for_each_cell(
+        fine,
+        |_| true,
+        |w, pair, samples| {
+            let Some(p95) = Statistic::P95.of_sorted(samples) else { return };
+            let (src, dst) = key_pair(pair);
+            records.push(PlanningRow { window_start: Ts(w * chosen), src, dst, values: [p95] });
+        },
+    );
+    records
+}
+
+/// Whether each record of `fine` is alone in its `chosen`-second
+/// `(window, pair)` cell, in cell order: each record's cell strictly above
+/// the previous record's.
+fn is_one_pass(fine: &[BandwidthRecord], chosen: u64) -> bool {
+    let mut window = WindowCursor::new(chosen);
+    let mut prev = None;
+    fine.iter().all(|r| {
+        let cell = (window.start_of(r.ts.0), pair_key(r.src, r.dst));
+        prev.replace(cell).is_none_or(|p| cell > p)
+    })
 }
 
 #[cfg(test)]
@@ -1246,7 +1396,8 @@ mod tests {
         // A planning row always carries its P95, so a zero-statistic row
         // cannot reach the history; the window holds the one-value row.
         let rows = vec![PlanningRow { window_start: Ts(0), src: 0, dst: 2, values: [5.0] }];
-        let window = PlanningWindow { resolution_secs: HOUR, completeness: 1.0, records: rows };
+        let window =
+            PlanningWindow { resolution_secs: HOUR, completeness: 1.0, records: rows.into() };
         let history =
             SmnController::utilization_history(&window, |_, dst| Some((EdgeId(dst), 10.0)));
         assert_eq!(history.keys().copied().collect::<Vec<_>>(), [EdgeId(2)]);
@@ -1273,7 +1424,7 @@ mod tests {
         use crate::coarsen::Coarsening;
         let mut feedback = Vec::new();
         let fine = match c.fetch(|_| c.lake.bandwidth_range(start, end)) {
-            Ok(f) => f,
+            Ok(f) => f.to_vec(),
             Err(e) => {
                 feedback.push(Feedback::Degraded {
                     loop_name: "planning".into(),
@@ -1308,7 +1459,7 @@ mod tests {
             });
         }
         let (chosen, completeness) = rung;
-        let records = TimeCoarsener::new(chosen, vec![Statistic::P95])
+        let records: Vec<PlanningRow> = TimeCoarsener::new(chosen, vec![Statistic::P95])
             .coarsen(&fine)
             .into_iter()
             .map(|r| {
@@ -1317,6 +1468,7 @@ mod tests {
                 PlanningRow { window_start: r.window_start, src: r.src, dst: r.dst, values }
             })
             .collect();
+        let records = records.into();
         (Some(PlanningWindow { resolution_secs: chosen, completeness, records }), feedback)
     }
 
@@ -1349,12 +1501,21 @@ mod tests {
                 (faulty_controller(profile.clone()), faulty_controller(profile));
             fill(&borrowing, stride);
             fill(&copying, stride);
+            // A window as the rows read from it, beside its other fields.
+            let read = |(w, feedback): (Option<PlanningWindow>, Vec<Feedback>)| {
+                let w = w.map(|w| {
+                    let rows: Vec<PlanningRow> = w.records.iter().collect();
+                    (w.resolution_secs, w.completeness.to_bits(), rows)
+                });
+                (w, feedback)
+            };
             for w in 0..4u64 {
                 let (start, end) = (Ts(w * 6 * HOUR), Ts(DAY));
-                let got = borrowing.planning_bandwidth(start, end);
-                assert_eq!(got, planning_by_copy(&copying, start, end), "window from {start}");
+                let got = read(borrowing.planning_bandwidth(start, end));
+                let want = read(planning_by_copy(&copying, start, end));
+                assert_eq!(got, want, "window from {start}");
                 if w == 0 {
-                    assert_eq!((got.0.map(|p| p.resolution_secs), got.1.len()), first);
+                    assert_eq!((got.0.map(|p| p.0), got.1.len()), first);
                 }
             }
             assert_eq!(borrowing.lake.query_count(), copying.lake.query_count());
@@ -1405,44 +1566,59 @@ mod tests {
             .collect()
     }
 
-    /// A clean full lake builds its planning rows in one pass, and one
-    /// broken only in its last window (a duplicate record, or two pairs
-    /// out of order) falls back to the cell walk; both planning windows
-    /// equal the time oracle's rows, and two seeded runs export the same
-    /// trace.
+    /// Whether `rows` read the lake's own buffer: a non-empty shared range
+    /// whose records lie in `lake`'s.
+    fn shares_lake(rows: &PlanningRows, lake: &[BandwidthRecord]) -> bool {
+        !rows.fine.is_empty() && lake.as_ptr_range().contains(&rows.fine.as_ptr())
+    }
+
+    /// A reliable traced controller over `lake`, and its planning window
+    /// over the lake's first two hours.
+    fn planned(lake: &[BandwidthRecord]) -> (SmnController, PlanningWindow, Vec<Feedback>) {
+        let mut c = faulty_controller(FaultProfile::reliable());
+        c.set_obs(Obs::enabled(smn_obs::clock::SimClock::new()));
+        c.clds().bandwidth.write().extend(lake.iter().copied());
+        let (window, feedback) = c.planning_bandwidth(Ts(0), Ts(2 * HOUR));
+        (c, window.expect("a reliable lake reads"), feedback)
+    }
+
+    /// A full lake of 24 epochs over three pairs; `gbps` gives each
+    /// pair's value in each epoch.
+    fn full_lake(gbps: impl Fn(u32, u32) -> f64) -> Vec<BandwidthRecord> {
+        (0..24u32)
+            .flat_map(|e| {
+                [(0u32, 1u32), (1, 0), (2, 1)].map(|(src, dst)| BandwidthRecord {
+                    ts: Ts(u64::from(e) * EPOCH_SECS + u64::from(src)),
+                    src,
+                    dst,
+                    gbps: gbps(e, src),
+                })
+            })
+            .collect()
+    }
+
+    /// A clean full lake builds its planning rows in one pass, sharing
+    /// the lake's records, and one broken only in its last window (a
+    /// duplicate record, or two pairs out of order) falls back to the cell
+    /// walk; both planning windows equal the time oracle's rows, and two
+    /// seeded runs export the same trace.
     #[test]
     fn a_full_lake_plans_in_one_pass_and_a_broken_one_walks() {
         use crate::coarsen::Coarsening;
-        let lake: Vec<BandwidthRecord> = (0..24u32)
-            .flat_map(|e| {
-                [(0u32, 1u32, f64::NAN), (1, 0, -0.0), (2, 1, 2.5)].map(|(src, dst, gbps)| {
-                    BandwidthRecord {
-                        ts: Ts(u64::from(e) * EPOCH_SECS + u64::from(src)),
-                        src,
-                        dst,
-                        gbps: gbps * f64::from(e + 1),
-                    }
-                })
-            })
-            .collect();
+        let lake = full_lake(|e, src| [f64::NAN, -0.0, 2.5][src as usize] * f64::from(e + 1));
         let last = lake.len() - 1;
         let mut swapped = lake.clone();
         swapped.swap(last - 1, last);
         swapped[last - 1].ts = swapped[last].ts;
         let mut repeated = lake.clone();
         repeated.push(lake[last]);
-        let plan = |lake: &[BandwidthRecord]| {
-            let mut c = faulty_controller(FaultProfile::reliable());
-            c.set_obs(Obs::enabled(smn_obs::clock::SimClock::new()));
-            c.clds().bandwidth.write().extend(lake.iter().copied());
-            let (window, feedback) = c.planning_bandwidth(Ts(0), Ts(2 * HOUR));
-            (window.expect("a reliable lake reads"), feedback, c.obs().clone())
-        };
         for (lake, build) in [(&lake, "one-pass"), (&swapped, "walk"), (&repeated, "walk")] {
-            let (window, feedback, obs) = plan(lake);
+            let (c, window, feedback) = planned(lake);
             assert!(feedback.is_empty());
             assert_eq!(window.resolution_secs, EPOCH_SECS);
-            assert_eq!(row_builds(&obs), [build]);
+            assert_eq!(row_builds(c.obs()), [build]);
+            let shared = shares_lake(&window.records, c.clds().bandwidth.read().all());
+            assert_eq!(shared, build == "one-pass", "{build}");
             let want: Vec<(Ts, u32, u32, u64)> =
                 TimeCoarsener::new(EPOCH_SECS, vec![Statistic::P95])
                     .coarsen(lake)
@@ -1455,8 +1631,30 @@ mod tests {
                 .map(|r| (r.window_start, r.src, r.dst, r.values[0].to_bits()))
                 .collect();
             assert_eq!(got, want, "{build}");
-            assert_eq!(obs.trace_jsonl(), plan(lake).2.trace_jsonl());
+            assert_eq!(window.records.len(), want.len());
+            assert_eq!(c.obs().trace_jsonl(), planned(lake).0.obs().trace_jsonl());
         }
+    }
+
+    /// A shared window and its built copy are one window: they compare
+    /// equal and serialize to the same flat row array, which reads back
+    /// as built rows.
+    #[test]
+    fn a_shared_window_serializes_and_compares_as_its_built_rows() {
+        let (c, window, _) = planned(&full_lake(|e, src| f64::from(e * 3 + src) - 7.5));
+        assert!(shares_lake(&window.records, c.clds().bandwidth.read().all()));
+        let rows: Vec<PlanningRow> = window.records.iter().collect();
+        let built = PlanningWindow { records: rows.into(), ..window.clone() };
+        assert!(!shares_lake(&built.records, c.clds().bandwidth.read().all()));
+        assert_eq!(window, built);
+        let json = serde_json::to_string(&window).expect("a window serializes");
+        assert_eq!(json, serde_json::to_string(&built).expect("so does its copy"));
+        assert!(json.contains("\"records\":[{\"window_start\":0,\"src\":0,\"dst\":1,"), "{json}");
+        let back: PlanningWindow = serde_json::from_str(&json).expect("and reads back");
+        assert_eq!(back, window);
+        let mut other = built.clone();
+        other.records = window.records.iter().skip(1).collect::<Vec<_>>().into();
+        assert_ne!(other, window, "a row short");
     }
 
     proptest::proptest! {
@@ -1517,22 +1715,33 @@ mod tests {
                 proptest::prop_assert_eq!(feedback, copied_feedback);
                 let want: Vec<(Ts, u64, u32, u32, u64)> =
                     TimeCoarsener::new(got.resolution_secs, vec![Statistic::P95])
-                        .coarsen(&fine)
+                        .coarsen(&fine.to_vec())
                         .iter()
                         .map(|r| {
                             let p95 = r.values.first().map_or(0, |v| v.to_bits());
                             (r.window_start, r.window_secs, r.src, r.dst, p95)
                         })
                         .collect();
-                let rows: Vec<(Ts, u64, u32, u32, u64)> = got
-                    .records
-                    .iter()
-                    .map(|r| {
-                        let [p95] = r.values;
-                        (r.window_start, got.resolution_secs, r.src, r.dst, p95.to_bits())
-                    })
-                    .collect();
-                proptest::prop_assert_eq!(rows, want);
+                let read = |rows: &PlanningRows| -> Vec<(Ts, u64, u32, u32, u64)> {
+                    rows.iter()
+                        .map(|r| {
+                            let [p95] = r.values;
+                            (r.window_start, got.resolution_secs, r.src, r.dst, p95.to_bits())
+                        })
+                        .collect()
+                };
+                proptest::prop_assert_eq!(&read(&got.records), &want);
+                // Both representations of the chosen rung's rows: built by
+                // the walk always, and shared when the range is one-pass.
+                let built = PlanningRows::from(walked_rows(&fine, got.resolution_secs));
+                proptest::prop_assert_eq!(&read(&built), &want);
+                let one_pass = is_one_pass(&fine, got.resolution_secs);
+                if one_pass {
+                    let shared = PlanningRows::shared(fine.clone(), got.resolution_secs);
+                    proptest::prop_assert_eq!(&read(&shared), &want);
+                }
+                let shared = shares_lake(&got.records, c.clds().bandwidth.read().all());
+                proptest::prop_assert_eq!(shared, one_pass && !fine.is_empty());
             }
         }
     }

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use smn_telemetry::record::{Alert, BandwidthRecord, LogEvent, ProbeResult};
 use smn_telemetry::time::Ts;
 
-use crate::store::Clds;
+use crate::store::{Clds, SharedRange};
 
 /// Typed errors a lake query can fail with.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -212,8 +212,9 @@ fn uniform01(h: u64) -> f64 {
 ///
 /// Writes go through [`FaultyStore::clds`] unchanged — ingestion-side chaos
 /// is modeled upstream by `smn_telemetry::chaos`. Reads are range queries
-/// returning owned vectors (a remote lake hands back result sets, not
-/// borrows into its own memory).
+/// returning owned results (a remote lake hands back result sets, not
+/// borrows into its own memory); the bandwidth read's result shares the
+/// records instead of copying them.
 #[derive(Debug)]
 pub struct FaultyStore {
     clds: Clds,
@@ -273,28 +274,20 @@ impl FaultyStore {
         Ok(())
     }
 
-    /// Bandwidth records with `start <= ts < end`.
-    pub fn bandwidth_range(&self, start: Ts, end: Ts) -> Result<Vec<BandwidthRecord>, LakeError> {
-        self.with_bandwidth_range(start, end, <[_]>::to_vec)
-    }
-
-    /// `f` over the bandwidth records with `start <= ts < end`, borrowed
-    /// under the dataset's read lock instead of copied out: one gated
-    /// query, exactly like [`FaultyStore::bandwidth_range`], whose result
-    /// `f` turns into what the caller keeps. Writers wait until `f`
-    /// returns.
+    /// Bandwidth records with `start <= ts < end`, shared with the lake
+    /// rather than copied out of it (a [`SharedRange`]): the read lock is
+    /// held only to take the range.
     ///
     /// # Errors
     /// The gate's [`LakeError`]: an outage over the range, or a seeded
-    /// transient failure; `f` is not called then.
-    pub fn with_bandwidth_range<T>(
+    /// transient failure.
+    pub fn bandwidth_range(
         &self,
         start: Ts,
         end: Ts,
-        f: impl FnOnce(&[BandwidthRecord]) -> T,
-    ) -> Result<T, LakeError> {
+    ) -> Result<SharedRange<BandwidthRecord>, LakeError> {
         self.gate("wan/bandwidth-logs", start, end)?;
-        Ok(f(self.clds.bandwidth.read().range(start, end)))
+        Ok(self.clds.bandwidth.read().shared_range(start, end))
     }
 
     /// Alerts with `start <= ts < end`.
@@ -385,26 +378,36 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_range_read_matches_copying_read() {
+    fn shared_range_read_is_the_gated_store_range() {
         let profiles = [
-            FaultProfile::reliable().with_outage(Ts(1000), Ts(2000)),
-            FaultProfile::reliable().with_dataset_outage("wan/bandwidth-logs", Ts(0), Ts(900)),
-            FaultProfile::reliable().with_error_rate(0.4).with_seed(23),
+            (FaultProfile::reliable().with_outage(Ts(1000), Ts(2000)), true),
+            (
+                FaultProfile::reliable().with_dataset_outage("wan/bandwidth-logs", Ts(0), Ts(900)),
+                true,
+            ),
+            (FaultProfile::reliable().with_error_rate(0.4).with_seed(23), false),
         ];
-        for profile in profiles {
-            let (copying, borrowing) = (seeded_store(profile.clone()), seeded_store(profile));
+        for (profile, persistent) in profiles {
+            let (store, replay) = (seeded_store(profile.clone()), seeded_store(profile));
             let mut failed = 0;
             for i in 0..40u64 {
                 let (start, end) = (Ts(i * 250), Ts(i * 250 + 1200));
-                let copied = copying.bandwidth_range(start, end);
-                let borrowed = borrowing.with_bandwidth_range(start, end, <[_]>::to_vec);
-                assert_eq!(copied, borrowed, "query {i} over [{start}, {end})");
-                let counted = borrowing.with_bandwidth_range(start, end, <[_]>::len);
-                assert_eq!(counted, copying.bandwidth_range(start, end).map(|v| v.len()));
-                failed += usize::from(copied.is_err());
+                let read = store.bandwidth_range(start, end);
+                assert_eq!(read, replay.bandwidth_range(start, end), "query {i} replays");
+                match read {
+                    Ok(shared) => {
+                        let lake = store.clds().bandwidth.read();
+                        assert_eq!(&*shared, lake.range(start, end), "query {i}");
+                        assert_eq!(shared.as_ptr(), lake.range(start, end).as_ptr());
+                    }
+                    Err(e) => {
+                        assert_eq!(e.is_transient(), !persistent, "query {i}: {e}");
+                        failed += 1;
+                    }
+                }
             }
             assert!((1..40).contains(&failed), "{failed} of 40 queries failed");
-            assert_eq!(copying.query_count(), borrowing.query_count());
+            assert_eq!(store.query_count(), 40);
         }
     }
 

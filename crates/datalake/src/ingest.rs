@@ -10,7 +10,7 @@ use smn_obs::Obs;
 use smn_telemetry::record::{Alert, BandwidthRecord, Severity};
 use smn_telemetry::time::Ts;
 
-use crate::store::Clds;
+use crate::store::{Clds, TimeStore};
 
 /// A stage that may drop or rewrite alerts before they reach the lake.
 pub trait Denoiser {
@@ -125,30 +125,35 @@ pub fn ingest_alerts(
 /// (telemetry is append-only; a stale record is a transport replay, not
 /// new information).
 pub fn ingest_bandwidth(clds: &Clds, records: &[BandwidthRecord]) -> IngestReport {
-    let mut report = IngestReport::default();
-    let mut store = clds.bandwidth.write();
-    for r in records {
-        if store.latest_ts().is_some_and(|latest| r.ts < latest) {
-            report.suppressed += 1;
-            continue;
-        }
-        store.append(*r);
-        report.ingested += 1;
-    }
-    report
+    ingest_into(&mut clds.bandwidth.write(), records)
+}
+
+/// [`ingest_bandwidth`] into a locked store: one batch append.
+fn ingest_into(
+    store: &mut TimeStore<BandwidthRecord>,
+    records: &[BandwidthRecord],
+) -> IngestReport {
+    let mut suppressed = 0;
+    store.extend_with(records.iter().copied(), |_, _| suppressed += 1);
+    IngestReport { ingested: records.len() - suppressed, suppressed }
 }
 
 /// [`ingest_bandwidth`] run inside a profiled `lake/ingest-bw` phase:
 /// bumps the `lake_bw_ingested_total` / `lake_bw_suppressed_total`
 /// counters and records the batch's wall time in the perf trajectory's
-/// wall profile.
+/// wall profile. The phase's `copies` field counts the lake copies the
+/// batch made (1 when a reader still shared the lake's records, else 0).
 pub fn ingest_bandwidth_profiled(
     clds: &Clds,
     records: &[BandwidthRecord],
     obs: &Obs,
 ) -> IngestReport {
     let mut phase = obs.phase("lake/ingest-bw");
-    let report = ingest_bandwidth(clds, records);
+    let mut store = clds.bandwidth.write();
+    let copies = store.copies();
+    let report = ingest_into(&mut store, records);
+    phase.field("copies", store.copies() - copies);
+    drop(store);
     obs.inc_by("lake_bw_ingested_total", report.ingested as u64);
     obs.inc_by("lake_bw_suppressed_total", report.suppressed as u64);
     phase.field("ingested", report.ingested);
@@ -259,5 +264,16 @@ mod tests {
         assert_eq!(r.ingested, 1);
         assert!(obs.wall_profile().iter().any(|p| p.path == "lake/ingest-bw"));
         assert_eq!(obs.counter("lake_bw_ingested_total"), 1);
+        let held = clds.bandwidth.read().shared_range(Ts(0), Ts(1));
+        ingest_bandwidth_profiled(&clds, &[bw], &obs);
+        drop(held);
+        ingest_bandwidth_profiled(&clds, &[bw], &obs);
+        let trace = obs.trace_jsonl();
+        let copies: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains("\"name\":\"lake/ingest-bw\""))
+            .filter_map(|l| l.split("\"copies\":").nth(1)?.split([',', '}']).next())
+            .collect();
+        assert_eq!(copies, ["0", "1", "0"], "only the batch behind a held range copies");
     }
 }

@@ -36,4 +36,4 @@ pub use fault::{
     DatasetOutage, FaultProfile, FaultyStore, LakeError, Outage, DATASET_ALERTS, DATASET_PROBES,
 };
 pub use retention::{ProtectedWindow, RetentionPolicy};
-pub use store::{Clds, TimeStore};
+pub use store::{Clds, SharedRange, TimeStore};

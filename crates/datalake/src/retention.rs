@@ -68,7 +68,7 @@ impl RetentionPolicy {
     /// Enforce the policy on `store` as of time `now`, protecting
     /// `incident_windows`. Deterministic: the failure-free sample keeps
     /// every ⌊1/fraction⌋-th expired record.
-    pub fn enforce<T: Timestamped>(
+    pub fn enforce<T: Timestamped + Clone>(
         &self,
         store: &mut TimeStore<T>,
         now: Ts,

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use smn_core::bwlogs::{encode_coarse_log, AdaptiveCoarsener};
 use smn_core::coarsen::Coarsening;
-use smn_core::controller::{ControllerConfig, SmnController};
+use smn_core::controller::{ControllerConfig, PlanningRow, SmnController};
 use smn_core::stream::{StreamConfig, StreamError, StreamState, TickOutcome};
 use smn_datalake::TimeStore;
 use smn_depgraph::coarse::CoarseDepGraph;
@@ -569,6 +569,53 @@ fn a_cloned_or_replaced_lake_forces_a_full_proof() {
     }));
     *ctl.clds().bandwidth.write() = replaced;
     assert_uniform_divergence(ctl.stream_reconcile(&mut state));
+}
+
+/// Each `lake/ingest-bw` phase's `copies` field in `ctl`'s trace, in order.
+fn ingest_copies(ctl: &SmnController) -> Vec<u64> {
+    ctl.obs()
+        .trace_jsonl()
+        .lines()
+        .filter(|l| l.contains("\"name\":\"lake/ingest-bw\""))
+        .filter_map(|l| l.split("\"copies\":").nth(1)?.split([',', '}']).next()?.parse().ok())
+        .collect()
+}
+
+/// A planning window shares the lake's records. Held across a tick, it
+/// still reads its plan-time rows, and that tick's ingest copies the lake
+/// exactly once; dropped before a tick, it costs no copy.
+#[test]
+fn a_held_planning_window_is_a_snapshot_that_costs_one_copy() {
+    let (mut ctl, mut state) = proven_session();
+    let tick = |e: u32| {
+        let ts = Ts(u64::from(e) * EPOCH_SECS);
+        let records = [(0, 1), (1, 2), (2, 0)]
+            .map(|(src, dst)| BandwidthRecord { ts, src, dst, gbps: f64::from(e) })
+            .to_vec();
+        TelemetryDelta::new(u64::from(e), records)
+    };
+    let plan = |ctl: &SmnController| {
+        let (window, feedback) = ctl.planning_bandwidth(Ts(2 * HOUR), Ts(3 * HOUR + EPOCH_SECS));
+        assert!(feedback.is_empty(), "{feedback:?}");
+        window.expect("a reliable lake reads")
+    };
+    let held = plan(&ctl);
+    let rows: Vec<PlanningRow> = held.records.iter().collect();
+    assert_eq!(rows.len(), 36, "twelve epochs of three pairs");
+    let before = ctl.clds().bandwidth.read().copies();
+    ctl.stream_tick(&mut state, &tick(36), None).expect("the tick applies");
+    assert_eq!(ctl.clds().bandwidth.read().copies(), before + 1, "the held window costs one copy");
+    assert_eq!(held.records.iter().collect::<Vec<_>>(), rows, "and keeps its plan-time rows");
+    let fresh = plan(&ctl);
+    assert_eq!(fresh.records.len(), rows.len() + 3, "the lake has the tick's epoch");
+    drop(fresh);
+    ctl.stream_tick(&mut state, &tick(37), None).expect("the tick applies");
+    assert_eq!(ctl.clds().bandwidth.read().copies(), before + 1, "the lake owns its copy");
+    drop(held);
+    drop(plan(&ctl));
+    ctl.stream_tick(&mut state, &tick(38), None).expect("the tick applies");
+    assert_eq!(ctl.clds().bandwidth.read().copies(), before + 1, "a dropped window costs none");
+    assert_eq!(ingest_copies(&ctl).iter().rev().take(3).collect::<Vec<_>>(), [&0, &0, &1]);
 }
 
 #[test]
